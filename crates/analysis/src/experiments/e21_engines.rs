@@ -27,7 +27,7 @@ use std::time::Instant;
 use rumor_core::dynamic::{run_dynamic, DynamicModel, EdgeMarkov};
 use rumor_core::engine::{run_dynamic_sharded, run_edge_markov_lazy};
 use rumor_core::spec::{Engine, Protocol, SimSpec, Topology};
-use rumor_core::{runner, Mode};
+use rumor_core::{runner, Mode, NoProbe};
 use rumor_graph::generators;
 use rumor_sim::rng::{SeedStream, Xoshiro256PlusPlus};
 use rumor_sim::stats::OnlineStats;
@@ -242,6 +242,7 @@ fn part_lazy(cfg: &ExperimentConfig, table: &mut Table) {
         model,
         &mut Xoshiro256PlusPlus::seed_from(mix_seed(cfg, SALT + 202)),
         max_steps,
+        &mut NoProbe,
     );
     table.add_row(vec![
         "lazy".into(),
@@ -265,6 +266,7 @@ fn part_lazy(cfg: &ExperimentConfig, table: &mut Table) {
             model,
             &mut Xoshiro256PlusPlus::seed_from(mix_seed(cfg, SALT + 203)),
             400_000_000,
+            &mut NoProbe,
         );
         assert!(out.completed, "n = 10^6 lazy run must complete");
         let config = format!("rr6-{big_n} nu=0.5");

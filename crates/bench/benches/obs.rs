@@ -2,8 +2,11 @@
 //!
 //! The probe hooks are statically dispatched and default-empty, so the
 //! `NoProbe` path must compile down to the unprobed engines — the
-//! `*_noprobe` benchmarks pin that the disabled overhead stays under a
-//! few percent. The probed variants price the cheapest real consumers:
+//! `async_noprobe` benchmark pins that the disabled overhead stays
+//! under a few percent. Every dynamic entry point is generic over the
+//! probe, so `dynamic_boxed_noprobe` instead prices the general entry
+//! over a boxed model state against [`run_dynamic`]'s per-model
+//! dispatch. The probed variants price the cheapest real consumers:
 //! the counting probe (a handful of integer adds per event) and full
 //! spreading-curve capture through the spec layer.
 
@@ -11,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_core::{
-    run_async, run_async_probed, run_dynamic, run_dynamic_probed, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, NoProbe,
+    run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
+    LogHistogram, MetricsLevel, Mode, NoProbe, RngContract,
 };
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -35,10 +38,19 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
             run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, 100_000_000)
         })
     });
-    group.bench_function("dynamic_noprobe", |b| {
+    group.bench_function("dynamic_boxed_noprobe", |b| {
         b.iter(|| {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
-            run_dynamic_probed(&g, 0, Mode::PushPull, &model, &mut rng, 100_000_000, &mut NoProbe)
+            run_dynamic_with(
+                RngContract::V1,
+                &g,
+                0,
+                Mode::PushPull,
+                model.build_state().as_mut(),
+                &mut rng,
+                100_000_000,
+                &mut NoProbe,
+            )
         })
     });
 
@@ -76,7 +88,16 @@ fn bench_counting_probe(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
             let mut probe = CountingProbe::default();
-            run_dynamic_probed(&g, 0, Mode::PushPull, &model, &mut rng, 100_000_000, &mut probe)
+            run_dynamic_with(
+                RngContract::V1,
+                &g,
+                0,
+                Mode::PushPull,
+                model.build_state().as_mut(),
+                &mut rng,
+                100_000_000,
+                &mut probe,
+            )
         })
     });
     group.finish();

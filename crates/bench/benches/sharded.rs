@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::dynamic::{run_dynamic, DynamicModel, EdgeMarkov};
 use rumor_core::engine::{run_dynamic_sharded, run_edge_markov_lazy};
-use rumor_core::Mode;
+use rumor_core::{Mode, NoProbe};
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -100,7 +100,15 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
                 &g,
                 |b, g| {
                     b.iter(|| {
-                        run_edge_markov_lazy(g, 0, Mode::PushPull, model, &mut rng, 100_000_000)
+                        run_edge_markov_lazy(
+                            g,
+                            0,
+                            Mode::PushPull,
+                            model,
+                            &mut rng,
+                            100_000_000,
+                            &mut NoProbe,
+                        )
                     })
                 },
             );

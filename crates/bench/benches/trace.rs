@@ -10,10 +10,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // The benched suite IS the E23 suite, so the baseline tracks exactly
 // the models and parameters the coupled experiment runs.
 use rumor_analysis::experiments::e23_coupled_gap::{coupled_models, horizon};
-use rumor_core::dynamic::run_dynamic_model;
+use rumor_core::dynamic::run_dynamic_with;
 use rumor_core::engine::trace::TopologyTrace;
 use rumor_core::spec::{Protocol, SimSpec, Topology};
-use rumor_core::Mode;
+use rumor_core::{Mode, NoProbe, RngContract};
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -31,7 +31,16 @@ fn bench_record(c: &mut Criterion) {
     for (name, model) in coupled_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
-            b.iter(|| TopologyTrace::record(&g, 0, model, &mut rng, horizon(N)))
+            b.iter(|| {
+                TopologyTrace::record(
+                    RngContract::V1,
+                    &g,
+                    0,
+                    model.build_state().as_mut(),
+                    &mut rng,
+                    horizon(N),
+                )
+            })
         });
     }
     group.finish();
@@ -43,22 +52,25 @@ fn bench_replay(c: &mut Criterion) {
     let g = base_graph();
     for (name, model) in coupled_models(&g) {
         let trace = TopologyTrace::record(
+            RngContract::V1,
             &g,
             0,
-            &model,
+            model.build_state().as_mut(),
             &mut Xoshiro256PlusPlus::seed_from(11),
             horizon(N),
         );
         let mut rng = Xoshiro256PlusPlus::seed_from(13);
         group.bench_with_input(BenchmarkId::from_parameter(name), &trace, |b, trace| {
             b.iter(|| {
-                run_dynamic_model(
+                run_dynamic_with(
+                    RngContract::V1,
                     &g,
                     0,
                     Mode::PushPull,
                     &mut trace.replayer(),
                     &mut rng,
                     100_000_000,
+                    &mut NoProbe,
                 )
             })
         });

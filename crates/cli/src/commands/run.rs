@@ -140,11 +140,49 @@ fn build_connected(spec: &SimSpec) -> Result<Simulation, CliError> {
     Ok(sim)
 }
 
+/// Every flag a flag-composed run reads.
+const RUN_FLAGS: &[&str] = &[
+    "antithetic",
+    "attach",
+    "churn",
+    "coupled",
+    "cut-budget",
+    "cut-rate",
+    "dynamic-model",
+    "emit-spec",
+    "heal",
+    "horizon",
+    "join",
+    "lazy",
+    "leave",
+    "loss",
+    "metrics",
+    "metrics-out",
+    "mode",
+    "model",
+    "move-rate",
+    "period",
+    "quantile",
+    "radius",
+    "seed",
+    "shards",
+    "source",
+    "step",
+    "threads",
+    "trials",
+];
+
 /// Translates the flag set into a [`SimSpec`].
 fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     let path = args.require(0, "file")?;
     if args.positional().len() > 1 {
         return Err(CliError::Usage("run takes exactly one <file> argument".into()));
+    }
+    // An unknown flag is a typo, not a default: rejecting it keeps a
+    // misspelled `--dynamic-model` from silently running static.
+    let unknown = args.keys_outside(RUN_FLAGS);
+    if !unknown.is_empty() {
+        return Err(CliError::Usage(format!("unknown run flag --{}", unknown.join(", --"))));
     }
     // Stdin graphs cannot be re-read at build time; files become a
     // serializable `GraphSpec::File` so `--emit-spec` round-trips.
@@ -178,32 +216,9 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
         return Err(CliError::Usage(format!("unknown --model `{model}`")));
     }
 
-    // `--dynamic-model` is the canonical spelling ({markov | rewire |
-    // walk | mobility | adversary}); `--dynamic` keeps the PR 1 names
-    // (edge-markov, rewire, node-churn) for compatibility.
-    let legacy = args.opt_str("dynamic", "none");
-    let canonical = args.opt_str("dynamic-model", "none");
-    if legacy != "none" && canonical != "none" {
-        return Err(CliError::Usage("pass either --dynamic or --dynamic-model, not both".into()));
-    }
-    let dynamic = if canonical != "none" {
-        match canonical.as_str() {
-            "markov" => "edge-markov".to_owned(),
-            "rewire" | "walk" | "mobility" | "adversary" => canonical,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --dynamic-model `{other}`; supported: markov, rewire, walk, \
-                     mobility, adversary"
-                )))
-            }
-        }
-    } else {
-        legacy
-    };
-    let topology = if dynamic == "none" {
-        Topology::Static
-    } else {
-        Topology::Model(parse_dynamic_model(args, &dynamic, &g)?)
+    let topology = match args.opt_str("dynamic-model", "none").as_str() {
+        "none" => Topology::Static,
+        name => Topology::Model(parse_dynamic_model(args, name, &g)?),
     };
 
     let protocol = if model == "sync" && !coupled {
@@ -250,10 +265,10 @@ fn opt_f64(args: &Args, key: &str) -> Result<Option<f64>, CliError> {
     raw.parse().map(Some).map_err(|_| CliError::Usage(format!("cannot parse --{key} from `{raw}`")))
 }
 
-/// Builds the topology-evolution model for `--dynamic` runs.
+/// Builds the topology-evolution model for `--dynamic-model` runs.
 fn parse_dynamic_model(args: &Args, dynamic: &str, g: &Graph) -> Result<DynamicModel, CliError> {
     match dynamic {
-        "edge-markov" => {
+        "markov" => {
             let nu: f64 = args.opt_parsed("churn", 1.0)?;
             if !(nu >= 0.0 && nu.is_finite()) {
                 return Err(CliError::Usage("--churn must be finite and >= 0".into()));
@@ -319,7 +334,7 @@ fn parse_dynamic_model(args: &Args, dynamic: &str, g: &Graph) -> Result<DynamicM
             Ok(DynamicModel::Adversary(Adversary::new(rate, budget, heal)))
         }
         other => Err(CliError::Usage(format!(
-            "unknown --dynamic `{other}`; supported: edge-markov, rewire, node-churn, walk, \
+            "unknown --dynamic-model `{other}`; supported: markov, rewire, node-churn, walk, \
              mobility, adversary"
         ))),
     }
@@ -493,11 +508,15 @@ mod tests {
 
     #[test]
     fn dynamic_models_run_under_async() {
-        for model in ["edge-markov", "rewire", "node-churn"] {
-            let out =
-                with_graph(TRIANGLE, &["--model", "async", "--dynamic", model, "--trials", "20"])
-                    .unwrap();
-            assert!(out.contains(&format!("dynamic {model}")), "{out}");
+        for (flag, printed) in
+            [("markov", "edge-markov"), ("rewire", "rewire"), ("node-churn", "node-churn")]
+        {
+            let out = with_graph(
+                TRIANGLE,
+                &["--model", "async", "--dynamic-model", flag, "--trials", "20"],
+            )
+            .unwrap();
+            assert!(out.contains(&format!("dynamic {printed}")), "{out}");
             assert!(out.contains("time units"));
         }
     }
@@ -523,13 +542,11 @@ mod tests {
 
     #[test]
     fn dynamic_model_flag_validates() {
-        // Unknown model, both flags at once, sync + async-only model.
+        // Unknown model, sync + async-only model.
         assert!(with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "psychic"]).is_err());
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "walk", "--dynamic", "rewire"]
-        )
-        .is_err());
+        assert!(
+            with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "edge-markov"]).is_err()
+        );
         assert!(with_graph(TRIANGLE, &["--dynamic-model", "walk"]).is_err(), "sync + walk");
         // Model-specific parameter validation.
         assert!(with_graph(
@@ -558,33 +575,49 @@ mod tests {
 
     #[test]
     fn dynamic_rewire_works_synchronously() {
-        let out = with_graph(TRIANGLE, &["--dynamic", "rewire", "--period", "2", "--trials", "20"])
-            .unwrap();
+        let out =
+            with_graph(TRIANGLE, &["--dynamic-model", "rewire", "--period", "2", "--trials", "20"])
+                .unwrap();
         assert!(out.contains("dynamic rewire"));
         assert!(out.contains("rounds"));
     }
 
     #[test]
     fn validates_dynamic_options() {
-        assert!(with_graph(TRIANGLE, &["--dynamic", "warp"]).is_err());
+        assert!(with_graph(TRIANGLE, &["--dynamic-model", "warp"]).is_err());
         assert!(with_graph(
             TRIANGLE,
-            &["--model", "async", "--dynamic", "edge-markov", "--churn", "-1"]
+            &["--model", "async", "--dynamic-model", "markov", "--churn", "-1"]
         )
         .is_err());
-        assert!(with_graph(TRIANGLE, &["--dynamic", "edge-markov"]).is_err(), "sync + churn");
+        assert!(with_graph(TRIANGLE, &["--dynamic-model", "markov"]).is_err(), "sync + churn");
         assert!(with_graph(
             TRIANGLE,
-            &["--model", "async", "--dynamic", "rewire", "--loss", "0.5"]
+            &["--model", "async", "--dynamic-model", "rewire", "--loss", "0.5"]
         )
         .is_err());
         assert!(with_graph(
             TRIANGLE,
-            &["--model", "async", "--dynamic", "node-churn", "--attach", "0"]
+            &["--model", "async", "--dynamic-model", "node-churn", "--attach", "0"]
         )
         .is_err());
         // Synchronous rewiring needs whole rounds.
-        assert!(with_graph(TRIANGLE, &["--dynamic", "rewire", "--period", "2.5"]).is_err());
+        assert!(with_graph(TRIANGLE, &["--dynamic-model", "rewire", "--period", "2.5"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // A misspelled flag must not silently fall back to a default —
+        // here, a static run.
+        let err =
+            with_graph(TRIANGLE, &["--model", "async", "--trials", "3", "--dynamc", "rewire"])
+                .unwrap_err();
+        assert!(err.to_string().contains("unknown run flag --dynamc"), "{err}");
+        // The retired `--dynamic` spelling is just another unknown flag.
+        let err = with_graph(TRIANGLE, &["--model", "async", "--dynamic", "rewire"]).unwrap_err();
+        assert!(err.to_string().contains("unknown run flag --dynamic"), "{err}");
+        // `--emit-spec` mode checks its flags too.
+        assert!(with_graph(TRIANGLE, &["--emit-spec", "true", "--seeed", "3"]).is_err());
     }
 
     #[test]
@@ -596,7 +629,7 @@ mod tests {
             &[
                 "--model",
                 "async",
-                "--dynamic",
+                "--dynamic-model",
                 "node-churn",
                 "--leave",
                 "50",
@@ -681,7 +714,7 @@ mod tests {
         }
         let err = with_graph(
             TRIANGLE,
-            &["--model", "async", "--lazy", "true", "--dynamic", "node-churn"],
+            &["--model", "async", "--lazy", "true", "--dynamic-model", "node-churn"],
         )
         .unwrap_err();
         assert!(err.to_string().contains("memoryless"));
@@ -767,7 +800,7 @@ mod tests {
     #[test]
     fn dynamic_run_is_deterministic_per_seed() {
         let flags =
-            ["--model", "async", "--dynamic", "edge-markov", "--trials", "15", "--seed", "3"];
+            ["--model", "async", "--dynamic-model", "markov", "--trials", "15", "--seed", "3"];
         let a = with_graph(TRIANGLE, &flags).unwrap();
         let b = with_graph(TRIANGLE, &flags).unwrap();
         assert_eq!(a, b);

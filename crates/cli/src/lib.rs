@@ -7,8 +7,8 @@
 //! rumor stats <file|->                           # structural properties
 //! rumor run <file|-> [--model sync|async] [--mode push|pull|pushpull]
 //!           [--source U] [--trials N] [--seed S] [--loss P] [--quantile Q]
-//!           [--dynamic edge-markov|rewire|node-churn] [--churn NU]
-//!           [--period T] [--leave R] [--join R] [--attach K]
+//!           [--dynamic-model markov|rewire|node-churn|walk|mobility|adversary]
+//!           [--churn NU] [--period T] [--leave R] [--join R] [--attach K]
 //!           [--emit-spec true]
 //! rumor run --spec file.spec                     # replay a saved run spec
 //! ```
@@ -89,11 +89,14 @@ RUN OPTIONS:
     --emit-spec true        print the run's spec artifact instead of running
     --spec FILE             replay a saved spec artifact (no other run flags)
 
-DYNAMIC NETWORKS (rumor run --dynamic …):
-    --dynamic edge-markov   per-edge on/off churn     (--churn NU, default 1)
-    --dynamic rewire        periodic fresh snapshots  (--period T, default 4)
-    --dynamic node-churn    node leave/join           (--leave R --join R --attach K)
-    edge-markov and node-churn need --model async; rewire supports both
+DYNAMIC NETWORKS (rumor run --dynamic-model …):
+    markov        per-edge on/off churn      (--churn NU, default 1)
+    rewire        periodic fresh snapshots   (--period T, default 4)
+    node-churn    node leave/join            (--leave R --join R --attach K)
+    walk          random-walk edge dynamics  (--churn RATE, default 1)
+    mobility      geometric mobility         (--move-rate R --radius R --step S)
+    adversary     frontier cuts              (--cut-rate R --cut-budget B --heal T)
+    every model but rewire needs --model async; rewire supports both
     models (snapshots are drawn at matching edge density).
 
 FLEET (rumor sweep / worker / serve):

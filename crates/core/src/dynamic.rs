@@ -60,7 +60,7 @@ use rumor_graph::{generators, Graph, Node};
 use rumor_sim::events::RngContract;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::engine::topology::TopologyModel;
+use crate::engine::topology::{StateVisitor, TopologyModel};
 use crate::engine::{
     drive, Control, Either, EventSource, Merged, QueueSource, TickSource, TopoDriver,
 };
@@ -315,7 +315,7 @@ impl DynamicModel {
 
     /// The per-edge `(off, on)` chain rates if this model is
     /// independently memoryless per base edge — what the lazy engine
-    /// ([`crate::engine::run_dynamic_lazy`]) requires. Delegates to
+    /// ([`crate::engine::run_edge_markov_lazy`]) requires. Delegates to
     /// [`TopologyModel::memoryless_edge_rates`](crate::engine::TopologyModel::memoryless_edge_rates).
     pub fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
         self.build_state().memoryless_edge_rates()
@@ -391,24 +391,6 @@ impl DynamicOutcome {
     }
 }
 
-/// One processed engine event, for the execution-order trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineEvent {
-    /// Simulation time of the event.
-    pub time: f64,
-    /// What happened.
-    pub kind: EngineEventKind,
-}
-
-/// Discriminates trace entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineEventKind {
-    /// A protocol clock tick (one node activation).
-    Tick,
-    /// A topology event (edge flip, snapshot, node join/leave).
-    Topology,
-}
-
 /// Runs the asynchronous push/pull/push–pull protocol on a dynamic
 /// network, from `source`, until every node is informed or `max_steps`
 /// protocol steps have been taken.
@@ -421,7 +403,8 @@ pub enum EngineEventKind {
 ///
 /// With a model for which [`DynamicModel::is_static`] holds, the run
 /// replays [`crate::run_async`] with [`crate::AsyncView::GlobalClock`]
-/// seed-for-seed: identical RNG consumption, identical outcome.
+/// seed-for-seed: identical RNG consumption, identical outcome. This is
+/// [`run_dynamic_under`] with [`RngContract::V1`].
 ///
 /// # Panics
 ///
@@ -435,54 +418,7 @@ pub fn run_dynamic(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    run_dynamic_probed(g, source, mode, model, rng, max_steps, &mut NoProbe)
-}
-
-/// Like [`run_dynamic`], but over an already-built [`TopologyModel`]
-/// state instead of a [`DynamicModel`] descriptor — the entry point for
-/// model implementations that are not in the enum, most importantly a
-/// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
-/// recorded topology realization.
-pub fn run_dynamic_model(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> DynamicOutcome {
-    run_dynamic_inner(g, source, mode, state, rng, max_steps, &mut NoProbe)
-}
-
-/// Like [`run_dynamic`], with an instrumentation [`Probe`] observing the
-/// run. Probes are passive — a probed run replays its unprobed twin
-/// seed-for-seed — and a [`NoProbe`] compiles every hook out.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_probed<P: Probe>(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> DynamicOutcome {
-    run_dynamic_probed_under(RngContract::V1, g, source, mode, model, rng, max_steps, probe)
-}
-
-/// Like [`run_dynamic_model`], with an instrumentation [`Probe`]
-/// observing the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_model_probed<P: Probe>(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> DynamicOutcome {
-    run_dynamic_inner(g, source, mode, state, rng, max_steps, probe)
+    run_dynamic_under(RngContract::V1, g, source, mode, model, rng, max_steps)
 }
 
 /// Like [`run_dynamic`], under an explicit [`RngContract`]:
@@ -500,67 +436,31 @@ pub fn run_dynamic_under(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    run_dynamic_probed_under(contract, g, source, mode, model, rng, max_steps, &mut NoProbe)
+    model.with_state(SequentialRun {
+        contract,
+        g,
+        source,
+        mode,
+        rng,
+        max_steps,
+        probe: &mut NoProbe,
+    })
 }
 
-/// Contract-explicit variant of [`run_dynamic_probed`].
+/// The general sequential entry point: [`run_dynamic_under`] over an
+/// already-built [`TopologyModel`] state, with an instrumentation
+/// [`Probe`] observing the run. Model implementations outside the
+/// [`DynamicModel`] enum come in here, most importantly a
+/// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
+/// recorded topology realization. Probes are passive — a probed run
+/// replays its unprobed twin seed-for-seed — and a [`NoProbe`] compiles
+/// every hook out.
+///
+/// # Panics
+///
+/// As [`run_dynamic`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_probed_under<P: Probe>(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> DynamicOutcome {
-    use crate::engine::topology::{
-        AdversaryState, EdgeMarkovState, MobilityState, NodeChurnState, RandomWalkState,
-        RewireState, StaticState,
-    };
-    // Dispatch on the model variant HERE, so the engine loops
-    // monomorphize over the concrete state: the per-event `fire` /
-    // `channel_weight` calls inline instead of going through the
-    // vtable, which is worth ~10% on the event-dense models. Same
-    // computation, same draws — goldens are dispatch-blind. Callers
-    // holding a state the enum doesn't know (trace replayers,
-    // recorders) come in through [`run_dynamic_model_probed_under`]
-    // and pay the virtual calls.
-    macro_rules! mono {
-        ($state:expr) => {
-            run_dynamic_model_probed_under(contract, g, source, mode, $state, rng, max_steps, probe)
-        };
-    }
-    match *model {
-        DynamicModel::Static => mono!(&mut StaticState),
-        DynamicModel::EdgeMarkov(m) => mono!(&mut EdgeMarkovState::new(m)),
-        DynamicModel::Rewire(m) => mono!(&mut RewireState::new(m)),
-        DynamicModel::NodeChurn(m) => mono!(&mut NodeChurnState::new(m)),
-        DynamicModel::RandomWalk(m) => mono!(&mut RandomWalkState::new(m)),
-        DynamicModel::Mobility(m) => mono!(&mut MobilityState::new(m)),
-        DynamicModel::Adversary(m) => mono!(&mut AdversaryState::new(m)),
-    }
-}
-
-/// Contract-explicit variant of [`run_dynamic_model`].
-pub fn run_dynamic_model_under(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> DynamicOutcome {
-    run_dynamic_model_probed_under(contract, g, source, mode, state, rng, max_steps, &mut NoProbe)
-}
-
-/// Contract-explicit variant of [`run_dynamic_model_probed`]; the one
-/// dispatch point between the pinned v1 loop and the v2 superposition
-/// loop.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_model_probed_under<P: Probe, M: TopologyModel + ?Sized>(
+pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
     contract: RngContract,
     g: &Graph,
     source: Node,
@@ -576,35 +476,26 @@ pub fn run_dynamic_model_probed_under<P: Probe, M: TopologyModel + ?Sized>(
     }
 }
 
-/// Records the execution-order trace by listening at the probe hooks.
-struct TraceProbe {
-    trace: Vec<EngineEvent>,
+/// A sequential run waiting for its model state: visiting a
+/// [`DynamicModel`] with it runs [`run_dynamic_with`] over the model's
+/// concrete state type.
+pub(crate) struct SequentialRun<'a, P> {
+    pub(crate) contract: RngContract,
+    pub(crate) g: &'a Graph,
+    pub(crate) source: Node,
+    pub(crate) mode: Mode,
+    pub(crate) rng: &'a mut Xoshiro256PlusPlus,
+    pub(crate) max_steps: u64,
+    pub(crate) probe: &'a mut P,
 }
 
-impl Probe for TraceProbe {
-    fn event(&mut self, time: f64, kind: ProbeEvent) {
-        let kind = match kind {
-            ProbeEvent::Tick => EngineEventKind::Tick,
-            ProbeEvent::Topology | ProbeEvent::Cross => EngineEventKind::Topology,
-        };
-        self.trace.push(EngineEvent { time, kind });
+impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
+    type Output = DynamicOutcome;
+
+    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> DynamicOutcome {
+        let Self { contract, g, source, mode, rng, max_steps, probe } = self;
+        run_dynamic_with(contract, g, source, mode, &mut state, rng, max_steps, probe)
     }
-}
-
-/// Like [`run_dynamic`], additionally returning the full execution-order
-/// trace (every tick and topology event, in processing order). Intended
-/// for tests and debugging; the trace grows with the step budget.
-pub fn run_dynamic_traced(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> (DynamicOutcome, Vec<EngineEvent>) {
-    let mut probe = TraceProbe { trace: Vec::new() };
-    let out = run_dynamic_probed(g, source, mode, model, rng, max_steps, &mut probe);
-    (out, probe.trace)
 }
 
 fn run_dynamic_inner<P: Probe, M: TopologyModel + ?Sized>(
@@ -1091,14 +982,31 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_time_ordered_and_complete() {
+    fn event_stream_is_time_ordered_and_complete() {
+        struct Events(Vec<(f64, ProbeEvent)>);
+        impl Probe for Events {
+            fn event(&mut self, time: f64, kind: ProbeEvent) {
+                self.0.push((time, kind));
+            }
+        }
         let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
-        let (out, trace) = run_dynamic_traced(&g, 0, Mode::PushPull, &model, &mut rng(7), 500_000);
+        let mut state = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0)).build_state();
+        let mut probe = Events(Vec::new());
+        let out = run_dynamic_with(
+            RngContract::V1,
+            &g,
+            0,
+            Mode::PushPull,
+            state.as_mut(),
+            &mut rng(7),
+            500_000,
+            &mut probe,
+        );
         assert!(out.completed);
-        assert!(trace.windows(2).all(|w| w[0].time <= w[1].time), "out-of-order trace");
-        let ticks = trace.iter().filter(|e| e.kind == EngineEventKind::Tick).count() as u64;
-        let topo = trace.iter().filter(|e| e.kind == EngineEventKind::Topology).count() as u64;
+        let events = probe.0;
+        assert!(events.windows(2).all(|w| w[0].0 <= w[1].0), "out-of-order events");
+        let ticks = events.iter().filter(|e| e.1 == ProbeEvent::Tick).count() as u64;
+        let topo = events.iter().filter(|e| e.1 == ProbeEvent::Topology).count() as u64;
         assert_eq!(ticks, out.steps);
         assert_eq!(topo, out.topology_events);
     }

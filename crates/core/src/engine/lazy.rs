@@ -33,10 +33,10 @@ use rumor_graph::{Graph, Node};
 use rumor_sim::events::{LazyMarkovClock, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::dynamic::{DynamicModel, EdgeMarkov};
+use crate::dynamic::EdgeMarkov;
 use crate::engine::{drive, Control};
 use crate::mode::Mode;
-use crate::obs::{NoProbe, Probe, ProbeEvent};
+use crate::obs::{Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
 
 /// Result of a lazy-clock edge-Markov run.
@@ -85,36 +85,6 @@ fn edge_seed(seed: u64, eid: u32) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(eid) + 1)
 }
 
-/// Runs any **per-edge-memoryless** [`DynamicModel`] with lazy clocks,
-/// consuming the model through the
-/// [`TopologyModel`](crate::engine::TopologyModel) interface: the model
-/// is asked for its per-edge `(off, on)` chain rates
-/// ([`memoryless_edge_rates`]) and, when it has them ([`Static`] and
-/// [`EdgeMarkov`](DynamicModel::EdgeMarkov) do), the run keeps no
-/// pending topology events at all. Returns `None` for models whose
-/// evolution couples edges to each other or to the informed state
-/// (rewiring, node churn, random walks, mobility, the adversary) —
-/// those need the eager event stream.
-///
-/// [`memoryless_edge_rates`]: crate::engine::TopologyModel::memoryless_edge_rates
-/// [`Static`]: DynamicModel::Static
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or the base graph has isolated
-/// nodes.
-pub fn run_dynamic_lazy(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> Option<LazyOutcome> {
-    let (off_rate, on_rate) = model.memoryless_edge_rates()?;
-    Some(run_edge_markov_lazy(g, source, mode, EdgeMarkov { off_rate, on_rate }, rng, max_steps))
-}
-
 /// Runs the asynchronous push/pull/push–pull protocol under edge-Markov
 /// churn with lazy per-edge clocks, from `source`, until every node is
 /// informed or `max_steps` protocol steps have been taken.
@@ -127,27 +97,27 @@ pub fn run_dynamic_lazy(
 /// when `n` (and the edge count) is large enough that the eager
 /// pending-flip queue is the bottleneck; `n = 10⁶` runs fit comfortably.
 ///
+/// Any per-edge-memoryless model runs here through its chain rates
+/// ([`TopologyModel::memoryless_edge_rates`]: [`Static`] is `(0, 0)`);
+/// models whose evolution couples edges to each other or to the
+/// informed state (rewiring, node churn, random walks, mobility, the
+/// adversary) have none and need the eager event stream.
+///
+/// The `probe` observes the run; probes are passive — a probed run
+/// replays its unprobed twin seed-for-seed — and a [`NoProbe`]
+/// compiles every hook out. The engine draws the same stream under
+/// every [`RngContract`](rumor_sim::events::RngContract).
+///
+/// [`TopologyModel::memoryless_edge_rates`]: crate::engine::TopologyModel::memoryless_edge_rates
+/// [`Static`]: crate::DynamicModel::Static
+/// [`NoProbe`]: crate::obs::NoProbe
+///
 /// # Panics
 ///
 /// Panics if `source` is out of range or the base graph has isolated
 /// nodes.
-pub fn run_edge_markov_lazy(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: EdgeMarkov,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> LazyOutcome {
-    run_edge_markov_lazy_probed(g, source, mode, model, rng, max_steps, &mut NoProbe)
-}
-
-/// Like [`run_edge_markov_lazy`], with an instrumentation [`Probe`]
-/// observing the run. Probes are passive — a probed run replays its
-/// unprobed twin seed-for-seed — and a [`NoProbe`] compiles every hook
-/// out.
 #[allow(clippy::too_many_arguments)]
-pub fn run_edge_markov_lazy_probed<P: Probe>(
+pub fn run_edge_markov_lazy<P: Probe>(
     g: &Graph,
     source: Node,
     mode: Mode,
@@ -269,6 +239,7 @@ mod tests {
     use rumor_sim::stats::OnlineStats;
 
     use crate::dynamic::{run_dynamic, DynamicModel};
+    use crate::obs::NoProbe;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from(seed)
@@ -284,6 +255,7 @@ mod tests {
             EdgeMarkov::symmetric(1.0),
             &mut rng(2),
             50_000_000,
+            &mut NoProbe,
         );
         assert!(out.completed);
         assert!(out.clocks_touched > 0);
@@ -307,6 +279,7 @@ mod tests {
                 EdgeMarkov::symmetric(0.0),
                 &mut rng(1000 + seed),
                 10_000_000,
+                &mut NoProbe,
             );
             assert!(l.completed);
             lazy_stats.push(l.time);
@@ -333,7 +306,15 @@ mod tests {
         let mut lazy_stats = OnlineStats::new();
         let mut eager_stats = OnlineStats::new();
         for seed in 0..150 {
-            let l = run_edge_markov_lazy(&g, 0, Mode::PushPull, model, &mut rng(seed), 50_000_000);
+            let l = run_edge_markov_lazy(
+                &g,
+                0,
+                Mode::PushPull,
+                model,
+                &mut rng(seed),
+                50_000_000,
+                &mut NoProbe,
+            );
             assert!(l.completed);
             lazy_stats.push(l.time);
             let e = run_dynamic(
@@ -355,8 +336,24 @@ mod tests {
     fn deterministic_under_seed() {
         let g = generators::hypercube(4);
         let model = EdgeMarkov::symmetric(2.0);
-        let a = run_edge_markov_lazy(&g, 0, Mode::PushPull, model, &mut rng(9), 1_000_000);
-        let b = run_edge_markov_lazy(&g, 0, Mode::PushPull, model, &mut rng(9), 1_000_000);
+        let a = run_edge_markov_lazy(
+            &g,
+            0,
+            Mode::PushPull,
+            model,
+            &mut rng(9),
+            1_000_000,
+            &mut NoProbe,
+        );
+        let b = run_edge_markov_lazy(
+            &g,
+            0,
+            Mode::PushPull,
+            model,
+            &mut rng(9),
+            1_000_000,
+            &mut NoProbe,
+        );
         assert_eq!(a, b);
     }
 
@@ -370,6 +367,7 @@ mod tests {
             EdgeMarkov::symmetric(0.5),
             &mut rng(11),
             10,
+            &mut NoProbe,
         );
         assert!(!out.completed);
         assert_eq!(out.steps, 10);
@@ -385,6 +383,7 @@ mod tests {
             EdgeMarkov::symmetric(1.0),
             &mut rng(13),
             10,
+            &mut NoProbe,
         );
         assert!(out.completed);
         assert_eq!(out.clocks_touched, 0);
@@ -402,6 +401,7 @@ mod tests {
             EdgeMarkov::symmetric(1.0),
             &mut rng(17),
             5,
+            &mut NoProbe,
         );
         // 5 ticks touch at most 5 nodes' incident edges.
         assert!(out.clocks_touched <= 5 * 63, "touched {}", out.clocks_touched);

@@ -48,17 +48,13 @@ pub mod source;
 pub mod topology;
 pub mod trace;
 
-pub use lazy::{run_dynamic_lazy, run_edge_markov_lazy, run_edge_markov_lazy_probed, LazyOutcome};
+pub use lazy::{run_edge_markov_lazy, LazyOutcome};
 pub use scheduler::TopoDriver;
 pub use sharded::{
-    run_dynamic_sharded, run_dynamic_sharded_model, run_dynamic_sharded_model_probed,
-    run_dynamic_sharded_model_probed_under, run_dynamic_sharded_model_under,
-    run_dynamic_sharded_probed, run_dynamic_sharded_probed_under, run_dynamic_sharded_under,
-    run_dynamic_sharded_with, ShardedOutcome,
+    run_dynamic_sharded, run_dynamic_sharded_under, run_dynamic_sharded_with, ShardedOutcome,
 };
 pub use source::{drive, Control, Either, EventSource, Merged, QueueSource, TickSource};
-pub use topology::{InformedView, RateImpact, TopoEvent, TopologyModel};
+pub use topology::{InformedView, RateImpact, StateVisitor, TopoEvent, TopologyModel};
 pub use trace::{
-    run_sync_dynamic, run_trace_lazy, run_trace_lazy_under, TopologyTrace, TraceRecorder,
-    TraceReplayer, TraceStep,
+    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceReplayer, TraceStep,
 };

@@ -255,7 +255,7 @@ struct Totals {
 /// inline. `shard0_rng` is `None` at `K = 1`, where shard 0 shares the
 /// caller's stream (the replay invariant).
 #[allow(clippy::too_many_arguments)]
-fn coordinate<P: Probe>(
+fn coordinate<P: Probe, M: TopologyModel + ?Sized>(
     n: usize,
     mode: Mode,
     part: &Partition,
@@ -263,7 +263,7 @@ fn coordinate<P: Probe>(
     net: &RwLock<MutableGraph>,
     states: &[Mutex<ShardState>],
     driver: &mut TopoDriver,
-    mstate: &mut dyn TopologyModel,
+    mstate: &mut M,
     rng: &mut Xoshiro256PlusPlus,
     mut shard0_rng: Option<Xoshiro256PlusPlus>,
     mut local_rates: Vec<f64>,
@@ -496,9 +496,8 @@ fn coordinate<P: Probe>(
 }
 
 /// Runs the asynchronous push/pull/push–pull protocol on a dynamic
-/// network with `shards` contiguous node shards. See
-/// [`run_dynamic_sharded_with`] for the semantics;
-/// `Partition::contiguous` supplies the partition.
+/// network with `shards` contiguous node shards; this is
+/// [`run_dynamic_sharded_under`] with [`RngContract::V1`].
 ///
 /// # Panics
 ///
@@ -513,150 +512,15 @@ pub fn run_dynamic_sharded(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    run_dynamic_sharded_with(g, source, mode, model, &part, rng, max_steps)
-}
-
-/// Like [`run_dynamic_sharded`], with an instrumentation [`Probe`]
-/// observing the run from the coordinator's side: window closures,
-/// topology and cross-shard events, and final per-shard wall-clock
-/// utilization. Probes are passive — a probed run replays its unprobed
-/// twin seed-for-seed — and a [`NoProbe`] compiles every hook out,
-/// including the per-window timer reads.
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_probed<P: Probe>(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    let mut state = model.build_state();
-    run_dynamic_sharded_state(
-        RngContract::V1,
-        g,
-        source,
-        mode,
-        state.as_mut(),
-        &part,
-        rng,
-        max_steps,
-        probe,
-    )
-}
-
-/// Like [`run_dynamic_sharded_model`], with an instrumentation
-/// [`Probe`] observing the run (see [`run_dynamic_sharded_probed`]).
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_model_probed<P: Probe>(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    run_dynamic_sharded_state(RngContract::V1, g, source, mode, state, &part, rng, max_steps, probe)
-}
-
-/// Like [`run_dynamic_sharded`], but over an already-built
-/// [`TopologyModel`] state instead of a [`DynamicModel`] descriptor —
-/// the entry point for model implementations outside the enum, most
-/// importantly a [`TraceReplayer`](crate::engine::trace::TraceReplayer)
-/// replaying a recorded topology realization (at `K = 1` such a run
-/// replays the sequential replay seed-for-seed, like any other model).
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-pub fn run_dynamic_sharded_model(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    run_dynamic_sharded_state(
-        RngContract::V1,
-        g,
-        source,
-        mode,
-        state,
-        &part,
-        rng,
-        max_steps,
-        &mut NoProbe,
-    )
-}
-
-/// Runs the asynchronous push/pull/push–pull protocol on a dynamic
-/// network, from `source`, with the node set sharded by `partition`;
-/// shard 0 runs on the calling thread, every further shard on its own
-/// worker thread.
-///
-/// Exact in distribution for any shard count (see the module docs for
-/// the argument); with one shard it replays [`crate::run_dynamic`]
-/// seed-for-seed. Results are deterministic in
-/// `(seed, partition, model)` — but *not* invariant in the shard count:
-/// `K` and `K'` runs of the same seed are two different samples of the
-/// same process law.
-///
-/// `max_steps` bounds the total number of protocol events; with more
-/// than one shard the bound is enforced per window (each shard gets an
-/// equal slice of the remainder), so a budget-terminated run may
-/// slightly overshoot it. Completion-terminated runs are unaffected.
-///
-/// # Panics
-///
-/// Panics if `partition` does not cover exactly the graph's nodes, if
-/// `source` is out of range, or if the starting graph has isolated
-/// nodes.
-pub fn run_dynamic_sharded_with(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    partition: &Partition,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> ShardedOutcome {
-    let mut state = model.build_state();
-    run_dynamic_sharded_state(
-        RngContract::V1,
-        g,
-        source,
-        mode,
-        state.as_mut(),
-        partition,
-        rng,
-        max_steps,
-        &mut NoProbe,
-    )
+    run_dynamic_sharded_under(RngContract::V1, g, source, mode, model, shards, rng, max_steps)
 }
 
 /// [`run_dynamic_sharded`] under an explicit [`RngContract`]: `V1` is
-/// the pinned eager-queue path (identical to [`run_dynamic_sharded`]),
-/// `V2` schedules topology events through the superposition scheduler.
-/// At `K = 1` a `V2` run replays the sequential v2 engine
-/// ([`crate::run_dynamic_under`]) seed-for-seed.
+/// the pinned eager-queue path, `V2` schedules topology events through
+/// the superposition scheduler. `Partition::contiguous` supplies the
+/// partition; see [`run_dynamic_sharded_with`] for the semantics. At
+/// `K = 1` a run replays the sequential engine
+/// ([`crate::run_dynamic_under`]) of the same contract seed-for-seed.
 ///
 /// # Panics
 ///
@@ -674,7 +538,7 @@ pub fn run_dynamic_sharded_under(
 ) -> ShardedOutcome {
     let part = Partition::contiguous(g.node_count(), shards);
     let mut state = model.build_state();
-    run_dynamic_sharded_state(
+    run_dynamic_sharded_with(
         contract,
         g,
         source,
@@ -687,89 +551,45 @@ pub fn run_dynamic_sharded_under(
     )
 }
 
-/// [`run_dynamic_sharded_probed`] under an explicit [`RngContract`].
+/// The general sharded entry point: runs the asynchronous
+/// push/pull/push–pull protocol over an already-built
+/// [`TopologyModel`] state, from `source`, with the node set sharded by
+/// `partition`; shard 0 runs on the calling thread, every further shard
+/// on its own worker thread. Model implementations outside the
+/// [`DynamicModel`] enum — most importantly a
+/// [`TraceReplayer`](crate::engine::trace::TraceReplayer) — come in
+/// here.
+///
+/// Exact in distribution for any shard count (see the module docs for
+/// the argument); with one shard it replays [`crate::run_dynamic_with`]
+/// seed-for-seed. Results are deterministic in
+/// `(seed, partition, model)` — but *not* invariant in the shard count:
+/// `K` and `K'` runs of the same seed are two different samples of the
+/// same process law.
+///
+/// `max_steps` bounds the total number of protocol events; with more
+/// than one shard the bound is enforced per window (each shard gets an
+/// equal slice of the remainder), so a budget-terminated run may
+/// slightly overshoot it. Completion-terminated runs are unaffected.
+///
+/// The `probe` observes the run from the coordinator's side: window
+/// closures, topology and cross-shard events, and final per-shard
+/// wall-clock utilization. Probes are passive — a probed run replays
+/// its unprobed twin seed-for-seed — and a [`NoProbe`] compiles every
+/// hook out, including the per-window timer reads.
 ///
 /// # Panics
 ///
-/// As [`run_dynamic_sharded`].
+/// Panics if `partition` does not cover exactly the graph's nodes, if
+/// `source` is out of range, or if the starting graph has isolated
+/// nodes.
 #[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_probed_under<P: Probe>(
+pub fn run_dynamic_sharded_with<P: Probe, M: TopologyModel + ?Sized>(
     contract: RngContract,
     g: &Graph,
     source: Node,
     mode: Mode,
-    model: &DynamicModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    let mut state = model.build_state();
-    run_dynamic_sharded_state(
-        contract,
-        g,
-        source,
-        mode,
-        state.as_mut(),
-        &part,
-        rng,
-        max_steps,
-        probe,
-    )
-}
-
-/// [`run_dynamic_sharded_model_probed`] under an explicit
-/// [`RngContract`].
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_model_probed_under<P: Probe>(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    run_dynamic_sharded_state(contract, g, source, mode, state, &part, rng, max_steps, probe)
-}
-
-/// [`run_dynamic_sharded_model`] under an explicit [`RngContract`].
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_model_under(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut dyn TopologyModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> ShardedOutcome {
-    let part = Partition::contiguous(g.node_count(), shards);
-    run_dynamic_sharded_state(contract, g, source, mode, state, &part, rng, max_steps, &mut NoProbe)
-}
-
-/// [`run_dynamic_sharded_with`] over an already-built model state; the
-/// common core of the descriptor- and state-based entry points.
-#[allow(clippy::too_many_arguments)]
-fn run_dynamic_sharded_state<P: Probe>(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    mstate: &mut dyn TopologyModel,
+    mstate: &mut M,
     partition: &Partition,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,

@@ -18,14 +18,14 @@
 //! * [`TraceReplayer`] — the trace as a deterministic
 //!   [`TopologyModel`]: replay consumes **no randomness**, so one
 //!   recorded realization can drive arbitrarily many protocol runs —
-//!   sequential ([`crate::dynamic::run_dynamic_model`]), sharded
-//!   ([`crate::engine::run_dynamic_sharded_model`]), the cursor engine
+//!   sequential ([`crate::dynamic::run_dynamic_with`]), sharded
+//!   ([`crate::engine::run_dynamic_sharded_with`]), the cursor engine
 //!   below — each with its own protocol RNG.
 //! * [`run_trace_lazy`] — a queue-free cursor engine over a trace: no
 //!   pending topology events at all, steps are applied when the next
 //!   protocol tick passes them. It consumes the RNG in exactly the
-//!   sequential replay's order, so it replays
-//!   `run_dynamic_model(replayer)` **seed-for-seed** (pinned in
+//!   sequential replay's order, so it replays `run_dynamic_with` over
+//!   the trace's replayer **seed-for-seed** (pinned in
 //!   `tests/trace_replay.rs`).
 //! * [`run_sync_dynamic`] — the synchronous-rounds protocol on the
 //!   *same* trace, snapshotting the evolving graph at round boundaries
@@ -174,69 +174,31 @@ pub struct TopologyTrace {
 }
 
 impl TopologyTrace {
-    /// Records the evolution of `model` on base graph `g` over
-    /// `[0, horizon]`, standalone (no protocol interleaved): the
-    /// model's event queue is driven on its own, with the informed
-    /// view frozen to `{source}` — informed-state-dependent models
-    /// (the frontier adversary) are recorded **obliviously**, the only
+    /// Records the evolution of the model `state` on base graph `g`
+    /// over `[0, horizon]`, standalone (no protocol interleaved): the
+    /// model's events are driven on their own, with the informed view
+    /// frozen to `{source}` — informed-state-dependent models (the
+    /// frontier adversary) are recorded **obliviously**, the only
     /// semantics under which a synchronous and an asynchronous run can
     /// share one realization.
+    ///
+    /// `contract` picks the stream: `V1` drives the model's eager event
+    /// queue, `V2` draws the realization through the superposition
+    /// scheduler — a different, contract-pinned stream of the same law.
+    /// A built-in model records through
+    /// [`DynamicModel::build_state`]. Recording a [`TraceReplayer`]
+    /// reproduces its trace exactly (replay-of-replay is a fixed point,
+    /// pinned in `tests/trace_replay.rs`).
     ///
     /// # Panics
     ///
     /// Panics if `source` is out of range or `horizon` is negative or
     /// not finite.
-    pub fn record(
-        g: &Graph,
-        source: Node,
-        model: &DynamicModel,
-        rng: &mut Xoshiro256PlusPlus,
-        horizon: f64,
-    ) -> TopologyTrace {
-        Self::record_under(RngContract::V1, g, source, model, rng, horizon)
-    }
-
-    /// [`record`](Self::record) under an explicit [`RngContract`]: `V1`
-    /// drives the model's eager event queue (identical to `record`),
-    /// `V2` draws the realization through the superposition scheduler —
-    /// a different, contract-pinned stream of the same law.
-    ///
-    /// # Panics
-    ///
-    /// As [`record`](Self::record).
-    pub fn record_under(
+    pub fn record<M: TopologyModel + ?Sized>(
         contract: RngContract,
         g: &Graph,
         source: Node,
-        model: &DynamicModel,
-        rng: &mut Xoshiro256PlusPlus,
-        horizon: f64,
-    ) -> TopologyTrace {
-        let mut state = model.build_state();
-        Self::record_state_under(contract, g, source, state.as_mut(), rng, horizon)
-    }
-
-    /// [`record`](Self::record) over an already-built
-    /// [`TopologyModel`]. Recording a [`TraceReplayer`] reproduces its
-    /// trace exactly (replay-of-replay is a fixed point, pinned in
-    /// `tests/trace_replay.rs`).
-    pub fn record_state(
-        g: &Graph,
-        source: Node,
-        state: &mut dyn TopologyModel,
-        rng: &mut Xoshiro256PlusPlus,
-        horizon: f64,
-    ) -> TopologyTrace {
-        Self::record_state_under(RngContract::V1, g, source, state, rng, horizon)
-    }
-
-    /// [`record_state`](Self::record_state) under an explicit
-    /// [`RngContract`] (see [`record_under`](Self::record_under)).
-    pub fn record_state_under(
-        contract: RngContract,
-        g: &Graph,
-        source: Node,
-        state: &mut dyn TopologyModel,
+        state: &mut M,
         rng: &mut Xoshiro256PlusPlus,
         horizon: f64,
     ) -> TopologyTrace {
@@ -508,28 +470,18 @@ impl TopologyModel for TraceRecorder<'_> {
 /// time (topology winning ties, like the merged stream). RNG
 /// consumption — one `Exp(n)` draw per tick, then the node and neighbor
 /// draws — is exactly the sequential replay's, so this engine replays
-/// `run_dynamic_model(g, …, &mut trace.replayer(), …)` **seed-for-seed**.
+/// [`run_dynamic_with`](crate::run_dynamic_with) over
+/// `trace.replayer()` under the same `contract` **seed-for-seed**. A
+/// replayed trace has no stochastic topology channels, so the scheduler
+/// half of the contract is moot here — but v2 also pins the adjacency
+/// to order-relaxed mode, and the neighbor draws must read the same
+/// permuted rows the v2 sequential replay sees.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
 pub fn run_trace_lazy(
-    trace: &TopologyTrace,
-    source: Node,
-    mode: Mode,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> DynamicOutcome {
-    run_trace_lazy_under(crate::RngContract::V1, trace, source, mode, rng, max_steps)
-}
-
-/// [`run_trace_lazy`] under an explicit RNG contract. A replayed trace
-/// has no stochastic topology channels, so the scheduler half of the
-/// contract is moot here — but v2 also pins the adjacency to
-/// order-relaxed mode, and the neighbor draws must read the same
-/// permuted rows the v2 sequential replay sees to stay seed-for-seed.
-pub fn run_trace_lazy_under(
-    contract: crate::RngContract,
+    contract: RngContract,
     trace: &TopologyTrace,
     source: Node,
     mode: Mode,
@@ -552,7 +504,7 @@ pub fn run_trace_lazy_under(
         };
     }
     let mut net = MutableGraph::from_graph(&trace.initial);
-    if contract == crate::RngContract::V2 {
+    if contract == RngContract::V2 {
         net.relax_neighbor_order();
     }
     let mut cursor = 0usize;
@@ -654,13 +606,36 @@ mod tests {
     use rumor_graph::generators;
 
     use crate::dynamic::{
-        run_dynamic_model, run_sync_rewire, Adversary, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
+        run_dynamic_with, run_sync_rewire, Adversary, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
         Rewire, SnapshotFamily,
     };
+    use crate::obs::NoProbe;
     use crate::sync::run_sync;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from(seed)
+    }
+
+    /// Records `model` from source 0 under the v1 contract.
+    fn record_v1(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
+        TopologyTrace::record(
+            RngContract::V1,
+            g,
+            0,
+            model.build_state().as_mut(),
+            &mut rng(seed),
+            horizon,
+        )
+    }
+
+    /// Runs the v1 sequential engine from source 0 over `state`.
+    fn run_v1<M: TopologyModel>(
+        g: &Graph,
+        state: &mut M,
+        rng: &mut Xoshiro256PlusPlus,
+        max_steps: u64,
+    ) -> DynamicOutcome {
+        run_dynamic_with(RngContract::V1, g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
     }
 
     fn all_models() -> Vec<(&'static str, DynamicModel)> {
@@ -678,7 +653,7 @@ mod tests {
     fn recorded_steps_are_time_ordered_and_effective() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100);
         for (name, model) in all_models() {
-            let trace = TopologyTrace::record(&g, 0, &model, &mut rng(2), 12.0);
+            let trace = record_v1(&g, &model, 2, 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
             assert!(
                 trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
@@ -694,7 +669,7 @@ mod tests {
     #[test]
     fn static_trace_is_empty_and_sync_matches_run_sync() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100);
-        let trace = TopologyTrace::record(&g, 0, &DynamicModel::Static, &mut rng(4), 100.0);
+        let trace = record_v1(&g, &DynamicModel::Static, 4, 100.0);
         assert!(trace.is_empty());
         assert_eq!(trace.initial(), &g);
         let plain = run_sync(&g, 0, Mode::PushPull, &mut rng(5), 10_000);
@@ -706,7 +681,7 @@ mod tests {
     fn replay_walks_the_recorded_snapshots() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
         for (name, model) in all_models() {
-            let trace = TopologyTrace::record(&g, 0, &model, &mut rng(7), 8.0);
+            let trace = record_v1(&g, &model, 7, 8.0);
             let snapshots = trace.snapshots();
             assert_eq!(snapshots.len(), trace.len() + 1, "{name}");
             assert_eq!(&snapshots[0], trace.initial(), "{name}");
@@ -724,12 +699,13 @@ mod tests {
     fn lazy_cursor_replays_sequential_replay_seed_for_seed() {
         let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100);
         for (name, model) in all_models() {
-            let trace = TopologyTrace::record(&g, 0, &model, &mut rng(9), 30.0);
+            let trace = record_v1(&g, &model, 9, 30.0);
             let mut a = rng(10);
             let mut replay = trace.replayer();
-            let seq = run_dynamic_model(&g, 0, Mode::PushPull, &mut replay, &mut a, 1_000_000);
+            let seq = run_v1(&g, &mut replay, &mut a, 1_000_000);
             let mut b = rng(10);
-            let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut b, 1_000_000);
+            let lazy =
+                run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut b, 1_000_000);
             assert_eq!(lazy, seq, "{name}: cursor engine diverged");
             assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
             assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
@@ -748,7 +724,7 @@ mod tests {
         // Period beyond the run length: both engines never rewire, so
         // the runs coincide with the static protocol seed-for-seed.
         let model = DynamicModel::Rewire(Rewire::new(1_000.0, family));
-        let trace = TopologyTrace::record(&g, 0, &model, &mut rng(12), 100.0);
+        let trace = record_v1(&g, &model, 12, 100.0);
         assert!(trace.is_empty());
         let a = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(13), 10_000);
         let b = run_sync_rewire(&g, 0, Mode::PushPull, 1_000, family, &mut rng(13), 10_000);
@@ -759,7 +735,7 @@ mod tests {
     fn sync_dynamic_completes_under_all_models() {
         let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
         for (name, model) in all_models() {
-            let trace = TopologyTrace::record(&g, 0, &model, &mut rng(15), 200.0);
+            let trace = record_v1(&g, &model, 15, 200.0);
             let out = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(16), 100_000);
             assert!(out.completed, "{name}: sync run censored");
             assert_eq!(*out.informed_by_round.last().unwrap(), 48, "{name}");
@@ -772,9 +748,9 @@ mod tests {
         // prefix of the trace the run actually consumed.
         let g = generators::gnp_connected(32, 0.2, &mut rng(17), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
-        let trace = TopologyTrace::record(&g, 0, &model, &mut rng(18), 20.0);
+        let trace = record_v1(&g, &model, 18, 20.0);
         let mut recorder = TraceRecorder::wrap(Box::new(trace.replayer()));
-        let out = run_dynamic_model(&g, 0, Mode::PushPull, &mut recorder, &mut rng(19), 1_000_000);
+        let out = run_v1(&g, &mut recorder, &mut rng(19), 1_000_000);
         let rerecorded = trace_prefix(&trace, out.topology_events as usize);
         let got = recorder.into_trace();
         assert_eq!(got.initial(), rerecorded.initial());
@@ -793,9 +769,15 @@ mod tests {
     fn replay_of_replay_is_a_fixed_point() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
         for (name, model) in all_models() {
-            let t1 = TopologyTrace::record(&g, 0, &model, &mut rng(21), 15.0);
-            let t2 =
-                TopologyTrace::record_state(&g, 0, &mut t1.replayer(), &mut rng(99), t1.horizon());
+            let t1 = record_v1(&g, &model, 21, 15.0);
+            let t2 = TopologyTrace::record(
+                RngContract::V1,
+                &g,
+                0,
+                &mut t1.replayer(),
+                &mut rng(99),
+                t1.horizon(),
+            );
             assert_eq!(t2, t1, "{name}: replay of a replay drifted");
         }
     }
@@ -807,10 +789,10 @@ mod tests {
         // cursor state leaked across runs).
         let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let trace = TopologyTrace::record(&g, 0, &model, &mut rng(27), 15.0);
+        let trace = record_v1(&g, &model, 27, 15.0);
         let mut replay = trace.replayer();
-        let a = run_dynamic_model(&g, 0, Mode::PushPull, &mut replay, &mut rng(28), 1_000_000);
-        let b = run_dynamic_model(&g, 0, Mode::PushPull, &mut replay, &mut rng(28), 1_000_000);
+        let a = run_v1(&g, &mut replay, &mut rng(28), 1_000_000);
+        let b = run_v1(&g, &mut replay, &mut rng(28), 1_000_000);
         assert_eq!(a, b);
         assert_eq!(replay.applied() as u64, b.topology_events);
     }
@@ -823,8 +805,8 @@ mod tests {
         // contracts.
         let g = generators::gnp_connected(32, 0.2, &mut rng(30), 100);
         for (name, model) in all_models() {
-            let t1 = TopologyTrace::record(&g, 0, &model, &mut rng(31), 15.0);
-            let t2 = TopologyTrace::record_state_under(
+            let t1 = record_v1(&g, &model, 31, 15.0);
+            let t2 = TopologyTrace::record(
                 RngContract::V2,
                 &g,
                 0,
@@ -840,8 +822,14 @@ mod tests {
     fn v2_record_produces_time_ordered_effective_steps() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(33), 100);
         for (name, model) in all_models() {
-            let trace =
-                TopologyTrace::record_under(RngContract::V2, &g, 0, &model, &mut rng(34), 12.0);
+            let trace = TopologyTrace::record(
+                RngContract::V2,
+                &g,
+                0,
+                model.build_state().as_mut(),
+                &mut rng(34),
+                12.0,
+            );
             assert!(!trace.is_empty(), "{name}: no steps recorded");
             assert!(
                 trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
@@ -862,7 +850,7 @@ mod tests {
         let g = generators::gnp_connected(32, 0.2, &mut rng(35), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
         let mut recorder = TraceRecorder::new(&model);
-        let out = crate::dynamic::run_dynamic_model_under(
+        let out = crate::dynamic::run_dynamic_with(
             RngContract::V2,
             &g,
             0,
@@ -870,6 +858,7 @@ mod tests {
             &mut recorder,
             &mut rng(36),
             1_000_000,
+            &mut NoProbe,
         );
         assert!(out.completed);
         let trace = recorder.into_trace();
@@ -882,8 +871,9 @@ mod tests {
         // Dense base: a handful of frozen-off edges cannot disconnect it.
         let g = generators::complete(16);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.05));
-        let trace = TopologyTrace::record(&g, 0, &model, &mut rng(23), 2.0);
-        let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
+        let trace = record_v1(&g, &model, 23, 2.0);
+        let out =
+            run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
     }
@@ -892,6 +882,6 @@ mod tests {
     #[should_panic(expected = "horizon")]
     fn record_rejects_infinite_horizon() {
         let g = generators::complete(4);
-        TopologyTrace::record(&g, 0, &DynamicModel::Static, &mut rng(25), f64::INFINITY);
+        record_v1(&g, &DynamicModel::Static, 25, f64::INFINITY);
     }
 }

@@ -42,8 +42,8 @@
 //!   topology × engine × trial plan in one typed builder, validates the
 //!   combination once, executes it into a [`RunReport`] (explicit
 //!   censoring, paired statistics when coupled, engine telemetry), and
-//!   serializes to a one-file text artifact — the layer every runner
-//!   helper is now a thin deprecated wrapper over.
+//!   serializes to a one-file text artifact — the one run API the CLI,
+//!   the fleet and the experiments share.
 //!
 //! # Quickstart
 //!
@@ -84,17 +84,10 @@ pub mod sync;
 pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
-pub use dynamic::{
-    run_dynamic, run_dynamic_model, run_dynamic_model_probed, run_dynamic_model_probed_under,
-    run_dynamic_model_under, run_dynamic_probed, run_dynamic_probed_under, run_dynamic_traced,
-    run_dynamic_under, DynamicModel, DynamicOutcome,
-};
+pub use dynamic::{run_dynamic, run_dynamic_under, run_dynamic_with, DynamicModel, DynamicOutcome};
 pub use engine::{
-    run_dynamic_lazy, run_dynamic_sharded, run_dynamic_sharded_model,
-    run_dynamic_sharded_model_probed, run_dynamic_sharded_model_probed_under,
-    run_dynamic_sharded_model_under, run_dynamic_sharded_probed, run_dynamic_sharded_probed_under,
-    run_dynamic_sharded_under, run_edge_markov_lazy, run_edge_markov_lazy_probed, run_sync_dynamic,
-    run_trace_lazy, run_trace_lazy_under, LazyOutcome, ShardedOutcome, TopologyModel,
+    run_dynamic_sharded, run_dynamic_sharded_under, run_dynamic_sharded_with, run_edge_markov_lazy,
+    run_sync_dynamic, run_trace_lazy, LazyOutcome, ShardedOutcome, StateVisitor, TopologyModel,
     TopologyTrace,
 };
 pub use informed::InformedSet;
@@ -108,8 +101,8 @@ pub use rumor_sim::events::RngContract;
 pub use spec::cache::RunCaches;
 pub use spec::sweep::{SweepAxis, SweepChild, SweepSpec};
 pub use spec::{
-    CoupledEngine, CoupledOutcome, Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation,
-    SpecError, Topology, TopologyModelFactory, TrialPlan,
+    CoupledOutcome, Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation, SpecError,
+    Topology, TopologyModelFactory, TrialPlan,
 };
 pub use spread::SpreadConfig;
 pub use sync::run_sync;

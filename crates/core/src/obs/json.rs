@@ -153,9 +153,11 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with a byte offset on malformed input.
+    /// Returns a message with a byte offset on malformed input, and on
+    /// arrays and objects nested deeper than [`MAX_DEPTH`] — the parser
+    /// recurses per level, so untrusted input must not pick the depth.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -190,9 +192,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts; every
+/// artifact this workspace writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,8 +242,15 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -411,6 +426,18 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1.2.3", "\"unterminated", "{} extra"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the limit (and past any stack): a typed error, not
+        // an overflow.
+        assert!(Json::parse(&"[{\"a\":".repeat(100_000)).is_err());
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

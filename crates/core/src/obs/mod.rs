@@ -20,7 +20,7 @@
 //! ```text
 //!             engine hot loop                       spec layer
 //!   ┌───────────────────────────────┐   ┌────────────────────────────┐
-//!   │ run_dynamic_probed::<P>       │   │ per-trial outcomes         │
+//!   │ run_dynamic_with::<P, M>      │   │ per-trial outcomes         │
 //!   │   if P::ENABLED {             │   │   └─ SpreadingCurve        │
 //!   │     probe.event(t, Tick)      │   │   └─ LogHistogram ─ merge  │
 //!   │     probe.informed(t, count)  │   │          │                 │

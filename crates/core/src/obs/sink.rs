@@ -1,6 +1,6 @@
 //! A process-wide warning sink, so library users can capture or
-//! silence the diagnostics the deprecated time-only wrappers used to
-//! print straight to stderr.
+//! silence the diagnostics the CLI front end and the fleet dispatcher
+//! would otherwise print straight to stderr.
 //!
 //! The default sink preserves the historical behavior exactly (one
 //! `eprintln!` line per warning); [`set_warning_sink`] swaps in
@@ -8,26 +8,20 @@
 
 use std::sync::RwLock;
 
-/// A structured warning emitted by the library (currently: censored
-/// trials observed by a deprecated time-only wrapper).
+/// A structured warning emitted by the library.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Warning {
-    /// What was running (e.g. `"sync run"`).
+    /// What was running (e.g. `"cli"`).
     pub what: String,
-    /// Censored trials observed.
-    pub censored: usize,
-    /// Total trials in the run.
-    pub trials: usize,
     /// The rendered warning line, exactly as the stderr sink prints it.
     pub message: String,
 }
 
 impl Warning {
-    /// A plain diagnostic with no censoring statistics — the shape the
-    /// CLI front end and the fleet dispatcher emit. The stderr sink
-    /// prints `message` verbatim.
+    /// A diagnostic from `what`; the stderr sink prints `message`
+    /// verbatim.
     pub fn note(what: impl Into<String>, message: impl Into<String>) -> Self {
-        Self { what: what.into(), censored: 0, trials: 0, message: message.into() }
+        Self { what: what.into(), message: message.into() }
     }
 }
 
@@ -81,12 +75,7 @@ mod tests {
         let prev = set_warning_sink(WarningSink::Custom(Box::new(move |w| {
             sink_seen.lock().unwrap().push(w.clone());
         })));
-        let w = Warning {
-            what: "sync run".to_owned(),
-            censored: 2,
-            trials: 10,
-            message: "warning: 2/10 sync run trials censored".to_owned(),
-        };
+        let w = Warning::note("sync run", "warning: 2/10 sync run trials censored");
         emit_warning(&w);
         set_warning_sink(WarningSink::Silent);
         emit_warning(&w); // dropped

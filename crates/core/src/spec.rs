@@ -66,25 +66,24 @@ use std::sync::Arc;
 pub mod cache;
 pub mod sweep;
 
+use rumor_graph::partition::Partition;
 use rumor_graph::{generators, io, Graph, Node};
 use rumor_sim::events::RngContract;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::asynchronous::{run_async, AsyncView};
 use crate::dynamic::{
-    run_dynamic_model_probed_under, run_dynamic_model_under, run_dynamic_probed_under,
-    run_dynamic_under, run_sync_rewire, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov,
-    Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
+    run_dynamic_with, run_sync_rewire, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov,
+    Mobility, NodeChurn, RandomWalk, Rewire, SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
-    run_dynamic_sharded_model_probed_under, run_dynamic_sharded_model_under,
-    run_dynamic_sharded_probed_under, run_dynamic_sharded_under, run_edge_markov_lazy,
-    run_sync_dynamic, run_trace_lazy_under, TopologyModel, TopologyTrace,
+    run_dynamic_sharded_with, run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy,
+    ShardedOutcome, TopologyModel, TopologyTrace,
 };
 use crate::mode::Mode;
 use crate::obs::{
-    CensorDump, CurveSummary, LogHistogram, MetricsLevel, Probe, ProbeEvent, RingProbe, RunMetrics,
-    SpreadingCurve,
+    CensorDump, CurveSummary, LogHistogram, MetricsLevel, NoProbe, Probe, ProbeEvent, RingProbe,
+    RunMetrics, SpreadingCurve,
 };
 use crate::outcome::{AsyncOutcome, SyncOutcome};
 use crate::runner::{default_max_steps, run_trials_parallel};
@@ -1078,21 +1077,6 @@ pub struct TrialOutcome {
     pub topology_events: u64,
 }
 
-/// Which asynchronous engine a coupled trial replays the shared trace
-/// through. All three sample the identical process (the trace is
-/// deterministic); `Sequential` and `Lazy` are seed-for-seed identical,
-/// and `Sharded(1)` replays them too (pinned in
-/// `tests/trace_replay.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoupledEngine {
-    /// The sequential merged-stream engine.
-    Sequential,
-    /// The sharded PDES engine with the given shard count.
-    Sharded(usize),
-    /// The queue-free trace cursor.
-    Lazy,
-}
-
 /// One coupled trial: a synchronous and an asynchronous run over the
 /// **same** recorded topology trace, driven by a **common** protocol
 /// seed (common random numbers). The paired difference/ratio of the two
@@ -1313,9 +1297,7 @@ impl Simulation {
         let source = self.spec.source;
         let max_steps = self.max_steps;
         let capture = self.spec.metrics.is_enabled();
-        let contract = self.spec.plan.rng_contract;
-        // Builds the record for one asynchronous outcome; the optional
-        // ring dump carries the tail of a censored trial's event stream.
+        // Builds the record for one static asynchronous outcome.
         let async_rec = |out: &AsyncOutcome| {
             let rec = TrialRecord::new(TrialOutcome {
                 value: out.time,
@@ -1329,12 +1311,14 @@ impl Simulation {
                 rec
             }
         };
-        let dynamic_rec = |out: &DynamicOutcome, dump: Option<Vec<(f64, ProbeEvent)>>| {
-            let mut rec = TrialRecord::new(dynamic_trial(out));
+        let dynamic_rec = |out: &ShardedOutcome| {
+            let mut rec = TrialRecord::new(dynamic_trial(&out.outcome));
+            rec.telemetry.windows = out.windows;
+            rec.telemetry.cross_events = out.cross_events;
             if capture {
-                rec = rec.with_curve(SpreadingCurve::from_informed_times(&out.informed_time));
+                rec =
+                    rec.with_curve(SpreadingCurve::from_informed_times(&out.outcome.informed_time));
             }
-            rec.dump = dump;
             rec
         };
         let records: Vec<TrialRecord> = match (self.spec.engine, &self.spec.topology) {
@@ -1350,198 +1334,30 @@ impl Simulation {
                     })
                 }
             }
-            (Engine::Sequential, Topology::Model(model)) => self.fan_out(|_, rng| {
-                if capture {
-                    let mut probe = RingProbe::new(RING_CAP);
-                    let out = run_dynamic_probed_under(
-                        contract, g, source, mode, model, rng, max_steps, &mut probe,
-                    );
-                    let dump = (!out.completed).then(|| probe.into_events());
-                    dynamic_rec(&out, dump)
-                } else {
-                    dynamic_rec(
-                        &run_dynamic_under(contract, g, source, mode, model, rng, max_steps),
-                        None,
-                    )
-                }
-            }),
-            (Engine::Sequential, Topology::Custom(factory)) => self.fan_out(|_, rng| {
-                let mut state = factory.build(g);
-                if capture {
-                    let mut probe = RingProbe::new(RING_CAP);
-                    let out = run_dynamic_model_probed_under(
-                        contract,
-                        g,
-                        source,
-                        mode,
-                        state.as_mut(),
-                        rng,
-                        max_steps,
-                        &mut probe,
-                    );
-                    let dump = (!out.completed).then(|| probe.into_events());
-                    dynamic_rec(&out, dump)
-                } else {
-                    dynamic_rec(
-                        &run_dynamic_model_under(
-                            contract,
-                            g,
-                            source,
-                            mode,
-                            state.as_mut(),
-                            rng,
-                            max_steps,
-                        ),
-                        None,
-                    )
-                }
-            }),
-            (Engine::Sequential, Topology::Trace(trace)) => self.fan_out(|_, rng| {
-                if capture {
-                    let mut probe = RingProbe::new(RING_CAP);
-                    let out = run_dynamic_model_probed_under(
-                        contract,
-                        g,
-                        source,
-                        mode,
-                        &mut trace.replayer(),
-                        rng,
-                        max_steps,
-                        &mut probe,
-                    );
-                    let dump = (!out.completed).then(|| probe.into_events());
-                    dynamic_rec(&out, dump)
-                } else {
-                    dynamic_rec(
-                        &run_dynamic_model_under(
-                            contract,
-                            g,
-                            source,
-                            mode,
-                            &mut trace.replayer(),
-                            rng,
-                            max_steps,
-                        ),
-                        None,
-                    )
-                }
-            }),
-            (Engine::Sharded { shards }, topology) => {
-                // One closure per trial regardless of topology flavor;
-                // the probe (metrics runs only) collects per-shard
-                // utilization without touching the engine outcome.
-                let sharded_rec = |out: &crate::engine::ShardedOutcome, utilization: Vec<f64>| {
-                    let mut rec = dynamic_rec(&out.outcome, None);
-                    rec.telemetry.windows = out.windows;
-                    rec.telemetry.cross_events = out.cross_events;
-                    rec.utilization = utilization;
+            (Engine::Sequential | Engine::Sharded { .. }, _)
+            | (Engine::Lazy, Topology::Trace(_)) => {
+                self.fan_out(|_, rng| {
+                    if !capture {
+                        return dynamic_rec(&self.dynamic_run(mode, rng, &mut NoProbe));
+                    }
+                    let mut probe = CaptureProbe::new();
+                    let out = self.dynamic_run(mode, rng, &mut probe);
+                    let mut rec = dynamic_rec(&out);
+                    rec.utilization = probe.utilization;
+                    // Censored sequential trials dump their event tail.
+                    if self.spec.engine == Engine::Sequential && !out.outcome.completed {
+                        rec.dump = Some(probe.ring.into_events());
+                    }
                     rec
-                };
-                match topology {
-                    Topology::Static => self.fan_out(|_, rng| {
-                        let model = DynamicModel::Static;
-                        if capture {
-                            let mut probe = UtilProbe::default();
-                            let out = run_dynamic_sharded_probed_under(
-                                contract, g, source, mode, &model, shards, rng, max_steps,
-                                &mut probe,
-                            );
-                            sharded_rec(&out, probe.utilization)
-                        } else {
-                            let out = run_dynamic_sharded_under(
-                                contract, g, source, mode, &model, shards, rng, max_steps,
-                            );
-                            sharded_rec(&out, Vec::new())
-                        }
-                    }),
-                    Topology::Model(model) => self.fan_out(|_, rng| {
-                        if capture {
-                            let mut probe = UtilProbe::default();
-                            let out = run_dynamic_sharded_probed_under(
-                                contract, g, source, mode, model, shards, rng, max_steps,
-                                &mut probe,
-                            );
-                            sharded_rec(&out, probe.utilization)
-                        } else {
-                            let out = run_dynamic_sharded_under(
-                                contract, g, source, mode, model, shards, rng, max_steps,
-                            );
-                            sharded_rec(&out, Vec::new())
-                        }
-                    }),
-                    Topology::Custom(factory) => self.fan_out(|_, rng| {
-                        let mut state = factory.build(g);
-                        if capture {
-                            let mut probe = UtilProbe::default();
-                            let out = run_dynamic_sharded_model_probed_under(
-                                contract,
-                                g,
-                                source,
-                                mode,
-                                state.as_mut(),
-                                shards,
-                                rng,
-                                max_steps,
-                                &mut probe,
-                            );
-                            sharded_rec(&out, probe.utilization)
-                        } else {
-                            let out = run_dynamic_sharded_model_under(
-                                contract,
-                                g,
-                                source,
-                                mode,
-                                state.as_mut(),
-                                shards,
-                                rng,
-                                max_steps,
-                            );
-                            sharded_rec(&out, Vec::new())
-                        }
-                    }),
-                    Topology::Trace(trace) => self.fan_out(|_, rng| {
-                        if capture {
-                            let mut probe = UtilProbe::default();
-                            let out = run_dynamic_sharded_model_probed_under(
-                                contract,
-                                g,
-                                source,
-                                mode,
-                                &mut trace.replayer(),
-                                shards,
-                                rng,
-                                max_steps,
-                                &mut probe,
-                            );
-                            sharded_rec(&out, probe.utilization)
-                        } else {
-                            let out = run_dynamic_sharded_model_under(
-                                contract,
-                                g,
-                                source,
-                                mode,
-                                &mut trace.replayer(),
-                                shards,
-                                rng,
-                                max_steps,
-                            );
-                            sharded_rec(&out, Vec::new())
-                        }
-                    }),
-                }
+                })
             }
-            (Engine::Lazy, Topology::Trace(trace)) => self.fan_out(|_, rng| {
-                dynamic_rec(
-                    &run_trace_lazy_under(contract, trace, source, mode, rng, max_steps),
-                    None,
-                )
-            }),
             (Engine::Lazy, topology) => {
                 let (off_rate, on_rate) =
                     topology.memoryless_edge_rates().expect("validated at build time");
                 let markov = EdgeMarkov { off_rate, on_rate };
                 self.fan_out(|_, rng| {
-                    let out = run_edge_markov_lazy(g, source, mode, markov, rng, max_steps);
+                    let out =
+                        run_edge_markov_lazy(g, source, mode, markov, rng, max_steps, &mut NoProbe);
                     let mut rec = TrialRecord::new(TrialOutcome {
                         value: out.time,
                         completed: out.completed,
@@ -1565,13 +1381,95 @@ impl Simulation {
         self.spec.loss > 0.0
     }
 
-    /// The coupled engine of this plan.
-    fn coupled_engine(&self) -> CoupledEngine {
-        match self.spec.engine {
-            Engine::Sequential => CoupledEngine::Sequential,
-            Engine::Sharded { shards } => CoupledEngine::Sharded(shards),
-            Engine::Lazy => CoupledEngine::Lazy,
-        }
+    /// Runs one asynchronous trial on the spec's evolving topology
+    /// through the plan's engine, observed by `probe`. Sequential runs
+    /// over a built-in model visit its concrete state type; the sharded
+    /// engine runs every model behind the [`TopologyModel`] interface.
+    fn dynamic_run<P: Probe>(
+        &self,
+        mode: Mode,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) -> ShardedOutcome {
+        let g = &self.graph;
+        let (source, max_steps) = (self.spec.source, self.max_steps);
+        let contract = self.spec.plan.rng_contract;
+        let outcome = match (self.spec.engine, &self.spec.topology) {
+            (_, Topology::Trace(trace)) => return self.trace_run(trace, mode, rng, probe),
+            (Engine::Sharded { shards }, topology) => {
+                let mut state = match topology {
+                    Topology::Model(model) => model.build_state(),
+                    Topology::Custom(factory) => factory.build(g),
+                    // Static; traces returned above.
+                    _ => DynamicModel::Static.build_state(),
+                };
+                return self.sharded_run(state.as_mut(), shards, mode, rng, probe);
+            }
+            (_, Topology::Model(model)) => {
+                model.with_state(SequentialRun { contract, g, source, mode, rng, max_steps, probe })
+            }
+            (_, Topology::Custom(factory)) => {
+                let mut state = factory.build(g);
+                run_dynamic_with(contract, g, source, mode, state.as_mut(), rng, max_steps, probe)
+            }
+            (_, Topology::Static) => unreachable!("static sequential runs use the static engine"),
+        };
+        ShardedOutcome { outcome, shards: 1, windows: 0, cross_events: 0 }
+    }
+
+    /// Runs one asynchronous trial over a recorded trace through the
+    /// plan's engine: the sequential or sharded engine over the trace's
+    /// replayer, or the queue-free trace cursor on a lazy plan.
+    fn trace_run<P: Probe>(
+        &self,
+        trace: &TopologyTrace,
+        mode: Mode,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) -> ShardedOutcome {
+        let g = &self.graph;
+        let (source, max_steps) = (self.spec.source, self.max_steps);
+        let contract = self.spec.plan.rng_contract;
+        let outcome = match self.spec.engine {
+            Engine::Sequential => run_dynamic_with(
+                contract,
+                g,
+                source,
+                mode,
+                &mut trace.replayer(),
+                rng,
+                max_steps,
+                probe,
+            ),
+            Engine::Sharded { shards } => {
+                return self.sharded_run(&mut trace.replayer(), shards, mode, rng, probe)
+            }
+            Engine::Lazy => run_trace_lazy(contract, trace, source, mode, rng, max_steps),
+        };
+        ShardedOutcome { outcome, shards: 1, windows: 0, cross_events: 0 }
+    }
+
+    /// Runs one sharded trial over `state`, `shards` contiguous shards.
+    fn sharded_run<P: Probe>(
+        &self,
+        state: &mut dyn TopologyModel,
+        shards: usize,
+        mode: Mode,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) -> ShardedOutcome {
+        let g = &self.graph;
+        run_dynamic_sharded_with(
+            self.spec.plan.rng_contract,
+            g,
+            self.spec.source,
+            mode,
+            state,
+            &Partition::contiguous(g.node_count(), shards),
+            rng,
+            self.max_steps,
+            probe,
+        )
     }
 
     fn run_coupled(&self) -> RunReport {
@@ -1604,12 +1502,11 @@ impl Simulation {
                 let trace_seed = rng.next_u64();
                 let proto_seed = rng.next_u64();
                 let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-                let mut state = factory.build(g);
-                let trace = TopologyTrace::record_state_under(
+                let trace = TopologyTrace::record(
                     self.spec.plan.rng_contract,
                     g,
                     source,
-                    state.as_mut(),
+                    factory.build(g).as_mut(),
                     &mut trace_rng,
                     self.horizon,
                 );
@@ -1625,11 +1522,11 @@ impl Simulation {
                 let proto_seed = rng.next_u64();
                 let record = || {
                     let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-                    TopologyTrace::record_under(
+                    TopologyTrace::record(
                         self.spec.plan.rng_contract,
                         g,
                         source,
-                        &model,
+                        model.build_state().as_mut(),
                         &mut trace_rng,
                         self.horizon,
                     )
@@ -1687,39 +1584,13 @@ impl Simulation {
             &mut Xoshiro256PlusPlus::seed_from(proto_seed),
             self.max_rounds,
         );
+        // The asynchronous half replays the trace through the plan's
+        // engine. A replayer reports no stochastic channels, so the
+        // scheduler half of the contract is moot — but v2 also pins the
+        // adjacency to order-relaxed mode, which permutes neighbor
+        // draws, so the contract reaches every engine all the same.
         let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
-        // A replayer reports no stochastic channels, so the scheduler
-        // half of the contract is moot — but v2 also pins the adjacency
-        // to order-relaxed mode, which permutes neighbor draws, so the
-        // contract must reach every engine here all the same.
-        let contract = self.spec.plan.rng_contract;
-        let asy = match self.coupled_engine() {
-            CoupledEngine::Sequential => run_dynamic_model_under(
-                contract,
-                g,
-                source,
-                mode,
-                &mut trace.replayer(),
-                &mut proto_rng,
-                self.max_steps,
-            ),
-            CoupledEngine::Sharded(k) => {
-                run_dynamic_sharded_model_under(
-                    contract,
-                    g,
-                    source,
-                    mode,
-                    &mut trace.replayer(),
-                    k,
-                    &mut proto_rng,
-                    self.max_steps,
-                )
-                .outcome
-            }
-            CoupledEngine::Lazy => {
-                run_trace_lazy_under(contract, trace, source, mode, &mut proto_rng, self.max_steps)
-            }
-        };
+        let asy = self.trace_run(trace, mode, &mut proto_rng, &mut NoProbe).outcome;
         let curves = if self.spec.metrics.is_enabled() {
             let n = g.node_count();
             vec![(
@@ -1896,14 +1767,29 @@ fn trial_metrics(unit: Unit, records: &[TrialRecord]) -> RunMetrics {
     m
 }
 
-/// The probe metrics-enabled sharded trials run with: captures the
-/// engine's per-shard wall-clock utilization report.
-#[derive(Default)]
-struct UtilProbe {
+/// The probe of a metrics-enabled dynamic trial: the tail of the event
+/// stream (dumped when a sequential trial is censored) and the sharded
+/// engine's per-shard utilization readings.
+struct CaptureProbe {
+    ring: RingProbe,
     utilization: Vec<f64>,
 }
 
-impl Probe for UtilProbe {
+impl CaptureProbe {
+    fn new() -> Self {
+        Self { ring: RingProbe::new(RING_CAP), utilization: Vec::new() }
+    }
+}
+
+impl Probe for CaptureProbe {
+    fn event(&mut self, time: f64, kind: ProbeEvent) {
+        self.ring.event(time, kind);
+    }
+
+    fn informed(&mut self, time: f64, count: usize) {
+        self.ring.informed(time, count);
+    }
+
     fn shard_utilization(&mut self, utilization: &[f64]) {
         self.utilization = utilization.to_vec();
     }
@@ -2440,8 +2326,14 @@ mod tests {
     fn trace_topology_replays_deterministically() {
         let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let trace =
-            TopologyTrace::record(&g, 0, &model, &mut Xoshiro256PlusPlus::seed_from(7), 40.0);
+        let trace = TopologyTrace::record(
+            RngContract::V1,
+            &g,
+            0,
+            model.build_state().as_mut(),
+            &mut Xoshiro256PlusPlus::seed_from(7),
+            40.0,
+        );
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Trace(trace))

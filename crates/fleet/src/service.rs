@@ -236,4 +236,32 @@ mod tests {
         assert_eq!(docs.len(), 1);
         assert!(docs[0].get("error").is_some());
     }
+
+    #[test]
+    fn a_deeply_nested_frame_is_answered_in_band() {
+        // 200 KB of `[`: recursive descent without a depth limit would
+        // overflow the stack and take every later request down with it.
+        let stats = |id: f64| {
+            Json::Obj(vec![
+                ("id".to_owned(), Json::Num(id)),
+                ("stats".to_owned(), Json::Bool(true)),
+            ])
+            .render()
+        };
+        let mut input = Vec::new();
+        write_frame(&mut input, stats(1.0).as_bytes()).unwrap();
+        write_frame(&mut input, "[".repeat(200_000).as_bytes()).unwrap();
+        write_frame(&mut input, stats(3.0).as_bytes()).unwrap();
+        let mut output = Vec::new();
+        let exit =
+            run_frames(&mut input.as_slice(), &mut output, &ServiceConfig::default()).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(3));
+        let docs = responses(&output);
+        assert_eq!(docs.len(), 3);
+        assert!(docs[0].get("counters").is_some());
+        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("nesting deeper than"), "{error}");
+        assert_eq!(docs[2].get("id").unwrap(), &Json::Num(3.0));
+        assert!(docs[2].get("counters").is_some());
+    }
 }

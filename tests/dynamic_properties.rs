@@ -5,11 +5,10 @@
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{
-    run_dynamic, run_dynamic_traced, DynamicModel, EdgeMarkov, EngineEventKind, NodeChurn, Rewire,
-    SnapshotFamily,
+    run_dynamic, run_dynamic_with, DynamicModel, EdgeMarkov, NodeChurn, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
-use rumor_spreading::core::{run_async, AsyncView, Mode};
+use rumor_spreading::core::{run_async, AsyncView, Mode, Probe, ProbeEvent, RngContract};
 use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -24,6 +23,15 @@ fn test_graph() -> impl Strategy<Value = Graph> {
         1 => generators::hypercube(dim as u32),
         _ => generators::cycle(n),
     })
+}
+
+/// Records every dispatched engine event, in processing order.
+struct EventLog(Vec<(f64, ProbeEvent)>);
+
+impl Probe for EventLog {
+    fn event(&mut self, time: f64, kind: ProbeEvent) {
+        self.0.push((time, kind));
+    }
 }
 
 fn churny_model(which: usize) -> DynamicModel {
@@ -69,15 +77,25 @@ proptest! {
     fn event_stream_is_time_ordered(g in test_graph(), seed in 0u64..1_000, which in 0usize..4) {
         let model = churny_model(which);
         let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-        let (out, trace) = run_dynamic_traced(&g, 0, Mode::PushPull, &model, &mut rng, 200_000);
+        let mut log = EventLog(Vec::new());
+        let out = run_dynamic_with(
+            RngContract::V1,
+            &g,
+            0,
+            Mode::PushPull,
+            model.build_state().as_mut(),
+            &mut rng,
+            200_000,
+            &mut log,
+        );
+        let trace = log.0;
         prop_assert!(
-            trace.windows(2).all(|w| w[0].time <= w[1].time),
+            trace.windows(2).all(|w| w[0].0 <= w[1].0),
             "event stream out of time order ({})", model
         );
-        prop_assert!(trace.iter().all(|e| e.time >= 0.0 && e.time.is_finite()));
-        let ticks = trace.iter().filter(|e| e.kind == EngineEventKind::Tick).count() as u64;
-        let topo =
-            trace.iter().filter(|e| e.kind == EngineEventKind::Topology).count() as u64;
+        prop_assert!(trace.iter().all(|e| e.0 >= 0.0 && e.0.is_finite()));
+        let ticks = trace.iter().filter(|e| e.1 == ProbeEvent::Tick).count() as u64;
+        let topo = trace.iter().filter(|e| e.1 == ProbeEvent::Topology).count() as u64;
         prop_assert_eq!(ticks, out.steps);
         prop_assert_eq!(topo, out.topology_events);
         prop_assert_eq!(trace.len() as u64, out.steps + out.topology_events);

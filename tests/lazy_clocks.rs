@@ -9,8 +9,8 @@ use rumor_spreading::core::dynamic::{
     run_dynamic, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
     SnapshotFamily,
 };
-use rumor_spreading::core::engine::{run_dynamic_lazy, run_edge_markov_lazy};
-use rumor_spreading::core::Mode;
+use rumor_spreading::core::engine::run_edge_markov_lazy;
+use rumor_spreading::core::{Mode, NoProbe};
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::events::{EventQueue, LazyMarkovClock};
 use rumor_spreading::sim::rng::{SplitMix64, Xoshiro256PlusPlus};
@@ -94,10 +94,8 @@ proptest! {
     fn lazy_engine_deterministic_and_causal(seed in 0u64..1_000) {
         let g = generators::gnp_connected(40, 0.18, &mut Xoshiro256PlusPlus::seed_from(8), 200);
         let model = EdgeMarkov::symmetric(1.0);
-        let a = run_edge_markov_lazy(&g, 0, Mode::PushPull, model,
-            &mut Xoshiro256PlusPlus::seed_from(seed), 50_000_000);
-        let b = run_edge_markov_lazy(&g, 0, Mode::PushPull, model,
-            &mut Xoshiro256PlusPlus::seed_from(seed), 50_000_000);
+        let a = run_edge_markov_lazy(&g, 0, Mode::PushPull, model, &mut Xoshiro256PlusPlus::seed_from(seed), 50_000_000, &mut NoProbe);
+        let b = run_edge_markov_lazy(&g, 0, Mode::PushPull, model, &mut Xoshiro256PlusPlus::seed_from(seed), 50_000_000, &mut NoProbe);
         prop_assert_eq!(&a, &b);
         prop_assert!(a.completed);
         prop_assert_eq!(a.informed_time[0], 0.0);
@@ -126,6 +124,7 @@ fn lazy_and_eager_engines_agree_in_distribution() {
             model,
             &mut Xoshiro256PlusPlus::seed_from(seed),
             100_000_000,
+            &mut NoProbe,
         );
         assert!(l.completed);
         lazy.push(l.time);
@@ -161,6 +160,7 @@ fn budget_exhaustion_pins_the_incomplete_outcome_contract() {
         model,
         &mut Xoshiro256PlusPlus::seed_from(77),
         30,
+        &mut NoProbe,
     );
     assert!(!short.completed);
     assert_eq!(short.steps, 30, "the engine must stop exactly at the budget");
@@ -189,6 +189,7 @@ fn budget_exhaustion_pins_the_incomplete_outcome_contract() {
         model,
         &mut Xoshiro256PlusPlus::seed_from(77),
         3_000,
+        &mut NoProbe,
     );
     for (v, (&s, &l)) in short.informed_time.iter().zip(&long.informed_time).enumerate() {
         if s.is_finite() {
@@ -204,17 +205,18 @@ fn budget_exhaustion_pins_the_incomplete_outcome_contract() {
 #[test]
 fn run_dynamic_lazy_accepts_exactly_the_memoryless_models() {
     let g = generators::gnp_connected(40, 0.18, &mut Xoshiro256PlusPlus::seed_from(8), 200);
-    let lazy = run_dynamic_lazy(
-        &g,
-        0,
-        Mode::PushPull,
-        &DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)),
-        &mut Xoshiro256PlusPlus::seed_from(5),
-        50_000_000,
-    )
-    .expect("edge-Markov is per-edge memoryless");
-    assert!(lazy.completed);
-    // Same seed, same model, via the direct entry point: identical run.
+    // A model reaches the lazy engine through its per-edge chain rates.
+    let lazy = |model: &DynamicModel, seed: u64, max_steps: u64| {
+        model.memoryless_edge_rates().map(|(off_rate, on_rate)| {
+            let markov = EdgeMarkov { off_rate, on_rate };
+            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+            run_edge_markov_lazy(&g, 0, Mode::PushPull, markov, &mut rng, max_steps, &mut NoProbe)
+        })
+    };
+    let churn = lazy(&DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)), 5, 50_000_000)
+        .expect("edge-Markov is per-edge memoryless");
+    assert!(churn.completed);
+    // Same seed, same model, via the engine directly: identical run.
     let direct = run_edge_markov_lazy(
         &g,
         0,
@@ -222,18 +224,12 @@ fn run_dynamic_lazy_accepts_exactly_the_memoryless_models() {
         EdgeMarkov::symmetric(1.0),
         &mut Xoshiro256PlusPlus::seed_from(5),
         50_000_000,
+        &mut NoProbe,
     );
-    assert_eq!(lazy, direct);
+    assert_eq!(churn, direct);
 
-    let frozen = run_dynamic_lazy(
-        &g,
-        0,
-        Mode::PushPull,
-        &DynamicModel::Static,
-        &mut Xoshiro256PlusPlus::seed_from(6),
-        50_000_000,
-    )
-    .expect("the static model freezes every edge");
+    let frozen =
+        lazy(&DynamicModel::Static, 6, 50_000_000).expect("the static model freezes every edge");
     assert!(frozen.completed);
 
     for model in [
@@ -243,15 +239,7 @@ fn run_dynamic_lazy_accepts_exactly_the_memoryless_models() {
         DynamicModel::Mobility(Mobility::new(1.0, 0.3, 0.1)),
         DynamicModel::Adversary(Adversary::new(1.0, 2, 1.0)),
     ] {
-        let out = run_dynamic_lazy(
-            &g,
-            0,
-            Mode::PushPull,
-            &model,
-            &mut Xoshiro256PlusPlus::seed_from(7),
-            1_000,
-        );
-        assert!(out.is_none(), "model {model} is not per-edge memoryless");
+        assert!(lazy(&model, 7, 1_000).is_none(), "model {model} is not per-edge memoryless");
     }
 }
 
@@ -267,6 +255,7 @@ fn short_runs_touch_few_clocks() {
         EdgeMarkov::symmetric(1.0),
         &mut Xoshiro256PlusPlus::seed_from(3),
         20,
+        &mut NoProbe,
     );
     assert!(!out.completed);
     assert!(out.clocks_touched <= 20 * 255);

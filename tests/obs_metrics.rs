@@ -11,10 +11,10 @@ use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_spreading::core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
-    run_async, run_async_probed, run_dynamic, run_dynamic_probed, run_dynamic_sharded_probed,
-    AsyncView, CountingProbe, LogHistogram, MetricsLevel, Mode,
+    run_async, run_async_probed, run_dynamic, run_dynamic_sharded_with, run_dynamic_with,
+    AsyncView, CountingProbe, LogHistogram, MetricsLevel, Mode, RngContract,
 };
-use rumor_spreading::graph::generators;
+use rumor_spreading::graph::{generators, Partition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 // ---------------------------------------------------------------------------
@@ -201,11 +201,12 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
 
     // Sequential dynamic engine.
     let mut probe = CountingProbe::default();
-    let probed = run_dynamic_probed(
+    let probed = run_dynamic_with(
+        RngContract::V1,
         &g,
         0,
         Mode::PushPull,
-        &model,
+        model.build_state().as_mut(),
         &mut Xoshiro256PlusPlus::seed_from(9),
         1_000_000,
         &mut probe,
@@ -255,12 +256,13 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
     // contacts, but the counts it does report must still be monotone
     // (debug-asserted) and end at n.
     let mut probe = CountingProbe::default();
-    let out = run_dynamic_sharded_probed(
+    let out = run_dynamic_sharded_with(
+        RngContract::V1,
         &g,
         0,
         Mode::PushPull,
-        &model,
-        3,
+        model.build_state().as_mut(),
+        &Partition::contiguous(g.node_count(), 3),
         &mut Xoshiro256PlusPlus::seed_from(23),
         1_000_000,
         &mut probe,

@@ -341,9 +341,10 @@ fn contract_lines_parse_and_default_to_v1_when_absent() {
 fn trace_topologies_must_match_the_graph() {
     let g = generators::complete(6);
     let trace = TopologyTrace::record(
+        RngContract::V1,
         &g,
         0,
-        &DynamicModel::Static,
+        DynamicModel::Static.build_state().as_mut(),
         &mut Xoshiro256PlusPlus::seed_from(1),
         10.0,
     );
@@ -373,9 +374,10 @@ fn non_global_views_are_rejected_on_dynamic_runs() {
 fn unserializable_specs_are_typed() {
     let g = generators::complete(4);
     let trace = TopologyTrace::record(
+        RngContract::V1,
         &g,
         0,
-        &DynamicModel::Static,
+        DynamicModel::Static.build_state().as_mut(),
         &mut Xoshiro256PlusPlus::seed_from(1),
         5.0,
     );

@@ -19,21 +19,43 @@
 
 use rumor_sim::events::EventQueue;
 use rumor_spreading::core::dynamic::{
-    run_dynamic_model, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
-    Rewire, SnapshotFamily,
+    run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
+    RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::engine::trace::{run_trace_lazy, TopologyTrace, TraceReplayer};
 use rumor_spreading::core::engine::{
-    run_dynamic_sharded_model, InformedView, RateImpact, TopoEvent, TopologyModel,
+    run_dynamic_sharded_with, InformedView, RateImpact, TopoEvent, TopologyModel,
 };
 use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
-use rumor_spreading::core::Mode;
+use rumor_spreading::core::{Mode, NoProbe, RngContract};
 use rumor_spreading::graph::dynamic::MutableGraph;
-use rumor_spreading::graph::{generators, Graph};
+use rumor_spreading::graph::{generators, Graph, Partition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::seed_from(seed)
+}
+
+/// Records `model` from source 0 under the v1 contract.
+fn record_v1(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
+    TopologyTrace::record(
+        RngContract::V1,
+        g,
+        0,
+        model.build_state().as_mut(),
+        &mut rng(seed),
+        horizon,
+    )
+}
+
+/// Runs the v1 sequential engine from source 0 over `state`.
+fn run_v1<M: TopologyModel>(
+    g: &Graph,
+    state: &mut M,
+    rng: &mut Xoshiro256PlusPlus,
+    max_steps: u64,
+) -> DynamicOutcome {
+    run_dynamic_with(RngContract::V1, g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
 }
 
 /// The five `--dynamic-model` choices plus node churn (which exercises
@@ -102,14 +124,14 @@ impl TopologyModel for SnapshotProbe<'_> {
 fn snapshot_sequences_are_byte_identical_across_engines() {
     let g = test_graph();
     for (name, model) in all_models() {
-        let trace = TopologyTrace::record(&g, 0, &model, &mut rng(5), 20.0);
+        let trace = record_v1(&g, &model, 5, 20.0);
         assert!(!trace.is_empty(), "{name}");
         let full = trace.snapshots();
 
         // Sequential replay.
         let mut a = rng(77);
         let mut seq_probe = SnapshotProbe::new(&trace);
-        let seq = run_dynamic_model(&g, 0, Mode::PushPull, &mut seq_probe, &mut a, 1_000_000);
+        let seq = run_v1(&g, &mut seq_probe, &mut a, 1_000_000);
         assert_eq!(
             seq_probe.snaps.as_slice(),
             &full[1..=seq_probe.snaps.len()],
@@ -119,8 +141,17 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // Sharded K = 1: same snapshots, same outcome, same RNG state.
         let mut b = rng(77);
         let mut k1_probe = SnapshotProbe::new(&trace);
-        let k1 =
-            run_dynamic_sharded_model(&g, 0, Mode::PushPull, &mut k1_probe, 1, &mut b, 1_000_000);
+        let k1 = run_dynamic_sharded_with(
+            RngContract::V1,
+            &g,
+            0,
+            Mode::PushPull,
+            &mut k1_probe,
+            &Partition::contiguous(g.node_count(), 1),
+            &mut b,
+            1_000_000,
+            &mut NoProbe,
+        );
         assert_eq!(k1.outcome, seq, "{name}: K=1 outcome diverged");
         assert_eq!(k1_probe.snaps, seq_probe.snaps, "{name}: K=1 snapshots diverged");
         assert_eq!(a.next_u64(), b.next_u64(), "{name}: K=1 RNG state diverged");
@@ -128,14 +159,16 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // Sharded K = 3: a different sample of the same process, but
         // the topology walk is still exactly the trace's.
         let mut k3_probe = SnapshotProbe::new(&trace);
-        let k3 = run_dynamic_sharded_model(
+        let k3 = run_dynamic_sharded_with(
+            RngContract::V1,
             &g,
             0,
             Mode::PushPull,
             &mut k3_probe,
-            3,
+            &Partition::contiguous(g.node_count(), 3),
             &mut rng(77),
             1_000_000,
+            &mut NoProbe,
         );
         assert!(k3.outcome.completed, "{name}");
         assert_eq!(
@@ -148,7 +181,7 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // and applies steps verbatim from the same trace (so its walk
         // is the same byte-identical prefix by construction).
         let mut c = rng(77);
-        let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000);
+        let lazy = run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut c, 1_000_000);
         assert_eq!(lazy, seq, "{name}: cursor engine diverged");
         assert_eq!(
             lazy.topology_events as usize,
@@ -165,12 +198,24 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
 fn replay_of_a_replay_is_a_fixed_point() {
     let g = test_graph();
     for (name, model) in all_models() {
-        let t1 = TopologyTrace::record(&g, 0, &model, &mut rng(9), 15.0);
-        let t2 =
-            TopologyTrace::record_state(&g, 0, &mut t1.replayer(), &mut rng(1234), t1.horizon());
+        let t1 = record_v1(&g, &model, 9, 15.0);
+        let t2 = TopologyTrace::record(
+            RngContract::V1,
+            &g,
+            0,
+            &mut t1.replayer(),
+            &mut rng(1234),
+            t1.horizon(),
+        );
         assert_eq!(t2, t1, "{name}: first replay drifted");
-        let t3 =
-            TopologyTrace::record_state(&g, 0, &mut t2.replayer(), &mut rng(4321), t2.horizon());
+        let t3 = TopologyTrace::record(
+            RngContract::V1,
+            &g,
+            0,
+            &mut t2.replayer(),
+            &mut rng(4321),
+            t2.horizon(),
+        );
         assert_eq!(t3, t2, "{name}: second replay drifted");
     }
 }
@@ -208,16 +253,13 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
 fn replays_are_repeatable() {
     let g = test_graph();
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-    let trace = TopologyTrace::record(&g, 0, &model, &mut rng(33), 25.0);
-    let first =
-        run_dynamic_model(&g, 0, Mode::PushPull, &mut trace.replayer(), &mut rng(8), 1_000_000);
-    let second =
-        run_dynamic_model(&g, 0, Mode::PushPull, &mut trace.replayer(), &mut rng(8), 1_000_000);
+    let trace = record_v1(&g, &model, 33, 25.0);
+    let first = run_v1(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
+    let second = run_v1(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
     assert_eq!(first, second);
     // A different protocol seed spreads differently over the SAME
     // topology realization — the whole point of the trace layer.
-    let third =
-        run_dynamic_model(&g, 0, Mode::PushPull, &mut trace.replayer(), &mut rng(9), 1_000_000);
+    let third = run_v1(&g, &mut trace.replayer(), &mut rng(9), 1_000_000);
     assert_ne!(first.informed_time, third.informed_time);
     assert!(first.topology_events > 0);
 }
