@@ -16,10 +16,10 @@
 //!   the build machine's available parallelism (reported in the notes),
 //!   whereas events/window is hardware-independent headroom.
 //! * **lazy clocks** — the lazy per-edge-clock edge-Markov engine
-//!   agrees with the eager queue engine in distribution while keeping
-//!   *no pending flip events*: its topology bookkeeping is the number
-//!   of edges actually touched. At full scale the table includes an
-//!   `n = 10⁶` run that is far outside the eager engine's practical
+//!   agrees with the eager sequential engine in distribution while
+//!   drawing *no flips up front*: its topology bookkeeping is the
+//!   number of edges actually touched. At full scale the table includes
+//!   an `n = 10⁶` run that is far outside the eager engine's practical
 //!   envelope.
 
 use std::time::Instant;
@@ -71,7 +71,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     );
     table.add_note(
         "lazy: clocks touched vs base edges is the engine's whole topology bookkeeping; the \
-         eager engine keeps one pending flip event per base edge instead",
+         eager engine keeps a table of every base edge and draws every flip instead",
     );
     table
 }
@@ -202,7 +202,7 @@ fn part_speedup(cfg: &ExperimentConfig, table: &mut Table) {
     }
 }
 
-/// Lazy-clock engine vs the eager queue engine, plus the large-n
+/// Lazy-clock engine vs the eager sequential engine, plus the large-n
 /// feasibility run at full scale.
 fn part_lazy(cfg: &ExperimentConfig, table: &mut Table) {
     let n = if cfg.full_scale { 4096 } else { 256 };

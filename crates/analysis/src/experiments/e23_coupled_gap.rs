@@ -34,7 +34,6 @@ use rumor_core::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_core::spec::{GraphSpec, Protocol, SimSpec, Topology};
-use rumor_core::RngContract;
 use rumor_graph::Graph;
 
 use crate::experiments::common::{mix_seed, ExperimentConfig};
@@ -126,9 +125,6 @@ fn cell_spec_on(graph: GraphSpec, g: &Graph, model_name: &str, cfg: &ExperimentC
         .trials(cfg.trials)
         .seed(mix_seed(cfg, SALT))
         .threads(cfg.threads)
-        // E23's committed `specs/` goldens were recorded under the
-        // legacy streams; the pin keeps them replaying byte-for-byte.
-        .rng_contract(RngContract::V1)
 }
 
 /// Runs E23 and returns the table.
@@ -180,15 +176,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
         // antithetic protocol-seed pairs on the same traces — protocol
         // noise halves, so the paired CI must narrow further at equal
         // trial count.
-        // Antithetic pairing only exists under the v2 contract; this
-        // row is computed live (never committed as an artifact), so it
-        // rides the superposition scheduler.
-        add_row(
-            "markov+anti",
-            cell_spec_on(graph.clone(), &g, "markov", cfg)
-                .antithetic(true)
-                .rng_contract(RngContract::V2),
-        );
+        add_row("markov+anti", cell_spec_on(graph.clone(), &g, "markov", cfg).antithetic(true));
     }
     table.add_note(
         "per trial one TopologyTrace is recorded and BOTH protocols run on it with a common \
@@ -280,7 +268,7 @@ mod tests {
                 .expect("quick E23 markov runs complete")
         };
         let plain = ci(cell_spec(n, "markov", &cfg));
-        let anti = ci(cell_spec(n, "markov", &cfg).antithetic(true).rng_contract(RngContract::V2));
+        let anti = ci(cell_spec(n, "markov", &cfg).antithetic(true));
         assert!(
             anti < plain,
             "antithetic pairing must narrow the paired CI: anti {anti} vs plain {plain}"

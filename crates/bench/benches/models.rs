@@ -5,11 +5,10 @@
 //! the trait dispatch the engines now route every model through — show
 //! up as per-model wall-clock drift against the committed baseline.
 //!
-//! Since PR 8 the full-run groups execute under `RngContract::V2` (the
-//! superposition scheduler — the default contract for new specs), so
-//! the committed BENCH_PR8.json baseline prices the engine as shipped;
-//! compare against BENCH_PR7.json for the eager-queue (v1) numbers on
-//! identical labels.
+//! The full-run groups execute through the superposition scheduler;
+//! BENCH_PR8.json is the first baseline that prices it, and
+//! BENCH_PR7.json holds the retired eager-queue numbers on identical
+//! labels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // The benched suite IS the E22 suite: importing it keeps the committed
@@ -17,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // measures, parameter drift included.
 use rumor_analysis::experiments::e22_models::matched_models;
 use rumor_core::Mode;
-use rumor_core::{run_dynamic_sharded_under, run_dynamic_under, RngContract};
+use rumor_core::{run_dynamic, run_dynamic_sharded};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -31,17 +30,7 @@ fn bench_models_sequential(c: &mut Criterion) {
     for (name, model) in matched_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
-            b.iter(|| {
-                run_dynamic_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    model,
-                    &mut rng,
-                    100_000_000,
-                )
-            })
+            b.iter(|| run_dynamic(&g, 0, Mode::PushPull, model, &mut rng, 100_000_000))
         });
     }
     group.finish();
@@ -59,18 +48,7 @@ fn bench_models_sharded(c: &mut Criterion) {
     for (name, model) in matched_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(9);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
-            b.iter(|| {
-                run_dynamic_sharded_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    model,
-                    4,
-                    &mut rng,
-                    100_000_000,
-                )
-            })
+            b.iter(|| run_dynamic_sharded(&g, 0, Mode::PushPull, model, 4, &mut rng, 100_000_000))
         });
     }
     group.finish();
@@ -91,17 +69,7 @@ fn bench_models_sequential_1024(c: &mut Criterion) {
     for (name, model) in matched_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
-            b.iter(|| {
-                run_dynamic_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    model,
-                    &mut rng,
-                    100_000_000,
-                )
-            })
+            b.iter(|| run_dynamic(&g, 0, Mode::PushPull, model, &mut rng, 100_000_000))
         });
     }
     group.finish();
@@ -205,8 +173,10 @@ fn bench_hotpath_components(c: &mut Criterion) {
     });
 
     group.bench_function("queue", |b| {
-        // The engine-side cost per topology event: one heap pop + one
-        // exp draw + one push, at the markov model's pending-event count.
+        // An eager per-edge queue's cost per topology event: one heap
+        // pop + one exp draw + one push, at the markov model's
+        // pending-event count — the construction `superposition` below
+        // replaced.
         use rumor_sim::events::EventQueue;
         let mut rng = Xoshiro256PlusPlus::seed_from(19);
         b.iter(|| {
@@ -225,11 +195,10 @@ fn bench_hotpath_components(c: &mut Criterion) {
     });
 
     group.bench_function("superposition", |b| {
-        // The v2 counterpart of the `queue` row: one Exp(total) draw +
-        // one thinning draw + a markov-shaped two-channel reweight per
-        // event, with no per-edge pending state at all. The gap between
-        // this row and `queue` is the per-event scheduling win the
-        // full-run groups realize under `RngContract::V2`.
+        // The engines' scheduler: one Exp(total) draw + one thinning
+        // draw + a markov-shaped two-channel reweight per event, with no
+        // per-edge pending state at all. The gap between this row and
+        // `queue` is the per-event scheduling win of the full-run groups.
         use rumor_sim::events::{Fired, Superposition};
         let mut rng = Xoshiro256PlusPlus::seed_from(19);
         let m = edges.len() as f64;

@@ -15,7 +15,7 @@ use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, NoProbe, RngContract,
+    LogHistogram, MetricsLevel, Mode, NoProbe,
 };
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -42,7 +42,6 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
             run_dynamic_with(
-                RngContract::V1,
                 &g,
                 0,
                 Mode::PushPull,
@@ -89,7 +88,6 @@ fn bench_counting_probe(c: &mut Criterion) {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
             let mut probe = CountingProbe::default();
             run_dynamic_with(
-                RngContract::V1,
                 &g,
                 0,
                 Mode::PushPull,

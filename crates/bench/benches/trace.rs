@@ -13,7 +13,7 @@ use rumor_analysis::experiments::e23_coupled_gap::{coupled_models, horizon};
 use rumor_core::dynamic::run_dynamic_with;
 use rumor_core::engine::trace::TopologyTrace;
 use rumor_core::spec::{Protocol, SimSpec, Topology};
-use rumor_core::{Mode, NoProbe, RngContract};
+use rumor_core::{Mode, NoProbe};
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -32,14 +32,7 @@ fn bench_record(c: &mut Criterion) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
             b.iter(|| {
-                TopologyTrace::record(
-                    RngContract::V1,
-                    &g,
-                    0,
-                    model.build_state().as_mut(),
-                    &mut rng,
-                    horizon(N),
-                )
+                TopologyTrace::record(&g, 0, model.build_state().as_mut(), &mut rng, horizon(N))
             })
         });
     }
@@ -52,7 +45,6 @@ fn bench_replay(c: &mut Criterion) {
     let g = base_graph();
     for (name, model) in coupled_models(&g) {
         let trace = TopologyTrace::record(
-            RngContract::V1,
             &g,
             0,
             model.build_state().as_mut(),
@@ -63,7 +55,6 @@ fn bench_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &trace, |b, trace| {
             b.iter(|| {
                 run_dynamic_with(
-                    RngContract::V1,
                     &g,
                     0,
                     Mode::PushPull,

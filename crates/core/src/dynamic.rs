@@ -57,13 +57,10 @@
 
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Graph, Node};
-use rumor_sim::events::RngContract;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::engine::topology::{StateVisitor, TopologyModel};
-use crate::engine::{
-    drive, Control, Either, EventSource, Merged, QueueSource, TickSource, TopoDriver,
-};
+use crate::engine::{EventSource, TickSource, TopoDriver};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::{AsyncOutcome, SyncOutcome, NEVER_ROUND};
@@ -403,8 +400,7 @@ impl DynamicOutcome {
 ///
 /// With a model for which [`DynamicModel::is_static`] holds, the run
 /// replays [`crate::run_async`] with [`crate::AsyncView::GlobalClock`]
-/// seed-for-seed: identical RNG consumption, identical outcome. This is
-/// [`run_dynamic_under`] with [`RngContract::V1`].
+/// seed-for-seed: identical RNG consumption, identical outcome.
 ///
 /// # Panics
 ///
@@ -418,36 +414,10 @@ pub fn run_dynamic(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    run_dynamic_under(RngContract::V1, g, source, mode, model, rng, max_steps)
+    model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe: &mut NoProbe })
 }
 
-/// Like [`run_dynamic`], under an explicit [`RngContract`]:
-/// `RngContract::V1` routes to the pinned legacy path (the eager
-/// per-event queue every pre-v2 golden records — [`run_dynamic`] itself
-/// is that path), `RngContract::V2` to the superposition scheduler
-/// (one `Exp(total_rate)` arrival thinned to a model channel; fewer
-/// draws, O(1) pending events, its own golden set).
-pub fn run_dynamic_under(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> DynamicOutcome {
-    model.with_state(SequentialRun {
-        contract,
-        g,
-        source,
-        mode,
-        rng,
-        max_steps,
-        probe: &mut NoProbe,
-    })
-}
-
-/// The general sequential entry point: [`run_dynamic_under`] over an
+/// The general sequential entry point: [`run_dynamic`] over an
 /// already-built [`TopologyModel`] state, with an instrumentation
 /// [`Probe`] observing the run. Model implementations outside the
 /// [`DynamicModel`] enum come in here, most importantly a
@@ -456,164 +426,18 @@ pub fn run_dynamic_under(
 /// replays its unprobed twin seed-for-seed — and a [`NoProbe`] compiles
 /// every hook out.
 ///
+/// Topology events come from a [`TopoDriver`] and protocol ticks from a
+/// rate-`n` clock, merged topology-first by hand. The merge order is
+/// part of the replay contract: the topology arrival is peeked — and
+/// possibly drawn — *before* the tick on every iteration, exactly as
+/// the sharded coordinator computes its horizon before its windows draw
+/// their ticks. That is what keeps the K = 1 replay invariant
+/// (`tests/replay_golden.rs`).
+///
 /// # Panics
 ///
 /// As [`run_dynamic`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut M,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> DynamicOutcome {
-    match contract {
-        RngContract::V1 => run_dynamic_inner(g, source, mode, state, rng, max_steps, probe),
-        RngContract::V2 => run_dynamic_inner_v2(g, source, mode, state, rng, max_steps, probe),
-    }
-}
-
-/// A sequential run waiting for its model state: visiting a
-/// [`DynamicModel`] with it runs [`run_dynamic_with`] over the model's
-/// concrete state type.
-pub(crate) struct SequentialRun<'a, P> {
-    pub(crate) contract: RngContract,
-    pub(crate) g: &'a Graph,
-    pub(crate) source: Node,
-    pub(crate) mode: Mode,
-    pub(crate) rng: &'a mut Xoshiro256PlusPlus,
-    pub(crate) max_steps: u64,
-    pub(crate) probe: &'a mut P,
-}
-
-impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
-    type Output = DynamicOutcome;
-
-    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> DynamicOutcome {
-        let Self { contract, g, source, mode, rng, max_steps, probe } = self;
-        run_dynamic_with(contract, g, source, mode, &mut state, rng, max_steps, probe)
-    }
-}
-
-fn run_dynamic_inner<P: Probe, M: TopologyModel + ?Sized>(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    state: &mut M,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> DynamicOutcome {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    assert!(n == 1 || !g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mut informed_time = vec![f64::INFINITY; n];
-    informed_time[source as usize] = 0.0;
-    let mut informed_count = 1usize;
-    if P::ENABLED {
-        probe.trial_start(n, source);
-        probe.informed(0.0, informed_count);
-    }
-    if n == 1 {
-        if P::ENABLED {
-            probe.trial_end(0.0, true);
-        }
-        return DynamicOutcome {
-            time: 0.0,
-            steps: 0,
-            topology_events: 0,
-            completed: true,
-            informed_time,
-        };
-    }
-
-    // Topology events merged with the rate-n protocol clock, topology
-    // winning ties; `Merged` retains a drawn-but-unconsumed tick, so the
-    // stream costs exactly one exp(rate) draw per tick — the same RNG
-    // positions as the static engine, which is the replay guarantee.
-    let mut src = Merged::new(QueueSource::new(), TickSource::new(n as f64));
-    let mut net = MutableGraph::from_graph(g);
-    state.init(g, &mut net, &mut src.first.queue, rng);
-
-    let mut t = 0.0;
-    let mut steps = 0u64;
-    let mut topology_events = 0u64;
-    let mut completed = false;
-
-    if max_steps > 0 {
-        drive(&mut src, rng, |src, rng, te, event| {
-            t = te;
-            match event {
-                Either::First(topo) => {
-                    topology_events += 1;
-                    let informed = &informed_time;
-                    state.apply(
-                        topo,
-                        te,
-                        &mut net,
-                        &|v| informed[v as usize].is_finite(),
-                        &mut src.first.queue,
-                        rng,
-                    );
-                    if P::ENABLED {
-                        probe.event(te, ProbeEvent::Topology);
-                        probe.topology_changed(te);
-                    }
-                    Control::Continue
-                }
-                Either::Second(()) => {
-                    steps += 1;
-                    if P::ENABLED {
-                        probe.event(te, ProbeEvent::Tick);
-                    }
-                    let v = rng.range_usize(n) as Node;
-                    if net.is_active(v) && net.degree(v) > 0 {
-                        let w = net.random_neighbor(v, rng);
-                        let grew = crate::asynchronous::exchange(
-                            mode,
-                            &mut informed_time,
-                            &mut informed_count,
-                            v,
-                            w,
-                            te,
-                        );
-                        if P::ENABLED && grew {
-                            probe.informed(te, informed_count);
-                        }
-                    }
-                    if informed_count == n {
-                        completed = true;
-                        return Control::Stop;
-                    }
-                    if steps >= max_steps {
-                        return Control::Stop;
-                    }
-                    Control::Continue
-                }
-            }
-        });
-    }
-    if P::ENABLED {
-        probe.trial_end(t, completed);
-    }
-    DynamicOutcome { time: t, steps, topology_events, completed, informed_time }
-}
-
-/// The v2 sequential loop: topology events from a [`TopoDriver`] in
-/// superposition mode, protocol ticks from the same rate-`n` clock as
-/// v1, merged topology-first by hand.
-///
-/// The merge is hand-written (not [`Merged`]) because the draw order is
-/// part of the contract: the topology arrival is peeked — and possibly
-/// drawn — *before* the tick on every iteration, exactly as the sharded
-/// coordinator computes its horizon before its windows draw their
-/// ticks. That is what keeps the v2 K = 1 replay invariant
-/// (`tests/replay_golden.rs`).
-fn run_dynamic_inner_v2<P: Probe, M: TopologyModel + ?Sized>(
     g: &Graph,
     source: Node,
     mode: Mode,
@@ -647,11 +471,7 @@ fn run_dynamic_inner_v2<P: Probe, M: TopologyModel + ?Sized>(
     }
 
     let mut net = MutableGraph::from_graph(g);
-    // v2 goldens are minted in order-relaxed adjacency mode: same
-    // neighbor sets, cheaper mutations, a different (but equally
-    // pinned) draw stream than v1's sorted lists.
-    net.relax_neighbor_order();
-    let mut driver = TopoDriver::new(RngContract::V2, g, &mut net, state, rng);
+    let mut driver = TopoDriver::new(g, &mut net, state, rng);
     // Informed-delta feed (only the sequential engine has per-node
     // identities at exchange time): the adversary uses it to maintain
     // its frontier boundary incrementally.
@@ -671,13 +491,12 @@ fn run_dynamic_inner_v2<P: Probe, M: TopologyModel + ?Sized>(
             let next_topo = driver.next_time(rng);
             let next_tick = ticks.peek(rng).expect("the rate-n tick stream never ends");
             if next_topo <= next_tick {
-                // Topology wins ties, as in the v1 merge.
+                // Topology wins ties.
                 let informed = &informed_time;
                 let (te, _impact) =
                     driver.step(state, &mut net, &|v| informed[v as usize].is_finite(), rng);
                 // `t` is not updated here: the loop only exits from the
-                // tick branch, so the reported time is always a tick's
-                // (as in v1, where the last processed event is a tick).
+                // tick branch, so the reported time is always a tick's.
                 topology_events += 1;
                 if P::ENABLED {
                     probe.event(te, ProbeEvent::Topology);
@@ -727,6 +546,27 @@ fn run_dynamic_inner_v2<P: Probe, M: TopologyModel + ?Sized>(
         probe.trial_end(t, completed);
     }
     DynamicOutcome { time: t, steps, topology_events, completed, informed_time }
+}
+
+/// A sequential run waiting for its model state: visiting a
+/// [`DynamicModel`] with it runs [`run_dynamic_with`] over the model's
+/// concrete state type.
+pub(crate) struct SequentialRun<'a, P> {
+    pub(crate) g: &'a Graph,
+    pub(crate) source: Node,
+    pub(crate) mode: Mode,
+    pub(crate) rng: &'a mut Xoshiro256PlusPlus,
+    pub(crate) max_steps: u64,
+    pub(crate) probe: &'a mut P,
+}
+
+impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
+    type Output = DynamicOutcome;
+
+    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> DynamicOutcome {
+        let Self { g, source, mode, rng, max_steps, probe } = self;
+        run_dynamic_with(g, source, mode, &mut state, rng, max_steps, probe)
+    }
 }
 
 /// Synchronous push/pull/push–pull on a periodically rewired topology:
@@ -820,56 +660,9 @@ mod tests {
         }
     }
 
-    /// Zero-channel (static-law) models consume the identical stream
-    /// under both contracts: no stochastic channels means the v2
-    /// scheduler draws exactly what the v1 merge drew.
+    /// Every stochastic model completes and fires topology events.
     #[test]
-    fn v2_contract_replays_v1_for_static_models() {
-        let g = generators::hypercube(5);
-        for model in [
-            DynamicModel::Static,
-            DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.0)),
-            DynamicModel::Rewire(Rewire {
-                period: f64::INFINITY,
-                family: SnapshotFamily::Gnp { p: 0.1 },
-            }),
-            DynamicModel::RandomWalk(RandomWalk::new(0.0)),
-            DynamicModel::Adversary(Adversary { rate: 0.0, budget: 4, heal_after: 1.0 }),
-        ] {
-            let v1 = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(3), 1_000_000);
-            let v2 = run_dynamic_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                &mut rng(3),
-                1_000_000,
-            );
-            assert_eq!(v1, v2, "model {model}");
-        }
-    }
-
-    /// Finite-period rewiring is deterministic-schedule (snapshots at
-    /// fixed times, randomness only inside apply), so it too replays
-    /// across contracts bit-for-bit.
-    #[test]
-    fn v2_contract_replays_v1_for_rewiring() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
-        let model =
-            DynamicModel::Rewire(Rewire { period: 2.0, family: SnapshotFamily::Gnp { p: 0.2 } });
-        let mut r1 = rng(8);
-        let mut r2 = rng(8);
-        let v1 = run_dynamic(&g, 0, Mode::PushPull, &model, &mut r1, 10_000_000);
-        let v2 =
-            run_dynamic_under(RngContract::V2, &g, 0, Mode::PushPull, &model, &mut r2, 10_000_000);
-        assert_eq!(v1, v2);
-        assert_eq!(r1.next_u64(), r2.next_u64(), "RNG streams diverged");
-    }
-
-    /// Every stochastic model completes under the v2 scheduler.
-    #[test]
-    fn v2_contract_completes_for_all_models() {
+    fn every_stochastic_model_completes() {
         let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
         for model in [
             DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)),
@@ -879,49 +672,11 @@ mod tests {
             DynamicModel::Mobility(Mobility { move_rate: 1.0, radius: 0.25, step: 0.1 }),
             DynamicModel::Adversary(Adversary { rate: 0.5, budget: 2, heal_after: 1.0 }),
         ] {
-            let out = run_dynamic_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                &mut rng(9),
-                10_000_000,
-            );
+            let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(9), 10_000_000);
             assert!(out.completed, "model {model}");
             assert!(out.topology_events > 0, "model {model}");
             assert!(out.informed_time.iter().all(|t| t.is_finite()), "model {model}");
         }
-    }
-
-    /// The contracts agree in law: mean spreading times under matched
-    /// seeds land within a loose band of each other (the exact
-    /// equivalence is property-tested in `tests/scheduler_equivalence.rs`).
-    #[test]
-    fn v2_contract_agrees_in_law_with_v1() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let mut v1 = OnlineStats::new();
-        let mut v2 = OnlineStats::new();
-        for seed in 0..30 {
-            v1.push(
-                run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(700 + seed), 10_000_000).time,
-            );
-            v2.push(
-                run_dynamic_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    &model,
-                    &mut rng(700 + seed),
-                    10_000_000,
-                )
-                .time,
-            );
-        }
-        let (a, b) = (v1.mean(), v2.mean());
-        assert!((a - b).abs() < 0.25 * a.max(b), "v1 mean {a} vs v2 mean {b}");
     }
 
     #[test]
@@ -993,7 +748,6 @@ mod tests {
         let mut state = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0)).build_state();
         let mut probe = Events(Vec::new());
         let out = run_dynamic_with(
-            RngContract::V1,
             &g,
             0,
             Mode::PushPull,

@@ -1,11 +1,11 @@
 //! Edge-Markov dynamics with **lazy per-edge clocks**.
 //!
 //! The sequential dynamic engine simulates edge-Markov churn eagerly:
-//! every base edge keeps one pending flip event in the global queue, so
-//! a run pays O(edges) queue memory up front and one heap operation per
-//! flip — `m·ν·T` heap operations for a run of length `T`, whether or
-//! not the protocol ever looks at the flipped edges. At `n ≫ 10⁵` the
-//! pending-flip queue dominates everything.
+//! every flip of every base edge is drawn (one superposed arrival plus
+//! a thinning draw) and applied to the adjacency, so a run pays an
+//! O(edges) edge table up front and `m·ν·T` flips for a run of length
+//! `T`, whether or not the protocol ever looks at the flipped edges. At
+//! `n ≫ 10⁵` the flips dominate everything.
 //!
 //! Memorylessness makes all of that skippable. Each edge's on/off chain
 //! is independent of everything else, so its trajectory can be resolved
@@ -94,19 +94,18 @@ fn edge_seed(seed: u64, eid: u32) -> u64 {
 /// [`DynamicModel::EdgeMarkov`](crate::DynamicModel::EdgeMarkov) —
 /// statistically, not seed-for-seed: the whole point is to consume
 /// randomness per *touched edge* instead of per global flip. Use it
-/// when `n` (and the edge count) is large enough that the eager
-/// pending-flip queue is the bottleneck; `n = 10⁶` runs fit comfortably.
+/// when `n` (and the edge count) is large enough that the eager flips
+/// are the bottleneck; `n = 10⁶` runs fit comfortably.
 ///
 /// Any per-edge-memoryless model runs here through its chain rates
 /// ([`TopologyModel::memoryless_edge_rates`]: [`Static`] is `(0, 0)`);
 /// models whose evolution couples edges to each other or to the
 /// informed state (rewiring, node churn, random walks, mobility, the
-/// adversary) have none and need the eager event stream.
+/// adversary) have none and need the sequential or sharded engine.
 ///
 /// The `probe` observes the run; probes are passive — a probed run
 /// replays its unprobed twin seed-for-seed — and a [`NoProbe`]
-/// compiles every hook out. The engine draws the same stream under
-/// every [`RngContract`](rumor_sim::events::RngContract).
+/// compiles every hook out.
 ///
 /// [`TopologyModel::memoryless_edge_rates`]: crate::engine::TopologyModel::memoryless_edge_rates
 /// [`Static`]: crate::DynamicModel::Static
@@ -179,9 +178,8 @@ pub fn run_edge_markov_lazy<P: Probe>(
     let mut completed = false;
     let mut live: Vec<Node> = Vec::new();
     // The tick stream is a 1-channel superposition (weight n, nothing
-    // in the side queue): bit-identical to the TickSource the engine
-    // used before — one Exp(n) draw per tick, no selection draw — so
-    // this engine is contract-independent and its streams are pinned.
+    // in the side queue): bit-identical to a TickSource — one Exp(n)
+    // draw per tick, no selection draw — which keeps its pinned streams.
     let mut src: Superposition<()> = Superposition::new(1);
     src.set_weight(0.0, 0, n as f64);
     drive(&mut src, rng, |_, rng, t, _tick| {

@@ -7,24 +7,21 @@
 //! came from. This module factors that shape out and builds on it:
 //!
 //! * [`source`] — the [`EventSource`] abstraction ([`TickSource`],
-//!   [`QueueSource`], [`Merged`]) and the [`drive`] loop. Both
-//!   sequential engines are now written over it, with RNG consumption
-//!   preserved draw-for-draw (the seed-for-seed replay guarantees of
-//!   PR 1 still hold and are still property-tested).
+//!   [`QueueSource`], the superposition scheduler) and the [`drive`]
+//!   loop the static asynchronous and lazy engines are written over,
+//!   with RNG consumption preserved draw-for-draw.
 //! * [`topology`] — the pluggable topology-model layer: the
-//!   [`TopologyModel`] trait (next-event draw, apply, incremental rate
-//!   delta, and the v2 channel interface) every engine consumes models
-//!   through, with six implementations (edge-Markov flips, periodic
-//!   rewiring, node churn, random-walk edge dynamics, geometric
-//!   mobility, frontier adversary).
-//! * [`scheduler`] — the [`TopoDriver`] contract dispatcher: one place
-//!   where [`RngContract::V1`](rumor_sim::events::RngContract) routes
-//!   to the pinned eager queue and `V2` to the superposition
-//!   single-clock scheduler; the sequential engine, the sharded
-//!   coordinator, and the trace recorder all consume topology events
-//!   through it.
+//!   [`TopologyModel`] trait (stochastic channels, deterministic
+//!   side-queue events, incremental rate delta) every engine consumes
+//!   models through, with six implementations (edge-Markov flips,
+//!   periodic rewiring, node churn, random-walk edge dynamics,
+//!   geometric mobility, frontier adversary).
+//! * [`scheduler`] — the [`TopoDriver`]: the superposition
+//!   single-clock scheduler over a model's channels; the sequential
+//!   engine, the sharded coordinator, and the trace recorder all
+//!   consume topology events through it.
 //! * [`lazy`] — an edge-Markov engine with **lazy per-edge clocks**:
-//!   no pending-flip queue at all, each edge's on/off chain resolved
+//!   no flips drawn up front, each edge's on/off chain resolved
 //!   only when a contact touches it. Memory for topology bookkeeping is
 //!   O(touched edges), which is what makes n ≥ 10⁶ runs feasible.
 //! * [`sharded`] — a conservative-lookahead parallel engine: nodes are
@@ -50,10 +47,8 @@ pub mod trace;
 
 pub use lazy::{run_edge_markov_lazy, LazyOutcome};
 pub use scheduler::TopoDriver;
-pub use sharded::{
-    run_dynamic_sharded, run_dynamic_sharded_under, run_dynamic_sharded_with, ShardedOutcome,
-};
-pub use source::{drive, Control, Either, EventSource, Merged, QueueSource, TickSource};
+pub use sharded::{run_dynamic_sharded, run_dynamic_sharded_with, ShardedOutcome};
+pub use source::{drive, Control, EventSource, QueueSource, TickSource};
 pub use topology::{InformedView, RateImpact, StateVisitor, TopoEvent, TopologyModel};
 pub use trace::{
     run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceReplayer, TraceStep,

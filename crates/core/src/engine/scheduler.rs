@@ -1,78 +1,57 @@
-//! The contract-dispatching topology-event driver.
+//! The topology-event driver.
 //!
-//! [`TopoDriver`] is how the engines consume a [`TopologyModel`] under
-//! either [`RngContract`]: the **v1** arm runs the pinned eager path
-//! (every stochastic event owns a pending [`EventQueue`] entry), the
-//! **v2** arm runs the [`Superposition`] scheduler (one `Exp(total)`
-//! arrival thinned to a model channel at pop time, deterministic
-//! follow-ups through the side queue). The two arms consume different
-//! RNG streams by design — each contract pins its own goldens — but
-//! expose one interface, so the sequential engine, the sharded
-//! coordinator, and the trace recorder all dispatch on the contract in
-//! exactly one place.
+//! [`TopoDriver`] is how the engines consume a [`TopologyModel`]: a
+//! [`Superposition`] scheduler draws one `Exp(total)` arrival, thins it
+//! to a model channel at pop time, and merges deterministic follow-ups
+//! from its side queue. The sequential engine, the sharded coordinator,
+//! and the trace recorder all draw topology events through it.
 
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::Graph;
-use rumor_sim::events::{EventQueue, Fired, RngContract, Superposition};
+use rumor_sim::events::{EventQueue, Fired, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use super::topology::{InformedView, RateImpact, TopoEvent, TopologyModel};
 
-/// A topology-event stream for one run, scheduled per the contract.
+/// A topology-event stream for one run: superposition over the model's
+/// stochastic channels; peeking draws (and retains) the next arrival.
 #[derive(Debug)]
-pub enum TopoDriver {
-    /// v1: eager per-event queue; peeking never draws.
-    Eager(EventQueue<TopoEvent>),
-    /// v2: superposition over `usize` model channels; peeking draws
-    /// (and retains) the next arrival.
-    Super(Superposition<TopoEvent>, usize),
+pub struct TopoDriver {
+    sup: Superposition<TopoEvent>,
+    channels: usize,
 }
 
 impl TopoDriver {
-    /// Initializes `mstate` under `contract` and returns the driver
-    /// holding its scheduled events: v1 calls [`TopologyModel::init`],
-    /// v2 calls [`TopologyModel::init_channels`] and primes the channel
-    /// weights at time 0.
+    /// Initializes `mstate` through [`TopologyModel::init`] and returns
+    /// the driver holding its side-queue events, with the channel
+    /// weights primed at time 0.
     pub fn new<M: TopologyModel + ?Sized>(
-        contract: RngContract,
         g: &Graph,
         net: &mut MutableGraph,
         mstate: &mut M,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Self {
-        match contract {
-            RngContract::V1 => {
-                let mut queue = EventQueue::new();
-                mstate.init(g, net, &mut queue, rng);
-                TopoDriver::Eager(queue)
-            }
-            RngContract::V2 => {
-                let mut queue = EventQueue::new();
-                let channels = mstate.init_channels(g, net, &mut queue, rng);
-                let mut sup = Superposition::new(channels);
-                sup.queue = queue;
-                for ch in 0..channels {
-                    sup.set_weight(0.0, ch, mstate.channel_weight(ch));
-                }
-                TopoDriver::Super(sup, channels)
-            }
+        let mut queue = EventQueue::new();
+        let channels = mstate.init(g, net, &mut queue, rng);
+        let mut sup = Superposition::new(channels);
+        sup.queue = queue;
+        for ch in 0..channels {
+            sup.set_weight(0.0, ch, mstate.channel_weight(ch));
         }
+        Self { sup, channels }
     }
 
     /// Time of the next topology event, `INFINITY` if none is pending.
-    /// The v2 arm may draw (and then retains) the next arrival.
+    /// May draw (and then retains) the next arrival.
     pub fn next_time(&mut self, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        match self {
-            TopoDriver::Eager(queue) => queue.peek_time().unwrap_or(f64::INFINITY),
-            TopoDriver::Super(sup, _) => sup.peek(rng).unwrap_or(f64::INFINITY),
-        }
+        self.sup.peek(rng).unwrap_or(f64::INFINITY)
     }
 
     /// Pops and applies the next topology event (which [`next_time`]
-    /// must have reported finite), returning its rate impact. The v2
-    /// arm thins stochastic arrivals to a model channel, then resyncs
-    /// every channel weight from the model — reweights invalidate the
-    /// pending arrival only when the total actually moved.
+    /// must have reported finite), returning its time and rate impact.
+    /// Stochastic arrivals thin to a model channel; afterwards every
+    /// channel weight is resynced from the model — reweights invalidate
+    /// the pending arrival only when the total actually moved.
     ///
     /// [`next_time`]: Self::next_time
     pub fn step<M: TopologyModel + ?Sized>(
@@ -82,24 +61,15 @@ impl TopoDriver {
         informed: InformedView<'_>,
         rng: &mut Xoshiro256PlusPlus,
     ) -> (f64, RateImpact) {
-        match self {
-            TopoDriver::Eager(queue) => {
-                let (t, event) = queue.pop().expect("stepped an empty topology stream");
-                (t, mstate.apply(event, t, net, informed, queue, rng))
-            }
-            TopoDriver::Super(sup, channels) => {
-                let (t, fired) = sup.pop(rng).expect("stepped an empty topology stream");
-                let impact = match fired {
-                    Fired::Event(event) => {
-                        mstate.apply(event, t, net, informed, &mut sup.queue, rng)
-                    }
-                    Fired::Channel(ch) => mstate.fire(ch, t, net, informed, &mut sup.queue, rng),
-                };
-                for ch in 0..*channels {
-                    sup.set_weight(t, ch, mstate.channel_weight(ch));
-                }
-                (t, impact)
-            }
+        let sup = &mut self.sup;
+        let (t, fired) = sup.pop(rng).expect("stepped an empty topology stream");
+        let impact = match fired {
+            Fired::Event(event) => mstate.apply(event, t, net, informed, &mut sup.queue, rng),
+            Fired::Channel(ch) => mstate.fire(ch, t, net, informed, &mut sup.queue, rng),
+        };
+        for ch in 0..self.channels {
+            sup.set_weight(t, ch, mstate.channel_weight(ch));
         }
+        (t, impact)
     }
 }

@@ -54,7 +54,6 @@ use std::sync::{Mutex, RwLock};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::partition::{Partition, ShardId};
 use rumor_graph::{Graph, Node};
-use rumor_sim::events::RngContract;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::dynamic::{DynamicModel, DynamicOutcome};
@@ -496,8 +495,10 @@ fn coordinate<P: Probe, M: TopologyModel + ?Sized>(
 }
 
 /// Runs the asynchronous push/pull/push–pull protocol on a dynamic
-/// network with `shards` contiguous node shards; this is
-/// [`run_dynamic_sharded_under`] with [`RngContract::V1`].
+/// network with `shards` contiguous node shards
+/// (`Partition::contiguous`); see [`run_dynamic_sharded_with`] for the
+/// semantics. At `K = 1` a run replays the sequential engine
+/// ([`crate::run_dynamic`]) seed-for-seed.
 ///
 /// # Panics
 ///
@@ -512,43 +513,9 @@ pub fn run_dynamic_sharded(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> ShardedOutcome {
-    run_dynamic_sharded_under(RngContract::V1, g, source, mode, model, shards, rng, max_steps)
-}
-
-/// [`run_dynamic_sharded`] under an explicit [`RngContract`]: `V1` is
-/// the pinned eager-queue path, `V2` schedules topology events through
-/// the superposition scheduler. `Partition::contiguous` supplies the
-/// partition; see [`run_dynamic_sharded_with`] for the semantics. At
-/// `K = 1` a run replays the sequential engine
-/// ([`crate::run_dynamic_under`]) of the same contract seed-for-seed.
-///
-/// # Panics
-///
-/// As [`run_dynamic_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_sharded_under(
-    contract: RngContract,
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    model: &DynamicModel,
-    shards: usize,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> ShardedOutcome {
     let part = Partition::contiguous(g.node_count(), shards);
     let mut state = model.build_state();
-    run_dynamic_sharded_with(
-        contract,
-        g,
-        source,
-        mode,
-        state.as_mut(),
-        &part,
-        rng,
-        max_steps,
-        &mut NoProbe,
-    )
+    run_dynamic_sharded_with(g, source, mode, state.as_mut(), &part, rng, max_steps, &mut NoProbe)
 }
 
 /// The general sharded entry point: runs the asynchronous
@@ -585,7 +552,6 @@ pub fn run_dynamic_sharded_under(
 /// nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dynamic_sharded_with<P: Probe, M: TopologyModel + ?Sized>(
-    contract: RngContract,
     g: &Graph,
     source: Node,
     mode: Mode,
@@ -628,15 +594,9 @@ pub fn run_dynamic_sharded_with<P: Probe, M: TopologyModel + ?Sized>(
     // Model init first, from the caller's stream — the sequential
     // engine's order, which the K = 1 replay depends on. Init may
     // replace the starting topology (mobility), so it precedes the
-    // rate derivation below. The driver dispatches on the contract:
-    // v1 eager queue, v2 superposition channels.
+    // rate derivation below.
     let mut net = MutableGraph::from_graph(g);
-    if contract == RngContract::V2 {
-        // Matches the sequential v2 engine (the K = 1 replay contract):
-        // v2 goldens are minted in order-relaxed adjacency mode.
-        net.relax_neighbor_order();
-    }
-    let mut driver = TopoDriver::new(contract, g, &mut net, mstate, rng);
+    let mut driver = TopoDriver::new(g, &mut net, mstate, rng);
 
     // K = 1: the lone shard shares the caller's stream. K > 1: one
     // derivation draw, then well-separated child streams per shard; the
@@ -797,6 +757,11 @@ mod tests {
         ]
     }
 
+    /// The coordinator computes the horizon (which may draw the
+    /// superposition arrival) before the window draws its tick, exactly
+    /// the sequential loop's peek order. The adversary exercises the
+    /// scan-fallback strike law against the sequential engine's
+    /// incremental boundary — same cut sets, zero draws.
     #[test]
     fn one_shard_replays_sequential_seed_for_seed() {
         let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
@@ -810,45 +775,6 @@ mod tests {
                 assert_eq!(sharded.outcome, sequential, "model {model} seed {seed}");
                 assert_eq!(sharded.cross_events, 0);
                 // Final RNG state: the engines consumed identical draws.
-                assert_eq!(a.next_u64(), b.next_u64(), "model {model} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_replays_sequential_v2_seed_for_seed() {
-        // The K = 1 invariant holds under the v2 contract too: the
-        // coordinator computes the horizon (which may draw the
-        // superposition arrival) before the window draws its tick,
-        // exactly the sequential v2 loop's peek order. The adversary
-        // exercises the scan-fallback strike law against the sequential
-        // engine's incremental boundary — same cut sets, zero draws.
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
-        for model in models() {
-            for seed in 0..5 {
-                let mut a = rng(100 + seed);
-                let sequential = crate::dynamic::run_dynamic_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    &model,
-                    &mut a,
-                    10_000_000,
-                );
-                let mut b = rng(100 + seed);
-                let sharded = run_dynamic_sharded_under(
-                    RngContract::V2,
-                    &g,
-                    0,
-                    Mode::PushPull,
-                    &model,
-                    1,
-                    &mut b,
-                    10_000_000,
-                );
-                assert_eq!(sharded.outcome, sequential, "model {model} seed {seed}");
-                assert_eq!(sharded.cross_events, 0);
                 assert_eq!(a.next_u64(), b.next_u64(), "model {model} seed {seed}");
             }
         }

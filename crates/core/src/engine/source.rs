@@ -1,18 +1,17 @@
 //! The [`EventSource`] abstraction: where simulation events come from.
 //!
-//! Every engine in this crate — static asynchronous, dynamic, lazy,
-//! sharded — is the same loop: *pop the earliest event, apply it,
-//! decide whether to go on*. What differs is the **source** of events:
-//! a single lazily-drawn Poisson clock, a pending-event queue, or a
-//! time-ordered merge of both. [`drive`] is that loop, written once;
-//! the sources below cover the three shapes.
+//! The static asynchronous and lazy engines are the same loop: *pop
+//! the earliest event, apply it, decide whether to go on*. What differs
+//! is the **source** of events: a single lazily-drawn Poisson clock, a
+//! pending-event queue, or a superposition scheduler. [`drive`] is that
+//! loop, written once; the sources below cover the three shapes.
 //!
 //! RNG discipline: a source draws from the RNG only when it actually
 //! needs a new arrival time, and a drawn-but-unconsumed arrival is
 //! retained (never redrawn). This is what makes engines built on
 //! different sources replay each other **seed-for-seed** when they
 //! describe the same process — the property the dynamic engine's
-//! churn-0 invariant and the sharded engine's K = 1 invariant rest on.
+//! churn-0 invariant rests on.
 
 use rumor_sim::events::{EventQueue, Fired, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -128,9 +127,8 @@ impl EventSource for TickSource {
 }
 
 /// An [`EventQueue`] as an event source: the node-clocks and edge-clocks
-/// views of the asynchronous protocol, and the topology stream of the
-/// dynamic engine. The public `queue` field lets `on_event` callbacks
-/// schedule successor events.
+/// views of the asynchronous protocol. The public `queue` field lets
+/// `on_event` callbacks schedule successor events.
 #[derive(Debug)]
 pub struct QueueSource<T> {
     /// The underlying pending-event queue.
@@ -172,8 +170,8 @@ impl<T> EventSource for QueueSource<T> {
 /// surface as [`Fired::Event`]. With a single positive-weight channel
 /// and an empty queue the stream is bit-identical to a [`TickSource`]
 /// of the same rate (one `Exp(rate)` draw per tick, no selection draw),
-/// which is how the lazy engine consumes the v2 scheduler without
-/// touching its golden streams.
+/// which is how the lazy engine consumes the scheduler without touching
+/// its golden streams.
 impl<T> EventSource for Superposition<T> {
     type Event = Fired<T>;
 
@@ -183,66 +181,6 @@ impl<T> EventSource for Superposition<T> {
 
     fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<(f64, Fired<T>)> {
         Superposition::pop(self, rng)
-    }
-}
-
-/// An event from one of [`Merged`]'s two inner sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// From the first (tie-winning) source.
-    First(A),
-    /// From the second source.
-    Second(B),
-}
-
-/// Two sources merged in time order; on equal times the **first** wins.
-///
-/// The dynamic engine is `Merged<QueueSource<TopoEvent>, TickSource>`:
-/// topology events interleave with protocol ticks in one stream, and a
-/// topology event at exactly a tick's time is applied before the tick —
-/// the same tie rule as the hand-written PR 1 loop.
-#[derive(Debug)]
-pub struct Merged<A, B> {
-    /// Tie-winning inner source.
-    pub first: A,
-    /// Second inner source.
-    pub second: B,
-}
-
-impl<A, B> Merged<A, B> {
-    /// Merges two sources.
-    pub fn new(first: A, second: B) -> Self {
-        Self { first, second }
-    }
-}
-
-impl<A: EventSource, B: EventSource> EventSource for Merged<A, B> {
-    type Event = Either<A::Event, B::Event>;
-
-    fn peek(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        // Draw the second stream's arrival even when the first is due
-        // earlier: engines that draw ticks eagerly at the top of their
-        // loop (the PR 1 dynamic engine) consume the RNG in exactly
-        // this order, and retention makes the draw reusable.
-        let b = self.second.peek(rng);
-        let a = self.first.peek(rng);
-        match (a, b) {
-            (Some(ta), Some(tb)) => Some(if ta <= tb { ta } else { tb }),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<(f64, Self::Event)> {
-        let b = self.second.peek(rng);
-        let a = self.first.peek(rng);
-        match (a, b) {
-            (Some(ta), Some(tb)) if ta <= tb => {
-                self.first.pop(rng).map(|(t, e)| (t, Either::First(e)))
-            }
-            (Some(_), None) => self.first.pop(rng).map(|(t, e)| (t, Either::First(e))),
-            (_, Some(_)) => self.second.pop(rng).map(|(t, e)| (t, Either::Second(e))),
-            (None, None) => None,
-        }
     }
 }
 
@@ -279,32 +217,6 @@ mod tests {
         assert_eq!(peeked, again);
         assert_eq!(peeked, popped);
         assert_eq!(src.now(), popped);
-    }
-
-    #[test]
-    fn merged_orders_and_breaks_ties_first_wins() {
-        let mut r = rng(1);
-        let mut q1: QueueSource<&str> = QueueSource::new();
-        let mut q2: QueueSource<&str> = QueueSource::new();
-        q1.queue.push(2.0, "first@2");
-        q1.queue.push(5.0, "first@5");
-        q2.queue.push(1.0, "second@1");
-        q2.queue.push(2.0, "second@2");
-        let mut merged = Merged::new(q1, q2);
-        let mut order = Vec::new();
-        drive(&mut merged, &mut r, |_, _, t, ev| {
-            order.push((
-                t,
-                match ev {
-                    Either::First(s) | Either::Second(s) => s,
-                },
-            ));
-            Control::Continue
-        });
-        assert_eq!(
-            order,
-            vec![(1.0, "second@1"), (2.0, "first@2"), (2.0, "second@2"), (5.0, "first@5")]
-        );
     }
 
     #[test]

@@ -1,27 +1,29 @@
 //! The pluggable topology-model layer shared by every dynamic engine.
 //!
 //! [`TopologyModel`] is the one interface through which the engines
-//! consume topology evolution: a model schedules its next events into
-//! the shared [`EventQueue`] (*next-event draw*), mutates the
-//! [`MutableGraph`] when an event fires (*apply*), and reports which
-//! nodes' contact rates the mutation can have touched
+//! consume topology evolution. A model reports its stochastic event
+//! classes as *channels* with a current total rate
+//! ([`TopologyModel::channel_weight`]); the engine's
+//! [`TopoDriver`](crate::engine::TopoDriver) draws one superposed
+//! arrival, thins it to a channel, and the model picks the firing
+//! member and mutates the [`MutableGraph`] (*fire*). Deterministic
+//! follow-ups (rewire snapshots, heal timers, trace replay steps) go
+//! into a side [`EventQueue`] and come back through *apply*. Both
+//! report which nodes' contact rates the mutation can have touched
 //! ([`RateImpact`], the *incremental rate delta* the sharded engine's
 //! conservative horizon maintenance needs). The sequential engine
-//! ([`crate::run_dynamic`]) merges the scheduled events with protocol
-//! ticks in one stream; the sharded engine processes them at its window
-//! barriers; the lazy engine asks a model whether it is per-edge
-//! memoryless ([`TopologyModel::memoryless_edge_rates`]) and, if so,
-//! skips event scheduling entirely. All engines share these
-//! implementations, so they agree event for event — the foundation of
-//! the K = 1 replay invariant.
+//! ([`crate::run_dynamic`]) interleaves the events with protocol ticks;
+//! the sharded engine processes them at its window barriers; the lazy
+//! engine asks a model whether it is per-edge memoryless
+//! ([`TopologyModel::memoryless_edge_rates`]) and, if so, skips event
+//! scheduling entirely. All engines share these implementations, so
+//! they agree event for event — the foundation of the K = 1 replay
+//! invariant.
 //!
-//! Six models are implemented behind the trait: the PR 1 trio
-//! (edge-Markov flips, periodic rewiring, node churn — re-expressed
-//! here with bit-identical RNG consumption, so pre-refactor runs replay
-//! seed-for-seed; pinned in `tests/replay_golden.rs`) and three models
-//! new with this layer: random-walk edge dynamics, geometric mobility
-//! on a [`GridIndex`], and budget-limited adversarial removal of the
-//! informed/uninformed frontier.
+//! Six models are implemented behind the trait: edge-Markov flips,
+//! periodic rewiring, node churn, random-walk edge dynamics, geometric
+//! mobility on a [`GridIndex`], and budget-limited adversarial removal
+//! of the informed/uninformed frontier.
 
 use std::collections::BTreeSet;
 
@@ -36,25 +38,17 @@ use crate::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
 
-/// Pending topology events in the interleaved stream.
+/// Deterministic topology events on the scheduler's side queue.
 ///
-/// One shared payload type keeps the event queue monomorphic across
+/// One shared payload type keeps the side queue monomorphic across
 /// models; each [`TopologyModel`] implementation consumes only the
 /// variants it scheduled and panics on any other (a scheduling bug).
+/// Stochastic events never appear here: they arrive as thinned
+/// channel hits ([`TopologyModel::fire`]).
 #[derive(Debug, Clone, Copy)]
 pub enum TopoEvent {
-    /// Flip base-edge `i` (index into the edge-Markov base edge list).
-    Flip(u32),
     /// Replace the topology with a fresh snapshot.
     Snapshot,
-    /// Toggle node participation (leave if active, join if away).
-    Toggle(Node),
-    /// Walk one endpoint of live edge `i` along the base graph.
-    Walk(u32),
-    /// Move node `v` to a new position and refresh its proximity edges.
-    Move(Node),
-    /// Adversary strike: cut frontier edges up to the budget.
-    Strike,
     /// Re-insert adversary-cut edge `i` (index into the heal slab).
     Heal(u32),
     /// Apply recorded trace step `i`
@@ -110,24 +104,28 @@ pub type InformedView<'a> = &'a dyn Fn(Node) -> bool;
 /// A topology-evolution model, as consumed by the dynamic engines.
 ///
 /// Implementations must follow the engines' RNG discipline: draw from
-/// the RNG only when scheduling or applying actually needs randomness,
-/// and schedule nothing when all rates are zero — that is what makes a
-/// zero-rate model replay the static engine seed-for-seed.
+/// the RNG only when firing or applying actually needs randomness, and
+/// report zero channel weight when all rates are zero — that is what
+/// makes a zero-rate model replay the static engine seed-for-seed.
 pub trait TopologyModel {
-    /// Schedules the model's initial events and applies any initial
-    /// topology (e.g. the mobility model replaces `net`'s edges with
-    /// the proximity graph of freshly drawn positions). `g` is the
-    /// starting snapshot `net` was built from.
+    /// Applies any initial topology (e.g. the mobility model replaces
+    /// `net`'s edges with the proximity graph of freshly drawn
+    /// positions), schedules the model's initial *deterministic* events
+    /// into `queue`, and returns how many stochastic channels the model
+    /// drives through [`channel_weight`](Self::channel_weight) and
+    /// [`fire`](Self::fire). `g` is the starting snapshot `net` was
+    /// built from.
     fn init(
         &mut self,
         g: &Graph,
         net: &mut MutableGraph,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    );
+    ) -> usize;
 
-    /// Applies one event at time `t`, schedules its successors, and
-    /// reports the rate impact of the mutation.
+    /// Applies one deterministic side-queue event at time `t`,
+    /// schedules its successors, and reports the rate impact of the
+    /// mutation. Only called for events the model scheduled itself.
     fn apply(
         &mut self,
         event: TopoEvent,
@@ -136,7 +134,10 @@ pub trait TopologyModel {
         informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact;
+    ) -> RateImpact {
+        let _ = (t, net, informed, queue, rng);
+        unreachable!("model scheduled no side-queue events, got {event:?}")
+    }
 
     /// The `(off_rate, on_rate)` per-edge chain rates if this model is
     /// independent two-state Markov per base edge — the memorylessness
@@ -145,26 +146,6 @@ pub trait TopologyModel {
     /// models with cross-edge or informed-state coupling.
     fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
         None
-    }
-
-    /// v2 ([`rumor_sim::events::RngContract::V2`]) initialization:
-    /// applies any initial topology, schedules only *deterministic*
-    /// events into `queue`, and returns how many stochastic channels
-    /// the model drives through [`channel_weight`](Self::channel_weight)
-    /// and [`fire`](Self::fire). The default routes to [`init`](Self::init)
-    /// and reports zero channels — correct for models whose events are
-    /// all deterministic (static, periodic rewiring, trace replay),
-    /// which therefore consume the identical stream under both
-    /// contracts.
-    fn init_channels(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        self.init(g, net, queue, rng);
-        0
     }
 
     /// Current total rate of stochastic channel `ch` (e.g. *number of
@@ -181,7 +162,7 @@ pub trait TopologyModel {
     /// `t`: the model draws *which* member of the channel fires
     /// (uniform over its flat member table), mutates the topology, and
     /// schedules any deterministic follow-ups into `queue`. Only
-    /// called for `ch < init_channels(..)`.
+    /// called for `ch < init(..)`.
     fn fire(
         &mut self,
         ch: usize,
@@ -199,8 +180,9 @@ pub trait TopologyModel {
     /// `true` receives [`note_informed`](Self::note_informed) for the
     /// source and every node the protocol informs, instead of
     /// re-deriving informed state from the [`InformedView`] on each
-    /// event. Only the v2 sequential engine offers the feed (the
-    /// sharded engine's windows report counts, not identities);
+    /// event. Only the sequential engine and the trace recorder offer
+    /// the feed (the sharded engine's windows report counts, not
+    /// identities);
     /// models must stay correct without it.
     fn enable_informed_tracking(&mut self) -> bool {
         false
@@ -267,19 +249,8 @@ impl TopologyModel for StaticState {
         _net: &mut MutableGraph,
         _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) {
-    }
-
-    fn apply(
-        &mut self,
-        _event: TopoEvent,
-        _t: f64,
-        _net: &mut MutableGraph,
-        _informed: InformedView<'_>,
-        _queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        unreachable!("the static model schedules no events")
+    ) -> usize {
+        0
     }
 
     fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
@@ -290,105 +261,43 @@ impl TopologyModel for StaticState {
 
 /// Edge-Markov churn: independent on/off chains per base edge.
 pub(crate) struct EdgeMarkovState {
-    base: Vec<(Node, Node)>,
-    present: Vec<bool>,
     off: f64,
     on: f64,
-    /// v2 channel-member table: a flat swap-partition of the edge
-    /// pairs themselves, the present edges in `members[..n_present]`
-    /// and the absent ones after — O(1) to move an edge across the
-    /// boundary when it flips, O(1) to draw a uniform member of either
-    /// side, and no indirection through `base` on the hot path.
+    /// Channel-member table and the whole edge state: a flat
+    /// swap-partition of the edge pairs themselves, the present edges
+    /// in `members[..n_present]` and the absent ones after — O(1) to
+    /// move an edge across the boundary when it flips, O(1) to draw a
+    /// uniform member of either side.
     members: Vec<(Node, Node)>,
     n_present: usize,
 }
 
 impl EdgeMarkovState {
     pub(crate) fn new(m: EdgeMarkov) -> Self {
-        // Pooled: one state is built per realization, and the base edge
-        // list + presence bitmap + member table are the run's largest
-        // model buffers.
-        Self {
-            base: arena::take_pairs(),
-            present: arena::take_flags(),
-            off: m.off_rate,
-            on: m.on_rate,
-            members: arena::take_pairs(),
-            n_present: 0,
-        }
+        // Pooled: one state is built per realization, and the member
+        // table is the run's largest model buffer.
+        Self { off: m.off_rate, on: m.on_rate, members: arena::take_pairs(), n_present: 0 }
     }
 }
 
 impl Drop for EdgeMarkovState {
     fn drop(&mut self) {
-        arena::give_pairs(std::mem::take(&mut self.base));
         arena::give_pairs(std::mem::take(&mut self.members));
-        arena::give_flags(std::mem::take(&mut self.present));
     }
 }
 
 impl TopologyModel for EdgeMarkovState {
-    fn init(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.base.extend(g.edges());
-        self.present.resize(self.base.len(), true);
-        if self.off > 0.0 {
-            for i in 0..self.base.len() {
-                queue.push(rng.exp(self.off), TopoEvent::Flip(i as u32));
-            }
-        }
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        _informed: InformedView<'_>,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let TopoEvent::Flip(i) = event else {
-            unreachable!("edge-Markov schedules only flips");
-        };
-        let i = i as usize;
-        let (u, v) = self.base[i];
-        if self.present[i] {
-            net.remove_edge(u, v);
-            self.present[i] = false;
-            if self.on > 0.0 {
-                queue.push(t + rng.exp(self.on), TopoEvent::Flip(i as u32));
-            }
-        } else {
-            net.add_edge(u, v);
-            self.present[i] = true;
-            if self.off > 0.0 {
-                queue.push(t + rng.exp(self.off), TopoEvent::Flip(i as u32));
-            }
-        }
-        RateImpact::nodes(&[u, v])
-    }
-
     fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
         Some((self.off, self.on))
     }
 
-    fn init_channels(
+    fn init(
         &mut self,
         g: &Graph,
         _net: &mut MutableGraph,
         _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
-        // `base` and `present` stay empty: the v2 path's edge state IS
-        // the swap partition (pairs in `members[..n_present]` are
-        // present, the rest absent); only the v1 `apply` path reads the
-        // bitmap or indexes `base`.
         self.members.extend(g.edges());
         self.n_present = self.members.len();
         2
@@ -449,10 +358,12 @@ impl TopologyModel for RewireState {
         _net: &mut MutableGraph,
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) {
+    ) -> usize {
+        // Snapshots come at fixed times: no stochastic channel at all.
         if self.period.is_finite() {
             queue.push(self.period, TopoEvent::Snapshot);
         }
+        0
     }
 
     fn apply(
@@ -479,8 +390,8 @@ pub(crate) struct NodeChurnState {
     leave: f64,
     join: f64,
     attach: usize,
-    /// v2 channel-member table: swap-partition of node ids, active
-    /// nodes in `members[..n_active]`, departed nodes after.
+    /// Channel-member table: swap-partition of node ids, active nodes
+    /// in `members[..n_active]`, departed nodes after.
     members: Vec<Node>,
     n_active: usize,
 }
@@ -505,48 +416,6 @@ impl Drop for NodeChurnState {
 
 impl TopologyModel for NodeChurnState {
     fn init(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        if self.leave > 0.0 {
-            for v in 0..g.node_count() as Node {
-                queue.push(rng.exp(self.leave), TopoEvent::Toggle(v));
-            }
-        }
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        _informed: InformedView<'_>,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let TopoEvent::Toggle(v) = event else {
-            unreachable!("node churn schedules only toggles");
-        };
-        if net.is_active(v) {
-            net.deactivate(v);
-            if self.join > 0.0 {
-                queue.push(t + rng.exp(self.join), TopoEvent::Toggle(v));
-            }
-        } else {
-            net.activate(v);
-            attach_node(net, v, self.attach, rng);
-            if self.leave > 0.0 {
-                queue.push(t + rng.exp(self.leave), TopoEvent::Toggle(v));
-            }
-        }
-        // A toggle re-rates the node's whole (former) neighborhood.
-        RateImpact::Global
-    }
-
-    fn init_channels(
         &mut self,
         g: &Graph,
         _net: &mut MutableGraph,
@@ -588,6 +457,7 @@ impl TopologyModel for NodeChurnState {
             self.members.swap(slot, self.n_active);
             self.n_active += 1;
         }
+        // A toggle re-rates the node's whole (former) neighborhood.
         RateImpact::Global
     }
 }
@@ -621,51 +491,6 @@ impl TopologyModel for RandomWalkState {
         &mut self,
         g: &Graph,
         _net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.base = Some(g.clone()); // O(1): CSR arrays are Arc-shared
-        self.edges.extend(g.edges());
-        if self.rate > 0.0 {
-            for i in 0..self.edges.len() {
-                queue.push(rng.exp(self.rate), TopoEvent::Walk(i as u32));
-            }
-        }
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        _informed: InformedView<'_>,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let TopoEvent::Walk(i) = event else {
-            unreachable!("random-walk dynamics schedule only walks");
-        };
-        let (u, v) = self.edges[i as usize];
-        // One endpoint anchors, the other re-samples along the base
-        // graph: a single random-walk step from its current position.
-        let (anchor, mover) = if rng.range_usize(2) == 0 { (u, v) } else { (v, u) };
-        let target = self.base.as_ref().expect("init ran").random_neighbor(mover, rng);
-        queue.push(t + rng.exp(self.rate), TopoEvent::Walk(i));
-        if target == anchor || net.has_edge(anchor, target) {
-            // Self-pair or occupied pair: the step is rejected and the
-            // walker stays put (lazy-walk censoring).
-            return RateImpact::nodes(&[]);
-        }
-        net.remove_edge(anchor, mover);
-        net.add_edge(anchor, target);
-        self.edges[i as usize] = (anchor, target);
-        RateImpact::nodes(&[anchor, mover, target])
-    }
-
-    fn init_channels(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
         _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
@@ -689,14 +514,17 @@ impl TopologyModel for RandomWalkState {
     ) -> RateImpact {
         // All walkers share one rate, so the arrival thins uniformly.
         // One draw over `2m` outcomes picks the walker AND which
-        // endpoint anchors — (i, dir) are independent and uniform.
+        // endpoint anchors — (i, dir) are independent and uniform. The
+        // mover then takes one random-walk step along the base graph.
         let x = rng.range_usize(2 * self.edges.len());
         let i = x >> 1;
         let (u, v) = self.edges[i];
         let (anchor, mover) = if x & 1 == 0 { (u, v) } else { (v, u) };
         let target = self.base.as_ref().expect("init ran").random_neighbor(mover, rng);
         // `slide_edge` fuses the occupied-pair probe with the move —
-        // one scan of the anchor's list instead of three.
+        // one scan of the anchor's list instead of three. A self-pair
+        // or occupied pair rejects the step and the walker stays put
+        // (lazy-walk censoring).
         if target == anchor || !net.slide_edge(anchor, mover, target) {
             return RateImpact::nodes(&[]);
         }
@@ -723,8 +551,7 @@ impl MobilityState {
         Self { cfg: m, grid: None, n: 0, scratch: arena::take_nodes(), old: arena::take_nodes() }
     }
 
-    /// Draws positions, indexes them, and installs the proximity graph
-    /// — the placement phase shared by both contracts' inits.
+    /// Draws positions, indexes them, and installs the proximity graph.
     fn place_nodes(&mut self, g: &Graph, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         let n = g.node_count();
         self.n = n;
@@ -741,8 +568,7 @@ impl MobilityState {
         self.grid = Some(grid);
     }
 
-    /// One bounded random step of node `v` plus the proximity-edge diff
-    /// — everything a move event does except its rescheduling.
+    /// One bounded random step of node `v` plus the proximity-edge diff.
     fn step_node(&mut self, v: Node, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         let grid = self.grid.as_mut().expect("init ran");
         let (x, y) = grid.position(v);
@@ -751,8 +577,8 @@ impl MobilityState {
         let ny = (y + (2.0 * rng.f64_unit() - 1.0) * step).clamp(0.0, 1.0);
         grid.move_to(v, nx, ny);
         grid.within_radius(v, &mut self.scratch);
-        // Diff the sorted current adjacency against the sorted radius
-        // query: drop edges that fell out of range, add the newcomers.
+        // Diff the current adjacency against the radius query (both as
+        // sets): drop edges that fell out of range, add the newcomers.
         self.old.clear();
         self.old.extend(net.neighbors(v));
         for &w in self.old.iter().filter(|w| !self.scratch.contains(w)) {
@@ -773,39 +599,6 @@ impl Drop for MobilityState {
 
 impl TopologyModel for MobilityState {
     fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.place_nodes(g, net, rng);
-        if self.cfg.move_rate > 0.0 {
-            for v in 0..self.n as Node {
-                queue.push(rng.exp(self.cfg.move_rate), TopoEvent::Move(v));
-            }
-        }
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        _informed: InformedView<'_>,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let TopoEvent::Move(v) = event else {
-            unreachable!("mobility schedules only moves");
-        };
-        self.step_node(v, net, rng);
-        queue.push(t + rng.exp(self.cfg.move_rate), TopoEvent::Move(v));
-        // The gained/lost neighbors' degrees changed too.
-        RateImpact::Global
-    }
-
-    fn init_channels(
         &mut self,
         g: &Graph,
         net: &mut MutableGraph,
@@ -832,6 +625,7 @@ impl TopologyModel for MobilityState {
         // Every node moves at the same rate: thin uniformly.
         let v = rng.range_usize(self.n) as Node;
         self.step_node(v, net, rng);
+        // The gained/lost neighbors' degrees changed too.
         RateImpact::Global
     }
 }
@@ -851,15 +645,14 @@ pub(crate) struct AdversaryState {
     free: Vec<u32>,
     /// Edges selected by the current strike (reused across strikes).
     cut: Vec<(Node, Node)>,
-    /// Whether the engine feeds informed-set deltas (v2 sequential).
+    /// Whether the engine feeds informed-set deltas.
     tracking: bool,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
     /// The live frontier, maintained incrementally: every present edge
     /// with exactly one informed endpoint, keyed `(informed,
     /// uninformed)`. Strikes cut the lexicographically smallest
-    /// entries — a deterministic order, like the v1 scan's, just a
-    /// different one (each contract pins its own golden stream).
+    /// entries.
     boundary: BTreeSet<(Node, Node)>,
 }
 
@@ -917,75 +710,37 @@ impl TopologyModel for AdversaryState {
         &mut self,
         _g: &Graph,
         _net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        if self.cfg.rate > 0.0 {
-            queue.push(rng.exp(self.cfg.rate), TopoEvent::Strike);
-        }
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        informed: InformedView<'_>,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        match event {
-            TopoEvent::Strike => {
-                self.cut.clear();
-                'scan: for v in 0..net.node_count() as Node {
-                    if !informed(v) {
-                        continue;
-                    }
-                    for &w in net.neighbors(v) {
-                        if !informed(w) {
-                            self.cut.push((v, w));
-                            if self.cut.len() == self.cfg.budget {
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                for k in 0..self.cut.len() {
-                    let edge = self.cut[k];
-                    self.cut_edge(edge, t, net, queue);
-                }
-                queue.push(t + rng.exp(self.cfg.rate), TopoEvent::Strike);
-                RateImpact::Global
-            }
-            TopoEvent::Heal(i) => {
-                let (u, w) = self.healing[i as usize];
-                self.free.push(i);
-                if net.is_active(u) && net.is_active(w) {
-                    net.add_edge(u, w);
-                    // Under delta tracking the healed edge rejoins the
-                    // frontier if it still has exactly one informed
-                    // endpoint. (No-op on the v1 path: tracking stays
-                    // false there.)
-                    if self.tracking && self.is_informed(u) != self.is_informed(w) {
-                        self.boundary.insert(if self.is_informed(u) { (u, w) } else { (w, u) });
-                    }
-                }
-                RateImpact::nodes(&[u, w])
-            }
-            _ => unreachable!("the adversary schedules only strikes and heals"),
-        }
-    }
-
-    fn init_channels(
-        &mut self,
-        _g: &Graph,
-        _net: &mut MutableGraph,
         _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
         // Strikes are the one stochastic channel; heals stay
         // deterministic side-queue events.
         1
+    }
+
+    fn apply(
+        &mut self,
+        event: TopoEvent,
+        _t: f64,
+        net: &mut MutableGraph,
+        _informed: InformedView<'_>,
+        _queue: &mut EventQueue<TopoEvent>,
+        _rng: &mut Xoshiro256PlusPlus,
+    ) -> RateImpact {
+        let TopoEvent::Heal(i) = event else {
+            unreachable!("the adversary schedules only heals");
+        };
+        let (u, w) = self.healing[i as usize];
+        self.free.push(i);
+        if net.is_active(u) && net.is_active(w) {
+            net.add_edge(u, w);
+            // Under delta tracking the healed edge rejoins the frontier
+            // if it still has exactly one informed endpoint.
+            if self.tracking && self.is_informed(u) != self.is_informed(w) {
+                self.boundary.insert(if self.is_informed(u) { (u, w) } else { (w, u) });
+            }
+        }
+        RateImpact::nodes(&[u, w])
     }
 
     fn channel_weight(&self, _ch: usize) -> f64 {
@@ -1001,11 +756,11 @@ impl TopologyModel for AdversaryState {
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> RateImpact {
-        // The v2 strike law: cut the `budget` lexicographically
-        // smallest `(informed, uninformed)` frontier edges. With delta
-        // tracking those come straight off the incrementally maintained
-        // boundary — O(budget · log F) instead of the v1 path's
-        // O(frontier) informed-set rescan. Engines that cannot feed
+        // The strike law: cut the `budget` lexicographically smallest
+        // `(informed, uninformed)` frontier edges. With delta tracking
+        // those come straight off the incrementally maintained boundary
+        // — O(budget · log F) instead of an O(frontier) informed-set
+        // rescan. Engines that cannot feed
         // deltas (the sharded coordinator's windows report counts, not
         // identities) recompute the same set from the view, so both
         // paths produce the identical event stream.
@@ -1092,8 +847,7 @@ mod tests {
 
     /// The adversary's incremental boundary equals a brute-force
     /// frontier recomputation after an arbitrary interleaving of
-    /// informs, strikes, and heals (satellite of the v2 scheduler PR:
-    /// the per-strike O(frontier) rescan is gone from the v2 path).
+    /// informs, strikes, and heals.
     #[test]
     fn adversary_incremental_boundary_matches_rescan() {
         for seed in 0..8u64 {
@@ -1104,7 +858,7 @@ mod tests {
                 AdversaryState::new(Adversary { rate: 1.0, budget: 3, heal_after: 0.5 });
             assert!(state.enable_informed_tracking());
             let mut queue = EventQueue::new();
-            let channels = state.init_channels(&g, &mut net, &mut queue, &mut rng);
+            let channels = state.init(&g, &mut net, &mut queue, &mut rng);
             assert_eq!(channels, 1);
 
             state.note_informed(0, &net);
@@ -1169,8 +923,8 @@ mod tests {
         let mut net = MutableGraph::from_graph(&g);
         let mut state = EdgeMarkovState::new(EdgeMarkov { off_rate: 2.0, on_rate: 0.5 });
         let mut queue = EventQueue::new();
-        assert_eq!(state.init_channels(&g, &mut net, &mut queue, &mut rng), 2);
-        assert!(queue.is_empty(), "edge-Markov v2 schedules nothing eagerly");
+        assert_eq!(state.init(&g, &mut net, &mut queue, &mut rng), 2);
+        assert!(queue.is_empty(), "edge-Markov schedules nothing eagerly");
         let e = g.edge_count() as f64;
         assert_eq!(state.channel_weight(0), e * 2.0);
         assert_eq!(state.channel_weight(1), 0.0);

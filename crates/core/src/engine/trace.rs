@@ -43,7 +43,7 @@
 
 use rumor_graph::dynamic::{GraphChange, MutableGraph};
 use rumor_graph::{Graph, Node};
-use rumor_sim::events::{EventQueue, RngContract};
+use rumor_sim::events::EventQueue;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::dynamic::{DynamicModel, DynamicOutcome};
@@ -182,10 +182,8 @@ impl TopologyTrace {
     /// semantics under which a synchronous and an asynchronous run can
     /// share one realization.
     ///
-    /// `contract` picks the stream: `V1` drives the model's eager event
-    /// queue, `V2` draws the realization through the superposition
-    /// scheduler — a different, contract-pinned stream of the same law.
-    /// A built-in model records through
+    /// The realization is drawn through the superposition scheduler
+    /// ([`TopoDriver`]). A built-in model records through
     /// [`DynamicModel::build_state`]. Recording a [`TraceReplayer`]
     /// reproduces its trace exactly (replay-of-replay is a fixed point,
     /// pinned in `tests/trace_replay.rs`).
@@ -195,7 +193,6 @@ impl TopologyTrace {
     /// Panics if `source` is out of range or `horizon` is negative or
     /// not finite.
     pub fn record<M: TopologyModel + ?Sized>(
-        contract: RngContract,
         g: &Graph,
         source: Node,
         state: &mut M,
@@ -206,7 +203,7 @@ impl TopologyTrace {
         assert!((source as usize) < n, "source out of range");
         assert!(horizon >= 0.0 && horizon.is_finite(), "horizon must be finite and >= 0");
         let mut net = MutableGraph::from_graph(g);
-        let mut driver = TopoDriver::new(contract, g, &mut net, state, rng);
+        let mut driver = TopoDriver::new(g, &mut net, state, rng);
         if state.enable_informed_tracking() {
             // Oblivious recording: the informed set is frozen to the
             // source for the whole realization.
@@ -309,7 +306,7 @@ impl TopologyModel for TraceReplayer<'_> {
         net: &mut MutableGraph,
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) {
+    ) -> usize {
         assert_eq!(
             g.node_count(),
             self.trace.node_count(),
@@ -322,6 +319,8 @@ impl TopologyModel for TraceReplayer<'_> {
         if let Some(first) = self.trace.steps.first() {
             queue.push(first.time, TopoEvent::Replay(0));
         }
+        // Every step is a deterministic side-queue event.
+        0
     }
 
     fn apply(
@@ -352,8 +351,8 @@ impl TopologyModel for TraceReplayer<'_> {
 /// [`into_trace`](Self::into_trace).
 ///
 /// The recorder never reports memoryless edge rates (recording needs
-/// the eager event stream), so a wrapped model always runs through the
-/// event-queue path even where the lazy engine would have been
+/// every topology event), so a wrapped model always runs through the
+/// scheduled event stream even where the lazy engine would have been
 /// eligible.
 pub struct TraceRecorder<'a> {
     inner: Box<dyn TopologyModel + 'a>,
@@ -402,12 +401,13 @@ impl TopologyModel for TraceRecorder<'_> {
         net: &mut MutableGraph,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.inner.init(g, net, queue, rng);
+    ) -> usize {
+        let channels = self.inner.init(g, net, queue, rng);
         self.initial = Some(net.to_graph());
         // Journal from here on: every applied event's step is read off
         // `net.changes()` instead of diffing against a shadow copy.
         net.track_changes(true);
+        channels
     }
 
     fn apply(
@@ -422,19 +422,6 @@ impl TopologyModel for TraceRecorder<'_> {
         let impact = self.inner.apply(event, t, net, informed, queue, rng);
         self.journal(t, net);
         impact
-    }
-
-    fn init_channels(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        let channels = self.inner.init_channels(g, net, queue, rng);
-        self.initial = Some(net.to_graph());
-        net.track_changes(true);
-        channels
     }
 
     fn channel_weight(&self, channel: usize) -> f64 {
@@ -469,19 +456,15 @@ impl TopologyModel for TraceRecorder<'_> {
 /// protocol tick the cursor applies every recorded step up to the tick
 /// time (topology winning ties, like the merged stream). RNG
 /// consumption — one `Exp(n)` draw per tick, then the node and neighbor
-/// draws — is exactly the sequential replay's, so this engine replays
-/// [`run_dynamic_with`](crate::run_dynamic_with) over
-/// `trace.replayer()` under the same `contract` **seed-for-seed**. A
-/// replayed trace has no stochastic topology channels, so the scheduler
-/// half of the contract is moot here — but v2 also pins the adjacency
-/// to order-relaxed mode, and the neighbor draws must read the same
-/// permuted rows the v2 sequential replay sees.
+/// draws — is exactly the sequential replay's, and both apply the
+/// recorded steps to the same order-relaxed rows, so this engine
+/// replays [`run_dynamic_with`](crate::run_dynamic_with) over
+/// `trace.replayer()` **seed-for-seed**.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
 pub fn run_trace_lazy(
-    contract: RngContract,
     trace: &TopologyTrace,
     source: Node,
     mode: Mode,
@@ -504,9 +487,6 @@ pub fn run_trace_lazy(
         };
     }
     let mut net = MutableGraph::from_graph(&trace.initial);
-    if contract == RngContract::V2 {
-        net.relax_neighbor_order();
-    }
     let mut cursor = 0usize;
     let mut ticks = TickSource::new(n as f64);
     let mut t = 0.0;
@@ -616,26 +596,19 @@ mod tests {
         Xoshiro256PlusPlus::seed_from(seed)
     }
 
-    /// Records `model` from source 0 under the v1 contract.
-    fn record_v1(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
-        TopologyTrace::record(
-            RngContract::V1,
-            g,
-            0,
-            model.build_state().as_mut(),
-            &mut rng(seed),
-            horizon,
-        )
+    /// Records `model` from source 0.
+    fn record(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
+        TopologyTrace::record(g, 0, model.build_state().as_mut(), &mut rng(seed), horizon)
     }
 
-    /// Runs the v1 sequential engine from source 0 over `state`.
-    fn run_v1<M: TopologyModel>(
+    /// Runs the sequential engine from source 0 over `state`.
+    fn run_seq<M: TopologyModel>(
         g: &Graph,
         state: &mut M,
         rng: &mut Xoshiro256PlusPlus,
         max_steps: u64,
     ) -> DynamicOutcome {
-        run_dynamic_with(RngContract::V1, g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
+        run_dynamic_with(g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
     }
 
     fn all_models() -> Vec<(&'static str, DynamicModel)> {
@@ -653,7 +626,7 @@ mod tests {
     fn recorded_steps_are_time_ordered_and_effective() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100);
         for (name, model) in all_models() {
-            let trace = record_v1(&g, &model, 2, 12.0);
+            let trace = record(&g, &model, 2, 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
             assert!(
                 trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
@@ -669,7 +642,7 @@ mod tests {
     #[test]
     fn static_trace_is_empty_and_sync_matches_run_sync() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100);
-        let trace = record_v1(&g, &DynamicModel::Static, 4, 100.0);
+        let trace = record(&g, &DynamicModel::Static, 4, 100.0);
         assert!(trace.is_empty());
         assert_eq!(trace.initial(), &g);
         let plain = run_sync(&g, 0, Mode::PushPull, &mut rng(5), 10_000);
@@ -681,7 +654,7 @@ mod tests {
     fn replay_walks_the_recorded_snapshots() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
         for (name, model) in all_models() {
-            let trace = record_v1(&g, &model, 7, 8.0);
+            let trace = record(&g, &model, 7, 8.0);
             let snapshots = trace.snapshots();
             assert_eq!(snapshots.len(), trace.len() + 1, "{name}");
             assert_eq!(&snapshots[0], trace.initial(), "{name}");
@@ -699,13 +672,12 @@ mod tests {
     fn lazy_cursor_replays_sequential_replay_seed_for_seed() {
         let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100);
         for (name, model) in all_models() {
-            let trace = record_v1(&g, &model, 9, 30.0);
+            let trace = record(&g, &model, 9, 30.0);
             let mut a = rng(10);
             let mut replay = trace.replayer();
-            let seq = run_v1(&g, &mut replay, &mut a, 1_000_000);
+            let seq = run_seq(&g, &mut replay, &mut a, 1_000_000);
             let mut b = rng(10);
-            let lazy =
-                run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut b, 1_000_000);
+            let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut b, 1_000_000);
             assert_eq!(lazy, seq, "{name}: cursor engine diverged");
             assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
             assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
@@ -724,7 +696,7 @@ mod tests {
         // Period beyond the run length: both engines never rewire, so
         // the runs coincide with the static protocol seed-for-seed.
         let model = DynamicModel::Rewire(Rewire::new(1_000.0, family));
-        let trace = record_v1(&g, &model, 12, 100.0);
+        let trace = record(&g, &model, 12, 100.0);
         assert!(trace.is_empty());
         let a = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(13), 10_000);
         let b = run_sync_rewire(&g, 0, Mode::PushPull, 1_000, family, &mut rng(13), 10_000);
@@ -735,7 +707,7 @@ mod tests {
     fn sync_dynamic_completes_under_all_models() {
         let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
         for (name, model) in all_models() {
-            let trace = record_v1(&g, &model, 15, 200.0);
+            let trace = record(&g, &model, 15, 200.0);
             let out = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(16), 100_000);
             assert!(out.completed, "{name}: sync run censored");
             assert_eq!(*out.informed_by_round.last().unwrap(), 48, "{name}");
@@ -748,9 +720,9 @@ mod tests {
         // prefix of the trace the run actually consumed.
         let g = generators::gnp_connected(32, 0.2, &mut rng(17), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
-        let trace = record_v1(&g, &model, 18, 20.0);
+        let trace = record(&g, &model, 18, 20.0);
         let mut recorder = TraceRecorder::wrap(Box::new(trace.replayer()));
-        let out = run_v1(&g, &mut recorder, &mut rng(19), 1_000_000);
+        let out = run_seq(&g, &mut recorder, &mut rng(19), 1_000_000);
         let rerecorded = trace_prefix(&trace, out.topology_events as usize);
         let got = recorder.into_trace();
         assert_eq!(got.initial(), rerecorded.initial());
@@ -769,15 +741,8 @@ mod tests {
     fn replay_of_replay_is_a_fixed_point() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
         for (name, model) in all_models() {
-            let t1 = record_v1(&g, &model, 21, 15.0);
-            let t2 = TopologyTrace::record(
-                RngContract::V1,
-                &g,
-                0,
-                &mut t1.replayer(),
-                &mut rng(99),
-                t1.horizon(),
-            );
+            let t1 = record(&g, &model, 21, 15.0);
+            let t2 = TopologyTrace::record(&g, 0, &mut t1.replayer(), &mut rng(99), t1.horizon());
             assert_eq!(t2, t1, "{name}: replay of a replay drifted");
         }
     }
@@ -789,77 +754,23 @@ mod tests {
         // cursor state leaked across runs).
         let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let trace = record_v1(&g, &model, 27, 15.0);
+        let trace = record(&g, &model, 27, 15.0);
         let mut replay = trace.replayer();
-        let a = run_v1(&g, &mut replay, &mut rng(28), 1_000_000);
-        let b = run_v1(&g, &mut replay, &mut rng(28), 1_000_000);
+        let a = run_seq(&g, &mut replay, &mut rng(28), 1_000_000);
+        let b = run_seq(&g, &mut replay, &mut rng(28), 1_000_000);
         assert_eq!(a, b);
         assert_eq!(replay.applied() as u64, b.topology_events);
     }
 
     #[test]
-    fn v2_record_of_a_replay_reproduces_the_trace() {
-        // A replayer consumes no randomness and reports no stochastic
-        // channels, so recording it under the v2 contract walks the
-        // same side-queue events as v1: the fixed point holds across
-        // contracts.
-        let g = generators::gnp_connected(32, 0.2, &mut rng(30), 100);
-        for (name, model) in all_models() {
-            let t1 = record_v1(&g, &model, 31, 15.0);
-            let t2 = TopologyTrace::record(
-                RngContract::V2,
-                &g,
-                0,
-                &mut t1.replayer(),
-                &mut rng(99),
-                t1.horizon(),
-            );
-            assert_eq!(t2, t1, "{name}: v2 replay of a replay drifted");
-        }
-    }
-
-    #[test]
-    fn v2_record_produces_time_ordered_effective_steps() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(33), 100);
-        for (name, model) in all_models() {
-            let trace = TopologyTrace::record(
-                RngContract::V2,
-                &g,
-                0,
-                model.build_state().as_mut(),
-                &mut rng(34),
-                12.0,
-            );
-            assert!(!trace.is_empty(), "{name}: no steps recorded");
-            assert!(
-                trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
-                "{name}: out-of-order steps"
-            );
-            for step in trace.steps() {
-                assert!(!step.is_empty(), "{name}: no-op step recorded");
-                assert!(step.time > 0.0 && step.time <= trace.horizon(), "{name}: bad time");
-            }
-        }
-    }
-
-    #[test]
-    fn recorder_captures_a_v2_engine_run() {
+    fn recorder_captures_an_engine_run() {
         // The recorder journals channel fires like queue events: under
         // edge-Markov every fire is one effective flip, so the trace
         // length equals the run's topology-event count.
         let g = generators::gnp_connected(32, 0.2, &mut rng(35), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
         let mut recorder = TraceRecorder::new(&model);
-        let out = crate::dynamic::run_dynamic_with(
-            RngContract::V2,
-            &g,
-            0,
-            Mode::PushPull,
-            &mut recorder,
-            &mut rng(36),
-            1_000_000,
-            &mut NoProbe,
-        );
+        let out = run_seq(&g, &mut recorder, &mut rng(36), 1_000_000);
         assert!(out.completed);
         let trace = recorder.into_trace();
         assert_eq!(trace.len() as u64, out.topology_events);
@@ -871,9 +782,8 @@ mod tests {
         // Dense base: a handful of frozen-off edges cannot disconnect it.
         let g = generators::complete(16);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.05));
-        let trace = record_v1(&g, &model, 23, 2.0);
-        let out =
-            run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
+        let trace = record(&g, &model, 23, 2.0);
+        let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
     }
@@ -882,6 +792,6 @@ mod tests {
     #[should_panic(expected = "horizon")]
     fn record_rejects_infinite_horizon() {
         let g = generators::complete(4);
-        record_v1(&g, &DynamicModel::Static, 25, f64::INFINITY);
+        record(&g, &DynamicModel::Static, 25, f64::INFINITY);
     }
 }

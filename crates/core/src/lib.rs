@@ -25,7 +25,8 @@
 //!   Pourmiri–Mans; with churn rate 0 it replays the static process
 //!   seed-for-seed;
 //! * the **engine layer** ([`engine`]): the [`engine::EventSource`]
-//!   abstraction both sequential engines are written over, the pluggable
+//!   abstraction the static and lazy engines are written over, the
+//!   superposition topology scheduler ([`engine::TopoDriver`]), the pluggable
 //!   [`engine::TopologyModel`] layer (edge-Markov churn, periodic
 //!   rewiring, node join/leave, random-walk edge dynamics, geometric
 //!   mobility, adversarial frontier cuts — one interface consumed by
@@ -84,11 +85,10 @@ pub mod sync;
 pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
-pub use dynamic::{run_dynamic, run_dynamic_under, run_dynamic_with, DynamicModel, DynamicOutcome};
+pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel, DynamicOutcome};
 pub use engine::{
-    run_dynamic_sharded, run_dynamic_sharded_under, run_dynamic_sharded_with, run_edge_markov_lazy,
-    run_sync_dynamic, run_trace_lazy, LazyOutcome, ShardedOutcome, StateVisitor, TopologyModel,
-    TopologyTrace,
+    run_dynamic_sharded, run_dynamic_sharded_with, run_edge_markov_lazy, run_sync_dynamic,
+    run_trace_lazy, LazyOutcome, ShardedOutcome, StateVisitor, TopologyModel, TopologyTrace,
 };
 pub use informed::InformedSet;
 pub use mode::Mode;
@@ -97,7 +97,6 @@ pub use obs::{
     RunMetrics, SpreadingCurve,
 };
 pub use outcome::{AsyncOutcome, SyncOutcome, NEVER_ROUND};
-pub use rumor_sim::events::RngContract;
 pub use spec::cache::RunCaches;
 pub use spec::sweep::{SweepAxis, SweepChild, SweepSpec};
 pub use spec::{

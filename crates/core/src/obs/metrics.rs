@@ -39,7 +39,7 @@ pub struct EngineHealth {
     pub cross_events: LogHistogram,
     /// Lazy engine: per-edge clocks materialized per trial.
     pub clocks_touched: LogHistogram,
-    /// Lazy engine: base edge count (eager queue size it avoided).
+    /// Lazy engine: base edge count (the eager edge table it avoided).
     pub base_edges: u64,
     /// Wall-clock busy fraction per shard (probed sharded runs only).
     pub shard_utilization: Vec<f64>,

@@ -68,7 +68,7 @@ pub mod sweep;
 
 use rumor_graph::partition::Partition;
 use rumor_graph::{generators, io, Graph, Node};
-use rumor_sim::events::RngContract;
+use rumor_sim::events::RNG_CONTRACT;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::asynchronous::{run_async, AsyncView};
@@ -316,12 +316,6 @@ pub struct TrialPlan {
     /// seed, and report the pair averages — protocol-clock noise is
     /// halved while the trace realization is reused.
     pub antithetic: bool,
-    /// Which versioned RNG stream the run's engines draw: `V1` pins the
-    /// eager per-event legacy path (what every pre-v2 golden and
-    /// committed artifact records — a `.spec` without an
-    /// `rng_contract` line parses as `V1`), `V2` — the default for new
-    /// specs — the superposition scheduler.
-    pub rng_contract: RngContract,
 }
 
 impl Default for TrialPlan {
@@ -335,7 +329,6 @@ impl Default for TrialPlan {
             coupled: false,
             horizon: None,
             antithetic: false,
-            rng_contract: RngContract::V2,
         }
     }
 }
@@ -488,6 +481,8 @@ pub enum SpecError {
     MissingGraph,
     /// Graph parameters are invalid or the file is unreadable.
     InvalidGraph(String),
+    /// Topology-model parameters are invalid for the resolved graph.
+    InvalidTopology(String),
     /// The source vertex is not in the graph.
     SourceOutOfRange {
         /// Requested source.
@@ -547,14 +542,6 @@ pub enum SpecError {
     HorizonNeedsCoupling,
     /// Antithetic pairing is only defined for coupled runs.
     AntitheticNeedsCoupling,
-    /// An option that is only defined under the v2 RNG contract was
-    /// combined with `rng_contract = v1` (the pinned legacy streams
-    /// predate it; accepting the combination would silently diverge
-    /// from every v1 golden).
-    ContractV1Conflict {
-        /// The v2-only option.
-        option: &'static str,
-    },
     /// A trace topology whose node count differs from the graph's.
     TraceNodeMismatch {
         /// Node count of the recorded trace.
@@ -611,6 +598,7 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::MissingGraph => write!(f, "spec has no `graph = ...` line"),
             SpecError::InvalidGraph(msg) => write!(f, "invalid graph spec: {msg}"),
+            SpecError::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
             SpecError::SourceOutOfRange { source, nodes } => {
                 write!(f, "source {source} out of range for {nodes} nodes")
             }
@@ -654,13 +642,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::AntitheticNeedsCoupling => {
                 write!(f, "antithetic pairing is only defined for coupled runs")
-            }
-            SpecError::ContractV1Conflict { option } => {
-                write!(
-                    f,
-                    "`{option}` is only defined under the v2 RNG contract; the v1 legacy \
-                     streams predate it (drop `rng_contract = v1` or `{option}`)"
-                )
             }
             SpecError::TraceNodeMismatch { trace, nodes } => {
                 write!(f, "trace records {trace} nodes but the graph has {nodes}")
@@ -832,14 +813,6 @@ impl SimSpec {
         self
     }
 
-    /// Pins the versioned RNG contract (defaults to
-    /// [`RngContract::V2`]; `V1` replays the pre-superposition streams
-    /// bit-for-bit).
-    pub fn rng_contract(mut self, contract: RngContract) -> Self {
-        self.plan.rng_contract = contract;
-        self
-    }
-
     /// Sets the per-exchange message-loss probability.
     pub fn loss(mut self, loss: f64) -> Self {
         self.loss = loss;
@@ -898,12 +871,6 @@ impl SimSpec {
                 return Err(SpecError::AntitheticNeedsCoupling);
             }
         }
-        if plan.rng_contract == RngContract::V1 && plan.antithetic {
-            // Antithetic pairing is pinned as a v2-path feature: no v1
-            // golden records it, and accepting it would silently fork
-            // the legacy streams.
-            return Err(SpecError::ContractV1Conflict { option: "antithetic" });
-        }
         if let Some(h) = plan.horizon {
             if !(h > 0.0 && h.is_finite()) {
                 return Err(SpecError::InvalidHorizon { horizon: h });
@@ -920,6 +887,19 @@ impl SimSpec {
         if let Topology::Trace(t) = &self.topology {
             if t.node_count() != nodes {
                 return Err(SpecError::TraceNodeMismatch { trace: t.node_count(), nodes });
+            }
+        }
+        if let Topology::Model(DynamicModel::Rewire(Rewire {
+            family: SnapshotFamily::RandomRegular { d },
+            ..
+        })) = self.topology
+        {
+            // The snapshot generator's own preconditions, checked here
+            // because only the resolved graph fixes n.
+            if d == 0 || d >= nodes || nodes * d % 2 != 0 {
+                return Err(SpecError::InvalidTopology(format!(
+                    "random-regular snapshots need 0 < d < n and n*d even (got n={nodes}, d={d})"
+                )));
             }
         }
         match self.engine {
@@ -1393,7 +1373,6 @@ impl Simulation {
     ) -> ShardedOutcome {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
-        let contract = self.spec.plan.rng_contract;
         let outcome = match (self.spec.engine, &self.spec.topology) {
             (_, Topology::Trace(trace)) => return self.trace_run(trace, mode, rng, probe),
             (Engine::Sharded { shards }, topology) => {
@@ -1406,11 +1385,11 @@ impl Simulation {
                 return self.sharded_run(state.as_mut(), shards, mode, rng, probe);
             }
             (_, Topology::Model(model)) => {
-                model.with_state(SequentialRun { contract, g, source, mode, rng, max_steps, probe })
+                model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe })
             }
             (_, Topology::Custom(factory)) => {
                 let mut state = factory.build(g);
-                run_dynamic_with(contract, g, source, mode, state.as_mut(), rng, max_steps, probe)
+                run_dynamic_with(g, source, mode, state.as_mut(), rng, max_steps, probe)
             }
             (_, Topology::Static) => unreachable!("static sequential runs use the static engine"),
         };
@@ -1429,22 +1408,14 @@ impl Simulation {
     ) -> ShardedOutcome {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
-        let contract = self.spec.plan.rng_contract;
         let outcome = match self.spec.engine {
-            Engine::Sequential => run_dynamic_with(
-                contract,
-                g,
-                source,
-                mode,
-                &mut trace.replayer(),
-                rng,
-                max_steps,
-                probe,
-            ),
+            Engine::Sequential => {
+                run_dynamic_with(g, source, mode, &mut trace.replayer(), rng, max_steps, probe)
+            }
             Engine::Sharded { shards } => {
                 return self.sharded_run(&mut trace.replayer(), shards, mode, rng, probe)
             }
-            Engine::Lazy => run_trace_lazy(contract, trace, source, mode, rng, max_steps),
+            Engine::Lazy => run_trace_lazy(trace, source, mode, rng, max_steps),
         };
         ShardedOutcome { outcome, shards: 1, windows: 0, cross_events: 0 }
     }
@@ -1460,7 +1431,6 @@ impl Simulation {
     ) -> ShardedOutcome {
         let g = &self.graph;
         run_dynamic_sharded_with(
-            self.spec.plan.rng_contract,
             g,
             self.spec.source,
             mode,
@@ -1503,7 +1473,6 @@ impl Simulation {
                 let proto_seed = rng.next_u64();
                 let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
                 let trace = TopologyTrace::record(
-                    self.spec.plan.rng_contract,
                     g,
                     source,
                     factory.build(g).as_mut(),
@@ -1523,7 +1492,6 @@ impl Simulation {
                 let record = || {
                     let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
                     TopologyTrace::record(
-                        self.spec.plan.rng_contract,
                         g,
                         source,
                         model.build_state().as_mut(),
@@ -1585,10 +1553,7 @@ impl Simulation {
             self.max_rounds,
         );
         // The asynchronous half replays the trace through the plan's
-        // engine. A replayer reports no stochastic channels, so the
-        // scheduler half of the contract is moot — but v2 also pins the
-        // adjacency to order-relaxed mode, which permutes neighbor
-        // draws, so the contract reaches every engine all the same.
+        // engine.
         let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
         let asy = self.trace_run(trace, mode, &mut proto_rng, &mut NoProbe).outcome;
         let curves = if self.spec.metrics.is_enabled() {
@@ -1830,12 +1795,7 @@ impl SimSpec {
             self.plan.horizon.map_or_else(|| "auto".to_owned(), fmt_f64)
         ));
         s.push_str(&format!("antithetic = {}\n", self.plan.antithetic));
-        // Absence of the line IS the v1 declaration (legacy artifacts
-        // predate the key), so v1 specs serialize without it and stay
-        // byte-identical to their committed pre-v2 form.
-        if self.plan.rng_contract != RngContract::V1 {
-            s.push_str(&format!("rng_contract = {}\n", self.plan.rng_contract));
-        }
+        s.push_str(&format!("rng_contract = {RNG_CONTRACT}\n"));
         s.push_str(&format!("metrics = {}\n", self.metrics));
         Ok(s)
     }
@@ -1848,10 +1808,6 @@ impl SimSpec {
     pub fn parse(text: &str) -> Result<SimSpec, SpecError> {
         let mut graph: Option<GraphSpec> = None;
         let mut spec = SimSpec::new(GraphSpec::Complete { n: 2 });
-        // Contract-less spec texts predate the v2 scheduler: they pin
-        // the streams they were recorded under. An explicit
-        // `rng_contract` line overrides this.
-        spec.plan.rng_contract = RngContract::V1;
         let mut version_seen = false;
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -1898,9 +1854,22 @@ impl SimSpec {
                     }
                 }
                 "antithetic" => spec.plan.antithetic = parse_bool(value, "antithetic", lineno)?,
-                "rng_contract" => {
-                    spec.plan.rng_contract = value.parse::<RngContract>().map_err(err)?;
-                }
+                // The line names the stream the artifact was recorded
+                // under; only the current one replays.
+                "rng_contract" => match value {
+                    RNG_CONTRACT => {}
+                    "v1" => {
+                        return Err(err(format!(
+                            "rng contract v1 was retired; only `rng_contract = {RNG_CONTRACT}` \
+                             replays (rerun the spec to regenerate its artifacts)"
+                        )))
+                    }
+                    other => {
+                        return Err(err(format!(
+                            "unknown rng contract `{other}` (expected {RNG_CONTRACT})"
+                        )))
+                    }
+                },
                 "metrics" => {
                     spec.metrics = value.parse::<MetricsLevel>().map_err(err)?;
                 }
@@ -2141,13 +2110,29 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
     Ok(match f.kind {
         "static" => Topology::Static,
         "static-model" => Topology::Model(DynamicModel::Static),
-        "markov" => Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov {
-            off_rate: f.get("off")?,
-            on_rate: f.get("on")?,
-        })),
+        "markov" => {
+            let off: f64 = f.get("off")?;
+            let on: f64 = f.get("on")?;
+            if !(off >= 0.0 && off.is_finite() && on >= 0.0 && on.is_finite()) {
+                return Err(SpecError::Parse {
+                    line,
+                    message: "markov rates must be finite and >= 0".to_owned(),
+                });
+            }
+            Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: off, on_rate: on }))
+        }
         "rewire" => {
             let family = match f.get::<String>("family")?.as_str() {
-                "gnp" => SnapshotFamily::Gnp { p: f.get("p")? },
+                "gnp" => {
+                    let p: f64 = f.get("p")?;
+                    if !(p > 0.0 && p <= 1.0) {
+                        return Err(SpecError::Parse {
+                            line,
+                            message: format!("rewire gnp p must be in (0, 1], got {p}"),
+                        });
+                    }
+                    SnapshotFamily::Gnp { p }
+                }
                 "random-regular" => SnapshotFamily::RandomRegular { d: f.get("d")? },
                 other => {
                     return Err(SpecError::Parse {
@@ -2327,7 +2312,6 @@ mod tests {
         let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let trace = TopologyTrace::record(
-            RngContract::V1,
             &g,
             0,
             model.build_state().as_mut(),

@@ -135,12 +135,9 @@ impl CacheBinding {
             && matches!(spec.topology, Topology::Static | Topology::Model(_))
         {
             match (graph_to_text(&spec.graph), topology_to_text(&spec.topology)) {
-                (Ok(g), Ok(t)) => Some(format!(
-                    "{g}|{t}|{}|src={}|h={:016x}",
-                    spec.plan.rng_contract,
-                    spec.source,
-                    horizon.to_bits()
-                )),
+                (Ok(g), Ok(t)) => {
+                    Some(format!("{g}|{t}|src={}|h={:016x}", spec.source, horizon.to_bits()))
+                }
                 _ => None,
             }
         } else {

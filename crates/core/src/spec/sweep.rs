@@ -334,24 +334,14 @@ fn validate_key(key: &str) -> Result<(), String> {
     }
 }
 
-/// Replaces the value of the `key = …` line. The canonical base text
-/// has every line except `rng_contract` (absent on v1 bases), which is
-/// inserted before `metrics` when missing.
-fn substitute_line(lines: &mut Vec<String>, key: &str, value: &str) {
-    let replacement = format!("{key} = {value}");
-    for line in lines.iter_mut() {
-        if let Some((k, _)) = line.split_once('=') {
-            if k.trim() == key {
-                *line = replacement;
-                return;
-            }
-        }
-    }
-    let at = lines
-        .iter()
-        .position(|l| l.split_once('=').is_some_and(|(k, _)| k.trim() == "metrics"))
-        .unwrap_or(lines.len());
-    lines.insert(at, replacement);
+/// Replaces the value of the `key = …` line; the canonical base text
+/// has one line per [`LINE_KEYS`] entry.
+fn substitute_line(lines: &mut [String], key: &str, value: &str) {
+    let line = lines
+        .iter_mut()
+        .find(|l| l.split_once('=').is_some_and(|(k, _)| k.trim() == key))
+        .expect("the canonical base text has every line key");
+    *line = format!("{key} = {value}");
 }
 
 /// Replaces the `field=` token of the structured `top = kind f=v …`
@@ -487,17 +477,15 @@ mod tests {
     }
 
     #[test]
-    fn rng_contract_axis_inserts_the_missing_line() {
-        use rumor_sim::events::RngContract;
-        let v1 = SimSpec::new(GraphSpec::Complete { n: 8 })
-            .trials(2)
-            .rng_contract(RngContract::V1)
-            .to_spec_string()
-            .unwrap();
-        assert!(!v1.contains("rng_contract"));
-        let sweep = SweepSpec::parse(&format!("{v1}sweep.rng_contract = [v1, v2]\n")).unwrap();
-        let children = sweep.expand().unwrap();
-        assert_eq!(children[0].spec.plan.rng_contract, RngContract::V1);
-        assert_eq!(children[1].spec.plan.rng_contract, RngContract::V2);
+    fn retired_rng_contract_fails_at_its_grid_point() {
+        let sweep =
+            SweepSpec::parse(&format!("{}sweep.rng_contract = [v2, v1]\n", base_text())).unwrap();
+        match sweep.expand().unwrap_err() {
+            SpecError::SweepPoint { point, error } => {
+                assert_eq!(point, "rng_contract=v1");
+                assert!(error.to_string().contains("retired"), "{error}");
+            }
+            other => panic!("expected a grid-point error, got {other}"),
+        }
     }
 }

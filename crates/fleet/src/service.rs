@@ -164,7 +164,8 @@ pub fn serve_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_core::spec::{GraphSpec, Protocol};
+    use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
+    use rumor_core::spec::{GraphSpec, Protocol, Topology};
 
     fn quick_spec() -> SimSpec {
         SimSpec::new(GraphSpec::Complete { n: 8 }).protocol(Protocol::push_pull_async()).trials(3)
@@ -235,6 +236,39 @@ mod tests {
         let docs = responses(&output);
         assert_eq!(docs.len(), 1);
         assert!(docs[0].get("error").is_some());
+    }
+
+    #[test]
+    fn a_spec_with_invalid_rates_is_answered_in_band() {
+        // Negative churn rates once reached the scheduler and panicked,
+        // killing the serve loop: the third frame got no reply.
+        let stats = Json::Obj(vec![
+            ("id".to_owned(), Json::Num(1.0)),
+            ("stats".to_owned(), Json::Bool(true)),
+        ]);
+        let markov = quick_spec()
+            .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
+            .to_spec_string()
+            .unwrap()
+            .replace("markov off=1", "markov off=-1");
+        let bad = Json::Obj(vec![
+            ("id".to_owned(), Json::Num(2.0)),
+            ("spec".to_owned(), Json::Str(markov)),
+        ]);
+        let mut input = Vec::new();
+        for frame in [&stats, &bad, &stats] {
+            write_frame(&mut input, frame.render().as_bytes()).unwrap();
+        }
+        let config =
+            ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
+        let mut output = Vec::new();
+        let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(3));
+        let docs = responses(&output);
+        assert_eq!(docs.len(), 3);
+        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("markov rates"), "{error}");
+        assert!(docs[2].get("counters").is_some());
     }
 
     #[test]

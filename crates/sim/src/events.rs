@@ -10,76 +10,28 @@
 //! they touch; [`Superposition`] collapses a population of competing
 //! exponential clocks into one total-rate clock plus a thinned
 //! categorical draw, so the engines keep O(1) pending events instead of
-//! one per edge. Which scheduler an engine uses is pinned by
-//! [`RngContract`].
+//! one per edge. Every dynamic engine draws its topology events through
+//! [`Superposition`]; the stream it produces is tagged [`RNG_CONTRACT`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
-use std::str::FromStr;
 
 use crate::rng::{SplitMix64, Xoshiro256PlusPlus};
 
-/// Version of the engines' random-number consumption contract.
+/// Tag of the engines' random-number consumption contract.
 ///
 /// Every simulation consumes one seeded RNG stream, and the *order* of
 /// draws is part of the reproducibility contract: replay goldens,
 /// committed `.spec` artifacts, and recorded traces all pin exact
-/// streams. Changing how events are scheduled changes that order, so
-/// scheduler generations are explicit:
-///
-/// - **`V1`** — eager per-edge scheduling: every stochastic topology
-///   event owns a pending [`EventQueue`] entry, holding times drawn at
-///   `init`/re-push time. This is the stream every pre-v2 golden and
-///   `.spec` artifact records; the code paths are pinned and never
-///   change behavior.
-/// - **`V2`** — superposition scheduling (the default): one
-///   [`Superposition`] clock per model draws a single `Exp(total_rate)`
-///   inter-event time and thins to a channel at pop time. Fewer draws,
-///   O(1) pending events, a different — but equally deterministic —
-///   stream with its own golden set.
-///
-/// The two contracts are *equal in law* (same event-set distribution;
-/// see `tests/scheduler_equivalence.rs`) but not bit-equal. Specs
-/// serialize the field as `rng_contract = v1 | v2`; specs written
-/// before the field existed parse as `V1`, because that is the stream
-/// they recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RngContract {
-    /// Eager per-edge event queue (legacy pinned stream).
-    V1,
-    /// Superposition single-clock scheduler with thinning.
-    #[default]
-    V2,
-}
-
-impl RngContract {
-    /// The serialized spelling (`"v1"` / `"v2"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RngContract::V1 => "v1",
-            RngContract::V2 => "v2",
-        }
-    }
-}
-
-impl fmt::Display for RngContract {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for RngContract {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "v1" => Ok(RngContract::V1),
-            "v2" => Ok(RngContract::V2),
-            other => Err(format!("unknown rng contract {other:?} (expected v1 or v2)")),
-        }
-    }
-}
+/// streams. The current stream draws topology events through the
+/// [`Superposition`] scheduler (one `Exp(total_rate)` arrival thinned
+/// to a channel at pop time) over order-relaxed adjacency rows. Specs
+/// record it as `rng_contract = v2`. A change that moves the stream
+/// must change this tag, and only such a change may regenerate the
+/// committed goldens. The earlier `v1` stream (an eager per-edge
+/// event queue over sorted rows) is retired; specs naming it are
+/// rejected.
+pub const RNG_CONTRACT: &str = "v2";
 
 /// A finite simulation timestamp with a total order.
 ///
@@ -381,11 +333,12 @@ pub enum Fired<T> {
     Event(T),
 }
 
-/// The v2 scheduler: a superposition of competing exponential clocks.
+/// The topology scheduler: a superposition of competing exponential
+/// clocks.
 ///
-/// Where the v1 engines keep one pending [`EventQueue`] entry per edge
-/// (E entries, ~100 ns per pop-reschedule-push heap cycle), this
-/// scheduler maintains only the **total rate** of a small number of
+/// Where an eager construction keeps one pending [`EventQueue`] entry
+/// per edge (E entries, ~100 ns per pop-reschedule-push heap cycle),
+/// this scheduler maintains only the **total rate** of a small number of
 /// *channels* — weighted classes of identical exponential clocks, e.g.
 /// "present edges flipping off at rate `off`" — draws a single
 /// `Exp(total)` inter-arrival time, and selects the firing channel by a
@@ -394,8 +347,7 @@ pub enum Fired<T> {
 /// concrete edge or node live in the models and are pooled in the
 /// per-trial arena.) By the superposition property of Poisson
 /// processes the resulting marked event stream is *equal in law* to
-/// the eager construction; the RNG stream differs, which is why this
-/// ships behind [`RngContract::V2`].
+/// the eager construction; only the RNG stream differs.
 ///
 /// Deterministic follow-ups (heal timers, rewire snapshots, trace
 /// replay cursors) still need absolute-time scheduling; they go through
@@ -750,16 +702,6 @@ mod tests {
         }
         let frac = f64::from(on_time) / f64::from(samples);
         assert!((frac - 0.5).abs() < 0.02, "stationary on-fraction {frac}");
-    }
-
-    #[test]
-    fn rng_contract_round_trips_and_defaults_to_v2() {
-        assert_eq!(RngContract::default(), RngContract::V2);
-        for c in [RngContract::V1, RngContract::V2] {
-            assert_eq!(c.as_str().parse::<RngContract>(), Ok(c));
-            assert_eq!(format!("{c}"), c.as_str());
-        }
-        assert!("v3".parse::<RngContract>().is_err());
     }
 
     /// A single-channel superposition consumes exactly the draws of a

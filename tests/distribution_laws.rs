@@ -128,12 +128,11 @@ fn geometric_one_minus_inv_e_tail() {
     }
 }
 
-/// The v2 scheduler's law, not just its stream: superposed channel
-/// weights `w_i` produce inter-arrival times that are `Exp(Σw_i)` (KS
-/// smoke test against the exact CDF) and channel marks with the right
-/// categorical frequencies `w_i / Σw_i` — the two halves of the
-/// superposition/thinning theorem the `RngContract::V2` engines rely
-/// on.
+/// The topology scheduler's law, not just its stream: superposed
+/// channel weights `w_i` produce inter-arrival times that are
+/// `Exp(Σw_i)` (KS smoke test against the exact CDF) and channel marks
+/// with the right categorical frequencies `w_i / Σw_i` — the two halves
+/// of the superposition/thinning theorem the dynamic engines rely on.
 #[test]
 fn superposition_interarrivals_are_exponential_and_marks_categorical() {
     use rumor_spreading::sim::events::{Fired, Superposition};

@@ -8,7 +8,7 @@ use rumor_spreading::core::dynamic::{
     run_dynamic, run_dynamic_with, DynamicModel, EdgeMarkov, NodeChurn, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
-use rumor_spreading::core::{run_async, AsyncView, Mode, Probe, ProbeEvent, RngContract};
+use rumor_spreading::core::{run_async, AsyncView, Mode, Probe, ProbeEvent};
 use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -79,7 +79,6 @@ proptest! {
         let mut rng = Xoshiro256PlusPlus::seed_from(seed);
         let mut log = EventLog(Vec::new());
         let out = run_dynamic_with(
-            RngContract::V1,
             &g,
             0,
             Mode::PushPull,

@@ -2,24 +2,39 @@
 //! base plus delta overlay plus compaction) against a naive
 //! `Vec<Vec<Node>>` reference under random operation sequences.
 //!
-//! The reference is the pre-refactor representation: per-node sorted
-//! adjacency vectors plus activation flags, mutated the obvious way.
-//! Every property drives both structures through the same sequence of
-//! add/remove/activate/deactivate (and compaction-threshold changes,
-//! which must be invisible) and then demands identical observable
-//! state — including identical `random_neighbor` selections from the
-//! same RNG state, which is the replay contract the golden tests pin.
+//! The reference keeps per-node adjacency vectors plus activation
+//! flags and mutates them the obvious order-relaxed way: insertion
+//! pushes, removal swap-removes. Every property drives both structures
+//! through the same sequence of add/remove/activate/deactivate/replace
+//! (and compaction-threshold changes, which must be invisible) and then
+//! demands identical observable state — identical row *order*, the
+//! same change journal, and identical `random_neighbor` selections from
+//! the same RNG state, which is the replay contract the golden tests
+//! pin.
 
 use proptest::prelude::*;
-use rumor_spreading::graph::dynamic::MutableGraph;
+use rumor_spreading::graph::dynamic::{GraphChange, MutableGraph};
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
-/// Naive reference model: sorted `Vec<Vec<Node>>` adjacency + flags.
+/// Naive reference model: push/swap-remove `Vec<Vec<Node>>` adjacency,
+/// activation flags, and the journal of effective changes.
 struct Reference {
     adj: Vec<Vec<Node>>,
     active: Vec<bool>,
     edge_count: usize,
+    journal: Vec<GraphChange>,
+}
+
+/// Swap-removes `x` from `row`; returns whether it was present.
+fn swap_remove_value(row: &mut Vec<Node>, x: Node) -> bool {
+    match row.iter().position(|&w| w == x) {
+        Some(i) => {
+            row.swap_remove(i);
+            true
+        }
+        None => false,
+    }
 }
 
 impl Reference {
@@ -28,15 +43,12 @@ impl Reference {
             adj: g.nodes().map(|v| g.neighbors(v).to_vec()).collect(),
             active: vec![true; g.node_count()],
             edge_count: g.edge_count(),
+            journal: Vec::new(),
         }
     }
 
     fn degree(&self, v: Node) -> usize {
-        if self.active[v as usize] {
-            self.adj[v as usize].len()
-        } else {
-            0
-        }
+        self.neighbors(v).len()
     }
 
     fn neighbors(&self, v: Node) -> &[Node] {
@@ -48,33 +60,28 @@ impl Reference {
     }
 
     fn has_edge(&self, u: Node, v: Node) -> bool {
-        self.active[u as usize] && self.adj[u as usize].binary_search(&v).is_ok()
+        self.neighbors(u).contains(&v)
     }
 
     fn add_edge(&mut self, u: Node, v: Node) -> bool {
-        match self.adj[u as usize].binary_search(&v) {
-            Ok(_) => false,
-            Err(i) => {
-                self.adj[u as usize].insert(i, v);
-                let j = self.adj[v as usize].binary_search(&u).unwrap_err();
-                self.adj[v as usize].insert(j, u);
-                self.edge_count += 1;
-                true
-            }
+        if self.adj[u as usize].contains(&v) {
+            return false;
         }
+        self.adj[u as usize].push(v);
+        self.adj[v as usize].push(u);
+        self.edge_count += 1;
+        self.journal.push(GraphChange::EdgeAdded(u.min(v), u.max(v)));
+        true
     }
 
     fn remove_edge(&mut self, u: Node, v: Node) -> bool {
-        match self.adj[u as usize].binary_search(&v) {
-            Err(_) => false,
-            Ok(i) => {
-                self.adj[u as usize].remove(i);
-                let j = self.adj[v as usize].binary_search(&u).expect("symmetric");
-                self.adj[v as usize].remove(j);
-                self.edge_count -= 1;
-                true
-            }
+        if !swap_remove_value(&mut self.adj[u as usize], v) {
+            return false;
         }
+        assert!(swap_remove_value(&mut self.adj[v as usize], u), "symmetric");
+        self.edge_count -= 1;
+        self.journal.push(GraphChange::EdgeRemoved(u.min(v), u.max(v)));
+        true
     }
 
     fn deactivate(&mut self, v: Node) -> usize {
@@ -83,21 +90,56 @@ impl Reference {
         }
         let nbrs = std::mem::take(&mut self.adj[v as usize]);
         for &w in &nbrs {
-            let j = self.adj[w as usize].binary_search(&v).expect("symmetric");
-            self.adj[w as usize].remove(j);
+            assert!(swap_remove_value(&mut self.adj[w as usize], v), "symmetric");
+            self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
         }
         self.edge_count -= nbrs.len();
         self.active[v as usize] = false;
+        self.journal.push(GraphChange::NodeDeactivated(v));
         nbrs.len()
     }
 
     fn activate(&mut self, v: Node) {
-        self.active[v as usize] = true;
+        if !self.active[v as usize] {
+            self.active[v as usize] = true;
+            self.journal.push(GraphChange::NodeActivated(v));
+        }
+    }
+
+    /// Adopts `snapshot`'s sorted CSR rows, dropping edges at inactive
+    /// nodes; journals the edge diff per node in ascending order.
+    fn replace_edges_with(&mut self, snapshot: &Graph) {
+        let n = self.adj.len();
+        let new: Vec<Vec<Node>> = (0..n as Node)
+            .map(|v| {
+                if !self.active[v as usize] {
+                    return Vec::new();
+                }
+                let row = snapshot.neighbors(v).iter().copied();
+                row.filter(|&w| self.active[w as usize]).collect()
+            })
+            .collect();
+        for v in 0..n as Node {
+            let (old, fresh) = (&self.adj[v as usize], &new[v as usize]);
+            let mut union: Vec<Node> =
+                old.iter().chain(fresh).copied().filter(|&w| w > v).collect();
+            union.sort_unstable();
+            union.dedup();
+            for w in union {
+                match (old.contains(&w), fresh.contains(&w)) {
+                    (true, false) => self.journal.push(GraphChange::EdgeRemoved(v, w)),
+                    (false, true) => self.journal.push(GraphChange::EdgeAdded(v, w)),
+                    _ => {}
+                }
+            }
+        }
+        self.edge_count = new.iter().map(Vec::len).sum::<usize>() / 2;
+        self.adj = new;
     }
 
     /// The reference neighbor draw: one `range_usize(deg)` selecting
-    /// the k-th sorted neighbor — what the CSR graph does, and what the
-    /// overlay graph must reproduce exactly.
+    /// the k-th stored neighbor — what the CSR graph does on an
+    /// untouched row, and what the overlay graph must reproduce exactly.
     fn random_neighbor(&self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Node {
         let nbrs = &self.adj[v as usize];
         nbrs[rng.range_usize(nbrs.len())]
@@ -113,15 +155,18 @@ enum Op {
     Activate(usize),
     /// Re-tune compaction: 0 = always, 1 = default-ish, 2 = never.
     Threshold(usize),
+    /// Replace every edge with a `G(n, 0.3)` snapshot of this seed.
+    Replace(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..8, 0usize..64, 0usize..64).prop_map(|(kind, a, b)| match kind {
-        0..=2 => Op::Add(a, b),
-        3..=4 => Op::Remove(a, b),
-        5 => Op::Deactivate(a),
-        6 => Op::Activate(a),
-        _ => Op::Threshold(a % 3),
+    (0usize..17, 0usize..64, 0usize..64).prop_map(|(kind, a, b)| match kind {
+        0..=5 => Op::Add(a, b),
+        6..=9 => Op::Remove(a, b),
+        10..=11 => Op::Deactivate(a),
+        12..=13 => Op::Activate(a),
+        14..=15 => Op::Threshold(a % 3),
+        _ => Op::Replace(a),
     })
 }
 
@@ -155,11 +200,18 @@ fn apply_op(net: &mut MutableGraph, reference: &mut Reference, op: Op, n: usize)
                 _ => usize::MAX,
             });
         }
+        Op::Replace(seed) => {
+            let snapshot = generators::gnp(n, 0.3, &mut Xoshiro256PlusPlus::seed_from(seed as u64));
+            net.replace_edges_with(&snapshot);
+            reference.replace_edges_with(&snapshot);
+        }
     }
 }
 
+/// Identical state, row order included, and the identical journal.
 fn assert_equivalent(net: &MutableGraph, reference: &Reference, n: usize) {
     assert_eq!(net.edge_count(), reference.edge_count, "edge count");
+    assert_eq!(net.changes(), reference.journal.as_slice(), "change journal");
     for v in 0..n as Node {
         assert_eq!(net.is_active(v), reference.active[v as usize], "active {v}");
         assert_eq!(net.degree(v), reference.degree(v), "degree {v}");
@@ -205,16 +257,19 @@ proptest! {
         let p = 2.5 * (n as f64).ln() / n as f64;
         let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200);
         let mut net = MutableGraph::from_graph(&g);
+        net.track_changes(true);
         let mut reference = Reference::from_graph(&g);
         for &op in &ops {
             apply_op(&mut net, &mut reference, op, n);
         }
         assert_equivalent(&net, &reference, n);
         assert_identical_draws(&net, &reference, n, seed ^ 0xD1CE);
-        // Freezing to CSR agrees with the reference too.
+        // Freezing to CSR canonicalizes each row into sorted order.
         let frozen = net.to_graph();
         for v in 0..n as Node {
-            prop_assert_eq!(frozen.neighbors(v), reference.neighbors(v));
+            let mut row = reference.neighbors(v).to_vec();
+            row.sort_unstable();
+            prop_assert_eq!(frozen.neighbors(v), row.as_slice());
         }
     }
 
@@ -227,10 +282,12 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..160),
     ) {
         let mut net = MutableGraph::empty(n);
+        net.track_changes(true);
         let mut reference = Reference {
             adj: vec![Vec::new(); n],
             active: vec![true; n],
             edge_count: 0,
+            journal: Vec::new(),
         };
         for &op in &ops {
             apply_op(&mut net, &mut reference, op, n);

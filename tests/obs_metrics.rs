@@ -12,7 +12,7 @@ use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_spreading::core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_sharded_with, run_dynamic_with,
-    AsyncView, CountingProbe, LogHistogram, MetricsLevel, Mode, RngContract,
+    AsyncView, CountingProbe, LogHistogram, MetricsLevel, Mode,
 };
 use rumor_spreading::graph::{generators, Partition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
@@ -202,7 +202,6 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
     // Sequential dynamic engine.
     let mut probe = CountingProbe::default();
     let probed = run_dynamic_with(
-        RngContract::V1,
         &g,
         0,
         Mode::PushPull,
@@ -257,7 +256,6 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
     // (debug-asserted) and end at n.
     let mut probe = CountingProbe::default();
     let out = run_dynamic_sharded_with(
-        RngContract::V1,
         &g,
         0,
         Mode::PushPull,

@@ -1,14 +1,10 @@
 //! Golden seed-for-seed replay pins for the dynamic engines.
 //!
-//! The constants below were captured from the PR 1/PR 2 engines
-//! *before* the topology layer was refactored around the
-//! `TopologyModel` trait (commit f461b82). The trait re-expression of
-//! edge-Markov, rewiring, and node churn must replay those runs exactly
-//! — spreading time (compared as raw bits), step and topology-event
-//! counts, window/cross telemetry, and the final RNG state — for the
-//! sequential engine and the sharded engine at K = 1 and K = 3. Any
-//! drift here means a change to RNG draw order or rate arithmetic, i.e.
-//! a broken replay contract.
+//! Every run below must replay exactly — spreading time (compared as
+//! raw bits), step and topology-event counts, window/cross telemetry,
+//! and the final RNG state — for the sequential engine and the sharded
+//! engine at K = 1 and K = 3. Any drift here means a change to RNG draw
+//! order or rate arithmetic, i.e. a broken replay contract.
 
 use rumor_spreading::core::dynamic::{
     run_dynamic, DynamicModel, EdgeMarkov, NodeChurn, Rewire, SnapshotFamily,
@@ -32,114 +28,20 @@ fn models() -> Vec<(&'static str, DynamicModel)> {
     ]
 }
 
-/// Per model, per seed (11 then 12): the sequential-engine pin.
-const SEQ: [[SeqGolden; 2]; 4] = [
-    [
-        (0x4011768e3871bbe9, 223, 765, 0x4b953b40da81ef52),
-        (0x401375c3e22a0630, 207, 894, 0x73142b64b850034f),
-    ],
-    [
-        (0x4011f3ce898ea46c, 213, 881, 0x49ea7398f8e7f33a),
-        (0x4014c3f3230eacb0, 247, 1013, 0x9415edd75381e4a8),
-    ],
-    [
-        (0x4010783225e53393, 192, 2, 0xe9f09ae8fc7378e7),
-        (0x400d2e15f1a1c374, 164, 1, 0x4813e3fa1d29fadb),
-    ],
-    [
-        (0x4015c5d16986d18b, 246, 112, 0x9187cd567215b551),
-        (0x401ecf0e0198260e, 368, 179, 0x6753423b86b39ba1),
-    ],
-];
-
-/// Per model, per seed: the K = 3 sharded pin (K = 1 is checked against
-/// the sequential run directly).
-const SHARD3: [[ShardGolden; 2]; 4] = [
-    [
-        (0x401a6faf5605006a, 300, 1195, 1382, 186, 0xc1761d9bc2e63c19),
-        (0x40173172b7934cca, 250, 1042, 1197, 154, 0xfcd3c26807d9da27),
-    ],
-    [
-        (0x401b3befe92af835, 323, 1252, 1468, 215, 0x50c8c8b4c316e7a3),
-        (0x4023548af12e719c, 419, 1769, 2030, 261, 0x22bb377ba299b18c),
-    ],
-    [
-        (0x4010f122fdf91173, 185, 2, 121, 118, 0xab892e6e35566e3e),
-        (0x4010b07225dd5c50, 196, 2, 138, 136, 0xc6d40b3220563836),
-    ],
-    [
-        (0x40208d5a550008a6, 332, 204, 383, 179, 0x9c9e0f0dccf1c074),
-        (0x401a49a4897cefe3, 275, 158, 305, 147, 0x5b5f711f6371406b),
-    ],
-];
-
 fn test_graph() -> rumor_spreading::graph::Graph {
     generators::gnp_connected(48, 0.15, &mut Xoshiro256PlusPlus::seed_from(1), 100)
 }
 
-#[test]
-fn sequential_engine_replays_pre_refactor_runs() {
-    let g = test_graph();
-    for (m, (name, model)) in models().into_iter().enumerate() {
-        for (s, seed) in [11u64, 12].into_iter().enumerate() {
-            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, 10_000_000);
-            let (time_bits, steps, topo, rng_word) = SEQ[m][s];
-            assert_eq!(out.time.to_bits(), time_bits, "{name} seed {seed}: time drifted");
-            assert_eq!(out.steps, steps, "{name} seed {seed}: steps drifted");
-            assert_eq!(out.topology_events, topo, "{name} seed {seed}: topo events drifted");
-            assert_eq!(rng.next_u64(), rng_word, "{name} seed {seed}: RNG state drifted");
-            assert!(out.completed);
-        }
-    }
-}
-
-#[test]
-fn sharded_engine_replays_pre_refactor_runs() {
-    let g = test_graph();
-    for (m, (name, model)) in models().into_iter().enumerate() {
-        for (s, seed) in [11u64, 12].into_iter().enumerate() {
-            // K = 1 must equal the sequential run bit-for-bit, RNG
-            // state included.
-            let mut a = Xoshiro256PlusPlus::seed_from(seed);
-            let seq = run_dynamic(&g, 0, Mode::PushPull, &model, &mut a, 10_000_000);
-            let mut b = Xoshiro256PlusPlus::seed_from(seed);
-            let k1 = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 1, &mut b, 10_000_000);
-            assert_eq!(k1.outcome, seq, "{name} seed {seed}: K=1 diverged from sequential");
-            assert_eq!(a.next_u64(), b.next_u64(), "{name} seed {seed}: K=1 RNG state diverged");
-
-            // K = 3 exercises the incremental rate maintenance; the
-            // refactor must reproduce the identical sample.
-            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 3, &mut rng, 10_000_000);
-            let (time_bits, steps, topo, windows, cross, rng_word) = SHARD3[m][s];
-            assert_eq!(out.outcome.time.to_bits(), time_bits, "{name} seed {seed}: K=3 time");
-            assert_eq!(out.outcome.steps, steps, "{name} seed {seed}: K=3 steps");
-            assert_eq!(out.outcome.topology_events, topo, "{name} seed {seed}: K=3 topo events");
-            assert_eq!(out.windows, windows, "{name} seed {seed}: K=3 windows");
-            assert_eq!(out.cross_events, cross, "{name} seed {seed}: K=3 cross events");
-            assert_eq!(rng.next_u64(), rng_word, "{name} seed {seed}: K=3 RNG state");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The v2 (superposition scheduler) golden set
-// ---------------------------------------------------------------------------
-
-/// Per model, per seed: the sequential pin under `RngContract::V2`.
+/// Per model, per seed (11 then 12): the sequential pin of the `v2`
+/// stream (`rumor_sim::events::RNG_CONTRACT`).
 ///
-/// Captured at the introduction of the superposition scheduler (PR 8).
-/// The rewire rows equal the v1 pins bit-for-bit — a model with no
-/// stochastic topology channel draws nothing from the superposition,
-/// and its snapshot rebuilds leave the adjacency in canonical order, so
-/// its stream is contract-independent. The markov/churn rows differ
-/// twice over: v2 spends one `Exp(total)`+thinning pair where v1 spent
-/// per-edge queue draws, and v2 engines run the adjacency in
-/// order-relaxed mode (push/swap-remove instead of sorted insertion),
-/// which permutes protocol neighbor draws after the first mutation.
-/// These constants may only be regenerated in a change that touches
-/// [`RngContract`] itself (see the CI golden guard); rerun
+/// Captured at the introduction of the superposition scheduler: one
+/// `Exp(total)` arrival thinned to a model channel per topology event,
+/// over order-relaxed (push/swap-remove) adjacency rows. The rewire
+/// rows draw nothing from the superposition — the model has no
+/// stochastic channel — and its snapshots rebuild the adjacency in
+/// canonical order. These constants may only be regenerated in a change
+/// that moves the stream tag itself (see the CI golden guard); rerun
 /// `print_v2_goldens` below to do so.
 const SEQ_V2: [[SeqGolden; 2]; 4] = [
     // markov-sym
@@ -164,8 +66,8 @@ const SEQ_V2: [[SeqGolden; 2]; 4] = [
     ],
 ];
 
-/// Per model, per seed: the K = 3 sharded pin under `RngContract::V2`
-/// (K = 1 is checked against the sequential v2 run directly).
+/// Per model, per seed: the K = 3 sharded pin of the `v2` stream
+/// (K = 1 is checked against the sequential run directly).
 const SHARD3_V2: [[ShardGolden; 2]; 4] = [
     // markov-sym
     [
@@ -191,20 +93,11 @@ const SHARD3_V2: [[ShardGolden; 2]; 4] = [
 
 #[test]
 fn sequential_engine_replays_v2_golden_runs() {
-    use rumor_spreading::core::{run_dynamic_under, RngContract};
     let g = test_graph();
     for (m, (name, model)) in models().into_iter().enumerate() {
         for (s, seed) in [11u64, 12].into_iter().enumerate() {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                &mut rng,
-                10_000_000,
-            );
+            let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, 10_000_000);
             let (time_bits, steps, topo, rng_word) = SEQ_V2[m][s];
             assert_eq!(out.time.to_bits(), time_bits, "{name} seed {seed}: v2 time drifted");
             assert_eq!(out.steps, steps, "{name} seed {seed}: v2 steps drifted");
@@ -217,47 +110,21 @@ fn sequential_engine_replays_v2_golden_runs() {
 
 #[test]
 fn sharded_engine_replays_v2_golden_runs() {
-    use rumor_spreading::core::engine::run_dynamic_sharded_under;
-    use rumor_spreading::core::{run_dynamic_under, RngContract};
     let g = test_graph();
     for (m, (name, model)) in models().into_iter().enumerate() {
         for (s, seed) in [11u64, 12].into_iter().enumerate() {
-            // K = 1 must equal the sequential v2 run bit-for-bit.
+            // K = 1 must equal the sequential run bit-for-bit, RNG
+            // state included.
             let mut a = Xoshiro256PlusPlus::seed_from(seed);
-            let seq = run_dynamic_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                &mut a,
-                10_000_000,
-            );
+            let seq = run_dynamic(&g, 0, Mode::PushPull, &model, &mut a, 10_000_000);
             let mut b = Xoshiro256PlusPlus::seed_from(seed);
-            let k1 = run_dynamic_sharded_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                1,
-                &mut b,
-                10_000_000,
-            );
+            let k1 = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 1, &mut b, 10_000_000);
             assert_eq!(k1.outcome, seq, "{name} seed {seed}: v2 K=1 diverged from sequential");
             assert_eq!(a.next_u64(), b.next_u64(), "{name} seed {seed}: v2 K=1 RNG diverged");
 
+            // K = 3 exercises the incremental rate maintenance.
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_sharded_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                3,
-                &mut rng,
-                10_000_000,
-            );
+            let out = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 3, &mut rng, 10_000_000);
             let (time_bits, steps, topo, windows, cross, rng_word) = SHARD3_V2[m][s];
             assert_eq!(out.outcome.time.to_bits(), time_bits, "{name} seed {seed}: v2 K=3 time");
             assert_eq!(out.outcome.steps, steps, "{name} seed {seed}: v2 K=3 steps");
@@ -271,12 +138,10 @@ fn sharded_engine_replays_v2_golden_runs() {
 
 /// Regeneration helper for the v2 constants above (`cargo test --test
 /// replay_golden print_v2_goldens -- --ignored --nocapture`). Only
-/// legitimate in a change that touches the contract enum itself.
+/// legitimate in a change that moves the stream tag itself.
 #[test]
 #[ignore]
 fn print_v2_goldens() {
-    use rumor_spreading::core::engine::run_dynamic_sharded_under;
-    use rumor_spreading::core::{run_dynamic_under, RngContract};
     let g = test_graph();
     println!("SEQ_V2:");
     for (name, model) in models() {
@@ -284,15 +149,7 @@ fn print_v2_goldens() {
         println!("    [");
         for seed in [11u64, 12] {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                &mut rng,
-                10_000_000,
-            );
+            let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, 10_000_000);
             assert!(out.completed);
             println!(
                 "        (0x{:016x}, {}, {}, 0x{:016x}),",
@@ -310,16 +167,7 @@ fn print_v2_goldens() {
         println!("    [");
         for seed in [11u64, 12] {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_sharded_under(
-                RngContract::V2,
-                &g,
-                0,
-                Mode::PushPull,
-                &model,
-                3,
-                &mut rng,
-                10_000_000,
-            );
+            let out = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 3, &mut rng, 10_000_000);
             println!(
                 "        (0x{:016x}, {}, {}, {}, {}, 0x{:016x}),",
                 out.outcome.time.to_bits(),

@@ -12,7 +12,7 @@ use rumor_spreading::core::dynamic::{
 };
 use rumor_spreading::core::engine::{run_dynamic_sharded, run_dynamic_sharded_with};
 use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
-use rumor_spreading::core::{Mode, NoProbe, RngContract};
+use rumor_spreading::core::{Mode, NoProbe};
 use rumor_spreading::graph::{generators, Graph, Partition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -170,7 +170,7 @@ proptest! {
             &g, 0, Mode::PushPull, &DynamicModel::Static, 4,
             &mut Xoshiro256PlusPlus::seed_from(seed), 10_000_000,
         );
-        let b = run_dynamic_sharded_with(RngContract::V1, &g, 0, Mode::PushPull, DynamicModel::Static.build_state().as_mut(), &part, &mut Xoshiro256PlusPlus::seed_from(seed), 10_000_000, &mut NoProbe);
+        let b = run_dynamic_sharded_with(&g, 0, Mode::PushPull, DynamicModel::Static.build_state().as_mut(), &part, &mut Xoshiro256PlusPlus::seed_from(seed), 10_000_000, &mut NoProbe);
         prop_assert_eq!(a, b);
     }
 }

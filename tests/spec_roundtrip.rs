@@ -12,7 +12,7 @@ use rumor_spreading::core::dynamic::{
 use rumor_spreading::core::spec::{
     Engine, GraphSpec, Protocol, SimSpec, SpecError, Topology, TrialPlan,
 };
-use rumor_spreading::core::{AsyncView, MetricsLevel, Mode, RngContract, TopologyTrace};
+use rumor_spreading::core::{AsyncView, MetricsLevel, Mode, TopologyTrace};
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -113,13 +113,6 @@ fn spec_from_seed(seed: u64) -> SimSpec {
         coupled,
         horizon: (coupled && rng.next_u64() % 2 == 0).then(|| 1.0 + 200.0 * f(rng)),
         antithetic,
-        // Antithetic streams only exist under v2; keep the generated
-        // point inside the legal combination space.
-        rng_contract: if antithetic || rng.next_u64() % 2 == 0 {
-            RngContract::V2
-        } else {
-            RngContract::V1
-        },
     };
     let loss = if rng.next_u64() % 4 == 0 { 0.999 * f(rng) } else { 0.0 };
     let metrics = [MetricsLevel::Off, MetricsLevel::Summary, MetricsLevel::Json]
@@ -302,46 +295,47 @@ fn horizon_and_antithetic_are_coupled_only_and_range_checked() {
 }
 
 #[test]
-fn v1_contract_rejects_v2_only_options() {
-    // Antithetic coupling draws from streams the v1 contract never
-    // defined, so pinning v1 alongside it is a contradiction, not a
-    // silent fallback.
+fn contract_line_defaults_to_v2_and_rejects_retired_v1() {
+    // The line is optional and names the one stream there is.
+    let base = "spec = v1\ngraph = complete n=4\n";
+    let absent = SimSpec::parse(base).unwrap();
+    assert_eq!(SimSpec::parse(&format!("{base}rng_contract = v2\n")).unwrap(), absent);
+    // Specs always serialize it.
+    assert!(valid().to_spec_string().unwrap().contains("\nrng_contract = v2\n"));
+    // The v1 stream is retired: its artifacts no longer replay, so a
+    // spec naming it is refused instead of silently drawing v2. So is
+    // any other unknown stream.
+    for (value, needle) in [("v1", "retired"), ("v3", "unknown rng contract")] {
+        let err = SimSpec::parse(&format!("{base}rng_contract = {value}\n")).unwrap_err();
+        match &err {
+            SpecError::Parse { line: 3, message } => assert!(message.contains(needle), "{message}"),
+            other => panic!("rng_contract = {value}: expected a parse error, got {other}"),
+        }
+    }
+    // Antithetic coupling, once refused under v1, is a plain option.
     let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
-    let err = valid()
-        .protocol(async_pp())
-        .topology(markov)
-        .coupled(true)
-        .antithetic(true)
-        .rng_contract(RngContract::V1)
-        .build()
-        .unwrap_err();
-    assert_eq!(err, SpecError::ContractV1Conflict { option: "antithetic" });
+    let anti = valid().protocol(async_pp()).topology(markov).coupled(true).antithetic(true);
+    assert!(anti.build().is_ok());
 }
 
 #[test]
-fn contract_lines_parse_and_default_to_v1_when_absent() {
-    // A `.spec` with no `rng_contract` line predates the v2 scheduler:
-    // it pins the legacy streams its recorded results were drawn from.
-    let absent = SimSpec::parse("spec = v1\ngraph = complete n=4\n").unwrap();
-    assert_eq!(absent.plan.rng_contract, RngContract::V1);
-    for (line, want) in
-        [("rng_contract = v1\n", RngContract::V1), ("rng_contract = v2\n", RngContract::V2)]
-    {
-        let text = format!("spec = v1\ngraph = complete n=4\n{line}");
-        assert_eq!(SimSpec::parse(&text).unwrap().plan.rng_contract, want, "{line}");
+fn rewire_snapshot_degrees_are_checked_against_the_graph() {
+    let rewire = |d: usize| {
+        Topology::Model(DynamicModel::Rewire(Rewire::new(2.0, SnapshotFamily::RandomRegular { d })))
+    };
+    // n = 9: d = 3 makes n*d odd; d = 0 and d >= n have no snapshot.
+    let nine = SimSpec::new(GraphSpec::Complete { n: 9 }).protocol(async_pp());
+    for d in [0, 3, 9, 20] {
+        let err = nine.clone().topology(rewire(d)).build().unwrap_err();
+        assert!(matches!(err, SpecError::InvalidTopology(_)), "d={d}: {err}");
     }
-    let err = SimSpec::parse("spec = v1\ngraph = complete n=4\nrng_contract = v3\n").unwrap_err();
-    assert!(matches!(err, SpecError::Parse { .. }), "{err}");
-    // New specs default to v2 and always serialize their contract.
-    assert_eq!(TrialPlan::default().rng_contract, RngContract::V2);
-    assert!(valid().to_spec_string().unwrap().contains("rng_contract = v2"));
+    assert!(nine.topology(rewire(4)).trials(2).build().is_ok());
 }
 
 #[test]
 fn trace_topologies_must_match_the_graph() {
     let g = generators::complete(6);
     let trace = TopologyTrace::record(
-        RngContract::V1,
         &g,
         0,
         DynamicModel::Static.build_state().as_mut(),
@@ -374,7 +368,6 @@ fn non_global_views_are_rejected_on_dynamic_runs() {
 fn unserializable_specs_are_typed() {
     let g = generators::complete(4);
     let trace = TopologyTrace::record(
-        RngContract::V1,
         &g,
         0,
         DynamicModel::Static.build_state().as_mut(),
@@ -400,6 +393,18 @@ fn malformed_spec_texts_report_the_line() {
         ("spec = v1\ngraph = complete\n", "needs a `n=` field"),
         ("spec = v1\ngraph = complete n=four\n", "cannot parse"),
         ("spec = v1\ngraph = complete n=4\ntopology = psychic\n", "unknown topology"),
+        ("spec = v1\ngraph = complete n=4\ntopology = markov off=-1 on=1\n", "markov rates"),
+        ("spec = v1\ngraph = complete n=4\ntopology = markov off=1 on=-1\n", "markov rates"),
+        ("spec = v1\ngraph = complete n=4\ntopology = markov off=NaN on=1\n", "markov rates"),
+        ("spec = v1\ngraph = complete n=4\ntopology = markov off=inf on=1\n", "markov rates"),
+        (
+            "spec = v1\ngraph = complete n=4\ntopology = rewire period=2 family=gnp p=7\n",
+            "gnp p must be in (0, 1]",
+        ),
+        (
+            "spec = v1\ngraph = complete n=4\ntopology = rewire period=2 family=gnp p=0\n",
+            "gnp p must be in (0, 1]",
+        ),
         ("spec = v1\ngraph = complete n=4\nprotocol = sync mode=zigzag\n", "unknown protocol mode"),
         ("spec = v1\ngraph = complete n=4\nengine = warp\n", "unknown engine"),
         ("spec = v1\ngraph = complete n=4\ncoupled = maybe\n", "true or false"),

@@ -27,7 +27,7 @@ use rumor_spreading::core::engine::{
     run_dynamic_sharded_with, InformedView, RateImpact, TopoEvent, TopologyModel,
 };
 use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
-use rumor_spreading::core::{Mode, NoProbe, RngContract};
+use rumor_spreading::core::{Mode, NoProbe};
 use rumor_spreading::graph::dynamic::MutableGraph;
 use rumor_spreading::graph::{generators, Graph, Partition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
@@ -36,26 +36,19 @@ fn rng(seed: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::seed_from(seed)
 }
 
-/// Records `model` from source 0 under the v1 contract.
-fn record_v1(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
-    TopologyTrace::record(
-        RngContract::V1,
-        g,
-        0,
-        model.build_state().as_mut(),
-        &mut rng(seed),
-        horizon,
-    )
+/// Records `model` from source 0.
+fn record(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
+    TopologyTrace::record(g, 0, model.build_state().as_mut(), &mut rng(seed), horizon)
 }
 
-/// Runs the v1 sequential engine from source 0 over `state`.
-fn run_v1<M: TopologyModel>(
+/// Runs the sequential engine from source 0 over `state`.
+fn run_seq<M: TopologyModel>(
     g: &Graph,
     state: &mut M,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    run_dynamic_with(RngContract::V1, g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
+    run_dynamic_with(g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
 }
 
 /// The five `--dynamic-model` choices plus node churn (which exercises
@@ -95,8 +88,8 @@ impl TopologyModel for SnapshotProbe<'_> {
         net: &mut MutableGraph,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.inner.init(g, net, queue, rng);
+    ) -> usize {
+        self.inner.init(g, net, queue, rng)
     }
 
     fn apply(
@@ -124,14 +117,14 @@ impl TopologyModel for SnapshotProbe<'_> {
 fn snapshot_sequences_are_byte_identical_across_engines() {
     let g = test_graph();
     for (name, model) in all_models() {
-        let trace = record_v1(&g, &model, 5, 20.0);
+        let trace = record(&g, &model, 5, 20.0);
         assert!(!trace.is_empty(), "{name}");
         let full = trace.snapshots();
 
         // Sequential replay.
         let mut a = rng(77);
         let mut seq_probe = SnapshotProbe::new(&trace);
-        let seq = run_v1(&g, &mut seq_probe, &mut a, 1_000_000);
+        let seq = run_seq(&g, &mut seq_probe, &mut a, 1_000_000);
         assert_eq!(
             seq_probe.snaps.as_slice(),
             &full[1..=seq_probe.snaps.len()],
@@ -142,7 +135,6 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         let mut b = rng(77);
         let mut k1_probe = SnapshotProbe::new(&trace);
         let k1 = run_dynamic_sharded_with(
-            RngContract::V1,
             &g,
             0,
             Mode::PushPull,
@@ -160,7 +152,6 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // the topology walk is still exactly the trace's.
         let mut k3_probe = SnapshotProbe::new(&trace);
         let k3 = run_dynamic_sharded_with(
-            RngContract::V1,
             &g,
             0,
             Mode::PushPull,
@@ -181,7 +172,7 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // and applies steps verbatim from the same trace (so its walk
         // is the same byte-identical prefix by construction).
         let mut c = rng(77);
-        let lazy = run_trace_lazy(RngContract::V1, &trace, 0, Mode::PushPull, &mut c, 1_000_000);
+        let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000);
         assert_eq!(lazy, seq, "{name}: cursor engine diverged");
         assert_eq!(
             lazy.topology_events as usize,
@@ -198,24 +189,10 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
 fn replay_of_a_replay_is_a_fixed_point() {
     let g = test_graph();
     for (name, model) in all_models() {
-        let t1 = record_v1(&g, &model, 9, 15.0);
-        let t2 = TopologyTrace::record(
-            RngContract::V1,
-            &g,
-            0,
-            &mut t1.replayer(),
-            &mut rng(1234),
-            t1.horizon(),
-        );
+        let t1 = record(&g, &model, 9, 15.0);
+        let t2 = TopologyTrace::record(&g, 0, &mut t1.replayer(), &mut rng(1234), t1.horizon());
         assert_eq!(t2, t1, "{name}: first replay drifted");
-        let t3 = TopologyTrace::record(
-            RngContract::V1,
-            &g,
-            0,
-            &mut t2.replayer(),
-            &mut rng(4321),
-            t2.horizon(),
-        );
+        let t3 = TopologyTrace::record(&g, 0, &mut t2.replayer(), &mut rng(4321), t2.horizon());
         assert_eq!(t3, t2, "{name}: second replay drifted");
     }
 }
@@ -253,13 +230,13 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
 fn replays_are_repeatable() {
     let g = test_graph();
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-    let trace = record_v1(&g, &model, 33, 25.0);
-    let first = run_v1(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
-    let second = run_v1(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
+    let trace = record(&g, &model, 33, 25.0);
+    let first = run_seq(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
+    let second = run_seq(&g, &mut trace.replayer(), &mut rng(8), 1_000_000);
     assert_eq!(first, second);
     // A different protocol seed spreads differently over the SAME
     // topology realization — the whole point of the trace layer.
-    let third = run_v1(&g, &mut trace.replayer(), &mut rng(9), 1_000_000);
+    let third = run_seq(&g, &mut trace.replayer(), &mut rng(9), 1_000_000);
     assert_ne!(first.informed_time, third.informed_time);
     assert!(first.topology_events > 0);
 }

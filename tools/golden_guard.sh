@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Golden guard: replay pins and committed run artifacts may only change
-# in a diff that also touches the RNG contract enum itself.
+# in a diff that also touches the RNG stream tag itself.
 #
 # The replay goldens (tests/replay_golden.rs) and the committed
-# `specs/*.spec` / `specs/*.metrics.json` / `specs/*.fleet.json`
-# artifacts are the repo's bit-for-bit reproducibility contract: they
-# pin the exact RNG streams of both scheduler generations (v1 eager
-# queue, v2 superposition). A diff that rewrites or deletes them
-# *without* changing the versioned contract (`RngContract` in
-# crates/sim/src/events.rs) is, with overwhelming likelihood, silently
-# breaking replay rather than legitimately introducing a new stream
-# generation — so CI fails it. Newly added fixtures are fine: a fresh
-# golden pins a new surface without touching an existing stream.
+# `specs/*.spec` / `specs/*.expected` / `specs/*.metrics.json` /
+# `specs/*.fleet.json` artifacts are the repo's bit-for-bit
+# reproducibility contract: they pin the exact RNG stream of the
+# engines (the superposition scheduler over order-relaxed adjacency).
+# A diff that rewrites or deletes them *without* changing the stream
+# tag's home (`RNG_CONTRACT` in crates/sim/src/events.rs) is, with
+# overwhelming likelihood, silently breaking replay rather than
+# legitimately introducing a new stream generation — so CI fails it.
+# Newly added fixtures are fine: a fresh golden pins a new surface
+# without touching an existing stream.
 #
 # Usage: tools/golden_guard.sh [<base-ref>]   (default: origin/main)
 
@@ -31,23 +32,23 @@ changed="$(git diff --name-only "$range")"
 touched="$(git diff --name-only --diff-filter=MD "$range")"
 
 # Files whose bytes are replay pins.
-guarded="$(grep -E '^(tests/replay_golden\.rs|specs/.*\.(spec|metrics\.json|fleet\.json))$' <<<"$touched" || true)"
+guarded="$(grep -E '^(tests/replay_golden\.rs|specs/.*\.(spec|expected|metrics\.json|fleet\.json))$' <<<"$touched" || true)"
 if [[ -z "$guarded" ]]; then
     echo "golden-guard: no golden fixtures touched in $range"
     exit 0
 fi
 
 # The one legitimate reason to regenerate goldens: the diff changes the
-# contract-version enum's home (a new stream generation is being
-# introduced or an old one retired).
+# stream tag's home (a new stream generation is being introduced or an
+# old one retired).
 if grep -qx 'crates/sim/src/events.rs' <<<"$changed"; then
-    echo "golden-guard: goldens changed alongside the RNG contract enum — allowed:"
+    echo "golden-guard: goldens changed alongside the RNG stream tag — allowed:"
     sed 's/^/  /' <<<"$guarded"
     exit 0
 fi
 
-echo "golden-guard: FAIL — replay goldens changed without touching the RNG contract" >&2
+echo "golden-guard: FAIL — replay goldens changed without touching the RNG stream tag" >&2
 echo "(crates/sim/src/events.rs). Changed fixtures:" >&2
 sed 's/^/  /' <<<"$guarded" >&2
-echo "If this really is a new stream generation, version it through RngContract." >&2
+echo "If this really is a new stream generation, bump RNG_CONTRACT there." >&2
 exit 1
