@@ -294,24 +294,34 @@ fn horizon_and_antithetic_are_coupled_only_and_range_checked() {
     assert_eq!(coupled.antithetic(true).build().unwrap_err(), SpecError::AntitheticNeedsCoupling);
 }
 
+const CONTRACT_BASE: &str = "spec = v1\ngraph = complete n=4\n";
+
+/// Asserts that `rng_contract = {value}` fails as a parse error on line 3
+/// whose message contains `needle`.
+fn assert_contract_parse_error(value: &str, needle: &str) {
+    let err = SimSpec::parse(&format!("{CONTRACT_BASE}rng_contract = {value}\n")).unwrap_err();
+    match &err {
+        SpecError::Parse { line: 3, message } => assert!(message.contains(needle), "{message}"),
+        other => panic!("rng_contract = {value}: expected a parse error, got {other}"),
+    }
+}
+
 #[test]
-fn contract_line_defaults_to_v2_and_rejects_retired_v1() {
+fn contract_lines_parse_and_default_to_v2_when_absent() {
     // The line is optional and names the one stream there is.
-    let base = "spec = v1\ngraph = complete n=4\n";
-    let absent = SimSpec::parse(base).unwrap();
-    assert_eq!(SimSpec::parse(&format!("{base}rng_contract = v2\n")).unwrap(), absent);
+    let absent = SimSpec::parse(CONTRACT_BASE).unwrap();
+    assert_eq!(SimSpec::parse(&format!("{CONTRACT_BASE}rng_contract = v2\n")).unwrap(), absent);
     // Specs always serialize it.
     assert!(valid().to_spec_string().unwrap().contains("\nrng_contract = v2\n"));
+    // An unknown stream is refused.
+    assert_contract_parse_error("v3", "unknown rng contract");
+}
+
+#[test]
+fn retired_v1_contract_is_refused_and_antithetic_is_accepted() {
     // The v1 stream is retired: its artifacts no longer replay, so a
-    // spec naming it is refused instead of silently drawing v2. So is
-    // any other unknown stream.
-    for (value, needle) in [("v1", "retired"), ("v3", "unknown rng contract")] {
-        let err = SimSpec::parse(&format!("{base}rng_contract = {value}\n")).unwrap_err();
-        match &err {
-            SpecError::Parse { line: 3, message } => assert!(message.contains(needle), "{message}"),
-            other => panic!("rng_contract = {value}: expected a parse error, got {other}"),
-        }
-    }
+    // spec naming it is refused instead of silently drawing v2.
+    assert_contract_parse_error("v1", "retired");
     // Antithetic coupling, once refused under v1, is a plain option.
     let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
     let anti = valid().protocol(async_pp()).topology(markov).coupled(true).antithetic(true);
