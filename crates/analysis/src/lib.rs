@@ -30,7 +30,7 @@
 //! | [`experiments::e18_loss`] | Extension: graceful degradation under loss |
 //! | [`experiments::e19_dynamic_churn`] | Dynamic networks: `E[T]` vs edge-Markov churn, static baseline at ν = 0 |
 //! | [`experiments::e20_rewire_gap`] | Dynamic networks: sync-vs-async gap under periodic rewiring |
-//! | [`experiments::e21_engines`] | Engine layer: sharded PDES exactness/speedup, lazy-clock bookkeeping |
+//! | [`experiments::e21_engines`] | Engine layer: lazy-clock agreement and bookkeeping |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -115,7 +115,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "e21",
-            claim: "engines: sharded PDES replays K=1 seed-for-seed; lazy clocks are O(touched)",
+            claim: "engines: lazy clocks agree with the eager engine and are O(touched)",
             run: e21_engines::run,
         },
         Experiment {

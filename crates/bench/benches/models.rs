@@ -15,8 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // BENCH_PR3.json baseline tracking exactly the models the experiment
 // measures, parameter drift included.
 use rumor_analysis::experiments::e22_models::matched_models;
-use rumor_core::Mode;
-use rumor_core::{run_dynamic, run_dynamic_sharded};
+use rumor_core::{run_dynamic, Mode};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -31,24 +30,6 @@ fn bench_models_sequential(c: &mut Criterion) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
             b.iter(|| run_dynamic(&g, 0, Mode::PushPull, model, &mut rng, 100_000_000))
-        });
-    }
-    group.finish();
-}
-
-fn bench_models_sharded(c: &mut Criterion) {
-    // The same suite through the sharded engine at K = 4: prices the
-    // per-model rate-impact path (incremental for flips/walks/heals,
-    // global recompute for snapshots/moves/strikes).
-    let mut group = c.benchmark_group("topology_models_sharded_k4_gnp_256");
-    group.sample_size(10);
-    let n = 256;
-    let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
-    for (name, model) in matched_models(&g) {
-        let mut rng = Xoshiro256PlusPlus::seed_from(9);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
-            b.iter(|| run_dynamic_sharded(&g, 0, Mode::PushPull, model, 4, &mut rng, 100_000_000))
         });
     }
     group.finish();
@@ -236,7 +217,6 @@ fn bench_hotpath_components(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_models_sequential,
-    bench_models_sharded,
     bench_models_sequential_1024,
     bench_compaction_threshold_sweep,
     bench_hotpath_components

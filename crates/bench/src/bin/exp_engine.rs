@@ -1,5 +1,5 @@
-//! Regenerates E21 (sharded-engine exactness + within-trial speedup,
-//! lazy-clock bookkeeping); see EXPERIMENTS_ENGINE.md.
+//! Regenerates E21 (lazy-clock agreement and bookkeeping); see
+//! EXPERIMENTS_ENGINE.md.
 
 fn main() {
     rumor_bench::run_and_print("e21");

@@ -165,7 +165,6 @@ const RUN_FLAGS: &[&str] = &[
     "quantile",
     "radius",
     "seed",
-    "shards",
     "source",
     "step",
     "threads",
@@ -207,11 +206,6 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     let threads: usize = args.opt_parsed("threads", 1)?;
     let coupled: bool = args.opt_parsed("coupled", false)?;
     let lazy: bool = args.opt_parsed("lazy", false)?;
-    let sharded = !args.opt_str("shards", "").is_empty();
-    let shards: usize = args.opt_parsed("shards", 1)?;
-    if lazy && sharded {
-        return Err(CliError::Usage("pass either --lazy or --shards, not both".into()));
-    }
     if model != "sync" && model != "async" {
         return Err(CliError::Usage(format!("unknown --model `{model}`")));
     }
@@ -226,13 +220,7 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     } else {
         Protocol::Async { mode, view: AsyncView::GlobalClock }
     };
-    let engine = if sharded {
-        Engine::Sharded { shards }
-    } else if lazy {
-        Engine::Lazy
-    } else {
-        Engine::Sequential
-    };
+    let engine = if lazy { Engine::Lazy } else { Engine::Sequential };
 
     let mut spec = SimSpec::new(graph_spec)
         .source(source)
@@ -351,12 +339,10 @@ fn render(spec: &SimSpec, sim: &Simulation, report: &RunReport, q: f64) -> Strin
     }
 }
 
-/// The `, shards K` / `, lazy` / `, threads T` header suffix.
+/// The `, lazy` / `, threads T` header suffix.
 fn header_suffix(spec: &SimSpec, out: &mut String) {
-    match spec.engine {
-        Engine::Sequential => {}
-        Engine::Sharded { shards } => out.push_str(&format!(", shards {shards}")),
-        Engine::Lazy => out.push_str(", lazy"),
+    if spec.engine == Engine::Lazy {
+        out.push_str(", lazy");
     }
     if spec.plan.threads > 1 {
         out.push_str(&format!(", threads {}", spec.plan.threads));
@@ -650,37 +636,6 @@ mod tests {
         // Identical statistics; the header differs by the threads note.
         assert_eq!(a.lines().skip(1).collect::<Vec<_>>(), b.lines().skip(1).collect::<Vec<_>>());
         assert!(b.contains("threads 4"));
-    }
-
-    #[test]
-    fn one_shard_matches_the_sequential_engine() {
-        // `--shards 1` routes through the sharded engine, a genuinely
-        // different engine that replays the plain async run
-        // seed-for-seed — so every statistic agrees exactly; only the
-        // header line (which records the flag) differs.
-        let base = ["--model", "async", "--trials", "20", "--seed", "4"];
-        let a = with_graph(TRIANGLE, &base).unwrap();
-        let mut sharded = base.to_vec();
-        sharded.extend(["--shards", "1"]);
-        let b = with_graph(TRIANGLE, &sharded).unwrap();
-        assert_ne!(a, b, "header must record the shards flag");
-        assert!(b.contains("shards 1"));
-        assert_eq!(a.lines().skip(1).collect::<Vec<_>>(), b.lines().skip(1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_run_reports_and_validates() {
-        let out =
-            with_graph(TRIANGLE, &["--model", "async", "--shards", "3", "--trials", "10"]).unwrap();
-        assert!(out.contains("shards 3"), "{out}");
-        assert!(out.contains("time units"));
-        // shards > nodes, shards 0, sync + shards, loss + shards.
-        assert!(with_graph(TRIANGLE, &["--model", "async", "--shards", "4"]).is_err());
-        assert!(with_graph(TRIANGLE, &["--model", "async", "--shards", "0"]).is_err());
-        assert!(with_graph(TRIANGLE, &["--shards", "2"]).is_err());
-        assert!(
-            with_graph(TRIANGLE, &["--model", "async", "--shards", "2", "--loss", "0.1"]).is_err()
-        );
         assert!(with_graph(TRIANGLE, &["--threads", "0"]).is_err());
     }
 
@@ -722,9 +677,6 @@ mod tests {
         // Composition rules.
         assert!(with_graph(TRIANGLE, &["--lazy", "true"]).is_err(), "sync + lazy");
         assert!(
-            with_graph(TRIANGLE, &["--model", "async", "--lazy", "true", "--shards", "2"]).is_err()
-        );
-        assert!(
             with_graph(TRIANGLE, &["--model", "async", "--lazy", "true", "--loss", "0.2"]).is_err()
         );
     }
@@ -756,13 +708,13 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("lazy"), "{out}");
-        // Engine choice does not change the paired numbers: K = 1
-        // sharded replays the sequential coupled run seed-for-seed.
+        // Engine choice does not change the paired numbers: the trace
+        // cursor replays the sequential coupled run seed-for-seed.
         let base =
             ["--coupled", "true", "--dynamic-model", "markov", "--trials", "10", "--seed", "5"];
         let a = with_graph(TRIANGLE, &base).unwrap();
         let mut s = base.to_vec();
-        s.extend(["--shards", "1"]);
+        s.extend(["--lazy", "true"]);
         let b = with_graph(TRIANGLE, &s).unwrap();
         assert_eq!(
             a.lines().skip(1).collect::<Vec<_>>(),

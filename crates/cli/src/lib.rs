@@ -81,7 +81,6 @@ RUN OPTIONS:
     --loss P                per-contact loss in [0,1) [default: 0]
     --quantile Q            report the Q-quantile     [default: 0.9]
     --threads T             trial fan-out threads     [default: 1]
-    --shards K              sharded PDES engine (async/coupled runs)
     --lazy true             lazy per-edge-clock engine (memoryless models)
     --coupled true          paired sync/async runs on shared topology traces
     --horizon H             coupled trace horizon     [default: 24 ln n]

@@ -429,10 +429,9 @@ pub fn run_dynamic(
 /// Topology events come from a [`TopoDriver`] and protocol ticks from a
 /// rate-`n` clock, merged topology-first by hand. The merge order is
 /// part of the replay contract: the topology arrival is peeked — and
-/// possibly drawn — *before* the tick on every iteration, exactly as
-/// the sharded coordinator computes its horizon before its windows draw
-/// their ticks. That is what keeps the K = 1 replay invariant
-/// (`tests/replay_golden.rs`).
+/// possibly drawn — *before* the tick on every iteration. That draw
+/// order is the `v2` stream (`rumor_sim::events::RNG_CONTRACT`) the
+/// committed goldens pin (`tests/replay_golden.rs`, `specs/`).
 ///
 /// # Panics
 ///
@@ -472,13 +471,9 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
 
     let mut net = MutableGraph::from_graph(g);
     let mut driver = TopoDriver::new(g, &mut net, state, rng);
-    // Informed-delta feed (only the sequential engine has per-node
-    // identities at exchange time): the adversary uses it to maintain
-    // its frontier boundary incrementally.
-    let tracking = state.enable_informed_tracking();
-    if tracking {
-        state.note_informed(source, &net);
-    }
+    // Informed-set feed: the adversary maintains its frontier boundary
+    // from it; every other model ignores it.
+    state.note_informed(source, &net);
     let mut ticks = TickSource::new(n as f64);
 
     let mut t = 0.0;
@@ -492,15 +487,13 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
             let next_tick = ticks.peek(rng).expect("the rate-n tick stream never ends");
             if next_topo <= next_tick {
                 // Topology wins ties.
-                let informed = &informed_time;
-                let (te, _impact) =
-                    driver.step(state, &mut net, &|v| informed[v as usize].is_finite(), rng);
+                driver.step(state, &mut net, rng);
                 // `t` is not updated here: the loop only exits from the
                 // tick branch, so the reported time is always a tick's.
                 topology_events += 1;
                 if P::ENABLED {
-                    probe.event(te, ProbeEvent::Topology);
-                    probe.topology_changed(te);
+                    probe.event(next_topo, ProbeEvent::Topology);
+                    probe.topology_changed(next_topo);
                 }
             } else {
                 let (te, ()) = ticks.pop(rng).expect("peeked a pending tick");
@@ -524,12 +517,10 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
                         if P::ENABLED {
                             probe.informed(te, informed_count);
                         }
-                        if tracking {
-                            // An exchange informs at most one endpoint;
-                            // its informed time is this tick's.
-                            let newly = if informed_time[v as usize] == te { v } else { w };
-                            state.note_informed(newly, &net);
-                        }
+                        // An exchange informs at most one endpoint; its
+                        // informed time is this tick's.
+                        let newly = if informed_time[v as usize] == te { v } else { w };
+                        state.note_informed(newly, &net);
                     }
                 }
                 if informed_count == n {

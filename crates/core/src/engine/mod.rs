@@ -1,5 +1,5 @@
 //! The simulation engine layer: one event loop, many event sources,
-//! three execution strategies.
+//! two execution strategies.
 //!
 //! PR 1 left this crate with two hand-written event loops — the static
 //! asynchronous engine ([`crate::run_async`]) and the dynamic engine
@@ -12,24 +12,18 @@
 //!   with RNG consumption preserved draw-for-draw.
 //! * [`topology`] — the pluggable topology-model layer: the
 //!   [`TopologyModel`] trait (stochastic channels, deterministic
-//!   side-queue events, incremental rate delta) every engine consumes
-//!   models through, with six implementations (edge-Markov flips,
+//!   side-queue events, an optional informed-set feed) every engine
+//!   consumes models through, with six implementations (edge-Markov flips,
 //!   periodic rewiring, node churn, random-walk edge dynamics,
 //!   geometric mobility, frontier adversary).
 //! * [`scheduler`] — the [`TopoDriver`]: the superposition
 //!   single-clock scheduler over a model's channels; the sequential
-//!   engine, the sharded coordinator, and the trace recorder all
-//!   consume topology events through it.
+//!   engine and the trace recorder both consume topology events
+//!   through it.
 //! * [`lazy`] — an edge-Markov engine with **lazy per-edge clocks**:
 //!   no flips drawn up front, each edge's on/off chain resolved
 //!   only when a contact touches it. Memory for topology bookkeeping is
 //!   O(touched edges), which is what makes n ≥ 10⁶ runs feasible.
-//! * [`sharded`] — a conservative-lookahead parallel engine: nodes are
-//!   partitioned into shards with per-shard Poisson streams and RNGs,
-//!   every shard advances in lockstep windows up to a horizon derived
-//!   from the next cross-shard or topology event, and workers exchange
-//!   window commands/reports over bounded channels. With one shard it
-//!   replays the sequential dynamic engine seed-for-seed.
 //! * [`trace`] — topology-trace record/replay: a [`TopologyTrace`]
 //!   captures one realized topology evolution (from any engine, or
 //!   standalone) and replays it as a deterministic [`TopologyModel`],
@@ -40,16 +34,14 @@
 
 pub mod lazy;
 pub mod scheduler;
-pub mod sharded;
 pub mod source;
 pub mod topology;
 pub mod trace;
 
 pub use lazy::{run_edge_markov_lazy, LazyOutcome};
 pub use scheduler::TopoDriver;
-pub use sharded::{run_dynamic_sharded, run_dynamic_sharded_with, ShardedOutcome};
 pub use source::{drive, Control, EventSource, QueueSource, TickSource};
-pub use topology::{InformedView, RateImpact, StateVisitor, TopoEvent, TopologyModel};
+pub use topology::{StateVisitor, TopoEvent, TopologyModel};
 pub use trace::{
     run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceReplayer, TraceStep,
 };

@@ -3,15 +3,15 @@
 //! [`TopoDriver`] is how the engines consume a [`TopologyModel`]: a
 //! [`Superposition`] scheduler draws one `Exp(total)` arrival, thins it
 //! to a model channel at pop time, and merges deterministic follow-ups
-//! from its side queue. The sequential engine, the sharded coordinator,
-//! and the trace recorder all draw topology events through it.
+//! from its side queue. The sequential engine and the trace recorder
+//! both draw topology events through it.
 
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::Graph;
 use rumor_sim::events::{EventQueue, Fired, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use super::topology::{InformedView, RateImpact, TopoEvent, TopologyModel};
+use super::topology::{TopoEvent, TopologyModel};
 
 /// A topology-event stream for one run: superposition over the model's
 /// stochastic channels; peeking draws (and retains) the next arrival.
@@ -47,8 +47,8 @@ impl TopoDriver {
         self.sup.peek(rng).unwrap_or(f64::INFINITY)
     }
 
-    /// Pops and applies the next topology event (which [`next_time`]
-    /// must have reported finite), returning its time and rate impact.
+    /// Pops and applies the next topology event, at the time
+    /// [`next_time`] just reported (which must be finite).
     /// Stochastic arrivals thin to a model channel; afterwards every
     /// channel weight is resynced from the model — reweights invalidate
     /// the pending arrival only when the total actually moved.
@@ -58,18 +58,16 @@ impl TopoDriver {
         &mut self,
         mstate: &mut M,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> (f64, RateImpact) {
+    ) {
         let sup = &mut self.sup;
         let (t, fired) = sup.pop(rng).expect("stepped an empty topology stream");
-        let impact = match fired {
-            Fired::Event(event) => mstate.apply(event, t, net, informed, &mut sup.queue, rng),
-            Fired::Channel(ch) => mstate.fire(ch, t, net, informed, &mut sup.queue, rng),
-        };
+        match fired {
+            Fired::Event(event) => mstate.apply(event, t, net, &mut sup.queue, rng),
+            Fired::Channel(ch) => mstate.fire(ch, t, net, &mut sup.queue, rng),
+        }
         for ch in 0..self.channels {
             sup.set_weight(t, ch, mstate.channel_weight(ch));
         }
-        (t, impact)
     }
 }

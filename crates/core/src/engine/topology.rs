@@ -8,17 +8,13 @@
 //! arrival, thins it to a channel, and the model picks the firing
 //! member and mutates the [`MutableGraph`] (*fire*). Deterministic
 //! follow-ups (rewire snapshots, heal timers, trace replay steps) go
-//! into a side [`EventQueue`] and come back through *apply*. Both
-//! report which nodes' contact rates the mutation can have touched
-//! ([`RateImpact`], the *incremental rate delta* the sharded engine's
-//! conservative horizon maintenance needs). The sequential engine
-//! ([`crate::run_dynamic`]) interleaves the events with protocol ticks;
-//! the sharded engine processes them at its window barriers; the lazy
-//! engine asks a model whether it is per-edge memoryless
-//! ([`TopologyModel::memoryless_edge_rates`]) and, if so, skips event
-//! scheduling entirely. All engines share these implementations, so
-//! they agree event for event — the foundation of the K = 1 replay
-//! invariant.
+//! into a side [`EventQueue`] and come back through *apply*. The
+//! sequential engine ([`crate::run_dynamic`]) interleaves the events
+//! with protocol ticks and feeds every newly informed node back through
+//! [`TopologyModel::note_informed`]; the trace recorder drives the same
+//! events standalone; the lazy engine asks a model whether it is
+//! per-edge memoryless ([`TopologyModel::memoryless_edge_rates`]) and,
+//! if so, skips event scheduling entirely.
 //!
 //! Six models are implemented behind the trait: edge-Markov flips,
 //! periodic rewiring, node churn, random-walk edge dynamics, geometric
@@ -56,51 +52,6 @@ pub enum TopoEvent {
     Replay(u32),
 }
 
-/// Which nodes a topology event's mutation can have re-rated.
-///
-/// The sharded engine keeps per-node cross-rate caches; a `Nodes`
-/// impact lets it adjust only the listed nodes' contributions
-/// (incremental rate delta), while `Global` forces a full rate
-/// recomputation. Over-reporting is safe (unchanged nodes are no-ops);
-/// under-reporting corrupts the horizon.
-#[derive(Debug, Clone, Copy)]
-pub enum RateImpact {
-    /// Only the first `len` entries of `nodes` can have changed rates.
-    Nodes {
-        /// Inline node storage (events touch at most 3 nodes).
-        nodes: [Node; 3],
-        /// Number of valid entries.
-        len: u8,
-    },
-    /// Any node's rate may have changed.
-    Global,
-}
-
-impl RateImpact {
-    /// An impact covering exactly `nodes` (at most 3).
-    pub fn nodes(nodes: &[Node]) -> Self {
-        assert!(nodes.len() <= 3, "local impacts cover at most 3 nodes");
-        let mut buf = [0 as Node; 3];
-        buf[..nodes.len()].copy_from_slice(nodes);
-        RateImpact::Nodes { nodes: buf, len: nodes.len() as u8 }
-    }
-
-    /// The touched nodes, or `None` for a global impact.
-    pub fn touched(&self) -> Option<&[Node]> {
-        match self {
-            RateImpact::Nodes { nodes, len } => Some(&nodes[..*len as usize]),
-            RateImpact::Global => None,
-        }
-    }
-}
-
-/// Read-only answer to *"does `v` currently know the rumor?"*, handed
-/// to [`TopologyModel::apply`] so informed-state-dependent models (the
-/// frontier adversary) work in every engine: the sequential engine
-/// closes over its informed-time vector, the sharded engine over its
-/// shard states.
-pub type InformedView<'a> = &'a dyn Fn(Node) -> bool;
-
 /// A topology-evolution model, as consumed by the dynamic engines.
 ///
 /// Implementations must follow the engines' RNG discipline: draw from
@@ -123,19 +74,18 @@ pub trait TopologyModel {
         rng: &mut Xoshiro256PlusPlus,
     ) -> usize;
 
-    /// Applies one deterministic side-queue event at time `t`,
-    /// schedules its successors, and reports the rate impact of the
-    /// mutation. Only called for events the model scheduled itself.
+    /// Applies one deterministic side-queue event at time `t` and
+    /// schedules its successors. Only called for events the model
+    /// scheduled itself.
     fn apply(
         &mut self,
         event: TopoEvent,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let _ = (t, net, informed, queue, rng);
+    ) {
+        let _ = (t, net, queue, rng);
         unreachable!("model scheduled no side-queue events, got {event:?}")
     }
 
@@ -168,28 +118,19 @@ pub trait TopologyModel {
         ch: usize,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let _ = (ch, t, net, informed, queue, rng);
+    ) {
+        let _ = (ch, t, net, queue, rng);
         unreachable!("model reported no stochastic channels")
     }
 
-    /// Opt-in to incremental informed-set deltas: a model that returns
-    /// `true` receives [`note_informed`](Self::note_informed) for the
-    /// source and every node the protocol informs, instead of
-    /// re-deriving informed state from the [`InformedView`] on each
-    /// event. Only the sequential engine and the trace recorder offer
-    /// the feed (the sharded engine's windows report counts, not
-    /// identities);
-    /// models must stay correct without it.
-    fn enable_informed_tracking(&mut self) -> bool {
-        false
-    }
-
-    /// Delta feed for [`enable_informed_tracking`](Self::enable_informed_tracking):
-    /// `v` just became informed, under the topology currently in `net`.
+    /// Informed-set feed: `v` just became informed, under the topology
+    /// currently in `net`. The sequential engine calls it for the
+    /// source and every node the protocol informs; a standalone trace
+    /// recording calls it for the source alone. Informed-state-dependent
+    /// models (the frontier adversary) maintain their view from it; the
+    /// default ignores it.
     fn note_informed(&mut self, v: Node, net: &MutableGraph) {
         let _ = (v, net);
     }
@@ -315,10 +256,9 @@ impl TopologyModel for EdgeMarkovState {
         ch: usize,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         _queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         let slot = if ch == 0 {
             rng.range_usize(self.n_present)
         } else {
@@ -335,7 +275,6 @@ impl TopologyModel for EdgeMarkovState {
             self.members.swap(slot, self.n_present);
             self.n_present += 1;
         }
-        RateImpact::nodes(&[u, v])
     }
 }
 
@@ -371,17 +310,15 @@ impl TopologyModel for RewireState {
         event: TopoEvent,
         t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         let TopoEvent::Snapshot = event else {
             unreachable!("rewiring schedules only snapshots");
         };
         let snapshot = self.family.draw(net.node_count(), rng);
         net.replace_edges_with(&snapshot);
         queue.push(t + self.period, TopoEvent::Snapshot);
-        RateImpact::Global
     }
 }
 
@@ -439,10 +376,9 @@ impl TopologyModel for NodeChurnState {
         ch: usize,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         _queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         if ch == 0 {
             let slot = rng.range_usize(self.n_active);
             let v = self.members[slot];
@@ -457,8 +393,6 @@ impl TopologyModel for NodeChurnState {
             self.members.swap(slot, self.n_active);
             self.n_active += 1;
         }
-        // A toggle re-rates the node's whole (former) neighborhood.
-        RateImpact::Global
     }
 }
 
@@ -508,10 +442,9 @@ impl TopologyModel for RandomWalkState {
         _ch: usize,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         _queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         // All walkers share one rate, so the arrival thins uniformly.
         // One draw over `2m` outcomes picks the walker AND which
         // endpoint anchors — (i, dir) are independent and uniform. The
@@ -526,10 +459,9 @@ impl TopologyModel for RandomWalkState {
         // or occupied pair rejects the step and the walker stays put
         // (lazy-walk censoring).
         if target == anchor || !net.slide_edge(anchor, mover, target) {
-            return RateImpact::nodes(&[]);
+            return;
         }
         self.edges[i] = (anchor, target);
-        RateImpact::nodes(&[anchor, mover, target])
     }
 }
 
@@ -618,15 +550,12 @@ impl TopologyModel for MobilityState {
         _ch: usize,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         _queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         // Every node moves at the same rate: thin uniformly.
         let v = rng.range_usize(self.n) as Node;
         self.step_node(v, net, rng);
-        // The gained/lost neighbors' degrees changed too.
-        RateImpact::Global
     }
 }
 
@@ -643,10 +572,6 @@ pub(crate) struct AdversaryState {
     healing: Vec<(Node, Node)>,
     /// Healed slab slots available for reuse.
     free: Vec<u32>,
-    /// Edges selected by the current strike (reused across strikes).
-    cut: Vec<(Node, Node)>,
-    /// Whether the engine feeds informed-set deltas.
-    tracking: bool,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
     /// The live frontier, maintained incrementally: every present edge
@@ -662,8 +587,6 @@ impl AdversaryState {
             cfg: m,
             healing: Vec::new(),
             free: Vec::new(),
-            cut: arena::take_pairs(),
-            tracking: false,
             informed: Vec::new(),
             boundary: BTreeSet::new(),
         }
@@ -699,12 +622,6 @@ impl AdversaryState {
     }
 }
 
-impl Drop for AdversaryState {
-    fn drop(&mut self) {
-        arena::give_pairs(std::mem::take(&mut self.cut));
-    }
-}
-
 impl TopologyModel for AdversaryState {
     fn init(
         &mut self,
@@ -723,10 +640,9 @@ impl TopologyModel for AdversaryState {
         event: TopoEvent,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         let TopoEvent::Heal(i) = event else {
             unreachable!("the adversary schedules only heals");
         };
@@ -734,13 +650,12 @@ impl TopologyModel for AdversaryState {
         self.free.push(i);
         if net.is_active(u) && net.is_active(w) {
             net.add_edge(u, w);
-            // Under delta tracking the healed edge rejoins the frontier
-            // if it still has exactly one informed endpoint.
-            if self.tracking && self.is_informed(u) != self.is_informed(w) {
+            // The healed edge rejoins the frontier if it still has
+            // exactly one informed endpoint.
+            if self.is_informed(u) != self.is_informed(w) {
                 self.boundary.insert(if self.is_informed(u) { (u, w) } else { (w, u) });
             }
         }
-        RateImpact::nodes(&[u, w])
     }
 
     fn channel_weight(&self, _ch: usize) -> f64 {
@@ -752,56 +667,21 @@ impl TopologyModel for AdversaryState {
         _ch: usize,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         // The strike law: cut the `budget` lexicographically smallest
-        // `(informed, uninformed)` frontier edges. With delta tracking
-        // those come straight off the incrementally maintained boundary
-        // — O(budget · log F) instead of an O(frontier) informed-set
-        // rescan. Engines that cannot feed
-        // deltas (the sharded coordinator's windows report counts, not
-        // identities) recompute the same set from the view, so both
-        // paths produce the identical event stream.
-        self.cut.clear();
-        if self.tracking {
-            while self.cut.len() < self.cfg.budget {
-                let Some(edge) = self.boundary.pop_first() else {
-                    break;
-                };
-                self.cut.push(edge);
-            }
-        } else {
-            for v in 0..net.node_count() as Node {
-                if !informed(v) {
-                    continue;
-                }
-                for &w in net.neighbors(v) {
-                    if !informed(w) {
-                        self.cut.push((v, w));
-                    }
-                }
-            }
-            self.cut.sort_unstable();
-            self.cut.truncate(self.cfg.budget);
-        }
-        for k in 0..self.cut.len() {
-            let edge = self.cut[k];
+        // `(informed, uninformed)` frontier edges, straight off the
+        // incrementally maintained boundary — O(budget · log F).
+        for _ in 0..self.cfg.budget {
+            let Some(edge) = self.boundary.pop_first() else {
+                break;
+            };
             self.cut_edge(edge, t, net, queue);
         }
-        RateImpact::Global
-    }
-
-    fn enable_informed_tracking(&mut self) -> bool {
-        self.tracking = true;
-        true
     }
 
     fn note_informed(&mut self, v: Node, net: &MutableGraph) {
-        if !self.tracking {
-            return;
-        }
         if self.informed.len() < net.node_count() {
             self.informed.resize(net.node_count(), false);
         }
@@ -856,7 +736,6 @@ mod tests {
             let mut net = MutableGraph::from_graph(&g);
             let mut state =
                 AdversaryState::new(Adversary { rate: 1.0, budget: 3, heal_after: 0.5 });
-            assert!(state.enable_informed_tracking());
             let mut queue = EventQueue::new();
             let channels = state.init(&g, &mut net, &mut queue, &mut rng);
             assert_eq!(channels, 1);
@@ -870,28 +749,10 @@ mod tests {
                         let v = rng.range_usize(net.node_count()) as Node;
                         state.note_informed(v, &net);
                     }
-                    1 => {
-                        let informed = state.informed.clone();
-                        state.fire(
-                            0,
-                            t,
-                            &mut net,
-                            &|v| informed.get(v as usize).copied().unwrap_or(false),
-                            &mut queue,
-                            &mut rng,
-                        );
-                    }
+                    1 => state.fire(0, t, &mut net, &mut queue, &mut rng),
                     _ => {
                         if let Some((ht, ev)) = queue.pop() {
-                            let informed = state.informed.clone();
-                            state.apply(
-                                ev,
-                                ht.max(t),
-                                &mut net,
-                                &|v| informed.get(v as usize).copied().unwrap_or(false),
-                                &mut queue,
-                                &mut rng,
-                            );
+                            state.apply(ev, ht.max(t), &mut net, &mut queue, &mut rng);
                         }
                     }
                 }
@@ -928,14 +789,13 @@ mod tests {
         let e = g.edge_count() as f64;
         assert_eq!(state.channel_weight(0), e * 2.0);
         assert_eq!(state.channel_weight(1), 0.0);
-        let informed = |_: Node| false;
         for _ in 0..50 {
-            state.fire(0, 1.0, &mut net, &informed, &mut queue, &mut rng);
+            state.fire(0, 1.0, &mut net, &mut queue, &mut rng);
         }
         assert_eq!(state.channel_weight(0), (e - 50.0) * 2.0);
         assert_eq!(state.channel_weight(1), 50.0 * 0.5);
         for _ in 0..50 {
-            state.fire(1, 2.0, &mut net, &informed, &mut queue, &mut rng);
+            state.fire(1, 2.0, &mut net, &mut queue, &mut rng);
         }
         assert_eq!(net.to_graph().edge_count(), g.edge_count());
         assert_eq!(state.channel_weight(1), 0.0);

@@ -12,15 +12,14 @@
 //!   [`TraceStep`] diff (time, edges removed/added, nodes
 //!   deactivated/activated). Traces are recorded either standalone
 //!   ([`TopologyTrace::record`]: the model's event stream is driven on
-//!   its own, with the informed view frozen to the source — an
+//!   its own, with the informed set frozen to the source — an
 //!   *oblivious* realization, the only kind a sync run can share) or
 //!   from inside any engine run ([`TraceRecorder`]).
 //! * [`TraceReplayer`] — the trace as a deterministic
 //!   [`TopologyModel`]: replay consumes **no randomness**, so one
 //!   recorded realization can drive arbitrarily many protocol runs —
-//!   sequential ([`crate::dynamic::run_dynamic_with`]), sharded
-//!   ([`crate::engine::run_dynamic_sharded_with`]), the cursor engine
-//!   below — each with its own protocol RNG.
+//!   sequential ([`crate::dynamic::run_dynamic_with`]) or the cursor
+//!   engine below — each with its own protocol RNG.
 //! * [`run_trace_lazy`] — a queue-free cursor engine over a trace: no
 //!   pending topology events at all, steps are applied when the next
 //!   protocol tick passes them. It consumes the RNG in exactly the
@@ -49,7 +48,7 @@ use rumor_sim::rng::Xoshiro256PlusPlus;
 use crate::dynamic::{DynamicModel, DynamicOutcome};
 use crate::engine::scheduler::TopoDriver;
 use crate::engine::source::EventSource;
-use crate::engine::topology::{InformedView, RateImpact, TopoEvent, TopologyModel};
+use crate::engine::topology::{TopoEvent, TopologyModel};
 use crate::engine::TickSource;
 use crate::mode::Mode;
 use crate::outcome::{SyncOutcome, NEVER_ROUND};
@@ -81,31 +80,6 @@ impl TraceStep {
             && self.deactivated.is_empty()
             && self.activated.is_empty()
             && self.added.is_empty()
-    }
-
-    /// The distinct nodes whose incident edges or activation changed.
-    fn touched_nodes(&self) -> Vec<Node> {
-        let mut nodes: Vec<Node> = self
-            .removed
-            .iter()
-            .chain(self.added.iter())
-            .flat_map(|&(u, v)| [u, v])
-            .chain(self.deactivated.iter().copied())
-            .chain(self.activated.iter().copied())
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
-    /// The sharded engine's rate impact of this step.
-    fn impact(&self) -> RateImpact {
-        let touched = self.touched_nodes();
-        if touched.len() <= 3 {
-            RateImpact::nodes(&touched)
-        } else {
-            RateImpact::Global
-        }
     }
 }
 
@@ -176,7 +150,7 @@ pub struct TopologyTrace {
 impl TopologyTrace {
     /// Records the evolution of the model `state` on base graph `g`
     /// over `[0, horizon]`, standalone (no protocol interleaved): the
-    /// model's events are driven on their own, with the informed view
+    /// model's events are driven on their own, with the informed set
     /// frozen to `{source}` — informed-state-dependent models (the
     /// frontier adversary) are recorded **obliviously**, the only
     /// semantics under which a synchronous and an asynchronous run can
@@ -204,23 +178,20 @@ impl TopologyTrace {
         assert!(horizon >= 0.0 && horizon.is_finite(), "horizon must be finite and >= 0");
         let mut net = MutableGraph::from_graph(g);
         let mut driver = TopoDriver::new(g, &mut net, state, rng);
-        if state.enable_informed_tracking() {
-            // Oblivious recording: the informed set is frozen to the
-            // source for the whole realization.
-            state.note_informed(source, &net);
-        }
+        // Oblivious recording: the informed set is frozen to the source
+        // for the whole realization.
+        state.note_informed(source, &net);
         let initial = net.to_graph();
         debug_assert_eq!(net.active_count(), n, "models do not deactivate during init");
         net.track_changes(true);
         let mut steps = Vec::new();
-        let informed = |v: Node| v == source;
         loop {
             let t = driver.next_time(rng);
             if !t.is_finite() || t > horizon {
                 break;
             }
-            let (te, _impact) = driver.step(state, &mut net, &informed, rng);
-            let step = step_from_changes(net.changes(), te);
+            driver.step(state, &mut net, rng);
+            let step = step_from_changes(net.changes(), t);
             net.clear_changes();
             if !step.is_empty() {
                 steps.push(step);
@@ -328,10 +299,9 @@ impl TopologyModel for TraceReplayer<'_> {
         event: TopoEvent,
         _t: f64,
         net: &mut MutableGraph,
-        _informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
+    ) {
         let TopoEvent::Replay(i) = event else {
             unreachable!("a replayer schedules only replay steps");
         };
@@ -342,7 +312,6 @@ impl TopologyModel for TraceReplayer<'_> {
         if let Some(next) = self.trace.steps.get(self.cursor) {
             queue.push(next.time, TopoEvent::Replay(self.cursor as u32));
         }
-        step.impact()
     }
 }
 
@@ -415,13 +384,11 @@ impl TopologyModel for TraceRecorder<'_> {
         event: TopoEvent,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let impact = self.inner.apply(event, t, net, informed, queue, rng);
+    ) {
+        self.inner.apply(event, t, net, queue, rng);
         self.journal(t, net);
-        impact
     }
 
     fn channel_weight(&self, channel: usize) -> f64 {
@@ -433,17 +400,11 @@ impl TopologyModel for TraceRecorder<'_> {
         channel: usize,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let impact = self.inner.fire(channel, t, net, informed, queue, rng);
+    ) {
+        self.inner.fire(channel, t, net, queue, rng);
         self.journal(t, net);
-        impact
-    }
-
-    fn enable_informed_tracking(&mut self) -> bool {
-        self.inner.enable_informed_tracking()
     }
 
     fn note_informed(&mut self, v: Node, net: &MutableGraph) {

@@ -30,10 +30,8 @@
 //!   [`engine::TopologyModel`] layer (edge-Markov churn, periodic
 //!   rewiring, node join/leave, random-walk edge dynamics, geometric
 //!   mobility, adversarial frontier cuts — one interface consumed by
-//!   every engine), a **sharded conservative-lookahead parallel engine**
-//!   ([`engine::sharded`]; one shard replays [`run_dynamic`]
-//!   seed-for-seed, more shards parallelize a single trial), and a
-//!   **lazy per-edge-clock** engine ([`engine::lazy`]) for
+//!   every engine), and a **lazy per-edge-clock** engine
+//!   ([`engine::lazy`]) for
 //!   per-edge-memoryless models, whose topology bookkeeping is
 //!   O(touched edges), for `n ≥ 10⁶`;
 //! * a seeded, optionally parallel **Monte-Carlo runner** ([`runner`]) for
@@ -87,8 +85,8 @@ pub mod trace;
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
 pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel, DynamicOutcome};
 pub use engine::{
-    run_dynamic_sharded, run_dynamic_sharded_with, run_edge_markov_lazy, run_sync_dynamic,
-    run_trace_lazy, LazyOutcome, ShardedOutcome, StateVisitor, TopologyModel, TopologyTrace,
+    run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, LazyOutcome, StateVisitor,
+    TopologyModel, TopologyTrace,
 };
 pub use informed::InformedSet;
 pub use mode::Mode;

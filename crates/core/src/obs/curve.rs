@@ -5,8 +5,8 @@
 //! or asynchronous continuous time. Curves are derived *post hoc* from
 //! the per-node informed times every engine already reports, so capture
 //! costs nothing in the hot loop and is engine-invariant by
-//! construction — the sequential, `Sharded{1}` and lazy engines produce
-//! byte-identical curves for the same seed.
+//! construction — the sequential engine and the trace cursor, which
+//! replays it seed-for-seed, produce byte-identical curves.
 //!
 //! A per-trial [`SpreadingCurve`] is an exact step function (one sample
 //! per informing event, equal-time events collapsed); trials are

@@ -5,11 +5,11 @@
 //! The JSON artifact contains **only engine-invariant payload** —
 //! spreading-time/step/topology histograms and mean spreading curves,
 //! all derived from per-trial outcomes in trial order — so the same
-//! spec and seed produce byte-identical artifacts on the sequential and
-//! `Sharded{1}` engines (pinned in `tests/obs_metrics.rs`).
-//! Engine-health readings (windows, cross events, lazy clock touches,
-//! wall-clock shard utilization, censor ring dumps) are inherently
-//! engine- or machine-shaped and appear only in the summary rendering.
+//! coupled spec and seed produce byte-identical artifacts on the
+//! sequential engine and the trace cursor (pinned in
+//! `tests/obs_metrics.rs`). Engine-health readings (lazy clock touches,
+//! censor ring dumps) are inherently engine-shaped and appear only in
+//! the summary rendering.
 
 use super::curve::CurveSummary;
 use super::histogram::LogHistogram;
@@ -33,16 +33,10 @@ pub struct CensorDump {
 /// deterministic artifact (see the module docs).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineHealth {
-    /// Sharded engine: synchronization windows per trial.
-    pub windows: LogHistogram,
-    /// Sharded engine: cross-shard contacts per trial.
-    pub cross_events: LogHistogram,
     /// Lazy engine: per-edge clocks materialized per trial.
     pub clocks_touched: LogHistogram,
     /// Lazy engine: base edge count (the eager edge table it avoided).
     pub base_edges: u64,
-    /// Wall-clock busy fraction per shard (probed sharded runs only).
-    pub shard_utilization: Vec<f64>,
     /// Ring dumps of the first censored trials (sequential dynamic
     /// runs; bounded).
     pub censor_dumps: Vec<CensorDump>,
@@ -51,12 +45,7 @@ pub struct EngineHealth {
 impl EngineHealth {
     /// `true` when no diagnostic was recorded (static/sequential runs).
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-            && self.cross_events.is_empty()
-            && self.clocks_touched.is_empty()
-            && self.base_edges == 0
-            && self.shard_utilization.is_empty()
-            && self.censor_dumps.is_empty()
+        self.clocks_touched.is_empty() && self.base_edges == 0 && self.censor_dumps.is_empty()
     }
 }
 
@@ -172,24 +161,12 @@ impl RunMetrics {
             out.push(format!("  counters: {}", rendered.join(", ")));
         }
         let h = &self.health;
-        if !h.windows.is_empty() || !h.cross_events.is_empty() {
-            out.push(format!(
-                "  sharded: windows/trial {}, cross/trial {}",
-                histogram_line(&h.windows),
-                histogram_line(&h.cross_events)
-            ));
-        }
         if !h.clocks_touched.is_empty() {
             out.push(format!(
                 "  lazy: clocks/trial {} of {} base edges",
                 histogram_line(&h.clocks_touched),
                 h.base_edges
             ));
-        }
-        if !h.shard_utilization.is_empty() {
-            let util: Vec<String> =
-                h.shard_utilization.iter().map(|u| format!("{:.0}%", 100.0 * u)).collect();
-            out.push(format!("  shard utilization: [{}]", util.join(", ")));
         }
         for dump in &h.censor_dumps {
             let tail: Vec<String> = dump
@@ -296,7 +273,6 @@ mod tests {
         let mut m = sample_metrics();
         m.health.clocks_touched.record_u64(7);
         m.health.base_edges = 40;
-        m.health.shard_utilization = vec![0.93, 0.88];
         m.health.censor_dumps.push(CensorDump {
             trial: 2,
             events: vec![(0.5, ProbeEvent::Tick), (0.6, ProbeEvent::Topology)],
@@ -306,7 +282,6 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("spreading_time: mean 1.500")));
         assert!(lines.iter().any(|l| l.contains("steps: empty")));
         assert!(lines.iter().any(|l| l.contains("lazy: clocks/trial")));
-        assert!(lines.iter().any(|l| l.contains("shard utilization: [93%, 88%]")));
         assert!(lines.iter().any(|l| l.contains("censored trial 2")));
         // Health never leaks into the artifact.
         let doc = Json::parse(&m.render_json()).unwrap();

@@ -4,8 +4,8 @@
 //! The subsystem has two layers:
 //!
 //! * **Probes** ([`Probe`], [`NoProbe`]) — statically dispatched hooks
-//!   at trial start/end, event dispatch, topology changes,
-//!   informed-set growth and shard-window synchronization. Engines are
+//!   at trial start/end, event dispatch, topology changes and
+//!   informed-set growth. Engines are
 //!   generic over the probe type and guard every hook with the
 //!   associated `ENABLED` constant, so the disabled path compiles to
 //!   nothing (benchmarked in `benches/obs.rs`).
@@ -37,7 +37,6 @@ mod metrics;
 mod probe;
 mod ring;
 mod sink;
-mod timer;
 
 pub use curve::{CurveSummary, Phases, SpreadingCurve, SATURATION_FRAC, STARTUP_FRAC};
 pub use histogram::{Bucket, LogHistogram};
@@ -45,7 +44,6 @@ pub use metrics::{CensorDump, EngineHealth, RunMetrics, METRICS_SCHEMA};
 pub use probe::{CountingProbe, NoProbe, Probe, ProbeEvent};
 pub use ring::{EventRing, RingProbe};
 pub use sink::{emit_warning, set_warning_sink, Warning, WarningSink};
-pub use timer::ShardTimers;
 
 /// How much observability a run records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

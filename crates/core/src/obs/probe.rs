@@ -17,8 +17,6 @@ pub enum ProbeEvent {
     Tick,
     /// A topology event (edge flip, rewiring, churn, …).
     Topology,
-    /// A cross-shard contact (sharded engine only).
-    Cross,
 }
 
 impl std::fmt::Display for ProbeEvent {
@@ -26,7 +24,6 @@ impl std::fmt::Display for ProbeEvent {
         f.write_str(match self {
             ProbeEvent::Tick => "tick",
             ProbeEvent::Topology => "topology",
-            ProbeEvent::Cross => "cross",
         })
     }
 }
@@ -65,18 +62,6 @@ pub trait Probe {
         let _ = (time, count);
     }
 
-    /// The sharded engine closed a synchronization window that ran to
-    /// `horizon` and processed `events` local events.
-    fn window(&mut self, horizon: f64, events: u64) {
-        let _ = (horizon, events);
-    }
-
-    /// The sharded engine finished a run with the given per-shard
-    /// wall-clock busy fractions (nondeterministic; display only).
-    fn shard_utilization(&mut self, utilization: &[f64]) {
-        let _ = utilization;
-    }
-
     /// The trial ended at `time`; `completed` is `false` for censored
     /// trials.
     fn trial_end(&mut self, time: f64, completed: bool) {
@@ -97,16 +82,14 @@ impl Probe for NoProbe {
 pub struct CountingProbe {
     /// Trials started.
     pub trials: u64,
-    /// Events dispatched, by kind: `[ticks, topology, cross]`.
-    pub events: [u64; 3],
+    /// Events dispatched, by kind: `[ticks, topology]`.
+    pub events: [u64; 2],
     /// `topology_changed` notifications.
     pub topology_changes: u64,
     /// `informed` notifications (one per newly informed node).
     pub informed: u64,
     /// Last informed count seen (monotonicity-checked in debug builds).
     pub last_count: usize,
-    /// Window notifications.
-    pub windows: u64,
     /// Trials ended, completed ones.
     pub completed: u64,
 }
@@ -121,7 +104,6 @@ impl Probe for CountingProbe {
         self.events[match kind {
             ProbeEvent::Tick => 0,
             ProbeEvent::Topology => 1,
-            ProbeEvent::Cross => 2,
         }] += 1;
     }
 
@@ -137,10 +119,6 @@ impl Probe for CountingProbe {
         );
         self.last_count = count;
         self.informed += 1;
-    }
-
-    fn window(&mut self, _horizon: f64, _events: u64) {
-        self.windows += 1;
     }
 
     fn trial_end(&mut self, _time: f64, completed: bool) {

@@ -4,9 +4,10 @@
 //! experiment: a **protocol** (synchronous rounds or asynchronous
 //! clocks, push/pull/push–pull) on a **topology** (static, one of the
 //! dynamic evolution models, a custom [`TopologyModel`], or a recorded
-//! trace) under an **engine** (sequential merged-stream, sharded PDES,
-//! lazy per-edge clocks) over a **trial plan** (seeded Monte-Carlo
-//! trials, optionally coupled sync/async pairs on shared traces).
+//! trace) under an **engine** (sequential merged-stream, or lazy
+//! per-edge clocks and the trace cursor) over a **trial plan** (seeded
+//! Monte-Carlo trials, optionally coupled sync/async pairs on shared
+//! traces).
 //! [`SimSpec`] names those four axes once; [`SimSpec::build`] validates
 //! the combination (illegal combinations are a typed [`SpecError`], not
 //! a panic deep inside a run) and returns a [`Simulation`] whose
@@ -27,11 +28,11 @@
 //! use rumor_core::Mode;
 //!
 //! // Asynchronous push–pull under symmetric edge-Markov churn on a
-//! // seeded G(n, p), 40 trials on the sharded engine.
+//! // seeded G(n, p), 40 trials on the lazy per-edge-clock engine.
 //! let spec = SimSpec::new(GraphSpec::Gnp { n: 48, p: 0.17, seed: 7, attempts: 200 })
 //!     .protocol(Protocol::push_pull_async())
 //!     .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
-//!     .engine(Engine::Sharded { shards: 2 })
+//!     .engine(Engine::Lazy)
 //!     .trials(40)
 //!     .seed(11);
 //! let report = spec.build().unwrap().run();
@@ -66,7 +67,6 @@ use std::sync::Arc;
 pub mod cache;
 pub mod sweep;
 
-use rumor_graph::partition::Partition;
 use rumor_graph::{generators, io, Graph, Node};
 use rumor_sim::events::RNG_CONTRACT;
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -77,8 +77,7 @@ use crate::dynamic::{
     Mobility, NodeChurn, RandomWalk, Rewire, SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
-    run_dynamic_sharded_with, run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy,
-    ShardedOutcome, TopologyModel, TopologyTrace,
+    run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -276,13 +275,6 @@ pub fn model_label(model: &DynamicModel) -> &'static str {
 pub enum Engine {
     /// The sequential merged-stream engine.
     Sequential,
-    /// The conservative-lookahead sharded PDES engine (one trial spread
-    /// across `shards` worker threads; `shards == 1` replays the
-    /// sequential engine seed-for-seed).
-    Sharded {
-        /// Shard count.
-        shards: usize,
-    },
     /// The lazy per-edge-clock engine (per-edge memoryless models) or
     /// the queue-free trace cursor (trace replay / coupled runs).
     Lazy,
@@ -494,17 +486,6 @@ pub enum SpecError {
     ZeroTrials,
     /// `threads == 0`.
     ZeroThreads,
-    /// `Engine::Sharded { shards: 0 }`.
-    ZeroShards,
-    /// More shards than nodes.
-    ShardsExceedNodes {
-        /// Requested shard count.
-        shards: usize,
-        /// Node count of the resolved graph.
-        nodes: usize,
-    },
-    /// The sharded engine only runs asynchronous (or coupled) trials.
-    ShardedNeedsAsync,
     /// The lazy engine only runs asynchronous (or coupled) trials.
     LazyNeedsAsync,
     /// The lazy engine needs a per-edge memoryless topology.
@@ -604,13 +585,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::ZeroTrials => write!(f, "trials must be positive"),
             SpecError::ZeroThreads => write!(f, "threads must be positive"),
-            SpecError::ZeroShards => write!(f, "shards must be positive"),
-            SpecError::ShardsExceedNodes { shards, nodes } => {
-                write!(f, "shards {shards} exceeds the node count {nodes}")
-            }
-            SpecError::ShardedNeedsAsync => {
-                write!(f, "the sharded engine requires an asynchronous protocol or a coupled plan")
-            }
             SpecError::LazyNeedsAsync => {
                 write!(f, "the lazy engine requires an asynchronous protocol or a coupled plan")
             }
@@ -902,33 +876,19 @@ impl SimSpec {
                 )));
             }
         }
-        match self.engine {
-            Engine::Sharded { shards } => {
-                if shards == 0 {
-                    return Err(SpecError::ZeroShards);
-                }
-                if shards > nodes {
-                    return Err(SpecError::ShardsExceedNodes { shards, nodes });
-                }
-                if self.protocol.is_sync() && !plan.coupled {
-                    return Err(SpecError::ShardedNeedsAsync);
-                }
+        if self.engine == Engine::Lazy {
+            if self.protocol.is_sync() && !plan.coupled {
+                return Err(SpecError::LazyNeedsAsync);
             }
-            Engine::Lazy => {
-                if self.protocol.is_sync() && !plan.coupled {
-                    return Err(SpecError::LazyNeedsAsync);
-                }
-                // A coupled plan replays the recorded trace through the
-                // queue-free cursor, which handles every model; an
-                // uncoupled lazy run resolves per-edge chains on touch
-                // and needs memorylessness. An uncoupled Trace topology
-                // is likewise deterministic and always replayable.
-                let trace_like = matches!(self.topology, Topology::Trace(_));
-                if !plan.coupled && !trace_like && self.topology.memoryless_edge_rates().is_none() {
-                    return Err(SpecError::LazyNeedsMemoryless { model: self.topology.label() });
-                }
+            // A coupled plan replays the recorded trace through the
+            // queue-free cursor, which handles every model; an uncoupled
+            // lazy run resolves per-edge chains on touch and needs
+            // memorylessness. An uncoupled Trace topology is likewise
+            // deterministic and always replayable.
+            let trace_like = matches!(self.topology, Topology::Trace(_));
+            if !plan.coupled && !trace_like && self.topology.memoryless_edge_rates().is_none() {
+                return Err(SpecError::LazyNeedsMemoryless { model: self.topology.label() });
             }
-            Engine::Sequential => {}
         }
         if self.protocol.is_sync() && !plan.coupled {
             match &self.topology {
@@ -949,7 +909,7 @@ impl SimSpec {
             if dynamic_like && view != AsyncView::GlobalClock {
                 return Err(SpecError::ViewUnsupported {
                     view,
-                    why: "dynamic topologies and the sharded/lazy engines are written in the \
+                    why: "dynamic topologies and the lazy engine are written in the \
                           global-clock view",
                 });
             }
@@ -966,7 +926,7 @@ impl SimSpec {
             } else if !self.topology.is_static() {
                 Some("dynamic topologies")
             } else if self.engine != Engine::Sequential {
-                Some("the sharded/lazy engines")
+                Some("the lazy engine")
             } else {
                 None
             };
@@ -1086,10 +1046,6 @@ pub struct Telemetry {
     pub steps: u64,
     /// Topology events processed, summed over trials.
     pub topology_events: u64,
-    /// Sharded engine: synchronization windows, summed over trials.
-    pub windows: u64,
-    /// Sharded engine: cross-shard contacts, summed over trials.
-    pub cross_events: u64,
     /// Lazy engine: per-edge clocks materialized, summed over trials.
     pub clocks_touched: u64,
     /// Lazy engine: base edges (the eager engine's queue size).
@@ -1106,8 +1062,6 @@ impl Telemetry {
     pub fn merge(&mut self, other: &Telemetry) {
         self.steps += other.steps;
         self.topology_events += other.topology_events;
-        self.windows += other.windows;
-        self.cross_events += other.cross_events;
         self.clocks_touched += other.clocks_touched;
         self.base_edges = self.base_edges.max(other.base_edges);
         self.trace_steps += other.trace_steps;
@@ -1291,15 +1245,13 @@ impl Simulation {
                 rec
             }
         };
-        let dynamic_rec = |out: &ShardedOutcome| {
-            let mut rec = TrialRecord::new(dynamic_trial(&out.outcome));
-            rec.telemetry.windows = out.windows;
-            rec.telemetry.cross_events = out.cross_events;
+        let dynamic_rec = |out: &DynamicOutcome| {
+            let rec = TrialRecord::new(dynamic_trial(out));
             if capture {
-                rec =
-                    rec.with_curve(SpreadingCurve::from_informed_times(&out.outcome.informed_time));
+                rec.with_curve(SpreadingCurve::from_informed_times(&out.informed_time))
+            } else {
+                rec
             }
-            rec
         };
         let records: Vec<TrialRecord> = match (self.spec.engine, &self.spec.topology) {
             (Engine::Sequential, Topology::Static) => {
@@ -1314,19 +1266,17 @@ impl Simulation {
                     })
                 }
             }
-            (Engine::Sequential | Engine::Sharded { .. }, _)
-            | (Engine::Lazy, Topology::Trace(_)) => {
+            (Engine::Sequential, _) | (Engine::Lazy, Topology::Trace(_)) => {
                 self.fan_out(|_, rng| {
                     if !capture {
                         return dynamic_rec(&self.dynamic_run(mode, rng, &mut NoProbe));
                     }
-                    let mut probe = CaptureProbe::new();
-                    let out = self.dynamic_run(mode, rng, &mut probe);
+                    let mut ring = RingProbe::new(RING_CAP);
+                    let out = self.dynamic_run(mode, rng, &mut ring);
                     let mut rec = dynamic_rec(&out);
-                    rec.utilization = probe.utilization;
                     // Censored sequential trials dump their event tail.
-                    if self.spec.engine == Engine::Sequential && !out.outcome.completed {
-                        rec.dump = Some(probe.ring.into_events());
+                    if self.spec.engine == Engine::Sequential && !out.completed {
+                        rec.dump = Some(ring.into_events());
                     }
                     rec
                 })
@@ -1363,83 +1313,46 @@ impl Simulation {
 
     /// Runs one asynchronous trial on the spec's evolving topology
     /// through the plan's engine, observed by `probe`. Sequential runs
-    /// over a built-in model visit its concrete state type; the sharded
-    /// engine runs every model behind the [`TopologyModel`] interface.
+    /// over a built-in model visit its concrete state type.
     fn dynamic_run<P: Probe>(
         &self,
         mode: Mode,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
-    ) -> ShardedOutcome {
+    ) -> DynamicOutcome {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
-        let outcome = match (self.spec.engine, &self.spec.topology) {
-            (_, Topology::Trace(trace)) => return self.trace_run(trace, mode, rng, probe),
-            (Engine::Sharded { shards }, topology) => {
-                let mut state = match topology {
-                    Topology::Model(model) => model.build_state(),
-                    Topology::Custom(factory) => factory.build(g),
-                    // Static; traces returned above.
-                    _ => DynamicModel::Static.build_state(),
-                };
-                return self.sharded_run(state.as_mut(), shards, mode, rng, probe);
-            }
-            (_, Topology::Model(model)) => {
+        match &self.spec.topology {
+            Topology::Trace(trace) => self.trace_run(trace, mode, rng, probe),
+            Topology::Model(model) => {
                 model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe })
             }
-            (_, Topology::Custom(factory)) => {
+            Topology::Custom(factory) => {
                 let mut state = factory.build(g);
                 run_dynamic_with(g, source, mode, state.as_mut(), rng, max_steps, probe)
             }
-            (_, Topology::Static) => unreachable!("static sequential runs use the static engine"),
-        };
-        ShardedOutcome { outcome, shards: 1, windows: 0, cross_events: 0 }
+            Topology::Static => unreachable!("static sequential runs use the static engine"),
+        }
     }
 
     /// Runs one asynchronous trial over a recorded trace through the
-    /// plan's engine: the sequential or sharded engine over the trace's
-    /// replayer, or the queue-free trace cursor on a lazy plan.
+    /// plan's engine: the sequential engine over the trace's replayer,
+    /// or the queue-free trace cursor on a lazy plan.
     fn trace_run<P: Probe>(
         &self,
         trace: &TopologyTrace,
         mode: Mode,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
-    ) -> ShardedOutcome {
+    ) -> DynamicOutcome {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
-        let outcome = match self.spec.engine {
+        match self.spec.engine {
             Engine::Sequential => {
                 run_dynamic_with(g, source, mode, &mut trace.replayer(), rng, max_steps, probe)
             }
-            Engine::Sharded { shards } => {
-                return self.sharded_run(&mut trace.replayer(), shards, mode, rng, probe)
-            }
             Engine::Lazy => run_trace_lazy(trace, source, mode, rng, max_steps),
-        };
-        ShardedOutcome { outcome, shards: 1, windows: 0, cross_events: 0 }
-    }
-
-    /// Runs one sharded trial over `state`, `shards` contiguous shards.
-    fn sharded_run<P: Probe>(
-        &self,
-        state: &mut dyn TopologyModel,
-        shards: usize,
-        mode: Mode,
-        rng: &mut Xoshiro256PlusPlus,
-        probe: &mut P,
-    ) -> ShardedOutcome {
-        let g = &self.graph;
-        run_dynamic_sharded_with(
-            g,
-            self.spec.source,
-            mode,
-            state,
-            &Partition::contiguous(g.node_count(), shards),
-            rng,
-            self.max_steps,
-            probe,
-        )
+        }
     }
 
     fn run_coupled(&self) -> RunReport {
@@ -1555,7 +1468,7 @@ impl Simulation {
         // The asynchronous half replays the trace through the plan's
         // engine.
         let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
-        let asy = self.trace_run(trace, mode, &mut proto_rng, &mut NoProbe).outcome;
+        let asy = self.trace_run(trace, mode, &mut proto_rng, &mut NoProbe);
         let curves = if self.spec.metrics.is_enabled() {
             let n = g.node_count();
             vec![(
@@ -1629,13 +1542,12 @@ fn dynamic_trial(out: &DynamicOutcome) -> TrialOutcome {
 
 /// Everything one trial contributes to report assembly: the outcome,
 /// the trial's own telemetry slice, and — on metrics-enabled runs — its
-/// spreading curve, censor ring dump, and shard utilization readings.
+/// spreading curve and censor ring dump.
 struct TrialRecord {
     outcome: TrialOutcome,
     telemetry: Telemetry,
     curve: Option<SpreadingCurve>,
     dump: Option<Vec<(f64, ProbeEvent)>>,
-    utilization: Vec<f64>,
 }
 
 impl TrialRecord {
@@ -1647,7 +1559,7 @@ impl TrialRecord {
             topology_events: outcome.topology_events,
             ..Telemetry::default()
         };
-        Self { outcome, telemetry, curve: None, dump: None, utilization: Vec::new() }
+        Self { outcome, telemetry, curve: None, dump: None }
     }
 
     /// Attaches a (downsampled) spreading curve.
@@ -1695,32 +1607,12 @@ fn trial_metrics(unit: Unit, records: &[TrialRecord]) -> RunMetrics {
     }
 
     // Engine health: per-engine diagnostics, summary display only.
-    if records.iter().any(|r| r.telemetry.windows > 0 || r.telemetry.cross_events > 0) {
-        for r in records {
-            m.health.windows.record_u64(r.telemetry.windows);
-            m.health.cross_events.record_u64(r.telemetry.cross_events);
-        }
-    }
     if records.iter().any(|r| r.telemetry.clocks_touched > 0) {
         for r in records {
             m.health.clocks_touched.record_u64(r.telemetry.clocks_touched);
         }
     }
     m.health.base_edges = records.iter().map(|r| r.telemetry.base_edges).max().unwrap_or(0);
-    let measured: Vec<&[f64]> =
-        records.iter().map(|r| r.utilization.as_slice()).filter(|u| !u.is_empty()).collect();
-    if let Some(first) = measured.first() {
-        let mut mean = vec![0.0; first.len()];
-        for u in &measured {
-            for (acc, v) in mean.iter_mut().zip(u.iter()) {
-                *acc += v;
-            }
-        }
-        for v in &mut mean {
-            *v /= measured.len() as f64;
-        }
-        m.health.shard_utilization = mean;
-    }
     for (idx, r) in records.iter().enumerate() {
         if m.health.censor_dumps.len() >= MAX_CENSOR_DUMPS {
             break;
@@ -1730,34 +1622,6 @@ fn trial_metrics(unit: Unit, records: &[TrialRecord]) -> RunMetrics {
         }
     }
     m
-}
-
-/// The probe of a metrics-enabled dynamic trial: the tail of the event
-/// stream (dumped when a sequential trial is censored) and the sharded
-/// engine's per-shard utilization readings.
-struct CaptureProbe {
-    ring: RingProbe,
-    utilization: Vec<f64>,
-}
-
-impl CaptureProbe {
-    fn new() -> Self {
-        Self { ring: RingProbe::new(RING_CAP), utilization: Vec::new() }
-    }
-}
-
-impl Probe for CaptureProbe {
-    fn event(&mut self, time: f64, kind: ProbeEvent) {
-        self.ring.event(time, kind);
-    }
-
-    fn informed(&mut self, time: f64, count: usize) {
-        self.ring.informed(time, count);
-    }
-
-    fn shard_utilization(&mut self, utilization: &[f64]) {
-        self.utilization = utilization.to_vec();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2217,7 +2081,6 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
 fn engine_to_text(engine: &Engine) -> String {
     match engine {
         Engine::Sequential => "sequential".to_owned(),
-        Engine::Sharded { shards } => format!("sharded shards={shards}"),
         Engine::Lazy => "lazy".to_owned(),
     }
 }
@@ -2226,7 +2089,6 @@ fn engine_from_text(value: &str, line: usize) -> Result<Engine, SpecError> {
     let f = Fields::split(value, line)?;
     match f.kind {
         "sequential" => Ok(Engine::Sequential),
-        "sharded" => Ok(Engine::Sharded { shards: f.get("shards")? }),
         "lazy" => Ok(Engine::Lazy),
         other => Err(SpecError::Parse { line, message: format!("unknown engine `{other}`") }),
     }
@@ -2281,30 +2143,26 @@ mod tests {
     #[test]
     fn custom_factories_replay_their_enum_twin() {
         // DynamicModel is itself a factory: Custom(markov) must replay
-        // Model(markov) seed-for-seed through every engine.
+        // Model(markov) seed-for-seed.
         let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        for engine in [Engine::Sequential, Engine::Sharded { shards: 2 }] {
-            let via_enum = SimSpec::on_graph(&g)
-                .protocol(Protocol::push_pull_async())
-                .topology(Topology::Model(model))
-                .engine(engine)
-                .trials(6)
-                .seed(9)
-                .build()
-                .unwrap()
-                .run();
-            let via_factory = SimSpec::on_graph(&g)
-                .protocol(Protocol::push_pull_async())
-                .topology(Topology::custom(model))
-                .engine(engine)
-                .trials(6)
-                .seed(9)
-                .build()
-                .unwrap()
-                .run();
-            assert_eq!(via_enum.outcomes, via_factory.outcomes, "{engine:?}");
-        }
+        let via_enum = SimSpec::on_graph(&g)
+            .protocol(Protocol::push_pull_async())
+            .topology(Topology::Model(model))
+            .trials(6)
+            .seed(9)
+            .build()
+            .unwrap()
+            .run();
+        let via_factory = SimSpec::on_graph(&g)
+            .protocol(Protocol::push_pull_async())
+            .topology(Topology::custom(model))
+            .trials(6)
+            .seed(9)
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(via_enum.outcomes, via_factory.outcomes);
     }
 
     #[test]
@@ -2347,11 +2205,9 @@ mod tests {
         assert!(coupled.iter().all(|o| o.trace_steps > 0));
         assert!(report.telemetry.trace_steps > 0);
         // Engine choice does not change a coupled report: the trace is
-        // deterministic and all engines replay it.
-        for engine in [Engine::Sharded { shards: 1 }, Engine::Lazy] {
-            let other = spec.clone().engine(engine).build().unwrap().run();
-            assert_eq!(other.coupled, report.coupled, "{engine:?}");
-        }
+        // deterministic and the trace cursor replays it seed-for-seed.
+        let lazy = spec.clone().engine(Engine::Lazy).build().unwrap().run();
+        assert_eq!(lazy.coupled, report.coupled);
     }
 
     #[test]
@@ -2387,7 +2243,7 @@ mod tests {
                 off_rate: 0.25,
                 on_rate: 0.1,
             })))
-            .engine(Engine::Sharded { shards: 4 })
+            .engine(Engine::Lazy)
             .trials(60)
             .seed(0xC0FFEE)
             .threads(2)
@@ -2455,8 +2311,6 @@ mod tests {
         let mut a = Telemetry {
             steps: 10,
             topology_events: 2,
-            windows: 3,
-            cross_events: 1,
             clocks_touched: 5,
             base_edges: 40,
             trace_steps: 7,
@@ -2464,8 +2318,6 @@ mod tests {
         let b = Telemetry {
             steps: 1,
             topology_events: 1,
-            windows: 1,
-            cross_events: 1,
             clocks_touched: 1,
             base_edges: 8,
             trace_steps: 1,
@@ -2473,8 +2325,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.steps, 11);
         assert_eq!(a.topology_events, 3);
-        assert_eq!(a.windows, 4);
-        assert_eq!(a.cross_events, 2);
         assert_eq!(a.clocks_touched, 6);
         // base_edges is a per-run property, not a counter.
         assert_eq!(a.base_edges, 40);
@@ -2500,24 +2350,6 @@ mod tests {
         assert_eq!(curve.trials, 6);
         // The mean curve saturates at the full graph.
         assert_eq!(curve.points.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn sharded_metrics_record_utilization_and_windows() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(21), 100);
-        let report = SimSpec::on_graph(&g)
-            .protocol(Protocol::push_pull_async())
-            .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
-            .engine(Engine::Sharded { shards: 2 })
-            .trials(4)
-            .metrics(MetricsLevel::Json)
-            .build()
-            .unwrap()
-            .run();
-        let m = report.metrics.as_ref().unwrap();
-        assert_eq!(m.health.shard_utilization.len(), 2);
-        assert!(m.health.shard_utilization.iter().all(|&u| (0.0..=1.0).contains(&u)));
-        assert!(m.health.windows.count() > 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! where `<key>` is either a whole spec line (`trials`, `seed`,
 //! `graph`, `topology`, …) — the value replaces that line's value — or
 //! a dotted field of one of the structured lines (`graph.n`,
-//! `graph.p`, `topology.on`, `engine.shards`, `protocol.mode`) — the
+//! `graph.p`, `topology.on`, `topology.off`, `protocol.mode`) — the
 //! value replaces that `field=` token. Values are comma-separated and
 //! may contain spaces (`sweep.topology = [static, markov off=0.25
 //! on=0.1]`), but not commas, brackets, or newlines.
@@ -67,7 +67,7 @@ const FIELD_LINE_KEYS: &[&str] = &["graph", "protocol", "topology", "engine"];
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
     /// The swept key: a whole spec line (`trials`, `graph`, …) or a
-    /// dotted field of one (`graph.n`, `topology.on`, `engine.shards`).
+    /// dotted field of one (`graph.n`, `topology.on`, `protocol.mode`).
     pub key: String,
     /// The values the axis takes.
     pub values: Vec<String>,

@@ -4,10 +4,16 @@
 //! [`frame`](crate::frame) holding a JSON object, each response one
 //! frame with the matching `id` echoed back.
 //!
-//! | request                  | response                               |
-//! |--------------------------|----------------------------------------|
-//! | `{id, spec: "<text>"}`   | `{id, report: {...}}` or `{id, error}` |
-//! | `{id, stats: true}`      | `{id, counters: {...}}`                |
+//! | request                     | response                               |
+//! |-----------------------------|----------------------------------------|
+//! | `{id, spec: "<text>"}`      | `{id, report: {...}}` or `{id, error}` |
+//! | `{id, stats: true}`         | `{id, counters: {...}}`                |
+//! | any other JSON object       | `{id, error}`                          |
+//! | not UTF-8, or not JSON      | `{id: null, error}`                    |
+//!
+//! A spec that fails to parse or validate is answered `{id, error}`
+//! with the request's `id`; only a frame whose `id` cannot be read at
+//! all gets `id: null`.
 //!
 //! The two modes differ only in configuration: a worker runs each spec
 //! uncached (so its reports carry no cache counters and stay
@@ -53,7 +59,7 @@ pub enum ServiceExit {
 /// Serves frame requests from `input` until end-of-stream.
 ///
 /// Every request gets exactly one response frame (malformed requests
-/// get an `{id: null, error}` response rather than killing the loop),
+/// get an in-band `{id, error}` response rather than killing the loop),
 /// flushed before the next read.
 ///
 /// # Errors
@@ -78,8 +84,11 @@ pub fn run_frames(
 }
 
 fn respond(payload: &[u8], config: &ServiceConfig) -> Json {
-    let (id, result) = match parse_request(payload) {
-        Ok((id, request)) => (id, handle(request, config)),
+    let (id, result) = match parse_frame(payload) {
+        Ok(doc) => {
+            let id = doc.get("id").cloned().unwrap_or(Json::Null);
+            (id, parse_request(&doc).and_then(|request| handle(request, config)))
+        }
         Err(e) => (Json::Null, Err(e)),
     };
     let body = match result {
@@ -94,16 +103,18 @@ enum Request {
     Stats,
 }
 
-fn parse_request(payload: &[u8]) -> Result<(Json, Request), String> {
+fn parse_frame(payload: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "request is not UTF-8".to_owned())?;
-    let doc = Json::parse(text).map_err(|e| format!("bad request JSON: {e}"))?;
-    let id = doc.get("id").cloned().unwrap_or(Json::Null);
+    Json::parse(text).map_err(|e| format!("bad request JSON: {e}"))
+}
+
+fn parse_request(doc: &Json) -> Result<Request, String> {
     if let Some(spec_text) = doc.get("spec").and_then(Json::as_str) {
         let spec = SimSpec::parse(spec_text).map_err(|e| format!("bad spec: {e}"))?;
-        return Ok((id, Request::Run(Box::new(spec))));
+        return Ok(Request::Run(Box::new(spec)));
     }
     if matches!(doc.get("stats"), Some(Json::Bool(true))) {
-        return Ok((id, Request::Stats));
+        return Ok(Request::Stats);
     }
     Err("request has neither `spec` nor `stats: true`".to_owned())
 }
@@ -269,6 +280,57 @@ mod tests {
         let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
         assert!(error.contains("markov rates"), "{error}");
         assert!(docs[2].get("counters").is_some());
+    }
+
+    #[test]
+    fn a_sharded_engine_spec_is_answered_in_band() {
+        // The sharded engine is gone: its spec line is an unknown
+        // engine, answered in-band, never run on another engine.
+        let stats = |id: f64| {
+            Json::Obj(vec![
+                ("id".to_owned(), Json::Num(id)),
+                ("stats".to_owned(), Json::Bool(true)),
+            ])
+        };
+        let sharded = quick_spec()
+            .to_spec_string()
+            .unwrap()
+            .replace("engine = sequential", "engine = sharded shards=2");
+        let bad = Json::Obj(vec![
+            ("id".to_owned(), Json::Num(2.0)),
+            ("spec".to_owned(), Json::Str(sharded)),
+        ]);
+        let mut input = Vec::new();
+        for frame in [&stats(1.0), &bad, &stats(3.0)] {
+            write_frame(&mut input, frame.render().as_bytes()).unwrap();
+        }
+        let mut output = Vec::new();
+        let exit =
+            run_frames(&mut input.as_slice(), &mut output, &ServiceConfig::default()).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(3));
+        let docs = responses(&output);
+        assert_eq!(docs.len(), 3);
+        assert_eq!(docs[1].get("id").unwrap(), &Json::Num(2.0));
+        assert!(docs[1].get("report").is_none());
+        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("unknown engine `sharded`"), "{error}");
+        assert!(docs[2].get("counters").is_some());
+    }
+
+    #[test]
+    fn an_unparseable_spec_echoes_the_request_id() {
+        let mut input = Vec::new();
+        write_frame(&mut input, br#"{"id": 7, "spec": "garbage"}"#).unwrap();
+        write_frame(&mut input, b"not json").unwrap();
+        let mut output = Vec::new();
+        run_frames(&mut input.as_slice(), &mut output, &ServiceConfig::default()).unwrap();
+        let docs = responses(&output);
+        assert_eq!(docs[0].get("id").unwrap(), &Json::Num(7.0));
+        let error = docs[0].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.starts_with("bad spec:"), "{error}");
+        // Only a frame whose id cannot be read is answered with a null id.
+        assert_eq!(docs[1].get("id").unwrap(), &Json::Null);
+        assert!(docs[1].get("error").is_some());
     }
 
     #[test]

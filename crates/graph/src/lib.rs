@@ -4,10 +4,9 @@
 //! [`GraphBuilder`], generators for every graph family used by the
 //! PODC 2016 paper (see [`generators`]), structural properties
 //! ([`props`]), plain-text edge-list I/O ([`io`]), a mutable
-//! adjacency adapter for temporal-graph simulation ([`dynamic`]), shard
-//! partitions for parallel simulation engines ([`partition`]), a grid
-//! spatial index for geometric mobility models ([`geometry`]), and a
-//! thread-local scratch pool that recycles per-trial buffers
+//! adjacency adapter for temporal-graph simulation ([`dynamic`]), a
+//! grid spatial index for geometric mobility models ([`geometry`]), and
+//! a thread-local scratch pool that recycles per-trial buffers
 //! ([`arena`]).
 //!
 //! The paper's protocols only ever ask two things of a graph: *“what is
@@ -43,10 +42,8 @@ pub mod generators;
 pub mod geometry;
 pub mod io;
 pub mod ops;
-pub mod partition;
 pub mod props;
 
 pub use builder::GraphBuilder;
 pub use csr::{Graph, Node};
 pub use error::GraphError;
-pub use partition::{Partition, ShardId};

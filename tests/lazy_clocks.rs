@@ -1,7 +1,7 @@
 //! Property tests of the lazy per-edge-clock machinery: a lazy clock
 //! resolves, on demand, exactly the flip sequence an eager per-edge
-//! event queue draws from the same stream (the satellite invariant of
-//! the sharding PR), and the lazy edge-Markov engine agrees with the
+//! event queue draws from the same stream (the invariant the lazy
+//! engine rests on), and the lazy edge-Markov engine agrees with the
 //! eager queue engine in distribution.
 
 use proptest::prelude::*;

@@ -2,15 +2,14 @@
 //! the enum path (`DynamicModel::with_state`, which compiles the engine
 //! per concrete model state) replays the general entry point fed the
 //! boxed `model.build_state()` seed-for-seed, for every model, with and
-//! without a probe — and a one-shard sharded run replays both.
+//! without a probe.
 
 use rumor_spreading::core::dynamic::{
     run_dynamic, run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility,
     NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
-use rumor_spreading::core::engine::{run_dynamic_sharded, run_dynamic_sharded_with};
 use rumor_spreading::core::{CountingProbe, Mode, NoProbe, Probe, StateVisitor, TopologyModel};
-use rumor_spreading::graph::{generators, Graph, Node, Partition};
+use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 const SEED: u64 = 17;
@@ -101,26 +100,5 @@ fn enum_and_boxed_routes_replay_each_other() {
         assert_eq!(boxed_counted_word, plain_word, "{what}: probed RNG word");
         assert_eq!(enum_probe, boxed_probe, "{what}: probe tallies");
         assert_eq!(enum_probe.events[0], plain.steps, "{what}: ticks seen");
-
-        // One shard replays the sequential engine.
-        let mut rng = Xoshiro256PlusPlus::seed_from(SEED);
-        let k1 = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 1, &mut rng, MAX_STEPS);
-        assert_identical(&k1.outcome, &plain, &format!("{what}, K = 1"));
-        assert_eq!(rng.next_u64(), plain_word, "{what}, K = 1: final RNG word");
-
-        let mut rng = Xoshiro256PlusPlus::seed_from(SEED);
-        let mut state = model.build_state();
-        let k1_probed = run_dynamic_sharded_with(
-            &g,
-            0,
-            Mode::PushPull,
-            state.as_mut(),
-            &Partition::contiguous(g.node_count(), 1),
-            &mut rng,
-            MAX_STEPS,
-            &mut CountingProbe::default(),
-        );
-        assert_identical(&k1_probed.outcome, &plain, &format!("{what}, K = 1 probed"));
-        assert_eq!(rng.next_u64(), plain_word, "{what}, K = 1 probed: final RNG word");
     }
 }

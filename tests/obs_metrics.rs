@@ -11,10 +11,10 @@ use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_spreading::core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
-    run_async, run_async_probed, run_dynamic, run_dynamic_sharded_with, run_dynamic_with,
-    AsyncView, CountingProbe, LogHistogram, MetricsLevel, Mode,
+    run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
+    LogHistogram, MetricsLevel, Mode,
 };
-use rumor_spreading::graph::{generators, Partition};
+use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 // ---------------------------------------------------------------------------
@@ -32,20 +32,17 @@ fn markov_spec(engine: Engine) -> SimSpec {
 }
 
 /// The tentpole determinism contract: the artifact contains only
-/// engine-invariant payload, so the sequential engine and the sharded
-/// engine with one shard (a seed-for-seed replay) render **byte
+/// engine-invariant payload, so on a coupled spec the sequential engine
+/// and the trace cursor (a seed-for-seed replay of it) render **byte
 /// identical** `.metrics.json` documents.
 #[test]
-fn metrics_artifact_is_byte_identical_sequential_vs_one_shard() {
-    let seq = markov_spec(Engine::Sequential).build().unwrap().run();
-    let sharded = markov_spec(Engine::Sharded { shards: 1 }).build().unwrap().run();
+fn metrics_artifact_is_byte_identical_sequential_vs_trace_cursor() {
+    let seq = markov_spec(Engine::Sequential).coupled(true).build().unwrap().run();
+    let cursor = markov_spec(Engine::Lazy).coupled(true).build().unwrap().run();
     let a = seq.metrics.as_ref().expect("metrics enabled").render_json();
-    let b = sharded.metrics.as_ref().expect("metrics enabled").render_json();
+    let b = cursor.metrics.as_ref().expect("metrics enabled").render_json();
+    assert!(a.contains("\"async_informed\""), "{a}");
     assert_eq!(a, b, "artifact must not depend on the engine");
-    // The engine-shaped diagnostics DO differ — that is exactly why
-    // they are excluded from the artifact.
-    assert!(seq.metrics.as_ref().unwrap().health.windows.is_empty());
-    assert!(!sharded.metrics.as_ref().unwrap().health.windows.is_empty());
 }
 
 /// Rendering is a pure function of the run: same spec, same bytes.
@@ -86,7 +83,7 @@ fn committed_quick_run_metrics_artifact_replays_byte_for_byte() {
 /// single trial outcome, on any engine.
 #[test]
 fn metrics_capture_does_not_perturb_outcomes() {
-    for engine in [Engine::Sequential, Engine::Sharded { shards: 3 }, Engine::Lazy] {
+    for engine in [Engine::Sequential, Engine::Lazy] {
         let off = markov_spec(engine).metrics(MetricsLevel::Off).build().unwrap().run();
         let on = markov_spec(engine).build().unwrap().run();
         assert_eq!(off.outcomes, on.outcomes, "{engine:?}");
@@ -250,23 +247,4 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
         assert_eq!(probed, plain, "{view:?}");
         assert_eq!(probe.last_count, n, "{view:?}");
     }
-
-    // Sharded engine: informed notifications only fire at cross-shard
-    // contacts, but the counts it does report must still be monotone
-    // (debug-asserted) and end at n.
-    let mut probe = CountingProbe::default();
-    let out = run_dynamic_sharded_with(
-        &g,
-        0,
-        Mode::PushPull,
-        model.build_state().as_mut(),
-        &Partition::contiguous(g.node_count(), 3),
-        &mut Xoshiro256PlusPlus::seed_from(23),
-        1_000_000,
-        &mut probe,
-    );
-    assert!(out.outcome.completed);
-    assert!(probe.windows > 0, "window sync hook fires");
-    assert!(probe.last_count <= n);
-    assert_eq!(probe.completed, 1);
 }

@@ -1,23 +1,14 @@
 //! Golden seed-for-seed replay pins for the dynamic engines.
-//!
-//! Every run below must replay exactly — spreading time (compared as
-//! raw bits), step and topology-event counts, window/cross telemetry,
-//! and the final RNG state — for the sequential engine and the sharded
-//! engine at K = 1 and K = 3. Any drift here means a change to RNG draw
-//! order or rate arithmetic, i.e. a broken replay contract.
 
 use rumor_spreading::core::dynamic::{
     run_dynamic, DynamicModel, EdgeMarkov, NodeChurn, Rewire, SnapshotFamily,
 };
-use rumor_spreading::core::engine::run_dynamic_sharded;
 use rumor_spreading::core::Mode;
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 /// `(time.to_bits(), steps, topology_events, final_rng_word)`.
 type SeqGolden = (u64, u64, u64, u64);
-/// `(time.to_bits(), steps, topology_events, windows, cross_events, final_rng_word)`.
-type ShardGolden = (u64, u64, u64, u64, u64, u64);
 
 fn models() -> Vec<(&'static str, DynamicModel)> {
     vec![
@@ -66,31 +57,6 @@ const SEQ_V2: [[SeqGolden; 2]; 4] = [
     ],
 ];
 
-/// Per model, per seed: the K = 3 sharded pin of the `v2` stream
-/// (K = 1 is checked against the sequential run directly).
-const SHARD3_V2: [[ShardGolden; 2]; 4] = [
-    // markov-sym
-    [
-        (0x4012c48ae38463fe, 233, 835, 995, 159, 0xbf46a61e2a3d9f8e),
-        (0x401628a7a5f17f12, 239, 989, 1152, 163, 0x7daefd63a3311f84),
-    ],
-    // markov-asym
-    [
-        (0x40174e7cf3adf8eb, 255, 1130, 1291, 161, 0x30fd7e79d8edd694),
-        (0x401b9485f95d0781, 337, 1293, 1530, 236, 0xc905e7ea8b874572),
-    ],
-    // rewire
-    [
-        (0x4010f122fdf91173, 185, 2, 121, 118, 0xab892e6e35566e3e),
-        (0x4010b07225dd5c50, 196, 2, 138, 136, 0xc6d40b3220563836),
-    ],
-    // churn
-    [
-        (0x40224d36a6c6851f, 400, 207, 437, 230, 0x5560def188d169cd),
-        (0x4015f49379aa4c5b, 258, 136, 293, 156, 0x298d5d7c26a26077),
-    ],
-];
-
 #[test]
 fn sequential_engine_replays_v2_golden_runs() {
     let g = test_graph();
@@ -104,34 +70,6 @@ fn sequential_engine_replays_v2_golden_runs() {
             assert_eq!(out.topology_events, topo, "{name} seed {seed}: v2 topo events drifted");
             assert_eq!(rng.next_u64(), rng_word, "{name} seed {seed}: v2 RNG state drifted");
             assert!(out.completed);
-        }
-    }
-}
-
-#[test]
-fn sharded_engine_replays_v2_golden_runs() {
-    let g = test_graph();
-    for (m, (name, model)) in models().into_iter().enumerate() {
-        for (s, seed) in [11u64, 12].into_iter().enumerate() {
-            // K = 1 must equal the sequential run bit-for-bit, RNG
-            // state included.
-            let mut a = Xoshiro256PlusPlus::seed_from(seed);
-            let seq = run_dynamic(&g, 0, Mode::PushPull, &model, &mut a, 10_000_000);
-            let mut b = Xoshiro256PlusPlus::seed_from(seed);
-            let k1 = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 1, &mut b, 10_000_000);
-            assert_eq!(k1.outcome, seq, "{name} seed {seed}: v2 K=1 diverged from sequential");
-            assert_eq!(a.next_u64(), b.next_u64(), "{name} seed {seed}: v2 K=1 RNG diverged");
-
-            // K = 3 exercises the incremental rate maintenance.
-            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 3, &mut rng, 10_000_000);
-            let (time_bits, steps, topo, windows, cross, rng_word) = SHARD3_V2[m][s];
-            assert_eq!(out.outcome.time.to_bits(), time_bits, "{name} seed {seed}: v2 K=3 time");
-            assert_eq!(out.outcome.steps, steps, "{name} seed {seed}: v2 K=3 steps");
-            assert_eq!(out.outcome.topology_events, topo, "{name} seed {seed}: v2 K=3 topo");
-            assert_eq!(out.windows, windows, "{name} seed {seed}: v2 K=3 windows");
-            assert_eq!(out.cross_events, cross, "{name} seed {seed}: v2 K=3 cross events");
-            assert_eq!(rng.next_u64(), rng_word, "{name} seed {seed}: v2 K=3 RNG state");
         }
     }
 }
@@ -156,25 +94,6 @@ fn print_v2_goldens() {
                 out.time.to_bits(),
                 out.steps,
                 out.topology_events,
-                rng.next_u64()
-            );
-        }
-        println!("    ],");
-    }
-    println!("SHARD3_V2:");
-    for (name, model) in models() {
-        println!("    // {name}");
-        println!("    [");
-        for seed in [11u64, 12] {
-            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let out = run_dynamic_sharded(&g, 0, Mode::PushPull, &model, 3, &mut rng, 10_000_000);
-            println!(
-                "        (0x{:016x}, {}, {}, {}, {}, 0x{:016x}),",
-                out.outcome.time.to_bits(),
-                out.outcome.steps,
-                out.outcome.topology_events,
-                out.windows,
-                out.cross_events,
                 rng.next_u64()
             );
         }

@@ -97,11 +97,7 @@ fn spec_from_seed(seed: u64) -> SimSpec {
             )))
         }
     };
-    let engine = match rng.next_u64() % 3 {
-        0 => Engine::Sequential,
-        1 => Engine::Sharded { shards: 1 + (rng.next_u64() % 16) as usize },
-        _ => Engine::Lazy,
-    };
+    let engine = if rng.next_u64() % 2 == 0 { Engine::Sequential } else { Engine::Lazy };
     let coupled = rng.next_u64() % 2 == 0;
     let antithetic = coupled && rng.next_u64() % 2 == 0;
     let plan = TrialPlan {
@@ -203,21 +199,7 @@ fn zero_trials_and_threads_are_rejected() {
 }
 
 #[test]
-fn shard_counts_are_validated() {
-    let sharded = |k| valid().protocol(async_pp()).engine(Engine::Sharded { shards: k });
-    assert_eq!(sharded(0).build().unwrap_err(), SpecError::ZeroShards);
-    assert_eq!(
-        sharded(9).build().unwrap_err(),
-        SpecError::ShardsExceedNodes { shards: 9, nodes: 8 }
-    );
-}
-
-#[test]
-fn sharded_and_lazy_need_async() {
-    assert_eq!(
-        valid().engine(Engine::Sharded { shards: 2 }).build().unwrap_err(),
-        SpecError::ShardedNeedsAsync
-    );
+fn lazy_needs_async() {
     assert_eq!(valid().engine(Engine::Lazy).build().unwrap_err(), SpecError::LazyNeedsAsync);
 }
 
@@ -268,10 +250,7 @@ fn loss_is_range_checked_and_static_sequential_only() {
     let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
     for (spec, with) in [
         (valid().protocol(async_pp()).topology(markov.clone()).loss(0.1), "dynamic topologies"),
-        (
-            valid().protocol(async_pp()).engine(Engine::Sharded { shards: 2 }).loss(0.1),
-            "the sharded/lazy engines",
-        ),
+        (valid().protocol(async_pp()).engine(Engine::Lazy).loss(0.1), "the lazy engine"),
         (valid().protocol(async_pp()).topology(markov).coupled(true).loss(0.1), "coupled runs"),
     ] {
         assert_eq!(
@@ -417,6 +396,10 @@ fn malformed_spec_texts_report_the_line() {
         ),
         ("spec = v1\ngraph = complete n=4\nprotocol = sync mode=zigzag\n", "unknown protocol mode"),
         ("spec = v1\ngraph = complete n=4\nengine = warp\n", "unknown engine"),
+        (
+            "spec = v1\ngraph = complete n=4\nengine = sharded shards=2\n",
+            "unknown engine `sharded`",
+        ),
         ("spec = v1\ngraph = complete n=4\ncoupled = maybe\n", "true or false"),
         ("spec = v1\ngraph = complete n=4\nmax_steps = many\n", "cannot parse"),
         ("", "missing `spec = v1`"),

@@ -7,13 +7,11 @@
 //! * **byte-identical snapshot sequences** — the graphs an engine walks
 //!   while replaying a trace (captured after every applied step by a
 //!   probe model) are exactly the trace's own materialized sequence,
-//!   for the sequential engine, the sharded engine at K ∈ {1, 3}, and
-//!   the queue-free cursor engine;
-//! * **seed-for-seed replay** — the sequential replay, the K = 1
-//!   sharded replay, and the cursor engine consume the protocol RNG
-//!   identically (same outcome, same final RNG state), and the coupled
-//!   runner helpers inherit this (`Sequential`, `Sharded(1)`, and
-//!   `Lazy` coupled runs are bit-identical);
+//!   for the sequential engine and the queue-free cursor engine;
+//! * **seed-for-seed replay** — the sequential replay and the cursor
+//!   engine consume the protocol RNG identically (same outcome, same
+//!   final RNG state), and the coupled runner helpers inherit this
+//!   (`Sequential` and `Lazy` coupled runs are bit-identical);
 //! * **fixed point** — recording a replay reproduces the trace exactly
 //!   (`record(replay(T)) == T`), so traces are closed under replay.
 
@@ -23,13 +21,11 @@ use rumor_spreading::core::dynamic::{
     RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::engine::trace::{run_trace_lazy, TopologyTrace, TraceReplayer};
-use rumor_spreading::core::engine::{
-    run_dynamic_sharded_with, InformedView, RateImpact, TopoEvent, TopologyModel,
-};
+use rumor_spreading::core::engine::{TopoEvent, TopologyModel};
 use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{Mode, NoProbe};
 use rumor_spreading::graph::dynamic::MutableGraph;
-use rumor_spreading::graph::{generators, Graph, Partition};
+use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
@@ -97,22 +93,19 @@ impl TopologyModel for SnapshotProbe<'_> {
         event: TopoEvent,
         t: f64,
         net: &mut MutableGraph,
-        informed: InformedView<'_>,
         queue: &mut EventQueue<TopoEvent>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> RateImpact {
-        let impact = self.inner.apply(event, t, net, informed, queue, rng);
+    ) {
+        self.inner.apply(event, t, net, queue, rng);
         self.snaps.push(net.to_graph());
-        impact
     }
 }
 
 /// Satellite 1, part one: replaying one recorded trace through the
-/// sequential engine, the sharded engine at K ∈ {1, 3}, and the cursor
-/// engine walks byte-identical snapshot sequences — each engine's
-/// observed graphs are exactly a prefix of the trace's materialized
-/// sequence, and engines with identical RNG consumption (sequential,
-/// K = 1, cursor) walk exactly the same prefix.
+/// sequential engine and the cursor engine walks byte-identical
+/// snapshot sequences — the sequential engine's observed graphs are
+/// exactly a prefix of the trace's materialized sequence, and the
+/// cursor, with identical RNG consumption, walks the same prefix.
 #[test]
 fn snapshot_sequences_are_byte_identical_across_engines() {
     let g = test_graph();
@@ -131,49 +124,13 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
             "{name}: sequential snapshots diverge from the trace"
         );
 
-        // Sharded K = 1: same snapshots, same outcome, same RNG state.
-        let mut b = rng(77);
-        let mut k1_probe = SnapshotProbe::new(&trace);
-        let k1 = run_dynamic_sharded_with(
-            &g,
-            0,
-            Mode::PushPull,
-            &mut k1_probe,
-            &Partition::contiguous(g.node_count(), 1),
-            &mut b,
-            1_000_000,
-            &mut NoProbe,
-        );
-        assert_eq!(k1.outcome, seq, "{name}: K=1 outcome diverged");
-        assert_eq!(k1_probe.snaps, seq_probe.snaps, "{name}: K=1 snapshots diverged");
-        assert_eq!(a.next_u64(), b.next_u64(), "{name}: K=1 RNG state diverged");
-
-        // Sharded K = 3: a different sample of the same process, but
-        // the topology walk is still exactly the trace's.
-        let mut k3_probe = SnapshotProbe::new(&trace);
-        let k3 = run_dynamic_sharded_with(
-            &g,
-            0,
-            Mode::PushPull,
-            &mut k3_probe,
-            &Partition::contiguous(g.node_count(), 3),
-            &mut rng(77),
-            1_000_000,
-            &mut NoProbe,
-        );
-        assert!(k3.outcome.completed, "{name}");
-        assert_eq!(
-            k3_probe.snaps.as_slice(),
-            &full[1..=k3_probe.snaps.len()],
-            "{name}: K=3 snapshots diverge from the trace"
-        );
-
         // Cursor engine: replays the sequential replay seed-for-seed,
         // and applies steps verbatim from the same trace (so its walk
         // is the same byte-identical prefix by construction).
         let mut c = rng(77);
         let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000);
         assert_eq!(lazy, seq, "{name}: cursor engine diverged");
+        assert_eq!(a.next_u64(), c.next_u64(), "{name}: cursor RNG state diverged");
         assert_eq!(
             lazy.topology_events as usize,
             seq_probe.snaps.len(),
@@ -197,9 +154,8 @@ fn replay_of_a_replay_is_a_fixed_point() {
     }
 }
 
-/// The acceptance pin: coupled runs through the K = 1 sharded engine
-/// and the cursor engine replay the sequential coupled run
-/// seed-for-seed, for every dynamic model.
+/// The acceptance pin: coupled runs through the cursor engine replay
+/// the sequential coupled run seed-for-seed, for every dynamic model.
 #[test]
 fn coupled_engines_replay_each_other_seed_for_seed() {
     let g = test_graph();
@@ -217,10 +173,8 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
         let outcomes = seq.coupled_outcomes().expect("coupled report");
         assert!(outcomes.iter().all(|o| o.sync_completed && o.async_completed), "{name}");
         assert!(outcomes.iter().all(|o| o.trace_steps > 0), "{name}");
-        for engine in [Engine::Sharded { shards: 1 }, Engine::Lazy] {
-            let other = spec.clone().engine(engine).build().expect("valid coupled spec").run();
-            assert_eq!(other.coupled, seq.coupled, "{name} via {engine:?}");
-        }
+        let lazy = spec.clone().engine(Engine::Lazy).build().expect("valid coupled spec").run();
+        assert_eq!(lazy.coupled, seq.coupled, "{name} via the cursor");
     }
 }
 
