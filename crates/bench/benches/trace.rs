@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the topology-trace layer: per model, the
-//! cost of (a) recording one realization standalone (diffing every
-//! applied event against the shadow graph), (b) replaying it through
-//! the sequential engine, and (c) one full coupled trial (record +
-//! sync run + async replay — the E23 inner loop). Regressions in the
-//! diff/apply path or the replay scheduling show up here before they
-//! slow the coupled experiments.
+//! cost of (a) recording one realization standalone and eagerly to the
+//! horizon (each event's step read off the graph's change journal),
+//! (b) replaying it through the sequential engine, and (c) one full
+//! coupled trial (on-demand recording + sync run + async replay — the
+//! E23 inner loop, which records only as far as the replays read).
+//! Regressions in the journal/apply path or the replay scheduling show
+//! up here before they slow the coupled experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // The benched suite IS the E23 suite, so the baseline tracks exactly

@@ -554,7 +554,7 @@ pub(crate) struct SequentialRun<'a, P> {
 impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
     type Output = DynamicOutcome;
 
-    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> DynamicOutcome {
+    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) -> DynamicOutcome {
         let Self { g, source, mode, rng, max_steps, probe } = self;
         run_dynamic_with(g, source, mode, &mut state, rng, max_steps, probe)
     }

@@ -30,7 +30,9 @@
 //!   so one churn realization can drive many protocol runs — the
 //!   substrate of the coupled sync-vs-async comparisons
 //!   ([`run_sync_dynamic`] consumes the same trace at round
-//!   boundaries, [`run_trace_lazy`] is a queue-free async cursor).
+//!   boundaries, [`run_trace_lazy`] is a queue-free async cursor). A
+//!   [`TraceRecording`] records on demand, only as far as its replays
+//!   read.
 
 pub mod lazy;
 pub mod scheduler;
@@ -43,5 +45,6 @@ pub use scheduler::TopoDriver;
 pub use source::{drive, Control, EventSource, QueueSource, TickSource};
 pub use topology::{StateVisitor, TopoEvent, TopologyModel};
 pub use trace::{
-    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceReplayer, TraceStep,
+    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceRecording, TraceRef,
+    TraceReplayer, TraceStep,
 };

@@ -144,7 +144,7 @@ pub trait StateVisitor {
     type Output;
 
     /// Called once with the model's freshly built run state.
-    fn visit<M: TopologyModel + 'static>(self, state: M) -> Self::Output;
+    fn visit<M: TopologyModel + Send + 'static>(self, state: M) -> Self::Output;
 }
 
 impl DynamicModel {
@@ -168,11 +168,11 @@ impl DynamicModel {
 
     /// Builds the run state machine for this model behind the
     /// [`TopologyModel`] interface.
-    pub fn build_state(&self) -> Box<dyn TopologyModel> {
+    pub fn build_state(&self) -> Box<dyn TopologyModel + Send> {
         struct Boxed;
         impl StateVisitor for Boxed {
-            type Output = Box<dyn TopologyModel>;
-            fn visit<M: TopologyModel + 'static>(self, state: M) -> Self::Output {
+            type Output = Box<dyn TopologyModel + Send>;
+            fn visit<M: TopologyModel + Send + 'static>(self, state: M) -> Self::Output {
                 Box::new(state)
             }
         }

@@ -15,6 +15,12 @@
 //!   its own, with the informed set frozen to the source — an
 //!   *oblivious* realization, the only kind a sync run can share) or
 //!   from inside any engine run ([`TraceRecorder`]).
+//! * [`TraceRecording`] — the same standalone recording, resumable: it
+//!   keeps its tail (graph, event driver, model state, trace RNG) and
+//!   records more only when a replay asks for a time past what is
+//!   recorded. Its steps are always a prefix of the eager
+//!   [`TopologyTrace::record`] trace with the same inputs, so a coupled
+//!   trial pays only for the realization its replays read.
 //! * [`TraceReplayer`] — the trace as a deterministic
 //!   [`TopologyModel`]: replay consumes **no randomness**, so one
 //!   recorded realization can drive arbitrarily many protocol runs —
@@ -33,9 +39,11 @@
 //!   sync/async comparison of E23 **paired**: both protocols watch the
 //!   identical topology realization.
 //!
-//! Replay past the recorded horizon freezes the topology (no further
-//! steps exist); record with a horizon comfortably above the expected
-//! spreading time. No-op model events (e.g. rejected random-walk
+//! All three replays read steps through one accessor,
+//! `TraceRef::step_by`, over either a sealed trace or a live
+//! recording. The horizon is a cap, not a cost: replay past it freezes
+//! the topology (no further steps exist), and a live recording never
+//! records past it. No-op model events (e.g. rejected random-walk
 //! steps) are dropped at recording time, so a trace's step count is
 //! the number of *effective* topology changes, not the model's event
 //! count.
@@ -160,7 +168,8 @@ impl TopologyTrace {
     /// ([`TopoDriver`]). A built-in model records through
     /// [`DynamicModel::build_state`]. Recording a [`TraceReplayer`]
     /// reproduces its trace exactly (replay-of-replay is a fixed point,
-    /// pinned in `tests/trace_replay.rs`).
+    /// pinned in `tests/trace_replay.rs`). [`TraceRecording`] records
+    /// the same realization on demand.
     ///
     /// # Panics
     ///
@@ -173,6 +182,26 @@ impl TopologyTrace {
         rng: &mut Xoshiro256PlusPlus,
         horizon: f64,
     ) -> TopologyTrace {
+        let (mut trace, mut net, mut driver, mut next) =
+            TopologyTrace::start(g, source, state, rng, horizon);
+        while next.is_finite() {
+            next = trace.record_event(&mut net, &mut driver, state, rng, next);
+        }
+        trace
+    }
+
+    /// Starts a standalone recording: initializes the model on a copy
+    /// of `g`, freezes the informed set to `{source}`, and peeks the
+    /// first event. Returns the empty trace, the live graph and driver,
+    /// and the first event's time (`INFINITY` if none falls within the
+    /// horizon).
+    fn start<M: TopologyModel + ?Sized>(
+        g: &Graph,
+        source: Node,
+        state: &mut M,
+        rng: &mut Xoshiro256PlusPlus,
+        horizon: f64,
+    ) -> (TopologyTrace, MutableGraph, TopoDriver, f64) {
         let n = g.node_count();
         assert!((source as usize) < n, "source out of range");
         assert!(horizon >= 0.0 && horizon.is_finite(), "horizon must be finite and >= 0");
@@ -184,20 +213,41 @@ impl TopologyTrace {
         let initial = net.to_graph();
         debug_assert_eq!(net.active_count(), n, "models do not deactivate during init");
         net.track_changes(true);
-        let mut steps = Vec::new();
-        loop {
-            let t = driver.next_time(rng);
-            if !t.is_finite() || t > horizon {
-                break;
-            }
-            driver.step(state, &mut net, rng);
-            let step = step_from_changes(net.changes(), t);
-            net.clear_changes();
-            if !step.is_empty() {
-                steps.push(step);
-            }
+        let trace = TopologyTrace { initial, steps: Vec::new(), horizon };
+        let next = trace.peek(&mut driver, rng);
+        (trace, net, driver, next)
+    }
+
+    /// The driver's next event time, or `INFINITY` past the horizon.
+    /// The driver retains the arrival it peeks, so peeking again (after
+    /// a pause of a resumable recording) draws nothing.
+    fn peek(&self, driver: &mut TopoDriver, rng: &mut Xoshiro256PlusPlus) -> f64 {
+        let t = driver.next_time(rng);
+        if t > self.horizon {
+            f64::INFINITY
+        } else {
+            t
         }
-        TopologyTrace { initial, steps, horizon }
+    }
+
+    /// Applies the event peeked at time `t`, keeps its step if it
+    /// changed anything, and returns the next event's time (as
+    /// [`peek`](Self::peek)).
+    fn record_event<M: TopologyModel + ?Sized>(
+        &mut self,
+        net: &mut MutableGraph,
+        driver: &mut TopoDriver,
+        state: &mut M,
+        rng: &mut Xoshiro256PlusPlus,
+        t: f64,
+    ) -> f64 {
+        driver.step(state, net, rng);
+        let step = step_from_changes(net.changes(), t);
+        net.clear_changes();
+        if !step.is_empty() {
+            self.steps.push(step);
+        }
+        self.peek(driver, rng)
     }
 
     /// Number of nodes of the recorded network.
@@ -248,7 +298,167 @@ impl TopologyTrace {
 
     /// A deterministic [`TopologyModel`] that replays this trace.
     pub fn replayer(&self) -> TraceReplayer<'_> {
-        TraceReplayer { trace: self, cursor: 0 }
+        TraceReplayer::new(self)
+    }
+}
+
+/// A standalone recording that grows on demand.
+///
+/// [`start`](Self::start) does what [`TopologyTrace::record`] does up to
+/// its first event, then stops. The recording keeps its tail — the
+/// graph, the event driver, the model state and the trace RNG — and
+/// records further only when a replay (through [`TraceReplayer::new`],
+/// [`run_trace_lazy`] or [`run_sync_dynamic`]) asks for a time past
+/// what is recorded, never past the horizon. The driver retains the
+/// arrival it peeks, so pausing draws nothing extra: whatever has been
+/// recorded is byte for byte a prefix of the eager trace, and
+/// [`finish`](Self::finish) returns exactly that trace.
+///
+/// Once the next event would fall past the horizon the tail is dropped
+/// and the recording is sealed.
+pub struct TraceRecording {
+    trace: TopologyTrace,
+    tail: Option<Box<Tail>>,
+}
+
+/// Everything a paused recording needs to draw its next event.
+struct Tail {
+    net: MutableGraph,
+    driver: TopoDriver,
+    state: Box<dyn TopologyModel + Send>,
+    rng: Xoshiro256PlusPlus,
+    /// Time of the next (peeked, not yet recorded) event.
+    next: f64,
+}
+
+impl TraceRecording {
+    /// Starts recording the model `state` on base graph `g` over
+    /// `[0, horizon]`, with the trace RNG `rng`; see
+    /// [`TopologyTrace::record`] for the semantics.
+    ///
+    /// # Panics
+    ///
+    /// As [`TopologyTrace::record`].
+    pub fn start(
+        g: &Graph,
+        source: Node,
+        mut state: Box<dyn TopologyModel + Send>,
+        mut rng: Xoshiro256PlusPlus,
+        horizon: f64,
+    ) -> TraceRecording {
+        let (trace, net, driver, next) =
+            TopologyTrace::start(g, source, state.as_mut(), &mut rng, horizon);
+        let tail = next.is_finite().then(|| Box::new(Tail { net, driver, state, rng, next }));
+        TraceRecording { trace, tail }
+    }
+
+    /// The steps recorded so far, as a trace (its horizon is the cap).
+    pub fn trace(&self) -> &TopologyTrace {
+        &self.trace
+    }
+
+    /// Time of the next event not yet recorded; `INFINITY` once sealed.
+    pub(crate) fn frontier(&self) -> f64 {
+        self.tail.as_ref().map_or(f64::INFINITY, |tail| tail.next)
+    }
+
+    /// The `i`-th step if it happens at or before `t`. Records events
+    /// until that step exists or the next event is later than `t` (or
+    /// past the horizon).
+    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<&TraceStep> {
+        if i >= self.trace.steps.len() {
+            self.record_through(i, t);
+        }
+        self.trace.steps.get(i).filter(|step| step.time <= t)
+    }
+
+    /// The recording half of [`step_by`](Self::step_by), kept out of
+    /// line so the replay loops that call the accessor stay small.
+    #[inline(never)]
+    fn record_through(&mut self, i: usize, t: f64) {
+        while i >= self.trace.steps.len() {
+            let Some(Tail { net, driver, state, rng, next }) = self.tail.as_deref_mut() else {
+                break;
+            };
+            if *next > t {
+                break;
+            }
+            *next = self.trace.record_event(net, driver, state.as_mut(), rng, *next);
+            if !next.is_finite() {
+                self.tail = None;
+            }
+        }
+    }
+
+    /// Records to the horizon and returns the sealed trace — equal to
+    /// [`TopologyTrace::record`] with the same inputs.
+    pub fn finish(mut self) -> TopologyTrace {
+        self.step_by(usize::MAX, f64::INFINITY);
+        self.trace
+    }
+}
+
+impl std::fmt::Debug for TraceRecording {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceRecording")
+            .field("steps", &self.trace.len())
+            .field("horizon", &self.trace.horizon)
+            .field("frontier", &self.frontier())
+            .finish()
+    }
+}
+
+/// How a replay reads a trace: a sealed [`TopologyTrace`] (shareable
+/// across threads) or a live [`TraceRecording`] that grows as the
+/// replay asks for later times. Every replay engine takes
+/// `impl Into<TraceRef>`, so `&trace`, `&mut recording` and
+/// `&mut trace_ref` (a reborrow) all work.
+#[derive(Debug)]
+pub enum TraceRef<'a> {
+    /// A finished trace, read as is.
+    Sealed(&'a TopologyTrace),
+    /// A recording that grows on demand.
+    Live(&'a mut TraceRecording),
+}
+
+impl TraceRef<'_> {
+    /// The trace recorded so far.
+    pub(crate) fn trace(&self) -> &TopologyTrace {
+        match self {
+            TraceRef::Sealed(trace) => trace,
+            TraceRef::Live(rec) => &rec.trace,
+        }
+    }
+
+    /// The `i`-th step if it happens at or before `t` — the one
+    /// accessor every replay reads steps through. A live recording
+    /// records up to `t` first (see [`TraceRecording::step_by`]).
+    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<&TraceStep> {
+        match self {
+            TraceRef::Sealed(trace) => trace.steps.get(i).filter(|step| step.time <= t),
+            TraceRef::Live(rec) => rec.step_by(i, t),
+        }
+    }
+}
+
+impl<'a> From<&'a TopologyTrace> for TraceRef<'a> {
+    fn from(trace: &'a TopologyTrace) -> Self {
+        TraceRef::Sealed(trace)
+    }
+}
+
+impl<'a> From<&'a mut TraceRecording> for TraceRef<'a> {
+    fn from(rec: &'a mut TraceRecording) -> Self {
+        TraceRef::Live(rec)
+    }
+}
+
+impl<'a> From<&'a mut TraceRef<'_>> for TraceRef<'a> {
+    fn from(trace: &'a mut TraceRef<'_>) -> Self {
+        match trace {
+            TraceRef::Sealed(trace) => TraceRef::Sealed(trace),
+            TraceRef::Live(rec) => TraceRef::Live(rec),
+        }
     }
 }
 
@@ -256,11 +466,19 @@ impl TopologyTrace {
 /// its recorded time and applies the recorded diff verbatim. Consumes
 /// **no randomness**, so the protocol RNG stream of a replaying engine
 /// is pure protocol randomness — the common-random-numbers half of the
-/// coupled runs.
-#[derive(Debug, Clone)]
+/// coupled runs. Over a live recording it schedules one step ahead, so
+/// it records up to the first step past the run's end.
+#[derive(Debug)]
 pub struct TraceReplayer<'a> {
-    trace: &'a TopologyTrace,
+    trace: TraceRef<'a>,
     cursor: usize,
+}
+
+impl<'a> TraceReplayer<'a> {
+    /// A replayer over a sealed trace or a live recording.
+    pub fn new(trace: impl Into<TraceRef<'a>>) -> Self {
+        TraceReplayer { trace: trace.into(), cursor: 0 }
+    }
 }
 
 impl TraceReplayer<'_> {
@@ -278,16 +496,17 @@ impl TopologyModel for TraceReplayer<'_> {
         queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
+        let trace = self.trace.trace();
         assert_eq!(
             g.node_count(),
-            self.trace.node_count(),
+            trace.node_count(),
             "trace was recorded on a different node count"
         );
         // Reset the cursor so one replayer can serve several engine
         // runs back to back.
         self.cursor = 0;
-        net.replace_edges_with(&self.trace.initial);
-        if let Some(first) = self.trace.steps.first() {
+        net.replace_edges_with(&trace.initial);
+        if let Some(first) = self.trace.step_by(0, f64::INFINITY) {
             queue.push(first.time, TopoEvent::Replay(0));
         }
         // Every step is a deterministic side-queue event.
@@ -306,10 +525,10 @@ impl TopologyModel for TraceReplayer<'_> {
             unreachable!("a replayer schedules only replay steps");
         };
         debug_assert_eq!(i as usize, self.cursor, "replay steps fire in order");
-        let step = &self.trace.steps[i as usize];
+        let step = self.trace.step_by(i as usize, f64::INFINITY).expect("a scheduled step exists");
         apply_step(net, step);
         self.cursor = i as usize + 1;
-        if let Some(next) = self.trace.steps.get(self.cursor) {
+        if let Some(next) = self.trace.step_by(self.cursor, f64::INFINITY) {
             queue.push(next.time, TopoEvent::Replay(self.cursor as u32));
         }
     }
@@ -425,14 +644,15 @@ impl TopologyModel for TraceRecorder<'_> {
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
-pub fn run_trace_lazy(
-    trace: &TopologyTrace,
+pub fn run_trace_lazy<'a>(
+    trace: impl Into<TraceRef<'a>>,
     source: Node,
     mode: Mode,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    let n = trace.node_count();
+    let mut trace = trace.into();
+    let n = trace.trace().node_count();
     assert!((source as usize) < n, "source out of range");
 
     let mut informed_time = vec![f64::INFINITY; n];
@@ -447,7 +667,7 @@ pub fn run_trace_lazy(
             informed_time,
         };
     }
-    let mut net = MutableGraph::from_graph(&trace.initial);
+    let mut net = MutableGraph::from_graph(&trace.trace().initial);
     let mut cursor = 0usize;
     let mut ticks = TickSource::new(n as f64);
     let mut t = 0.0;
@@ -456,10 +676,7 @@ pub fn run_trace_lazy(
     let mut completed = false;
     while steps < max_steps {
         let (tt, ()) = ticks.pop(rng).expect("tick stream is endless");
-        while let Some(step) = trace.steps.get(cursor) {
-            if step.time > tt {
-                break;
-            }
+        while let Some(step) = trace.step_by(cursor, tt) {
             apply_step(&mut net, step);
             cursor += 1;
             topology_events += 1;
@@ -494,14 +711,15 @@ pub fn run_trace_lazy(
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
-pub fn run_sync_dynamic(
-    trace: &TopologyTrace,
+pub fn run_sync_dynamic<'a>(
+    trace: impl Into<TraceRef<'a>>,
     source: Node,
     mode: Mode,
     rng: &mut Xoshiro256PlusPlus,
     max_rounds: u64,
 ) -> SyncOutcome {
-    let n = trace.node_count();
+    let mut trace = trace.into();
+    let n = trace.trace().node_count();
     assert!((source as usize) < n, "source out of range");
 
     let mut informed_round = vec![NEVER_ROUND; n];
@@ -511,17 +729,14 @@ pub fn run_sync_dynamic(
     if n == 1 {
         return SyncOutcome { rounds: 0, completed: true, informed_round, informed_by_round };
     }
-    let mut net = MutableGraph::from_graph(&trace.initial);
+    let mut net = MutableGraph::from_graph(&trace.trace().initial);
     let mut cursor = 0usize;
     let mut rounds = 0u64;
     let mut completed = false;
     for r in 1..=max_rounds {
         rounds = r;
         let boundary = (r - 1) as f64;
-        while let Some(step) = trace.steps.get(cursor) {
-            if step.time > boundary {
-                break;
-            }
+        while let Some(step) = trace.step_by(cursor, boundary) {
             apply_step(&mut net, step);
             cursor += 1;
         }
@@ -747,6 +962,25 @@ mod tests {
         let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
+    }
+
+    #[test]
+    fn a_recording_grows_only_as_far_as_asked() {
+        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100);
+        for (name, model) in all_models() {
+            let eager = record(&g, &model, 41, 12.0);
+            let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(41), 12.0);
+            for t in [0.0, 0.5, 3.0, 3.0, 7.5, 100.0] {
+                assert!(rec.step_by(usize::MAX, t).is_none());
+                // Exactly the eager steps at or before `t` (capped by
+                // the horizon), and the next event lies past `t`.
+                let within = eager.steps().partition_point(|step| step.time <= t);
+                assert_eq!(rec.trace().steps(), &eager.steps()[..within], "{name} at {t}");
+                assert!(rec.frontier() > t, "{name} at {t}");
+            }
+            assert_eq!(rec.frontier(), f64::INFINITY, "{name}: not sealed past the horizon");
+            assert_eq!(rec.finish(), eager, "{name}");
+        }
     }
 
     #[test]

@@ -78,6 +78,7 @@ use crate::dynamic::{
 };
 use crate::engine::{
     run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace,
+    TraceRecording, TraceRef, TraceReplayer,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -152,8 +153,10 @@ impl Protocol {
 /// into every engine (the ROADMAP's "custom models through the runner
 /// helpers" follow-up).
 pub trait TopologyModelFactory: Send + Sync {
-    /// Builds one trial's model state for base graph `g`.
-    fn build(&self, g: &Graph) -> Box<dyn TopologyModel>;
+    /// Builds one trial's model state for base graph `g`. The state is
+    /// `Send` so a coupled trial's resumable recording can be cached
+    /// across threads.
+    fn build(&self, g: &Graph) -> Box<dyn TopologyModel + Send>;
 
     /// Mirrors [`TopologyModel::memoryless_edge_rates`]: `Some` makes
     /// the factory eligible for the lazy engine.
@@ -167,7 +170,7 @@ pub trait TopologyModelFactory: Send + Sync {
 
 /// Every [`DynamicModel`] is trivially its own factory.
 impl TopologyModelFactory for DynamicModel {
-    fn build(&self, _g: &Graph) -> Box<dyn TopologyModel> {
+    fn build(&self, _g: &Graph) -> Box<dyn TopologyModel + Send> {
         self.build_state()
     }
 
@@ -300,7 +303,7 @@ pub struct TrialPlan {
     /// Run BOTH protocols per trial over one shared topology trace with
     /// a common protocol seed, reporting paired outcomes.
     pub coupled: bool,
-    /// Trace-recording horizon for coupled runs; `None` picks
+    /// Trace-recording horizon (a cap) for coupled runs; `None` picks
     /// [`default_coupled_horizon`].
     pub horizon: Option<f64>,
     /// Coupled runs only: run each protocol twice per trace, once on
@@ -649,7 +652,9 @@ pub fn default_sync_rounds(g: &Graph) -> u64 {
 
 /// Default trace-recording horizon for coupled runs on `n` nodes: far
 /// beyond the expected spreading time of every model in this workspace
-/// (E23's regime).
+/// (E23's regime). The horizon is a cap, not a cost: coupled trials
+/// record their trace only as far as their replays read it, so a
+/// larger horizon records nothing more unless a replay runs that long.
 pub fn default_coupled_horizon(n: usize) -> f64 {
     24.0 * (n as f64).ln()
 }
@@ -1034,7 +1039,12 @@ pub struct CoupledOutcome {
     pub async_time: f64,
     /// Whether the asynchronous run(s) informed everyone within budget.
     pub async_completed: bool,
-    /// Effective topology changes in the shared trace.
+    /// Effective topology changes the trial's replays read: the steps
+    /// of the shared trace with time at or before the furthest time any
+    /// of its replays reached (the last async tick, or `r − 1` after `r`
+    /// sync rounds; antithetic trials take the furthest of all four
+    /// replays). It depends on neither the engine nor the cache state,
+    /// nor on the horizon unless a replay ran past it.
     pub trace_steps: usize,
 }
 
@@ -1050,7 +1060,8 @@ pub struct Telemetry {
     pub clocks_touched: u64,
     /// Lazy engine: base edges (the eager engine's queue size).
     pub base_edges: u64,
-    /// Coupled runs: recorded trace steps, summed over trials.
+    /// Coupled runs: [`CoupledOutcome::trace_steps`] (the trace steps
+    /// each trial's replays read), summed over trials.
     pub trace_steps: u64,
 }
 
@@ -1323,7 +1334,7 @@ impl Simulation {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
         match &self.spec.topology {
-            Topology::Trace(trace) => self.trace_run(trace, mode, rng, probe),
+            Topology::Trace(trace) => self.trace_run(trace.into(), mode, rng, probe),
             Topology::Model(model) => {
                 model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe })
             }
@@ -1340,7 +1351,7 @@ impl Simulation {
     /// or the queue-free trace cursor on a lazy plan.
     fn trace_run<P: Probe>(
         &self,
-        trace: &TopologyTrace,
+        trace: TraceRef<'_>,
         mode: Mode,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
@@ -1349,7 +1360,8 @@ impl Simulation {
         let (source, max_steps) = (self.spec.source, self.max_steps);
         match self.spec.engine {
             Engine::Sequential => {
-                run_dynamic_with(g, source, mode, &mut trace.replayer(), rng, max_steps, probe)
+                let mut replay = TraceReplayer::new(trace);
+                run_dynamic_with(g, source, mode, &mut replay, rng, max_steps, probe)
             }
             Engine::Lazy => run_trace_lazy(trace, source, mode, rng, max_steps),
         }
@@ -1376,90 +1388,78 @@ impl Simulation {
         // Two sub-seeds per trial: one for the shared topology
         // realization, one used by BOTH protocol runs (common random
         // numbers). A pre-recorded trace draws no trace seed.
-        match &self.spec.topology {
-            Topology::Trace(trace) => {
-                let proto_seed = rng.next_u64();
-                self.coupled_on_trace(trace, proto_seed)
-            }
-            Topology::Custom(factory) => {
-                let trace_seed = rng.next_u64();
-                let proto_seed = rng.next_u64();
-                let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-                let trace = TopologyTrace::record(
-                    g,
-                    source,
-                    factory.build(g).as_mut(),
-                    &mut trace_rng,
-                    self.horizon,
-                );
-                self.coupled_on_trace(&trace, proto_seed)
-            }
-            topology => {
-                let model = match topology {
-                    Topology::Static => DynamicModel::Static,
-                    Topology::Model(m) => *m,
-                    _ => unreachable!("trace/custom handled above"),
-                };
-                let trace_seed = rng.next_u64();
-                let proto_seed = rng.next_u64();
-                let record = || {
-                    let mut trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-                    TopologyTrace::record(
-                        g,
-                        source,
-                        model.build_state().as_mut(),
-                        &mut trace_rng,
-                        self.horizon,
-                    )
-                };
-                // The recording is a pure function of (spec axes, trace
-                // seed): cache-bound simulations reuse it across runs.
-                // The trial RNG is not consumed by the recording, so a
-                // hit replays the miss path bit-for-bit.
-                let trace = match self.caches.as_ref().and_then(cache::CacheBinding::trace_key) {
-                    Some((caches, prefix)) => caches.trace_or_record(prefix, trace_seed, record),
-                    None => record(),
-                };
-                self.coupled_on_trace(&trace, proto_seed)
-            }
+        if let Topology::Trace(trace) = &self.spec.topology {
+            let proto_seed = rng.next_u64();
+            return self.coupled_on_trace(trace.into(), proto_seed);
+        }
+        let trace_seed = rng.next_u64();
+        let proto_seed = rng.next_u64();
+        // The realization is recorded on demand: only as far as the
+        // replays read it, capped by the horizon.
+        let start = || {
+            let state = match &self.spec.topology {
+                Topology::Static => DynamicModel::Static.build_state(),
+                Topology::Model(m) => m.build_state(),
+                Topology::Custom(factory) => factory.build(g),
+                Topology::Trace(_) => unreachable!("handled above"),
+            };
+            let trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
+            TraceRecording::start(g, source, state, trace_rng, self.horizon)
+        };
+        // The recording is a pure function of (spec axes, trace seed):
+        // cache-bound simulations resume it across runs. The trial RNG
+        // is not consumed by the recording, so a hit replays the miss
+        // path bit-for-bit.
+        match self.caches.as_ref().and_then(cache::CacheBinding::trace_key) {
+            Some((caches, prefix)) => caches.with_trace(prefix, trace_seed, start, |rec| {
+                self.coupled_on_trace(rec.into(), proto_seed)
+            }),
+            None => self.coupled_on_trace((&mut start()).into(), proto_seed),
         }
     }
 
     fn coupled_on_trace(
         &self,
-        trace: &TopologyTrace,
+        mut trace: TraceRef<'_>,
         proto_seed: u64,
     ) -> (CoupledOutcome, Vec<CurvePair>) {
-        let (one, mut curves) = self.coupled_pair(trace, proto_seed);
-        if !self.spec.plan.antithetic {
-            return (one, curves);
+        let (mut out, mut curves, mut reach) = self.coupled_pair(&mut trace, proto_seed);
+        if self.spec.plan.antithetic {
+            // Antithetic partner: the complement seed reuses the same
+            // trace with a second protocol realization; averaging the
+            // pair halves the protocol-clock variance while the
+            // (expensive, shared) trace realization is recorded once.
+            let (two, more, reach_two) = self.coupled_pair(&mut trace, !proto_seed);
+            curves.extend(more);
+            reach = reach.max(reach_two);
+            out = CoupledOutcome {
+                sync_rounds: 0.5 * (out.sync_rounds + two.sync_rounds),
+                sync_completed: out.sync_completed && two.sync_completed,
+                async_time: 0.5 * (out.async_time + two.async_time),
+                async_completed: out.async_completed && two.async_completed,
+                trace_steps: 0,
+            };
         }
-        // Antithetic partner: the complement seed reuses the same trace
-        // with a second protocol realization; averaging the pair halves
-        // the protocol-clock variance while the (expensive, shared)
-        // trace realization is recorded once.
-        let (two, more) = self.coupled_pair(trace, !proto_seed);
-        curves.extend(more);
-        let avg = CoupledOutcome {
-            sync_rounds: 0.5 * (one.sync_rounds + two.sync_rounds),
-            sync_completed: one.sync_completed && two.sync_completed,
-            async_time: 0.5 * (one.async_time + two.async_time),
-            async_completed: one.async_completed && two.async_completed,
-            trace_steps: one.trace_steps,
-        };
-        (avg, curves)
+        // Counted against the replays' reach, not against what happens
+        // to be recorded (a cache hit or the sequential replayer's
+        // one-step lookahead may have recorded further).
+        out.trace_steps = trace.trace().steps().partition_point(|step| step.time <= reach);
+        (out, curves)
     }
 
+    /// One synchronous and one asynchronous replay of `trace` on the
+    /// protocol seed; also returns the furthest time either replay
+    /// reached (round `r` reads the topology as of time `r − 1`).
     fn coupled_pair(
         &self,
-        trace: &TopologyTrace,
+        trace: &mut TraceRef<'_>,
         proto_seed: u64,
-    ) -> (CoupledOutcome, Vec<CurvePair>) {
+    ) -> (CoupledOutcome, Vec<CurvePair>, f64) {
         let g = &self.graph;
         let source = self.spec.source;
         let mode = self.spec.protocol.mode();
         let sync = run_sync_dynamic(
-            trace,
+            &mut *trace,
             source,
             mode,
             &mut Xoshiro256PlusPlus::seed_from(proto_seed),
@@ -1468,7 +1468,7 @@ impl Simulation {
         // The asynchronous half replays the trace through the plan's
         // engine.
         let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
-        let asy = self.trace_run(trace, mode, &mut proto_rng, &mut NoProbe);
+        let asy = self.trace_run(trace.into(), mode, &mut proto_rng, &mut NoProbe);
         let curves = if self.spec.metrics.is_enabled() {
             let n = g.node_count();
             vec![(
@@ -1484,9 +1484,10 @@ impl Simulation {
             sync_completed: sync.completed,
             async_time: asy.time,
             async_completed: asy.completed,
-            trace_steps: trace.len(),
+            trace_steps: 0,
         };
-        (out, curves)
+        let reach = asy.time.max(sync.rounds.saturating_sub(1) as f64);
+        (out, curves, reach)
     }
 }
 
@@ -2225,8 +2226,10 @@ mod tests {
         let a = anti.coupled_outcomes().unwrap();
         assert_eq!(p.len(), a.len());
         for (x, y) in p.iter().zip(a) {
-            // Same trace per trial (same trace seed draw order) …
-            assert_eq!(x.trace_steps, y.trace_steps);
+            // Same trace per trial (same trace seed draw order), and the
+            // antithetic trial's first pair is the plain trial, so its
+            // replays read at least as far …
+            assert!(y.trace_steps >= x.trace_steps);
             // … and the antithetic value is an average of two runs, so
             // it generally differs from the single-run value.
             assert!(x.sync_completed && y.sync_completed);

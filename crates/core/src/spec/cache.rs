@@ -2,13 +2,16 @@
 //!
 //! A `rumor serve` process replays many specs that share expensive
 //! intermediate products: generator-drawn base graphs (a connected
-//! G(n, p) draw can redraw dozens of times) and recorded
-//! [`TopologyTrace`]s (a coupled trial's dominant cost). [`RunCaches`]
-//! memoizes both across requests, keyed by the **serialized form** of
-//! the producing spec components — the same canonical text the `.spec`
-//! artifact records — plus, for traces, the per-trial trace seed. Two
-//! requests that would record the identical realization therefore share
-//! one recording.
+//! G(n, p) draw can redraw dozens of times) and topology recordings (a
+//! coupled trial's dominant cost). [`RunCaches`] memoizes both across
+//! requests, keyed by the **serialized form** of the producing spec
+//! components — the same canonical text the `.spec` artifact records —
+//! plus, for traces, the per-trial trace seed. Two requests that would
+//! record the identical realization therefore share one recording.
+//!
+//! Cached recordings are resumable [`TraceRecording`]s: a request that
+//! reads further than earlier ones grows the cached recording in place,
+//! and a hit never copies the recorded steps.
 //!
 //! Caching is strictly transparent: a cached simulation produces the
 //! same [`RunReport`](super::RunReport) payload as an uncached one (the
@@ -19,18 +22,19 @@
 //! (provided graphs, edge-list files that may change on disk, custom
 //! topology factories) bypass the caches entirely.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rumor_graph::Graph;
 
-use crate::engine::TopologyTrace;
+use crate::engine::TraceRecording;
 
 use super::{graph_to_text, topology_to_text, GraphSpec, SimSpec, SpecError, Topology};
 
-/// Recorded traces retained at most; past this the cache stops
-/// inserting (it never evicts, so hits stay deterministic).
+/// Recordings retained at most; past this the cache stops inserting
+/// (it never evicts, so hits stay deterministic).
 const TRACE_CACHE_CAP: usize = 1024;
 
 /// Shared caches for graph builds and recorded topology traces, with
@@ -39,7 +43,7 @@ const TRACE_CACHE_CAP: usize = 1024;
 #[derive(Debug, Default)]
 pub struct RunCaches {
     graphs: Mutex<HashMap<String, Graph>>,
-    traces: Mutex<HashMap<(String, u64), TopologyTrace>>,
+    traces: Mutex<HashMap<(String, u64), TraceRecording>>,
     graph_hits: AtomicU64,
     graph_misses: AtomicU64,
     trace_hits: AtomicU64,
@@ -82,28 +86,48 @@ impl RunCaches {
         Ok(g)
     }
 
-    /// Returns the cached trace for `(prefix, trace_seed)`, or records
-    /// one with `record` and caches it. Recording happens outside the
-    /// lock, so parallel trial fan-out is not serialized (two threads
-    /// may race to record the same key; both recordings are identical).
-    pub(crate) fn trace_or_record(
+    /// Runs `replay` on the cached recording for `(prefix,
+    /// trace_seed)`, or on a fresh one from `start`, and caches it
+    /// afterwards with whatever `replay` recorded. The entry is taken
+    /// out of the map while `replay` runs, so the lock is not held and
+    /// parallel trial fan-out is not serialized. Two threads racing on
+    /// one key each get a valid recording (every recording of a key is
+    /// a prefix of the same realization); the longer one is kept.
+    pub(crate) fn with_trace<R>(
         &self,
         prefix: &str,
         trace_seed: u64,
-        record: impl FnOnce() -> TopologyTrace,
-    ) -> TopologyTrace {
+        start: impl FnOnce() -> TraceRecording,
+        replay: impl FnOnce(&mut TraceRecording) -> R,
+    ) -> R {
         let key = (prefix.to_owned(), trace_seed);
-        if let Some(t) = self.traces.lock().expect("trace cache lock").get(&key) {
-            self.trace_hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-        self.trace_misses.fetch_add(1, Ordering::Relaxed);
-        let t = record();
+        let cached = self.traces.lock().expect("trace cache lock").remove(&key);
+        let mut rec = match cached {
+            Some(rec) => {
+                self.trace_hits.fetch_add(1, Ordering::Relaxed);
+                rec
+            }
+            None => {
+                self.trace_misses.fetch_add(1, Ordering::Relaxed);
+                start()
+            }
+        };
+        let out = replay(&mut rec);
         let mut map = self.traces.lock().expect("trace cache lock");
-        if map.len() < TRACE_CACHE_CAP {
-            map.entry(key).or_insert_with(|| t.clone());
+        let full = map.len() >= TRACE_CACHE_CAP;
+        match map.entry(key) {
+            Entry::Occupied(mut e) => {
+                if rec.frontier() > e.get().frontier() {
+                    e.insert(rec);
+                }
+            }
+            Entry::Vacant(e) => {
+                if !full {
+                    e.insert(rec);
+                }
+            }
         }
-        t
+        out
     }
 }
 
@@ -213,5 +237,47 @@ mod tests {
         // An uncached run reports no counters at all.
         let plain = spec.build().unwrap().run();
         assert!(plain.metrics.expect("metrics enabled").counters.is_empty());
+    }
+
+    #[test]
+    fn cached_recordings_grow_for_longer_readers() {
+        use crate::asynchronous::AsyncView;
+        use crate::dynamic::{DynamicModel, EdgeMarkov};
+        use crate::mode::Mode;
+        // Same graph, topology, source, horizon and seed: one trace key
+        // per trial. Pull spreads slower than push-pull and antithetic
+        // trials replay twice, so the three read different lengths.
+        let base =
+            coupled_spec(44).topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov {
+                off_rate: 0.5,
+                on_rate: 0.5,
+            })));
+        let pull = base
+            .clone()
+            .protocol(Protocol::Async { mode: Mode::Pull, view: AsyncView::GlobalClock });
+        let anti = base.clone().antithetic(true);
+        let specs = [base, pull, anti];
+        let plain: Vec<_> = specs.iter().map(|s| s.build().unwrap().run()).collect();
+        let steps = |i: usize| plain[i].telemetry.trace_steps;
+        assert!(
+            steps(1) > steps(0) && steps(2) >= steps(0),
+            "{}, {}, {}",
+            steps(0),
+            steps(1),
+            steps(2)
+        );
+        for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2]] {
+            let caches = Arc::new(RunCaches::new());
+            for &i in &order {
+                let cached = specs[i].build_cached(&caches).unwrap().run();
+                assert_eq!(cached, plain[i], "spec {i} in order {order:?}");
+            }
+            let counters: std::collections::HashMap<String, u64> =
+                caches.counters().into_iter().collect();
+            // Six trace keys: recorded by the first spec, resumed (and
+            // grown where needed) by the other two.
+            assert_eq!(counters["trace_cache_misses"], 6, "{order:?}");
+            assert_eq!(counters["trace_cache_hits"], 12, "{order:?}");
+        }
     }
 }

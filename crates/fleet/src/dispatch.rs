@@ -36,8 +36,8 @@ pub struct DispatchOptions {
     /// sweep`). Tests substitute `rumor worker --exit-after n` here to
     /// inject crashes.
     pub worker_cmd: Vec<String>,
-    /// Run an in-process pilot pass first, shrinking `auto` budgets and
-    /// horizons toward what the pilot trials actually needed.
+    /// Run an in-process pilot pass first, shrinking `auto` step and
+    /// round budgets toward what the pilot trials actually needed.
     pub pilot: bool,
     /// Trials per child in the pilot pass (capped by the child's own
     /// trial count).
@@ -135,13 +135,14 @@ pub fn dispatch(sweep: &SweepSpec, options: &DispatchOptions) -> Result<FleetOut
 /// worst-case defaults. Children whose pilot censored are left alone —
 /// a tight budget derived from a censored pilot would censor the real
 /// run too.
+///
+/// A coupled child's `auto` horizon is never tuned: traces are recorded
+/// only as far as the replays read, so a larger horizon costs nothing,
+/// and a tighter one would cut the sync half's topology short.
 fn pilot_tune(children: &mut [SweepChild], pilot_trials: usize) -> Result<(), FleetError> {
     for child in children {
         let plan = &child.spec.plan;
-        let tunable = plan.max_steps.is_none()
-            || plan.max_rounds.is_none()
-            || (plan.coupled && plan.horizon.is_none());
-        if !tunable {
+        if plan.max_steps.is_some() && plan.max_rounds.is_some() {
             continue;
         }
         let defaults = child.spec.build()?;
@@ -158,12 +159,12 @@ fn pilot_tune(children: &mut [SweepChild], pilot_trials: usize) -> Result<(), Fl
         if let Some(coupled) = &pilot.coupled {
             let max_rounds = coupled.iter().map(|o| o.sync_rounds).fold(0.0, f64::max);
             let max_time = coupled.iter().map(|o| o.async_time).fold(0.0, f64::max);
-            let max_steps = coupled.iter().map(|o| o.trace_steps).max().unwrap_or(0) as u64;
+            // The global clock ticks n times per time unit, so protocol
+            // steps are about the async time × n.
+            let n = defaults.graph().node_count() as f64;
+            let max_steps = (max_time * n).ceil() as u64;
             if tuned.plan.max_rounds.is_none() && max_rounds > 0.0 {
                 tuned = tuned.max_rounds(((max_rounds as u64 + 1) * 4).min(defaults.max_rounds()));
-            }
-            if tuned.plan.horizon.is_none() && max_time > 0.0 {
-                tuned = tuned.horizon((max_time * 2.0).min(defaults.horizon()));
             }
             if tuned.plan.max_steps.is_none() && max_steps > 0 {
                 tuned = tuned.max_steps((max_steps * 4).max(1).min(defaults.max_steps()));
@@ -407,7 +408,8 @@ fn fleet_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_core::spec::{GraphSpec, Protocol, SimSpec};
+    use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
+    use rumor_core::spec::{GraphSpec, Protocol, SimSpec, Topology};
 
     fn quick_sweep() -> SweepSpec {
         let base = SimSpec::new(GraphSpec::Complete { n: 8 })
@@ -492,5 +494,40 @@ mod tests {
             .to_owned();
         assert!(spec_text.contains("max_steps = "), "tuned text: {spec_text}");
         assert!(!spec_text.contains("max_steps = auto"), "tuned text: {spec_text}");
+    }
+
+    #[test]
+    fn pilot_leaves_coupled_rows_unchanged() {
+        let base = SimSpec::new(GraphSpec::Gnp { n: 24, p: 0.3, seed: 5, attempts: 200 })
+            .protocol(Protocol::push_pull_async())
+            // Slow churn: far fewer topology changes than protocol
+            // ticks, so a step budget counted in trace steps censors.
+            .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov {
+                off_rate: 0.02,
+                on_rate: 0.08,
+            })))
+            .coupled(true)
+            .trials(6)
+            .seed(21);
+        let sweep = SweepSpec::new(base)
+            .axis("graph.n", ["16", "24"])
+            .unwrap()
+            .axis("antithetic", ["false", "true"])
+            .unwrap();
+        let plain = dispatch(&sweep, &DispatchOptions::default()).unwrap();
+        let piloted =
+            dispatch(&sweep, &DispatchOptions { pilot: true, ..DispatchOptions::default() })
+                .unwrap();
+        let children = |doc: &Json| doc.get("children").unwrap().as_arr().unwrap().to_vec();
+        let (plain, piloted) = (children(&plain.doc), children(&piloted.doc));
+        assert_eq!(plain.len(), 4);
+        for (a, b) in plain.iter().zip(&piloted) {
+            let rows = |c: &Json| c.get("report").unwrap().get("coupled").unwrap().clone();
+            assert_eq!(rows(a), rows(b), "{:?}", a.get("point"));
+            // Budgets were tuned; the horizon stays `auto`.
+            let text = b.get("spec").unwrap().as_str().unwrap();
+            assert!(!text.contains("max_steps = auto"), "tuned text: {text}");
+            assert!(text.contains("horizon = auto"), "tuned text: {text}");
+        }
     }
 }

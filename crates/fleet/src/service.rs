@@ -360,4 +360,46 @@ mod tests {
         assert_eq!(docs[2].get("id").unwrap(), &Json::Num(3.0));
         assert!(docs[2].get("counters").is_some());
     }
+
+    #[test]
+    fn a_huge_coupled_horizon_is_answered_promptly() {
+        // Traces are recorded only as far as the replays read, so a
+        // horizon of 1e300 costs what `auto` costs. It once recorded a
+        // trace that grew without bound, far past any request timeout.
+        let auto = SimSpec::new(GraphSpec::Gnp { n: 32, p: 0.25, seed: 3, attempts: 200 })
+            .protocol(Protocol::push_pull_async())
+            .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov {
+                off_rate: 0.25,
+                on_rate: 0.1,
+            })))
+            .coupled(true)
+            .trials(4)
+            .seed(17);
+        let huge = auto.clone().horizon(1e300);
+        let mut input = request(1.0, &huge);
+        input.extend(request(2.0, &huge));
+        let config =
+            ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
+        let started = std::time::Instant::now();
+        let mut output = Vec::new();
+        let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(exit, ServiceExit::Eof(2));
+        assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
+        let docs = responses(&output);
+        let rows = |doc: &Json| doc.get("report").unwrap().get("coupled").unwrap().clone();
+        // No trial reaches the auto horizon, so the rows match it
+        // (trace steps included), cold and from the cache.
+        let auto_sim = auto.build().unwrap();
+        let auto_report = auto_sim.run();
+        let reach = |o: &rumor_core::spec::CoupledOutcome| o.async_time.max(o.sync_rounds);
+        assert!(auto_report
+            .coupled_outcomes()
+            .unwrap()
+            .iter()
+            .all(|o| reach(o) < auto_sim.horizon()));
+        let expected = report_to_json(&auto_report).get("coupled").unwrap().clone();
+        assert_eq!(rows(&docs[0]), expected);
+        assert_eq!(rows(&docs[1]), expected);
+    }
 }

@@ -13,20 +13,27 @@
 //!   final RNG state), and the coupled runner helpers inherit this
 //!   (`Sequential` and `Lazy` coupled runs are bit-identical);
 //! * **fixed point** — recording a replay reproduces the trace exactly
-//!   (`record(replay(T)) == T`), so traces are closed under replay.
+//!   (`record(replay(T)) == T`), so traces are closed under replay;
+//! * **on-demand recording** — a coupled trial that records its trace
+//!   only as far as its replays read returns what replays of the trace
+//!   recorded eagerly to the horizon return, and what it recorded is a
+//!   prefix of that eager trace.
 
+use proptest::prelude::*;
 use rumor_sim::events::EventQueue;
 use rumor_spreading::core::dynamic::{
     run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
     RandomWalk, Rewire, SnapshotFamily,
 };
-use rumor_spreading::core::engine::trace::{run_trace_lazy, TopologyTrace, TraceReplayer};
+use rumor_spreading::core::engine::trace::{
+    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording, TraceReplayer,
+};
 use rumor_spreading::core::engine::{TopoEvent, TopologyModel};
 use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{Mode, NoProbe};
 use rumor_spreading::graph::dynamic::MutableGraph;
 use rumor_spreading::graph::{generators, Graph};
-use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
+use rumor_spreading::sim::rng::{SeedStream, Xoshiro256PlusPlus};
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::seed_from(seed)
@@ -193,4 +200,91 @@ fn replays_are_repeatable() {
     let third = run_seq(&g, &mut trace.replayer(), &mut rng(9), 1_000_000);
     assert_ne!(first.informed_time, third.informed_time);
     assert!(first.topology_events > 0);
+}
+
+/// What one coupled trial reports, minus the trace-step count:
+/// `(sync_rounds, sync_completed, async_time, async_completed)`.
+type Paired = (f64, bool, f64, bool);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// For every model, both engines and antithetic on and off, the
+    /// on-demand coupled trial of a `SimSpec` returns what replays of
+    /// the eagerly recorded trace return, and counts the eager steps up
+    /// to the replays' reach. A `TraceRecording` fed the same replays
+    /// (sync, sequential and cursor) records a prefix of the eager
+    /// trace, and finishing it yields the eager trace itself.
+    #[test]
+    fn on_demand_coupled_trials_match_eager_replays(seed in 0u64..1_000_000) {
+        let g = test_graph();
+        let (trials, horizon, max_steps, max_rounds) = (2, 40.0, 1_000_000, 50_000);
+        let mode = Mode::PushPull;
+        let trial_seeds: Vec<u64> = SeedStream::new(seed).take(trials).collect();
+        for (name, model) in all_models() {
+            for antithetic in [false, true] {
+                let mut expected: Vec<(Paired, usize)> = Vec::new();
+                for &s in &trial_seeds {
+                    let mut trial = rng(s);
+                    let (trace_seed, proto_seed) = (trial.next_u64(), trial.next_u64());
+                    let eager = record(&g, &model, trace_seed, horizon);
+                    let mut live =
+                        TraceRecording::start(&g, 0, model.build_state(), rng(trace_seed), horizon);
+                    let protos =
+                        if antithetic { vec![proto_seed, !proto_seed] } else { vec![proto_seed] };
+                    let (mut sums, mut done, mut reach) = ((0.0, 0.0), (true, true), 0.0f64);
+                    for p in protos.iter().copied() {
+                        let sync = run_sync_dynamic(&eager, 0, mode, &mut rng(p), max_rounds);
+                        let asy = run_trace_lazy(&eager, 0, mode, &mut rng(p), max_steps);
+                        let live_sync = run_sync_dynamic(&mut live, 0, mode, &mut rng(p), max_rounds);
+                        prop_assert_eq!(&live_sync, &sync, "{}: live sync", name);
+                        let live_seq = run_dynamic_with(
+                            &g, 0, mode, &mut TraceReplayer::new(&mut live), &mut rng(p), max_steps, &mut NoProbe,
+                        );
+                        prop_assert_eq!(&live_seq, &asy, "{}: live sequential", name);
+                        let live_lazy = run_trace_lazy(&mut live, 0, mode, &mut rng(p), max_steps);
+                        prop_assert_eq!(&live_lazy, &asy, "{}: live cursor", name);
+                        sums = (sums.0 + sync.rounds as f64, sums.1 + asy.time);
+                        done = (done.0 && sync.completed, done.1 && asy.completed);
+                        reach = reach.max(asy.time).max(sync.rounds.saturating_sub(1) as f64);
+                    }
+                    let k = protos.len() as f64;
+                    let rec = live.trace();
+                    prop_assert_eq!(rec.initial(), eager.initial(), "{}", name);
+                    prop_assert!(rec.len() <= eager.len(), "{}", name);
+                    prop_assert_eq!(rec.steps(), &eager.steps()[..rec.len()], "{}: not a prefix", name);
+                    let steps = eager.steps().partition_point(|step| step.time <= reach);
+                    prop_assert!(steps <= rec.len(), "{}: replays read past the recording", name);
+                    prop_assert_eq!(&live.finish(), &eager, "{}: finished recording", name);
+                    let paired = (sums.0 / k, done.0, sums.1 / k, done.1);
+                    expected.push((paired, steps));
+                }
+                for engine in [Engine::Sequential, Engine::Lazy] {
+                    let report = SimSpec::on_graph(&g)
+                        .protocol(Protocol::push_pull_async())
+                        .topology(Topology::Model(model))
+                        .engine(engine)
+                        .coupled(true)
+                        .antithetic(antithetic)
+                        .trials(trials)
+                        .seed(seed)
+                        .horizon(horizon)
+                        .max_steps(max_steps)
+                        .max_rounds(max_rounds)
+                        .build()
+                        .expect("valid coupled spec")
+                        .run();
+                    let got: Vec<(Paired, usize)> = report
+                        .coupled_outcomes()
+                        .expect("coupled report")
+                        .iter()
+                        .map(|o| {
+                            ((o.sync_rounds, o.sync_completed, o.async_time, o.async_completed), o.trace_steps)
+                        })
+                        .collect();
+                    prop_assert_eq!(&got, &expected, "{} {:?} antithetic={}", name, engine, antithetic);
+                }
+            }
+        }
+    }
 }
