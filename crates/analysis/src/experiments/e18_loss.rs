@@ -7,7 +7,9 @@
 //! `p` and fits the scaling.
 
 use rumor_core::runner::{default_max_steps, run_trials_parallel};
-use rumor_core::spread::{run_async_config, run_sync_config, SpreadConfig};
+use rumor_core::spread::SpreadConfig;
+use rumor_core::sync::run_sync_probed;
+use rumor_core::{run_async_probed, AsyncView, NoProbe};
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::OnlineStats;
@@ -60,9 +62,11 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
                     cfg.threads,
                     |_, rng| {
                         if model == "sync" {
-                            run_sync_config(g, &spread, rng, sync_round_budget(g)).rounds as f64
+                            let budget = sync_round_budget(g);
+                            run_sync_probed(g, &spread, rng, budget, &mut NoProbe).rounds as f64
                         } else {
-                            run_async_config(g, &spread, rng, default_max_steps(g)).time
+                            let (view, budget) = (AsyncView::GlobalClock, default_max_steps(g));
+                            run_async_probed(g, &spread, view, rng, budget, &mut NoProbe).time
                         }
                     },
                 )

@@ -1,10 +1,10 @@
 //! **E23 — the sync-vs-async gap on shared topology traces.** The
 //! paper's proofs are coupling arguments: two processes driven by
-//! shared randomness so their spreading times compare *pathwise*. E20
-//! asked the sync-vs-async question on dynamic topologies with
-//! **independent** realizations — statistically the weakest possible
-//! design, and unfaithful to the proof technique. This experiment
-//! replaces it with the real thing: per trial, one topology realization
+//! shared randomness so their spreading times compare *pathwise*. An
+//! independent-runs design asks the sync-vs-async question on dynamic
+//! topologies with **independent** realizations — statistically the
+//! weakest possible design, and unfaithful to the proof technique. This
+//! experiment uses the real thing: per trial, one topology realization
 //! is recorded as a `TopologyTrace` and **both** protocols run on it —
 //! the synchronous rounds engine snapshotting the trace at round
 //! boundaries, the asynchronous engine replaying it event-exactly —
@@ -13,7 +13,7 @@
 //! The table reports, per dynamic model, the paired async/sync ratio
 //! together with **both** 95 % confidence intervals computed from the
 //! same 400 trials: the paired delta-method interval (covariance kept)
-//! and the interval an independent-runs design — E20's — is limited to
+//! and the interval an independent-runs design is limited to
 //! (covariance dropped). Their quotient, the *shrink* column, is the
 //! variance reduction the coupling buys; it equals 1 exactly when the
 //! trace realization carries no spreading-time variance.
@@ -82,7 +82,7 @@ pub const MAX_ROUNDS: u64 = 20_000;
 /// so a committed `.spec` artifact reproduces the exact experiment
 /// graph with no side channel.
 pub fn graph_spec(n: usize, cfg: &ExperimentConfig) -> GraphSpec {
-    // Sparser than E20/E22's base (1.05 vs 2 ln n / n): the closer the
+    // Sparser than E22's base (1.05 vs 2 ln n / n): the closer the
     // base sits to the connectivity threshold, the more of the
     // spreading-time variance the topology realization carries.
     let p = 1.05 * (n as f64).ln() / n as f64;
@@ -130,7 +130,7 @@ fn cell_spec_on(graph: GraphSpec, g: &Graph, model_name: &str, cfg: &ExperimentC
 /// Runs E23 and returns the table.
 pub fn run(cfg: &ExperimentConfig) -> Table {
     let mut table = Table::new(
-        "E23 / coupled traces: paired sync-vs-async on shared topology realizations (supersedes E20's independent-runs comparison)",
+        "E23 / coupled traces: paired sync-vs-async on shared topology realizations (versus an independent-runs design)",
         &[
             "n",
             "model",
@@ -181,7 +181,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     table.add_note(
         "per trial one TopologyTrace is recorded and BOTH protocols run on it with a common \
          protocol seed; `ci95 paired` keeps the covariance between the columns, `ci95 indep` \
-         drops it — the interval E20's independent-runs design is limited to at the same trial \
+         drops it — the interval an independent-runs design is limited to at the same trial \
          count; `shrink` = indep/paired",
     );
     table.add_note(

@@ -1,9 +1,10 @@
 //! Paired (coupled-run) statistics: sync/async comparisons where both
 //! samples of a trial share a topology trace and a protocol seed.
 //!
-//! E20 compared synchronous and asynchronous spreading on dynamic
-//! topologies with **independent** trials, so its ratio estimate
-//! carries the full variance of both columns. A coupled trial (a
+//! An independent-runs design compares synchronous and asynchronous
+//! spreading on dynamic topologies with **independent** trials, so its
+//! ratio estimate carries the full variance of both columns. A coupled
+//! trial (a
 //! `rumor_core::spec::SimSpec` with `.coupled(true)`) drives both runs
 //! over the *same* recorded [`TopologyTrace`] with common random
 //! numbers; the shared topology realization induces positive
@@ -104,7 +105,7 @@ impl PairedSamples {
 
     /// Half-width of the 95 % delta-method confidence interval for the
     /// same ratio computed **as if the columns were independent** (the
-    /// covariance term dropped) — exactly the interval E20's
+    /// covariance term dropped) — exactly the interval an
     /// independent-runs design is limited to, at the same trial count.
     pub fn unpaired_ci_half_width(&self) -> Option<f64> {
         self.ratio_ci(false)

@@ -109,11 +109,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: e19_dynamic_churn::run,
         },
         Experiment {
-            id: "e20",
-            claim: "dynamic networks: sync-vs-async gap stays Theta(1) under rewiring",
-            run: e20_rewire_gap::run,
-        },
-        Experiment {
             id: "e21",
             claim: "engines: lazy clocks agree with the eager engine and are O(touched)",
             run: e21_engines::run,
@@ -125,7 +120,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "e23",
-            claim: "coupled traces: paired sync-vs-async CIs beat E20's independent-run CIs",
+            claim: "coupled traces: paired sync-vs-async CIs beat independent-runs CIs",
             run: e23_coupled_gap::run,
         },
     ]
@@ -148,11 +143,11 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert_eq!(all.len(), 23);
+        assert_eq!(all.len(), 22);
         let mut ids: Vec<&str> = all.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 23, "duplicate experiment ids");
+        assert_eq!(ids.len(), 22, "duplicate experiment ids");
     }
 
     #[test]
@@ -160,6 +155,7 @@ mod tests {
         assert!(find_experiment("e1").is_some());
         assert!(find_experiment("e18").is_some());
         assert!(find_experiment("e23").is_some());
+        assert!(find_experiment("e20").is_none(), "E20 is retired");
         assert!(find_experiment("e99").is_none());
     }
 }

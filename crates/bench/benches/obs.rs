@@ -15,7 +15,7 @@ use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, NoProbe,
+    LogHistogram, MetricsLevel, Mode, NoProbe, SpreadConfig,
 };
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -64,8 +64,7 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
             let mut rng = Xoshiro256PlusPlus::seed_from(9);
             run_async_probed(
                 &g,
-                0,
-                Mode::PushPull,
+                &SpreadConfig::new(0),
                 AsyncView::GlobalClock,
                 &mut rng,
                 100_000_000,

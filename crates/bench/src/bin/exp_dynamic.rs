@@ -1,13 +1,9 @@
-//! Regenerates E19 (spreading time vs. churn rate), E20 (sync-vs-async
-//! gap under rewiring; superseded by E23 but kept for continuity), E22
-//! (topology models at matched expected churn), and E23 (paired
-//! sync-vs-async on shared topology traces); see
-//! EXPERIMENTS_DYNAMIC.md.
+//! Regenerates E19 (spreading time vs. churn rate), E22 (topology models
+//! at matched expected churn), and E23 (paired sync-vs-async on shared
+//! topology traces); see EXPERIMENTS_DYNAMIC.md.
 
 fn main() {
     rumor_bench::run_and_print("e19");
-    println!();
-    rumor_bench::run_and_print("e20");
     println!();
     rumor_bench::run_and_print("e22");
     println!();

@@ -14,7 +14,10 @@ use rumor_analysis::PairedSamples;
 use rumor_core::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
-use rumor_core::spec::{Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation, Topology};
+use rumor_core::spec::{
+    Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation, Topology,
+    DEFAULT_COUPLED_MAX_ROUNDS,
+};
 use rumor_core::{AsyncView, MetricsLevel, Mode};
 use rumor_graph::{props, Graph};
 use rumor_sim::stats::{quantile, Summary};
@@ -214,6 +217,7 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
         "none" => Topology::Static,
         name => Topology::Model(parse_dynamic_model(args, name, &g)?),
     };
+    let topology_is_static = matches!(topology, Topology::Static);
 
     let protocol = if model == "sync" && !coupled {
         Protocol::Sync { mode }
@@ -234,6 +238,12 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
         .coupled(coupled);
     if let Some(level) = opt_metrics(args)? {
         spec = spec.metrics(level);
+    }
+    if protocol.is_sync() && !topology_is_static {
+        // A synchronous run on a model records the realization up to
+        // its round budget, which a spec must state; the flag path uses
+        // the budget of a coupled run's synchronous half.
+        spec = spec.max_rounds(DEFAULT_COUPLED_MAX_ROUNDS);
     }
     if coupled {
         if let Some(h) = opt_f64(args, "horizon")? {
@@ -528,12 +538,11 @@ mod tests {
 
     #[test]
     fn dynamic_model_flag_validates() {
-        // Unknown model, sync + async-only model.
+        // Unknown models.
         assert!(with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "psychic"]).is_err());
         assert!(
             with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "edge-markov"]).is_err()
         );
-        assert!(with_graph(TRIANGLE, &["--dynamic-model", "walk"]).is_err(), "sync + walk");
         // Model-specific parameter validation.
         assert!(with_graph(
             TRIANGLE,
@@ -560,12 +569,17 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_rewire_works_synchronously() {
-        let out =
-            with_graph(TRIANGLE, &["--dynamic-model", "rewire", "--period", "2", "--trials", "20"])
-                .unwrap();
-        assert!(out.contains("dynamic rewire"));
-        assert!(out.contains("rounds"));
+    fn dynamic_models_run_synchronously() {
+        for (flags, printed) in [
+            (&["--dynamic-model", "rewire", "--period", "2"][..], "rewire"),
+            (&["--dynamic-model", "rewire", "--period", "2.5"], "rewire"),
+            (&["--dynamic-model", "markov"], "edge-markov"),
+            (&["--dynamic-model", "walk"], "walk"),
+        ] {
+            let out = with_graph(TRIANGLE, &[flags, &["--trials", "20"]].concat()).unwrap();
+            assert!(out.contains(&format!("dynamic {printed}")), "{out}");
+            assert!(out.contains("rounds"), "{out}");
+        }
     }
 
     #[test]
@@ -576,7 +590,6 @@ mod tests {
             &["--model", "async", "--dynamic-model", "markov", "--churn", "-1"]
         )
         .is_err());
-        assert!(with_graph(TRIANGLE, &["--dynamic-model", "markov"]).is_err(), "sync + churn");
         assert!(with_graph(
             TRIANGLE,
             &["--model", "async", "--dynamic-model", "rewire", "--loss", "0.5"]
@@ -587,8 +600,6 @@ mod tests {
             &["--model", "async", "--dynamic-model", "node-churn", "--attach", "0"]
         )
         .is_err());
-        // Synchronous rewiring needs whole rounds.
-        assert!(with_graph(TRIANGLE, &["--dynamic-model", "rewire", "--period", "2.5"]).is_err());
     }
 
     #[test]

@@ -95,8 +95,9 @@ DYNAMIC NETWORKS (rumor run --dynamic-model …):
     walk          random-walk edge dynamics  (--churn RATE, default 1)
     mobility      geometric mobility         (--move-rate R --radius R --step S)
     adversary     frontier cuts              (--cut-rate R --cut-budget B --heal T)
-    every model but rewire needs --model async; rewire supports both
-    models (snapshots are drawn at matching edge density).
+    every model runs under both --model sync and --model async (a sync
+    run records the model's realization and replays it in rounds, up to
+    20000 rounds); rewire snapshots are drawn at matching edge density.
 
 FLEET (rumor sweep / worker / serve):
     sweep expands `sweep.<key> = [v1, v2, …]` axis lines in the spec

@@ -14,6 +14,10 @@
 //! * [`AsyncView::EdgeClocks`] — one clock per *ordered* adjacent pair
 //!   `(v, w)` with rate `1/deg(v)`; when it ticks, `v` contacts `w`
 //!   (Poisson thinning).
+//!
+//! All three views run the generalizations of [`SpreadConfig`] — several
+//! sources, lossy contacts — and report every transmission to a
+//! [`Probe`], which is how transmission traces are recorded.
 
 use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -22,6 +26,8 @@ use crate::engine::{drive, Control, QueueSource, TickSource};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
+use crate::spread::SpreadConfig;
+use crate::trace::Transmission;
 
 /// Which of the three equivalent formulations of the asynchronous model
 /// drives the simulation. All produce the same process in distribution;
@@ -54,7 +60,9 @@ impl std::fmt::Display for AsyncView {
 }
 
 /// Runs the asynchronous protocol from `source` until every node is
-/// informed or `max_steps` steps have been taken.
+/// informed or `max_steps` steps have been taken — the paper's model:
+/// one source, reliable exchanges. Shorthand for [`run_async_probed`]
+/// with `SpreadConfig::new(source).with_mode(mode)` and no probe.
 ///
 /// A *step* is one node activation (one directed contact); the expected
 /// time between consecutive steps is `1/n`, which is how the paper's
@@ -86,37 +94,61 @@ pub fn run_async(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> AsyncOutcome {
-    run_async_probed(g, source, mode, view, rng, max_steps, &mut NoProbe)
+    let config = SpreadConfig::new(source).with_mode(mode);
+    run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe)
 }
 
-/// Like [`run_async`], with an instrumentation [`Probe`] observing the
-/// run. Probes are passive — a probed run replays its unprobed twin
-/// seed-for-seed — and a [`NoProbe`] compiles every hook out.
-#[allow(clippy::too_many_arguments)]
+/// Runs the asynchronous protocol under a [`SpreadConfig`] — its
+/// sources, mode and per-contact loss — in the given clock view, with
+/// an instrumentation [`Probe`] observing the run. Probes are passive —
+/// a probed run replays its unprobed twin seed-for-seed — and a
+/// [`NoProbe`] compiles every hook out.
+///
+/// With `loss > 0` every contact draws one Bernoulli(`loss`) as soon as
+/// its partner is known (in the global-clock view: right after the
+/// neighbor draw) and is dropped if it succeeds. Loss-free runs draw
+/// nothing extra.
+///
+/// # Panics
+///
+/// Panics if a source is out of range or the graph has isolated nodes.
 pub fn run_async_probed<P: Probe>(
     g: &Graph,
-    source: Node,
-    mode: Mode,
+    config: &SpreadConfig,
     view: AsyncView,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
 ) -> AsyncOutcome {
     let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    assert!(n == 1 || !g.has_isolated_nodes(), "graph has isolated nodes");
-
-    match view {
-        AsyncView::GlobalClock => run_global_clock(g, source, mode, rng, max_steps, probe),
-        AsyncView::NodeClocks => run_node_clocks(g, source, mode, rng, max_steps, probe),
-        AsyncView::EdgeClocks => run_edge_clocks(g, source, mode, rng, max_steps, probe),
+    config.validate(n);
+    let mut st = RunState::new(n, config);
+    assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
+    if P::ENABLED {
+        probe.trial_start(n, config.sources());
+        probe.informed(0.0, st.informed_count);
     }
+    // The trivial cases consume no randomness: everyone is a source,
+    // or the budget allows no step.
+    st.completed = st.all_informed();
+    if !st.completed && max_steps > 0 {
+        st = match view {
+            AsyncView::GlobalClock => run_global_clock(g, st, rng, max_steps, probe),
+            AsyncView::NodeClocks => run_node_clocks(g, st, rng, max_steps, probe),
+            AsyncView::EdgeClocks => run_edge_clocks(g, st, rng, max_steps, probe),
+        };
+    }
+    if P::ENABLED {
+        probe.trial_end(st.time, st.completed);
+    }
+    st.into_outcome()
 }
 
 /// Shared exchange logic: node `v` contacts node `w` at time `t`.
-/// Returns `true` if a node was newly informed. Also used by the
-/// dynamic engine, which must mirror this logic exactly to keep its
-/// churn-0 seed-for-seed replay guarantee.
+/// Returns how a node was newly informed, if one was (the learner is
+/// `w` on a push, `v` on a pull). Also used by the dynamic engines,
+/// which must mirror this logic exactly to keep their churn-0
+/// seed-for-seed replay guarantee.
 #[inline]
 pub(crate) fn exchange(
     mode: Mode,
@@ -125,25 +157,27 @@ pub(crate) fn exchange(
     v: Node,
     w: Node,
     t: f64,
-) -> bool {
+) -> Option<Transmission> {
     let vi = informed_time[v as usize].is_finite();
     let wi = informed_time[w as usize].is_finite();
     if vi && !wi && mode.includes_push() {
         informed_time[w as usize] = t;
         *informed_count += 1;
-        true
+        Some(Transmission::Push)
     } else if !vi && wi && mode.includes_pull() {
         informed_time[v as usize] = t;
         *informed_count += 1;
-        true
+        Some(Transmission::Pull)
     } else {
-        false
+        None
     }
 }
 
-/// Shared per-run bookkeeping for the three views: informed times, the
-/// running clock, and the stop conditions the engine loop checks.
+/// Shared per-run bookkeeping for the three views: the exchange rules
+/// (mode and loss), informed times, and the running clock.
 struct RunState {
+    mode: Mode,
+    loss: f64,
     informed_time: Vec<f64>,
     informed_count: usize,
     time: f64,
@@ -152,16 +186,56 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(n: usize, source: Node) -> Self {
+    fn new(n: usize, config: &SpreadConfig) -> Self {
         let mut informed_time = vec![f64::INFINITY; n];
-        informed_time[source as usize] = 0.0;
-        Self { informed_time, informed_count: 1, time: 0.0, steps: 0, completed: false }
+        for &s in config.sources() {
+            informed_time[s as usize] = 0.0;
+        }
+        Self {
+            mode: config.mode(),
+            loss: config.loss_probability(),
+            informed_time,
+            informed_count: config.sources().len(),
+            time: 0.0,
+            steps: 0,
+            completed: false,
+        }
     }
 
-    /// The trivial cases both of which consume no randomness: a solo
-    /// node is informed at time 0; a zero budget takes no steps.
-    fn trivial(&self, n: usize, max_steps: u64) -> bool {
-        n == 1 || max_steps == 0
+    fn all_informed(&self) -> bool {
+        self.informed_count == self.informed_time.len()
+    }
+
+    /// One step at time `t`: counts it and reports it to the probe.
+    #[inline]
+    fn tick<P: Probe>(&mut self, t: f64, probe: &mut P) {
+        self.time = t;
+        self.steps += 1;
+        if P::ENABLED {
+            probe.event(t, ProbeEvent::Tick);
+        }
+    }
+
+    /// `v` contacts `w` at time `t`; a lossy contact first draws
+    /// whether it is dropped.
+    #[inline]
+    fn contact<P: Probe>(
+        &mut self,
+        v: Node,
+        w: Node,
+        t: f64,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) {
+        if self.loss > 0.0 && rng.bernoulli(self.loss) {
+            return;
+        }
+        let how = exchange(self.mode, &mut self.informed_time, &mut self.informed_count, v, w, t);
+        if let (true, Some(how)) = (P::ENABLED, how) {
+            let (informer, learner) = how.roles(v, w);
+            probe.informed(t, self.informed_count);
+            probe.transmitted(informer, learner, how, t);
+        }
     }
 
     fn into_outcome(self) -> AsyncOutcome {
@@ -176,39 +250,18 @@ impl RunState {
 
 fn run_global_clock<P: Probe>(
     g: &Graph,
-    source: Node,
-    mode: Mode,
+    mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
-) -> AsyncOutcome {
+) -> RunState {
     let n = g.node_count();
-    let mut st = RunState::new(n, source);
-    if P::ENABLED {
-        probe.trial_start(n, source);
-        probe.informed(0.0, st.informed_count);
-    }
-    if st.trivial(n, max_steps) {
-        st.completed = n == 1;
-        if P::ENABLED {
-            probe.trial_end(0.0, st.completed);
-        }
-        return st.into_outcome();
-    }
-
     let mut src = TickSource::new(n as f64);
     drive(&mut src, rng, |_, rng, t, ()| {
-        st.time = t;
-        st.steps += 1;
-        if P::ENABLED {
-            probe.event(t, ProbeEvent::Tick);
-        }
+        st.tick(t, probe);
         let v = rng.range_usize(n) as Node;
         let w = g.random_neighbor(v, rng);
-        let grew = exchange(mode, &mut st.informed_time, &mut st.informed_count, v, w, t);
-        if P::ENABLED && grew {
-            probe.informed(t, st.informed_count);
-        }
+        st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
             return Control::Stop;
@@ -218,49 +271,25 @@ fn run_global_clock<P: Probe>(
         }
         Control::Continue
     });
-    if P::ENABLED {
-        probe.trial_end(st.time, st.completed);
-    }
-    st.into_outcome()
+    st
 }
 
 fn run_node_clocks<P: Probe>(
     g: &Graph,
-    source: Node,
-    mode: Mode,
+    mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
-) -> AsyncOutcome {
+) -> RunState {
     let n = g.node_count();
-    let mut st = RunState::new(n, source);
-    if P::ENABLED {
-        probe.trial_start(n, source);
-        probe.informed(0.0, st.informed_count);
-    }
-    if st.trivial(n, max_steps) {
-        st.completed = n == 1;
-        if P::ENABLED {
-            probe.trial_end(0.0, st.completed);
-        }
-        return st.into_outcome();
-    }
-
     let mut src = QueueSource::with_capacity(n);
     for v in 0..n as Node {
         src.queue.push(rng.exp(1.0), v);
     }
     drive(&mut src, rng, |src, rng, t, v| {
-        st.time = t;
-        st.steps += 1;
-        if P::ENABLED {
-            probe.event(t, ProbeEvent::Tick);
-        }
+        st.tick(t, probe);
         let w = g.random_neighbor(v, rng);
-        let grew = exchange(mode, &mut st.informed_time, &mut st.informed_count, v, w, t);
-        if P::ENABLED && grew {
-            probe.informed(t, st.informed_count);
-        }
+        st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
             return Control::Stop;
@@ -271,35 +300,18 @@ fn run_node_clocks<P: Probe>(
         }
         Control::Continue
     });
-    if P::ENABLED {
-        probe.trial_end(st.time, st.completed);
-    }
-    st.into_outcome()
+    st
 }
 
 fn run_edge_clocks<P: Probe>(
     g: &Graph,
-    source: Node,
-    mode: Mode,
+    mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
-) -> AsyncOutcome {
-    let n = g.node_count();
-    let mut st = RunState::new(n, source);
-    if P::ENABLED {
-        probe.trial_start(n, source);
-        probe.informed(0.0, st.informed_count);
-    }
-    if st.trivial(n, max_steps) {
-        st.completed = n == 1;
-        if P::ENABLED {
-            probe.trial_end(0.0, st.completed);
-        }
-        return st.into_outcome();
-    }
-
+) -> RunState {
     // One clock per ordered pair (v, w), rate 1/deg(v).
+    let n = g.node_count();
     let mut src = QueueSource::with_capacity(2 * g.edge_count());
     for v in 0..n as Node {
         let rate = 1.0 / g.degree(v) as f64;
@@ -308,15 +320,8 @@ fn run_edge_clocks<P: Probe>(
         }
     }
     drive(&mut src, rng, |src, rng, t, (v, w)| {
-        st.time = t;
-        st.steps += 1;
-        if P::ENABLED {
-            probe.event(t, ProbeEvent::Tick);
-        }
-        let grew = exchange(mode, &mut st.informed_time, &mut st.informed_count, v, w, t);
-        if P::ENABLED && grew {
-            probe.informed(t, st.informed_count);
-        }
+        st.tick(t, probe);
+        st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
             return Control::Stop;
@@ -328,10 +333,7 @@ fn run_edge_clocks<P: Probe>(
         }
         Control::Continue
     });
-    if P::ENABLED {
-        probe.trial_end(st.time, st.completed);
-    }
-    st.into_outcome()
+    st
 }
 
 #[cfg(test)]
@@ -404,25 +406,33 @@ mod tests {
         );
     }
 
+    /// E9 in miniature, with loss as without: the three views describe
+    /// one process. At loss 0 and 0.3 on the 5-cube, the node-clock and
+    /// edge-clock spreading times pass a two-sample Kolmogorov–Smirnov
+    /// test against the global clock; 300 trials each, and the critical
+    /// value at significance 0.001 is 1.949 · sqrt(2 / 300) ≈ 0.159.
     #[test]
-    fn views_agree_in_expectation() {
-        // E9 in miniature: the three views must have the same spreading
-        // time distribution; compare means on a small cycle.
-        let g = generators::cycle(16);
-        let trials = 300;
-        let mut means = Vec::new();
-        for view in AsyncView::ALL {
-            let mut s = OnlineStats::new();
-            for seed in 0..trials {
-                let out = run_async(&g, 0, Mode::PushPull, view, &mut rng(1000 + seed), 10_000_000);
-                assert!(out.completed);
-                s.push(out.time);
+    fn views_share_one_law_with_and_without_loss() {
+        const KS_CRITICAL: f64 = 0.159;
+        let g = generators::hypercube(5);
+        for loss in [0.0, 0.3] {
+            let cfg = SpreadConfig::new(0).with_loss_probability(loss);
+            let times = |view: AsyncView, salt: u64| -> Vec<f64> {
+                (salt..salt + 300)
+                    .map(|seed| {
+                        let out =
+                            run_async_probed(&g, &cfg, view, &mut rng(seed), 1 << 24, &mut NoProbe);
+                        assert!(out.completed, "{view}");
+                        out.time
+                    })
+                    .collect()
+            };
+            let global = times(AsyncView::GlobalClock, 0);
+            for (view, salt) in [(AsyncView::NodeClocks, 10_000), (AsyncView::EdgeClocks, 20_000)] {
+                let d = rumor_sim::stats::ks_statistic(&global, &times(view, salt));
+                assert!(d < KS_CRITICAL, "{view} vs global clock at loss {loss}: KS D = {d:.3}");
             }
-            means.push(s.mean());
         }
-        let max = means.iter().cloned().fold(f64::MIN, f64::max);
-        let min = means.iter().cloned().fold(f64::MAX, f64::min);
-        assert!((max - min) / min < 0.15, "views disagree: {means:?}");
     }
 
     #[test]
@@ -506,5 +516,62 @@ mod tests {
         let all = out.time_to_fraction(1.0).unwrap();
         assert!(half <= most && most <= all);
         assert_eq!(all, out.time);
+    }
+
+    fn run(g: &rumor_graph::Graph, config: &SpreadConfig, seed: u64, max: u64) -> AsyncOutcome {
+        run_async_probed(g, config, AsyncView::GlobalClock, &mut rng(seed), max, &mut NoProbe)
+    }
+
+    #[test]
+    fn heavy_loss_still_completes() {
+        let g = generators::complete(8);
+        let cfg = SpreadConfig::new(0).with_loss_probability(0.95);
+        assert!(
+            crate::sync::run_sync_probed(&g, &cfg, &mut rng(2), 1 << 24, &mut NoProbe).completed
+        );
+        for view in AsyncView::ALL {
+            let out = run_async_probed(&g, &cfg, view, &mut rng(3), 100_000_000, &mut NoProbe);
+            assert!(out.completed, "view {view}");
+        }
+    }
+
+    #[test]
+    fn all_sources_start_at_zero() {
+        let g = generators::path(16);
+        let cfg = SpreadConfig::new(0).with_sources(&[2, 9]);
+        let out = run(&g, &cfg, 4, 10_000_000);
+        assert_eq!(out.informed_time[2], 0.0);
+        assert_eq!(out.informed_time[9], 0.0);
+        assert!(out.completed);
+    }
+
+    #[test]
+    fn everyone_a_source_is_instant() {
+        let g = generators::path(4);
+        let cfg = SpreadConfig::new(0).with_sources(&[0, 1, 2, 3]);
+        let out = run(&g, &cfg, 6, 10);
+        assert!(out.completed);
+        assert_eq!(out.steps, 0);
+        let out = crate::sync::run_sync_probed(&g, &cfg, &mut rng(5), 10, &mut NoProbe);
+        assert!(out.completed);
+        assert_eq!((out.rounds, out.informed_by_round), (0, vec![4]));
+    }
+
+    #[test]
+    fn async_loss_slows_spreading() {
+        let g = generators::hypercube(5);
+        let mut lossless = OnlineStats::new();
+        let mut lossy = OnlineStats::new();
+        let cfg = SpreadConfig::new(0).with_loss_probability(0.5);
+        for seed in 0..200 {
+            lossless.push(run(&g, &SpreadConfig::new(0), seed, 100_000_000).time);
+            lossy.push(run(&g, &cfg, 9_000 + seed, 100_000_000).time);
+        }
+        assert!(
+            lossy.mean() > 1.4 * lossless.mean(),
+            "50% loss should visibly slow spreading: {} vs {}",
+            lossy.mean(),
+            lossless.mean()
+        );
     }
 }

@@ -63,7 +63,7 @@ use crate::engine::topology::{StateVisitor, TopologyModel};
 use crate::engine::{EventSource, TickSource, TopoDriver};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
-use crate::outcome::{AsyncOutcome, SyncOutcome, NEVER_ROUND};
+use crate::outcome::AsyncOutcome;
 
 /// Random-graph family used for full-rewiring snapshots.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -453,7 +453,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
     informed_time[source as usize] = 0.0;
     let mut informed_count = 1usize;
     if P::ENABLED {
-        probe.trial_start(n, source);
+        probe.trial_start(n, &[source]);
         probe.informed(0.0, informed_count);
     }
     if n == 1 {
@@ -505,7 +505,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
                 let v = rng.range_usize(n) as Node;
                 if net.is_active(v) && net.degree(v) > 0 {
                     let w = net.random_neighbor(v, rng);
-                    let grew = crate::asynchronous::exchange(
+                    let how = crate::asynchronous::exchange(
                         mode,
                         &mut informed_time,
                         &mut informed_count,
@@ -513,14 +513,13 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
                         w,
                         te,
                     );
-                    if grew {
+                    if let Some(how) = how {
+                        let (informer, learner) = how.roles(v, w);
                         if P::ENABLED {
                             probe.informed(te, informed_count);
+                            probe.transmitted(informer, learner, how, te);
                         }
-                        // An exchange informs at most one endpoint; its
-                        // informed time is this tick's.
-                        let newly = if informed_time[v as usize] == te { v } else { w };
-                        state.note_informed(newly, &net);
+                        state.note_informed(learner, &net);
                     }
                 }
                 if informed_count == n {
@@ -558,65 +557,6 @@ impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
         let Self { g, source, mode, rng, max_steps, probe } = self;
         run_dynamic_with(g, source, mode, &mut state, rng, max_steps, probe)
     }
-}
-
-/// Synchronous push/pull/push–pull on a periodically rewired topology:
-/// the round structure of [`crate::run_sync`], with the graph replaced
-/// by a fresh [`SnapshotFamily`] sample every `rewire_rounds` rounds.
-///
-/// This is the synchronous comparator for experiment E20 (the paper's
-/// sync-vs-async question transplanted to dynamic topologies): one
-/// synchronous round corresponds to one asynchronous time unit, so a
-/// rewire period of `k` rounds matches a continuous period of `k`.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range, `rewire_rounds == 0`, or the
-/// starting graph has isolated nodes.
-pub fn run_sync_rewire(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    rewire_rounds: u64,
-    family: SnapshotFamily,
-    rng: &mut Xoshiro256PlusPlus,
-    max_rounds: u64,
-) -> SyncOutcome {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    assert!(rewire_rounds > 0, "rewire_rounds must be positive");
-    assert!(n == 1 || !g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mut informed_round = vec![NEVER_ROUND; n];
-    informed_round[source as usize] = 0;
-    let mut informed_count = 1usize;
-    let mut informed_by_round = vec![1usize];
-    if informed_count == n {
-        return SyncOutcome { rounds: 0, completed: true, informed_round, informed_by_round };
-    }
-
-    let mut current: Graph = g.clone();
-    let mut rounds = 0;
-    let mut completed = false;
-    for r in 1..=max_rounds {
-        rounds = r;
-        if (r - 1) % rewire_rounds == 0 && r > 1 {
-            current = family.draw(n, rng);
-        }
-        crate::sync::exchange_round(r, mode, &mut informed_round, &mut informed_count, |v| {
-            if current.degree(v) == 0 {
-                None // isolated this snapshot: no contact this round
-            } else {
-                Some(current.random_neighbor(v, rng))
-            }
-        });
-        informed_by_round.push(informed_count);
-        if informed_count == n {
-            completed = true;
-            break;
-        }
-    }
-    SyncOutcome { rounds, completed, informed_round, informed_by_round }
 }
 
 #[cfg(test)]
@@ -933,24 +873,6 @@ mod tests {
         );
         assert!(out.completed);
         assert_eq!(out.steps, 0);
-    }
-
-    #[test]
-    fn sync_rewire_completes_and_respects_round_structure() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(15), 100);
-        let out = run_sync_rewire(
-            &g,
-            0,
-            Mode::PushPull,
-            3,
-            SnapshotFamily::Gnp { p: 0.15 },
-            &mut rng(16),
-            100_000,
-        );
-        assert!(out.completed);
-        assert_eq!(out.informed_by_round[0], 1);
-        assert_eq!(*out.informed_by_round.last().unwrap(), g.node_count());
-        assert_eq!(out.rounds, *out.informed_round.iter().max().unwrap());
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn run_edge_markov_lazy<P: Probe>(
     informed_time[source as usize] = 0.0;
     let mut informed_count = 1usize;
     if P::ENABLED {
-        probe.trial_start(n, source);
+        probe.trial_start(n, &[source]);
         probe.informed(0.0, informed_count);
     }
     if n == 1 || max_steps == 0 {
@@ -202,7 +202,7 @@ pub fn run_edge_markov_lazy<P: Probe>(
         }
         if !live.is_empty() {
             let w = live[rng.range_usize(live.len())];
-            let grew = crate::asynchronous::exchange(
+            let how = crate::asynchronous::exchange(
                 mode,
                 &mut informed_time,
                 &mut informed_count,
@@ -210,8 +210,10 @@ pub fn run_edge_markov_lazy<P: Probe>(
                 w,
                 t,
             );
-            if P::ENABLED && grew {
+            if let (true, Some(how)) = (P::ENABLED, how) {
+                let (informer, learner) = how.roles(v, w);
                 probe.informed(t, informed_count);
+                probe.transmitted(informer, learner, how, t);
             }
         }
         if informed_count == n {

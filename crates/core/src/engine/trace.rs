@@ -1,11 +1,10 @@
 //! Topology-trace record/replay: one churn realization, many runs.
 //!
 //! The paper's proofs are **coupling arguments**: two processes driven
-//! by shared randomness so their spreading times compare pathwise. The
-//! dynamic engines could not express that — every run drew its own
-//! topology evolution from its own RNG stream, so E20's sync-vs-async
-//! comparison ran *independent* realizations. This module closes the
-//! gap:
+//! by shared randomness so their spreading times compare pathwise. An
+//! engine that draws its topology evolution from its own RNG stream
+//! cannot express that: a sync-vs-async comparison over such runs is an
+//! independent-runs design. This module closes the gap:
 //!
 //! * [`TopologyTrace`] — a recorded topology realization: the initial
 //!   graph (after model `init`) plus every applied change as a
@@ -37,7 +36,9 @@
 //!   (round `r` sees every change up to time `r − 1`; one round = one
 //!   time unit, footnote 3 of the paper). This is what makes the
 //!   sync/async comparison of E23 **paired**: both protocols watch the
-//!   identical topology realization.
+//!   identical topology realization. It is also how an uncoupled
+//!   synchronous run executes on any topology model: it records the
+//!   model's realization on demand and replays it here.
 //!
 //! All three replays read steps through one accessor,
 //! `TraceRef::step_by`, over either a sealed trace or a live
@@ -59,7 +60,9 @@ use crate::engine::source::EventSource;
 use crate::engine::topology::{TopoEvent, TopologyModel};
 use crate::engine::TickSource;
 use crate::mode::Mode;
-use crate::outcome::{SyncOutcome, NEVER_ROUND};
+use crate::obs::NoProbe;
+use crate::outcome::SyncOutcome;
+use crate::sync::Rounds;
 
 /// One applied topology change: everything a single model event did to
 /// the graph, as a diff against the state just before it.
@@ -697,16 +700,18 @@ pub fn run_trace_lazy<'a>(
 }
 
 /// Runs the **synchronous** push/pull/push–pull protocol on an evolving
-/// topology given by a recorded trace: the round machinery of
+/// topology given by a recorded trace: the round loop of
 /// [`crate::run_sync`], with the graph snapshotted at round boundaries
 /// — round `r` runs on the topology as of time `r − 1` (one round
-/// corresponds to one asynchronous time unit, footnote 3), generalizing
-/// [`run_sync_rewire`](crate::dynamic::run_sync_rewire) from periodic
-/// snapshots to arbitrary recorded evolutions. Nodes isolated (or
-/// departed) in the current snapshot skip their contact that round.
+/// corresponds to one asynchronous time unit, footnote 3). Nodes
+/// isolated (or departed) in the current snapshot skip their contact
+/// that round.
 ///
-/// Driving this and an asynchronous replay of the *same* trace with a
-/// common protocol seed is the coupled comparison of E23.
+/// This is the synchronous protocol on every topology model: an
+/// uncoupled synchronous spec on a model records the realization on
+/// demand (a [`TraceRecording`] with the round budget as horizon) and
+/// runs it here. Driving this and an asynchronous replay of the *same*
+/// trace with a common protocol seed is the coupled comparison of E23.
 ///
 /// # Panics
 ///
@@ -722,38 +727,22 @@ pub fn run_sync_dynamic<'a>(
     let n = trace.trace().node_count();
     assert!((source as usize) < n, "source out of range");
 
-    let mut informed_round = vec![NEVER_ROUND; n];
-    informed_round[source as usize] = 0;
-    let mut informed_count = 1usize;
-    let mut informed_by_round = vec![1usize];
-    if n == 1 {
-        return SyncOutcome { rounds: 0, completed: true, informed_round, informed_by_round };
-    }
     let mut net = MutableGraph::from_graph(&trace.trace().initial);
     let mut cursor = 0usize;
-    let mut rounds = 0u64;
-    let mut completed = false;
-    for r in 1..=max_rounds {
-        rounds = r;
+    Rounds::new(n, &[source]).run(max_rounds, |st, r| {
         let boundary = (r - 1) as f64;
         while let Some(step) = trace.step_by(cursor, boundary) {
             apply_step(&mut net, step);
             cursor += 1;
         }
-        crate::sync::exchange_round(r, mode, &mut informed_round, &mut informed_count, |v| {
+        st.exchange_round(r, mode, 0.0, rng, &mut NoProbe, |v, rng| {
             if !net.is_active(v) || net.degree(v) == 0 {
                 None // isolated this snapshot: no contact this round
             } else {
                 Some(net.random_neighbor(v, rng))
             }
         });
-        informed_by_round.push(informed_count);
-        if informed_count == n {
-            completed = true;
-            break;
-        }
-    }
-    SyncOutcome { rounds, completed, informed_round, informed_by_round }
+    })
 }
 
 #[cfg(test)]
@@ -762,10 +751,9 @@ mod tests {
     use rumor_graph::generators;
 
     use crate::dynamic::{
-        run_dynamic_with, run_sync_rewire, Adversary, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
-        Rewire, SnapshotFamily,
+        run_dynamic_with, Adversary, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+        SnapshotFamily,
     };
-    use crate::obs::NoProbe;
     use crate::sync::run_sync;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
@@ -858,25 +846,6 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
             assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
         }
-    }
-
-    #[test]
-    fn sync_dynamic_on_a_rewire_trace_matches_run_sync_rewire_snapshots() {
-        // A rewire trace snapshots at times k, 2k, …; run_sync_rewire
-        // redraws at rounds k+1, 2k+1, …. The trace-driven sync engine
-        // must apply them at the same round boundaries (the snapshots
-        // themselves differ — different RNG streams — so compare the
-        // *round structure* via a period longer than the run).
-        let g = generators::gnp_connected(48, 0.2, &mut rng(11), 100);
-        let family = SnapshotFamily::Gnp { p: 0.2 };
-        // Period beyond the run length: both engines never rewire, so
-        // the runs coincide with the static protocol seed-for-seed.
-        let model = DynamicModel::Rewire(Rewire::new(1_000.0, family));
-        let trace = record(&g, &model, 12, 100.0);
-        assert!(trace.is_empty());
-        let a = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(13), 10_000);
-        let b = run_sync_rewire(&g, 0, Mode::PushPull, 1_000, family, &mut rng(13), 10_000);
-        assert_eq!(a, b);
     }
 
     #[test]

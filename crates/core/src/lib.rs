@@ -9,7 +9,9 @@
 //! * the **asynchronous** variants ([`asynchronous`]) in all three
 //!   provably-equivalent views the paper describes — per-node rate-1
 //!   Poisson clocks, a single rate-`n` clock, and per-directed-edge clocks
-//!   with rate `1/deg(v)`;
+//!   with rate `1/deg(v)`; several sources and message loss
+//!   ([`spread::SpreadConfig`]) and transmission traces ([`trace`], a
+//!   probe) are parameters of the same two loops;
 //! * the **auxiliary processes** `ppx` and `ppy` (Definitions 5 and 7)
 //!   that bridge the two models in the upper-bound proof ([`aux`]);
 //! * the **couplings** from both proofs ([`coupling`]): the shared-
@@ -102,4 +104,4 @@ pub use spec::{
     Topology, TopologyModelFactory, TrialPlan,
 };
 pub use spread::SpreadConfig;
-pub use sync::run_sync;
+pub use sync::{run_sync, run_sync_probed};

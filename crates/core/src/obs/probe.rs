@@ -10,6 +10,8 @@
 
 use rumor_graph::Node;
 
+use crate::trace::Transmission;
+
 /// Kinds of engine events visible at the dispatch hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeEvent {
@@ -40,9 +42,10 @@ pub trait Probe {
     /// every hook call out of the engine's hot loop.
     const ENABLED: bool = true;
 
-    /// A trial is starting on `n` nodes from `source`.
-    fn trial_start(&mut self, n: usize, source: Node) {
-        let _ = (n, source);
+    /// A trial is starting on `n` nodes from the (deduplicated)
+    /// `sources`.
+    fn trial_start(&mut self, n: usize, sources: &[Node]) {
+        let _ = (n, sources);
     }
 
     /// The engine dispatched an event at `time`.
@@ -60,6 +63,13 @@ pub trait Probe {
     /// this with non-decreasing counts; recording probes assert it.
     fn informed(&mut self, time: f64, count: usize) {
         let _ = (time, count);
+    }
+
+    /// `learner` got the rumor from `informer` by `how` at `time` (the
+    /// round number for synchronous runs). Called right after the
+    /// matching [`informed`](Self::informed).
+    fn transmitted(&mut self, informer: Node, learner: Node, how: Transmission, time: f64) {
+        let _ = (informer, learner, how, time);
     }
 
     /// The trial ended at `time`; `completed` is `false` for censored
@@ -95,7 +105,7 @@ pub struct CountingProbe {
 }
 
 impl Probe for CountingProbe {
-    fn trial_start(&mut self, _n: usize, _source: Node) {
+    fn trial_start(&mut self, _n: usize, _sources: &[Node]) {
         self.trials += 1;
         self.last_count = 0;
     }

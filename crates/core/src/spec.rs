@@ -71,10 +71,10 @@ use rumor_graph::{generators, io, Graph, Node};
 use rumor_sim::events::RNG_CONTRACT;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::asynchronous::{run_async, AsyncView};
+use crate::asynchronous::{run_async_probed, AsyncView};
 use crate::dynamic::{
-    run_dynamic_with, run_sync_rewire, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov,
-    Mobility, NodeChurn, RandomWalk, Rewire, SequentialRun, SnapshotFamily,
+    run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
+    RandomWalk, Rewire, SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
     run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace,
@@ -87,8 +87,8 @@ use crate::obs::{
 };
 use crate::outcome::{AsyncOutcome, SyncOutcome};
 use crate::runner::{default_max_steps, run_trials_parallel};
-use crate::spread::{run_async_config, run_sync_config, SpreadConfig};
-use crate::sync::run_sync;
+use crate::spread::SpreadConfig;
+use crate::sync::run_sync_probed;
 
 /// Per-trial curves are downsampled to this many samples before
 /// aggregation, bounding memory on long runs.
@@ -298,7 +298,9 @@ pub struct TrialPlan {
     /// Asynchronous step budget; `None` picks a generous default from
     /// the graph at build time.
     pub max_steps: Option<u64>,
-    /// Synchronous round budget; `None` picks a generous default.
+    /// Synchronous round budget; `None` picks a generous default. An
+    /// uncoupled synchronous run on a topology model must set it: it
+    /// is the horizon of the realization the run records.
     pub max_rounds: Option<u64>,
     /// Run BOTH protocols per trial over one shared topology trace with
     /// a common protocol seed, reporting paired outcomes.
@@ -496,16 +498,12 @@ pub enum SpecError {
         /// Label of the offending topology.
         model: String,
     },
-    /// The synchronous protocol supports only static topologies,
-    /// integer-period rewiring, and trace replay.
-    SyncNeedsStaticTopology {
+    /// An uncoupled synchronous run on a topology model needs an
+    /// explicit round budget: it is the horizon of the realization the
+    /// run records.
+    SyncNeedsRoundBudget {
         /// Label of the offending topology.
         model: String,
-    },
-    /// Synchronous rewiring needs an integer period (whole rounds).
-    FractionalRewireRounds {
-        /// The offending period.
-        period: f64,
     },
     /// Loss probability outside `[0, 1)`.
     InvalidLoss {
@@ -598,15 +596,11 @@ impl fmt::Display for SpecError {
                  memoryless edge rates); use the sequential engine, or a coupled plan to \
                  replay a recorded trace lazily"
             ),
-            SpecError::SyncNeedsStaticTopology { model } => write!(
+            SpecError::SyncNeedsRoundBudget { model } => write!(
                 f,
-                "the synchronous protocol supports only static topologies, integer-period \
-                 rewiring, and trace replay; `{model}` requires an asynchronous protocol or \
-                 a coupled plan"
+                "a synchronous run on `{model}` records the topology up to its round budget; \
+                 set `max_rounds` explicitly (the automatic budget is sized for static graphs)"
             ),
-            SpecError::FractionalRewireRounds { period } => {
-                write!(f, "synchronous rewiring needs a whole number of rounds, got {period}")
-            }
             SpecError::InvalidLoss { loss } => write!(f, "loss must be in [0, 1), got {loss}"),
             SpecError::LossUnsupported { with } => {
                 write!(f, "loss is not supported with {with}")
@@ -895,18 +889,9 @@ impl SimSpec {
                 return Err(SpecError::LazyNeedsMemoryless { model: self.topology.label() });
             }
         }
-        if self.protocol.is_sync() && !plan.coupled {
-            match &self.topology {
-                Topology::Static | Topology::Trace(_) => {}
-                Topology::Model(DynamicModel::Rewire(r)) => {
-                    if !(r.period.is_finite() && r.period.fract() == 0.0 && r.period >= 1.0) {
-                        return Err(SpecError::FractionalRewireRounds { period: r.period });
-                    }
-                }
-                other => {
-                    return Err(SpecError::SyncNeedsStaticTopology { model: other.label() });
-                }
-            }
+        let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
+        if self.protocol.is_sync() && !plan.coupled && recorded && plan.max_rounds.is_none() {
+            return Err(SpecError::SyncNeedsRoundBudget { model: self.topology.label() });
         }
         if let Protocol::Async { view, .. } = self.protocol {
             let dynamic_like =
@@ -916,12 +901,6 @@ impl SimSpec {
                     view,
                     why: "dynamic topologies and the lazy engine are written in the \
                           global-clock view",
-                });
-            }
-            if self.loss > 0.0 && view != AsyncView::GlobalClock {
-                return Err(SpecError::ViewUnsupported {
-                    view,
-                    why: "lossy asynchronous runs use the global-clock view",
                 });
             }
         }
@@ -1214,25 +1193,23 @@ impl Simulation {
         };
         let records: Vec<TrialRecord> = match &self.spec.topology {
             Topology::Static => {
-                if self.loss_active() {
-                    let config = SpreadConfig::new(source)
-                        .with_mode(mode)
-                        .with_loss_probability(self.spec.loss);
-                    self.fan_out(|_, rng| sync_rec(run_sync_config(g, &config, rng, max_rounds)))
-                } else {
-                    self.fan_out(|_, rng| sync_rec(run_sync(g, source, mode, rng, max_rounds)))
-                }
-            }
-            Topology::Model(DynamicModel::Rewire(r)) => {
-                let period = r.period as u64;
-                let family = r.family;
+                let config = self.spread_config(mode);
                 self.fan_out(|_, rng| {
-                    sync_rec(run_sync_rewire(g, source, mode, period, family, rng, max_rounds))
+                    sync_rec(run_sync_probed(g, &config, rng, max_rounds, &mut NoProbe))
                 })
             }
+            // The sync half of a coupled trial: the same two sub-seeds,
+            // and the realization recorded on demand up to the last
+            // round boundary the run can read.
+            Topology::Model(_) | Topology::Custom(_) => self.fan_out(|_, rng| {
+                let trace_seed = rng.next_u64();
+                let proto_seed = rng.next_u64();
+                let mut rec = self.start_recording(trace_seed, max_rounds as f64);
+                let proto_rng = &mut Xoshiro256PlusPlus::seed_from(proto_seed);
+                sync_rec(run_sync_dynamic(&mut rec, source, mode, proto_rng, max_rounds))
+            }),
             Topology::Trace(trace) => self
                 .fan_out(|_, rng| sync_rec(run_sync_dynamic(trace, source, mode, rng, max_rounds))),
-            other => unreachable!("validated at build time: sync + {other:?}"),
         };
         assemble(Unit::Rounds, records, self.spec.metrics)
     }
@@ -1266,16 +1243,10 @@ impl Simulation {
         };
         let records: Vec<TrialRecord> = match (self.spec.engine, &self.spec.topology) {
             (Engine::Sequential, Topology::Static) => {
-                if self.loss_active() {
-                    let config = SpreadConfig::new(source)
-                        .with_mode(mode)
-                        .with_loss_probability(self.spec.loss);
-                    self.fan_out(|_, rng| async_rec(&run_async_config(g, &config, rng, max_steps)))
-                } else {
-                    self.fan_out(|_, rng| {
-                        async_rec(&run_async(g, source, mode, view, rng, max_steps))
-                    })
-                }
+                let config = self.spread_config(mode);
+                self.fan_out(|_, rng| {
+                    async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
+                })
             }
             (Engine::Sequential, _) | (Engine::Lazy, Topology::Trace(_)) => {
                 self.fan_out(|_, rng| {
@@ -1318,8 +1289,24 @@ impl Simulation {
         assemble(Unit::TimeUnits, records, self.spec.metrics)
     }
 
-    fn loss_active(&self) -> bool {
-        self.spec.loss > 0.0
+    /// The static engines' configuration: the spec's source, `mode`
+    /// and loss.
+    fn spread_config(&self, mode: Mode) -> SpreadConfig {
+        SpreadConfig::new(self.spec.source).with_mode(mode).with_loss_probability(self.spec.loss)
+    }
+
+    /// Starts recording the spec's topology from the trace seed, up to
+    /// `horizon`.
+    fn start_recording(&self, trace_seed: u64, horizon: f64) -> TraceRecording {
+        let g = &self.graph;
+        let state = match &self.spec.topology {
+            Topology::Static => DynamicModel::Static.build_state(),
+            Topology::Model(m) => m.build_state(),
+            Topology::Custom(factory) => factory.build(g),
+            Topology::Trace(_) => unreachable!("a recorded trace is replayed, not recorded"),
+        };
+        let trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
+        TraceRecording::start(g, self.spec.source, state, trace_rng, horizon)
     }
 
     /// Runs one asynchronous trial on the spec's evolving topology
@@ -1383,8 +1370,6 @@ impl Simulation {
     }
 
     fn coupled_trial(&self, rng: &mut Xoshiro256PlusPlus) -> (CoupledOutcome, Vec<CurvePair>) {
-        let g = &self.graph;
-        let source = self.spec.source;
         // Two sub-seeds per trial: one for the shared topology
         // realization, one used by BOTH protocol runs (common random
         // numbers). A pre-recorded trace draws no trace seed.
@@ -1396,16 +1381,7 @@ impl Simulation {
         let proto_seed = rng.next_u64();
         // The realization is recorded on demand: only as far as the
         // replays read it, capped by the horizon.
-        let start = || {
-            let state = match &self.spec.topology {
-                Topology::Static => DynamicModel::Static.build_state(),
-                Topology::Model(m) => m.build_state(),
-                Topology::Custom(factory) => factory.build(g),
-                Topology::Trace(_) => unreachable!("handled above"),
-            };
-            let trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-            TraceRecording::start(g, source, state, trace_rng, self.horizon)
-        };
+        let start = || self.start_recording(trace_seed, self.horizon);
         // The recording is a pure function of (spec axes, trace seed):
         // cache-bound simulations resume it across runs. The trial RNG
         // is not consumed by the recording, so a hit replays the miss
@@ -2144,26 +2120,16 @@ mod tests {
     #[test]
     fn custom_factories_replay_their_enum_twin() {
         // DynamicModel is itself a factory: Custom(markov) must replay
-        // Model(markov) seed-for-seed.
+        // Model(markov) seed-for-seed, under either protocol.
         let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let via_enum = SimSpec::on_graph(&g)
-            .protocol(Protocol::push_pull_async())
-            .topology(Topology::Model(model))
-            .trials(6)
-            .seed(9)
-            .build()
-            .unwrap()
-            .run();
-        let via_factory = SimSpec::on_graph(&g)
-            .protocol(Protocol::push_pull_async())
-            .topology(Topology::custom(model))
-            .trials(6)
-            .seed(9)
-            .build()
-            .unwrap()
-            .run();
-        assert_eq!(via_enum.outcomes, via_factory.outcomes);
+        for protocol in [Protocol::push_pull_async(), Protocol::push_pull_sync()] {
+            let spec =
+                SimSpec::on_graph(&g).protocol(protocol).trials(6).seed(9).max_rounds(10_000);
+            let via_enum = spec.clone().topology(Topology::Model(model)).build().unwrap().run();
+            let via_factory = spec.topology(Topology::custom(model)).build().unwrap().run();
+            assert_eq!(via_enum.outcomes, via_factory.outcomes, "{protocol:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! Configurable spreading runs: multiple sources and lossy contacts.
+//! The run configuration of the static engines: sources, mode and
+//! message loss.
 //!
 //! The paper's model has one source and perfectly reliable exchanges; two
 //! generalizations matter for a practical gossip library and for the
-//! robustness experiments (E18):
+//! robustness experiments (E18). Both are parameters of the one loop per
+//! protocol — [`run_sync_probed`](crate::sync::run_sync_probed) and
+//! [`run_async_probed`](crate::asynchronous::run_async_probed), in every
+//! clock view — not separate engines:
 //!
 //! * **multiple sources** — the rumor may be injected at a set of nodes
 //!   (e.g. replicated writes in the Demers et al. anti-entropy setting);
@@ -12,11 +16,9 @@
 //!   by `1 − p`, and spreading times scale like `1/(1 − p)` on
 //!   bottleneck-free graphs — which E18 measures.
 
-use rumor_graph::{Graph, Node};
-use rumor_sim::rng::Xoshiro256PlusPlus;
+use rumor_graph::Node;
 
 use crate::mode::Mode;
-use crate::outcome::{AsyncOutcome, SyncOutcome, NEVER_ROUND};
 
 /// Configuration for a spreading run: sources, mode, and loss rate.
 ///
@@ -88,142 +90,17 @@ impl SpreadConfig {
         self.loss_probability
     }
 
-    fn validate(&self, g: &Graph) {
+    /// Checks every source against the node count `n`.
+    pub(crate) fn validate(&self, n: usize) {
         for &s in &self.sources {
-            assert!((s as usize) < g.node_count(), "source {s} out of range");
+            assert!((s as usize) < n, "source out of range: {s} >= {n}");
         }
     }
-}
-
-/// Runs the synchronous protocol under a [`SpreadConfig`].
-///
-/// With a single source, zero loss, and the same RNG stream this is
-/// distributionally identical to [`crate::run_sync`] (loss draws consume
-/// extra randomness, so the sample paths differ; the laws agree).
-///
-/// # Panics
-///
-/// Panics if any source is out of range or the graph has isolated nodes.
-pub fn run_sync_config(
-    g: &Graph,
-    config: &SpreadConfig,
-    rng: &mut Xoshiro256PlusPlus,
-    max_rounds: u64,
-) -> SyncOutcome {
-    config.validate(g);
-    let n = g.node_count();
-    let mut informed_round = vec![NEVER_ROUND; n];
-    let mut informed_count = 0usize;
-    for &s in &config.sources {
-        if informed_round[s as usize] == NEVER_ROUND {
-            informed_round[s as usize] = 0;
-            informed_count += 1;
-        }
-    }
-    let mut informed_by_round = vec![informed_count];
-    if informed_count == n {
-        return SyncOutcome { rounds: 0, completed: true, informed_round, informed_by_round };
-    }
-    assert!(!g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mode = config.mode;
-    let loss = config.loss_probability;
-    let mut rounds = 0;
-    let mut completed = false;
-    for r in 1..=max_rounds {
-        rounds = r;
-        for v in 0..n as Node {
-            let w = g.random_neighbor(v, rng);
-            let v_informed = informed_round[v as usize] < r;
-            let w_informed = informed_round[w as usize] < r;
-            let transmits = |rng: &mut Xoshiro256PlusPlus| loss == 0.0 || !rng.bernoulli(loss);
-            if v_informed && !w_informed && mode.includes_push() {
-                if informed_round[w as usize] == NEVER_ROUND && transmits(rng) {
-                    informed_round[w as usize] = r;
-                    informed_count += 1;
-                }
-            } else if !v_informed
-                && w_informed
-                && mode.includes_pull()
-                && informed_round[v as usize] == NEVER_ROUND
-                && transmits(rng)
-            {
-                informed_round[v as usize] = r;
-                informed_count += 1;
-            }
-        }
-        informed_by_round.push(informed_count);
-        if informed_count == n {
-            completed = true;
-            break;
-        }
-    }
-    SyncOutcome { rounds, completed, informed_round, informed_by_round }
-}
-
-/// Runs the asynchronous protocol (global-clock view) under a
-/// [`SpreadConfig`].
-///
-/// # Panics
-///
-/// Panics if any source is out of range or the graph has isolated nodes.
-pub fn run_async_config(
-    g: &Graph,
-    config: &SpreadConfig,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> AsyncOutcome {
-    config.validate(g);
-    let n = g.node_count();
-    let mut informed_time = vec![f64::INFINITY; n];
-    let mut informed_count = 0usize;
-    for &s in &config.sources {
-        if informed_time[s as usize].is_infinite() {
-            informed_time[s as usize] = 0.0;
-            informed_count += 1;
-        }
-    }
-    if informed_count == n {
-        return AsyncOutcome { time: 0.0, steps: 0, completed: true, informed_time };
-    }
-    assert!(!g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mode = config.mode;
-    let loss = config.loss_probability;
-    let rate = n as f64;
-    let mut t = 0.0;
-    let mut steps = 0u64;
-    while steps < max_steps {
-        t += rng.exp(rate);
-        steps += 1;
-        let v = rng.range_usize(n) as Node;
-        let w = g.random_neighbor(v, rng);
-        let vi = informed_time[v as usize].is_finite();
-        let wi = informed_time[w as usize].is_finite();
-        let transmits = loss == 0.0 || !rng.bernoulli(loss);
-        if vi && !wi && mode.includes_push() && transmits {
-            informed_time[w as usize] = t;
-            informed_count += 1;
-        } else if !vi && wi && mode.includes_pull() && transmits {
-            informed_time[v as usize] = t;
-            informed_count += 1;
-        }
-        if informed_count == n {
-            return AsyncOutcome { time: t, steps, completed: true, informed_time };
-        }
-    }
-    AsyncOutcome { time: t, steps, completed: false, informed_time }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_graph::generators;
-    use rumor_sim::stats::OnlineStats;
-
-    fn rng(seed: u64) -> Xoshiro256PlusPlus {
-        Xoshiro256PlusPlus::seed_from(seed)
-    }
 
     #[test]
     fn builder_validates_and_dedups() {
@@ -243,106 +120,5 @@ mod tests {
     #[should_panic(expected = "at least one source")]
     fn rejects_empty_sources() {
         SpreadConfig::new(0).with_sources(&[]);
-    }
-
-    #[test]
-    fn zero_loss_matches_plain_engine_in_distribution() {
-        use crate::run_sync;
-        let g = generators::hypercube(5);
-        let cfg = SpreadConfig::new(0);
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for seed in 0..300 {
-            a.push(run_sync_config(&g, &cfg, &mut rng(seed), 100_000).rounds as f64);
-            b.push(run_sync(&g, 0, Mode::PushPull, &mut rng(70_000 + seed), 100_000).rounds as f64);
-        }
-        assert!((a.mean() - b.mean()).abs() < 4.0 * (a.sem() + b.sem()) + 0.2);
-    }
-
-    #[test]
-    fn loss_slows_spreading_monotonically() {
-        let g = generators::gnp_connected(64, 0.15, &mut rng(1), 100);
-        let mut means = Vec::new();
-        for loss in [0.0, 0.3, 0.6] {
-            let cfg = SpreadConfig::new(0).with_loss_probability(loss);
-            let mut s = OnlineStats::new();
-            for seed in 0..150 {
-                let out = run_sync_config(&g, &cfg, &mut rng(100 + seed), 1_000_000);
-                assert!(out.completed);
-                s.push(out.rounds as f64);
-            }
-            means.push(s.mean());
-        }
-        assert!(means[0] < means[1] && means[1] < means[2], "{means:?}");
-    }
-
-    #[test]
-    fn heavy_loss_still_completes() {
-        let g = generators::complete(8);
-        let cfg = SpreadConfig::new(0).with_loss_probability(0.95);
-        let out = run_sync_config(&g, &cfg, &mut rng(2), 10_000_000);
-        assert!(out.completed);
-        let out = run_async_config(&g, &cfg, &mut rng(3), 100_000_000);
-        assert!(out.completed);
-    }
-
-    #[test]
-    fn more_sources_spread_faster() {
-        let g = generators::cycle(128);
-        let one = SpreadConfig::new(0);
-        let four = SpreadConfig::new(0).with_sources(&[0, 32, 64, 96]);
-        let mut m1 = OnlineStats::new();
-        let mut m4 = OnlineStats::new();
-        for seed in 0..100 {
-            m1.push(run_sync_config(&g, &one, &mut rng(seed), 1_000_000).rounds as f64);
-            m4.push(run_sync_config(&g, &four, &mut rng(5_000 + seed), 1_000_000).rounds as f64);
-        }
-        assert!(
-            m4.mean() < m1.mean() / 2.0,
-            "four spaced sources ({}) should beat one ({}) by ~4x",
-            m4.mean(),
-            m1.mean()
-        );
-    }
-
-    #[test]
-    fn all_sources_start_at_zero() {
-        let g = generators::path(16);
-        let cfg = SpreadConfig::new(0).with_sources(&[2, 9]);
-        let out = run_async_config(&g, &cfg, &mut rng(4), 10_000_000);
-        assert_eq!(out.informed_time[2], 0.0);
-        assert_eq!(out.informed_time[9], 0.0);
-        assert!(out.completed);
-    }
-
-    #[test]
-    fn everyone_a_source_is_instant() {
-        let g = generators::path(4);
-        let cfg = SpreadConfig::new(0).with_sources(&[0, 1, 2, 3]);
-        let out = run_sync_config(&g, &cfg, &mut rng(5), 10);
-        assert!(out.completed);
-        assert_eq!(out.rounds, 0);
-        let out = run_async_config(&g, &cfg, &mut rng(6), 10);
-        assert_eq!(out.steps, 0);
-    }
-
-    #[test]
-    fn async_loss_slows_spreading() {
-        let g = generators::hypercube(5);
-        let mut lossless = OnlineStats::new();
-        let mut lossy = OnlineStats::new();
-        for seed in 0..200 {
-            let out = run_async_config(&g, &SpreadConfig::new(0), &mut rng(seed), 100_000_000);
-            lossless.push(out.time);
-            let cfg = SpreadConfig::new(0).with_loss_probability(0.5);
-            let out = run_async_config(&g, &cfg, &mut rng(9_000 + seed), 100_000_000);
-            lossy.push(out.time);
-        }
-        assert!(
-            lossy.mean() > 1.4 * lossless.mean(),
-            "50% loss should visibly slow spreading: {} vs {}",
-            lossy.mean(),
-            lossless.mean()
-        );
     }
 }

@@ -6,59 +6,128 @@
 //! contacted by several callers in the same round (all communications
 //! proceed in parallel), and a node informed in round `r` starts spreading
 //! only in round `r + 1`.
+//!
+//! The same loop runs the generalizations of [`SpreadConfig`] — several
+//! sources, lossy contacts — and reports every transmission to a
+//! [`Probe`], which is how transmission traces are recorded.
 
 use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::mode::Mode;
+use crate::obs::{NoProbe, Probe};
 use crate::outcome::{SyncOutcome, NEVER_ROUND};
+use crate::spread::SpreadConfig;
+use crate::trace::Transmission;
 
-/// One synchronous round over whatever topology `neighbor` exposes:
-/// every node with a contact partner calls it, and exchanges are
-/// decided on the pre-round informed set (`informed_round[·] < r`).
-/// Shared by [`run_sync`], the rewiring comparator
-/// ([`crate::dynamic::run_sync_rewire`]), and the trace-driven engine
-/// ([`crate::engine::trace::run_sync_dynamic`]) so the round semantics
-/// — including the same-round tie rules — cannot drift apart.
-///
-/// `neighbor` returns `None` for nodes that skip their contact this
-/// round (isolated or departed in the current topology); it draws from
-/// the RNG only when a contact actually happens, preserving each
-/// caller's draw order.
-pub(crate) fn exchange_round(
-    r: u64,
-    mode: Mode,
-    informed_round: &mut [u64],
-    informed_count: &mut usize,
-    mut neighbor: impl FnMut(Node) -> Option<Node>,
-) {
-    for v in 0..informed_round.len() as Node {
-        let Some(w) = neighbor(v) else {
-            continue;
-        };
-        // "Informed before round r" means informed in a round < r.
-        let v_informed = informed_round[v as usize] < r;
-        let w_informed = informed_round[w as usize] < r;
-        if v_informed && !w_informed && mode.includes_push() {
-            // w may have been informed earlier this round; only record
-            // the first informing event.
-            if informed_round[w as usize] == NEVER_ROUND {
-                informed_round[w as usize] = r;
-                *informed_count += 1;
-            }
-        } else if !v_informed
-            && w_informed
-            && mode.includes_pull()
-            && informed_round[v as usize] == NEVER_ROUND
-        {
-            informed_round[v as usize] = r;
-            *informed_count += 1;
+/// The informed state of a synchronous run: the round each node was
+/// informed in, and the informed count after every round.
+pub(crate) struct Rounds {
+    informed_round: Vec<u64>,
+    informed_count: usize,
+    informed_by_round: Vec<usize>,
+}
+
+impl Rounds {
+    /// Round 0: every source informed, nobody else.
+    pub(crate) fn new(n: usize, sources: &[Node]) -> Self {
+        let mut informed_round = vec![NEVER_ROUND; n];
+        for &s in sources {
+            informed_round[s as usize] = 0;
         }
+        let informed_count = sources.len();
+        let mut informed_by_round = Vec::with_capacity(64);
+        informed_by_round.push(informed_count);
+        Rounds { informed_round, informed_count, informed_by_round }
+    }
+
+    fn all_informed(&self) -> bool {
+        self.informed_count == self.informed_round.len()
+    }
+
+    /// Runs rounds `1, 2, …` through `round` until every node is
+    /// informed or `max_rounds` rounds have run.
+    pub(crate) fn run(
+        mut self,
+        max_rounds: u64,
+        mut round: impl FnMut(&mut Self, u64),
+    ) -> SyncOutcome {
+        let mut rounds = 0;
+        while rounds < max_rounds && !self.all_informed() {
+            rounds += 1;
+            round(&mut self, rounds);
+        }
+        let completed = self.all_informed();
+        let Rounds { informed_round, informed_by_round, .. } = self;
+        SyncOutcome { rounds, completed, informed_round, informed_by_round }
+    }
+
+    /// One synchronous round `r` over whatever topology `neighbor`
+    /// exposes: every node with a contact partner calls it, and
+    /// exchanges are decided on the pre-round informed set
+    /// (`informed_round[·] < r`). Shared by [`run_sync_probed`] and the
+    /// trace-driven engine ([`crate::engine::trace::run_sync_dynamic`])
+    /// so the round semantics — including the same-round tie rules —
+    /// cannot drift apart.
+    ///
+    /// `neighbor` returns `None` for nodes that skip their contact this
+    /// round (isolated or departed in the current topology); it draws
+    /// from the RNG only when a contact actually happens. With
+    /// `loss > 0` a contact that would inform a node first draws one
+    /// Bernoulli(`loss`) and transmits only if it fails: on push after
+    /// the already-informed-this-round check, on pull after every other
+    /// check. Loss-free runs draw nothing extra.
+    pub(crate) fn exchange_round<P: Probe>(
+        &mut self,
+        r: u64,
+        mode: Mode,
+        loss: f64,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+        mut neighbor: impl FnMut(Node, &mut Xoshiro256PlusPlus) -> Option<Node>,
+    ) {
+        let lost = |rng: &mut Xoshiro256PlusPlus| loss > 0.0 && rng.bernoulli(loss);
+        let informed_round = self.informed_round.as_mut_slice();
+        let informed_count = &mut self.informed_count;
+        for v in 0..informed_round.len() as Node {
+            let Some(w) = neighbor(v, rng) else {
+                continue;
+            };
+            // "Informed before round r" means informed in a round < r.
+            let v_informed = informed_round[v as usize] < r;
+            let w_informed = informed_round[w as usize] < r;
+            let (informer, learner, how) = if v_informed && !w_informed && mode.includes_push() {
+                // w may have been informed earlier this round; only
+                // record the first informing event.
+                if informed_round[w as usize] != NEVER_ROUND || lost(rng) {
+                    continue;
+                }
+                (v, w, Transmission::Push)
+            } else if !v_informed
+                && w_informed
+                && mode.includes_pull()
+                && informed_round[v as usize] == NEVER_ROUND
+                && !lost(rng)
+            {
+                (w, v, Transmission::Pull)
+            } else {
+                continue;
+            };
+            informed_round[learner as usize] = r;
+            *informed_count += 1;
+            if P::ENABLED {
+                probe.informed(r as f64, *informed_count);
+                probe.transmitted(informer, learner, how, r as f64);
+            }
+        }
+        self.informed_by_round.push(self.informed_count);
     }
 }
 
 /// Runs the synchronous protocol from `source` until every node is
-/// informed or `max_rounds` rounds have elapsed.
+/// informed or `max_rounds` rounds have elapsed — the paper's model:
+/// one source, reliable exchanges. Shorthand for [`run_sync_probed`]
+/// with `SpreadConfig::new(source).with_mode(mode)` and no probe.
 ///
 /// Semantics (matching the paper exactly):
 ///
@@ -94,34 +163,43 @@ pub fn run_sync(
     rng: &mut Xoshiro256PlusPlus,
     max_rounds: u64,
 ) -> SyncOutcome {
+    run_sync_probed(g, &SpreadConfig::new(source).with_mode(mode), rng, max_rounds, &mut NoProbe)
+}
+
+/// Runs the synchronous protocol under a [`SpreadConfig`] — its
+/// sources, mode and per-contact loss — with an instrumentation
+/// [`Probe`] observing the run, until every node is informed or
+/// `max_rounds` rounds have elapsed. The probe sees every transmission
+/// (a [`Trace`](crate::trace::Trace) records them) at the round
+/// number; probes are passive, and a [`NoProbe`] compiles every hook
+/// out.
+///
+/// # Panics
+///
+/// Panics if a source is out of range or the graph has isolated nodes.
+pub fn run_sync_probed<P: Probe>(
+    g: &Graph,
+    config: &SpreadConfig,
+    rng: &mut Xoshiro256PlusPlus,
+    max_rounds: u64,
+    probe: &mut P,
+) -> SyncOutcome {
     let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-
-    let mut informed_round = vec![NEVER_ROUND; n];
-    informed_round[source as usize] = 0;
-    let mut informed_count = 1usize;
-    let mut informed_by_round = Vec::with_capacity(64);
-    informed_by_round.push(1);
-
-    if n == 1 {
-        return SyncOutcome { rounds: 0, completed: true, informed_round, informed_by_round };
+    config.validate(n);
+    let st = Rounds::new(n, config.sources());
+    if P::ENABLED {
+        probe.trial_start(n, config.sources());
+        probe.informed(0.0, st.informed_count);
     }
-    assert!(!g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mut rounds = 0u64;
-    let mut completed = false;
-    for r in 1..=max_rounds {
-        rounds = r;
-        exchange_round(r, mode, &mut informed_round, &mut informed_count, |v| {
-            Some(g.random_neighbor(v, rng))
-        });
-        informed_by_round.push(informed_count);
-        if informed_count == n {
-            completed = true;
-            break;
-        }
+    assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
+    let (mode, loss) = (config.mode(), config.loss_probability());
+    let out = st.run(max_rounds, |st, r| {
+        st.exchange_round(r, mode, loss, rng, probe, |v, rng| Some(g.random_neighbor(v, rng)));
+    });
+    if P::ENABLED {
+        probe.trial_end(out.rounds as f64, out.completed);
     }
-    SyncOutcome { rounds, completed, informed_round, informed_by_round }
+    out
 }
 
 #[cfg(test)]
@@ -265,5 +343,22 @@ mod tests {
         let a = run_sync(&g, 0, Mode::PushPull, &mut rng(31), 1_000);
         let b = run_sync(&g, 0, Mode::PushPull, &mut rng(31), 1_000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn loss_slows_spreading_monotonically() {
+        let g = generators::gnp_connected(64, 0.15, &mut rng(1), 100);
+        let mut means = Vec::new();
+        for loss in [0.0, 0.3, 0.6] {
+            let cfg = SpreadConfig::new(0).with_loss_probability(loss);
+            let mut s = rumor_sim::stats::OnlineStats::new();
+            for seed in 0..150 {
+                let out = run_sync_probed(&g, &cfg, &mut rng(100 + seed), 1 << 20, &mut NoProbe);
+                assert!(out.completed);
+                s.push(out.rounds as f64);
+            }
+            means.push(s.mean());
+        }
+        assert!(means[0] < means[1] && means[1] < means[2], "{means:?}");
     }
 }

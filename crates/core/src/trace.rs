@@ -1,16 +1,37 @@
 //! Transmission traces: the full causal history of a spreading run.
 //!
-//! The plain engines report *when* each node was informed; traced runs
-//! additionally record *who informed whom and how* (push or pull), which
+//! The plain engines report *when* each node was informed; a [`Trace`]
+//! additionally records *who informed whom and how* (push or pull), which
 //! is what downstream analyses need — rumor paths (the `π_v` of the
 //! paper's proofs), informer fan-out, push/pull accounting.
+//!
+//! A trace is a [`Probe`]: pass one to
+//! [`run_sync_probed`](crate::sync::run_sync_probed) or
+//! [`run_async_probed`](crate::asynchronous::run_async_probed) (any
+//! clock view, any [`SpreadConfig`](crate::spread::SpreadConfig)) and it
+//! records every transmission of the run. Recording draws no randomness,
+//! so a traced run replays its untraced twin seed-for-seed.
+//!
+//! ```
+//! use rumor_core::spread::SpreadConfig;
+//! use rumor_core::sync::run_sync_probed;
+//! use rumor_core::trace::Trace;
+//! use rumor_graph::generators;
+//! use rumor_sim::rng::Xoshiro256PlusPlus;
+//!
+//! let g = generators::complete(16);
+//! let mut trace = Trace::new();
+//! let mut rng = Xoshiro256PlusPlus::seed_from(4);
+//! run_sync_probed(&g, &SpreadConfig::new(0), &mut rng, 1_000, &mut trace);
+//! assert!(trace.complete());
+//! let path = trace.rumor_path(7).expect("informed");
+//! assert_eq!(path[0], 0);
+//! assert_eq!(*path.last().unwrap(), 7);
+//! ```
 
-use rumor_graph::{Graph, Node};
-use rumor_sim::rng::Xoshiro256PlusPlus;
+use rumor_graph::Node;
 
-use crate::asynchronous::AsyncView;
-use crate::mode::Mode;
-use crate::outcome::NEVER_ROUND;
+use crate::obs::Probe;
 
 /// How a node learned the rumor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,6 +40,17 @@ pub enum Transmission {
     Push,
     /// The learner called the informer (learner pulled).
     Pull,
+}
+
+impl Transmission {
+    /// `(informer, learner)` of a transmission in which `caller`
+    /// contacted `callee`.
+    pub(crate) fn roles(self, caller: Node, callee: Node) -> (Node, Node) {
+        match self {
+            Transmission::Push => (caller, callee),
+            Transmission::Pull => (callee, caller),
+        }
+    }
 }
 
 impl std::fmt::Display for Transmission {
@@ -43,25 +75,27 @@ pub struct TraceEvent {
     pub at: f64,
 }
 
-/// The causal record of one spreading run.
+/// The causal record of one spreading run, filled in as a [`Probe`].
 ///
-/// Events are ordered by time; every node other than the source appears
-/// as `learner` exactly once.
-#[derive(Debug, Clone, PartialEq)]
+/// Events are ordered by time; every informed node other than a source
+/// appears as `learner` exactly once. A trace records one trial: the
+/// next trial started on it replaces the record.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    source: Node,
+    sources: Vec<Node>,
     node_count: usize,
     events: Vec<TraceEvent>,
 }
 
 impl Trace {
-    fn new(source: Node, node_count: usize) -> Self {
-        Self { source, node_count, events: Vec::with_capacity(node_count.saturating_sub(1)) }
+    /// An empty trace, ready to be passed to a run.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The rumor's origin.
-    pub fn source(&self) -> Node {
-        self.source
+    /// The rumor's origins.
+    pub fn sources(&self) -> &[Node] {
+        &self.sources
     }
 
     /// Number of nodes in the underlying graph.
@@ -76,7 +110,7 @@ impl Trace {
 
     /// Whether the run informed every node.
     pub fn complete(&self) -> bool {
-        self.events.len() == self.node_count - 1
+        self.events.len() + self.sources.len() == self.node_count
     }
 
     /// The number of events that were pushes.
@@ -90,8 +124,8 @@ impl Trace {
     }
 
     /// The rumor path `π_v = u, …, v` along which `v` was informed — the
-    /// object every proof in the paper inducts over. Returns `None` if
-    /// `v` was never informed.
+    /// object every proof in the paper inducts over; `u` is the source
+    /// the path reaches. Returns `None` if `v` was never informed.
     ///
     /// # Panics
     ///
@@ -104,11 +138,11 @@ impl Trace {
         }
         let mut path = vec![v];
         let mut cur = v;
-        while cur != self.source {
+        while !self.sources.contains(&cur) {
             cur = informer[cur as usize]?;
             path.push(cur);
             if path.len() > self.node_count {
-                unreachable!("informer links form a tree rooted at the source");
+                unreachable!("informer links form a forest rooted at the sources");
             }
         }
         path.reverse();
@@ -125,156 +159,55 @@ impl Trace {
     }
 }
 
-/// Runs the synchronous protocol, recording the full transmission trace.
-///
-/// Semantics match [`crate::run_sync`] exactly; only the bookkeeping
-/// differs. The event `at` field carries the round number.
-///
-/// # Panics
-///
-/// As [`crate::run_sync`].
-///
-/// # Example
-///
-/// ```
-/// use rumor_core::trace::run_sync_traced;
-/// use rumor_core::Mode;
-/// use rumor_graph::generators;
-/// use rumor_sim::rng::Xoshiro256PlusPlus;
-///
-/// let g = generators::complete(16);
-/// let mut rng = Xoshiro256PlusPlus::seed_from(4);
-/// let trace = run_sync_traced(&g, 0, Mode::PushPull, &mut rng, 1_000);
-/// assert!(trace.complete());
-/// let path = trace.rumor_path(7).expect("informed");
-/// assert_eq!(path[0], 0);
-/// assert_eq!(*path.last().unwrap(), 7);
-/// ```
-pub fn run_sync_traced(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    rng: &mut Xoshiro256PlusPlus,
-    max_rounds: u64,
-) -> Trace {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    let mut trace = Trace::new(source, n);
-    if n == 1 {
-        return trace;
+impl Probe for Trace {
+    fn trial_start(&mut self, n: usize, sources: &[Node]) {
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+        self.node_count = n;
+        self.events.clear();
+        self.events.reserve(n.saturating_sub(sources.len()));
     }
-    assert!(!g.has_isolated_nodes(), "graph has isolated nodes");
 
-    let mut informed_round = vec![NEVER_ROUND; n];
-    informed_round[source as usize] = 0;
-    let mut informed = 1usize;
-    for r in 1..=max_rounds {
-        for v in 0..n as Node {
-            let w = g.random_neighbor(v, rng);
-            let vi = informed_round[v as usize] < r;
-            let wi = informed_round[w as usize] < r;
-            if vi && !wi && mode.includes_push() {
-                if informed_round[w as usize] == NEVER_ROUND {
-                    informed_round[w as usize] = r;
-                    informed += 1;
-                    trace.events.push(TraceEvent {
-                        learner: w,
-                        informer: v,
-                        how: Transmission::Push,
-                        at: r as f64,
-                    });
-                }
-            } else if !vi && wi && mode.includes_pull() && informed_round[v as usize] == NEVER_ROUND
-            {
-                informed_round[v as usize] = r;
-                informed += 1;
-                trace.events.push(TraceEvent {
-                    learner: v,
-                    informer: w,
-                    how: Transmission::Pull,
-                    at: r as f64,
-                });
-            }
-        }
-        if informed == n {
-            break;
-        }
+    fn transmitted(&mut self, informer: Node, learner: Node, how: Transmission, at: f64) {
+        self.events.push(TraceEvent { learner, informer, how, at });
     }
-    trace
-}
-
-/// Runs the asynchronous protocol (global-clock view), recording the full
-/// transmission trace. The event `at` field carries the time.
-///
-/// # Panics
-///
-/// As [`crate::run_async`].
-pub fn run_async_traced(
-    g: &Graph,
-    source: Node,
-    mode: Mode,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-) -> Trace {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    let mut trace = Trace::new(source, n);
-    if n == 1 {
-        return trace;
-    }
-    assert!(!g.has_isolated_nodes(), "graph has isolated nodes");
-    let _ = AsyncView::GlobalClock; // the view used by this recorder
-
-    let mut informed = vec![false; n];
-    informed[source as usize] = true;
-    let mut informed_count = 1usize;
-    let rate = n as f64;
-    let mut t = 0.0;
-    for _ in 0..max_steps {
-        t += rng.exp(rate);
-        let v = rng.range_usize(n) as Node;
-        let w = g.random_neighbor(v, rng);
-        let vi = informed[v as usize];
-        let wi = informed[w as usize];
-        if vi && !wi && mode.includes_push() {
-            informed[w as usize] = true;
-            informed_count += 1;
-            trace.events.push(TraceEvent {
-                learner: w,
-                informer: v,
-                how: Transmission::Push,
-                at: t,
-            });
-        } else if !vi && wi && mode.includes_pull() {
-            informed[v as usize] = true;
-            informed_count += 1;
-            trace.events.push(TraceEvent {
-                learner: v,
-                informer: w,
-                how: Transmission::Pull,
-                at: t,
-            });
-        }
-        if informed_count == n {
-            break;
-        }
-    }
-    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_graph::generators;
+    use rumor_graph::{generators, Graph};
+    use rumor_sim::rng::Xoshiro256PlusPlus;
+
+    use crate::asynchronous::{run_async, run_async_probed, AsyncView};
+    use crate::mode::Mode;
+    use crate::spread::SpreadConfig;
+    use crate::sync::{run_sync, run_sync_probed};
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from(seed)
     }
 
+    fn sync_trace(g: &Graph, config: &SpreadConfig, seed: u64, max_rounds: u64) -> Trace {
+        let mut trace = Trace::new();
+        run_sync_probed(g, config, &mut rng(seed), max_rounds, &mut trace);
+        trace
+    }
+
+    fn async_trace(g: &Graph, config: &SpreadConfig, view: AsyncView, seed: u64) -> Trace {
+        let mut trace = Trace::new();
+        run_async_probed(g, config, view, &mut rng(seed), 10_000_000, &mut trace);
+        trace
+    }
+
+    fn from(source: Node, mode: Mode) -> SpreadConfig {
+        SpreadConfig::new(source).with_mode(mode)
+    }
+
     #[test]
     fn every_node_learns_exactly_once() {
         let g = generators::gnp_connected(48, 0.2, &mut rng(1), 100);
-        let trace = run_sync_traced(&g, 0, Mode::PushPull, &mut rng(2), 100_000);
+        let trace = sync_trace(&g, &SpreadConfig::new(0), 2, 100_000);
         assert!(trace.complete());
         let mut seen = [false; 48];
         seen[0] = true;
@@ -288,11 +221,13 @@ mod tests {
 
     #[test]
     fn events_are_chronological_and_causal() {
+        // The informer was informed strictly earlier: in an earlier
+        // round (sync), at an earlier time (async).
         let g = generators::hypercube(5);
-        for trace in [
-            run_sync_traced(&g, 0, Mode::PushPull, &mut rng(3), 100_000),
-            run_async_traced(&g, 0, Mode::PushPull, &mut rng(4), 10_000_000),
-        ] {
+        let cfg = SpreadConfig::new(0).with_loss_probability(0.2);
+        let mut traces = vec![sync_trace(&g, &cfg, 3, 100_000)];
+        traces.extend(AsyncView::ALL.map(|view| async_trace(&g, &cfg, view, 4)));
+        for trace in traces {
             assert!(trace.complete());
             let mut informed_at = vec![f64::INFINITY; trace.node_count()];
             informed_at[0] = 0.0;
@@ -301,8 +236,7 @@ mod tests {
                 assert!(e.at >= last, "events out of order");
                 last = e.at;
                 assert!(
-                    informed_at[e.informer as usize] < e.at
-                        || informed_at[e.informer as usize] <= e.at - 1.0 + 1.0,
+                    informed_at[e.informer as usize] < e.at,
                     "informer {} not informed before {}",
                     e.informer,
                     e.at
@@ -315,7 +249,7 @@ mod tests {
     #[test]
     fn rumor_paths_lead_back_to_source() {
         let g = generators::cycle(16);
-        let trace = run_sync_traced(&g, 3, Mode::PushPull, &mut rng(5), 100_000);
+        let trace = sync_trace(&g, &SpreadConfig::new(3), 5, 100_000);
         assert!(trace.complete());
         for v in g.nodes() {
             let path = trace.rumor_path(v).expect("complete run");
@@ -329,9 +263,30 @@ mod tests {
     }
 
     #[test]
+    fn several_sources_root_a_forest() {
+        let g = generators::cycle(96);
+        let sources = [0, 32, 64];
+        let cfg = SpreadConfig::new(0).with_sources(&sources);
+        let mut traces = vec![sync_trace(&g, &cfg, 6, 100_000)];
+        traces.extend(AsyncView::ALL.map(|view| async_trace(&g, &cfg, view, 7)));
+        for trace in traces {
+            assert_eq!(trace.sources(), &sources);
+            assert!(trace.complete());
+            assert_eq!(trace.events().len(), 93);
+            for v in g.nodes() {
+                let path = trace.rumor_path(v).expect("complete run");
+                assert!(sources.contains(&path[0]), "path to {v} starts at {}", path[0]);
+                assert_eq!(sources.iter().filter(|&&s| path.contains(&s)).count(), 1);
+            }
+            let fanout = trace.informer_fanout();
+            assert_eq!(fanout.iter().sum::<usize>(), trace.events().len());
+        }
+    }
+
+    #[test]
     fn push_only_trace_has_no_pulls() {
         let g = generators::cycle(16);
-        let trace = run_sync_traced(&g, 0, Mode::Push, &mut rng(6), 1_000_000);
+        let trace = sync_trace(&g, &from(0, Mode::Push), 6, 1_000_000);
         assert!(trace.complete());
         assert_eq!(trace.pull_count(), 0);
         assert_eq!(trace.push_count(), 15);
@@ -340,7 +295,7 @@ mod tests {
     #[test]
     fn pull_only_trace_has_no_pushes() {
         let g = generators::complete(16);
-        let trace = run_async_traced(&g, 0, Mode::Pull, &mut rng(7), 10_000_000);
+        let trace = async_trace(&g, &from(0, Mode::Pull), AsyncView::GlobalClock, 7);
         assert!(trace.complete());
         assert_eq!(trace.push_count(), 0);
         assert_eq!(trace.pull_count(), 15);
@@ -349,7 +304,7 @@ mod tests {
     #[test]
     fn fanout_sums_to_events() {
         let g = generators::star(32);
-        let trace = run_sync_traced(&g, 1, Mode::PushPull, &mut rng(8), 1_000);
+        let trace = sync_trace(&g, &SpreadConfig::new(1), 8, 1_000);
         assert!(trace.complete());
         let fanout = trace.informer_fanout();
         assert_eq!(fanout.iter().sum::<usize>(), trace.events().len());
@@ -358,27 +313,27 @@ mod tests {
     }
 
     #[test]
-    fn traced_sync_matches_plain_engine_distribution() {
-        use crate::run_sync;
-        use rumor_sim::stats::OnlineStats;
+    fn traced_runs_replay_untraced_runs_seed_for_seed() {
         let g = generators::hypercube(5);
-        let mut traced = OnlineStats::new();
-        let mut plain = OnlineStats::new();
-        for seed in 0..200 {
-            let t = run_sync_traced(&g, 0, Mode::PushPull, &mut rng(seed), 100_000);
-            traced.push(t.events().last().unwrap().at);
-            plain.push(
-                run_sync(&g, 0, Mode::PushPull, &mut rng(50_000 + seed), 100_000).rounds as f64,
-            );
+        for seed in 0..20 {
+            let mut trace = Trace::new();
+            let cfg = SpreadConfig::new(0);
+            let traced = run_sync_probed(&g, &cfg, &mut rng(seed), 100_000, &mut trace);
+            assert_eq!(traced, run_sync(&g, 0, Mode::PushPull, &mut rng(seed), 100_000));
+            assert_eq!(trace.events().last().unwrap().at, traced.rounds as f64);
+            for view in AsyncView::ALL {
+                let traced = run_async_probed(&g, &cfg, view, &mut rng(seed), 1 << 20, &mut trace);
+                let plain = run_async(&g, 0, Mode::PushPull, view, &mut rng(seed), 1 << 20);
+                assert_eq!(traced, plain, "view {view}");
+                assert_eq!(trace.events().last().unwrap().at, traced.time, "view {view}");
+            }
         }
-        let diff = (traced.mean() - plain.mean()).abs();
-        assert!(diff < 4.0 * (traced.sem() + plain.sem()) + 0.2);
     }
 
     #[test]
     fn incomplete_trace_reports_incomplete() {
         let g = generators::path(64);
-        let trace = run_sync_traced(&g, 0, Mode::PushPull, &mut rng(9), 2);
+        let trace = sync_trace(&g, &SpreadConfig::new(0), 9, 2);
         assert!(!trace.complete());
         assert!(trace.rumor_path(63).is_none());
     }

@@ -4,15 +4,34 @@
 
 use rumor_spreading::core::quasirandom::run_quasirandom_sync;
 use rumor_spreading::core::runner::run_trials;
-use rumor_spreading::core::spread::{run_async_config, run_sync_config, SpreadConfig};
-use rumor_spreading::core::trace::{run_async_traced, run_sync_traced};
-use rumor_spreading::core::Mode;
-use rumor_spreading::graph::{generators, props};
+use rumor_spreading::core::spread::SpreadConfig;
+use rumor_spreading::core::sync::run_sync_probed;
+use rumor_spreading::core::trace::Trace;
+use rumor_spreading::core::{run_async_probed, AsyncOutcome, AsyncView, Mode, NoProbe, Probe};
+use rumor_spreading::graph::{generators, props, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 use rumor_spreading::sim::stats::{quantile, OnlineStats};
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::seed_from(seed)
+}
+
+fn sync_rounds<P: Probe>(
+    g: &Graph,
+    cfg: &SpreadConfig,
+    r: &mut Xoshiro256PlusPlus,
+    probe: &mut P,
+) -> f64 {
+    run_sync_probed(g, cfg, r, 1_000_000, probe).rounds as f64
+}
+
+fn global_clock<P: Probe>(
+    g: &Graph,
+    cfg: &SpreadConfig,
+    r: &mut Xoshiro256PlusPlus,
+    probe: &mut P,
+) -> AsyncOutcome {
+    run_async_probed(g, cfg, AsyncView::GlobalClock, r, 500_000_000, probe)
 }
 
 /// Rumor paths extracted from traces respect BFS distance: a path to `v`
@@ -21,8 +40,9 @@ fn rng(seed: u64) -> Xoshiro256PlusPlus {
 fn trace_paths_respect_graph_distance() {
     let g = generators::gnp_connected(40, 0.2, &mut rng(1), 100);
     let dist = props::bfs_distances(&g, 0);
-    let sync_trace = run_sync_traced(&g, 0, Mode::PushPull, &mut rng(2), 100_000);
-    let async_trace = run_async_traced(&g, 0, Mode::PushPull, &mut rng(3), 10_000_000);
+    let (mut sync_trace, mut async_trace) = (Trace::new(), Trace::new());
+    sync_rounds(&g, &SpreadConfig::new(0), &mut rng(2), &mut sync_trace);
+    global_clock(&g, &SpreadConfig::new(0), &mut rng(3), &mut async_trace);
     for trace in [sync_trace, async_trace] {
         assert!(trace.complete());
         for v in g.nodes() {
@@ -40,7 +60,8 @@ fn star_transmission_accounting() {
     let mut pulls = 0usize;
     let mut events = 0usize;
     for seed in 0..20 {
-        let trace = run_sync_traced(&g, 1, Mode::PushPull, &mut rng(seed), 1_000);
+        let mut trace = Trace::new();
+        sync_rounds(&g, &SpreadConfig::new(1), &mut rng(seed), &mut trace);
         assert!(trace.complete());
         pulls += trace.pull_count();
         events += trace.events().len();
@@ -62,10 +83,9 @@ fn theorem1_shape_survives_loss() {
     ] {
         let n = g.node_count();
         let cfg = SpreadConfig::new(source).with_loss_probability(0.3);
-        let sync: Vec<f64> =
-            run_trials(trials, 5, |_, r| run_sync_config(&g, &cfg, r, 1_000_000).rounds as f64);
+        let sync: Vec<f64> = run_trials(trials, 5, |_, r| sync_rounds(&g, &cfg, r, &mut NoProbe));
         let asy: Vec<f64> = run_trials(trials, 6, |_, r| {
-            let out = run_async_config(&g, &cfg, r, 500_000_000);
+            let out = global_clock(&g, &cfg, r, &mut NoProbe);
             assert!(out.completed);
             out.time
         });
@@ -84,13 +104,9 @@ fn multi_source_speedup_under_loss() {
     let one = SpreadConfig::new(0).with_loss_probability(0.2);
     let three = SpreadConfig::new(0).with_sources(&[0, 32, 64]).with_loss_probability(0.2);
     let m1: OnlineStats =
-        run_trials(80, 7, |_, r| run_sync_config(&g, &one, r, 1_000_000).rounds as f64)
-            .into_iter()
-            .collect();
+        run_trials(80, 7, |_, r| sync_rounds(&g, &one, r, &mut NoProbe)).into_iter().collect();
     let m3: OnlineStats =
-        run_trials(80, 8, |_, r| run_sync_config(&g, &three, r, 1_000_000).rounds as f64)
-            .into_iter()
-            .collect();
+        run_trials(80, 8, |_, r| sync_rounds(&g, &three, r, &mut NoProbe)).into_iter().collect();
     assert!(m3.mean() < m1.mean() / 1.8, "three sources {} vs one {}", m3.mean(), m1.mean());
 }
 
@@ -116,13 +132,12 @@ fn quasirandom_is_competitive() {
 /// Lossless configured runs agree with the plain engines in law.
 #[test]
 fn configured_engines_match_plain_in_distribution() {
-    use rumor_spreading::core::{run_async, AsyncView};
+    use rumor_spreading::core::run_async;
     let g = generators::hypercube(5);
     let cfg = SpreadConfig::new(0);
-    let a: OnlineStats =
-        run_trials(200, 10, |_, r| run_async_config(&g, &cfg, r, 100_000_000).time)
-            .into_iter()
-            .collect();
+    let a: OnlineStats = run_trials(200, 10, |_, r| global_clock(&g, &cfg, r, &mut NoProbe).time)
+        .into_iter()
+        .collect();
     let b: OnlineStats = run_trials(200, 11, |_, r| {
         run_async(&g, 0, Mode::PushPull, AsyncView::GlobalClock, r, 100_000_000).time
     })

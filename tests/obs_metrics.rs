@@ -12,7 +12,7 @@ use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_spreading::core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode,
+    LogHistogram, MetricsLevel, Mode, SpreadConfig,
 };
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
@@ -229,8 +229,7 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
         let mut probe = CountingProbe::default();
         let probed = run_async_probed(
             &g,
-            0,
-            Mode::PushPull,
+            &SpreadConfig::new(0),
             view,
             &mut Xoshiro256PlusPlus::seed_from(17),
             1_000_000,

@@ -11,10 +11,12 @@
 //! The constants are part of the replay contract, like the goldens
 //! under `specs/`; `print_protocol_pins` below prints them.
 
+use rumor_spreading::core::asynchronous::run_async_probed;
 use rumor_spreading::core::spec::SimSpec;
-use rumor_spreading::core::spread::{run_async_config, run_sync_config, SpreadConfig};
-use rumor_spreading::core::trace::{run_async_traced, run_sync_traced, Trace};
-use rumor_spreading::core::{AsyncOutcome, Mode, SyncOutcome};
+use rumor_spreading::core::spread::SpreadConfig;
+use rumor_spreading::core::sync::run_sync_probed;
+use rumor_spreading::core::trace::Trace;
+use rumor_spreading::core::{AsyncOutcome, AsyncView, Mode, NoProbe, SyncOutcome};
 use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -32,19 +34,24 @@ fn rng(seed: u64) -> Xoshiro256PlusPlus {
 }
 
 fn sync(g: &Graph, config: &SpreadConfig, rng: &mut Xoshiro256PlusPlus) -> SyncOutcome {
-    run_sync_config(g, config, rng, 1_000_000)
+    run_sync_probed(g, config, rng, 1_000_000, &mut NoProbe)
 }
 
 fn global_clock(g: &Graph, config: &SpreadConfig, rng: &mut Xoshiro256PlusPlus) -> AsyncOutcome {
-    run_async_config(g, config, rng, 100_000_000)
+    run_async_probed(g, config, AsyncView::GlobalClock, rng, 100_000_000, &mut NoProbe)
 }
 
 fn sync_trace(g: &Graph, rng: &mut Xoshiro256PlusPlus) -> Trace {
-    run_sync_traced(g, 0, Mode::PushPull, rng, 1_000_000)
+    let mut trace = Trace::new();
+    run_sync_probed(g, &SpreadConfig::new(0), rng, 1_000_000, &mut trace);
+    trace
 }
 
 fn async_trace(g: &Graph, rng: &mut Xoshiro256PlusPlus) -> Trace {
-    run_async_traced(g, 0, Mode::PushPull, rng, 100_000_000)
+    let mut trace = Trace::new();
+    let config = SpreadConfig::new(0);
+    run_async_probed(g, &config, AsyncView::GlobalClock, rng, 100_000_000, &mut trace);
+    trace
 }
 
 fn random_regular() -> Graph {

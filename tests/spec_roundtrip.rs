@@ -10,7 +10,7 @@ use rumor_spreading::core::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::spec::{
-    Engine, GraphSpec, Protocol, SimSpec, SpecError, Topology, TrialPlan,
+    Engine, GraphSpec, Protocol, RunReport, SimSpec, SpecError, Topology, TrialPlan, Unit,
 };
 use rumor_spreading::core::{AsyncView, MetricsLevel, Mode, TopologyTrace};
 use rumor_spreading::graph::generators;
@@ -222,25 +222,60 @@ fn lazy_needs_memoryless_topology() {
         .is_ok());
 }
 
-#[test]
-fn sync_supports_only_static_rewire_and_trace() {
-    let err = valid()
-        .topology(Topology::Model(DynamicModel::RandomWalk(RandomWalk::new(1.0))))
-        .build()
-        .unwrap_err();
-    assert_eq!(err, SpecError::SyncNeedsStaticTopology { model: "walk".into() });
+/// Runs `spec` at one and at four threads and checks the reports agree.
+fn run_thread_invariant(spec: SimSpec) -> RunReport {
+    let one = spec.clone().threads(1).build().unwrap().run();
+    let four = spec.threads(4).build().unwrap().run();
+    assert_eq!(one.outcomes, four.outcomes, "results depend on the thread count");
+    one
 }
 
 #[test]
-fn sync_rewire_needs_whole_rounds() {
-    let err = valid()
-        .topology(Topology::Model(DynamicModel::Rewire(Rewire::new(
-            2.5,
-            SnapshotFamily::Gnp { p: 0.5 },
-        ))))
-        .build()
-        .unwrap_err();
-    assert_eq!(err, SpecError::FractionalRewireRounds { period: 2.5 });
+fn sync_runs_on_every_model_with_a_round_budget() {
+    let walk = valid()
+        .topology(Topology::Model(DynamicModel::RandomWalk(RandomWalk::new(1.0))))
+        .trials(12);
+    // The round budget is the horizon of the recorded realization, so
+    // the automatic one (sized for static graphs) is refused…
+    let err = walk.clone().build().unwrap_err();
+    assert_eq!(err, SpecError::SyncNeedsRoundBudget { model: "walk".into() });
+    // …and an explicit one runs.
+    let report = run_thread_invariant(walk.max_rounds(1_000));
+    assert_eq!(report.unit, Unit::Rounds);
+    assert_eq!(report.censored(), 0);
+}
+
+#[test]
+fn sync_rewire_runs_with_fractional_periods() {
+    let rewire = DynamicModel::Rewire(Rewire::new(2.5, SnapshotFamily::Gnp { p: 0.5 }));
+    let spec = valid().topology(Topology::Model(rewire)).trials(12).max_rounds(1_000);
+    let report = run_thread_invariant(spec);
+    assert_eq!(report.unit, Unit::Rounds);
+    assert_eq!(report.censored(), 0);
+}
+
+#[test]
+fn sync_rewire_completes_and_respects_round_structure() {
+    let rewire = DynamicModel::Rewire(Rewire::new(3.0, SnapshotFamily::Gnp { p: 0.15 }));
+    let spec = SimSpec::new(GraphSpec::Gnp { n: 48, p: 0.15, seed: 15, attempts: 100 })
+        .topology(Topology::Model(rewire))
+        .trials(8)
+        .seed(16)
+        .max_rounds(100_000)
+        .metrics(MetricsLevel::Json);
+    let report = spec.build().unwrap().run();
+    assert_eq!(report.censored(), 0);
+    // Whole rounds, one step per round.
+    for o in &report.outcomes {
+        assert_eq!(o.value, o.steps as f64);
+        assert!(o.value >= 1.0);
+    }
+    // The mean informed fraction runs from the source alone to every
+    // node, and ends at the last trial's last round.
+    let (_, curve) = &report.metrics.as_ref().expect("metrics captured").curves[0];
+    assert_eq!(curve.points.first(), Some(&(0.0, 1.0 / 48.0)));
+    let last_round = report.values().into_iter().fold(0.0, f64::max);
+    assert_eq!(curve.points.last(), Some(&(last_round, 1.0)));
 }
 
 #[test]
@@ -343,13 +378,13 @@ fn non_global_views_are_rejected_on_dynamic_runs() {
         .build()
         .unwrap_err();
     assert!(matches!(err, SpecError::ViewUnsupported { view: AsyncView::NodeClocks, .. }), "{err}");
-    // Static sequential runs accept all three views.
+    // Static sequential runs accept all three views, lossy or not.
     for view in AsyncView::ALL {
-        assert!(valid()
-            .protocol(Protocol::Async { mode: Mode::PushPull, view })
-            .trials(2)
-            .build()
-            .is_ok());
+        for loss in [0.0, 0.3] {
+            let spec = valid().protocol(Protocol::Async { mode: Mode::PushPull, view }).trials(2);
+            let report = spec.loss(loss).build().unwrap().run();
+            assert_eq!(report.censored(), 0, "{view} at loss {loss}");
+        }
     }
 }
 

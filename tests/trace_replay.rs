@@ -185,6 +185,39 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
     }
 }
 
+/// An uncoupled synchronous trial on a model is the sync half of a
+/// coupled trial: same sub-seeds, same realization (recorded to the
+/// round budget instead of the coupled horizon, which no trial reaches
+/// here), so the same rounds.
+#[test]
+fn uncoupled_sync_is_the_sync_half_of_a_coupled_trial() {
+    let g = test_graph();
+    let (horizon, max_rounds) = (60.0, 50_000);
+    for (name, model) in all_models() {
+        let spec = SimSpec::on_graph(&g)
+            .topology(Topology::Model(model))
+            .trials(6)
+            .seed(0x5EED)
+            .max_rounds(max_rounds);
+        let sync = spec.clone().build().expect("valid sync spec").run();
+        let coupled = spec
+            .protocol(Protocol::push_pull_async())
+            .coupled(true)
+            .horizon(horizon)
+            .max_steps(5_000_000)
+            .build()
+            .expect("valid coupled spec")
+            .run();
+        let pairs = coupled.coupled_outcomes().expect("coupled report");
+        assert_eq!(sync.outcomes.len(), pairs.len(), "{name}");
+        for (one, pair) in sync.outcomes.iter().zip(pairs) {
+            assert!(one.completed && pair.sync_completed, "{name}");
+            assert!(one.value - 1.0 < horizon, "{name}: a trial reached the coupled horizon");
+            assert_eq!(one.value, pair.sync_rounds, "{name}");
+        }
+    }
+}
+
 /// Replay is deterministic and independent of how often the trace has
 /// been replayed before (replayers do not mutate the trace).
 #[test]
