@@ -62,6 +62,7 @@ use crate::engine::TickSource;
 use crate::mode::Mode;
 use crate::obs::NoProbe;
 use crate::outcome::SyncOutcome;
+use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
 
 /// One applied topology change: everything a single model event did to
@@ -729,13 +730,14 @@ pub fn run_sync_dynamic<'a>(
 
     let mut net = MutableGraph::from_graph(&trace.trace().initial);
     let mut cursor = 0usize;
-    Rounds::new(n, &[source]).run(max_rounds, |st, r| {
+    let config = SpreadConfig::new(source).with_mode(mode);
+    Rounds::new(n, &config).run(max_rounds, |st, r| {
         let boundary = (r - 1) as f64;
         while let Some(step) = trace.step_by(cursor, boundary) {
             apply_step(&mut net, step);
             cursor += 1;
         }
-        st.exchange_round(r, mode, 0.0, rng, &mut NoProbe, |v, rng| {
+        st.exchange_round(r, rng, &mut NoProbe, |v, rng| {
             if !net.is_active(v) || net.degree(v) == 0 {
                 None // isolated this snapshot: no contact this round
             } else {

@@ -1193,7 +1193,7 @@ impl Simulation {
         };
         let records: Vec<TrialRecord> = match &self.spec.topology {
             Topology::Static => {
-                let config = self.spread_config(mode);
+                let config = self.spread_config();
                 self.fan_out(|_, rng| {
                     sync_rec(run_sync_probed(g, &config, rng, max_rounds, &mut NoProbe))
                 })
@@ -1243,7 +1243,7 @@ impl Simulation {
         };
         let records: Vec<TrialRecord> = match (self.spec.engine, &self.spec.topology) {
             (Engine::Sequential, Topology::Static) => {
-                let config = self.spread_config(mode);
+                let config = self.spread_config();
                 self.fan_out(|_, rng| {
                     async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
                 })
@@ -1289,9 +1289,10 @@ impl Simulation {
         assemble(Unit::TimeUnits, records, self.spec.metrics)
     }
 
-    /// The static engines' configuration: the spec's source, `mode`
-    /// and loss.
-    fn spread_config(&self, mode: Mode) -> SpreadConfig {
+    /// The static engines' configuration: the spec's source, mode and
+    /// loss.
+    fn spread_config(&self) -> SpreadConfig {
+        let mode = self.spec.protocol.mode();
         SpreadConfig::new(self.spec.source).with_mode(mode).with_loss_probability(self.spec.loss)
     }
 

@@ -20,25 +20,35 @@ use crate::outcome::{SyncOutcome, NEVER_ROUND};
 use crate::spread::SpreadConfig;
 use crate::trace::Transmission;
 
-/// The informed state of a synchronous run: the round each node was
-/// informed in, and the informed count after every round.
+/// The state of a synchronous run: the exchange rules (mode and loss),
+/// the round each node was informed in, and the informed count after
+/// every round.
 pub(crate) struct Rounds {
+    mode: Mode,
+    loss: f64,
     informed_round: Vec<u64>,
     informed_count: usize,
     informed_by_round: Vec<usize>,
 }
 
 impl Rounds {
-    /// Round 0: every source informed, nobody else.
-    pub(crate) fn new(n: usize, sources: &[Node]) -> Self {
+    /// Round 0 of `config` on `n` nodes: every source informed, nobody
+    /// else.
+    pub(crate) fn new(n: usize, config: &SpreadConfig) -> Self {
         let mut informed_round = vec![NEVER_ROUND; n];
-        for &s in sources {
+        for &s in config.sources() {
             informed_round[s as usize] = 0;
         }
-        let informed_count = sources.len();
+        let informed_count = config.sources().len();
         let mut informed_by_round = Vec::with_capacity(64);
         informed_by_round.push(informed_count);
-        Rounds { informed_round, informed_count, informed_by_round }
+        Rounds {
+            mode: config.mode(),
+            loss: config.loss_probability(),
+            informed_round,
+            informed_count,
+            informed_by_round,
+        }
     }
 
     fn all_informed(&self) -> bool {
@@ -80,12 +90,11 @@ impl Rounds {
     pub(crate) fn exchange_round<P: Probe>(
         &mut self,
         r: u64,
-        mode: Mode,
-        loss: f64,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
         mut neighbor: impl FnMut(Node, &mut Xoshiro256PlusPlus) -> Option<Node>,
     ) {
+        let (mode, loss) = (self.mode, self.loss);
         let lost = |rng: &mut Xoshiro256PlusPlus| loss > 0.0 && rng.bernoulli(loss);
         let informed_round = self.informed_round.as_mut_slice();
         let informed_count = &mut self.informed_count;
@@ -186,15 +195,14 @@ pub fn run_sync_probed<P: Probe>(
 ) -> SyncOutcome {
     let n = g.node_count();
     config.validate(n);
-    let st = Rounds::new(n, config.sources());
+    let st = Rounds::new(n, config);
     if P::ENABLED {
         probe.trial_start(n, config.sources());
         probe.informed(0.0, st.informed_count);
     }
     assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
-    let (mode, loss) = (config.mode(), config.loss_probability());
     let out = st.run(max_rounds, |st, r| {
-        st.exchange_round(r, mode, loss, rng, probe, |v, rng| Some(g.random_neighbor(v, rng)));
+        st.exchange_round(r, rng, probe, |v, rng| Some(g.random_neighbor(v, rng)));
     });
     if P::ENABLED {
         probe.trial_end(out.rounds as f64, out.completed);
