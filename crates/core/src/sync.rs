@@ -42,13 +42,8 @@ impl Rounds {
         let informed_count = config.sources().len();
         let mut informed_by_round = Vec::with_capacity(64);
         informed_by_round.push(informed_count);
-        Rounds {
-            mode: config.mode(),
-            loss: config.loss_probability(),
-            informed_round,
-            informed_count,
-            informed_by_round,
-        }
+        let (mode, loss) = (config.mode(), config.loss_probability());
+        Rounds { mode, loss, informed_round, informed_count, informed_by_round }
     }
 
     fn all_informed(&self) -> bool {
