@@ -1,7 +1,9 @@
-//! Criterion benchmarks of the graph generators at n ≈ 1024.
+//! Criterion benchmarks of the graph generators at n ≈ 1024, and of CSR
+//! construction: the heavy `K_2048` and `GraphBuilder::build` over a
+//! raw edge list.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rumor_graph::generators;
+use rumor_graph::{generators, GraphBuilder, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 fn bench_deterministic(c: &mut Criterion) {
@@ -37,5 +39,46 @@ fn bench_random(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_deterministic, bench_random);
+/// A fixed G(n, p)-shaped pair list at `p = 2 ln n / n`, with every
+/// second edge repeated reversed and every third repeated as is, in
+/// shuffled order: what the builder sees from an edge-list file or a
+/// rewire snapshot.
+fn raw_pairs(n: usize, seed: u64) -> Vec<(Node, Node)> {
+    let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+    let p = 2.0 * (n as f64).ln() / n as f64;
+    let mut edges = Vec::new();
+    for u in 0..n as Node {
+        for v in u + 1..n as Node {
+            if rng.bernoulli(p) {
+                edges.push((u, v));
+            }
+        }
+    }
+    let mut pairs = edges.clone();
+    pairs.extend(edges.iter().step_by(2).map(|&(u, v)| (v, u)));
+    pairs.extend(edges.iter().step_by(3));
+    for i in (1..pairs.len()).rev() {
+        pairs.swap(i, rng.range_usize(i + 1));
+    }
+    pairs
+}
+
+fn bench_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph_build");
+    group.sample_size(20);
+    group.bench_function("complete-2048", |b| b.iter(|| generators::complete(2048)));
+    let pairs = raw_pairs(1024, 5);
+    group.bench_function("builder-edge-list-1024", |b| {
+        b.iter(|| {
+            let mut builder = GraphBuilder::with_edge_capacity(1024, pairs.len());
+            for &(u, v) in &pairs {
+                builder.add_edge(u, v);
+            }
+            builder.build().expect("n = 1024")
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_deterministic, bench_random, bench_build);
 criterion_main!(benches);

@@ -67,7 +67,7 @@ use std::sync::Arc;
 pub mod cache;
 pub mod sweep;
 
-use rumor_graph::{generators, io, Graph, Node};
+use rumor_graph::{generators, io, Graph, Node, MAX_NODES};
 use rumor_sim::events::RNG_CONTRACT;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -406,6 +406,7 @@ impl GraphSpec {
     /// Builds (or reads) the graph this spec describes.
     pub fn resolve(&self) -> Result<Graph, SpecError> {
         let invalid = |msg: String| SpecError::InvalidGraph(msg);
+        self.check_node_count()?;
         match self {
             GraphSpec::Provided(g) => Ok(g.clone()),
             GraphSpec::File(path) => {
@@ -458,6 +459,26 @@ impl GraphSpec {
                 }
                 Ok(generators::torus(*rows, *cols))
             }
+        }
+    }
+
+    /// Rejects a generated family whose node count does not fit a
+    /// [`Node`], before any of it is allocated.
+    fn check_node_count(&self) -> Result<(), SpecError> {
+        use GraphSpec::*;
+        let nodes = match *self {
+            Provided(_) | File(_) | Hypercube { .. } => return Ok(()),
+            Gnp { n, .. } | RandomRegular { n, .. } => Some(n),
+            Complete { n } | Path { n } | Cycle { n } | Star { n } => Some(n),
+            Necklace { cliques, size } => cliques.checked_mul(size),
+            Torus { rows, cols } => rows.checked_mul(cols),
+        };
+        match nodes {
+            Some(n) if n <= MAX_NODES => Ok(()),
+            _ => Err(SpecError::InvalidGraph(format!(
+                "`{}` has more than {MAX_NODES} nodes",
+                graph_to_text(self)?
+            ))),
         }
     }
 }
@@ -2108,6 +2129,27 @@ mod tests {
         let a = SimSpec::on_graph(&g).trials(6).build().unwrap().run();
         let b = base_spec().trials(6).build().unwrap().run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn node_counts_beyond_node_labels_are_rejected_before_generation() {
+        let big = MAX_NODES + 1;
+        for spec in [
+            GraphSpec::Complete { n: big },
+            GraphSpec::Path { n: big },
+            GraphSpec::Cycle { n: big },
+            GraphSpec::Star { n: big },
+            GraphSpec::Torus { rows: 1 << 16, cols: 1 << 16 },
+            GraphSpec::Torus { rows: usize::MAX, cols: 3 },
+            GraphSpec::Necklace { cliques: 1 << 17, size: 1 << 15 },
+            GraphSpec::Necklace { cliques: 3, size: usize::MAX },
+        ] {
+            let err = spec.resolve().unwrap_err();
+            assert!(
+                matches!(&err, SpecError::InvalidGraph(msg) if msg.contains("more than")),
+                "{spec:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Incremental graph construction with validation.
 
-use crate::csr::{Graph, Node};
+use crate::csr::{Graph, Node, MAX_NODES};
 use crate::error::GraphError;
 
 /// Accumulates edges and produces a validated [`Graph`].
@@ -80,55 +80,92 @@ impl GraphBuilder {
             return Err(GraphError::SelfLoop { node: u });
         }
         let nc = self.node_count as u64;
+        if self.node_count > MAX_NODES {
+            return Err(GraphError::TooManyNodes { node_count: nc });
+        }
         if u >= nc || v >= nc {
             return Err(GraphError::NodeOutOfRange { node: u.max(v), node_count: nc });
         }
         Ok(self.add_edge(u as Node, v as Node))
     }
 
-    /// Finalizes the graph: sorts adjacency, removes duplicate edges, and
-    /// produces the CSR arrays.
+    /// Finalizes the graph in O(n + m), with no comparison sort.
+    ///
+    /// Counts degrees over the added pairs, prefix-sums them into the CSR
+    /// offsets and scatters both endpoints of every pair into their rows.
+    /// If a row then is not strictly ascending, the rows are transposed
+    /// once, which writes every row in ascending order, and repeated
+    /// entries are compacted away. The result has sorted rows and no
+    /// parallel edges, and depends only on the set of edges added, not on
+    /// their order, orientation or repetition.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::EmptyGraph`] if the builder was created with
-    /// zero nodes.
-    pub fn build(mut self) -> Result<Graph, GraphError> {
-        if self.node_count == 0 {
+    /// zero nodes, and [`GraphError::TooManyNodes`] if its node count
+    /// exceeds [`MAX_NODES`].
+    pub fn build(self) -> Result<Graph, GraphError> {
+        let n = self.node_count;
+        if n == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        // Deduplicate normalized (u < v) edge pairs.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
-        let n = self.node_count;
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
+        if n > MAX_NODES {
+            return Err(GraphError::TooManyNodes { node_count: n as u64 });
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
         for v in 0..n {
-            offsets.push(offsets[v] + degrees[v]);
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
+        let mut cursor = offsets[..n].to_vec();
         let mut neighbors = vec![0 as Node; offsets[n]];
-        for &(u, v) in &self.edges {
+        for (u, v) in self.edges {
             neighbors[cursor[u as usize]] = v;
             cursor[u as usize] += 1;
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Edges were sorted by (u, v), so each u's list is already sorted;
-        // v's lists receive u in increasing u order, also sorted. A debug
-        // check keeps us honest.
-        debug_assert!((0..n).all(|v| {
-            let s = &neighbors[offsets[v]..offsets[v + 1]];
-            s.windows(2).all(|w| w[0] < w[1])
-        }));
+        if !rows_ascending(&offsets, &neighbors) {
+            // Row w holds x as often as row x holds w, so appending w to
+            // the row of every x in row w, for w in node order, refills
+            // each row with the same entries in ascending order.
+            cursor.copy_from_slice(&offsets[..n]);
+            let mut sorted = vec![0 as Node; offsets[n]];
+            for w in 0..n {
+                for &x in &neighbors[offsets[w]..offsets[w + 1]] {
+                    sorted[cursor[x as usize]] = w as Node;
+                    cursor[x as usize] += 1;
+                }
+            }
+            neighbors = sorted;
+            // Compact each row's distinct entries down to `write`; row
+            // v's bounds are read before `offsets[v]` moves.
+            let mut write = 0;
+            for v in 0..n {
+                let (start, end) = (offsets[v], offsets[v + 1]);
+                offsets[v] = write;
+                for i in start..end {
+                    let w = neighbors[i];
+                    if write == offsets[v] || neighbors[write - 1] != w {
+                        neighbors[write] = w;
+                        write += 1;
+                    }
+                }
+            }
+            offsets[n] = write;
+            neighbors.truncate(write);
+        }
+        debug_assert!(rows_ascending(&offsets, &neighbors));
         Ok(Graph::from_csr(offsets, neighbors))
     }
+}
+
+/// Whether every CSR row is strictly ascending: sorted, with no repeats.
+fn rows_ascending(offsets: &[usize], neighbors: &[Node]) -> bool {
+    offsets.windows(2).all(|r| neighbors[r[0]..r[1]].windows(2).all(|w| w[0] < w[1]))
 }
 
 #[cfg(test)]
@@ -177,6 +214,14 @@ mod tests {
         assert!(b.try_add_edge(0, 2).is_ok());
         let g = b.build().unwrap();
         assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn node_count_beyond_node_labels_is_an_error() {
+        let mut b = GraphBuilder::new(5_000_000_000);
+        let too_many = GraphError::TooManyNodes { node_count: 5_000_000_000 };
+        assert_eq!(b.try_add_edge(0, 4_294_967_296).unwrap_err(), too_many);
+        assert_eq!(b.build().unwrap_err(), too_many);
     }
 
     #[test]

@@ -9,10 +9,14 @@ use rumor_sim::rng::Xoshiro256PlusPlus;
 /// every experiment (n ≤ a few million).
 pub type Node = u32;
 
+/// The largest node count a graph may have: every label `0..n` and the
+/// count itself fit in a [`Node`].
+pub const MAX_NODES: usize = Node::MAX as usize;
+
 /// An immutable, undirected, simple graph in CSR form.
 ///
-/// Invariants (established by [`crate::GraphBuilder`] and preserved by
-/// immutability):
+/// Invariants (established by [`crate::GraphBuilder`] or by a generator
+/// that writes its rows directly, and preserved by immutability):
 ///
 /// * no self-loops, no parallel edges;
 /// * adjacency lists are sorted ascending;
@@ -47,15 +51,21 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Assembles a graph from raw CSR arrays.
+    /// Assembles a graph from raw CSR arrays. Either array may come as a
+    /// `Vec` (copied once into shared storage) or as an `Arc<[_]>`
+    /// already built in place (taken as is).
     ///
     /// Callers are expected to uphold the documented invariants; this is
     /// `pub(crate)` so all public construction funnels through the builder
     /// or the generators.
-    pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<Node>) -> Self {
+    pub(crate) fn from_csr(
+        offsets: impl Into<Arc<[usize]>>,
+        neighbors: impl Into<Arc<[Node]>>,
+    ) -> Self {
+        let (offsets, neighbors) = (offsets.into(), neighbors.into());
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), neighbors.len());
-        Self { offsets: Arc::from(offsets), neighbors: Arc::from(neighbors) }
+        Self { offsets, neighbors }
     }
 
     /// The shared offset array (O(1) clone of the `Arc`).

@@ -20,6 +20,12 @@ pub enum GraphError {
     },
     /// The graph had zero nodes.
     EmptyGraph,
+    /// The node count exceeds [`crate::MAX_NODES`], so labels would not
+    /// fit in a [`crate::Node`].
+    TooManyNodes {
+        /// The declared number of nodes.
+        node_count: u64,
+    },
     /// An edge-list line could not be parsed.
     ParseEdgeList {
         /// 1-based line number of the malformed line.
@@ -37,6 +43,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
             GraphError::EmptyGraph => write!(f, "graph must have at least one node"),
+            GraphError::TooManyNodes { node_count } => {
+                write!(f, "{node_count} nodes exceed the limit of {}", crate::MAX_NODES)
+            }
             GraphError::ParseEdgeList { line, message } => {
                 write!(f, "edge list parse error at line {line}: {message}")
             }
@@ -58,6 +67,8 @@ mod tests {
         assert_eq!(e.to_string(), "self-loop at node 3");
         let e = GraphError::EmptyGraph;
         assert!(e.to_string().contains("at least one node"));
+        let e = GraphError::TooManyNodes { node_count: 1 << 40 };
+        assert_eq!(e.to_string(), "1099511627776 nodes exceed the limit of 4294967295");
         let e = GraphError::ParseEdgeList { line: 2, message: "bad token".into() };
         assert!(e.to_string().contains("line 2"));
     }

@@ -1,6 +1,8 @@
 //! Elementary deterministic families: complete, star, path, cycle, and the
 //! star-like worst cases for push-only spreading.
 
+use std::sync::Arc;
+
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, Node};
 
@@ -14,13 +16,23 @@ use crate::csr::{Graph, Node};
 /// Panics if `n < 2`.
 pub fn complete(n: usize) -> Graph {
     assert!(n >= 2, "complete graph needs n >= 2");
-    let mut b = GraphBuilder::with_edge_capacity(n, n * (n - 1) / 2);
-    for u in 0..n as Node {
-        for v in (u + 1)..n as Node {
-            b.add_edge(u, v);
-        }
-    }
-    b.build().expect("n >= 2")
+    let degree = n - 1;
+    let offsets: Vec<usize> = (0..=n).map(|v| v * degree).collect();
+    // Row v is 0..v followed by v+1..n: its k-th entry is k, or k + 1
+    // once k reaches v. The exact-size iterator is collected straight
+    // into the shared array, one allocation and no copy.
+    let (mut v, mut k) = (0, 0);
+    let neighbors: Arc<[Node]> = (0..n * degree)
+        .map(|_| {
+            let w = if k < v { k } else { k + 1 };
+            k += 1;
+            if k == degree {
+                (v, k) = (v + 1, 0);
+            }
+            w as Node
+        })
+        .collect();
+    Graph::from_csr(offsets, neighbors)
 }
 
 /// The star `S_n`: node 0 is the center, nodes `1..n` are leaves.

@@ -6,7 +6,7 @@
 //! instances can be inspected or exported.
 
 use crate::builder::GraphBuilder;
-use crate::csr::Graph;
+use crate::csr::{Graph, MAX_NODES};
 use crate::error::GraphError;
 
 /// Serializes a graph to edge-list text.
@@ -35,7 +35,8 @@ pub fn to_edge_list(g: &Graph) -> String {
 /// # Errors
 ///
 /// Returns [`GraphError::ParseEdgeList`] for malformed headers or edge
-/// lines, and the usual construction errors for self-loops or
+/// lines, [`GraphError::TooManyNodes`] for a node count above
+/// [`MAX_NODES`], and the usual construction errors for self-loops or
 /// out-of-range endpoints.
 pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
     let mut lines = text
@@ -58,8 +59,14 @@ pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
     if n == 0 {
         return Err(GraphError::EmptyGraph);
     }
+    if n > MAX_NODES as u64 {
+        return Err(GraphError::TooManyNodes { node_count: n });
+    }
 
-    let mut b = GraphBuilder::with_edge_capacity(n as usize, m as usize);
+    // The header is untrusted: reserve no more edges than the text can
+    // hold (an edge line takes at least 4 bytes, "0 1\n").
+    let edge_hint = m.min((text.len() / 4) as u64) as usize;
+    let mut b = GraphBuilder::with_edge_capacity(n as usize, edge_hint);
     let mut seen_edges = 0u64;
     for (line_no, line) in lines {
         let mut parts = line.split_whitespace();
@@ -145,5 +152,27 @@ mod tests {
     #[test]
     fn zero_nodes_rejected() {
         assert_eq!(from_edge_list("0 0\n").unwrap_err(), GraphError::EmptyGraph);
+    }
+
+    #[test]
+    fn huge_edge_count_header_is_an_error_not_an_abort() {
+        let err = from_edge_list("4 1000000000000000\n0 1\n1 2\n").unwrap_err();
+        assert!(err.to_string().contains("declared 1000000000000000"), "{err}");
+    }
+
+    #[test]
+    fn node_count_beyond_node_labels_is_rejected() {
+        assert_eq!(
+            from_edge_list("1000000000000 1\n0 1\n").unwrap_err(),
+            GraphError::TooManyNodes { node_count: 1_000_000_000_000 }
+        );
+    }
+
+    #[test]
+    fn endpoint_beyond_node_labels_never_wraps() {
+        assert_eq!(
+            from_edge_list("5000000000 1\n0 4294967296\n").unwrap_err(),
+            GraphError::TooManyNodes { node_count: 5_000_000_000 }
+        );
     }
 }

@@ -45,5 +45,5 @@ pub mod ops;
 pub mod props;
 
 pub use builder::GraphBuilder;
-pub use csr::{Graph, Node};
+pub use csr::{Graph, Node, MAX_NODES};
 pub use error::GraphError;

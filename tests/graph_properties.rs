@@ -130,6 +130,66 @@ proptest! {
     }
 }
 
+/// Strategy: a node count in 1..64 and a raw edge list over it. Some
+/// nodes stay isolated; self-loops are dropped by the test.
+fn raw_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (1usize..64).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n);
+        (Just(n), edges)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `GraphBuilder::build` agrees with a reference adjacency (a
+    /// `BTreeSet` per node) on edge lists that repeat edges, list them
+    /// in both orientations and in any order.
+    #[test]
+    fn builder_matches_a_reference_adjacency(list in raw_edge_list(), seed in 0u64..1000) {
+        use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
+        use std::collections::BTreeSet;
+        let n = list.0;
+        let edges: Vec<(u32, u32)> = list.1.iter().copied().filter(|(u, v)| u != v).collect();
+        let mut fed = edges.clone();
+        fed.extend(edges.iter().step_by(2).map(|&(u, v)| (v, u)));
+        fed.extend(edges.iter().step_by(3));
+        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+        for i in (1..fed.len()).rev() {
+            fed.swap(i, rng.range_usize(i + 1));
+        }
+
+        let mut reference = vec![BTreeSet::new(); n];
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in &fed {
+            b.add_edge(u, v);
+            reference[u as usize].insert(v);
+            reference[v as usize].insert(u);
+        }
+        let g = b.build().expect("n >= 1");
+        prop_assert_eq!(g.node_count(), n);
+        for v in g.nodes() {
+            let want: Vec<u32> = reference[v as usize].iter().copied().collect();
+            prop_assert_eq!(g.neighbors(v), want.as_slice(), "row {}", v);
+        }
+        prop_assert_eq!(g.edge_count(), reference.iter().map(BTreeSet::len).sum::<usize>() / 2);
+    }
+}
+
+/// The directly written `K_n` is the builder's `K_n`, array for array.
+#[test]
+fn complete_matches_the_builder() {
+    for n in 2..=300usize {
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n as u32 {
+            for v in u + 1..n as u32 {
+                b.add_edge(v, u);
+            }
+        }
+        assert_eq!(generators::complete(n), b.build().unwrap(), "n = {n}");
+    }
+}
+
 /// Deterministic sanity check: the hypercube equals the iterated product
 /// of `K₂`, exactly — node labels included.
 #[test]
