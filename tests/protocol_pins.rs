@@ -1,5 +1,6 @@
 //! Seed-for-seed pins of the static protocol loops under message loss,
-//! several sources and transmission tracing.
+//! several sources and transmission tracing, in all three asynchronous
+//! clock views.
 //!
 //! Each pin is `(value.to_bits(), steps, final_rng_word)` at seeds 11
 //! and 12, in the shape of the dynamic engines' `SEQ_V2` pins
@@ -127,6 +128,92 @@ fn static_runs_replay_their_pins() {
     }
 }
 
+/// The node-clock and edge-clock views, each over both seeds. The last
+/// two runs stop at their step budget, after the reschedule draw of
+/// the final step.
+fn clock_pins() -> Vec<(&'static str, [Pin; 2])> {
+    use AsyncView::{EdgeClocks, NodeClocks};
+    const FULL: u64 = 100_000_000;
+    let cube = generators::hypercube(6);
+    let regular = random_regular();
+    let cycle = generators::cycle(64);
+    let star = generators::star(64);
+    let complete = generators::complete(64);
+    let pull = || SpreadConfig::new(0).with_mode(Mode::Pull);
+    let push = || SpreadConfig::new(0).with_mode(Mode::Push);
+    let pin = |g: &Graph, config: SpreadConfig, view: AsyncView, budget: u64| {
+        SEEDS.map(|seed| {
+            let mut r = rng(seed);
+            let out = run_async_probed(g, &config, view, &mut r, budget, &mut NoProbe);
+            assert_eq!(out.completed, budget == FULL, "{view}");
+            (out.time.to_bits(), out.steps, r.next_u64())
+        })
+    };
+    vec![
+        ("node-clocks hypercube(6) loss 0.1", pin(&cube, lossy(0.1), NodeClocks, FULL)),
+        ("edge-clocks hypercube(6) loss 0.1", pin(&cube, lossy(0.1), EdgeClocks, FULL)),
+        ("node-clocks pull random-regular", pin(&regular, pull(), NodeClocks, FULL)),
+        ("edge-clocks pull random-regular", pin(&regular, pull(), EdgeClocks, FULL)),
+        ("node-clocks push random-regular", pin(&regular, push(), NodeClocks, FULL)),
+        ("edge-clocks push random-regular", pin(&regular, push(), EdgeClocks, FULL)),
+        ("node-clocks cycle(64) sources {0,21,42}", pin(&cycle, multi_source(), NodeClocks, FULL)),
+        ("edge-clocks cycle(64) sources {0,21,42}", pin(&cycle, multi_source(), EdgeClocks, FULL)),
+        ("node-clocks star(64)", pin(&star, SpreadConfig::new(0), NodeClocks, FULL)),
+        ("edge-clocks star(64)", pin(&star, SpreadConfig::new(0), EdgeClocks, FULL)),
+        ("edge-clocks complete(64)", pin(&complete, SpreadConfig::new(0), EdgeClocks, FULL)),
+        ("node-clocks hypercube(6) censored at 150", pin(&cube, lossy(0.1), NodeClocks, 150)),
+        ("edge-clocks hypercube(6) censored at 150", pin(&cube, lossy(0.1), EdgeClocks, 150)),
+    ]
+}
+
+const CLOCK_PINS: [[Pin; 2]; 13] = [
+    // node-clocks hypercube(6) loss 0.1
+    [(0x4019b9e70a711236, 421, 0xc535e0d32cbdcdc9), (0x401c90b107b2a8d3, 475, 0x75df97766a7b703a)],
+    // edge-clocks hypercube(6) loss 0.1
+    [(0x40167939d2b54328, 381, 0x94a77e4f4d3226be), (0x401b41334c6288c6, 399, 0xdfa9eb21838e665f)],
+    // node-clocks pull random-regular
+    [
+        (0x402d5e710136540c, 1416, 0xe77f8caf9bd38ea6),
+        (0x402aa8f99b5f610c, 1283, 0x27bddf6797bf64d1),
+    ],
+    // edge-clocks pull random-regular
+    [
+        (0x402e3ba4c8e8ffee, 1423, 0xd24996611b3c431e),
+        (0x4029b0019d28174e, 1212, 0x29fb79dee534359b),
+    ],
+    // node-clocks push random-regular
+    [
+        (0x40287c23a7dab1f9, 1201, 0x1054c2b4c82fa858),
+        (0x402ac46be9b04213, 1293, 0x17bfdb067eea8366),
+    ],
+    // edge-clocks push random-regular
+    [
+        (0x4033e6e971d32f34, 1904, 0x63c40a7b96dccb23),
+        (0x402bc6f19184255b, 1333, 0x55279b9ed4e5e85b),
+    ],
+    // node-clocks cycle(64) sources {0,21,42}
+    [(0x402f4cdde0816c1e, 989, 0x104ccd682ff1fdfe), (0x4027ea6aaf609e8c, 799, 0x8601e4803226c607)],
+    // edge-clocks cycle(64) sources {0,21,42}
+    [(0x402f2a66db997bcb, 1011, 0x9dac1f3b29695224), (0x402e7c1c6e5cfb89, 977, 0x2d0be66655fbf5bf)],
+    // node-clocks star(64)
+    [(0x400aa3ab07649b28, 225, 0xd725100e51b95a16), (0x40159381b0ab1032, 350, 0xa4772b800aa4049f)],
+    // edge-clocks star(64)
+    [(0x402218c1c95456f5, 571, 0x433810c4eb51adaa), (0x4025271bb20542d5, 668, 0x306cdbd3509ab90f)],
+    // edge-clocks complete(64)
+    [(0x4012bf04c55d66c6, 312, 0x5e0e3135b7613246), (0x40162598c09ca7f6, 330, 0x35eaca4152182fed)],
+    // node-clocks hypercube(6) censored at 150
+    [(0x4001ec12fc5de792, 150, 0x7fb52b37f81b2bc8), (0x40025f426f4c7b88, 150, 0xc842d80d97132916)],
+    // edge-clocks hypercube(6) censored at 150
+    [(0x4002cd76db95b94e, 150, 0xcb6656ba66ba06e9), (0x40032bba9ffc9d85, 150, 0x8f288c05d4a6b1c6)],
+];
+
+#[test]
+fn clock_views_replay_their_pins() {
+    for (i, (name, got)) in clock_pins().into_iter().enumerate() {
+        assert_eq!(got, CLOCK_PINS[i], "{name}: stream drifted");
+    }
+}
+
 /// The lossy lines of the benchmark's `paper_static` workload, at fixed
 /// seeds, run through the spec layer.
 const LOSSY_SPECS: [&str; 4] = [
@@ -248,6 +335,10 @@ fn print_protocol_pins() {
     let pin = |p: &Pin| format!("(0x{:016x}, {}, 0x{:016x})", p.0, p.1, p.2);
     println!("STATIC_PINS:");
     for (name, [a, b]) in static_pins() {
+        println!("    // {name}\n    [{}, {}],", pin(&a), pin(&b));
+    }
+    println!("CLOCK_PINS:");
+    for (name, [a, b]) in clock_pins() {
         println!("    // {name}\n    [{}, {}],", pin(&a), pin(&b));
     }
     println!("SPEC_PINS:");
