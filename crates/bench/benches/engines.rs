@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::{run_async, run_sync, AsyncView, Mode};
 use rumor_graph::{generators, Graph};
+use rumor_sim::events::{ClockTree, EventQueue};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 fn bench_graphs() -> Vec<(&'static str, Graph)> {
@@ -72,11 +73,62 @@ fn bench_async_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The star push-pull node-clock run is the heaviest clock-view class of
+/// the end-to-end benchmark's `paper_static` workload.
+fn bench_async_views_star(c: &mut Criterion) {
+    let mut group = c.benchmark_group("async_views_star_2048");
+    group.sample_size(20);
+    let g = generators::star(2048);
+    for view in AsyncView::ALL {
+        let mut rng = Xoshiro256PlusPlus::seed_from(11);
+        group.bench_with_input(BenchmarkId::from_parameter(view.to_string()), &view, |b, &view| {
+            b.iter(|| run_async(&g, 0, Mode::PushPull, view, &mut rng, 100_000_000))
+        });
+    }
+    group.finish();
+}
+
+/// One sample is 10 000 reschedules of the earliest of `n` rate-1
+/// clocks, each with its `Exp(1)` draw: an `EventQueue` pop and push
+/// against `ClockTree::reschedule_min`. The sizes are the node clocks
+/// of K_64 and K_2048 and the 4032 edge clocks of K_64.
+fn bench_clock_queue(c: &mut Criterion) {
+    const RESCHEDULES: usize = 10_000;
+    let mut group = c.benchmark_group("clock_queue");
+    for n in [64usize, 2048, 4032] {
+        let mut rng = Xoshiro256PlusPlus::seed_from(12);
+        let mut queue = EventQueue::with_capacity(n);
+        for clock in 0..n {
+            queue.push(rng.exp(1.0), clock);
+        }
+        group.bench_function(format!("event-queue/n={n}"), |b| {
+            b.iter(|| {
+                for _ in 0..RESCHEDULES {
+                    let (t, clock) = queue.pop().expect("one pending time per clock");
+                    queue.push(t + rng.exp(1.0), clock);
+                }
+            })
+        });
+        let mut clocks = ClockTree::new((0..n).map(|_| rng.exp(1.0)).collect());
+        group.bench_function(format!("clock-tree/n={n}"), |b| {
+            b.iter(|| {
+                for _ in 0..RESCHEDULES {
+                    let (t, _) = clocks.min();
+                    clocks.reschedule_min(t + rng.exp(1.0));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sync_engine,
     bench_sync_modes,
     bench_async_views,
-    bench_async_scaling
+    bench_async_views_star,
+    bench_async_scaling,
+    bench_clock_queue
 );
 criterion_main!(benches);

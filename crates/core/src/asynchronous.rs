@@ -7,22 +7,23 @@
 //! equivalence itself is testable (experiment E9):
 //!
 //! * [`AsyncView::NodeClocks`] — the literal definition: `n` independent
-//!   rate-1 clocks, simulated with an event queue;
+//!   rate-1 clocks, kept in a [`ClockTree`];
 //! * [`AsyncView::GlobalClock`] — one rate-`n` clock; at each tick a
 //!   uniformly random node takes a step (superposition property). This is
 //!   the fastest view and the default for experiments;
 //! * [`AsyncView::EdgeClocks`] — one clock per *ordered* adjacent pair
-//!   `(v, w)` with rate `1/deg(v)`; when it ticks, `v` contacts `w`
-//!   (Poisson thinning).
+//!   `(v, w)` with rate `1/deg(v)`, `2m` clocks in a [`ClockTree`]; when
+//!   one ticks, `v` contacts `w` (Poisson thinning).
 //!
 //! All three views run the generalizations of [`SpreadConfig`] — several
 //! sources, lossy contacts — and report every transmission to a
 //! [`Probe`], which is how transmission traces are recorded.
 
 use rumor_graph::{Graph, Node};
+use rumor_sim::events::ClockTree;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::engine::{drive, Control, QueueSource, TickSource};
+use crate::engine::{drive, Control, TickSource};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
@@ -36,7 +37,7 @@ use crate::trace::Transmission;
 pub enum AsyncView {
     /// One rate-`n` Poisson clock; each tick activates a uniform node.
     GlobalClock,
-    /// `n` independent rate-1 Poisson clocks in an event queue.
+    /// `n` independent rate-1 Poisson clocks in a [`ClockTree`].
     NodeClocks,
     /// `2m` independent per-directed-edge clocks with rate `1/deg(v)`.
     EdgeClocks,
@@ -282,25 +283,22 @@ fn run_node_clocks<P: Probe>(
     probe: &mut P,
 ) -> RunState {
     let n = g.node_count();
-    let mut src = QueueSource::with_capacity(n);
-    for v in 0..n as Node {
-        src.queue.push(rng.exp(1.0), v);
-    }
-    drive(&mut src, rng, |src, rng, t, v| {
+    let mut clocks = ClockTree::new((0..n).map(|_| rng.exp(1.0)).collect());
+    loop {
+        let (t, v) = clocks.min();
+        let v = v as Node;
         st.tick(t, probe);
         let w = g.random_neighbor(v, rng);
         st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
-            return Control::Stop;
+            return st;
         }
-        src.queue.push(t + rng.exp(1.0), v);
+        clocks.reschedule_min(t + rng.exp(1.0));
         if st.steps >= max_steps {
-            return Control::Stop;
+            return st;
         }
-        Control::Continue
-    });
-    st
+    }
 }
 
 fn run_edge_clocks<P: Probe>(
@@ -310,30 +308,35 @@ fn run_edge_clocks<P: Probe>(
     max_steps: u64,
     probe: &mut P,
 ) -> RunState {
-    // One clock per ordered pair (v, w), rate 1/deg(v).
+    // One clock per ordered pair (v, w), rate 1/deg(v): clock k is the
+    // pair in adjacency slot k, and the first times are drawn in slot
+    // order.
     let n = g.node_count();
-    let mut src = QueueSource::with_capacity(2 * g.edge_count());
+    let mut pairs = Vec::with_capacity(2 * g.edge_count());
+    let mut times = Vec::with_capacity(2 * g.edge_count());
     for v in 0..n as Node {
         let rate = 1.0 / g.degree(v) as f64;
         for &w in g.neighbors(v) {
-            src.queue.push(rng.exp(rate), (v, w));
+            pairs.push((v, w));
+            times.push(rng.exp(rate));
         }
     }
-    drive(&mut src, rng, |src, rng, t, (v, w)| {
+    let mut clocks = ClockTree::new(times);
+    loop {
+        let (t, k) = clocks.min();
+        let (v, w) = pairs[k];
         st.tick(t, probe);
         st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
-            return Control::Stop;
+            return st;
         }
         let rate = 1.0 / g.degree(v) as f64;
-        src.queue.push(t + rng.exp(rate), (v, w));
+        clocks.reschedule_min(t + rng.exp(rate));
         if st.steps >= max_steps {
-            return Control::Stop;
+            return st;
         }
-        Control::Continue
-    });
-    st
+    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! ([`crate::run_dynamic`]) — that differed only in where their events
 //! came from. This module factors that shape out and builds on it:
 //!
-//! * [`source`] — the [`EventSource`] abstraction ([`TickSource`],
-//!   [`QueueSource`], the superposition scheduler) and the [`drive`]
-//!   loop the static asynchronous and lazy engines are written over,
-//!   with RNG consumption preserved draw-for-draw.
+//! * [`source`] — the [`EventSource`] abstraction ([`TickSource`], the
+//!   superposition scheduler) and the [`drive`] loop the global-clock
+//!   and lazy engines are written over, with RNG consumption preserved
+//!   draw-for-draw.
 //! * [`topology`] — the pluggable topology-model layer: the
 //!   [`TopologyModel`] trait (stochastic channels, deterministic
 //!   side-queue events, an optional informed-set feed) every engine
@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use lazy::{run_edge_markov_lazy, LazyOutcome};
 pub use scheduler::TopoDriver;
-pub use source::{drive, Control, EventSource, QueueSource, TickSource};
+pub use source::{drive, Control, EventSource, TickSource};
 pub use topology::{StateVisitor, TopoEvent, TopologyModel};
 pub use trace::{
     run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecorder, TraceRecording, TraceRef,

@@ -1,10 +1,13 @@
 //! The [`EventSource`] abstraction: where simulation events come from.
 //!
-//! The static asynchronous and lazy engines are the same loop: *pop
-//! the earliest event, apply it, decide whether to go on*. What differs
-//! is the **source** of events: a single lazily-drawn Poisson clock, a
-//! pending-event queue, or a superposition scheduler. [`drive`] is that
-//! loop, written once; the sources below cover the three shapes.
+//! The global-clock and lazy engines are the same loop: *pop the
+//! earliest event, apply it, decide whether to go on*. What differs is
+//! the **source** of events: a single lazily-drawn Poisson clock or a
+//! superposition scheduler. [`drive`] is that loop, written once; the
+//! sources below cover the two shapes. (The node-clock and edge-clock
+//! views keep a fixed population of clocks in a
+//! [`ClockTree`](rumor_sim::events::ClockTree) and loop over it
+//! directly.)
 //!
 //! RNG discipline: a source draws from the RNG only when it actually
 //! needs a new arrival time, and a drawn-but-unconsumed arrival is
@@ -13,7 +16,7 @@
 //! describe the same process — the property the dynamic engine's
 //! churn-0 invariant rests on.
 
-use rumor_sim::events::{EventQueue, Fired, Superposition};
+use rumor_sim::events::{Fired, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 /// Whether [`drive`] keeps pumping events.
@@ -49,19 +52,23 @@ pub trait EventSource {
 /// # Example
 ///
 /// ```
-/// use rumor_core::engine::{drive, Control, QueueSource};
+/// use rumor_core::engine::{drive, Control, TickSource};
 /// use rumor_sim::rng::Xoshiro256PlusPlus;
 ///
-/// let mut src = QueueSource::new();
-/// src.queue.push(1.0, "a");
-/// src.queue.push(2.0, "b");
+/// let mut src = TickSource::new(4.0);
 /// let mut rng = Xoshiro256PlusPlus::seed_from(1);
-/// let mut seen = Vec::new();
-/// drive(&mut src, &mut rng, |_, _, t, ev| {
-///     seen.push((t, ev));
-///     Control::Continue
+/// let mut ticks = Vec::new();
+/// drive(&mut src, &mut rng, |_, _, t, ()| {
+///     ticks.push(t);
+///     if ticks.len() == 3 {
+///         Control::Stop
+///     } else {
+///         Control::Continue
+///     }
 /// });
-/// assert_eq!(seen, vec![(1.0, "a"), (2.0, "b")]);
+/// assert_eq!(ticks.len(), 3);
+/// assert!(ticks[0] > 0.0 && ticks[0] < ticks[1] && ticks[1] < ticks[2]);
+/// assert_eq!(src.now(), ticks[2]);
 /// ```
 pub fn drive<S, F>(source: &mut S, rng: &mut Xoshiro256PlusPlus, mut on_event: F)
 where
@@ -126,45 +133,6 @@ impl EventSource for TickSource {
     }
 }
 
-/// An [`EventQueue`] as an event source: the node-clocks and edge-clocks
-/// views of the asynchronous protocol. The public `queue` field lets
-/// `on_event` callbacks schedule successor events.
-#[derive(Debug)]
-pub struct QueueSource<T> {
-    /// The underlying pending-event queue.
-    pub queue: EventQueue<T>,
-}
-
-impl<T> QueueSource<T> {
-    /// An empty queue source.
-    pub fn new() -> Self {
-        Self { queue: EventQueue::new() }
-    }
-
-    /// An empty queue source with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { queue: EventQueue::with_capacity(capacity) }
-    }
-}
-
-impl<T> Default for QueueSource<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventSource for QueueSource<T> {
-    type Event = T;
-
-    fn peek(&mut self, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        self.queue.peek_time()
-    }
-
-    fn pop(&mut self, _rng: &mut Xoshiro256PlusPlus) -> Option<(f64, T)> {
-        self.queue.pop()
-    }
-}
-
 /// A [`Superposition`] scheduler is itself an event source: stochastic
 /// arrivals thin to [`Fired::Channel`], deterministic side-queue events
 /// surface as [`Fired::Event`]. With a single positive-weight channel
@@ -222,12 +190,11 @@ mod tests {
     #[test]
     fn drive_stops_on_request() {
         let mut r = rng(2);
-        let mut src: QueueSource<u32> = QueueSource::new();
-        for i in 0..10 {
-            src.queue.push(i as f64, i);
-        }
+        let mut src = TickSource::new(1.0);
+        let mut last = 0.0;
         let mut count = 0;
-        drive(&mut src, &mut r, |_, _, _, _| {
+        drive(&mut src, &mut r, |_, _, t, ()| {
+            last = t;
             count += 1;
             if count == 3 {
                 Control::Stop
@@ -236,22 +203,6 @@ mod tests {
             }
         });
         assert_eq!(count, 3);
-        assert_eq!(src.queue.len(), 7);
-    }
-
-    #[test]
-    fn callbacks_can_reschedule() {
-        let mut r = rng(3);
-        let mut src: QueueSource<u32> = QueueSource::new();
-        src.queue.push(0.0, 0);
-        let mut hops = 0;
-        drive(&mut src, &mut r, |s, _, t, k| {
-            hops += 1;
-            if k < 4 {
-                s.queue.push(t + 1.0, k + 1);
-            }
-            Control::Continue
-        });
-        assert_eq!(hops, 5);
+        assert_eq!(src.now(), last);
     }
 }

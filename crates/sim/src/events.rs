@@ -3,7 +3,9 @@
 //!
 //! The asynchronous protocol of the paper is driven by `n` independent
 //! rate-1 Poisson clocks. [`EventQueue`] provides the classic
-//! next-event-time simulation loop; [`PoissonClock`] wraps the
+//! next-event-time simulation loop over a changing set of events;
+//! [`ClockTree`] keeps a fixed population of clocks, each with one
+//! pending time, in the same order; [`PoissonClock`] wraps the
 //! exponential inter-arrival logic; [`LazyMarkovClock`] resolves a
 //! continuous-time on/off chain only at the instants something observes
 //! it, so simulations with millions of such chains pay only for the ones
@@ -15,6 +17,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::hint::select_unpredictable;
 
 use crate::rng::{SplitMix64, Xoshiro256PlusPlus};
 
@@ -39,10 +42,10 @@ pub const RNG_CONTRACT: &str = "v2";
 /// unsafe `Ord` shims. Construction rejects every non-finite value: NaN
 /// would break the order, and `±INFINITY` — which the engines use as
 /// *sentinels* ("never informed", "no pending arrival") — must never be
-/// scheduled as an actual event. Horizon arithmetic in the sharded
-/// engine and `informed_time` vectors both traffic in `f64::INFINITY`,
-/// so accepting it here would let a sentinel silently enter the event
-/// heap and stall the stream; the contract is: **an event either has a
+/// scheduled as an actual event. Topology-trace cursors ("no next
+/// step") and `informed_time` vectors both traffic in `f64::INFINITY`,
+/// so accepting it here would let a sentinel silently enter an event
+/// queue and stall the stream; the contract is: **an event either has a
 /// finite time or is not scheduled at all** (models guard zero rates
 /// and infinite periods/delays by not pushing).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,6 +189,166 @@ impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// A fixed population of clocks, each with exactly one pending time:
+/// the earliest is read in O(1) and rescheduled in O(log n).
+///
+/// The order is [`EventQueue`]'s. Times compare as [`TimeKey`]s, so
+/// `-0.0 == +0.0`, and ties go to push order, where clock `i`'s first
+/// time is push `i` and every reschedule is the next push. A
+/// `ClockTree` therefore yields exactly the sequence an `EventQueue`
+/// yields when each popped clock is pushed straight back, and
+/// [`min`](Self::min) returns every time exactly as it was pushed.
+///
+/// Internally it is a loser tree: every internal node keeps the loser
+/// of its match, so rescheduling the winner replays the one path from
+/// its leaf to the root. A key is one 128-bit integer: an
+/// order-preserving image of the time, then the push sequence number,
+/// then the clock. A match is one integer compare, and winner and loser
+/// move without branches.
+///
+/// # Example
+///
+/// ```
+/// use rumor_sim::events::ClockTree;
+/// let mut clocks = ClockTree::new(vec![2.0, 1.0, 3.0]);
+/// assert_eq!(clocks.min(), (1.0, 1));
+/// clocks.reschedule_min(4.0);
+/// assert_eq!(clocks.min(), (2.0, 0));
+/// // A tie with clock 2, whose time was pushed first.
+/// clocks.reschedule_min(3.0);
+/// assert_eq!(clocks.min(), (3.0, 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ClockTree {
+    /// `keys[0]` is the overall winner. For `k` in `1..n`, `keys[k]` is
+    /// the loser of the match at internal node `k`, whose children are
+    /// nodes `2k` and `2k + 1`; node `n + i` is clock `i`'s leaf.
+    keys: Vec<Key>,
+    /// Each clock's pending time, exactly as pushed.
+    times: Vec<f64>,
+    /// Low bits of a key's second word that hold the clock index.
+    clock_bits: u32,
+    /// Sequence number of the next push.
+    next_seq: u64,
+}
+
+/// A [`ClockTree`] key as its high and low words: the time's image, then
+/// `(seq << clock_bits) | clock`. Keys compare as one `u128`, but move
+/// as two `u64`s: x86-64 code generation turns a select of a `u128`
+/// into branches, and a select of a `u64` into a conditional move.
+type Key = [u64; 2];
+
+impl ClockTree {
+    /// Starts one clock per time: clock `i` is pending at `times[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is empty, holds more than 2^32 clocks, or
+    /// holds a time that is not finite (see [`TimeKey`]).
+    pub fn new(times: Vec<f64>) -> Self {
+        let n = times.len();
+        assert!(n > 0, "a clock tree needs at least one clock");
+        assert!(n - 1 <= u32::MAX as usize, "a clock tree holds at most 2^32 clocks");
+        let clock_bits = usize::BITS - (n - 1).leading_zeros();
+        let mut tree = Self { keys: Vec::new(), times, clock_bits, next_seq: n as u64 };
+        // Play every match bottom-up. `winners[k]` is the winner at
+        // internal node `k`; the winner at node 1 (or the one leaf of a
+        // single clock) wins overall. Arrays of two words order as the
+        // `u128` they stand for.
+        let node = |winners: &[Key], j: usize| match j.checked_sub(n) {
+            Some(i) => tree.key(tree.times[i], i as u64, i),
+            None => winners[j],
+        };
+        let mut winners = vec![[0; 2]; n];
+        let mut keys = vec![[0; 2]; n];
+        for k in (1..n).rev() {
+            let (a, b) = (node(&winners, 2 * k), node(&winners, 2 * k + 1));
+            winners[k] = a.min(b);
+            keys[k] = a.max(b);
+        }
+        keys[0] = node(&winners, 1);
+        tree.keys = keys;
+        tree
+    }
+
+    /// The earliest pending time and its clock.
+    pub fn min(&self) -> (f64, usize) {
+        let clock = self.clock_of(self.keys[0][1]);
+        (self.times[clock], clock)
+    }
+
+    /// Moves the earliest clock, the one [`min`](Self::min) returns, to
+    /// time `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not finite (see [`TimeKey`]).
+    pub fn reschedule_min(&mut self, t: f64) {
+        let clock = self.clock_of(self.keys[0][1]);
+        if self.next_seq > u64::MAX >> self.clock_bits {
+            self.renumber();
+        }
+        let [mut high, mut low] = self.key(t, self.next_seq, clock);
+        self.next_seq += 1;
+        self.times[clock] = t;
+        let mut k = (self.times.len() + clock) >> 1;
+        while k > 0 {
+            // Each match is a coin flip to a branch predictor, so pick
+            // the loser and the winner with selects instead of a jump.
+            let [loser_high, loser_low] = self.keys[k];
+            let swap = wide([loser_high, loser_low]) < wide([high, low]);
+            self.keys[k] = [
+                select_unpredictable(swap, high, loser_high),
+                select_unpredictable(swap, low, loser_low),
+            ];
+            high = select_unpredictable(swap, loser_high, high);
+            low = select_unpredictable(swap, loser_low, low);
+            k >>= 1;
+        }
+        self.keys[0] = [high, low];
+    }
+
+    /// The key of clock `clock` pending at `t` as push `seq`.
+    #[inline]
+    fn key(&self, t: f64, seq: u64, clock: usize) -> Key {
+        // `t + 0.0` turns `-0.0` into `+0.0`. Then flipping every bit
+        // of a negative time, and only the sign bit of any other, makes
+        // unsigned order match numeric order.
+        let bits = (TimeKey::new(t).get() + 0.0).to_bits();
+        let image = bits ^ (((bits as i64 >> 63) as u64) | (1 << 63));
+        [image, (seq << self.clock_bits) | clock as u64]
+    }
+
+    #[inline]
+    fn clock_of(&self, low: u64) -> usize {
+        (low & ((1 << self.clock_bits) - 1)) as usize
+    }
+
+    /// Gives the pending pushes the sequence numbers `0..n` in their
+    /// current order, once the next one no longer fits beside the clock
+    /// index. Every key keeps its rank, so the tree stays as it is.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut order: Vec<u64> = self.keys.iter().map(|&[_, low]| low).collect();
+        order.sort_unstable();
+        let mut rank = vec![0u64; order.len()];
+        for (r, &low) in (0u64..).zip(&order) {
+            rank[self.clock_of(low)] = r;
+        }
+        for i in 0..self.keys.len() {
+            let clock = self.clock_of(self.keys[i][1]);
+            self.keys[i][1] = (rank[clock] << self.clock_bits) | clock as u64;
+        }
+        self.next_seq = self.keys.len() as u64;
+    }
+}
+
+/// The `u128` a [`Key`] stands for.
+#[inline]
+fn wide([high, low]: Key) -> u128 {
+    (u128::from(high) << 64) | u128::from(low)
 }
 
 /// A Poisson clock: ticks separated by i.i.d. `Exp(rate)` intervals.
@@ -624,6 +787,93 @@ mod tests {
         // couplings schedule relative offsets) and f64::MAX.
         for t in [0.0, -1.5, f64::MAX, f64::MIN, 1e-300] {
             assert_eq!(TimeKey::new(t).get(), t);
+        }
+    }
+
+    /// First times for `n` clocks: quarters in `[-2, 2]`, with zero
+    /// drawn as `-0.0` or `+0.0`, so the tree starts on exact ties.
+    fn first_times(n: usize, rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.range_usize(17) {
+                8 if rng.bernoulli(0.5) => -0.0,
+                q => (q as f64 - 8.0) * 0.25,
+            })
+            .collect()
+    }
+
+    /// Runs `steps` reschedules of `tree` beside an `EventQueue` that
+    /// pops a clock and pushes it straight back, and asserts that both
+    /// yield the same `(time bits, clock)` sequence. Clocks run at mixed
+    /// rates, times are floored to quarters so exact ties are frequent,
+    /// and a clock at zero may be pushed back to `-0.0` or `+0.0`.
+    fn assert_tree_matches_queue(
+        mut tree: ClockTree,
+        first: &[f64],
+        rng: &mut Xoshiro256PlusPlus,
+        steps: usize,
+    ) {
+        let mut queue = EventQueue::with_capacity(first.len());
+        for (clock, &t) in first.iter().enumerate() {
+            queue.push(t, clock);
+        }
+        let rates = [0.5, 1.0, 4.0];
+        for step in 0..steps {
+            let (t, clock) = queue.pop().expect("one pending time per clock");
+            let (tree_t, tree_clock) = tree.min();
+            assert_eq!(
+                (tree_t.to_bits(), tree_clock),
+                (t.to_bits(), clock),
+                "n = {}, step {step}",
+                first.len()
+            );
+            let next = if t == 0.0 && rng.bernoulli(0.5) {
+                if rng.bernoulli(0.5) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                ((t + rng.exp(rates[clock % 3])) * 4.0).floor() / 4.0
+            };
+            queue.push(next, clock);
+            tree.reschedule_min(next);
+        }
+    }
+
+    #[test]
+    fn clock_tree_pops_the_event_queue_sequence() {
+        let mut rng = Xoshiro256PlusPlus::seed_from(21);
+        for n in [1, 2, 3, 5, 64, 1000] {
+            let first = first_times(n, &mut rng);
+            assert_tree_matches_queue(ClockTree::new(first.clone()), &first, &mut rng, 12_000);
+        }
+    }
+
+    /// Sequence numbers share a key's low word with the clock index;
+    /// when they run out, the pending pushes are renumbered in order.
+    #[test]
+    fn clock_tree_renumbers_without_moving_the_order() {
+        let mut rng = Xoshiro256PlusPlus::seed_from(22);
+        for n in [2, 3, 64, 1000] {
+            let first = first_times(n, &mut rng);
+            let mut tree = ClockTree::new(first.clone());
+            tree.next_seq = (u64::MAX >> tree.clock_bits) - 5;
+            assert_tree_matches_queue(tree, &first, &mut rng, 3_000);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn clock_tree_rejects_a_non_finite_first_time() {
+        ClockTree::new(vec![1.0, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    fn clock_tree_rejects_non_finite_reschedules() {
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut tree = ClockTree::new(vec![1.0, 2.0]);
+            let caught = std::panic::catch_unwind(move || tree.reschedule_min(t));
+            assert!(caught.is_err(), "{t} was scheduled");
         }
     }
 
