@@ -186,23 +186,4 @@ mod tests {
         assert_eq!(peeked, popped);
         assert_eq!(src.now(), popped);
     }
-
-    #[test]
-    fn drive_stops_on_request() {
-        let mut r = rng(2);
-        let mut src = TickSource::new(1.0);
-        let mut last = 0.0;
-        let mut count = 0;
-        drive(&mut src, &mut r, |_, _, t, ()| {
-            last = t;
-            count += 1;
-            if count == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(count, 3);
-        assert_eq!(src.now(), last);
-    }
 }

@@ -9,8 +9,9 @@
 //! * [`dist`] — the distributions used throughout the PODC 2016 paper
 //!   (exponential, geometric, negative binomial, Erlang) with sampling,
 //!   moments, and CDFs, so the paper's domination lemmas can be tested.
-//! * [`events`] — a time-ordered event queue and Poisson clocks, the engine
-//!   room of the asynchronous protocol.
+//! * [`events`] — a time-ordered event queue, a tree of `n` clocks with one
+//!   pending time each, and Poisson clocks: the engine room of the
+//!   asynchronous protocol.
 //! * [`stats`] — online moments, quantiles, empirical CDFs and two-sample
 //!   Kolmogorov–Smirnov distances for the experiment harness.
 //! * [`fit`] — least-squares fits (linear, power-law, logarithmic) used to
