@@ -220,7 +220,7 @@ impl<T> Default for EventQueue<T> {
 /// clocks.reschedule_min(3.0);
 /// assert_eq!(clocks.min(), (3.0, 2));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClockTree {
     /// `keys[0]` is the overall winner. For `k` in `1..n`, `keys[k]` is
     /// the loser of the match at internal node `k`, whose children are
