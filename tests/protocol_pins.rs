@@ -9,10 +9,17 @@
 //! the trial RNG after the run. A loss draw moved by one position, or a
 //! transmission recorded out of order, changes them.
 //!
+//! `DYNAMIC_PINS` extends the dynamic engine's `SEQ_V2` pins to the
+//! three models they leave out — random-walk edges, geometric mobility
+//! and the frontier adversary — and `TOPOLOGY_TRACE_PINS` pins what
+//! `TopologyTrace::record` journals for mobility and the adversary.
+//!
 //! The constants are part of the replay contract, like the goldens
 //! under `specs/`; `print_protocol_pins` below prints them.
 
 use rumor_spreading::core::asynchronous::run_async_probed;
+use rumor_spreading::core::dynamic::{run_dynamic, Adversary, DynamicModel, Mobility, RandomWalk};
+use rumor_spreading::core::engine::trace::TopologyTrace;
 use rumor_spreading::core::spec::SimSpec;
 use rumor_spreading::core::spread::SpreadConfig;
 use rumor_spreading::core::sync::run_sync_probed;
@@ -311,6 +318,139 @@ fn traces_replay_their_pins() {
     }
 }
 
+/// `(time.to_bits(), steps, topology_events, FNV-1a of every
+/// informed_time's bits, final_rng_word)`.
+type DynamicPin = (u64, u64, u64, u64, u64);
+
+/// The step budget of a dynamic run that must complete.
+const DYNAMIC_FULL: u64 = 10_000_000;
+
+/// The dynamic models `SEQ_V2` does not cover, each with its step
+/// budget: the censored adversary never heals its cuts and stops at
+/// the budget.
+fn dynamic_models() -> (Graph, Vec<(&'static str, DynamicModel, u64)>) {
+    let g = generators::gnp_connected(96, 0.08, &mut rng(3), 100);
+    let models = vec![
+        ("walk rate 1", DynamicModel::RandomWalk(RandomWalk::new(1.0)), DYNAMIC_FULL),
+        ("mobility dense", DynamicModel::Mobility(Mobility::new(1.0, 0.35, 0.15)), DYNAMIC_FULL),
+        (
+            "mobility sparse",
+            DynamicModel::Mobility(Mobility::matching_density(&g, 1.0, 0.15)),
+            DYNAMIC_FULL,
+        ),
+        ("adversary heal 1", DynamicModel::Adversary(Adversary::new(4.0, 4, 1.0)), DYNAMIC_FULL),
+        (
+            "adversary heal inf censored",
+            DynamicModel::Adversary(Adversary::new(20.0, 8, f64::INFINITY)),
+            20_000,
+        ),
+    ];
+    (g, models)
+}
+
+fn dynamic_pins() -> Vec<(&'static str, [DynamicPin; 2])> {
+    let (g, models) = dynamic_models();
+    models
+        .into_iter()
+        .map(|(name, model, budget)| {
+            let pins = SEEDS.map(|seed| {
+                let mut r = rng(seed);
+                let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut r, budget);
+                assert_eq!(out.completed, budget == DYNAMIC_FULL, "{name}");
+                let mut h = Fnv::new();
+                for t in &out.informed_time {
+                    h.word(t.to_bits());
+                }
+                (out.time.to_bits(), out.steps, out.topology_events, h.0, r.next_u64())
+            });
+            (name, pins)
+        })
+        .collect()
+}
+
+const DYNAMIC_PINS: [[DynamicPin; 2]; 5] = [
+    // walk rate 1
+    [
+        (0x401b13fbb338b380, 635, 2851, 0xa1e840b773dad1f5, 0x3207f17153c5d479),
+        (0x40152bbce14bf169, 503, 2105, 0x00e2d135e7e08715, 0x0cade102904940de),
+    ],
+    // mobility dense
+    [
+        (0x4019964812719c4d, 647, 582, 0xb8c6fb0688961cf4, 0xdf58b761675b09c2),
+        (0x402141ff9d284f76, 783, 837, 0xd7b4888fde51bd13, 0x2042951839a2b9e5),
+    ],
+    // mobility sparse
+    [
+        (0x401e69b993a57d2e, 735, 687, 0x4c22c1b6295300af, 0xd33ceb57ac017f6c),
+        (0x4022ce927820b606, 846, 937, 0x15ca58b7ef33018e, 0x138f9734307eadc5),
+    ],
+    // adversary heal 1
+    [
+        (0x401f72a73a95e124, 713, 152, 0xd591005b0857523c, 0xa1db0c2e47956349),
+        (0x4020200970d873bb, 805, 114, 0xa693fe080f07ded9, 0x2be1b41ef457040b),
+    ],
+    // adversary heal inf censored
+    [
+        (0x4069bd18a89a3464, 20000, 4249, 0x65c465eac8e82dbd, 0x7354e5ef18ede291),
+        (0x406a320b13055cd2, 20000, 4229, 0x4a7619ea089b9cf8, 0x791398c64d5f1b43),
+    ],
+];
+
+#[test]
+fn dynamic_models_replay_their_pins() {
+    for (i, (name, got)) in dynamic_pins().into_iter().enumerate() {
+        assert_eq!(got, DYNAMIC_PINS[i], "{name}: stream drifted");
+    }
+}
+
+/// `(step count, FNV-1a of every step's time bits and edge and node
+/// lists, final_rng_word)` of a standalone recording to horizon 8.
+type TopologyTracePin = (usize, u64, u64);
+
+fn topology_trace_pins() -> Vec<(&'static str, [TopologyTracePin; 2])> {
+    let (g, models) = dynamic_models();
+    models
+        .into_iter()
+        .filter(|(name, ..)| name.starts_with("mobility") || *name == "adversary heal 1")
+        .map(|(name, model, _)| {
+            let pins = SEEDS.map(|seed| {
+                let mut r = rng(seed);
+                let trace = TopologyTrace::record(&g, 0, model.build_state().as_mut(), &mut r, 8.0);
+                let mut h = Fnv::new();
+                for step in trace.steps() {
+                    h.word(step.time.to_bits());
+                    for list in [&step.removed, &step.added] {
+                        h.word(list.len() as u64);
+                        list.iter().for_each(|&(u, v)| h.word(u64::from(u) << 32 | u64::from(v)));
+                    }
+                    for list in [&step.deactivated, &step.activated] {
+                        h.word(list.len() as u64);
+                        list.iter().for_each(|&v| h.word(u64::from(v)));
+                    }
+                }
+                (trace.len(), h.0, r.next_u64())
+            });
+            (name, pins)
+        })
+        .collect()
+}
+
+const TOPOLOGY_TRACE_PINS: [[TopologyTracePin; 2]; 3] = [
+    // mobility dense
+    [(769, 0xb726bcb526fecaa0, 0x8ae5628e585d0ebe), (741, 0xfa4776bd9f71dc0b, 0x02b18272c854091d)],
+    // mobility sparse
+    [(752, 0xec3cdf05f9391782, 0x8ae5628e585d0ebe), (713, 0xd450ac973651f50a, 0x02b18272c854091d)],
+    // adversary heal 1
+    [(79, 0x3f6b7d8e5b4c40b1, 0xbc4ea054e26991c4), (78, 0x24c9df7e13d30443, 0xef7e712b10f2146a)],
+];
+
+#[test]
+fn topology_traces_replay_their_pins() {
+    for (i, (name, got)) in topology_trace_pins().into_iter().enumerate() {
+        assert_eq!(got, TOPOLOGY_TRACE_PINS[i], "{name}: journal drifted");
+    }
+}
+
 /// FNV-1a over 64-bit words (little-endian bytes).
 struct Fnv(u64);
 
@@ -344,6 +484,21 @@ fn print_protocol_pins() {
     println!("SPEC_PINS:");
     for [a, b] in spec_pins() {
         println!("    [{}, {}],", pin(&a), pin(&b));
+    }
+    println!("DYNAMIC_PINS:");
+    for (name, pins) in dynamic_pins() {
+        println!("    // {name}\n    [");
+        for (time, steps, events, informed, word) in pins {
+            println!(
+                "        (0x{time:016x}, {steps}, {events}, 0x{informed:016x}, 0x{word:016x}),"
+            );
+        }
+        println!("    ],");
+    }
+    println!("TOPOLOGY_TRACE_PINS:");
+    for (name, [a, b]) in topology_trace_pins() {
+        let pin = |p: &TopologyTracePin| format!("({}, 0x{:016x}, 0x{:016x})", p.0, p.1, p.2);
+        println!("    // {name}\n    [{}, {}],", pin(&a), pin(&b));
     }
     println!("TRACE_PINS:");
     for (name, pins) in trace_pins() {
