@@ -10,14 +10,16 @@
 //! BENCH_PR7.json holds the retired eager-queue numbers on identical
 //! labels.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 // The benched suite IS the E22 suite: importing it keeps the committed
 // BENCH_PR3.json baseline tracking exactly the models the experiment
 // measures, parameter drift included.
 use rumor_analysis::experiments::e22_models::matched_models;
-use rumor_core::{run_dynamic, Mode};
+use rumor_core::dynamic::{Adversary, Mobility};
+use rumor_core::engine::{StateVisitor, TopoDriver, TopologyModel};
+use rumor_core::{run_dynamic, DynamicModel, Mode};
 use rumor_graph::dynamic::MutableGraph;
-use rumor_graph::{generators, Node};
+use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 fn bench_models_sequential(c: &mut Criterion) {
@@ -214,11 +216,74 @@ fn bench_hotpath_components(c: &mut Criterion) {
     group.finish();
 }
 
+/// Driver steps per timed sample: a single step (about a microsecond)
+/// is too close to the timer's own cost to read.
+const STEPS_PER_SAMPLE: usize = 1000;
+
+/// Times [`STEPS_PER_SAMPLE`] [`TopoDriver`] steps per sample over the
+/// model's concrete state, with nodes `0..informed` informed first.
+struct DriverSteps<'a> {
+    b: &'a mut Bencher,
+    g: &'a Graph,
+    informed: usize,
+}
+
+impl StateVisitor for DriverSteps<'_> {
+    type Output = ();
+
+    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) {
+        let mut rng = Xoshiro256PlusPlus::seed_from(23);
+        let mut net = MutableGraph::from_graph(self.g);
+        let mut driver = TopoDriver::new(self.g, &mut net, &mut state, &mut rng);
+        for v in 0..self.informed {
+            state.note_informed(v as Node, &net);
+        }
+        self.b.iter(|| {
+            let mut t = 0.0;
+            for _ in 0..STEPS_PER_SAMPLE {
+                t = driver.next_time(&mut rng);
+                driver.step(&mut state, &mut net, &mut rng);
+            }
+            t
+        });
+    }
+}
+
+fn bench_topology_events(c: &mut Criterion) {
+    // The per-event cost (row time / STEPS_PER_SAMPLE) of the two
+    // event kinds the engine pays most for on the benchmark's
+    // `dynamic_models` workload, without protocol ticks: a mobility
+    // move (grid move, radius query, row rewrite) at the workload's
+    // sparse density, and an adversary strike or heal against a
+    // frontier of half the nodes.
+    let mut group = c.benchmark_group("topology_events");
+    group.sample_size(20);
+    let gnp = |n: usize| {
+        let p = 2.0 * (n as f64).ln() / n as f64;
+        generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200)
+    };
+    for n in [256, 1024] {
+        let g = gnp(n);
+        let model = DynamicModel::Mobility(Mobility::matching_density(&g, 1.0, 0.1));
+        group.bench_function(format!("mobility_n{n}"), |b| {
+            model.with_state(DriverSteps { b, g: &g, informed: 0 })
+        });
+    }
+    let g = gnp(256);
+    let strikes = g.edge_count() as f64 / 8.0;
+    let model = DynamicModel::Adversary(Adversary::new(strikes, 4, 1.0));
+    group.bench_function("adversary_n256_half_informed", |b| {
+        model.with_state(DriverSteps { b, g: &g, informed: 128 })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_models_sequential,
     bench_models_sequential_1024,
     bench_compaction_threshold_sweep,
-    bench_hotpath_components
+    bench_hotpath_components,
+    bench_topology_events
 );
 criterion_main!(benches);

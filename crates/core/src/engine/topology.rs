@@ -21,7 +21,7 @@
 //! mobility on a [`GridIndex`], and budget-limited adversarial removal
 //! of the informed/uninformed frontier.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use rumor_graph::arena;
 use rumor_graph::dynamic::MutableGraph;
@@ -45,8 +45,9 @@ use crate::dynamic::{
 pub enum TopoEvent {
     /// Replace the topology with a fresh snapshot.
     Snapshot,
-    /// Re-insert adversary-cut edge `i` (index into the heal slab).
-    Heal(u32),
+    /// Re-insert the adversary's oldest cut edge (the head of its heal
+    /// FIFO, which holds the edge itself).
+    Heal,
     /// Apply recorded trace step `i`
     /// ([`TraceReplayer`](crate::engine::trace::TraceReplayer)).
     Replay(u32),
@@ -473,14 +474,13 @@ pub(crate) struct MobilityState {
     cfg: Mobility,
     grid: Option<GridIndex>,
     n: usize,
+    /// The moving node's radius query (reused across events).
     scratch: Vec<Node>,
-    /// Pre-move adjacency of the moving node (reused across events).
-    old: Vec<Node>,
 }
 
 impl MobilityState {
     pub(crate) fn new(m: Mobility) -> Self {
-        Self { cfg: m, grid: None, n: 0, scratch: arena::take_nodes(), old: arena::take_nodes() }
+        Self { cfg: m, grid: None, n: 0, scratch: arena::take_nodes() }
     }
 
     /// Draws positions, indexes them, and installs the proximity graph.
@@ -508,24 +508,16 @@ impl MobilityState {
         let nx = (x + (2.0 * rng.f64_unit() - 1.0) * step).clamp(0.0, 1.0);
         let ny = (y + (2.0 * rng.f64_unit() - 1.0) * step).clamp(0.0, 1.0);
         grid.move_to(v, nx, ny);
+        // The ascending radius query is `v`'s new adjacency: edges that
+        // fell out of range drop, newcomers join in ascending order.
         grid.within_radius(v, &mut self.scratch);
-        // Diff the current adjacency against the radius query (both as
-        // sets): drop edges that fell out of range, add the newcomers.
-        self.old.clear();
-        self.old.extend(net.neighbors(v));
-        for &w in self.old.iter().filter(|w| !self.scratch.contains(w)) {
-            net.remove_edge(v, w);
-        }
-        for &w in self.scratch.iter().filter(|w| !self.old.contains(w)) {
-            net.add_edge(v, w);
-        }
+        net.set_neighbors(v, &self.scratch);
     }
 }
 
 impl Drop for MobilityState {
     fn drop(&mut self) {
         arena::give_nodes(std::mem::take(&mut self.scratch));
-        arena::give_nodes(std::mem::take(&mut self.old));
     }
 }
 
@@ -566,12 +558,12 @@ impl TopologyModel for MobilityState {
 /// (never, if the delay is infinite).
 pub(crate) struct AdversaryState {
     cfg: Adversary,
-    /// Slab of cut edges awaiting their heal event; slots are recycled
-    /// through `free` once healed, so memory is bounded by the number
-    /// of *concurrently* healing edges, not the total ever cut.
-    healing: Vec<(Node, Node)>,
-    /// Healed slab slots available for reuse.
-    free: Vec<u32>,
+    /// Cut edges awaiting their heal, with its time, in cut order. Every
+    /// heal comes the same fixed delay after its cut and cut times never
+    /// decrease, so this is also heal order — with ties in cut order, as
+    /// an [`EventQueue`] breaks them — and only the head needs a
+    /// side-queue event.
+    healing: VecDeque<(f64, Node, Node)>,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
     /// The live frontier, maintained incrementally: every present edge
@@ -583,13 +575,7 @@ pub(crate) struct AdversaryState {
 
 impl AdversaryState {
     pub(crate) fn new(m: Adversary) -> Self {
-        Self {
-            cfg: m,
-            healing: Vec::new(),
-            free: Vec::new(),
-            informed: Vec::new(),
-            boundary: BTreeSet::new(),
-        }
+        Self { cfg: m, healing: VecDeque::new(), informed: Vec::new(), boundary: BTreeSet::new() }
     }
 
     fn is_informed(&self, v: Node) -> bool {
@@ -607,17 +593,11 @@ impl AdversaryState {
         let (u, w) = edge;
         net.remove_edge(u, w);
         if self.cfg.heal_after.is_finite() {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.healing[slot as usize] = (u, w);
-                    slot
-                }
-                None => {
-                    self.healing.push((u, w));
-                    (self.healing.len() - 1) as u32
-                }
-            };
-            queue.push(t + self.cfg.heal_after, TopoEvent::Heal(slot));
+            let at = t + self.cfg.heal_after;
+            if self.healing.is_empty() {
+                queue.push(at, TopoEvent::Heal);
+            }
+            self.healing.push_back((at, u, w));
         }
     }
 }
@@ -640,14 +620,16 @@ impl TopologyModel for AdversaryState {
         event: TopoEvent,
         _t: f64,
         net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
+        queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) {
-        let TopoEvent::Heal(i) = event else {
+        let TopoEvent::Heal = event else {
             unreachable!("the adversary schedules only heals");
         };
-        let (u, w) = self.healing[i as usize];
-        self.free.push(i);
+        let (_, u, w) = self.healing.pop_front().expect("a heal event has a cut edge");
+        if let Some(&(next, ..)) = self.healing.front() {
+            queue.push(next, TopoEvent::Heal);
+        }
         if net.is_active(u) && net.is_active(w) {
             net.add_edge(u, w);
             // The healed edge rejoins the frontier if it still has
@@ -727,7 +709,10 @@ mod tests {
 
     /// The adversary's incremental boundary equals a brute-force
     /// frontier recomputation after an arbitrary interleaving of
-    /// informs, strikes, and heals.
+    /// informs, strikes, and heals. Heals run through a FIFO that keeps
+    /// at most one event on the side queue, and come back in the order
+    /// a queue holding every heal would pop them: cut order, with the
+    /// cuts of strikes at equal times in push order.
     #[test]
     fn adversary_incremental_boundary_matches_rescan() {
         for seed in 0..8u64 {
@@ -739,23 +724,41 @@ mod tests {
             let mut queue = EventQueue::new();
             let channels = state.init(&g, &mut net, &mut queue, &mut rng);
             assert_eq!(channels, 1);
+            // Every cut with its heal time, popped as a full heal queue
+            // would pop it.
+            let mut all_heals = EventQueue::new();
 
             state.note_informed(0, &net);
             let mut t = 0.0;
             for round in 0..200 {
-                t += 0.1;
+                // Every fourth round repeats the time, so some strikes
+                // tie with the one before.
+                if rng.range_usize(4) != 0 {
+                    t += 0.1;
+                }
                 match rng.range_usize(3) {
                     0 => {
                         let v = rng.range_usize(net.node_count()) as Node;
                         state.note_informed(v, &net);
                     }
-                    1 => state.fire(0, t, &mut net, &mut queue, &mut rng),
+                    1 => {
+                        let before = state.healing.len();
+                        state.fire(0, t, &mut net, &mut queue, &mut rng);
+                        for &(at, u, w) in state.healing.range(before..) {
+                            all_heals.push(at, (u, w));
+                        }
+                    }
                     _ => {
                         if let Some((ht, ev)) = queue.pop() {
+                            let (at, u, w) = state.healing[0];
+                            assert_eq!(all_heals.pop(), Some((at, (u, w))), "heal out of order");
+                            assert_eq!(ht, at, "the side queue holds the head's time");
                             state.apply(ev, ht.max(t), &mut net, &mut queue, &mut rng);
                         }
                     }
                 }
+                assert!(queue.len() <= 1, "seed {seed} round {round}: heals crowd the side queue");
+                assert_eq!(queue.len(), usize::from(!state.healing.is_empty()));
                 // Brute-force frontier from the bitmap + live topology.
                 let mut expect = BTreeSet::new();
                 for v in 0..net.node_count() as Node {

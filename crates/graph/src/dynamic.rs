@@ -426,6 +426,66 @@ impl MutableGraph {
         true
     }
 
+    /// Rewrites `v`'s adjacency to the set `new` in one batch, leaving
+    /// rows, journal and counts exactly as this sequence would: first
+    /// [`remove_edge`](Self::remove_edge)`(v, w)` for every dropped `w`,
+    /// in `v`'s current row order, then [`add_edge`](Self::add_edge)`(v,
+    /// w)` for every new `w`, in `new`'s order. The batch touches `v`
+    /// once, finds membership by binary search in `new` instead of
+    /// probing row against row, and checks for compaction once at the
+    /// end (compaction only changes layout, so no row reads
+    /// differently) — the geometric mobility move's edge diff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or an entry of `new` is out of range or inactive,
+    /// if `new` is not strictly ascending, or if it holds `v`.
+    pub fn set_neighbors(&mut self, v: Node, new: &[Node]) {
+        let n = self.node_count();
+        assert!((v as usize) < n, "node {v} out of range for {n} nodes");
+        assert!(self.active[v as usize], "rewiring inactive node {v}");
+        assert!(new.windows(2).all(|w| w[0] < w[1]), "new neighbors of {v} must be ascending");
+        for &w in new {
+            assert!(w != v, "self-loop at node {v}");
+            assert!((w as usize) < n && self.active[w as usize], "neighbor {w} is inactive");
+        }
+        let sv = self.touch(v);
+        // Pass 1, in row order: keep what `new` holds (marking it), and
+        // list the drops in the order the reference removals run.
+        let mut kept = arena::take_flags();
+        kept.resize(new.len(), false);
+        let mut dropped = arena::take_nodes();
+        for &w in self.row(sv) {
+            match new.binary_search(&w) {
+                Ok(k) => kept[k] = true,
+                Err(_) => dropped.push(w),
+            }
+        }
+        for &w in &dropped {
+            assert!(self.row_find_swap_remove(sv, w), "dropped neighbor is in the row");
+            let sw = self.touch(w);
+            assert!(self.row_find_swap_remove(sw, v), "adjacency is symmetric");
+            if self.tracking {
+                self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
+            }
+        }
+        let mut added = 0;
+        for (&w, _) in new.iter().zip(&kept).filter(|(_, &k)| !k) {
+            self.row_push(sv, w);
+            let sw = self.touch(w);
+            self.row_push(sw, v);
+            if self.tracking {
+                self.journal.push(GraphChange::EdgeAdded(v.min(w), v.max(w)));
+            }
+            added += 1;
+        }
+        self.overlay_entries = self.overlay_entries + 2 * added - 2 * dropped.len();
+        self.edge_count = self.edge_count + added - dropped.len();
+        arena::give_flags(kept);
+        arena::give_nodes(dropped);
+        self.maybe_compact();
+    }
+
     /// Whether `v` currently participates in the network.
     #[inline]
     pub fn is_active(&self, v: Node) -> bool {
@@ -912,6 +972,21 @@ mod tests {
         b.add_edge_unchecked(0, 2);
         assert_eq!(a, b);
         assert_eq!(a.neighbors(0), b.neighbors(0), "same row order too");
+    }
+
+    #[test]
+    #[should_panic(expected = "inactive")]
+    fn rewiring_an_inactive_node_panics() {
+        let mut net = MutableGraph::from_graph(&generators::cycle(5));
+        net.deactivate(2);
+        net.set_neighbors(2, &[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn rewiring_a_node_to_itself_panics() {
+        let mut net = MutableGraph::from_graph(&generators::cycle(5));
+        net.set_neighbors(2, &[1, 2, 3]);
     }
 
     #[test]

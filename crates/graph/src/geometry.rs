@@ -130,20 +130,23 @@ impl GridIndex {
         let (x, y) = self.pos[v as usize];
         let r2 = self.radius * self.radius;
         let (cx, cy) = self.cell_coords((x, y));
-        for gy in cy.saturating_sub(1)..=(cy + 1).min(self.cols - 1) {
-            for gx in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
-                for &u in &self.cells[gy * self.cols + gx] {
-                    if u == v {
-                        continue;
-                    }
-                    let (ux, uy) = self.pos[u as usize];
-                    let (dx, dy) = (ux - x, uy - y);
-                    if dx * dx + dy * dy <= r2 {
-                        out.push(u);
-                    }
-                }
+        let rows = cy.saturating_sub(1)..=(cy + 1).min(self.cols - 1);
+        let cols = cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1);
+        let cells = || rows.clone().flat_map(|gy| cols.clone().map(move |gx| gy * self.cols + gx));
+        // Branchless collection: every candidate is written, and the
+        // write index advances only past the ones in range. Whether a
+        // candidate is in range is a coin flip to the branch predictor.
+        out.resize(cells().map(|c| self.cells[c].len()).sum(), 0);
+        let mut len = 0;
+        for c in cells() {
+            for &u in &self.cells[c] {
+                let (ux, uy) = self.pos[u as usize];
+                let (dx, dy) = (ux - x, uy - y);
+                out[len] = u;
+                len += usize::from((dx * dx + dy * dy <= r2) & (u != v));
             }
         }
+        out.truncate(len);
         out.sort_unstable();
     }
 
@@ -204,10 +207,24 @@ mod tests {
         (0..n).map(|_| (rng.f64_unit(), rng.f64_unit())).collect()
     }
 
+    /// Every point of a square lattice of spacing exactly `r`, twice:
+    /// lattice neighbors sit at distance exactly `r`, and each point
+    /// has a coincident twin.
+    fn doubled_lattice(r: f64) -> Vec<(f64, f64)> {
+        let k = (1.0 / r) as usize;
+        let side = move |i| i as f64 * r;
+        (0..=k).flat_map(|i| (0..=k).flat_map(move |j| [(side(i), side(j)); 2])).collect()
+    }
+
     #[test]
     fn radius_query_matches_brute_force() {
-        for (n, r) in [(40, 0.25), (120, 0.1), (7, 0.9), (64, 0.03)] {
-            let pos = scatter(n, n as u64 ^ 0x9E37);
+        let mut inputs: Vec<_> = [(40, 0.25), (120, 0.1), (7, 0.9), (64, 0.03)]
+            .into_iter()
+            .map(|(n, r)| (scatter(n, n as u64 ^ 0x9E37), r))
+            .collect();
+        inputs.push((doubled_lattice(0.125), 0.125));
+        for (pos, r) in inputs {
+            let n = pos.len();
             let grid = GridIndex::new(pos.clone(), r);
             let mut near = Vec::new();
             for v in 0..n {

@@ -222,6 +222,18 @@ fn assert_equivalent(net: &MutableGraph, reference: &Reference, n: usize) {
     }
 }
 
+/// What [`MutableGraph::set_neighbors`] batches: the drops in `v`'s row
+/// order, then the adds in `new`'s order, one edge at a time.
+fn set_neighbors_stepwise(net: &mut MutableGraph, v: Node, new: &[Node]) {
+    let old = net.neighbors(v).to_vec();
+    for &w in old.iter().filter(|w| !new.contains(w)) {
+        assert!(net.remove_edge(v, w));
+    }
+    for &w in new {
+        net.add_edge(v, w);
+    }
+}
+
 /// The replay contract: from the same RNG state, both structures must
 /// consume one draw per call and select the identical neighbor.
 fn assert_identical_draws(net: &MutableGraph, reference: &Reference, n: usize, seed: u64) {
@@ -294,5 +306,56 @@ proptest! {
         }
         assert_equivalent(&net, &reference, n);
         assert_identical_draws(&net, &reference, n, seed ^ 0xBEEF);
+    }
+
+    /// A batched row rewrite leaves every row (in order), the journal,
+    /// the edge count and the frozen graph exactly as the edge-by-edge
+    /// sequence it replaces, at every compaction policy: after every
+    /// edit, never, and the default.
+    #[test]
+    fn set_neighbors_matches_stepwise_edits(
+        n in 4usize..40,
+        seed in 0u64..1_000,
+        rewrites in 1usize..60,
+        policy in 0usize..3,
+        density in 0usize..4,
+    ) {
+        let p = 2.5 * (n as f64).ln() / n as f64;
+        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200);
+        let mut batched = MutableGraph::from_graph(&g);
+        match policy {
+            0 => batched.set_compaction_threshold(0),
+            1 => batched.set_compaction_threshold(usize::MAX),
+            _ => {}
+        }
+        batched.track_changes(true);
+        let mut stepwise = batched.clone();
+        let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ 0x5E7);
+        // Departed nodes must stay out of every target.
+        for _ in 0..n / 8 {
+            let v = rng.range_usize(n) as Node;
+            batched.deactivate(v);
+            stepwise.deactivate(v);
+        }
+        // How likely a target keeps a current neighbor, and takes a new one.
+        let (keep, take) = [(0.0, 0.0), (0.8, 0.1), (0.5, 0.5), (1.0, 1.0)][density];
+        for _ in 0..rewrites {
+            let v = rng.range_usize(n) as Node;
+            if !batched.is_active(v) {
+                continue;
+            }
+            let new: Vec<Node> = (0..n as Node)
+                .filter(|&w| w != v && batched.is_active(w))
+                .filter(|&w| rng.f64_unit() < if batched.has_edge(v, w) { keep } else { take })
+                .collect();
+            batched.set_neighbors(v, &new);
+            set_neighbors_stepwise(&mut stepwise, v, &new);
+        }
+        for v in 0..n as Node {
+            prop_assert_eq!(batched.neighbors(v), stepwise.neighbors(v));
+        }
+        prop_assert_eq!(batched.changes(), stepwise.changes());
+        prop_assert_eq!(batched.edge_count(), stepwise.edge_count());
+        prop_assert_eq!(batched.to_graph(), stepwise.to_graph());
     }
 }
