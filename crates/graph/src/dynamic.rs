@@ -447,7 +447,10 @@ impl MutableGraph {
         assert!(new.windows(2).all(|w| w[0] < w[1]), "new neighbors of {v} must be ascending");
         for &w in new {
             assert!(w != v, "self-loop at node {v}");
-            assert!((w as usize) < n && self.active[w as usize], "neighbor {w} is inactive");
+            assert!(
+                (w as usize) < n && self.active[w as usize],
+                "neighbor {w} is out of range or inactive"
+            );
         }
         let sv = self.touch(v);
         // Pass 1, in row order: keep what `new` holds (marking it), and
