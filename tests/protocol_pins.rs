@@ -221,6 +221,152 @@ fn clock_views_replay_their_pins() {
     }
 }
 
+/// Every static loop that draws neighbours, on the complete graph at
+/// sizes 2, 3, 64 and 513, each over both seeds: global-clock push-pull
+/// and pull, node-clocks push-pull, sync push and push-pull, loss 0.1
+/// and the sources {0, n/2}. The edge-clock view of `complete(64)` is
+/// pinned in `CLOCK_PINS`.
+fn complete_pins() -> Vec<(String, [Pin; 2])> {
+    use AsyncView::{GlobalClock, NodeClocks};
+    let mut pins = Vec::new();
+    for n in [2, 3, 64, 513] {
+        let g = generators::complete(n);
+        let sources = SpreadConfig::new(0).with_sources(&[0, n as u32 / 2]);
+        let mode = |mode| SpreadConfig::new(0).with_mode(mode);
+        let run = |config: &SpreadConfig, view: Option<AsyncView>| {
+            SEEDS.map(|seed| {
+                let mut r = rng(seed);
+                let (value, steps) = match view {
+                    Some(view) => {
+                        let out =
+                            run_async_probed(&g, config, view, &mut r, 100_000_000, &mut NoProbe);
+                        assert!(out.completed, "{view}");
+                        (out.time, out.steps)
+                    }
+                    None => {
+                        let out = sync(&g, config, &mut r);
+                        assert!(out.completed);
+                        (out.rounds as f64, out.rounds)
+                    }
+                };
+                (value.to_bits(), steps, r.next_u64())
+            })
+        };
+        let runs = [
+            ("global-clock", mode(Mode::PushPull), Some(GlobalClock)),
+            ("global-clock pull", mode(Mode::Pull), Some(GlobalClock)),
+            ("node-clocks", mode(Mode::PushPull), Some(NodeClocks)),
+            ("sync push", mode(Mode::Push), None),
+            ("sync", mode(Mode::PushPull), None),
+            ("global-clock loss 0.1", lossy(0.1), Some(GlobalClock)),
+            ("sync loss 0.1", lossy(0.1), None),
+            ("global-clock sources {0,n/2}", sources.clone(), Some(GlobalClock)),
+            ("sync sources {0,n/2}", sources, None),
+        ];
+        for (name, config, view) in runs {
+            pins.push((format!("{name} complete({n})"), run(&config, view)));
+        }
+    }
+    pins
+}
+
+const COMPLETE_PINS: [[Pin; 2]; 36] = [
+    // global-clock complete(2)
+    [(0x3fef6eda23552300, 1, 0x9a6c78b8852dc00d), (0x3fdb91735ca24bc2, 1, 0x42819ba95da26e3a)],
+    // global-clock pull complete(2)
+    [(0x3fef6eda23552300, 1, 0x9a6c78b8852dc00d), (0x3fdb91735ca24bc2, 1, 0x42819ba95da26e3a)],
+    // node-clocks complete(2)
+    [(0x3ffa46e4c4deb0e5, 1, 0x9a6c78b8852dc00d), (0x3feb91735ca24bc2, 1, 0x42819ba95da26e3a)],
+    // sync push complete(2)
+    [(0x3ff0000000000000, 1, 0xf6d610eef4d89d39), (0x3ff0000000000000, 1, 0xaca9fa9617bc6394)],
+    // sync complete(2)
+    [(0x3ff0000000000000, 1, 0xf6d610eef4d89d39), (0x3ff0000000000000, 1, 0xaca9fa9617bc6394)],
+    // global-clock loss 0.1 complete(2)
+    [(0x3fef6eda23552300, 1, 0x432ab0518bbbcb12), (0x3fdb91735ca24bc2, 1, 0xf70898e885d5fc50)],
+    // sync loss 0.1 complete(2)
+    [(0x3ff0000000000000, 1, 0x9a6c78b8852dc00d), (0x3ff0000000000000, 1, 0x42819ba95da26e3a)],
+    // global-clock sources {0,n/2} complete(2)
+    [(0x0000000000000000, 0, 0xdc1abbcc6a694280), (0x0000000000000000, 0, 0x93d55c79001c80c3)],
+    // sync sources {0,n/2} complete(2)
+    [(0x0000000000000000, 0, 0xdc1abbcc6a694280), (0x0000000000000000, 0, 0x93d55c79001c80c3)],
+    // global-clock complete(3)
+    [(0x3ff4c3aee0844271, 5, 0xd3ba3fb60668876e), (0x3fd8cbda9c24dca1, 2, 0xa6ab4437b061ac4e)],
+    // global-clock pull complete(3)
+    [(0x400d3ed086241ecf, 9, 0x521abdfb79149cae), (0x3fd8cbda9c24dca1, 2, 0xa6ab4437b061ac4e)],
+    // node-clocks complete(3)
+    [(0x400aa3ab07649b28, 6, 0x1a28038dbcf32ae0), (0x3ff1f4ed40c01a4c, 2, 0xa6ab4437b061ac4e)],
+    // sync push complete(3)
+    [(0x4000000000000000, 2, 0x2156423640caf95c), (0x4000000000000000, 2, 0xa6ab4437b061ac4e)],
+    // sync complete(3)
+    [(0x4000000000000000, 2, 0x2156423640caf95c), (0x3ff0000000000000, 1, 0x42819ba95da26e3a)],
+    // global-clock loss 0.1 complete(3)
+    [(0x3ff6577111909545, 4, 0x13eb6bd97fefae1f), (0x3ff6786aeaba2909, 2, 0x998fd3a4feae1a2a)],
+    // sync loss 0.1 complete(3)
+    [(0x4000000000000000, 2, 0xc9f9738d5bf501fa), (0x3ff0000000000000, 1, 0x18edb934bc42e381)],
+    // global-clock sources {0,n/2} complete(3)
+    [(0x3fe4f4916ce36cab, 1, 0x9a6c78b8852dc00d), (0x3fd260f79316dd2c, 1, 0x42819ba95da26e3a)],
+    // sync sources {0,n/2} complete(3)
+    [(0x3ff0000000000000, 1, 0x9a6c78b8852dc00d), (0x3ff0000000000000, 1, 0x42819ba95da26e3a)],
+    // global-clock complete(64)
+    [(0x400d42af5496976f, 238, 0xef68cbf7165092b1), (0x40116bbb22b33712, 294, 0x297fdf4386c4c6a7)],
+    // global-clock pull complete(64)
+    [(0x402209fad99c9c96, 578, 0xf1fce5b358b5b992), (0x4020bcae71fa099c, 552, 0x1252b6b8495d2fc3)],
+    // node-clocks complete(64)
+    [(0x4013b9be4d9b9152, 327, 0xe8dc3e55c4bbace7), (0x400fdce1324372a8, 264, 0x2c5b995aa890193a)],
+    // sync push complete(64)
+    [(0x4028000000000000, 12, 0x76dab8cd98ea8333), (0x4024000000000000, 10, 0x36f604bb92ae0230)],
+    // sync complete(64)
+    [(0x401c000000000000, 7, 0x2a35936481f68760), (0x4018000000000000, 6, 0x2099bd0fb93aa226)],
+    // global-clock loss 0.1 complete(64)
+    [(0x4015b4320eaf6f5a, 358, 0xb10b702a679362e5), (0x4015cd6aa60cdc32, 335, 0x84635ca39cd9c91e)],
+    // sync loss 0.1 complete(64)
+    [(0x401c000000000000, 7, 0x6156084ae7ac55f0), (0x401c000000000000, 7, 0xf25f57698ecad9c8)],
+    // global-clock sources {0,n/2} complete(64)
+    [(0x400d42af5496976f, 238, 0xef68cbf7165092b1), (0x4009fb8899db64fe, 213, 0xf71fde9321dfca9e)],
+    // sync sources {0,n/2} complete(64)
+    [(0x4014000000000000, 5, 0xa47365512cadc950), (0x4014000000000000, 5, 0x300863ebbc4ddaec)],
+    // global-clock complete(513)
+    [
+        (0x401f8a5ecfeba8bd, 4077, 0x5abbfafaf4d9a775),
+        (0x401b6d9de01360c9, 3463, 0xd628f6d7ba6b0c9e),
+    ],
+    // global-clock pull complete(513)
+    [
+        (0x402cd6d686b891f0, 7341, 0x56fc78e1903b0158),
+        (0x4030de201046dfbd, 8553, 0x12234822c6e40cd8),
+    ],
+    // node-clocks complete(513)
+    [
+        (0x401f9ad3572cc240, 4049, 0x95d4f7c14911f536),
+        (0x401ac0d395f00555, 3377, 0xcbd6c8fccd38fdb6),
+    ],
+    // sync push complete(513)
+    [(0x4031000000000000, 17, 0xa80bfe4b3dc42d9d), (0x402e000000000000, 15, 0x98083654dd5637da)],
+    // sync complete(513)
+    [(0x4020000000000000, 8, 0x9cf84ecd3d185b02), (0x4020000000000000, 8, 0xa82d17e4e6356091)],
+    // global-clock loss 0.1 complete(513)
+    [
+        (0x4020365d562fd0bd, 4317, 0xe9cb6c038e8c582d),
+        (0x4021a5249b74251d, 4525, 0x1e97cc585b9351c3),
+    ],
+    // sync loss 0.1 complete(513)
+    [(0x4024000000000000, 10, 0x9d87a22ad20d3c0c), (0x4022000000000000, 9, 0x920e965cd83789c8)],
+    // global-clock sources {0,n/2} complete(513)
+    [
+        (0x401bbcbb945db48b, 3557, 0x5eb844552683ae87),
+        (0x401b6d9de01360c9, 3463, 0xd628f6d7ba6b0c9e),
+    ],
+    // sync sources {0,n/2} complete(513)
+    [(0x4020000000000000, 8, 0x9cf84ecd3d185b02), (0x401c000000000000, 7, 0xbd0bb518a8dd6cbc)],
+];
+
+#[test]
+fn complete_graph_runs_replay_their_pins() {
+    for (i, (name, got)) in complete_pins().into_iter().enumerate() {
+        assert_eq!(got, COMPLETE_PINS[i], "{name}: stream drifted");
+    }
+}
+
 /// The lossy lines of the benchmark's `paper_static` workload, at fixed
 /// seeds, run through the spec layer.
 const LOSSY_SPECS: [&str; 4] = [
@@ -479,6 +625,10 @@ fn print_protocol_pins() {
     }
     println!("CLOCK_PINS:");
     for (name, [a, b]) in clock_pins() {
+        println!("    // {name}\n    [{}, {}],", pin(&a), pin(&b));
+    }
+    println!("COMPLETE_PINS:");
+    for (name, [a, b]) in complete_pins() {
         println!("    // {name}\n    [{}, {}],", pin(&a), pin(&b));
     }
     println!("SPEC_PINS:");
