@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::{run_async, run_sync, AsyncView, Mode};
-use rumor_graph::{generators, Graph};
+use rumor_graph::{generators, Graph, GraphBuilder, Node};
 use rumor_sim::events::{ClockTree, EventQueue};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -88,6 +88,37 @@ fn bench_async_views_star(c: &mut Criterion) {
     group.finish();
 }
 
+/// The heavy class of `paper_static`, K_2048, in the three static loops
+/// that draw neighbours: `generators::complete` (closed-form rows)
+/// against the same graph built through `GraphBuilder` (stored rows).
+/// Both draw the same neighbours, so each pair of rows times the same
+/// runs.
+fn bench_static_complete(c: &mut Criterion) {
+    const N: usize = 2048;
+    let mut group = c.benchmark_group("static_complete_2048");
+    group.sample_size(20);
+    let mut builder = GraphBuilder::with_edge_capacity(N, N * (N - 1) / 2);
+    for u in 0..N as Node {
+        for v in u + 1..N as Node {
+            builder.add_edge(u, v);
+        }
+    }
+    let graphs = [("complete", generators::complete(N)), ("builder", builder.build().unwrap())];
+    for (name, g) in &graphs {
+        for view in [AsyncView::GlobalClock, AsyncView::NodeClocks] {
+            let mut rng = Xoshiro256PlusPlus::seed_from(13);
+            group.bench_function(format!("{view}/{name}"), |b| {
+                b.iter(|| run_async(g, 0, Mode::PushPull, view, &mut rng, 100_000_000))
+            });
+        }
+        let mut rng = Xoshiro256PlusPlus::seed_from(14);
+        group.bench_function(format!("sync/{name}"), |b| {
+            b.iter(|| run_sync(g, 0, Mode::PushPull, &mut rng, 1_000_000))
+        });
+    }
+    group.finish();
+}
+
 /// One sample is 10 000 reschedules of the earliest of `n` rate-1
 /// clocks, each with its `Exp(1)` draw: an `EventQueue` pop and push
 /// against `ClockTree::reschedule_min`. The sizes are the node clocks
@@ -129,6 +160,7 @@ criterion_group!(
     bench_async_views,
     bench_async_views_star,
     bench_async_scaling,
+    bench_static_complete,
     bench_clock_queue
 );
 criterion_main!(benches);

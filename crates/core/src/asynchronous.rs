@@ -19,7 +19,7 @@
 //! sources, lossy contacts — and report every transmission to a
 //! [`Probe`], which is how transmission traces are recorded.
 
-use rumor_graph::{Graph, Node};
+use rumor_graph::{Graph, Node, RandomNeighbor, RowVisitor};
 use rumor_sim::events::ClockTree;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -133,11 +133,7 @@ pub fn run_async_probed<P: Probe>(
     // or the budget allows no step.
     st.completed = st.all_informed();
     if !st.completed && max_steps > 0 {
-        st = match view {
-            AsyncView::GlobalClock => run_global_clock(g, st, rng, max_steps, probe),
-            AsyncView::NodeClocks => run_node_clocks(g, st, rng, max_steps, probe),
-            AsyncView::EdgeClocks => run_edge_clocks(g, st, rng, max_steps, probe),
-        };
+        st = g.with_rows(ViewRun { g, view, st, rng, max_steps, probe });
     }
     if P::ENABLED {
         probe.trial_end(st.time, st.completed);
@@ -249,14 +245,40 @@ impl RunState {
     }
 }
 
+/// The loop of one view, handed the graph's rows by
+/// [`Graph::with_rows`]: the global-clock and node-clock loops are
+/// compiled once per row kind. The edge clocks read `g`'s rows
+/// themselves.
+struct ViewRun<'a, P> {
+    g: &'a Graph,
+    view: AsyncView,
+    st: RunState,
+    rng: &'a mut Xoshiro256PlusPlus,
+    max_steps: u64,
+    probe: &'a mut P,
+}
+
+impl<P: Probe> RowVisitor for ViewRun<'_, P> {
+    type Output = RunState;
+
+    fn visit<R: RandomNeighbor>(self, rows: R) -> RunState {
+        let ViewRun { g, view, st, rng, max_steps, probe } = self;
+        match view {
+            AsyncView::GlobalClock => run_global_clock(rows, st, rng, max_steps, probe),
+            AsyncView::NodeClocks => run_node_clocks(rows, st, rng, max_steps, probe),
+            AsyncView::EdgeClocks => run_edge_clocks(g, st, rng, max_steps, probe),
+        }
+    }
+}
+
 fn run_global_clock<P: Probe>(
-    g: &Graph,
+    g: impl RandomNeighbor,
     mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
 ) -> RunState {
-    let n = g.node_count();
+    let n = st.informed_time.len();
     let mut src = TickSource::new(n as f64);
     drive(&mut src, rng, |_, rng, t, ()| {
         st.tick(t, probe);
@@ -276,13 +298,13 @@ fn run_global_clock<P: Probe>(
 }
 
 fn run_node_clocks<P: Probe>(
-    g: &Graph,
+    g: impl RandomNeighbor,
     mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
 ) -> RunState {
-    let n = g.node_count();
+    let n = st.informed_time.len();
     let mut clocks = ClockTree::new((0..n).map(|_| rng.exp(1.0)).collect());
     loop {
         let (t, v) = clocks.min();

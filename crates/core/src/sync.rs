@@ -11,7 +11,7 @@
 //! sources, lossy contacts — and reports every transmission to a
 //! [`Probe`], which is how transmission traces are recorded.
 
-use rumor_graph::{Graph, Node};
+use rumor_graph::{Graph, Node, RandomNeighbor, RowVisitor};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::mode::Mode;
@@ -196,13 +196,31 @@ pub fn run_sync_probed<P: Probe>(
         probe.informed(0.0, st.informed_count);
     }
     assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
-    let out = st.run(max_rounds, |st, r| {
-        st.exchange_round(r, rng, probe, |v, rng| Some(g.random_neighbor(v, rng)));
-    });
+    let out = g.with_rows(StaticRounds { st, rng, max_rounds, probe });
     if P::ENABLED {
         probe.trial_end(out.rounds as f64, out.completed);
     }
     out
+}
+
+/// The rounds of [`run_sync_probed`], handed the graph's rows by
+/// [`Graph::with_rows`]: the loop is compiled once per row kind.
+struct StaticRounds<'a, P> {
+    st: Rounds,
+    rng: &'a mut Xoshiro256PlusPlus,
+    max_rounds: u64,
+    probe: &'a mut P,
+}
+
+impl<P: Probe> RowVisitor for StaticRounds<'_, P> {
+    type Output = SyncOutcome;
+
+    fn visit<R: RandomNeighbor>(self, rows: R) -> SyncOutcome {
+        let StaticRounds { st, rng, max_rounds, probe } = self;
+        st.run(max_rounds, |st, r| {
+            st.exchange_round(r, rng, probe, |v, rng| Some(rows.random_neighbor(v, rng)));
+        })
+    }
 }
 
 #[cfg(test)]

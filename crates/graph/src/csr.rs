@@ -1,6 +1,6 @@
 //! Compressed sparse row (CSR) graph representation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -13,7 +13,19 @@ pub type Node = u32;
 /// count itself fit in a [`Node`].
 pub const MAX_NODES: usize = Node::MAX as usize;
 
-/// An immutable, undirected, simple graph in CSR form.
+/// An immutable, undirected, simple graph with sorted adjacency rows.
+///
+/// Rows are either *stored* in CSR arrays (every graph the
+/// [`crate::GraphBuilder`] or a generator writes) or *implicit*: the
+/// complete graph [`crate::generators::complete`] stores only `n`, since
+/// the `k`-th neighbour of `v` in `K_n` is `k + (k >= v)`. Degrees, edge
+/// counts, [`Graph::has_edge`] and [`Graph::random_neighbor`] answer an
+/// implicit graph in closed form. Consumers that need row slices —
+/// [`Graph::neighbors`], [`Graph::edges`], a
+/// [`crate::dynamic::MutableGraph`] base — materialize the CSR arrays
+/// on first use, once per graph and shared by its clones. The two forms
+/// of one graph compare equal, and draw the same neighbours from the
+/// same RNG stream.
 ///
 /// Invariants (established by [`crate::GraphBuilder`] or by a generator
 /// that writes its rows directly, and preserved by immutability):
@@ -37,17 +49,125 @@ pub const MAX_NODES: usize = Node::MAX as usize;
 /// assert!(g.has_edge(0, 1) && !g.has_edge(0, 2));
 /// # Ok::<(), rumor_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Graph {
-    /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for node `v`.
-    ///
-    /// Shared (`Arc`) so that cloning a graph — and seeding a
-    /// [`crate::dynamic::MutableGraph`] base from one — is O(1): the
-    /// arrays are immutable for the lifetime of the graph, so every
-    /// consumer can alias them safely.
+    rows: Rows,
+}
+
+/// Where a graph's rows live.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// CSR arrays written at construction.
+    Stored(Csr),
+    /// `K_n`, `n >= 2`: closed-form rows, and the CSR arrays once a
+    /// consumer has asked for slices (shared by every clone).
+    Complete { n: usize, csr: Arc<OnceLock<Csr>> },
+}
+
+/// CSR arrays: `offsets[v]..offsets[v + 1]` indexes `neighbors` for
+/// node `v`; `neighbors` concatenates the per-node sorted rows (length
+/// `2·edge_count`).
+///
+/// Shared (`Arc`) so that cloning a graph — and seeding a
+/// [`crate::dynamic::MutableGraph`] base from one — is O(1): the arrays
+/// are immutable for the lifetime of the graph, so every consumer can
+/// alias them safely.
+#[derive(Debug, Clone)]
+struct Csr {
     offsets: Arc<[usize]>,
-    /// Concatenated, per-node-sorted adjacency lists (length `2·edge_count`).
     neighbors: Arc<[Node]>,
+}
+
+impl Csr {
+    /// The CSR arrays of `K_n`, written in place: row `v` is `0..v`
+    /// followed by `v+1..n`, so its `k`-th entry is `k`, or `k + 1` once
+    /// `k` reaches `v`. The exact-size iterator is collected straight
+    /// into the shared array, one allocation and no copy.
+    fn complete(n: usize) -> Self {
+        let degree = n - 1;
+        let offsets: Arc<[usize]> = (0..=n).map(|v| v * degree).collect();
+        let (mut v, mut k) = (0, 0);
+        let neighbors: Arc<[Node]> = (0..n * degree)
+            .map(|_| {
+                let w = if k < v { k } else { k + 1 };
+                k += 1;
+                if k == degree {
+                    (v, k) = (v + 1, 0);
+                }
+                w as Node
+            })
+            .collect();
+        Self { offsets, neighbors }
+    }
+
+    #[inline]
+    fn rows(&self) -> CsrRows<'_> {
+        CsrRows { offsets: &self.offsets, neighbors: &self.neighbors }
+    }
+}
+
+/// A uniformly random neighbour draw, monomorphized per row kind: the
+/// engines' hot loops take one of these from [`Graph::with_rows`].
+pub trait RandomNeighbor: Copy {
+    /// A uniformly random neighbour of `v`: one `range_usize(deg(v))`
+    /// draw, indexing `v`'s sorted row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is isolated, and may panic if it is out of range.
+    fn random_neighbor(self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Node;
+}
+
+/// Stored CSR rows.
+#[derive(Debug, Clone, Copy)]
+struct CsrRows<'a> {
+    offsets: &'a [usize],
+    neighbors: &'a [Node],
+}
+
+impl CsrRows<'_> {
+    #[inline]
+    fn row(&self, v: Node) -> &[Node] {
+        let v = v as usize;
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+impl RandomNeighbor for CsrRows<'_> {
+    #[inline]
+    fn random_neighbor(self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Node {
+        let nbrs = self.row(v);
+        assert!(!nbrs.is_empty(), "node {v} is isolated; protocols need degree >= 1");
+        nbrs[rng.range_usize(nbrs.len())]
+    }
+}
+
+/// The closed-form rows of `K_n`.
+#[derive(Debug, Clone, Copy)]
+struct CompleteRows {
+    n: usize,
+}
+
+impl RandomNeighbor for CompleteRows {
+    /// Draws `k` from `0..n-1` and skips `v`: the node at slot `k` of
+    /// `v`'s sorted row, from the same draw.
+    #[inline]
+    fn random_neighbor(self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Node {
+        let k = rng.range_usize(self.n - 1);
+        (k + usize::from(k >= v as usize)) as Node
+    }
+}
+
+/// Receives a graph's rows from [`Graph::with_rows`] as their concrete
+/// type, so a loop generic over [`RandomNeighbor`] is compiled once per
+/// row kind: the stored-row instance reads the CSR slices exactly as a
+/// loop over one kind would, and the `K_n` instance reads no rows.
+pub trait RowVisitor {
+    /// What the visit produces.
+    type Output;
+
+    /// Called once with the graph's rows.
+    fn visit<R: RandomNeighbor>(self, rows: R) -> Self::Output;
 }
 
 impl Graph {
@@ -65,27 +185,64 @@ impl Graph {
         let (offsets, neighbors) = (offsets.into(), neighbors.into());
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), neighbors.len());
-        Self { offsets, neighbors }
+        Self { rows: Rows::Stored(Csr { offsets, neighbors }) }
+    }
+
+    /// The complete graph `K_n` with implicit rows, `2 <= n <= MAX_NODES`.
+    pub(crate) fn complete(n: usize) -> Self {
+        debug_assert!((2..=MAX_NODES).contains(&n));
+        Self { rows: Rows::Complete { n, csr: Arc::default() } }
+    }
+
+    /// The CSR arrays, written on first use for an implicit graph.
+    fn csr(&self) -> &Csr {
+        match &self.rows {
+            Rows::Stored(csr) => csr,
+            Rows::Complete { n, csr } => csr.get_or_init(|| Csr::complete(*n)),
+        }
+    }
+
+    /// Panics unless `v` is a node of the implicit `K_n`, as a stored
+    /// row lookup would.
+    #[inline]
+    fn check_complete_node(n: usize, v: Node) {
+        assert!((v as usize) < n, "node {v} out of range for {n} nodes");
     }
 
     /// The shared offset array (O(1) clone of the `Arc`).
     pub(crate) fn offsets_arc(&self) -> Arc<[usize]> {
-        Arc::clone(&self.offsets)
+        Arc::clone(&self.csr().offsets)
     }
 
     /// The shared adjacency array (O(1) clone of the `Arc`).
     pub(crate) fn neighbors_arc(&self) -> Arc<[Node]> {
-        Arc::clone(&self.neighbors)
+        Arc::clone(&self.csr().neighbors)
+    }
+
+    /// Hands this graph's rows to `visitor` as their concrete type — one
+    /// dispatch per call, for loops that draw neighbours in their hot
+    /// path. Same draws and same nodes as [`Graph::random_neighbor`].
+    pub fn with_rows<V: RowVisitor>(&self, visitor: V) -> V::Output {
+        match &self.rows {
+            Rows::Stored(csr) => visitor.visit(csr.rows()),
+            Rows::Complete { n, .. } => visitor.visit(CompleteRows { n: *n }),
+        }
     }
 
     /// Number of nodes `n`.
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.rows {
+            Rows::Stored(csr) => csr.offsets.len() - 1,
+            Rows::Complete { n, .. } => *n,
+        }
     }
 
     /// Number of undirected edges `m`.
     pub fn edge_count(&self) -> usize {
-        self.neighbors.len() / 2
+        match &self.rows {
+            Rows::Stored(csr) => csr.neighbors.len() / 2,
+            Rows::Complete { n, .. } => n * (n - 1) / 2,
+        }
     }
 
     /// Degree of node `v`.
@@ -95,8 +252,16 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn degree(&self, v: Node) -> usize {
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        match &self.rows {
+            Rows::Stored(csr) => {
+                let v = v as usize;
+                csr.offsets[v + 1] - csr.offsets[v]
+            }
+            Rows::Complete { n, .. } => {
+                Self::check_complete_node(*n, v);
+                n - 1
+            }
+        }
     }
 
     /// The sorted adjacency list of `v`.
@@ -106,14 +271,16 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: Node) -> &[Node] {
+        let csr = self.csr();
         let v = v as usize;
-        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+        &csr.neighbors[csr.offsets[v]..csr.offsets[v + 1]]
     }
 
     /// A uniformly random neighbor of `v`.
     ///
     /// This is the primitive that every protocol in the paper is built on:
-    /// “node `v` contacts a uniformly random neighbor”.
+    /// “node `v` contacts a uniformly random neighbor”. One
+    /// `range_usize(deg(v))` draw picks the slot in `v`'s sorted row.
     ///
     /// # Panics
     ///
@@ -121,14 +288,28 @@ impl Graph {
     /// require minimum degree 1.
     #[inline]
     pub fn random_neighbor(&self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Node {
-        let nbrs = self.neighbors(v);
-        assert!(!nbrs.is_empty(), "node {v} is isolated; protocols need degree >= 1");
-        nbrs[rng.range_usize(nbrs.len())]
+        match &self.rows {
+            Rows::Stored(csr) => csr.rows().random_neighbor(v, rng),
+            Rows::Complete { n, .. } => {
+                Self::check_complete_node(*n, v);
+                CompleteRows { n: *n }.random_neighbor(v, rng)
+            }
+        }
     }
 
     /// Whether the undirected edge `{u, v}` exists (binary search).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
     pub fn has_edge(&self, u: Node, v: Node) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        match &self.rows {
+            Rows::Stored(csr) => csr.rows().row(u).binary_search(&v).is_ok(),
+            Rows::Complete { n, .. } => {
+                Self::check_complete_node(*n, u);
+                u != v && (v as usize) < *n
+            }
+        }
     }
 
     /// Iterator over all node indices `0..n`.
@@ -138,7 +319,7 @@ impl Graph {
 
     /// Iterator over each undirected edge once, as `(u, v)` with `u < v`.
     pub fn edges(&self) -> Edges<'_> {
-        Edges { graph: self, u: 0, idx: 0 }
+        Edges { rows: self.csr().rows(), u: 0, idx: 0 }
     }
 
     /// Minimum degree over all nodes.
@@ -192,10 +373,30 @@ impl Graph {
     }
 }
 
+/// Graphs are equal when their rows are: an implicit `K_n` equals a
+/// stored one.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.rows, &other.rows) {
+            (Rows::Stored(a), Rows::Stored(b)) => {
+                a.offsets == b.offsets && a.neighbors == b.neighbors
+            }
+            (Rows::Complete { n: a, .. }, Rows::Complete { n: b, .. }) => a == b,
+            // A simple graph on n nodes with n(n-1)/2 edges is K_n.
+            (Rows::Complete { n, .. }, Rows::Stored(csr))
+            | (Rows::Stored(csr), Rows::Complete { n, .. }) => {
+                csr.offsets.len() == n + 1 && csr.neighbors.len() == n * (n - 1)
+            }
+        }
+    }
+}
+
+impl Eq for Graph {}
+
 /// Iterator over undirected edges; see [`Graph::edges`].
 #[derive(Debug)]
 pub struct Edges<'a> {
-    graph: &'a Graph,
+    rows: CsrRows<'a>,
     u: Node,
     idx: usize,
 }
@@ -204,9 +405,9 @@ impl Iterator for Edges<'_> {
     type Item = (Node, Node);
 
     fn next(&mut self) -> Option<(Node, Node)> {
-        let n = self.graph.node_count() as Node;
+        let n = (self.rows.offsets.len() - 1) as Node;
         while self.u < n {
-            let nbrs = self.graph.neighbors(self.u);
+            let nbrs = self.rows.row(self.u);
             while self.idx < nbrs.len() {
                 let v = nbrs[self.idx];
                 self.idx += 1;

@@ -1,38 +1,25 @@
 //! Elementary deterministic families: complete, star, path, cycle, and the
 //! star-like worst cases for push-only spreading.
 
-use std::sync::Arc;
-
 use crate::builder::GraphBuilder;
-use crate::csr::{Graph, Node};
+use crate::csr::{Graph, Node, MAX_NODES};
 
-/// The complete graph `K_n`.
+/// The complete graph `K_n`, with implicit rows: it stores `n`, not
+/// `n(n − 1)` adjacency entries, answers degrees, edge counts,
+/// [`Graph::has_edge`] and [`Graph::random_neighbor`] in closed form,
+/// and writes its CSR arrays only when a consumer asks for row slices
+/// (see [`Graph`]).
 ///
 /// Sync push–pull informs everyone in `O(log n)` rounds; used as the
 /// classical “both models within constants” baseline.
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n < 2` or `n > MAX_NODES`.
 pub fn complete(n: usize) -> Graph {
     assert!(n >= 2, "complete graph needs n >= 2");
-    let degree = n - 1;
-    let offsets: Vec<usize> = (0..=n).map(|v| v * degree).collect();
-    // Row v is 0..v followed by v+1..n: its k-th entry is k, or k + 1
-    // once k reaches v. The exact-size iterator is collected straight
-    // into the shared array, one allocation and no copy.
-    let (mut v, mut k) = (0, 0);
-    let neighbors: Arc<[Node]> = (0..n * degree)
-        .map(|_| {
-            let w = if k < v { k } else { k + 1 };
-            k += 1;
-            if k == degree {
-                (v, k) = (v + 1, 0);
-            }
-            w as Node
-        })
-        .collect();
-    Graph::from_csr(offsets, neighbors)
+    assert!(n <= MAX_NODES, "complete graph needs n <= {MAX_NODES}");
+    Graph::complete(n)
 }
 
 /// The star `S_n`: node 0 is the center, nodes `1..n` are leaves.

@@ -12,7 +12,9 @@
 //! The paper's protocols only ever ask two things of a graph: *“what is
 //! `deg(v)`?”* and *“give me a uniformly random neighbor of `v`”*. CSR
 //! adjacency answers both in O(1) with cache-friendly layout, which is why
-//! this crate does not pull in a general-purpose graph library.
+//! this crate does not pull in a general-purpose graph library. The
+//! complete graph answers both in closed form and stores no rows until
+//! a consumer asks for them (see [`Graph`]).
 //!
 //! # Example
 //!
@@ -45,5 +47,5 @@ pub mod ops;
 pub mod props;
 
 pub use builder::GraphBuilder;
-pub use csr::{Graph, Node, MAX_NODES};
+pub use csr::{Graph, Node, RandomNeighbor, RowVisitor, MAX_NODES};
 pub use error::GraphError;

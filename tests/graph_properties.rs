@@ -3,7 +3,9 @@
 //! operations.
 
 use proptest::prelude::*;
-use rumor_spreading::graph::{generators, io, ops, props, Graph, GraphBuilder};
+use rumor_spreading::graph::dynamic::MutableGraph;
+use rumor_spreading::graph::{generators, io, ops, props, Graph, GraphBuilder, Node};
+use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 /// Strategy: an arbitrary simple graph on 1..=30 nodes (possibly
 /// disconnected, possibly empty of edges).
@@ -176,17 +178,65 @@ proptest! {
     }
 }
 
-/// The directly written `K_n` is the builder's `K_n`, array for array.
+/// The builder's `K_n`, every pair added once, larger label first.
+fn built_complete(n: usize) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n as Node {
+        for v in u + 1..n as Node {
+            b.add_edge(v, u);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The implicit `K_n` answers every accessor as the builder's `K_n`
+/// does: closed-form counts, degrees, edge tests and neighbour draws,
+/// and rows written on demand — through clones taken before and after
+/// the first row read, and through a `MutableGraph` base.
 #[test]
 fn complete_matches_the_builder() {
-    for n in 2..=300usize {
-        let mut b = GraphBuilder::new(n);
-        for u in 0..n as u32 {
-            for v in u + 1..n as u32 {
-                b.add_edge(v, u);
+    for n in (2..=40usize).chain([513]) {
+        let built = built_complete(n);
+        let g = generators::complete(n);
+        let early = g.clone();
+        assert!(g == built, "n = {n}");
+        assert!(built == g, "n = {n}");
+        assert!(g != generators::complete(n + 1) && generators::complete(n + 1) != built);
+        assert_eq!(g.node_count(), built.node_count());
+        assert_eq!(g.edge_count(), built.edge_count());
+        assert_eq!((g.min_degree(), g.max_degree()), (n - 1, n - 1));
+        assert_eq!(g.avg_degree(), built.avg_degree());
+        assert_eq!(g.regular_degree(), Some(n - 1));
+        assert!(!g.has_isolated_nodes());
+        let beyond = [n as Node, n as Node + 7, Node::MAX];
+        for u in g.nodes() {
+            assert_eq!(g.degree(u), built.degree(u));
+            for v in g.nodes().chain(beyond) {
+                assert_eq!(g.has_edge(u, v), built.has_edge(u, v), "n = {n}: ({u}, {v})");
             }
         }
-        assert_eq!(generators::complete(n), b.build().unwrap(), "n = {n}");
+        let (mut a, mut b) =
+            (Xoshiro256PlusPlus::seed_from(n as u64), Xoshiro256PlusPlus::seed_from(n as u64));
+        for i in 0..10_000 {
+            let v = (i % n) as Node;
+            assert_eq!(g.random_neighbor(v, &mut a), built.random_neighbor(v, &mut b), "n = {n}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+        // Rows, written on first use and seen by every clone.
+        for v in g.nodes() {
+            assert_eq!(g.neighbors(v), built.neighbors(v), "n = {n}: row {v}");
+        }
+        let late = g.clone();
+        for h in [&early, &late] {
+            assert!(*h == built);
+            assert!(h.nodes().all(|v| h.neighbors(v) == built.neighbors(v)), "n = {n}");
+            assert!(h.edges().eq(built.edges()), "n = {n}");
+            assert_eq!(h.contact_probability(0), built.contact_probability(0));
+        }
+        assert_eq!(io::to_edge_list(&g), io::to_edge_list(&built));
+        let (net, reference) = (MutableGraph::from_graph(&early), MutableGraph::from_graph(&built));
+        assert_eq!(net.edge_count(), reference.edge_count());
+        assert!(g.nodes().all(|v| net.neighbors(v) == reference.neighbors(v)), "n = {n}");
     }
 }
 

@@ -184,6 +184,19 @@ fn invalid_graphs_are_rejected() {
     }
 }
 
+/// `K_n` keeps no adjacency rows, so a million-node complete graph
+/// builds and runs in O(n) memory; its CSR would hold 10^12 entries.
+#[test]
+fn a_million_node_complete_graph_runs_without_its_rows() {
+    let text = "spec = v1\ngraph = complete n=1000000\n\
+                protocol = async mode=push-pull view=global-clock\n\
+                trials = 1\nmax_steps = 10000\nseed = 1\n";
+    let report = SimSpec::parse(text).unwrap().build().unwrap().run();
+    assert_eq!(report.outcomes.len(), 1);
+    assert_eq!(report.outcomes[0].steps, 10_000);
+    assert_eq!(report.censored(), 1);
+}
+
 #[test]
 fn source_out_of_range_is_rejected() {
     assert_eq!(
