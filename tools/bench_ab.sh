@@ -21,7 +21,9 @@
 #   gain          the change won at least 9 in 10 pairs and the medians
 #                 are further apart than the parent's interquartile range;
 #   unresolved    either commit's interquartile range exceeds the bound
-#                 (as a share of its median): too noisy to tell;
+#                 (as a share of its median), unless every run of the
+#                 change reads better than every run of the parent:
+#                 too noisy to tell;
 #   within-bound  anything else.
 #
 # It also prints each commit's failed requests per workload. The exit
@@ -161,7 +163,9 @@ for workload in workloads:
             verdict = "regression"
         elif worse < 0 and wins >= math.ceil(0.9 * pairs) and abs(mc - mp) > p3 - p1:
             verdict = "gain"
-        elif (p3 - p1) > bound * abs(mp) or (c3 - c1) > bound * abs(mc):
+        elif ((p3 - p1) > bound * abs(mp) or (c3 - c1) > bound * abs(mc)) and not (
+            min(c) > max(p) if higher else max(c) < min(p)
+        ):
             verdict = "unresolved"
         else:
             verdict = "within-bound"
