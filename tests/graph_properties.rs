@@ -195,12 +195,20 @@ fn built_complete(n: usize) -> Graph {
 /// the first row read, and through a `MutableGraph` base.
 #[test]
 fn complete_matches_the_builder() {
-    for n in (2..=40usize).chain([513]) {
+    for n in (2..=300usize).chain([513]) {
         let built = built_complete(n);
         let g = generators::complete(n);
         let early = g.clone();
         assert!(g == built, "n = {n}");
         assert!(built == g, "n = {n}");
+        // Rows, written on first use, array for array.
+        for v in g.nodes() {
+            assert_eq!(g.neighbors(v), built.neighbors(v), "n = {n}: row {v}");
+        }
+        // Every other accessor, on the small sizes and one past 512.
+        if n > 40 && n != 513 {
+            continue;
+        }
         assert!(g != generators::complete(n + 1) && generators::complete(n + 1) != built);
         assert_eq!(g.node_count(), built.node_count());
         assert_eq!(g.edge_count(), built.edge_count());
@@ -222,10 +230,7 @@ fn complete_matches_the_builder() {
             assert_eq!(g.random_neighbor(v, &mut a), built.random_neighbor(v, &mut b), "n = {n}");
         }
         assert_eq!(a.next_u64(), b.next_u64());
-        // Rows, written on first use and seen by every clone.
-        for v in g.nodes() {
-            assert_eq!(g.neighbors(v), built.neighbors(v), "n = {n}: row {v}");
-        }
+        // Clones taken before and after the rows were written see them.
         let late = g.clone();
         for h in [&early, &late] {
             assert!(*h == built);
