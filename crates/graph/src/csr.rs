@@ -125,9 +125,9 @@ struct CsrRows<'a> {
     neighbors: &'a [Node],
 }
 
-impl CsrRows<'_> {
+impl<'a> CsrRows<'a> {
     #[inline]
-    fn row(&self, v: Node) -> &[Node] {
+    fn row(self, v: Node) -> &'a [Node] {
         let v = v as usize;
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
@@ -271,9 +271,7 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: Node) -> &[Node] {
-        let csr = self.csr();
-        let v = v as usize;
-        &csr.neighbors[csr.offsets[v]..csr.offsets[v + 1]]
+        self.csr().rows().row(v)
     }
 
     /// A uniformly random neighbor of `v`.
