@@ -12,7 +12,6 @@ pub mod e17_sources;
 pub mod e18_loss;
 pub mod e19_dynamic_churn;
 pub mod e1_upper;
-pub mod e21_engines;
 pub mod e22_models;
 pub mod e23_coupled_gap;
 pub mod e2_lower;

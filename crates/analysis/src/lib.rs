@@ -29,7 +29,6 @@
 //! | [`experiments::e17_sources`] | Extension: source placement sensitivity |
 //! | [`experiments::e18_loss`] | Extension: graceful degradation under loss |
 //! | [`experiments::e19_dynamic_churn`] | Dynamic networks: `E[T]` vs edge-Markov churn, static baseline at ν = 0 |
-//! | [`experiments::e21_engines`] | Engine layer: lazy-clock agreement and bookkeeping |
 //! | [`experiments::e22_models`] | Topology models at matched churn volume |
 //! | [`experiments::e23_coupled_gap`] | The sync-vs-async gap on shared topology traces (paired, versus an independent-runs design) |
 

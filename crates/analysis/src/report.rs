@@ -109,11 +109,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: e19_dynamic_churn::run,
         },
         Experiment {
-            id: "e21",
-            claim: "engines: lazy clocks agree with the eager engine and are O(touched)",
-            run: e21_engines::run,
-        },
-        Experiment {
             id: "e22",
             claim: "topology models: at matched churn volume the frontier adversary hurts most",
             run: e22_models::run,
@@ -143,11 +138,11 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert_eq!(all.len(), 22);
+        assert_eq!(all.len(), 21);
         let mut ids: Vec<&str> = all.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 22, "duplicate experiment ids");
+        assert_eq!(ids.len(), 21, "duplicate experiment ids");
     }
 
     #[test]
@@ -156,6 +151,7 @@ mod tests {
         assert!(find_experiment("e18").is_some());
         assert!(find_experiment("e23").is_some());
         assert!(find_experiment("e20").is_none(), "E20 is retired");
+        assert!(find_experiment("e21").is_none(), "E21 is retired");
         assert!(find_experiment("e99").is_none());
     }
 }

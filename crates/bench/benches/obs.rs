@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
-use rumor_core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
+use rumor_core::spec::{GraphSpec, Protocol, SimSpec, Topology};
 use rumor_core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
     LogHistogram, MetricsLevel, Mode, NoProbe, SpreadConfig,
@@ -109,7 +109,6 @@ fn bench_spec_metrics(c: &mut Criterion) {
         SimSpec::new(GraphSpec::Gnp { n: 128, p: 0.08, seed: 11, attempts: 200 })
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
-            .engine(Engine::Sequential)
             .trials(16)
             .seed(5)
             .metrics(level)

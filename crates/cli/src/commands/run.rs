@@ -1,7 +1,7 @@
 //! `rumor run` — Monte-Carlo spreading-time measurement on a graph file.
 //!
 //! Every run is composed as one [`SimSpec`] (protocol × topology ×
-//! engine × trial plan) and executed through [`SimSpec::build`] /
+//! trial plan) and executed through [`SimSpec::build`] /
 //! `Simulation::run` — the CLI only translates flags into the builder
 //! and renders the [`RunReport`]. Two spec-file hooks make committed
 //! experiment lines reproducible from one artifact:
@@ -15,8 +15,7 @@ use rumor_core::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_core::spec::{
-    Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation, Topology,
-    DEFAULT_COUPLED_MAX_ROUNDS,
+    GraphSpec, Protocol, RunReport, SimSpec, Simulation, Topology, DEFAULT_COUPLED_MAX_ROUNDS,
 };
 use rumor_core::{AsyncView, MetricsLevel, Mode};
 use rumor_graph::{props, Graph};
@@ -156,7 +155,6 @@ const RUN_FLAGS: &[&str] = &[
     "heal",
     "horizon",
     "join",
-    "lazy",
     "leave",
     "loss",
     "metrics",
@@ -208,7 +206,6 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     let loss: f64 = args.opt_parsed("loss", 0.0)?;
     let threads: usize = args.opt_parsed("threads", 1)?;
     let coupled: bool = args.opt_parsed("coupled", false)?;
-    let lazy: bool = args.opt_parsed("lazy", false)?;
     if model != "sync" && model != "async" {
         return Err(CliError::Usage(format!("unknown --model `{model}`")));
     }
@@ -224,13 +221,11 @@ fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     } else {
         Protocol::Async { mode, view: AsyncView::GlobalClock }
     };
-    let engine = if lazy { Engine::Lazy } else { Engine::Sequential };
 
     let mut spec = SimSpec::new(graph_spec)
         .source(source)
         .protocol(protocol)
         .topology(topology)
-        .engine(engine)
         .trials(trials)
         .seed(seed)
         .threads(threads)
@@ -349,11 +344,8 @@ fn render(spec: &SimSpec, sim: &Simulation, report: &RunReport, q: f64) -> Strin
     }
 }
 
-/// The `, lazy` / `, threads T` header suffix.
+/// The `, threads T` header suffix.
 fn header_suffix(spec: &SimSpec, out: &mut String) {
-    if spec.engine == Engine::Lazy {
-        out.push_str(", lazy");
-    }
     if spec.plan.threads > 1 {
         out.push_str(&format!(", threads {}", spec.plan.threads));
     }
@@ -651,48 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_engine_runs_and_gates_on_memorylessness_at_argument_time() {
-        // Static and markov are per-edge memoryless: the lazy engine
-        // accepts them.
-        let out = with_graph(TRIANGLE, &["--model", "async", "--lazy", "true", "--trials", "10"])
-            .unwrap();
-        assert!(out.contains("lazy"), "{out}");
-        assert!(out.contains("time units"));
-        let out = with_graph(
-            TRIANGLE,
-            &["--model", "async", "--lazy", "true", "--dynamic-model", "markov", "--trials", "10"],
-        )
-        .unwrap();
-        assert!(out.contains("dynamic edge-markov"), "{out}");
-
-        // Every model that couples edges to each other or the informed
-        // state is rejected at ARGUMENT time, with a typed SpecError
-        // naming the gate — not deep inside a run.
-        for model in ["adversary", "rewire", "walk", "mobility"] {
-            let err = with_graph(
-                TRIANGLE,
-                &["--model", "async", "--lazy", "true", "--dynamic-model", model],
-            )
-            .unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("memoryless"), "{model}: {msg}");
-            assert!(msg.contains(if model == "adversary" { "adversary" } else { model }), "{msg}");
-        }
-        let err = with_graph(
-            TRIANGLE,
-            &["--model", "async", "--lazy", "true", "--dynamic-model", "node-churn"],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("memoryless"));
-
-        // Composition rules.
-        assert!(with_graph(TRIANGLE, &["--lazy", "true"]).is_err(), "sync + lazy");
-        assert!(
-            with_graph(TRIANGLE, &["--model", "async", "--lazy", "true", "--loss", "0.2"]).is_err()
-        );
-    }
-
-    #[test]
     fn coupled_runs_report_paired_statistics() {
         let out = with_graph(
             TRIANGLE,
@@ -703,35 +653,14 @@ mod tests {
         assert!(out.contains("ci95 paired"), "{out}");
         assert!(out.contains("ci95 independent"), "{out}");
         assert!(out.contains("dynamic edge-markov"), "{out}");
-        // The trace cursor replays every model lazily, even non-memoryless ones.
+        // The trace cursor replays every model, the frontier adversary
+        // included.
         let out = with_graph(
             TRIANGLE,
-            &[
-                "--coupled",
-                "true",
-                "--lazy",
-                "true",
-                "--dynamic-model",
-                "adversary",
-                "--trials",
-                "8",
-            ],
+            &["--coupled", "true", "--dynamic-model", "adversary", "--trials", "8"],
         )
         .unwrap();
-        assert!(out.contains("lazy"), "{out}");
-        // Engine choice does not change the paired numbers: the trace
-        // cursor replays the sequential coupled run seed-for-seed.
-        let base =
-            ["--coupled", "true", "--dynamic-model", "markov", "--trials", "10", "--seed", "5"];
-        let a = with_graph(TRIANGLE, &base).unwrap();
-        let mut s = base.to_vec();
-        s.extend(["--lazy", "true"]);
-        let b = with_graph(TRIANGLE, &s).unwrap();
-        assert_eq!(
-            a.lines().skip(1).collect::<Vec<_>>(),
-            b.lines().skip(1).collect::<Vec<_>>(),
-            "paired statistics must agree across engines"
-        );
+        assert!(out.contains("dynamic adversary"), "{out}");
         // Validation.
         assert!(with_graph(TRIANGLE, &["--coupled", "true", "--loss", "0.2"]).is_err());
         assert!(

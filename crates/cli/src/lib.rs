@@ -81,10 +81,9 @@ RUN OPTIONS:
     --loss P                per-contact loss in [0,1) [default: 0]
     --quantile Q            report the Q-quantile     [default: 0.9]
     --threads T             trial fan-out threads     [default: 1]
-    --lazy true             lazy per-edge-clock engine (memoryless models)
     --coupled true          paired sync/async runs on shared topology traces
     --horizon H             coupled trace horizon     [default: 24 ln n]
-    --antithetic true       antithetic protocol-seed pairs (coupled runs)
+    --antithetic true       two protocol seeds per trace, averaged (coupled)
     --emit-spec true        print the run's spec artifact instead of running
     --spec FILE             replay a saved spec artifact (no other run flags)
 

@@ -309,14 +309,6 @@ impl DynamicModel {
             DynamicModel::Adversary(m) => m.rate == 0.0,
         }
     }
-
-    /// The per-edge `(off, on)` chain rates if this model is
-    /// independently memoryless per base edge — what the lazy engine
-    /// ([`crate::engine::run_edge_markov_lazy`]) requires. Delegates to
-    /// [`TopologyModel::memoryless_edge_rates`](crate::engine::TopologyModel::memoryless_edge_rates).
-    pub fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        self.build_state().memoryless_edge_rates()
-    }
 }
 
 impl std::fmt::Display for DynamicModel {
@@ -813,25 +805,6 @@ mod tests {
         let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(51), 200_000);
         assert!(!out.completed);
         assert!(out.informed_time.iter().any(|t| t.is_infinite()));
-    }
-
-    #[test]
-    fn memoryless_edge_rates_gate_the_lazy_engine() {
-        assert_eq!(DynamicModel::Static.memoryless_edge_rates(), Some((0.0, 0.0)));
-        assert_eq!(
-            DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: 2.0, on_rate: 0.5 })
-                .memoryless_edge_rates(),
-            Some((2.0, 0.5))
-        );
-        for model in [
-            DynamicModel::Rewire(Rewire::new(1.0, SnapshotFamily::Gnp { p: 0.3 })),
-            DynamicModel::NodeChurn(NodeChurn::new(0.3, 1.0, 2)),
-            DynamicModel::RandomWalk(RandomWalk::new(1.0)),
-            DynamicModel::Mobility(Mobility::new(1.0, 0.3, 0.1)),
-            DynamicModel::Adversary(Adversary::new(1.0, 2, 1.0)),
-        ] {
-            assert_eq!(model.memoryless_edge_rates(), None, "model {model}");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The simulation engine layer: one event loop, many event sources,
-//! two execution strategies.
+//! and a queue-free cursor for recorded traces.
 //!
 //! PR 1 left this crate with two hand-written event loops — the static
 //! asynchronous engine ([`crate::run_async`]) and the dynamic engine
@@ -8,7 +8,7 @@
 //!
 //! * [`source`] — the [`EventSource`] abstraction ([`TickSource`], the
 //!   superposition scheduler) and the [`drive`] loop the global-clock
-//!   and lazy engines are written over, with RNG consumption preserved
+//!   engine is written over, with RNG consumption preserved
 //!   draw-for-draw.
 //! * [`topology`] — the pluggable topology-model layer: the
 //!   [`TopologyModel`] trait (stochastic channels, deterministic
@@ -20,10 +20,6 @@
 //!   single-clock scheduler over a model's channels; the sequential
 //!   engine and the trace recorder both consume topology events
 //!   through it.
-//! * [`lazy`] — an edge-Markov engine with **lazy per-edge clocks**:
-//!   no flips drawn up front, each edge's on/off chain resolved
-//!   only when a contact touches it. Memory for topology bookkeeping is
-//!   O(touched edges), which is what makes n ≥ 10⁶ runs feasible.
 //! * [`trace`] — topology-trace record/replay: a [`TopologyTrace`]
 //!   captures one realized topology evolution (from any engine, or
 //!   standalone) and replays it as a deterministic [`TopologyModel`],
@@ -34,13 +30,11 @@
 //!   [`TraceRecording`] records on demand, only as far as its replays
 //!   read.
 
-pub mod lazy;
 pub mod scheduler;
 pub mod source;
 pub mod topology;
 pub mod trace;
 
-pub use lazy::{run_edge_markov_lazy, LazyOutcome};
 pub use scheduler::TopoDriver;
 pub use source::{drive, Control, EventSource, TickSource};
 pub use topology::{StateVisitor, TopoEvent, TopologyModel};

@@ -1,13 +1,13 @@
 //! The [`EventSource`] abstraction: where simulation events come from.
 //!
-//! The global-clock and lazy engines are the same loop: *pop the
-//! earliest event, apply it, decide whether to go on*. What differs is
-//! the **source** of events: a single lazily-drawn Poisson clock or a
-//! superposition scheduler. [`drive`] is that loop, written once; the
-//! sources below cover the two shapes. (The node-clock and edge-clock
-//! views keep a fixed population of clocks in a
+//! The global-clock engine is one loop: *pop the earliest event, apply
+//! it, decide whether to go on*. [`drive`] is that loop, written once,
+//! over any source; [`TickSource`] is the lazily-drawn Poisson clock it
+//! runs on. (The node-clock and edge-clock views keep a fixed
+//! population of clocks in a
 //! [`ClockTree`](rumor_sim::events::ClockTree) and loop over it
-//! directly.)
+//! directly; the dynamic engine merges a [`TickSource`] with the
+//! topology scheduler by hand.)
 //!
 //! RNG discipline: a source draws from the RNG only when it actually
 //! needs a new arrival time, and a drawn-but-unconsumed arrival is
@@ -16,7 +16,6 @@
 //! describe the same process — the property the dynamic engine's
 //! churn-0 invariant rests on.
 
-use rumor_sim::events::{Fired, Superposition};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 /// Whether [`drive`] keeps pumping events.
@@ -130,25 +129,6 @@ impl EventSource for TickSource {
         self.pending = None;
         self.clock = t;
         Some((t, ()))
-    }
-}
-
-/// A [`Superposition`] scheduler is itself an event source: stochastic
-/// arrivals thin to [`Fired::Channel`], deterministic side-queue events
-/// surface as [`Fired::Event`]. With a single positive-weight channel
-/// and an empty queue the stream is bit-identical to a [`TickSource`]
-/// of the same rate (one `Exp(rate)` draw per tick, no selection draw),
-/// which is how the lazy engine consumes the scheduler without touching
-/// its golden streams.
-impl<T> EventSource for Superposition<T> {
-    type Event = Fired<T>;
-
-    fn peek(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        Superposition::peek(self, rng)
-    }
-
-    fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<(f64, Fired<T>)> {
-        Superposition::pop(self, rng)
     }
 }
 

@@ -12,9 +12,7 @@
 //! sequential engine ([`crate::run_dynamic`]) interleaves the events
 //! with protocol ticks and feeds every newly informed node back through
 //! [`TopologyModel::note_informed`]; the trace recorder drives the same
-//! events standalone; the lazy engine asks a model whether it is
-//! per-edge memoryless ([`TopologyModel::memoryless_edge_rates`]) and,
-//! if so, skips event scheduling entirely.
+//! events standalone.
 //!
 //! Six models are implemented behind the trait: edge-Markov flips,
 //! periodic rewiring, node churn, random-walk edge dynamics, geometric
@@ -88,15 +86,6 @@ pub trait TopologyModel {
     ) {
         let _ = (t, net, queue, rng);
         unreachable!("model scheduled no side-queue events, got {event:?}")
-    }
-
-    /// The `(off_rate, on_rate)` per-edge chain rates if this model is
-    /// independent two-state Markov per base edge — the memorylessness
-    /// the lazy engine ([`crate::engine::run_edge_markov_lazy`]) needs to
-    /// resolve edges on touch instead of scheduling events. `None` for
-    /// models with cross-edge or informed-state coupling.
-    fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        None
     }
 
     /// Current total rate of stochastic channel `ch` (e.g. *number of
@@ -194,11 +183,6 @@ impl TopologyModel for StaticState {
     ) -> usize {
         0
     }
-
-    fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        // Rates 0/0 freeze every edge in its starting state.
-        Some((0.0, 0.0))
-    }
 }
 
 /// Edge-Markov churn: independent on/off chains per base edge.
@@ -229,10 +213,6 @@ impl Drop for EdgeMarkovState {
 }
 
 impl TopologyModel for EdgeMarkovState {
-    fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        Some((self.off, self.on))
-    }
-
     fn init(
         &mut self,
         g: &Graph,

@@ -60,7 +60,7 @@ use crate::engine::source::EventSource;
 use crate::engine::topology::{TopoEvent, TopologyModel};
 use crate::engine::TickSource;
 use crate::mode::Mode;
-use crate::obs::NoProbe;
+use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::SyncOutcome;
 use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
@@ -541,11 +541,6 @@ impl TopologyModel for TraceReplayer<'_> {
 /// Wraps any [`TopologyModel`] so that an ordinary engine run records
 /// the realized topology evolution as a side effect; recover it with
 /// [`into_trace`](Self::into_trace).
-///
-/// The recorder never reports memoryless edge rates (recording needs
-/// every topology event), so a wrapped model always runs through the
-/// scheduled event stream even where the lazy engine would have been
-/// eligible.
 pub struct TraceRecorder<'a> {
     inner: Box<dyn TopologyModel + 'a>,
     initial: Option<Graph>,
@@ -643,17 +638,20 @@ impl TopologyModel for TraceRecorder<'_> {
 /// draws — is exactly the sequential replay's, and both apply the
 /// recorded steps to the same order-relaxed rows, so this engine
 /// replays [`run_dynamic_with`](crate::run_dynamic_with) over
-/// `trace.replayer()` **seed-for-seed**.
+/// `trace.replayer()` **seed-for-seed**. It calls `probe` at the same
+/// points with the same arguments as that replay does, so a probed
+/// cursor run observes the identical event stream.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
-pub fn run_trace_lazy<'a>(
+pub fn run_trace_lazy<'a, P: Probe>(
     trace: impl Into<TraceRef<'a>>,
     source: Node,
     mode: Mode,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
+    probe: &mut P,
 ) -> DynamicOutcome {
     let mut trace = trace.into();
     let n = trace.trace().node_count();
@@ -662,7 +660,14 @@ pub fn run_trace_lazy<'a>(
     let mut informed_time = vec![f64::INFINITY; n];
     informed_time[source as usize] = 0.0;
     let mut informed_count = 1usize;
+    if P::ENABLED {
+        probe.trial_start(n, &[source]);
+        probe.informed(0.0, informed_count);
+    }
     if n == 1 {
+        if P::ENABLED {
+            probe.trial_end(0.0, true);
+        }
         return DynamicOutcome {
             time: 0.0,
             steps: 0,
@@ -684,18 +689,40 @@ pub fn run_trace_lazy<'a>(
             apply_step(&mut net, step);
             cursor += 1;
             topology_events += 1;
+            if P::ENABLED {
+                probe.event(step.time, ProbeEvent::Topology);
+                probe.topology_changed(step.time);
+            }
         }
         t = tt;
         steps += 1;
+        if P::ENABLED {
+            probe.event(tt, ProbeEvent::Tick);
+        }
         let v = rng.range_usize(n) as Node;
         if net.is_active(v) && net.degree(v) > 0 {
             let w = net.random_neighbor(v, rng);
-            crate::asynchronous::exchange(mode, &mut informed_time, &mut informed_count, v, w, tt);
+            let how = crate::asynchronous::exchange(
+                mode,
+                &mut informed_time,
+                &mut informed_count,
+                v,
+                w,
+                tt,
+            );
+            if let (true, Some(how)) = (P::ENABLED, how) {
+                let (informer, learner) = how.roles(v, w);
+                probe.informed(tt, informed_count);
+                probe.transmitted(informer, learner, how, tt);
+            }
         }
         if informed_count == n {
             completed = true;
             break;
         }
+    }
+    if P::ENABLED {
+        probe.trial_end(t, completed);
     }
     DynamicOutcome { time: t, steps, topology_events, completed, informed_time }
 }
@@ -843,7 +870,7 @@ mod tests {
             let mut replay = trace.replayer();
             let seq = run_seq(&g, &mut replay, &mut a, 1_000_000);
             let mut b = rng(10);
-            let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut b, 1_000_000);
+            let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut b, 1_000_000, &mut NoProbe);
             assert_eq!(lazy, seq, "{name}: cursor engine diverged");
             assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
             assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
@@ -930,7 +957,7 @@ mod tests {
         let g = generators::complete(16);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.05));
         let trace = record(&g, &model, 23, 2.0);
-        let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000);
+        let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000, &mut NoProbe);
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
     }

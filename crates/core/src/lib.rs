@@ -27,20 +27,18 @@
 //!   Pourmiri–Mans; with churn rate 0 it replays the static process
 //!   seed-for-seed;
 //! * the **engine layer** ([`engine`]): the [`engine::EventSource`]
-//!   abstraction the static and lazy engines are written over, the
+//!   abstraction the global-clock engine is written over, the
 //!   superposition topology scheduler ([`engine::TopoDriver`]), the pluggable
 //!   [`engine::TopologyModel`] layer (edge-Markov churn, periodic
 //!   rewiring, node join/leave, random-walk edge dynamics, geometric
 //!   mobility, adversarial frontier cuts — one interface consumed by
-//!   every engine), and a **lazy per-edge-clock** engine
-//!   ([`engine::lazy`]) for
-//!   per-edge-memoryless models, whose topology bookkeeping is
-//!   O(touched edges), for `n ≥ 10⁶`;
+//!   every engine), and topology traces with the queue-free **trace
+//!   cursor** ([`engine::run_trace_lazy`]) every trace replay runs on;
 //! * a seeded, optionally parallel **Monte-Carlo runner** ([`runner`]) for
 //!   estimating spreading-time laws, expectations `E[T]` and
 //!   high-probability quantiles `T₁/ₙ`;
 //! * the **unified run API** ([`spec`]): [`SimSpec`] composes protocol ×
-//!   topology × engine × trial plan in one typed builder, validates the
+//!   topology × trial plan in one typed builder, validates the
 //!   combination once, executes it into a [`RunReport`] (explicit
 //!   censoring, paired statistics when coupled, engine telemetry), and
 //!   serializes to a one-file text artifact — the one run API the CLI,
@@ -86,10 +84,7 @@ pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
 pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel, DynamicOutcome};
-pub use engine::{
-    run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, LazyOutcome, StateVisitor,
-    TopologyModel, TopologyTrace,
-};
+pub use engine::{run_sync_dynamic, run_trace_lazy, StateVisitor, TopologyModel, TopologyTrace};
 pub use informed::InformedSet;
 pub use mode::Mode;
 pub use obs::{
@@ -100,8 +95,8 @@ pub use outcome::{AsyncOutcome, SyncOutcome, NEVER_ROUND};
 pub use spec::cache::RunCaches;
 pub use spec::sweep::{SweepAxis, SweepChild, SweepSpec};
 pub use spec::{
-    CoupledOutcome, Engine, GraphSpec, Protocol, RunReport, SimSpec, Simulation, SpecError,
-    Topology, TopologyModelFactory, TrialPlan,
+    CoupledOutcome, GraphSpec, Protocol, RunReport, SimSpec, Simulation, SpecError, Topology,
+    TopologyModelFactory, TrialPlan,
 };
 pub use spread::SpreadConfig;
 pub use sync::{run_sync, run_sync_probed};

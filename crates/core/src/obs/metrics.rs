@@ -4,12 +4,11 @@
 //!
 //! The JSON artifact contains **only engine-invariant payload** —
 //! spreading-time/step/topology histograms and mean spreading curves,
-//! all derived from per-trial outcomes in trial order — so the same
-//! coupled spec and seed produce byte-identical artifacts on the
-//! sequential engine and the trace cursor (pinned in
-//! `tests/obs_metrics.rs`). Engine-health readings (lazy clock touches,
-//! censor ring dumps) are inherently engine-shaped and appear only in
-//! the summary rendering.
+//! all derived from per-trial outcomes in trial order — so a trace
+//! replayed by the sequential engine and by the trace cursor produces
+//! byte-identical artifacts (pinned in `tests/obs_metrics.rs`). Engine-health readings (censor ring dumps)
+//! are inherently engine-shaped and appear only in the summary
+//! rendering.
 
 use super::curve::CurveSummary;
 use super::histogram::LogHistogram;
@@ -33,19 +32,15 @@ pub struct CensorDump {
 /// deterministic artifact (see the module docs).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineHealth {
-    /// Lazy engine: per-edge clocks materialized per trial.
-    pub clocks_touched: LogHistogram,
-    /// Lazy engine: base edge count (the eager edge table it avoided).
-    pub base_edges: u64,
-    /// Ring dumps of the first censored trials (sequential dynamic
-    /// runs; bounded).
+    /// Ring dumps of the first censored trials (uncoupled dynamic and
+    /// trace runs; bounded).
     pub censor_dumps: Vec<CensorDump>,
 }
 
 impl EngineHealth {
-    /// `true` when no diagnostic was recorded (static/sequential runs).
+    /// `true` when no diagnostic was recorded.
     pub fn is_empty(&self) -> bool {
-        self.clocks_touched.is_empty() && self.base_edges == 0 && self.censor_dumps.is_empty()
+        self.censor_dumps.is_empty()
     }
 }
 
@@ -160,15 +155,7 @@ impl RunMetrics {
                 self.counters.iter().map(|(n, v)| format!("{n}={v}")).collect();
             out.push(format!("  counters: {}", rendered.join(", ")));
         }
-        let h = &self.health;
-        if !h.clocks_touched.is_empty() {
-            out.push(format!(
-                "  lazy: clocks/trial {} of {} base edges",
-                histogram_line(&h.clocks_touched),
-                h.base_edges
-            ));
-        }
-        for dump in &h.censor_dumps {
+        for dump in &self.health.censor_dumps {
             let tail: Vec<String> = dump
                 .events
                 .iter()
@@ -271,8 +258,6 @@ mod tests {
     #[test]
     fn summary_lines_cover_health_diagnostics() {
         let mut m = sample_metrics();
-        m.health.clocks_touched.record_u64(7);
-        m.health.base_edges = 40;
         m.health.censor_dumps.push(CensorDump {
             trial: 2,
             events: vec![(0.5, ProbeEvent::Tick), (0.6, ProbeEvent::Topology)],
@@ -281,7 +266,6 @@ mod tests {
         assert!(lines[0].contains("3 trials, 1 censored"));
         assert!(lines.iter().any(|l| l.contains("spreading_time: mean 1.500")));
         assert!(lines.iter().any(|l| l.contains("steps: empty")));
-        assert!(lines.iter().any(|l| l.contains("lazy: clocks/trial")));
         assert!(lines.iter().any(|l| l.contains("censored trial 2")));
         // Health never leaks into the artifact.
         let doc = Json::parse(&m.render_json()).unwrap();

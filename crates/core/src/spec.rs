@@ -4,11 +4,14 @@
 //! experiment: a **protocol** (synchronous rounds or asynchronous
 //! clocks, push/pull/push–pull) on a **topology** (static, one of the
 //! dynamic evolution models, a custom [`TopologyModel`], or a recorded
-//! trace) under an **engine** (sequential merged-stream, or lazy
-//! per-edge clocks and the trace cursor) over a **trial plan** (seeded
-//! Monte-Carlo trials, optionally coupled sync/async pairs on shared
-//! traces).
-//! [`SimSpec`] names those four axes once; [`SimSpec::build`] validates
+//! trace) over a **trial plan** (seeded Monte-Carlo trials, optionally
+//! coupled sync/async pairs on shared traces). The engine follows from
+//! those axes: static graphs run the static engines, topology models
+//! the sequential merged-stream engine, and every asynchronous trace
+//! replay — an uncoupled [`Topology::Trace`] run and the asynchronous
+//! half of every coupled trial — the queue-free trace cursor
+//! ([`run_trace_lazy`]).
+//! [`SimSpec`] names those three axes once; [`SimSpec::build`] validates
 //! the combination (illegal combinations are a typed [`SpecError`], not
 //! a panic deep inside a run) and returns a [`Simulation`] whose
 //! [`run`](Simulation::run) produces a unified [`RunReport`] —
@@ -23,16 +26,14 @@
 //! # One API, many runs
 //!
 //! ```
-//! use rumor_core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
+//! use rumor_core::spec::{GraphSpec, Protocol, SimSpec, Topology};
 //! use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
-//! use rumor_core::Mode;
 //!
 //! // Asynchronous push–pull under symmetric edge-Markov churn on a
-//! // seeded G(n, p), 40 trials on the lazy per-edge-clock engine.
+//! // seeded G(n, p), 40 trials.
 //! let spec = SimSpec::new(GraphSpec::Gnp { n: 48, p: 0.17, seed: 7, attempts: 200 })
 //!     .protocol(Protocol::push_pull_async())
 //!     .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
-//!     .engine(Engine::Lazy)
 //!     .trials(40)
 //!     .seed(11);
 //! let report = spec.build().unwrap().run();
@@ -47,18 +48,18 @@
 //! Illegal combinations fail at build time with a typed error:
 //!
 //! ```
-//! use rumor_core::spec::{Engine, GraphSpec, SimSpec, SpecError, Topology};
+//! use rumor_core::spec::{GraphSpec, Protocol, SimSpec, SpecError, Topology};
 //! use rumor_core::dynamic::{Adversary, DynamicModel};
+//! use rumor_core::{AsyncView, Mode};
 //!
-//! // The lazy engine needs a per-edge memoryless model; the frontier
-//! // adversary couples edges to the informed state.
+//! // The dynamic engines are written in the global-clock view; the
+//! // node-clock view exists only on static graphs.
 //! let err = SimSpec::new(GraphSpec::Complete { n: 8 })
-//!     .protocol(rumor_core::spec::Protocol::push_pull_async())
+//!     .protocol(Protocol::Async { mode: Mode::PushPull, view: AsyncView::NodeClocks })
 //!     .topology(Topology::Model(DynamicModel::Adversary(Adversary::new(0.5, 4, 1.0))))
-//!     .engine(Engine::Lazy)
 //!     .build()
 //!     .unwrap_err();
-//! assert!(matches!(err, SpecError::LazyNeedsMemoryless { .. }));
+//! assert!(matches!(err, SpecError::ViewUnsupported { .. }));
 //! ```
 
 use std::fmt;
@@ -77,8 +78,7 @@ use crate::dynamic::{
     RandomWalk, Rewire, SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
-    run_edge_markov_lazy, run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace,
-    TraceRecording, TraceRef, TraceReplayer,
+    run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace, TraceRecording, TraceRef,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -97,7 +97,7 @@ const CURVE_SAMPLES: usize = 256;
 /// Aggregated mean curves live on a uniform grid of this many intervals.
 const CURVE_GRID: usize = 64;
 
-/// Events retained by the censor ring probe on sequential dynamic
+/// Events retained by the censor ring probe on uncoupled dynamic
 /// trials.
 const RING_CAP: usize = 32;
 
@@ -158,12 +158,6 @@ pub trait TopologyModelFactory: Send + Sync {
     /// across threads.
     fn build(&self, g: &Graph) -> Box<dyn TopologyModel + Send>;
 
-    /// Mirrors [`TopologyModel::memoryless_edge_rates`]: `Some` makes
-    /// the factory eligible for the lazy engine.
-    fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        None
-    }
-
     /// Short display label (used in errors and reports).
     fn label(&self) -> String;
 }
@@ -172,10 +166,6 @@ pub trait TopologyModelFactory: Send + Sync {
 impl TopologyModelFactory for DynamicModel {
     fn build(&self, _g: &Graph) -> Box<dyn TopologyModel + Send> {
         self.build_state()
-    }
-
-    fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        DynamicModel::memoryless_edge_rates(self)
     }
 
     fn label(&self) -> String {
@@ -208,19 +198,6 @@ impl Topology {
     /// Whether the topology evolves during a run.
     pub fn is_static(&self) -> bool {
         matches!(self, Topology::Static)
-    }
-
-    /// The per-edge memoryless `(off_rate, on_rate)` chain rates, if
-    /// the topology qualifies for the lazy engine.
-    pub fn memoryless_edge_rates(&self) -> Option<(f64, f64)> {
-        match self {
-            Topology::Static => Some((0.0, 0.0)),
-            Topology::Model(m) => m.memoryless_edge_rates(),
-            Topology::Custom(f) => f.memoryless_edge_rates(),
-            // A recorded trace is deterministic; the trace cursor
-            // replays it lazily regardless of the source model.
-            Topology::Trace(_) => None,
-        }
     }
 
     /// Display label (used in errors and CLI headers).
@@ -273,16 +250,6 @@ pub fn model_label(model: &DynamicModel) -> &'static str {
     }
 }
 
-/// The engine axis: which machinery executes one trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The sequential merged-stream engine.
-    Sequential,
-    /// The lazy per-edge-clock engine (per-edge memoryless models) or
-    /// the queue-free trace cursor (trace replay / coupled runs).
-    Lazy,
-}
-
 /// The trial-plan axis: how many seeded trials, on how many threads,
 /// under which budgets, and whether sync/async runs are coupled over
 /// shared traces.
@@ -308,10 +275,13 @@ pub struct TrialPlan {
     /// Trace-recording horizon (a cap) for coupled runs; `None` picks
     /// [`default_coupled_horizon`].
     pub horizon: Option<f64>,
-    /// Coupled runs only: run each protocol twice per trace, once on
-    /// the trial's protocol seed and once on its antithetic partner
-    /// seed, and report the pair averages — protocol-clock noise is
-    /// halved while the trace realization is reused.
+    /// Coupled runs only: replay each trace with two protocol seeds,
+    /// the trial's protocol seed and its bitwise complement
+    /// `!proto_seed`, and report the averages of the two runs. The
+    /// complement seed is simply a second seed: nothing makes the two
+    /// runs negatively correlated, so this is two protocol realizations
+    /// per recorded trace, not an antithetic-variates estimator. (The
+    /// name is the spec key's.)
     pub antithetic: bool,
 }
 
@@ -512,13 +482,6 @@ pub enum SpecError {
     ZeroTrials,
     /// `threads == 0`.
     ZeroThreads,
-    /// The lazy engine only runs asynchronous (or coupled) trials.
-    LazyNeedsAsync,
-    /// The lazy engine needs a per-edge memoryless topology.
-    LazyNeedsMemoryless {
-        /// Label of the offending topology.
-        model: String,
-    },
     /// An uncoupled synchronous run on a topology model needs an
     /// explicit round budget: it is the horizon of the realization the
     /// run records.
@@ -531,7 +494,7 @@ pub enum SpecError {
         /// The offending value.
         loss: f64,
     },
-    /// Message loss is only modelled on static sequential runs.
+    /// Message loss is only modelled on uncoupled static runs.
     LossUnsupported {
         /// What the loss probability collided with.
         with: String,
@@ -607,16 +570,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::ZeroTrials => write!(f, "trials must be positive"),
             SpecError::ZeroThreads => write!(f, "threads must be positive"),
-            SpecError::LazyNeedsAsync => {
-                write!(f, "the lazy engine requires an asynchronous protocol or a coupled plan")
-            }
-            SpecError::LazyNeedsMemoryless { model } => write!(
-                f,
-                "the lazy engine requires a per-edge memoryless topology (static or markov); \
-                 `{model}` couples edges across the graph or to the informed state (no \
-                 memoryless edge rates); use the sequential engine, or a coupled plan to \
-                 replay a recorded trace lazily"
-            ),
             SpecError::SyncNeedsRoundBudget { model } => write!(
                 f,
                 "a synchronous run on `{model}` records the topology up to its round budget; \
@@ -695,11 +648,9 @@ pub struct SimSpec {
     pub protocol: Protocol,
     /// The topology axis.
     pub topology: Topology,
-    /// The engine axis.
-    pub engine: Engine,
     /// The trial-plan axis.
     pub plan: TrialPlan,
-    /// Per-exchange message-loss probability (static sequential runs
+    /// Per-exchange message-loss probability (uncoupled static runs
     /// only).
     pub loss: f64,
     /// How much observability the run records (off by default; probes
@@ -709,15 +660,13 @@ pub struct SimSpec {
 
 impl SimSpec {
     /// A spec with the given graph and every other axis at its default:
-    /// synchronous push–pull, static topology, sequential engine, 100
-    /// trials at seed 42 on one thread, no loss, metrics off.
+    /// synchronous push–pull, static topology, 100 trials at seed 42 on one thread, no loss, metrics off.
     pub fn new(graph: GraphSpec) -> Self {
         Self {
             graph,
             source: 0,
             protocol: Protocol::push_pull_sync(),
             topology: Topology::Static,
-            engine: Engine::Sequential,
             plan: TrialPlan::default(),
             loss: 0.0,
             metrics: MetricsLevel::Off,
@@ -744,12 +693,6 @@ impl SimSpec {
     /// Sets the topology.
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Sets the engine.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -801,7 +744,8 @@ impl SimSpec {
         self
     }
 
-    /// Enables antithetic protocol-seed pairing on coupled runs.
+    /// Enables two protocol seeds per trace on coupled runs (see
+    /// [`TrialPlan::antithetic`]).
     pub fn antithetic(mut self, antithetic: bool) -> Self {
         self.plan.antithetic = antithetic;
         self
@@ -896,32 +840,16 @@ impl SimSpec {
                 )));
             }
         }
-        if self.engine == Engine::Lazy {
-            if self.protocol.is_sync() && !plan.coupled {
-                return Err(SpecError::LazyNeedsAsync);
-            }
-            // A coupled plan replays the recorded trace through the
-            // queue-free cursor, which handles every model; an uncoupled
-            // lazy run resolves per-edge chains on touch and needs
-            // memorylessness. An uncoupled Trace topology is likewise
-            // deterministic and always replayable.
-            let trace_like = matches!(self.topology, Topology::Trace(_));
-            if !plan.coupled && !trace_like && self.topology.memoryless_edge_rates().is_none() {
-                return Err(SpecError::LazyNeedsMemoryless { model: self.topology.label() });
-            }
-        }
         let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
         if self.protocol.is_sync() && !plan.coupled && recorded && plan.max_rounds.is_none() {
             return Err(SpecError::SyncNeedsRoundBudget { model: self.topology.label() });
         }
         if let Protocol::Async { view, .. } = self.protocol {
-            let dynamic_like =
-                !self.topology.is_static() || plan.coupled || self.engine != Engine::Sequential;
-            if dynamic_like && view != AsyncView::GlobalClock {
+            if (!self.topology.is_static() || plan.coupled) && view != AsyncView::GlobalClock {
                 return Err(SpecError::ViewUnsupported {
                     view,
-                    why: "dynamic topologies and the lazy engine are written in the \
-                          global-clock view",
+                    why: "dynamic topologies and coupled runs are written in the global-clock \
+                          view",
                 });
             }
         }
@@ -930,8 +858,6 @@ impl SimSpec {
                 Some("coupled runs")
             } else if !self.topology.is_static() {
                 Some("dynamic topologies")
-            } else if self.engine != Engine::Sequential {
-                Some("the lazy engine")
             } else {
                 None
             };
@@ -1043,8 +969,8 @@ pub struct CoupledOutcome {
     /// of the shared trace with time at or before the furthest time any
     /// of its replays reached (the last async tick, or `r − 1` after `r`
     /// sync rounds; antithetic trials take the furthest of all four
-    /// replays). It depends on neither the engine nor the cache state,
-    /// nor on the horizon unless a replay ran past it.
+    /// replays). It depends neither on the cache state nor on the
+    /// horizon unless a replay ran past it.
     pub trace_steps: usize,
 }
 
@@ -1056,10 +982,6 @@ pub struct Telemetry {
     pub steps: u64,
     /// Topology events processed, summed over trials.
     pub topology_events: u64,
-    /// Lazy engine: per-edge clocks materialized, summed over trials.
-    pub clocks_touched: u64,
-    /// Lazy engine: base edges (the eager engine's queue size).
-    pub base_edges: u64,
     /// Coupled runs: [`CoupledOutcome::trace_steps`] (the trace steps
     /// each trial's replays read), summed over trials.
     pub trace_steps: u64,
@@ -1067,14 +989,11 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Accumulates another (per-trial or partial) telemetry bundle into
-    /// this one. Counters sum; `base_edges` — a per-run constant, not a
-    /// per-trial count — takes the maximum. The one merge path every
-    /// engine's report assembly flows through.
+    /// this one: every counter sums. The one merge path every engine's
+    /// report assembly flows through.
     pub fn merge(&mut self, other: &Telemetry) {
         self.steps += other.steps;
         self.topology_events += other.topology_events;
-        self.clocks_touched += other.clocks_touched;
-        self.base_edges = self.base_edges.max(other.base_edges);
         self.trace_steps += other.trace_steps;
     }
 }
@@ -1237,7 +1156,6 @@ impl Simulation {
 
     fn run_async_trials(&self, mode: Mode, view: AsyncView) -> RunReport {
         let g = &self.graph;
-        let source = self.spec.source;
         let max_steps = self.max_steps;
         let capture = self.spec.metrics.is_enabled();
         // Builds the record for one static asynchronous outcome.
@@ -1262,50 +1180,26 @@ impl Simulation {
                 rec
             }
         };
-        let records: Vec<TrialRecord> = match (self.spec.engine, &self.spec.topology) {
-            (Engine::Sequential, Topology::Static) => {
+        let records: Vec<TrialRecord> = match &self.spec.topology {
+            Topology::Static => {
                 let config = self.spread_config();
                 self.fan_out(|_, rng| {
                     async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
                 })
             }
-            (Engine::Sequential, _) | (Engine::Lazy, Topology::Trace(_)) => {
-                self.fan_out(|_, rng| {
-                    if !capture {
-                        return dynamic_rec(&self.dynamic_run(mode, rng, &mut NoProbe));
-                    }
-                    let mut ring = RingProbe::new(RING_CAP);
-                    let out = self.dynamic_run(mode, rng, &mut ring);
-                    let mut rec = dynamic_rec(&out);
-                    // Censored sequential trials dump their event tail.
-                    if self.spec.engine == Engine::Sequential && !out.completed {
-                        rec.dump = Some(ring.into_events());
-                    }
-                    rec
-                })
-            }
-            (Engine::Lazy, topology) => {
-                let (off_rate, on_rate) =
-                    topology.memoryless_edge_rates().expect("validated at build time");
-                let markov = EdgeMarkov { off_rate, on_rate };
-                self.fan_out(|_, rng| {
-                    let out =
-                        run_edge_markov_lazy(g, source, mode, markov, rng, max_steps, &mut NoProbe);
-                    let mut rec = TrialRecord::new(TrialOutcome {
-                        value: out.time,
-                        completed: out.completed,
-                        steps: out.steps,
-                        topology_events: 0,
-                    });
-                    rec.telemetry.clocks_touched = out.clocks_touched as u64;
-                    rec.telemetry.base_edges = out.base_edges as u64;
-                    if capture {
-                        rec =
-                            rec.with_curve(SpreadingCurve::from_informed_times(&out.informed_time));
-                    }
-                    rec
-                })
-            }
+            _ => self.fan_out(|_, rng| {
+                if !capture {
+                    return dynamic_rec(&self.dynamic_run(mode, rng, &mut NoProbe));
+                }
+                let mut ring = RingProbe::new(RING_CAP);
+                let out = self.dynamic_run(mode, rng, &mut ring);
+                let mut rec = dynamic_rec(&out);
+                // Censored trials dump their event tail.
+                if !out.completed {
+                    rec.dump = Some(ring.into_events());
+                }
+                rec
+            }),
         };
         assemble(Unit::TimeUnits, records, self.spec.metrics)
     }
@@ -1331,9 +1225,10 @@ impl Simulation {
         TraceRecording::start(g, self.spec.source, state, trace_rng, horizon)
     }
 
-    /// Runs one asynchronous trial on the spec's evolving topology
-    /// through the plan's engine, observed by `probe`. Sequential runs
-    /// over a built-in model visit its concrete state type.
+    /// Runs one asynchronous trial on the spec's evolving topology,
+    /// observed by `probe`: a recorded trace on the trace cursor, a
+    /// model on the sequential engine (visiting a built-in model's
+    /// concrete state type).
     fn dynamic_run<P: Probe>(
         &self,
         mode: Mode,
@@ -1343,7 +1238,7 @@ impl Simulation {
         let g = &self.graph;
         let (source, max_steps) = (self.spec.source, self.max_steps);
         match &self.spec.topology {
-            Topology::Trace(trace) => self.trace_run(trace.into(), mode, rng, probe),
+            Topology::Trace(trace) => run_trace_lazy(trace, source, mode, rng, max_steps, probe),
             Topology::Model(model) => {
                 model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe })
             }
@@ -1352,27 +1247,6 @@ impl Simulation {
                 run_dynamic_with(g, source, mode, state.as_mut(), rng, max_steps, probe)
             }
             Topology::Static => unreachable!("static sequential runs use the static engine"),
-        }
-    }
-
-    /// Runs one asynchronous trial over a recorded trace through the
-    /// plan's engine: the sequential engine over the trace's replayer,
-    /// or the queue-free trace cursor on a lazy plan.
-    fn trace_run<P: Probe>(
-        &self,
-        trace: TraceRef<'_>,
-        mode: Mode,
-        rng: &mut Xoshiro256PlusPlus,
-        probe: &mut P,
-    ) -> DynamicOutcome {
-        let g = &self.graph;
-        let (source, max_steps) = (self.spec.source, self.max_steps);
-        match self.spec.engine {
-            Engine::Sequential => {
-                let mut replay = TraceReplayer::new(trace);
-                run_dynamic_with(g, source, mode, &mut replay, rng, max_steps, probe)
-            }
-            Engine::Lazy => run_trace_lazy(trace, source, mode, rng, max_steps),
         }
     }
 
@@ -1423,10 +1297,9 @@ impl Simulation {
     ) -> (CoupledOutcome, Vec<CurvePair>) {
         let (mut out, mut curves, mut reach) = self.coupled_pair(&mut trace, proto_seed);
         if self.spec.plan.antithetic {
-            // Antithetic partner: the complement seed reuses the same
-            // trace with a second protocol realization; averaging the
-            // pair halves the protocol-clock variance while the
-            // (expensive, shared) trace realization is recorded once.
+            // The complement seed reuses the same trace with a second
+            // protocol realization; the (expensive, shared) trace is
+            // recorded once.
             let (two, more, reach_two) = self.coupled_pair(&mut trace, !proto_seed);
             curves.extend(more);
             reach = reach.max(reach_two);
@@ -1439,8 +1312,7 @@ impl Simulation {
             };
         }
         // Counted against the replays' reach, not against what happens
-        // to be recorded (a cache hit or the sequential replayer's
-        // one-step lookahead may have recorded further).
+        // to be recorded (a cache hit may have recorded further).
         out.trace_steps = trace.trace().steps().partition_point(|step| step.time <= reach);
         (out, curves)
     }
@@ -1463,10 +1335,10 @@ impl Simulation {
             &mut Xoshiro256PlusPlus::seed_from(proto_seed),
             self.max_rounds,
         );
-        // The asynchronous half replays the trace through the plan's
-        // engine.
+        // The asynchronous half replays the trace on the cursor.
         let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
-        let asy = self.trace_run(trace.into(), mode, &mut proto_rng, &mut NoProbe);
+        let asy =
+            run_trace_lazy(&mut *trace, source, mode, &mut proto_rng, self.max_steps, &mut NoProbe);
         let curves = if self.spec.metrics.is_enabled() {
             let n = g.node_count();
             vec![(
@@ -1605,13 +1477,7 @@ fn trial_metrics(unit: Unit, records: &[TrialRecord]) -> RunMetrics {
         m.push_curve("informed", CurveSummary::aggregate(&curves, CURVE_GRID));
     }
 
-    // Engine health: per-engine diagnostics, summary display only.
-    if records.iter().any(|r| r.telemetry.clocks_touched > 0) {
-        for r in records {
-            m.health.clocks_touched.record_u64(r.telemetry.clocks_touched);
-        }
-    }
-    m.health.base_edges = records.iter().map(|r| r.telemetry.base_edges).max().unwrap_or(0);
+    // Engine health: censor ring dumps, summary display only.
     for (idx, r) in records.iter().enumerate() {
         if m.health.censor_dumps.len() >= MAX_CENSOR_DUMPS {
             break;
@@ -1645,7 +1511,9 @@ impl SimSpec {
         s.push_str(&format!("source = {}\n", self.source));
         s.push_str(&format!("protocol = {}\n", protocol_to_text(&self.protocol)));
         s.push_str(&format!("topology = {}\n", topology_to_text(&self.topology)?));
-        s.push_str(&format!("engine = {}\n", engine_to_text(&self.engine)));
+        // The engine follows from the other axes; the line stays so
+        // that every committed artifact keeps its bytes.
+        s.push_str("engine = sequential\n");
         s.push_str(&format!("trials = {}\n", self.plan.trials));
         s.push_str(&format!("seed = {}\n", self.plan.master_seed));
         s.push_str(&format!("threads = {}\n", self.plan.threads));
@@ -1672,6 +1540,9 @@ impl SimSpec {
         let mut graph: Option<GraphSpec> = None;
         let mut spec = SimSpec::new(GraphSpec::Complete { n: 2 });
         let mut version_seen = false;
+        // The line of an `engine = lazy`, checked against the plan once
+        // every line is read.
+        let mut lazy_line = None;
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -1699,7 +1570,9 @@ impl SimSpec {
                 "source" => spec.source = parse_num(value, "source", lineno)?,
                 "protocol" => spec.protocol = protocol_from_text(value, lineno)?,
                 "topology" => spec.topology = topology_from_text(value, lineno)?,
-                "engine" => spec.engine = engine_from_text(value, lineno)?,
+                "engine" => {
+                    lazy_line = engine_from_text(value, lineno)?.then_some(lineno);
+                }
                 "trials" => spec.plan.trials = parse_num(value, "trials", lineno)?,
                 "seed" => spec.plan.master_seed = parse_num(value, "seed", lineno)?,
                 "threads" => spec.plan.threads = parse_num(value, "threads", lineno)?,
@@ -1743,6 +1616,15 @@ impl SimSpec {
             return Err(SpecError::Parse {
                 line: text.lines().count().max(1),
                 message: "missing `spec = v1` directive".to_owned(),
+            });
+        }
+        if let (Some(line), false) = (lazy_line, spec.plan.coupled) {
+            return Err(SpecError::Parse {
+                line,
+                message: "the lazy engine was removed; `engine = lazy` is read only on a \
+                          coupled plan, whose replays run on the trace cursor (write \
+                          `engine = sequential`)"
+                    .to_owned(),
             });
         }
         spec.graph = graph.ok_or(SpecError::MissingGraph)?;
@@ -2077,18 +1959,14 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
     })
 }
 
-fn engine_to_text(engine: &Engine) -> String {
-    match engine {
-        Engine::Sequential => "sequential".to_owned(),
-        Engine::Lazy => "lazy".to_owned(),
-    }
-}
-
-fn engine_from_text(value: &str, line: usize) -> Result<Engine, SpecError> {
+/// Reads an `engine =` line: `sequential`, or `lazy`, which artifacts
+/// written before the lazy engine's removal carry on coupled plans,
+/// where it named the trace cursor. Returns whether the line was `lazy`.
+fn engine_from_text(value: &str, line: usize) -> Result<bool, SpecError> {
     let f = Fields::split(value, line)?;
     match f.kind {
-        "sequential" => Ok(Engine::Sequential),
-        "lazy" => Ok(Engine::Lazy),
+        "sequential" => Ok(false),
+        "lazy" => Ok(true),
         other => Err(SpecError::Parse { line, message: format!("unknown engine `{other}`") }),
     }
 }
@@ -2097,6 +1975,7 @@ fn engine_from_text(value: &str, line: usize) -> Result<Engine, SpecError> {
 mod tests {
     use super::*;
     use rumor_graph::generators;
+    use rumor_sim::rng::SeedStream;
 
     fn base_spec() -> SimSpec {
         SimSpec::new(GraphSpec::Complete { n: 8 })
@@ -2188,15 +2067,28 @@ mod tests {
         );
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
-            .topology(Topology::Trace(trace))
+            .topology(Topology::Trace(trace.clone()))
             .trials(5)
             .seed(3);
-        let a = spec.clone().build().unwrap().run();
-        let b = spec.clone().build().unwrap().run();
+        let sim = spec.build().unwrap();
+        let a = sim.run();
+        let b = spec.build().unwrap().run();
         assert_eq!(a, b);
-        // The lazy cursor replays the sequential replay seed-for-seed.
-        let lazy = spec.engine(Engine::Lazy).build().unwrap().run();
-        assert_eq!(lazy.outcome_pairs(), a.outcome_pairs());
+        // Each trial runs on the trace cursor, which replays the
+        // sequential engine over the trace's replayer seed-for-seed.
+        for (o, seed) in a.outcomes.iter().zip(SeedStream::new(3)) {
+            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+            let seq = run_dynamic_with(
+                &g,
+                0,
+                Mode::PushPull,
+                &mut trace.replayer(),
+                &mut rng,
+                sim.max_steps(),
+                &mut NoProbe,
+            );
+            assert_eq!(*o, dynamic_trial(&seq));
+        }
     }
 
     #[test]
@@ -2214,10 +2106,6 @@ mod tests {
         assert_eq!(coupled.len(), 6);
         assert!(coupled.iter().all(|o| o.trace_steps > 0));
         assert!(report.telemetry.trace_steps > 0);
-        // Engine choice does not change a coupled report: the trace is
-        // deterministic and the trace cursor replays it seed-for-seed.
-        let lazy = spec.clone().engine(Engine::Lazy).build().unwrap().run();
-        assert_eq!(lazy.coupled, report.coupled);
     }
 
     #[test]
@@ -2255,7 +2143,6 @@ mod tests {
                 off_rate: 0.25,
                 on_rate: 0.1,
             })))
-            .engine(Engine::Lazy)
             .trials(60)
             .seed(0xC0FFEE)
             .threads(2)
@@ -2319,28 +2206,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_merge_sums_counters_and_keeps_base_edges() {
-        let mut a = Telemetry {
-            steps: 10,
-            topology_events: 2,
-            clocks_touched: 5,
-            base_edges: 40,
-            trace_steps: 7,
-        };
-        let b = Telemetry {
-            steps: 1,
-            topology_events: 1,
-            clocks_touched: 1,
-            base_edges: 8,
-            trace_steps: 1,
-        };
+    fn telemetry_merge_sums_counters() {
+        let mut a = Telemetry { steps: 10, topology_events: 2, trace_steps: 7 };
+        let b = Telemetry { steps: 1, topology_events: 1, trace_steps: 1 };
         a.merge(&b);
-        assert_eq!(a.steps, 11);
-        assert_eq!(a.topology_events, 3);
-        assert_eq!(a.clocks_touched, 6);
-        // base_edges is a per-run property, not a counter.
-        assert_eq!(a.base_edges, 40);
-        assert_eq!(a.trace_steps, 8);
+        assert_eq!(a, Telemetry { steps: 11, topology_events: 3, trace_steps: 8 });
         // Merging from default is the identity.
         let mut from_zero = Telemetry::default();
         from_zero.merge(&a);

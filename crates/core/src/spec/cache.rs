@@ -178,13 +178,12 @@ impl CacheBinding {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Engine, Protocol, SimSpec};
+    use super::super::{Protocol, SimSpec};
     use super::*;
 
     fn coupled_spec(seed: u64) -> SimSpec {
         SimSpec::new(GraphSpec::Gnp { n: 24, p: 0.2, seed: 9, attempts: 200 })
             .protocol(Protocol::push_pull_async())
-            .engine(Engine::Sequential)
             .trials(6)
             .seed(seed)
             .coupled(true)

@@ -39,13 +39,13 @@ use rumor_sim::rng::SeedStream;
 use super::{SimSpec, SpecError};
 
 /// Whole-line keys a sweep axis may target (the canonical serialization
-/// order of [`SimSpec::to_spec_string`], minus the version directive).
+/// order of [`SimSpec::to_spec_string`], minus the version directive and
+/// the `engine` line, which always reads `sequential`).
 const LINE_KEYS: &[&str] = &[
     "graph",
     "source",
     "protocol",
     "topology",
-    "engine",
     "trials",
     "seed",
     "threads",
@@ -60,7 +60,7 @@ const LINE_KEYS: &[&str] = &[
 ];
 
 /// Lines with `kind field=value …` structure, targetable by dotted keys.
-const FIELD_LINE_KEYS: &[&str] = &["graph", "protocol", "topology", "engine"];
+const FIELD_LINE_KEYS: &[&str] = &["graph", "protocol", "topology"];
 
 /// One sweep axis: a target key and the values it takes, in declaration
 /// order.
@@ -335,7 +335,7 @@ fn validate_key(key: &str) -> Result<(), String> {
 }
 
 /// Replaces the value of the `key = …` line; the canonical base text
-/// has one line per [`LINE_KEYS`] entry.
+/// has a line for every [`LINE_KEYS`] entry.
 fn substitute_line(lines: &mut [String], key: &str, value: &str) {
     let line = lines
         .iter_mut()
@@ -464,6 +464,11 @@ mod tests {
         reject("sweep.bogus = [1]", "unknown sweep target");
         reject("sweep.trials.x = [1]", "no sweepable fields");
         reject("sweep.graph. = [1]", "bad field");
+        // The engine line has no value left to sweep.
+        reject("sweep.engine = [sequential, lazy]", "unknown sweep target `engine`");
+        reject("sweep.engine.shards = [2]", "no sweepable fields");
+        let err = SweepSpec::parse(&format!("{}sweep.engine = [sequential]\n", base_text()));
+        assert!(matches!(err, Err(SpecError::SweepAxis { .. })), "{err:?}");
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub(crate) fn telemetry_json(t: &Telemetry) -> Json {
         // The committed `rumor-fleet v1` schema pins these retired fields at 0.
         ("windows".to_owned(), Json::Num(0.0)),
         ("cross_events".to_owned(), Json::Num(0.0)),
-        ("clocks_touched".to_owned(), Json::Num(t.clocks_touched as f64)),
-        ("base_edges".to_owned(), Json::Num(t.base_edges as f64)),
+        ("clocks_touched".to_owned(), Json::Num(0.0)),
+        ("base_edges".to_owned(), Json::Num(0.0)),
         ("trace_steps".to_owned(), Json::Num(t.trace_steps as f64)),
     ])
 }
@@ -132,8 +132,6 @@ pub fn telemetry_from_json(j: &Json) -> Result<Telemetry, String> {
     Ok(Telemetry {
         steps: num(j, "steps")? as u64,
         topology_events: num(j, "topology_events")? as u64,
-        clocks_touched: num(j, "clocks_touched")? as u64,
-        base_edges: num(j, "base_edges")? as u64,
         trace_steps: num(j, "trace_steps")? as u64,
     })
 }

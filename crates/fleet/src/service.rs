@@ -318,6 +318,39 @@ mod tests {
     }
 
     #[test]
+    fn a_lazy_engine_spec_is_answered_in_band() {
+        // The lazy engine is gone: an uncoupled `engine = lazy` line is
+        // an error answered in-band, while on a coupled plan, where it
+        // named the trace cursor, it runs exactly as `sequential`.
+        let frame = |id: f64, text: String| {
+            let doc = Json::Obj(vec![
+                ("id".to_owned(), Json::Num(id)),
+                ("spec".to_owned(), Json::Str(text)),
+            ]);
+            let mut buf = Vec::new();
+            write_frame(&mut buf, doc.render().as_bytes()).unwrap();
+            buf
+        };
+        let lazy = |spec: SimSpec| {
+            spec.to_spec_string().unwrap().replace("engine = sequential", "engine = lazy")
+        };
+        let coupled = quick_spec().coupled(true);
+        let mut input = frame(1.0, lazy(quick_spec()));
+        input.extend(frame(2.0, lazy(coupled.clone())));
+        input.extend(frame(3.0, coupled.to_spec_string().unwrap()));
+        let mut output = Vec::new();
+        let exit =
+            run_frames(&mut input.as_slice(), &mut output, &ServiceConfig::default()).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(3));
+        let docs = responses(&output);
+        assert!(docs[0].get("report").is_none());
+        let error = docs[0].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("lazy engine was removed"), "{error}");
+        let report = |doc: &Json| doc.get("report").expect("a report").render();
+        assert_eq!(report(&docs[1]), report(&docs[2]));
+    }
+
+    #[test]
     fn an_unparseable_spec_echoes_the_request_id() {
         let mut input = Vec::new();
         write_frame(&mut input, br#"{"id": 7, "spec": "garbage"}"#).unwrap();

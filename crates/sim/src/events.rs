@@ -1,25 +1,22 @@
-//! Discrete-event scheduling: time-ordered queues, Poisson clocks,
-//! lazy two-state Markov clocks, and the superposition scheduler.
+//! Discrete-event scheduling: time-ordered queues, Poisson clocks, and
+//! the superposition scheduler.
 //!
 //! The asynchronous protocol of the paper is driven by `n` independent
 //! rate-1 Poisson clocks. [`EventQueue`] provides the classic
 //! next-event-time simulation loop over a changing set of events;
 //! [`ClockTree`] keeps a fixed population of clocks, each with one
 //! pending time, in the same order; [`PoissonClock`] wraps the
-//! exponential inter-arrival logic; [`LazyMarkovClock`] resolves a
-//! continuous-time on/off chain only at the instants something observes
-//! it, so simulations with millions of such chains pay only for the ones
-//! they touch; [`Superposition`] collapses a population of competing
-//! exponential clocks into one total-rate clock plus a thinned
-//! categorical draw, so the engines keep O(1) pending events instead of
-//! one per edge. Every dynamic engine draws its topology events through
+//! exponential inter-arrival logic; [`Superposition`] collapses a
+//! population of competing exponential clocks into one total-rate clock
+//! plus a thinned categorical draw, so the engines keep O(1) pending
+//! events instead of one per edge. Every dynamic engine draws its topology events through
 //! [`Superposition`]; the stream it produces is tagged [`RNG_CONTRACT`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::hint::select_unpredictable;
 
-use crate::rng::{SplitMix64, Xoshiro256PlusPlus};
+use crate::rng::Xoshiro256PlusPlus;
 
 /// Tag of the engines' random-number consumption contract.
 ///
@@ -406,87 +403,6 @@ impl PoissonClock {
     }
 }
 
-/// A lazily-evaluated two-state (on/off) continuous-time Markov chain.
-///
-/// The chain flips on→off at `off_rate` and off→on at `on_rate`, with
-/// exponential holding times drawn from a *private* [`SplitMix64`]
-/// stream. Nothing is simulated until [`state_at`](Self::state_at) is
-/// called; the trajectory is then resolved exactly up to the queried
-/// time, one holding time per flip — the same flip sequence an eager
-/// per-edge event queue would produce from the same seed, but generated
-/// on demand.
-///
-/// This is what lets an edge-Markov dynamic-network simulation keep
-/// **no pending flip events at all**: an edge's chain exists implicitly
-/// and is advanced only when a protocol contact touches the edge.
-/// Memorylessness makes the observed states exact in distribution.
-///
-/// Queries must use non-decreasing times (the chain cannot rewind).
-///
-/// # Example
-///
-/// ```
-/// use rumor_sim::events::LazyMarkovClock;
-/// let mut clock = LazyMarkovClock::new(true, 7);
-/// let s1 = clock.state_at(0.5, 1.0, 1.0);
-/// let s2 = clock.state_at(0.5, 1.0, 1.0);
-/// assert_eq!(s1, s2); // resolved trajectory is fixed
-/// ```
-#[derive(Debug, Clone)]
-pub struct LazyMarkovClock {
-    /// State after the last resolved flip.
-    present: bool,
-    /// Time of the next scheduled flip; `NAN` before the first query
-    /// (nothing drawn yet), `INFINITY` when the current state is
-    /// absorbing (rate 0).
-    next_flip: f64,
-    rng: SplitMix64,
-}
-
-impl LazyMarkovClock {
-    /// A chain starting in state `present` at time 0, with its own
-    /// deterministic randomness stream derived from `seed`.
-    pub fn new(present: bool, seed: u64) -> Self {
-        Self { present, next_flip: f64::NAN, rng: SplitMix64::new(seed) }
-    }
-
-    /// Resolves the trajectory up to time `t` and returns the state
-    /// there. `off_rate` is the on→off rate, `on_rate` the off→on rate;
-    /// a rate of 0 freezes the corresponding state. Callers must pass
-    /// the same rates on every call and non-decreasing times (the chain
-    /// never rewinds: an earlier `t` returns the state at the latest
-    /// resolved flip, not the historical state).
-    #[inline]
-    pub fn state_at(&mut self, t: f64, off_rate: f64, on_rate: f64) -> bool {
-        if self.next_flip.is_nan() {
-            self.schedule(0.0, off_rate, on_rate);
-        }
-        while self.next_flip <= t {
-            let flipped_at = self.next_flip;
-            self.present = !self.present;
-            self.schedule(flipped_at, off_rate, on_rate);
-        }
-        self.present
-    }
-
-    /// Draws the flip out of the current state, entered at `now`.
-    #[inline]
-    fn schedule(&mut self, now: f64, off_rate: f64, on_rate: f64) {
-        let rate = if self.present { off_rate } else { on_rate };
-        self.next_flip = if rate > 0.0 { now + self.rng.exp(rate) } else { f64::INFINITY };
-    }
-
-    /// The time of the next (already drawn) flip, if any has been
-    /// scheduled; test hook for flip-sequence comparisons.
-    pub fn pending_flip(&self) -> Option<f64> {
-        if self.next_flip.is_nan() || self.next_flip.is_infinite() {
-            None
-        } else {
-            Some(self.next_flip)
-        }
-    }
-}
-
 /// What a [`Superposition`] pop produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fired<T> {
@@ -572,7 +488,7 @@ impl<T> Superposition<T> {
     }
 
     /// The pending (already drawn) stochastic arrival, if one is held;
-    /// test hook mirroring [`LazyMarkovClock::pending_flip`].
+    /// a test hook for comparing arrival sequences.
     pub fn pending_arrival(&self) -> Option<f64> {
         self.pending
     }
@@ -899,59 +815,6 @@ mod tests {
         assert!(clock.now() > 0.0);
         clock.reset();
         assert_eq!(clock.now(), 0.0);
-    }
-
-    /// The lazy chain replays the eager construction: driving the same
-    /// SplitMix64 stream through explicit holding-time draws yields the
-    /// exact flip times the lazy clock resolves on demand.
-    #[test]
-    fn lazy_markov_clock_matches_eager_flip_sequence() {
-        let (off, on) = (1.3, 0.7);
-        for seed in 0..50u64 {
-            // Eager reference: materialize the first flips up front.
-            let mut rng = SplitMix64::new(seed);
-            let mut state = true;
-            let mut t = 0.0;
-            let mut flips = Vec::new();
-            while flips.len() < 40 {
-                t += rng.exp(if state { off } else { on });
-                state = !state;
-                flips.push((t, state));
-            }
-            // Lazy clock queried at arbitrary (increasing) times.
-            let mut clock = LazyMarkovClock::new(true, seed);
-            let mut probe = SplitMix64::new(seed ^ 0xABCD);
-            let mut q = 0.0;
-            while q < flips[30].0 {
-                q += probe.f64_open() * 0.4;
-                let expected = flips.iter().rev().find(|&&(ft, _)| ft <= q).is_none_or(|&(_, s)| s);
-                assert_eq!(clock.state_at(q, off, on), expected, "seed {seed} at {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_markov_clock_zero_rates_freeze() {
-        let mut stuck_on = LazyMarkovClock::new(true, 3);
-        assert!(stuck_on.state_at(1e12, 0.0, 5.0));
-        assert_eq!(stuck_on.pending_flip(), None);
-        let mut stuck_off = LazyMarkovClock::new(false, 3);
-        assert!(!stuck_off.state_at(1e12, 5.0, 0.0));
-    }
-
-    #[test]
-    fn lazy_markov_clock_stationary_fraction() {
-        // With off = on the chain is on half the time in stationarity.
-        let mut on_time = 0u32;
-        let samples = 20_000;
-        for seed in 0..samples {
-            let mut c = LazyMarkovClock::new(true, seed as u64);
-            if c.state_at(50.0, 1.0, 1.0) {
-                on_time += 1;
-            }
-        }
-        let frac = f64::from(on_time) / f64::from(samples);
-        assert!((frac - 0.5).abs() < 0.02, "stationary on-fraction {frac}");
     }
 
     /// A single-channel superposition consumes exactly the draws of a

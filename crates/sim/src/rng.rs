@@ -63,28 +63,6 @@ impl SplitMix64 {
     pub fn f64_unit(&mut self) -> f64 {
         u64_to_unit_f64(SplitMix64::next_u64(self))
     }
-
-    /// Returns a uniform double in `(0, 1]`, never zero (see
-    /// [`Xoshiro256PlusPlus::f64_open`]).
-    #[inline]
-    pub fn f64_open(&mut self) -> f64 {
-        1.0 - self.f64_unit()
-    }
-
-    /// Samples an `Exp(rate)` variate by inversion: `-ln(U)/rate`.
-    ///
-    /// SplitMix64 is the 8-byte generator of choice for *per-entity*
-    /// randomness (one clock per edge, say), where a 32-byte xoshiro
-    /// state per entity would dominate memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `rate <= 0`.
-    #[inline]
-    pub fn exp(&mut self, rate: f64) -> f64 {
-        debug_assert!(rate > 0.0, "exponential rate must be positive");
-        -self.f64_open().ln() / rate
-    }
 }
 
 impl RngCore for SplitMix64 {
@@ -425,21 +403,6 @@ mod tests {
         // Streams from different masters differ.
         let other: Vec<u64> = SeedStream::new(78).take(10).collect();
         assert_ne!(seeds, other);
-    }
-
-    #[test]
-    fn splitmix_exp_mean_matches_rate() {
-        let mut rng = SplitMix64::new(21);
-        let n = 200_000;
-        let rate = 2.0;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = rng.exp(rate);
-            assert!(x > 0.0);
-            sum += x;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 1.0 / rate).abs() < 0.01, "mean {mean}");
     }
 
     #[test]

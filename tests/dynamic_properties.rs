@@ -173,3 +173,47 @@ fn acceptance_zero_churn_parity_on_gnp_and_hypercube() {
         }
     }
 }
+
+/// The `DynamicOutcome` contract on **incomplete** runs, pinned beyond
+/// the all-finite happy path. A budget-exhausted run must report
+/// `completed = false`, `INFINITY` for every never-informed node, and
+/// `time` equal to the last protocol step taken — which, by the
+/// engine's draw order, makes a short run a strict prefix of a longer
+/// same-seed run.
+#[test]
+fn budget_exhaustion_pins_the_incomplete_outcome_contract() {
+    let g = generators::gnp_connected(96, 0.06, &mut Xoshiro256PlusPlus::seed_from(12), 200);
+    let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
+    let run = |max_steps| {
+        let mut rng = Xoshiro256PlusPlus::seed_from(77);
+        run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, max_steps)
+    };
+    let short = run(30);
+    assert!(!short.completed);
+    assert_eq!(short.steps, 30, "the engine must stop exactly at the budget");
+    // `time` is the time of the last step taken: finite, positive, and
+    // at least as late as every recorded informing time.
+    assert!(short.time.is_finite() && short.time > 0.0);
+    let last_informed =
+        short.informed_time.iter().copied().filter(|t| t.is_finite()).fold(0.0, f64::max);
+    assert!(
+        last_informed <= short.time,
+        "informed after the last step: {last_informed} > {}",
+        short.time
+    );
+    // Never-informed nodes are INFINITY sentinels, and there are some.
+    assert!(short.informed_time.iter().any(|t| t.is_infinite()));
+    assert_eq!(short.informed_time[0], 0.0, "the source is informed at 0");
+
+    // Prefix property: the same seed with a larger budget replays the
+    // first 30 steps draw-for-draw, so everyone the short run informed
+    // is informed at the identical instant, and the long run's last
+    // step is strictly later.
+    let long = run(3_000);
+    for (v, (&s, &l)) in short.informed_time.iter().zip(&long.informed_time).enumerate() {
+        if s.is_finite() {
+            assert_eq!(s, l, "node {v} informed at a different time in the longer run");
+        }
+    }
+    assert!(long.time > short.time, "the longer run must advance past the prefix");
+}

@@ -9,47 +9,79 @@
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
-use rumor_spreading::core::spec::{Engine, GraphSpec, Protocol, SimSpec, Topology};
+use rumor_spreading::core::spec::{GraphSpec, Protocol, SimSpec, Topology, TopologyModelFactory};
 use rumor_spreading::core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, SpreadConfig,
+    LogHistogram, MetricsLevel, Mode, SpreadConfig, TopologyModel, TopologyTrace,
 };
-use rumor_spreading::graph::generators;
+use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 // ---------------------------------------------------------------------------
 // Artifact determinism
 // ---------------------------------------------------------------------------
 
-fn markov_spec(engine: Engine) -> SimSpec {
-    SimSpec::new(GraphSpec::Gnp { n: 32, p: 0.25, seed: 11, attempts: 200 })
+const GRAPH: GraphSpec = GraphSpec::Gnp { n: 32, p: 0.25, seed: 11, attempts: 200 };
+
+fn markov() -> DynamicModel {
+    DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))
+}
+
+fn spec_on(topology: Topology) -> SimSpec {
+    SimSpec::new(GRAPH)
         .protocol(Protocol::push_pull_async())
-        .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
-        .engine(engine)
+        .topology(topology)
         .trials(8)
         .seed(5)
         .metrics(MetricsLevel::Json)
 }
 
+fn markov_spec() -> SimSpec {
+    spec_on(Topology::Model(markov()))
+}
+
+/// One recorded markov realization on [`GRAPH`].
+fn markov_trace() -> TopologyTrace {
+    let g = GRAPH.resolve().unwrap();
+    let mut rng = Xoshiro256PlusPlus::seed_from(17);
+    TopologyTrace::record(&g, 0, markov().build_state().as_mut(), &mut rng, 40.0)
+}
+
+/// The sequential engine over a trace's replayer, as a custom topology.
+struct SequentialReplay(&'static TopologyTrace);
+
+impl TopologyModelFactory for SequentialReplay {
+    fn build(&self, _g: &Graph) -> Box<dyn TopologyModel + Send> {
+        Box::new(self.0.replayer())
+    }
+
+    fn label(&self) -> String {
+        "sequential-replay".to_owned()
+    }
+}
+
 /// The tentpole determinism contract: the artifact contains only
-/// engine-invariant payload, so on a coupled spec the sequential engine
-/// and the trace cursor (a seed-for-seed replay of it) render **byte
-/// identical** `.metrics.json` documents.
+/// engine-invariant payload, so a trace run on the trace cursor and the
+/// same trace replayed by the sequential engine (of which the cursor is
+/// a seed-for-seed replay) render **byte identical** `.metrics.json`
+/// documents.
 #[test]
 fn metrics_artifact_is_byte_identical_sequential_vs_trace_cursor() {
-    let seq = markov_spec(Engine::Sequential).coupled(true).build().unwrap().run();
-    let cursor = markov_spec(Engine::Lazy).coupled(true).build().unwrap().run();
+    let trace = markov_trace();
+    let cursor = spec_on(Topology::Trace(trace.clone())).build().unwrap().run();
+    let leaked: &'static TopologyTrace = Box::leak(Box::new(trace));
+    let seq = spec_on(Topology::custom(SequentialReplay(leaked))).build().unwrap().run();
     let a = seq.metrics.as_ref().expect("metrics enabled").render_json();
     let b = cursor.metrics.as_ref().expect("metrics enabled").render_json();
-    assert!(a.contains("\"async_informed\""), "{a}");
+    assert!(a.contains("\"informed\""), "{a}");
     assert_eq!(a, b, "artifact must not depend on the engine");
 }
 
 /// Rendering is a pure function of the run: same spec, same bytes.
 #[test]
 fn metrics_artifact_is_deterministic_across_runs() {
-    let a = markov_spec(Engine::Sequential).build().unwrap().run();
-    let b = markov_spec(Engine::Sequential).build().unwrap().run();
+    let a = markov_spec().build().unwrap().run();
+    let b = markov_spec().build().unwrap().run();
     assert_eq!(
         a.metrics.as_ref().unwrap().render_json(),
         b.metrics.as_ref().unwrap().render_json()
@@ -80,14 +112,15 @@ fn committed_quick_run_metrics_artifact_replays_byte_for_byte() {
 }
 
 /// Probes observe, never perturb: enabling metrics does not change a
-/// single trial outcome, on any engine.
+/// single trial outcome, on the sequential engine or the trace cursor.
 #[test]
 fn metrics_capture_does_not_perturb_outcomes() {
-    for engine in [Engine::Sequential, Engine::Lazy] {
-        let off = markov_spec(engine).metrics(MetricsLevel::Off).build().unwrap().run();
-        let on = markov_spec(engine).build().unwrap().run();
-        assert_eq!(off.outcomes, on.outcomes, "{engine:?}");
-        assert_eq!(off.telemetry, on.telemetry, "{engine:?}");
+    for topology in [Topology::Model(markov()), Topology::Trace(markov_trace())] {
+        let on = spec_on(topology);
+        let off = on.clone().metrics(MetricsLevel::Off).build().unwrap().run();
+        let on = on.build().unwrap().run();
+        assert_eq!(off.outcomes, on.outcomes);
+        assert_eq!(off.telemetry, on.telemetry);
     }
 }
 

@@ -10,7 +10,7 @@ use rumor_spreading::core::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::spec::{
-    Engine, GraphSpec, Protocol, RunReport, SimSpec, SpecError, Topology, TrialPlan, Unit,
+    GraphSpec, Protocol, RunReport, SimSpec, SpecError, Topology, TrialPlan, Unit,
 };
 use rumor_spreading::core::{AsyncView, MetricsLevel, Mode, TopologyTrace};
 use rumor_spreading::graph::generators;
@@ -97,7 +97,6 @@ fn spec_from_seed(seed: u64) -> SimSpec {
             )))
         }
     };
-    let engine = if rng.next_u64() % 2 == 0 { Engine::Sequential } else { Engine::Lazy };
     let coupled = rng.next_u64() % 2 == 0;
     let antithetic = coupled && rng.next_u64() % 2 == 0;
     let plan = TrialPlan {
@@ -117,7 +116,6 @@ fn spec_from_seed(seed: u64) -> SimSpec {
         .source((rng.next_u64() % 1_000) as u32)
         .protocol(protocol)
         .topology(topology)
-        .engine(engine)
         .plan(plan)
         .loss(loss)
         .metrics(metrics)
@@ -129,13 +127,24 @@ proptest! {
     /// The tentpole property: every serializable spec survives a trip
     /// through the text format bit-for-bit — graph parameters,
     /// full-precision model rates, infinities, optional budgets, the
-    /// coupled/antithetic plan, everything.
+    /// coupled/antithetic plan, everything. The `engine` line always
+    /// reads `sequential`; its `lazy` spelling, which artifacts of
+    /// coupled plans may carry, parses to the same spec on a coupled
+    /// plan and is refused on any other.
     #[test]
     fn parse_inverts_to_spec_string(seed in 0u64..1_000_000) {
         let spec = spec_from_seed(seed);
         let text = spec.to_spec_string().expect("generated specs are serializable");
+        prop_assert!(text.contains("\nengine = sequential\n"), "{}", text);
         let reparsed = SimSpec::parse(&text).expect("emitted specs parse");
-        prop_assert_eq!(reparsed, spec, "round-trip drifted for seed {}\n{}", seed, text);
+        prop_assert_eq!(&reparsed, &spec, "round-trip drifted for seed {}\n{}", seed, text);
+        match SimSpec::parse(&text.replace("engine = sequential", "engine = lazy")) {
+            Ok(lazy) => prop_assert!(spec.plan.coupled && lazy == spec, "seed {}", seed),
+            Err(err) => {
+                prop_assert!(!spec.plan.coupled, "seed {}: {}", seed, err);
+                prop_assert!(matches!(err, SpecError::Parse { .. }), "seed {}: {}", seed, err);
+            }
+        }
     }
 
     /// Serialization is canonical: one more round trip is a fixed
@@ -211,28 +220,56 @@ fn zero_trials_and_threads_are_rejected() {
     assert_eq!(valid().threads(0).build().unwrap_err(), SpecError::ZeroThreads);
 }
 
-#[test]
-fn lazy_needs_async() {
-    assert_eq!(valid().engine(Engine::Lazy).build().unwrap_err(), SpecError::LazyNeedsAsync);
+/// The text of `spec` with its engine line spelled `engine = lazy`.
+fn lazy_text(spec: &SimSpec) -> String {
+    spec.to_spec_string().unwrap().replace("engine = sequential", "engine = lazy")
 }
 
+/// The lazy engine is gone: an uncoupled `engine = lazy` line is a
+/// parse error naming it, on every protocol and topology.
 #[test]
-fn lazy_needs_memoryless_topology() {
-    let err = valid()
+fn uncoupled_lazy_engine_lines_are_parse_errors() {
+    let adversary = Topology::Model(DynamicModel::Adversary(Adversary::new(0.5, 4, 1.0)));
+    let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
+    let specs = [
+        valid(),
+        valid().protocol(async_pp()),
+        valid().protocol(async_pp()).topology(markov),
+        valid().protocol(async_pp()).topology(adversary),
+    ];
+    for spec in specs {
+        let text = lazy_text(&spec);
+        let line = text.lines().position(|l| l == "engine = lazy").unwrap() + 1;
+        match SimSpec::parse(&text).unwrap_err() {
+            SpecError::Parse { line: at, message } => {
+                assert_eq!(at, line);
+                assert!(message.contains("the lazy engine was removed"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+    // The `coupled` line comes after the engine line; the check waits
+    // for it, whatever the line order.
+    let coupled_first = lazy_text(&valid().protocol(async_pp()).coupled(true))
+        .replace("coupled = true\n", "")
+        .replace("engine = lazy\n", "coupled = true\nengine = lazy\n");
+    assert!(SimSpec::parse(&coupled_first).unwrap().plan.coupled);
+}
+
+/// On a coupled plan `engine = lazy` named the trace cursor, which every
+/// trace replay now runs on: the line parses as `sequential` and the run
+/// is unchanged.
+#[test]
+fn coupled_lazy_engine_lines_parse_as_sequential() {
+    let spec = valid()
         .protocol(async_pp())
         .topology(Topology::Model(DynamicModel::Adversary(Adversary::new(0.5, 4, 1.0))))
-        .engine(Engine::Lazy)
-        .build()
-        .unwrap_err();
-    assert_eq!(err, SpecError::LazyNeedsMemoryless { model: "adversary".into() });
-    // …but a coupled plan replays any model through the trace cursor.
-    assert!(valid()
-        .protocol(async_pp())
-        .topology(Topology::Model(DynamicModel::Adversary(Adversary::new(0.5, 4, 1.0))))
-        .engine(Engine::Lazy)
         .coupled(true)
-        .build()
-        .is_ok());
+        .trials(6);
+    let parsed = SimSpec::parse(&lazy_text(&spec)).unwrap();
+    assert_eq!(parsed, spec);
+    assert_eq!(parsed.to_spec_string().unwrap(), spec.to_spec_string().unwrap());
+    assert_eq!(parsed.build().unwrap().run(), spec.build().unwrap().run());
 }
 
 /// Runs `spec` at one and at four threads and checks the reports agree.
@@ -298,7 +335,6 @@ fn loss_is_range_checked_and_static_sequential_only() {
     let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
     for (spec, with) in [
         (valid().protocol(async_pp()).topology(markov.clone()).loss(0.1), "dynamic topologies"),
-        (valid().protocol(async_pp()).engine(Engine::Lazy).loss(0.1), "the lazy engine"),
         (valid().protocol(async_pp()).topology(markov).coupled(true).loss(0.1), "coupled runs"),
     ] {
         assert_eq!(

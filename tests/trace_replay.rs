@@ -10,8 +10,9 @@
 //!   for the sequential engine and the queue-free cursor engine;
 //! * **seed-for-seed replay** — the sequential replay and the cursor
 //!   engine consume the protocol RNG identically (same outcome, same
-//!   final RNG state), and the coupled runner helpers inherit this
-//!   (`Sequential` and `Lazy` coupled runs are bit-identical);
+//!   final RNG state, same probe events), and the spec layer, which
+//!   replays every trace on the cursor, inherits this (its coupled and
+//!   uncoupled trace runs are the sequential replays, bit for bit);
 //! * **fixed point** — recording a replay reproduces the trace exactly
 //!   (`record(replay(T)) == T`), so traces are closed under replay;
 //! * **on-demand recording** — a coupled trial that records its trace
@@ -29,10 +30,11 @@ use rumor_spreading::core::engine::trace::{
     run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording, TraceReplayer,
 };
 use rumor_spreading::core::engine::{TopoEvent, TopologyModel};
-use rumor_spreading::core::spec::{Engine, Protocol, SimSpec, Topology};
-use rumor_spreading::core::{Mode, NoProbe};
+use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
+use rumor_spreading::core::trace::Transmission;
+use rumor_spreading::core::{MetricsLevel, Mode, NoProbe, Probe, ProbeEvent};
 use rumor_spreading::graph::dynamic::MutableGraph;
-use rumor_spreading::graph::{generators, Graph};
+use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::{SeedStream, Xoshiro256PlusPlus};
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
@@ -135,7 +137,7 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // and applies steps verbatim from the same trace (so its walk
         // is the same byte-identical prefix by construction).
         let mut c = rng(77);
-        let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000);
+        let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000, &mut NoProbe);
         assert_eq!(lazy, seq, "{name}: cursor engine diverged");
         assert_eq!(a.next_u64(), c.next_u64(), "{name}: cursor RNG state diverged");
         assert_eq!(
@@ -161,28 +163,140 @@ fn replay_of_a_replay_is_a_fixed_point() {
     }
 }
 
-/// The acceptance pin: coupled runs through the cursor engine replay
-/// the sequential coupled run seed-for-seed, for every dynamic model.
+/// The acceptance pin: a coupled trial's asynchronous half runs on the
+/// trace cursor, and it replays the sequential engine over the trial's
+/// trace seed-for-seed, for every dynamic model.
 #[test]
 fn coupled_engines_replay_each_other_seed_for_seed() {
     let g = test_graph();
+    let (trials, seed, horizon, max_steps, max_rounds) = (4, 0xC0FFEE, 60.0, 5_000_000, 50_000);
+    let mode = Mode::PushPull;
     for (name, model) in all_models() {
-        let spec = SimSpec::on_graph(&g)
+        let report = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(model))
             .coupled(true)
-            .trials(4)
-            .seed(0xC0FFEE)
-            .horizon(60.0)
-            .max_steps(5_000_000)
-            .max_rounds(50_000);
-        let seq = spec.clone().build().expect("valid coupled spec").run();
-        let outcomes = seq.coupled_outcomes().expect("coupled report");
+            .trials(trials)
+            .seed(seed)
+            .horizon(horizon)
+            .max_steps(max_steps)
+            .max_rounds(max_rounds)
+            .build()
+            .expect("valid coupled spec")
+            .run();
+        let outcomes = report.coupled_outcomes().expect("coupled report");
         assert!(outcomes.iter().all(|o| o.sync_completed && o.async_completed), "{name}");
         assert!(outcomes.iter().all(|o| o.trace_steps > 0), "{name}");
-        let lazy = spec.clone().engine(Engine::Lazy).build().expect("valid coupled spec").run();
-        assert_eq!(lazy.coupled, seq.coupled, "{name} via the cursor");
+        for (o, s) in outcomes.iter().zip(SeedStream::new(seed)) {
+            let mut trial = rng(s);
+            let (trace_seed, proto_seed) = (trial.next_u64(), trial.next_u64());
+            let trace = record(&g, &model, trace_seed, horizon);
+            let seq = run_seq(&g, &mut trace.replayer(), &mut rng(proto_seed), max_steps);
+            let sync = run_sync_dynamic(&trace, 0, mode, &mut rng(proto_seed), max_rounds);
+            assert_eq!(
+                (o.sync_rounds, o.sync_completed, o.async_time, o.async_completed),
+                (sync.rounds as f64, sync.completed, seq.time, seq.completed),
+                "{name}: the coupled trial is not the sequential replay"
+            );
+        }
     }
+}
+
+/// One probe hook call, with its arguments.
+#[derive(Debug, Clone, PartialEq)]
+enum Hook {
+    Start(usize, Vec<Node>),
+    Event(f64, ProbeEvent),
+    Changed(f64),
+    Informed(f64, usize),
+    Transmitted(Node, Node, Transmission, f64),
+    End(f64, bool),
+}
+
+/// Records every probe hook call, in order.
+#[derive(Default)]
+struct HookLog(Vec<Hook>);
+
+impl Probe for HookLog {
+    fn trial_start(&mut self, n: usize, sources: &[Node]) {
+        self.0.push(Hook::Start(n, sources.to_vec()));
+    }
+
+    fn event(&mut self, time: f64, kind: ProbeEvent) {
+        self.0.push(Hook::Event(time, kind));
+    }
+
+    fn topology_changed(&mut self, time: f64) {
+        self.0.push(Hook::Changed(time));
+    }
+
+    fn informed(&mut self, time: f64, count: usize) {
+        self.0.push(Hook::Informed(time, count));
+    }
+
+    fn transmitted(&mut self, informer: Node, learner: Node, how: Transmission, time: f64) {
+        self.0.push(Hook::Transmitted(informer, learner, how, time));
+    }
+
+    fn trial_end(&mut self, time: f64, completed: bool) {
+        self.0.push(Hook::End(time, completed));
+    }
+}
+
+/// The cursor makes the sequential replay's probe calls, at the same
+/// points and with the same arguments — in particular the identical
+/// `(time, ProbeEvent)` sequence — on completed and censored runs of
+/// every model, so a probed cursor run observes what a probed
+/// sequential replay observes.
+#[test]
+fn cursor_probe_events_match_the_sequential_replay() {
+    let g = test_graph();
+    for (name, model) in all_models() {
+        let trace = record(&g, &model, 13, 30.0);
+        for max_steps in [0, 1, 7, 60, 1_000_000] {
+            let mut seq_log = HookLog::default();
+            let seq = run_dynamic_with(
+                &g,
+                0,
+                Mode::PushPull,
+                &mut trace.replayer(),
+                &mut rng(21),
+                max_steps,
+                &mut seq_log,
+            );
+            let mut cursor_log = HookLog::default();
+            let cursor =
+                run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(21), max_steps, &mut cursor_log);
+            assert_eq!(cursor, seq, "{name} at {max_steps} steps");
+            assert_eq!(cursor.completed, max_steps == 1_000_000, "{name} at {max_steps} steps");
+            assert!(
+                cursor_log.0.iter().any(|h| matches!(h, Hook::Event(_, ProbeEvent::Tick)))
+                    || max_steps == 0
+            );
+            assert_eq!(cursor_log.0, seq_log.0, "{name} at {max_steps} steps");
+        }
+    }
+}
+
+/// An uncoupled trace run replays on the cursor and keeps the censored
+/// trials' ring dumps that a model run produces.
+#[test]
+fn censored_trace_trials_dump_their_event_ring() {
+    let g = test_graph();
+    let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
+    let report = SimSpec::on_graph(&g)
+        .protocol(Protocol::push_pull_async())
+        .topology(Topology::Trace(record(&g, &model, 3, 20.0)))
+        .trials(6)
+        .max_steps(3)
+        .metrics(MetricsLevel::Json)
+        .build()
+        .expect("valid trace spec")
+        .run();
+    let m = report.metrics.as_ref().expect("metrics enabled");
+    assert_eq!(m.censored, 6);
+    assert!(!m.health.censor_dumps.is_empty());
+    assert!(m.health.censor_dumps.iter().all(|d| !d.events.is_empty()));
 }
 
 /// An uncoupled synchronous trial on a model is the sync half of a
@@ -242,8 +356,8 @@ type Paired = (f64, bool, f64, bool);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// For every model, both engines and antithetic on and off, the
-    /// on-demand coupled trial of a `SimSpec` returns what replays of
+    /// For every model, antithetic on and off, the on-demand coupled
+    /// trial of a `SimSpec` returns what replays of
     /// the eagerly recorded trace return, and counts the eager steps up
     /// to the replays' reach. A `TraceRecording` fed the same replays
     /// (sync, sequential and cursor) records a prefix of the eager
@@ -268,14 +382,17 @@ proptest! {
                     let (mut sums, mut done, mut reach) = ((0.0, 0.0), (true, true), 0.0f64);
                     for p in protos.iter().copied() {
                         let sync = run_sync_dynamic(&eager, 0, mode, &mut rng(p), max_rounds);
-                        let asy = run_trace_lazy(&eager, 0, mode, &mut rng(p), max_steps);
+                        let asy =
+                            run_trace_lazy(&eager, 0, mode, &mut rng(p), max_steps, &mut NoProbe);
                         let live_sync = run_sync_dynamic(&mut live, 0, mode, &mut rng(p), max_rounds);
                         prop_assert_eq!(&live_sync, &sync, "{}: live sync", name);
                         let live_seq = run_dynamic_with(
                             &g, 0, mode, &mut TraceReplayer::new(&mut live), &mut rng(p), max_steps, &mut NoProbe,
                         );
                         prop_assert_eq!(&live_seq, &asy, "{}: live sequential", name);
-                        let live_lazy = run_trace_lazy(&mut live, 0, mode, &mut rng(p), max_steps);
+                        let live_lazy = run_trace_lazy(
+                            &mut live, 0, mode, &mut rng(p), max_steps, &mut NoProbe,
+                        );
                         prop_assert_eq!(&live_lazy, &asy, "{}: live cursor", name);
                         sums = (sums.0 + sync.rounds as f64, sums.1 + asy.time);
                         done = (done.0 && sync.completed, done.1 && asy.completed);
@@ -292,31 +409,28 @@ proptest! {
                     let paired = (sums.0 / k, done.0, sums.1 / k, done.1);
                     expected.push((paired, steps));
                 }
-                for engine in [Engine::Sequential, Engine::Lazy] {
-                    let report = SimSpec::on_graph(&g)
-                        .protocol(Protocol::push_pull_async())
-                        .topology(Topology::Model(model))
-                        .engine(engine)
-                        .coupled(true)
-                        .antithetic(antithetic)
-                        .trials(trials)
-                        .seed(seed)
-                        .horizon(horizon)
-                        .max_steps(max_steps)
-                        .max_rounds(max_rounds)
-                        .build()
-                        .expect("valid coupled spec")
-                        .run();
-                    let got: Vec<(Paired, usize)> = report
-                        .coupled_outcomes()
-                        .expect("coupled report")
-                        .iter()
-                        .map(|o| {
-                            ((o.sync_rounds, o.sync_completed, o.async_time, o.async_completed), o.trace_steps)
-                        })
-                        .collect();
-                    prop_assert_eq!(&got, &expected, "{} {:?} antithetic={}", name, engine, antithetic);
-                }
+                let report = SimSpec::on_graph(&g)
+                    .protocol(Protocol::push_pull_async())
+                    .topology(Topology::Model(model))
+                    .coupled(true)
+                    .antithetic(antithetic)
+                    .trials(trials)
+                    .seed(seed)
+                    .horizon(horizon)
+                    .max_steps(max_steps)
+                    .max_rounds(max_rounds)
+                    .build()
+                    .expect("valid coupled spec")
+                    .run();
+                let got: Vec<(Paired, usize)> = report
+                    .coupled_outcomes()
+                    .expect("coupled report")
+                    .iter()
+                    .map(|o| {
+                        ((o.sync_rounds, o.sync_completed, o.async_time, o.async_completed), o.trace_steps)
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &expected, "{} antithetic={}", name, antithetic);
             }
         }
     }
