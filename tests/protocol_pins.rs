@@ -12,13 +12,16 @@
 //! `DYNAMIC_PINS` extends the dynamic engine's `SEQ_V2` pins to the
 //! three models they leave out — random-walk edges, geometric mobility
 //! and the frontier adversary — and `TOPOLOGY_TRACE_PINS` pins what
-//! `TopologyTrace::record` journals for mobility and the adversary.
+//! `TopologyTrace::record` journals for every topology model.
 //!
 //! The constants are part of the replay contract, like the goldens
 //! under `specs/`; `print_protocol_pins` below prints them.
 
 use rumor_spreading::core::asynchronous::run_async_probed;
-use rumor_spreading::core::dynamic::{run_dynamic, Adversary, DynamicModel, Mobility, RandomWalk};
+use rumor_spreading::core::dynamic::{
+    run_dynamic, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+    SnapshotFamily,
+};
 use rumor_spreading::core::engine::trace::TopologyTrace;
 use rumor_spreading::core::spec::SimSpec;
 use rumor_spreading::core::spread::SpreadConfig;
@@ -555,10 +558,20 @@ type TopologyTracePin = (usize, u64, u64);
 
 fn topology_trace_pins() -> Vec<(&'static str, [TopologyTracePin; 2])> {
     let (g, models) = dynamic_models();
+    // Node churn is the only model that fills the deactivated/activated
+    // lists, and rewire the only one whose steps move many edges.
+    let others = [
+        ("markov", DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.5))),
+        ("walk rate 1", DynamicModel::RandomWalk(RandomWalk::new(1.0))),
+        ("rewire", DynamicModel::Rewire(Rewire::new(2.0, SnapshotFamily::matching_density(&g)))),
+        ("node-churn", DynamicModel::NodeChurn(NodeChurn::new(0.3, 1.0, 2))),
+    ];
     models
         .into_iter()
         .filter(|(name, ..)| name.starts_with("mobility") || *name == "adversary heal 1")
-        .map(|(name, model, _)| {
+        .map(|(name, model, _)| (name, model))
+        .chain(others)
+        .map(|(name, model)| {
             let pins = SEEDS.map(|seed| {
                 let mut r = rng(seed);
                 let trace = TopologyTrace::record(&g, 0, model.build_state().as_mut(), &mut r, 8.0);
@@ -581,13 +594,27 @@ fn topology_trace_pins() -> Vec<(&'static str, [TopologyTracePin; 2])> {
         .collect()
 }
 
-const TOPOLOGY_TRACE_PINS: [[TopologyTracePin; 2]; 3] = [
+const TOPOLOGY_TRACE_PINS: [[TopologyTracePin; 2]; 7] = [
     // mobility dense
     [(769, 0xb726bcb526fecaa0, 0x8ae5628e585d0ebe), (741, 0xfa4776bd9f71dc0b, 0x02b18272c854091d)],
     // mobility sparse
     [(752, 0xec3cdf05f9391782, 0x8ae5628e585d0ebe), (713, 0xd450ac973651f50a, 0x02b18272c854091d)],
     // adversary heal 1
     [(79, 0x3f6b7d8e5b4c40b1, 0xbc4ea054e26991c4), (78, 0x24c9df7e13d30443, 0xef7e712b10f2146a)],
+    // markov
+    [
+        (1598, 0x2959d012b3cd45bb, 0x35005f61fe4a65d2),
+        (1596, 0x4e8830bd0122f1d6, 0x5952f1d85384eb8d),
+    ],
+    // walk rate 1
+    [
+        (2866, 0x2853bedf97c09e7a, 0x19a9fc6fdfbba560),
+        (2767, 0x978f50db89be3cd8, 0xa216ed783ce183d1),
+    ],
+    // rewire
+    [(4, 0xfe9c1f63d7d6c5b0, 0x7719fdcf488b59a2), (4, 0x881072ce60f29d35, 0x988c2e0c7f31ec1f)],
+    // node-churn
+    [(336, 0x4596cf9b54d54b98, 0x7b070413d3585099), (334, 0x115b8391530ba90d, 0x05ef1ad6d0614acf)],
 ];
 
 #[test]
