@@ -16,6 +16,11 @@
 # Newly added fixtures are fine: a fresh golden pins a new surface
 # without touching an existing stream.
 #
+# The in-test pin tables of tests/protocol_pins.rs and
+# tests/graph_build_pins.rs are guarded line by line: every pin there
+# carries a 64-bit hex word, so a diff that deletes or changes a line
+# holding such a literal rewrites a pin. Added lines (new pins) pass.
+#
 # Usage: tools/golden_guard.sh [<base-ref>]   (default: origin/main)
 
 set -euo pipefail
@@ -30,10 +35,21 @@ fi
 range="$base...HEAD"
 # Only modifications and deletions of existing pins are suspect;
 # additions introduce new fixtures and are always allowed.
-touched="$(git diff --name-only --diff-filter=MD "$range")"
+# (--no-renames: a moved fixture counts as deleted.)
+touched="$(git diff --no-renames --name-only --diff-filter=MD "$range")"
 
 # Files whose bytes are replay pins.
 guarded="$(grep -E '^(tests/replay_golden\.rs|specs/.*\.(spec|expected|metrics\.json|fleet\.json))$' <<<"$touched" || true)"
+
+# Files holding pin tables: guarded when a removed line holds a pin.
+for file in tests/protocol_pins.rs tests/graph_build_pins.rs; do
+    grep -qxF "$file" <<<"$touched" || continue
+    removed="$(git diff --no-renames -U0 "$range" -- "$file" | grep -E '^-' | grep -vE '^--- ' || true)"
+    if grep -qE '0x[0-9a-fA-F_]{8,}' <<<"$removed"; then
+        guarded="${guarded:+$guarded$'\n'}$file (pin lines changed or deleted)"
+    fi
+done
+
 if [[ -z "$guarded" ]]; then
     echo "golden-guard: no golden fixtures touched in $range"
     exit 0
