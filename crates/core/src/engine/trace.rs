@@ -48,6 +48,15 @@
 //! steps) are dropped at recording time, so a trace's step count is
 //! the number of *effective* topology changes, not the model's event
 //! count.
+//!
+//! Steps are stored flat, struct-of-arrays: one `times` array, per-step
+//! end offsets, one edge buffer (each step's removed edges, then its
+//! added edges) and one node buffer (each step's deactivated nodes,
+//! then its activated nodes). Recording appends an event's change
+//! journal straight into the buffers and sorts each appended group in
+//! place, so a step costs no heap allocation beyond the amortized growth
+//! of the shared buffers. A [`TraceStep`] is a borrowed `Copy` view of
+//! one step; the replays read steps only through it.
 
 use rumor_graph::dynamic::{GraphChange, MutableGraph};
 use rumor_graph::{Graph, Node};
@@ -66,27 +75,29 @@ use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
 
 /// One applied topology change: everything a single model event did to
-/// the graph, as a diff against the state just before it.
+/// the graph, as a diff against the state just before it — a borrowed
+/// view into the trace's flat buffers (see the module docs).
 ///
 /// Replay applies the four lists in a fixed order — remove, deactivate,
 /// activate, add — which is valid for every model in this workspace
 /// (an event never deactivates one node and wires up another).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStep {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceStep<'a> {
     /// Simulation time of the change.
     pub time: f64,
     /// Undirected edges removed, as `(min, max)` pairs, ascending.
-    pub removed: Vec<(Node, Node)>,
+    pub removed: &'a [(Node, Node)],
     /// Nodes that left the network, ascending.
-    pub deactivated: Vec<Node>,
+    pub deactivated: &'a [Node],
     /// Nodes that (re)joined the network, ascending.
-    pub activated: Vec<Node>,
+    pub activated: &'a [Node],
     /// Undirected edges inserted, as `(min, max)` pairs, ascending.
-    pub added: Vec<(Node, Node)>,
+    pub added: &'a [(Node, Node)],
 }
 
-impl TraceStep {
-    /// Whether the event changed nothing (dropped at recording time).
+impl TraceStep<'_> {
+    /// Whether the event changed nothing (never true of a stored step:
+    /// empty events are dropped at recording time).
     pub fn is_empty(&self) -> bool {
         self.removed.is_empty()
             && self.deactivated.is_empty()
@@ -96,58 +107,152 @@ impl TraceStep {
 }
 
 /// Applies one recorded step to a mutable graph.
-fn apply_step(net: &mut MutableGraph, step: &TraceStep) {
-    for &(u, v) in &step.removed {
+fn apply_step(net: &mut MutableGraph, step: TraceStep<'_>) {
+    for &(u, v) in step.removed {
         let removed = net.remove_edge(u, v);
         debug_assert!(removed, "trace removes an absent edge ({u}, {v})");
     }
-    for &v in &step.deactivated {
+    for &v in step.deactivated {
         net.deactivate(v);
     }
-    for &v in &step.activated {
+    for &v in step.activated {
         net.activate(v);
     }
-    for &(u, v) in &step.added {
+    for &(u, v) in step.added {
         let added = net.add_edge(u, v);
         debug_assert!(added, "trace adds a present edge ({u}, {v})");
     }
 }
 
-/// Builds a step from the graph's change journal (everything one model
-/// event did, in mutation order; see [`MutableGraph::track_changes`]).
-///
-/// This replaced the old shadow-graph diff: instead of re-scanning
-/// adjacency after every event — O(n + m) whenever the event reported a
-/// global rate impact, the dominant cost of recording the mobility and
-/// rewire models — the graph itself journals effective mutations and
-/// the step is assembled in O(changes).
-///
-/// Assumes no single event both applies and undoes the same change
-/// (no model in this workspace does; the journal would faithfully
-/// record the round trip, where the old diff recorded nothing).
-fn step_from_changes(changes: &[GraphChange], t: f64) -> TraceStep {
-    let mut removed = Vec::new();
-    let mut added = Vec::new();
-    let mut deactivated = Vec::new();
-    let mut activated = Vec::new();
-    for &c in changes {
-        match c {
-            GraphChange::EdgeAdded(u, v) => added.push((u, v)),
-            GraphChange::EdgeRemoved(u, v) => removed.push((u, v)),
-            GraphChange::NodeDeactivated(v) => deactivated.push(v),
-            GraphChange::NodeActivated(v) => activated.push(v),
+/// Where the steps up to some index end in the [`StepStore`] buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct StepEnds {
+    /// End of the last step's removed edges (its added edges follow).
+    removed: u32,
+    /// End of the last step's edges.
+    edges: u32,
+    /// End of the last step's deactivated nodes (its activated follow).
+    deactivated: u32,
+    /// End of the last step's nodes.
+    nodes: u32,
+}
+
+/// Every recorded step in struct-of-arrays form: one time per step, one
+/// edge buffer holding each step's removed edges and then its added
+/// edges, one node buffer holding each step's deactivated nodes and
+/// then its activated nodes, and the per-step end offsets into both.
+/// A step costs no heap allocation beyond the amortized growth of the
+/// shared buffers, and replay reads a step as a [`TraceStep`] view.
+#[derive(Debug, Clone, PartialEq)]
+struct StepStore {
+    times: Vec<f64>,
+    /// `ends[i]` holds where steps `0..i` end, so step `i` spans
+    /// `ends[i]..ends[i + 1]`; `ends[0]` is all zeros.
+    ends: Vec<StepEnds>,
+    edges: Vec<(Node, Node)>,
+    nodes: Vec<Node>,
+}
+
+impl StepStore {
+    fn new() -> Self {
+        StepStore {
+            times: Vec::new(),
+            ends: vec![StepEnds::default()],
+            edges: Vec::new(),
+            nodes: Vec::new(),
         }
     }
-    removed.sort_unstable();
-    added.sort_unstable();
-    deactivated.sort_unstable();
-    activated.sort_unstable();
-    debug_assert!(
-        !removed.iter().any(|e| added.binary_search(e).is_ok())
-            && !deactivated.iter().any(|v| activated.binary_search(v).is_ok()),
-        "one event must not apply and undo the same change"
-    );
-    TraceStep { time: t, removed, deactivated, activated, added }
+
+    fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// The `i`-th step, if recorded.
+    fn get(&self, i: usize) -> Option<TraceStep<'_>> {
+        let &time = self.times.get(i)?;
+        Some(self.view(i, time))
+    }
+
+    /// The `i`-th step if it happens at or before `t`.
+    #[inline]
+    fn get_by(&self, i: usize, t: f64) -> Option<TraceStep<'_>> {
+        let &time = self.times.get(i)?;
+        (time <= t).then(|| self.view(i, time))
+    }
+
+    /// Step `i` (which must exist), happening at `time`.
+    #[inline]
+    fn view(&self, i: usize, time: f64) -> TraceStep<'_> {
+        let (from, to) = (self.ends[i], self.ends[i + 1]);
+        let at = |offset: u32| offset as usize;
+        TraceStep {
+            time,
+            removed: &self.edges[at(from.edges)..at(to.removed)],
+            deactivated: &self.nodes[at(from.nodes)..at(to.deactivated)],
+            activated: &self.nodes[at(to.deactivated)..at(to.nodes)],
+            added: &self.edges[at(to.removed)..at(to.edges)],
+        }
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = TraceStep<'_>> + '_ {
+        self.times.iter().enumerate().map(|(i, &time)| self.view(i, time))
+    }
+
+    /// Appends the step of one event at time `t`, read off the graph's
+    /// change journal (everything the event did, in mutation order; see
+    /// [`MutableGraph::track_changes`]). An event that changed nothing
+    /// appends nothing.
+    ///
+    /// The journal replaced the old shadow-graph diff: instead of
+    /// re-scanning adjacency after every event — O(n + m) whenever the
+    /// event reported a global rate impact, the dominant cost of
+    /// recording the mobility and rewire models — the graph itself
+    /// journals effective mutations and the step is appended in
+    /// O(changes), each list sorted in place.
+    ///
+    /// Assumes no single event both applies and undoes the same change
+    /// (no model in this workspace does; the journal would faithfully
+    /// record the round trip, where the old diff recorded nothing).
+    fn push_changes(&mut self, changes: &[GraphChange], t: f64) {
+        if changes.is_empty() {
+            return;
+        }
+        let (e0, n0) = (self.edges.len(), self.nodes.len());
+        for &c in changes {
+            match c {
+                GraphChange::EdgeRemoved(u, v) => self.edges.push((u, v)),
+                GraphChange::NodeDeactivated(v) => self.nodes.push(v),
+                GraphChange::EdgeAdded(..) | GraphChange::NodeActivated(_) => {}
+            }
+        }
+        let (removed, deactivated) = (self.edges.len(), self.nodes.len());
+        for &c in changes {
+            match c {
+                GraphChange::EdgeAdded(u, v) => self.edges.push((u, v)),
+                GraphChange::NodeActivated(v) => self.nodes.push(v),
+                GraphChange::EdgeRemoved(..) | GraphChange::NodeDeactivated(_) => {}
+            }
+        }
+        let (cut, wired) = self.edges[e0..].split_at_mut(removed - e0);
+        cut.sort_unstable();
+        wired.sort_unstable();
+        let (left, joined) = self.nodes[n0..].split_at_mut(deactivated - n0);
+        left.sort_unstable();
+        joined.sort_unstable();
+        debug_assert!(
+            !cut.iter().any(|e| wired.binary_search(e).is_ok())
+                && !left.iter().any(|v| joined.binary_search(v).is_ok()),
+            "one event must not apply and undo the same change"
+        );
+        let offset = |len: usize| u32::try_from(len).expect("trace buffers exceed u32 offsets");
+        self.ends.push(StepEnds {
+            removed: offset(removed),
+            edges: offset(self.edges.len()),
+            deactivated: offset(deactivated),
+            nodes: offset(self.nodes.len()),
+        });
+        self.times.push(t);
+    }
 }
 
 /// A recorded topology realization: the post-`init` starting graph and
@@ -155,7 +260,7 @@ fn step_from_changes(changes: &[GraphChange], t: f64) -> TraceStep {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyTrace {
     initial: Graph,
-    steps: Vec<TraceStep>,
+    steps: StepStore,
     horizon: f64,
 }
 
@@ -217,7 +322,7 @@ impl TopologyTrace {
         let initial = net.to_graph();
         debug_assert_eq!(net.active_count(), n, "models do not deactivate during init");
         net.track_changes(true);
-        let trace = TopologyTrace { initial, steps: Vec::new(), horizon };
+        let trace = TopologyTrace { initial, steps: StepStore::new(), horizon };
         let next = trace.peek(&mut driver, rng);
         (trace, net, driver, next)
     }
@@ -246,11 +351,8 @@ impl TopologyTrace {
         t: f64,
     ) -> f64 {
         driver.step(state, net, rng);
-        let step = step_from_changes(net.changes(), t);
+        self.steps.push_changes(net.changes(), t);
         net.clear_changes();
-        if !step.is_empty() {
-            self.steps.push(step);
-        }
         self.peek(driver, rng)
     }
 
@@ -266,8 +368,18 @@ impl TopologyTrace {
     }
 
     /// The recorded steps, in time order.
-    pub fn steps(&self) -> &[TraceStep] {
-        &self.steps
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = TraceStep<'_>> + '_ {
+        self.steps.iter()
+    }
+
+    /// The `i`-th recorded step, if any.
+    pub fn step(&self, i: usize) -> Option<TraceStep<'_>> {
+        self.steps.get(i)
+    }
+
+    /// Every step's time, in step order (non-decreasing).
+    pub fn times(&self) -> &[f64] {
+        &self.steps.times
     }
 
     /// Number of recorded (effective) topology changes.
@@ -277,7 +389,7 @@ impl TopologyTrace {
 
     /// Whether the realization contains no changes.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.steps.len() == 0
     }
 
     /// The recorded time horizon; replay freezes the topology beyond it.
@@ -293,7 +405,7 @@ impl TopologyTrace {
         let mut net = MutableGraph::from_graph(&self.initial);
         let mut out = Vec::with_capacity(self.steps.len() + 1);
         out.push(self.initial.clone());
-        for step in &self.steps {
+        for step in self.steps.iter() {
             apply_step(&mut net, step);
             out.push(net.to_graph());
         }
@@ -369,11 +481,11 @@ impl TraceRecording {
     /// The `i`-th step if it happens at or before `t`. Records events
     /// until that step exists or the next event is later than `t` (or
     /// past the horizon).
-    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<&TraceStep> {
+    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<TraceStep<'_>> {
         if i >= self.trace.steps.len() {
             self.record_through(i, t);
         }
-        self.trace.steps.get(i).filter(|step| step.time <= t)
+        self.trace.steps.get_by(i, t)
     }
 
     /// The recording half of [`step_by`](Self::step_by), kept out of
@@ -437,9 +549,9 @@ impl TraceRef<'_> {
     /// The `i`-th step if it happens at or before `t` — the one
     /// accessor every replay reads steps through. A live recording
     /// records up to `t` first (see [`TraceRecording::step_by`]).
-    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<&TraceStep> {
+    pub(crate) fn step_by(&mut self, i: usize, t: f64) -> Option<TraceStep<'_>> {
         match self {
-            TraceRef::Sealed(trace) => trace.steps.get(i).filter(|step| step.time <= t),
+            TraceRef::Sealed(trace) => trace.steps.get_by(i, t),
             TraceRef::Live(rec) => rec.step_by(i, t),
         }
     }
@@ -544,7 +656,7 @@ impl TopologyModel for TraceReplayer<'_> {
 pub struct TraceRecorder<'a> {
     inner: Box<dyn TopologyModel + 'a>,
     initial: Option<Graph>,
-    steps: Vec<TraceStep>,
+    steps: StepStore,
     last_time: f64,
 }
 
@@ -556,7 +668,7 @@ impl<'a> TraceRecorder<'a> {
 
     /// A recorder around an existing model state.
     pub fn wrap(inner: Box<dyn TopologyModel + 'a>) -> Self {
-        Self { inner, initial: None, steps: Vec::new(), last_time: 0.0 }
+        Self { inner, initial: None, steps: StepStore::new(), last_time: 0.0 }
     }
 
     /// The recorded trace; the horizon is the last event's time.
@@ -572,11 +684,8 @@ impl<'a> TraceRecorder<'a> {
     /// Reads the effective step of one applied/fired event off the
     /// graph's change journal.
     fn journal(&mut self, t: f64, net: &mut MutableGraph) {
-        let step = step_from_changes(net.changes(), t);
+        self.steps.push_changes(net.changes(), t);
         net.clear_changes();
-        if !step.is_empty() {
-            self.steps.push(step);
-        }
         self.last_time = t;
     }
 }
@@ -821,10 +930,7 @@ mod tests {
         for (name, model) in all_models() {
             let trace = record(&g, &model, 2, 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
-            assert!(
-                trace.steps().windows(2).all(|w| w[0].time <= w[1].time),
-                "{name}: out-of-order steps"
-            );
+            assert!(trace.times().windows(2).all(|w| w[0] <= w[1]), "{name}: out-of-order steps");
             for step in trace.steps() {
                 assert!(!step.is_empty(), "{name}: no-op step recorded");
                 assert!(step.time > 0.0 && step.time <= trace.horizon(), "{name}: bad time");
@@ -854,7 +960,7 @@ mod tests {
             // Applying steps one by one through a replayer's own
             // primitive walks the same sequence.
             let mut net = MutableGraph::from_graph(trace.initial());
-            for (i, step) in trace.steps().iter().enumerate() {
+            for (i, step) in trace.steps().enumerate() {
                 apply_step(&mut net, step);
                 assert_eq!(net.to_graph(), snapshots[i + 1], "{name} step {i}");
             }
@@ -897,18 +1003,10 @@ mod tests {
         let trace = record(&g, &model, 18, 20.0);
         let mut recorder = TraceRecorder::wrap(Box::new(trace.replayer()));
         let out = run_seq(&g, &mut recorder, &mut rng(19), 1_000_000);
-        let rerecorded = trace_prefix(&trace, out.topology_events as usize);
+        let consumed: Vec<_> = trace.steps().take(out.topology_events as usize).collect();
         let got = recorder.into_trace();
-        assert_eq!(got.initial(), rerecorded.initial());
-        assert_eq!(got.steps(), rerecorded.steps());
-    }
-
-    fn trace_prefix(trace: &TopologyTrace, len: usize) -> TopologyTrace {
-        TopologyTrace {
-            initial: trace.initial.clone(),
-            steps: trace.steps[..len].to_vec(),
-            horizon: trace.horizon,
-        }
+        assert_eq!(got.initial(), trace.initial());
+        assert_eq!(got.steps().collect::<Vec<_>>(), consumed);
     }
 
     #[test]
@@ -948,7 +1046,7 @@ mod tests {
         assert!(out.completed);
         let trace = recorder.into_trace();
         assert_eq!(trace.len() as u64, out.topology_events);
-        assert!(trace.steps().windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(trace.times().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -972,8 +1070,12 @@ mod tests {
                 assert!(rec.step_by(usize::MAX, t).is_none());
                 // Exactly the eager steps at or before `t` (capped by
                 // the horizon), and the next event lies past `t`.
-                let within = eager.steps().partition_point(|step| step.time <= t);
-                assert_eq!(rec.trace().steps(), &eager.steps()[..within], "{name} at {t}");
+                let within = eager.times().partition_point(|&time| time <= t);
+                assert_eq!(
+                    rec.trace().steps().collect::<Vec<_>>(),
+                    eager.steps().take(within).collect::<Vec<_>>(),
+                    "{name} at {t}"
+                );
                 assert!(rec.frontier() > t, "{name} at {t}");
             }
             assert_eq!(rec.frontier(), f64::INFINITY, "{name}: not sealed past the horizon");

@@ -1313,7 +1313,7 @@ impl Simulation {
         }
         // Counted against the replays' reach, not against what happens
         // to be recorded (a cache hit may have recorded further).
-        out.trace_steps = trace.trace().steps().partition_point(|step| step.time <= reach);
+        out.trace_steps = trace.trace().times().partition_point(|&time| time <= reach);
         (out, curves)
     }
 
