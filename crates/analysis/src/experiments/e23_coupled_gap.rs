@@ -172,8 +172,8 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
         for (name, _) in coupled_models(&g) {
             add_row(name, cell_spec_on(graph.clone(), &g, name, cfg));
         }
-        // The antithetic satellite: the slow-churn model re-run with
-        // antithetic protocol-seed pairs on the same traces — protocol
+        // The complement-seed satellite: the slow-churn model re-run
+        // with complement-seed pairs on the same traces — protocol
         // noise halves, so the paired CI must narrow further at equal
         // trial count.
         add_row("markov+anti", cell_spec_on(graph.clone(), &g, "markov", cfg).antithetic(true));
@@ -199,7 +199,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
          the pairing, never averaged",
     );
     table.add_note(
-        "markov+anti re-runs the markov row with antithetic protocol-seed pairs: each trace is \
+        "markov+anti re-runs the markov row with complement-seed pairs: each trace is \
          recorded once and both protocols run twice (seed and complement-seed), reporting pair \
          averages — protocol-clock noise halves, so its paired CI is narrower than markov's at \
          the same trial count",
@@ -255,10 +255,11 @@ mod tests {
         assert!(mean_shrink > 1.0, "mean shrink {mean_shrink} <= 1: coupling bought nothing");
     }
 
-    /// The antithetic satellite: pair-averaged protocol runs on shared
-    /// traces reduce the paired interval further at equal trial count.
+    /// The complement-seed satellite: pair-averaged protocol runs on
+    /// shared traces reduce the paired interval further at equal trial
+    /// count.
     #[test]
-    fn antithetic_pairs_shrink_the_paired_interval() {
+    fn complement_seed_pairs_shrink_the_paired_interval() {
         let cfg = ExperimentConfig::quick().with_trials(60);
         let n = 48;
         let ci = |spec: SimSpec| {
@@ -271,7 +272,7 @@ mod tests {
         let anti = ci(cell_spec(n, "markov", &cfg).antithetic(true));
         assert!(
             anti < plain,
-            "antithetic pairing must narrow the paired CI: anti {anti} vs plain {plain}"
+            "complement-seed pairing must narrow the paired CI: anti {anti} vs plain {plain}"
         );
     }
 }

@@ -37,13 +37,6 @@ pub struct EngineHealth {
     pub censor_dumps: Vec<CensorDump>,
 }
 
-impl EngineHealth {
-    /// `true` when no diagnostic was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.censor_dumps.is_empty()
-    }
-}
-
 /// Metrics for one run: named histograms and curves (in deterministic
 /// insertion order) plus engine health.
 #[derive(Debug, Clone, PartialEq)]
