@@ -167,12 +167,6 @@ impl StepStore {
         self.times.len()
     }
 
-    /// The `i`-th step, if recorded.
-    fn get(&self, i: usize) -> Option<TraceStep<'_>> {
-        let &time = self.times.get(i)?;
-        Some(self.view(i, time))
-    }
-
     /// The `i`-th step if it happens at or before `t`.
     #[inline]
     fn get_by(&self, i: usize, t: f64) -> Option<TraceStep<'_>> {
@@ -370,11 +364,6 @@ impl TopologyTrace {
     /// The recorded steps, in time order.
     pub fn steps(&self) -> impl ExactSizeIterator<Item = TraceStep<'_>> + '_ {
         self.steps.iter()
-    }
-
-    /// The `i`-th recorded step, if any.
-    pub fn step(&self, i: usize) -> Option<TraceStep<'_>> {
-        self.steps.get(i)
     }
 
     /// Every step's time, in step order (non-decreasing).
