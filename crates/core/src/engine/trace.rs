@@ -195,18 +195,13 @@ impl StepStore {
     /// Appends the step of one event at time `t`, read off the graph's
     /// change journal (everything the event did, in mutation order; see
     /// [`MutableGraph::track_changes`]). An event that changed nothing
-    /// appends nothing.
-    ///
-    /// The journal replaced the old shadow-graph diff: instead of
-    /// re-scanning adjacency after every event — O(n + m) whenever the
-    /// event reported a global rate impact, the dominant cost of
-    /// recording the mobility and rewire models — the graph itself
-    /// journals effective mutations and the step is appended in
-    /// O(changes), each list sorted in place.
+    /// appends nothing. Costs O(changes), each list sorted in place: the
+    /// graph journals its effective mutations, so no event rescans
+    /// adjacency.
     ///
     /// Assumes no single event both applies and undoes the same change
-    /// (no model in this workspace does; the journal would faithfully
-    /// record the round trip, where the old diff recorded nothing).
+    /// (no model in this workspace does): the journal would record both
+    /// halves of the round trip.
     fn push_changes(&mut self, changes: &[GraphChange], t: f64) {
         if changes.is_empty() {
             return;
