@@ -182,21 +182,17 @@ fn bench_hotpath_components(c: &mut Criterion) {
         // draw + a markov-shaped two-channel reweight per event, with no
         // per-edge pending state at all. The gap between this row and
         // `queue` is the per-event scheduling win of the full-run groups.
-        use rumor_sim::events::{Fired, Superposition};
+        use rumor_sim::events::Superposition;
         let mut rng = Xoshiro256PlusPlus::seed_from(19);
         let m = edges.len() as f64;
         b.iter(|| {
-            let mut sup: Superposition<u32> = Superposition::new(2);
+            let mut sup = Superposition::new(2);
             let (mut off_pop, mut on_pop) = (m, 0.0);
             sup.set_weight(0.0, 0, off_pop);
             sup.set_weight(0.0, 1, on_pop);
             let mut acc = 0usize;
             for _ in 0..20_000 {
-                let (t, fired) = sup.pop(&mut rng).expect("populations stay live");
-                let ch = match fired {
-                    Fired::Channel(ch) => ch,
-                    Fired::Event(_) => unreachable!("no queued events"),
-                };
+                let (t, ch) = sup.pop(&mut rng).expect("populations stay live");
                 // One edge migrates between the off/on populations,
                 // moving both channel weights — the markov fire shape.
                 if ch == 0 {

@@ -23,7 +23,6 @@ use rumor_graph::{Graph, Node, RandomNeighbor, RowVisitor};
 use rumor_sim::events::ClockTree;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::engine::{drive, Control, TickSource};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
@@ -279,22 +278,22 @@ fn run_global_clock<P: Probe>(
     probe: &mut P,
 ) -> RunState {
     let n = st.informed_time.len();
-    let mut src = TickSource::new(n as f64);
-    drive(&mut src, rng, |_, rng, t, ()| {
+    let rate = n as f64;
+    let mut t = 0.0;
+    loop {
+        t += rng.exp(rate);
         st.tick(t, probe);
         let v = rng.range_usize(n) as Node;
         let w = g.random_neighbor(v, rng);
         st.contact(v, w, t, rng, probe);
         if st.informed_count == n {
             st.completed = true;
-            return Control::Stop;
+            return st;
         }
         if st.steps >= max_steps {
-            return Control::Stop;
+            return st;
         }
-        Control::Continue
-    });
-    st
+    }
 }
 
 fn run_node_clocks<P: Probe>(

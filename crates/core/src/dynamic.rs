@@ -11,13 +11,13 @@
 //! approximation.
 //!
 //! Six evolution models are provided (see [`DynamicModel`]); each is a
-//! [`TopologyModel`](crate::engine::TopologyModel) implementation the
-//! engines consume through one interface:
+//! [`TopologyModel`] implementation the engines consume through one
+//! interface:
 //!
 //! * [`EdgeMarkov`] — every edge of the base graph flips off/on with
 //!   independent Poisson rates (an edge-Markovian evolving graph). With
 //!   both rates 0 the process **is** the static one: [`run_dynamic`]
-//!   replays [`crate::run_async`] with [`AsyncView::GlobalClock`]
+//!   replays [`crate::run_async`] with [`crate::AsyncView::GlobalClock`]
 //!   seed-for-seed.
 //! * [`Rewire`] — the whole topology is replaced every `period` time
 //!   units by a fresh snapshot from a random-graph family, the
@@ -36,8 +36,6 @@
 //!   budget of edges crossing the informed/uninformed frontier (the
 //!   worst case the paper's lower bounds gesture at); cut edges heal
 //!   after a fixed delay.
-//!
-//! [`AsyncView`]: crate::AsyncView
 //!
 //! # Example
 //!
@@ -60,7 +58,7 @@ use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::engine::topology::{StateVisitor, TopologyModel};
-use crate::engine::{EventSource, TickSource, TopoDriver};
+use crate::engine::{TickSource, TopoDriver};
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
@@ -412,9 +410,11 @@ pub fn run_dynamic(
 /// The general sequential entry point: [`run_dynamic`] over an
 /// already-built [`TopologyModel`] state, with an instrumentation
 /// [`Probe`] observing the run. Model implementations outside the
-/// [`DynamicModel`] enum come in here, most importantly a
+/// [`DynamicModel`] enum come in here, such as a
 /// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
-/// recorded topology realization. Probes are passive — a probed run
+/// recorded topology realization (the spec layer replays traces on the
+/// cursor, [`run_trace_lazy`](crate::engine::run_trace_lazy), which
+/// replays this seed-for-seed). Probes are passive — a probed run
 /// replays its unprobed twin seed-for-seed — and a [`NoProbe`] compiles
 /// every hook out.
 ///
@@ -476,7 +476,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
     if max_steps > 0 {
         loop {
             let next_topo = driver.next_time(rng);
-            let next_tick = ticks.peek(rng).expect("the rate-n tick stream never ends");
+            let next_tick = ticks.peek(rng);
             if next_topo <= next_tick {
                 // Topology wins ties.
                 driver.step(state, &mut net, rng);
@@ -488,7 +488,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
                     probe.topology_changed(next_topo);
                 }
             } else {
-                let (te, ()) = ticks.pop(rng).expect("peeked a pending tick");
+                let te = ticks.pop(rng);
                 t = te;
                 steps += 1;
                 if P::ENABLED {

@@ -6,13 +6,15 @@
 //! ([`TopologyModel::channel_weight`]); the engine's
 //! [`TopoDriver`](crate::engine::TopoDriver) draws one superposed
 //! arrival, thins it to a channel, and the model picks the firing
-//! member and mutates the [`MutableGraph`] (*fire*). Deterministic
-//! follow-ups (rewire snapshots, heal timers, trace replay steps) go
-//! into a side [`EventQueue`] and come back through *apply*. The
-//! sequential engine ([`crate::run_dynamic`]) interleaves the events
-//! with protocol ticks and feeds every newly informed node back through
-//! [`TopologyModel::note_informed`]; the trace recorder drives the same
-//! events standalone.
+//! member and mutates the [`MutableGraph`] (*fire*). A model keeps at
+//! most one deterministic event pending (a rewire snapshot, the oldest
+//! heal, the next trace replay step) and reports its time through
+//! [`TopologyModel::next_due`]; the driver applies it through *apply*
+//! when it comes before the next arrival. The sequential engine
+//! ([`crate::run_dynamic`]) interleaves the events with protocol ticks
+//! and feeds every newly informed node back through
+//! [`TopologyModel::note_informed`]; a standalone trace recording
+//! drives the same events on their own.
 //!
 //! Six models are implemented behind the trait: edge-Markov flips,
 //! periodic rewiring, node churn, random-walk edge dynamics, geometric
@@ -25,31 +27,11 @@ use rumor_graph::arena;
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::geometry::GridIndex;
 use rumor_graph::{Graph, GraphBuilder, Node};
-use rumor_sim::events::EventQueue;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::dynamic::{
     Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
-
-/// Deterministic topology events on the scheduler's side queue.
-///
-/// One shared payload type keeps the side queue monomorphic across
-/// models; each [`TopologyModel`] implementation consumes only the
-/// variants it scheduled and panics on any other (a scheduling bug).
-/// Stochastic events never appear here: they arrive as thinned
-/// channel hits ([`TopologyModel::fire`]).
-#[derive(Debug, Clone, Copy)]
-pub enum TopoEvent {
-    /// Replace the topology with a fresh snapshot.
-    Snapshot,
-    /// Re-insert the adversary's oldest cut edge (the head of its heal
-    /// FIFO, which holds the edge itself).
-    Heal,
-    /// Apply recorded trace step `i`
-    /// ([`TraceReplayer`](crate::engine::trace::TraceReplayer)).
-    Replay(u32),
-}
 
 /// A topology-evolution model, as consumed by the dynamic engines.
 ///
@@ -60,32 +42,26 @@ pub enum TopoEvent {
 pub trait TopologyModel {
     /// Applies any initial topology (e.g. the mobility model replaces
     /// `net`'s edges with the proximity graph of freshly drawn
-    /// positions), schedules the model's initial *deterministic* events
-    /// into `queue`, and returns how many stochastic channels the model
-    /// drives through [`channel_weight`](Self::channel_weight) and
-    /// [`fire`](Self::fire). `g` is the starting snapshot `net` was
-    /// built from.
-    fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize;
+    /// positions), schedules the model's first deterministic event (see
+    /// [`next_due`](Self::next_due)), and returns how many stochastic
+    /// channels the model drives through
+    /// [`channel_weight`](Self::channel_weight) and [`fire`](Self::fire).
+    /// `g` is the starting snapshot `net` was built from.
+    fn init(&mut self, g: &Graph, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) -> usize;
 
-    /// Applies one deterministic side-queue event at time `t` and
-    /// schedules its successors. Only called for events the model
-    /// scheduled itself.
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        let _ = (t, net, queue, rng);
-        unreachable!("model scheduled no side-queue events, got {event:?}")
+    /// Time of the model's one pending deterministic event, `INFINITY`
+    /// when none is due. The driver re-reads it after `init` and after
+    /// every event it delivers; it may record ahead (a replay over a
+    /// live recording) but consumes no engine randomness.
+    fn next_due(&mut self) -> f64 {
+        f64::INFINITY
+    }
+
+    /// Applies the deterministic event [`next_due`](Self::next_due)
+    /// reported, at that time `t`. Only called when it is finite.
+    fn apply(&mut self, t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
+        let _ = (t, net, rng);
+        unreachable!("model reported no due events")
     }
 
     /// Current total rate of stochastic channel `ch` (e.g. *number of
@@ -100,18 +76,11 @@ pub trait TopologyModel {
 
     /// Applies one stochastic arrival thinned to channel `ch` at time
     /// `t`: the model draws *which* member of the channel fires
-    /// (uniform over its flat member table), mutates the topology, and
-    /// schedules any deterministic follow-ups into `queue`. Only
-    /// called for `ch < init(..)`.
-    fn fire(
-        &mut self,
-        ch: usize,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        let _ = (ch, t, net, queue, rng);
+    /// (uniform over its flat member table) and mutates the topology;
+    /// a deterministic follow-up shows in its next
+    /// [`next_due`](Self::next_due). Only called for `ch < init(..)`.
+    fn fire(&mut self, ch: usize, t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
+        let _ = (ch, t, net, rng);
         unreachable!("model reported no stochastic channels")
     }
 
@@ -178,7 +147,6 @@ impl TopologyModel for StaticState {
         &mut self,
         _g: &Graph,
         _net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
         0
@@ -213,13 +181,7 @@ impl Drop for EdgeMarkovState {
 }
 
 impl TopologyModel for EdgeMarkovState {
-    fn init(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
         self.members.extend(g.edges());
         self.n_present = self.members.len();
         2
@@ -232,14 +194,7 @@ impl TopologyModel for EdgeMarkovState {
         }
     }
 
-    fn fire(
-        &mut self,
-        ch: usize,
-        _t: f64,
-        net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
+    fn fire(&mut self, ch: usize, _t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         let slot = if ch == 0 {
             rng.range_usize(self.n_present)
         } else {
@@ -263,11 +218,13 @@ impl TopologyModel for EdgeMarkovState {
 pub(crate) struct RewireState {
     period: f64,
     family: SnapshotFamily,
+    /// Time of the next snapshot (`INFINITY` for an infinite period).
+    next: f64,
 }
 
 impl RewireState {
     pub(crate) fn new(m: Rewire) -> Self {
-        Self { period: m.period, family: m.family }
+        Self { period: m.period, family: m.family, next: f64::INFINITY }
     }
 }
 
@@ -276,30 +233,21 @@ impl TopologyModel for RewireState {
         &mut self,
         _g: &Graph,
         _net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
         // Snapshots come at fixed times: no stochastic channel at all.
-        if self.period.is_finite() {
-            queue.push(self.period, TopoEvent::Snapshot);
-        }
+        self.next = self.period;
         0
     }
 
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        let TopoEvent::Snapshot = event else {
-            unreachable!("rewiring schedules only snapshots");
-        };
+    fn next_due(&mut self) -> f64 {
+        self.next
+    }
+
+    fn apply(&mut self, t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         let snapshot = self.family.draw(net.node_count(), rng);
         net.replace_edges_with(&snapshot);
-        queue.push(t + self.period, TopoEvent::Snapshot);
+        self.next = t + self.period;
     }
 }
 
@@ -333,13 +281,7 @@ impl Drop for NodeChurnState {
 }
 
 impl TopologyModel for NodeChurnState {
-    fn init(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
         self.members.extend(0..g.node_count() as Node);
         self.n_active = g.node_count();
         2
@@ -352,14 +294,7 @@ impl TopologyModel for NodeChurnState {
         }
     }
 
-    fn fire(
-        &mut self,
-        ch: usize,
-        _t: f64,
-        net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
+    fn fire(&mut self, ch: usize, _t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         if ch == 0 {
             let slot = rng.range_usize(self.n_active);
             let v = self.members[slot];
@@ -402,13 +337,7 @@ impl Drop for RandomWalkState {
 }
 
 impl TopologyModel for RandomWalkState {
-    fn init(
-        &mut self,
-        g: &Graph,
-        _net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
         self.base = Some(g.clone()); // O(1): CSR arrays are Arc-shared
         self.edges.extend(g.edges());
         1
@@ -418,14 +347,7 @@ impl TopologyModel for RandomWalkState {
         self.edges.len() as f64 * self.rate
     }
 
-    fn fire(
-        &mut self,
-        _ch: usize,
-        _t: f64,
-        net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
+    fn fire(&mut self, _ch: usize, _t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         // All walkers share one rate, so the arrival thins uniformly.
         // One draw over `2m` outcomes picks the walker AND which
         // endpoint anchors — (i, dir) are independent and uniform. The
@@ -502,13 +424,7 @@ impl Drop for MobilityState {
 }
 
 impl TopologyModel for MobilityState {
-    fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) -> usize {
         self.place_nodes(g, net, rng);
         1
     }
@@ -517,14 +433,7 @@ impl TopologyModel for MobilityState {
         self.n as f64 * self.cfg.move_rate
     }
 
-    fn fire(
-        &mut self,
-        _ch: usize,
-        _t: f64,
-        net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
+    fn fire(&mut self, _ch: usize, _t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
         // Every node moves at the same rate: thin uniformly.
         let v = rng.range_usize(self.n) as Node;
         self.step_node(v, net, rng);
@@ -540,9 +449,8 @@ pub(crate) struct AdversaryState {
     cfg: Adversary,
     /// Cut edges awaiting their heal, with its time, in cut order. Every
     /// heal comes the same fixed delay after its cut and cut times never
-    /// decrease, so this is also heal order — with ties in cut order, as
-    /// an [`EventQueue`] breaks them — and only the head needs a
-    /// side-queue event.
+    /// decrease, so this is also heal order — with ties in cut order —
+    /// and the head is the model's one due event.
     healing: VecDeque<(f64, Node, Node)>,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
@@ -563,21 +471,10 @@ impl AdversaryState {
     }
 
     /// Cuts `edge`, scheduling its heal if healing is configured.
-    fn cut_edge(
-        &mut self,
-        edge: (Node, Node),
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-    ) {
-        let (u, w) = edge;
+    fn cut_edge(&mut self, (u, w): (Node, Node), t: f64, net: &mut MutableGraph) {
         net.remove_edge(u, w);
         if self.cfg.heal_after.is_finite() {
-            let at = t + self.cfg.heal_after;
-            if self.healing.is_empty() {
-                queue.push(at, TopoEvent::Heal);
-            }
-            self.healing.push_back((at, u, w));
+            self.healing.push_back((t + self.cfg.heal_after, u, w));
         }
     }
 }
@@ -587,29 +484,19 @@ impl TopologyModel for AdversaryState {
         &mut self,
         _g: &Graph,
         _net: &mut MutableGraph,
-        _queue: &mut EventQueue<TopoEvent>,
         _rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
-        // Strikes are the one stochastic channel; heals stay
-        // deterministic side-queue events.
+        // Strikes are the one stochastic channel; heals are the
+        // deterministic due events.
         1
     }
 
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        _t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) {
-        let TopoEvent::Heal = event else {
-            unreachable!("the adversary schedules only heals");
-        };
-        let (_, u, w) = self.healing.pop_front().expect("a heal event has a cut edge");
-        if let Some(&(next, ..)) = self.healing.front() {
-            queue.push(next, TopoEvent::Heal);
-        }
+    fn next_due(&mut self) -> f64 {
+        self.healing.front().map_or(f64::INFINITY, |&(at, ..)| at)
+    }
+
+    fn apply(&mut self, _t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
+        let (_, u, w) = self.healing.pop_front().expect("a due heal has a cut edge");
         if net.is_active(u) && net.is_active(w) {
             net.add_edge(u, w);
             // The healed edge rejoins the frontier if it still has
@@ -624,14 +511,7 @@ impl TopologyModel for AdversaryState {
         self.cfg.rate
     }
 
-    fn fire(
-        &mut self,
-        _ch: usize,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) {
+    fn fire(&mut self, _ch: usize, t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
         // The strike law: cut the `budget` lexicographically smallest
         // `(informed, uninformed)` frontier edges, straight off the
         // incrementally maintained boundary — O(budget · log F).
@@ -639,7 +519,7 @@ impl TopologyModel for AdversaryState {
             let Some(edge) = self.boundary.pop_first() else {
                 break;
             };
-            self.cut_edge(edge, t, net, queue);
+            self.cut_edge(edge, t, net);
         }
     }
 
@@ -689,21 +569,23 @@ mod tests {
 
     /// The adversary's incremental boundary equals a brute-force
     /// frontier recomputation after an arbitrary interleaving of
-    /// informs, strikes, and heals. Heals run through a FIFO that keeps
-    /// at most one event on the side queue, and come back in the order
-    /// a queue holding every heal would pop them: cut order, with the
-    /// cuts of strikes at equal times in push order.
+    /// informs, strikes, and heals. Heals run through a FIFO whose head
+    /// is the one due event, and come back in the order a queue holding
+    /// every heal would pop them: cut order, with the cuts of strikes
+    /// at equal times in push order.
     #[test]
     fn adversary_incremental_boundary_matches_rescan() {
+        use rumor_sim::events::EventQueue;
+
         for seed in 0..8u64 {
             let mut rng = Xoshiro256PlusPlus::seed_from(900 + seed);
             let g = generators::gnp_connected(40, 0.12, &mut rng, 100);
             let mut net = MutableGraph::from_graph(&g);
             let mut state =
                 AdversaryState::new(Adversary { rate: 1.0, budget: 3, heal_after: 0.5 });
-            let mut queue = EventQueue::new();
-            let channels = state.init(&g, &mut net, &mut queue, &mut rng);
+            let channels = state.init(&g, &mut net, &mut rng);
             assert_eq!(channels, 1);
+            assert_eq!(state.next_due(), f64::INFINITY, "nothing is cut yet");
             // Every cut with its heal time, popped as a full heal queue
             // would pop it.
             let mut all_heals = EventQueue::new();
@@ -723,22 +605,26 @@ mod tests {
                     }
                     1 => {
                         let before = state.healing.len();
-                        state.fire(0, t, &mut net, &mut queue, &mut rng);
+                        state.fire(0, t, &mut net, &mut rng);
                         for &(at, u, w) in state.healing.range(before..) {
                             all_heals.push(at, (u, w));
                         }
                     }
                     _ => {
-                        if let Some((ht, ev)) = queue.pop() {
+                        let due = state.next_due();
+                        if due.is_finite() {
                             let (at, u, w) = state.healing[0];
                             assert_eq!(all_heals.pop(), Some((at, (u, w))), "heal out of order");
-                            assert_eq!(ht, at, "the side queue holds the head's time");
-                            state.apply(ev, ht.max(t), &mut net, &mut queue, &mut rng);
+                            state.apply(due.max(t), &mut net, &mut rng);
                         }
                     }
                 }
-                assert!(queue.len() <= 1, "seed {seed} round {round}: heals crowd the side queue");
-                assert_eq!(queue.len(), usize::from(!state.healing.is_empty()));
+                let head = state.healing.front().map_or(f64::INFINITY, |&(at, ..)| at);
+                assert_eq!(
+                    state.next_due(),
+                    head,
+                    "seed {seed} round {round}: the due time is not the heal FIFO head's"
+                );
                 // Brute-force frontier from the bitmap + live topology.
                 let mut expect = BTreeSet::new();
                 for v in 0..net.node_count() as Node {
@@ -766,19 +652,18 @@ mod tests {
         let g = generators::gnp_connected(32, 0.2, &mut rng, 100);
         let mut net = MutableGraph::from_graph(&g);
         let mut state = EdgeMarkovState::new(EdgeMarkov { off_rate: 2.0, on_rate: 0.5 });
-        let mut queue = EventQueue::new();
-        assert_eq!(state.init(&g, &mut net, &mut queue, &mut rng), 2);
-        assert!(queue.is_empty(), "edge-Markov schedules nothing eagerly");
+        assert_eq!(state.init(&g, &mut net, &mut rng), 2);
+        assert_eq!(state.next_due(), f64::INFINITY, "edge-Markov schedules nothing");
         let e = g.edge_count() as f64;
         assert_eq!(state.channel_weight(0), e * 2.0);
         assert_eq!(state.channel_weight(1), 0.0);
         for _ in 0..50 {
-            state.fire(0, 1.0, &mut net, &mut queue, &mut rng);
+            state.fire(0, 1.0, &mut net, &mut rng);
         }
         assert_eq!(state.channel_weight(0), (e - 50.0) * 2.0);
         assert_eq!(state.channel_weight(1), 50.0 * 0.5);
         for _ in 0..50 {
-            state.fire(1, 2.0, &mut net, &mut queue, &mut rng);
+            state.fire(1, 2.0, &mut net, &mut rng);
         }
         assert_eq!(net.to_graph().edge_count(), g.edge_count());
         assert_eq!(state.channel_weight(1), 0.0);

@@ -9,11 +9,10 @@
 //! * [`TopologyTrace`] — a recorded topology realization: the initial
 //!   graph (after model `init`) plus every applied change as a
 //!   [`TraceStep`] diff (time, edges removed/added, nodes
-//!   deactivated/activated). Traces are recorded either standalone
-//!   ([`TopologyTrace::record`]: the model's event stream is driven on
+//!   deactivated/activated). Traces are recorded standalone
+//!   ([`TopologyTrace::record`]): the model's event stream is driven on
 //!   its own, with the informed set frozen to the source — an
-//!   *oblivious* realization, the only kind a sync run can share) or
-//!   from inside any engine run ([`TraceRecorder`]).
+//!   *oblivious* realization, the only kind a sync run can share.
 //! * [`TraceRecording`] — the same standalone recording, resumable: it
 //!   keeps its tail (graph, event driver, model state, trace RNG) and
 //!   records more only when a replay asks for a time past what is
@@ -60,14 +59,11 @@
 
 use rumor_graph::dynamic::{GraphChange, MutableGraph};
 use rumor_graph::{Graph, Node};
-use rumor_sim::events::EventQueue;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::dynamic::{DynamicModel, DynamicOutcome};
-use crate::engine::scheduler::TopoDriver;
-use crate::engine::source::EventSource;
-use crate::engine::topology::{TopoEvent, TopologyModel};
-use crate::engine::TickSource;
+use crate::dynamic::DynamicOutcome;
+use crate::engine::scheduler::{TickSource, TopoDriver};
+use crate::engine::topology::TopologyModel;
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::SyncOutcome;
@@ -264,10 +260,11 @@ impl TopologyTrace {
     ///
     /// The realization is drawn through the superposition scheduler
     /// ([`TopoDriver`]). A built-in model records through
-    /// [`DynamicModel::build_state`]. Recording a [`TraceReplayer`]
-    /// reproduces its trace exactly (replay-of-replay is a fixed point,
-    /// pinned in `tests/trace_replay.rs`). [`TraceRecording`] records
-    /// the same realization on demand.
+    /// [`DynamicModel::build_state`](crate::DynamicModel::build_state).
+    /// Recording a [`TraceReplayer`] reproduces its trace exactly
+    /// (replay-of-replay is a fixed point, pinned in
+    /// `tests/trace_replay.rs`). [`TraceRecording`] records the same
+    /// realization on demand.
     ///
     /// # Panics
     ///
@@ -562,12 +559,13 @@ impl<'a> From<&'a mut TraceRef<'_>> for TraceRef<'a> {
     }
 }
 
-/// The trace as a [`TopologyModel`]: schedules each recorded step at
-/// its recorded time and applies the recorded diff verbatim. Consumes
+/// The trace as a [`TopologyModel`]: each recorded step is due at its
+/// recorded time and applies the recorded diff verbatim. Consumes
 /// **no randomness**, so the protocol RNG stream of a replaying engine
 /// is pure protocol randomness — the common-random-numbers half of the
-/// coupled runs. Over a live recording it schedules one step ahead, so
-/// it records up to the first step past the run's end.
+/// coupled runs. Over a live recording it reports the cursor step's
+/// time as soon as the previous step is applied, so it records one step
+/// ahead: up to the first step past the run's end.
 #[derive(Debug)]
 pub struct TraceReplayer<'a> {
     trace: TraceRef<'a>,
@@ -589,13 +587,7 @@ impl TraceReplayer<'_> {
 }
 
 impl TopologyModel for TraceReplayer<'_> {
-    fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
         let trace = self.trace.trace();
         assert_eq!(
             g.node_count(),
@@ -606,120 +598,18 @@ impl TopologyModel for TraceReplayer<'_> {
         // runs back to back.
         self.cursor = 0;
         net.replace_edges_with(&trace.initial);
-        if let Some(first) = self.trace.step_by(0, f64::INFINITY) {
-            queue.push(first.time, TopoEvent::Replay(0));
-        }
-        // Every step is a deterministic side-queue event.
+        // Every step is a deterministic due event.
         0
     }
 
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        _t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) {
-        let TopoEvent::Replay(i) = event else {
-            unreachable!("a replayer schedules only replay steps");
-        };
-        debug_assert_eq!(i as usize, self.cursor, "replay steps fire in order");
-        let step = self.trace.step_by(i as usize, f64::INFINITY).expect("a scheduled step exists");
+    fn next_due(&mut self) -> f64 {
+        self.trace.step_by(self.cursor, f64::INFINITY).map_or(f64::INFINITY, |step| step.time)
+    }
+
+    fn apply(&mut self, _t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
+        let step = self.trace.step_by(self.cursor, f64::INFINITY).expect("a due step exists");
         apply_step(net, step);
-        self.cursor = i as usize + 1;
-        if let Some(next) = self.trace.step_by(self.cursor, f64::INFINITY) {
-            queue.push(next.time, TopoEvent::Replay(self.cursor as u32));
-        }
-    }
-}
-
-/// Wraps any [`TopologyModel`] so that an ordinary engine run records
-/// the realized topology evolution as a side effect; recover it with
-/// [`into_trace`](Self::into_trace).
-pub struct TraceRecorder<'a> {
-    inner: Box<dyn TopologyModel + 'a>,
-    initial: Option<Graph>,
-    steps: StepStore,
-    last_time: f64,
-}
-
-impl<'a> TraceRecorder<'a> {
-    /// A recorder around `model`'s run state.
-    pub fn new(model: &DynamicModel) -> Self {
-        Self::wrap(model.build_state())
-    }
-
-    /// A recorder around an existing model state.
-    pub fn wrap(inner: Box<dyn TopologyModel + 'a>) -> Self {
-        Self { inner, initial: None, steps: StepStore::new(), last_time: 0.0 }
-    }
-
-    /// The recorded trace; the horizon is the last event's time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no engine run initialized the recorder.
-    pub fn into_trace(self) -> TopologyTrace {
-        let initial = self.initial.expect("recorder was never run through an engine");
-        TopologyTrace { initial, steps: self.steps, horizon: self.last_time }
-    }
-
-    /// Reads the effective step of one applied/fired event off the
-    /// graph's change journal.
-    fn journal(&mut self, t: f64, net: &mut MutableGraph) {
-        self.steps.push_changes(net.changes(), t);
-        net.clear_changes();
-        self.last_time = t;
-    }
-}
-
-impl TopologyModel for TraceRecorder<'_> {
-    fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        let channels = self.inner.init(g, net, queue, rng);
-        self.initial = Some(net.to_graph());
-        // Journal from here on: every applied event's step is read off
-        // `net.changes()` instead of diffing against a shadow copy.
-        net.track_changes(true);
-        channels
-    }
-
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.inner.apply(event, t, net, queue, rng);
-        self.journal(t, net);
-    }
-
-    fn channel_weight(&self, channel: usize) -> f64 {
-        self.inner.channel_weight(channel)
-    }
-
-    fn fire(
-        &mut self,
-        channel: usize,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.inner.fire(channel, t, net, queue, rng);
-        self.journal(t, net);
-    }
-
-    fn note_informed(&mut self, v: Node, net: &MutableGraph) {
-        self.inner.note_informed(v, net);
+        self.cursor += 1;
     }
 }
 
@@ -777,7 +667,7 @@ pub fn run_trace_lazy<'a, P: Probe>(
     let mut topology_events = 0u64;
     let mut completed = false;
     while steps < max_steps {
-        let (tt, ()) = ticks.pop(rng).expect("tick stream is endless");
+        let tt = ticks.pop(rng);
         while let Some(step) = trace.step_by(cursor, tt) {
             apply_step(&mut net, step);
             cursor += 1;
@@ -873,8 +763,8 @@ mod tests {
     use rumor_graph::generators;
 
     use crate::dynamic::{
-        run_dynamic_with, Adversary, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
-        SnapshotFamily,
+        run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
+        Rewire, SnapshotFamily,
     };
     use crate::sync::run_sync;
 
@@ -979,21 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_round_trips_through_an_engine_run() {
-        // Recording a replayer inside a live engine run reproduces the
-        // prefix of the trace the run actually consumed.
-        let g = generators::gnp_connected(32, 0.2, &mut rng(17), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
-        let trace = record(&g, &model, 18, 20.0);
-        let mut recorder = TraceRecorder::wrap(Box::new(trace.replayer()));
-        let out = run_seq(&g, &mut recorder, &mut rng(19), 1_000_000);
-        let consumed: Vec<_> = trace.steps().take(out.topology_events as usize).collect();
-        let got = recorder.into_trace();
-        assert_eq!(got.initial(), trace.initial());
-        assert_eq!(got.steps().collect::<Vec<_>>(), consumed);
-    }
-
-    #[test]
     fn replay_of_replay_is_a_fixed_point() {
         let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
         for (name, model) in all_models() {
@@ -1016,21 +891,6 @@ mod tests {
         let b = run_seq(&g, &mut replay, &mut rng(28), 1_000_000);
         assert_eq!(a, b);
         assert_eq!(replay.applied() as u64, b.topology_events);
-    }
-
-    #[test]
-    fn recorder_captures_an_engine_run() {
-        // The recorder journals channel fires like queue events: under
-        // edge-Markov every fire is one effective flip, so the trace
-        // length equals the run's topology-event count.
-        let g = generators::gnp_connected(32, 0.2, &mut rng(35), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0));
-        let mut recorder = TraceRecorder::new(&model);
-        let out = run_seq(&g, &mut recorder, &mut rng(36), 1_000_000);
-        assert!(out.completed);
-        let trace = recorder.into_trace();
-        assert_eq!(trace.len() as u64, out.topology_events);
-        assert!(trace.times().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -26,13 +26,14 @@
 //!   extending the asynchronous model to temporal graphs à la
 //!   Pourmiri–Mans; with churn rate 0 it replays the static process
 //!   seed-for-seed;
-//! * the **engine layer** ([`engine`]): the [`engine::EventSource`]
-//!   abstraction the global-clock engine is written over, the
-//!   superposition topology scheduler ([`engine::TopoDriver`]), the pluggable
-//!   [`engine::TopologyModel`] layer (edge-Markov churn, periodic
-//!   rewiring, node join/leave, random-walk edge dynamics, geometric
-//!   mobility, adversarial frontier cuts — one interface consumed by
-//!   every engine), and topology traces with the queue-free **trace
+//! * the **engine layer** ([`engine`]) under the dynamic engine: the
+//!   pluggable [`engine::TopologyModel`] layer (edge-Markov churn,
+//!   periodic rewiring, node join/leave, random-walk edge dynamics,
+//!   geometric mobility, adversarial frontier cuts — one interface
+//!   consumed by every engine, each model with at most one pending
+//!   deterministic event), the topology driver ([`engine::TopoDriver`])
+//!   that merges that event with the superposition scheduler over the
+//!   model's channels, and topology traces with the queue-free **trace
 //!   cursor** ([`engine::run_trace_lazy`]) every trace replay runs on;
 //! * a seeded, optionally parallel **Monte-Carlo runner** ([`runner`]) for
 //!   estimating spreading-time laws, expectations `E[T]` and

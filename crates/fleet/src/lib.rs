@@ -13,7 +13,7 @@
 //! * [`report`] — the [`RunReport`](rumor_core::RunReport) ⇄ JSON wire
 //!   codec and the merged, provenance-stamped `FleetReport` artifact
 //!   (schema [`FLEET_SCHEMA`]);
-//! * [`dispatch`] — expands a [`SweepSpec`](rumor_core::SweepSpec) into
+//! * [`dispatch`](mod@dispatch) — expands a [`SweepSpec`](rumor_core::SweepSpec) into
 //!   its validated work-list, optionally auto-tunes `auto` budgets with
 //!   a pilot pass, executes the list in-process or across `rumor
 //!   worker` child processes (crashed workers are retried once), and

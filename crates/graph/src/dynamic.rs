@@ -1,7 +1,7 @@
 //! Mutable adjacency for dynamic-network simulation: flat CSR base plus
 //! a copy-on-write delta overlay.
 //!
-//! The CSR [`Graph`](crate::Graph) is immutable by design; temporal-graph
+//! The CSR [`Graph`] is immutable by design; temporal-graph
 //! engines need edges that appear and disappear while a protocol runs.
 //! [`MutableGraph`] bridges the two worlds without abandoning flat
 //! memory: it aliases the CSR arrays of its starting snapshot (O(1)
@@ -619,7 +619,7 @@ impl MutableGraph {
     /// While tracking, every effective mutation appends a
     /// [`GraphChange`] — no-op calls (duplicate insert, absent removal,
     /// repeated toggles) record nothing, and compaction records nothing
-    /// (it changes layout, not topology). The trace recorder uses this
+    /// (it changes layout, not topology). Topology-trace recording uses this
     /// to diff an event in O(changes) instead of rescanning adjacency.
     pub fn track_changes(&mut self, on: bool) {
         self.journal.clear();

@@ -203,7 +203,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Number-of-elements specification for [`vec`]: an exact count or a
+    /// Number-of-elements specification for [`vec`](fn@vec): an exact count or a
     /// half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -229,7 +229,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -1,16 +1,16 @@
-//! Discrete-event scheduling: time-ordered queues, Poisson clocks, and
+//! Discrete-event scheduling: time-ordered queues, clock trees, and
 //! the superposition scheduler.
 //!
 //! The asynchronous protocol of the paper is driven by `n` independent
 //! rate-1 Poisson clocks. [`EventQueue`] provides the classic
 //! next-event-time simulation loop over a changing set of events;
 //! [`ClockTree`] keeps a fixed population of clocks, each with one
-//! pending time, in the same order; [`PoissonClock`] wraps the
-//! exponential inter-arrival logic; [`Superposition`] collapses a
+//! pending time, in the same order; [`Superposition`] collapses a
 //! population of competing exponential clocks into one total-rate clock
 //! plus a thinned categorical draw, so the engines keep O(1) pending
-//! events instead of one per edge. Every dynamic engine draws its topology events through
-//! [`Superposition`]; the stream it produces is tagged [`RNG_CONTRACT`].
+//! events instead of one per edge. Every dynamic engine draws its
+//! stochastic topology events through [`Superposition`]; the stream it
+//! produces is tagged [`RNG_CONTRACT`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -43,8 +43,9 @@ pub const RNG_CONTRACT: &str = "v2";
 /// step") and `informed_time` vectors both traffic in `f64::INFINITY`,
 /// so accepting it here would let a sentinel silently enter an event
 /// queue and stall the stream; the contract is: **an event either has a
-/// finite time or is not scheduled at all** (models guard zero rates
-/// and infinite periods/delays by not pushing).
+/// finite time or is not scheduled at all** (topology models guard zero
+/// rates and infinite periods/delays by reporting `INFINITY` as their
+/// next due time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeKey(f64);
 
@@ -348,70 +349,6 @@ fn wide([high, low]: Key) -> u128 {
     (u128::from(high) << 64) | u128::from(low)
 }
 
-/// A Poisson clock: ticks separated by i.i.d. `Exp(rate)` intervals.
-///
-/// The asynchronous protocol equips each node with a rate-1 clock; the
-/// equivalent single-clock view uses one rate-`n` clock (superposition).
-///
-/// # Example
-///
-/// ```
-/// use rumor_sim::events::PoissonClock;
-/// use rumor_sim::rng::Xoshiro256PlusPlus;
-/// let mut rng = Xoshiro256PlusPlus::seed_from(1);
-/// let mut clock = PoissonClock::new(1.0);
-/// let t1 = clock.next_tick(&mut rng);
-/// let t2 = clock.next_tick(&mut rng);
-/// assert!(t2 > t1 && t1 > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PoissonClock {
-    rate: f64,
-    now: f64,
-}
-
-impl PoissonClock {
-    /// Creates a clock with the given tick rate, starting at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive and finite");
-        Self { rate, now: 0.0 }
-    }
-
-    /// The clock's rate λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The time of the most recent tick (0 before the first tick).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances to, and returns, the next tick time.
-    pub fn next_tick(&mut self, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        self.now += rng.exp(self.rate);
-        self.now
-    }
-
-    /// Restarts the clock at time 0.
-    pub fn reset(&mut self) {
-        self.now = 0.0;
-    }
-}
-
-/// What a [`Superposition`] pop produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fired<T> {
-    /// A stochastic arrival, thinned to the channel with this index.
-    Channel(usize),
-    /// A deterministic event scheduled through the side queue.
-    Event(T),
-}
-
 /// The topology scheduler: a superposition of competing exponential
 /// clocks.
 ///
@@ -428,12 +365,6 @@ pub enum Fired<T> {
 /// processes the resulting marked event stream is *equal in law* to
 /// the eager construction; only the RNG stream differs.
 ///
-/// Deterministic follow-ups (heal timers, rewire snapshots, trace
-/// replay cursors) still need absolute-time scheduling; they go through
-/// the public side [`queue`](Self::queue), which is merged with the
-/// stochastic arrival stream — the queue winning ties, which occur with
-/// probability zero against a continuous arrival time.
-///
 /// Draw discipline (the replay contract):
 ///
 /// - [`peek`](Self::peek) draws the pending arrival if none is held;
@@ -441,7 +372,7 @@ pub enum Fired<T> {
 /// - [`pop`](Self::pop) consumes the arrival and, **only if more than
 ///   one channel has positive weight**, spends one selection draw. A
 ///   single-channel scheduler therefore consumes exactly the draws of
-///   a plain [`PoissonClock`] loop — the property that lets engines
+///   a plain `t += rng.exp(rate)` loop — the property that lets engines
 ///   route single-rate tick streams through `Superposition` without
 ///   moving their RNG stream.
 /// - [`set_weight`](Self::set_weight) with a *changed* weight discards
@@ -449,37 +380,18 @@ pub enum Fired<T> {
 ///   memorylessness the redrawn arrival is exact. An unchanged weight
 ///   is a no-op, retaining the pending arrival.
 #[derive(Debug)]
-pub struct Superposition<T> {
+pub struct Superposition {
     weights: Vec<f64>,
     total: f64,
     clock: f64,
     pending: Option<f64>,
-    /// Deterministic side events, merged ahead of stochastic arrivals
-    /// on (probability-zero) time ties.
-    pub queue: EventQueue<T>,
 }
 
-impl<T> Superposition<T> {
+impl Superposition {
     /// A scheduler with `channels` channels, all at weight 0, starting
     /// at time 0.
     pub fn new(channels: usize) -> Self {
-        Self {
-            weights: vec![0.0; channels],
-            total: 0.0,
-            clock: 0.0,
-            pending: None,
-            queue: EventQueue::new(),
-        }
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Current weight (total rate) of channel `ch`.
-    pub fn weight(&self, ch: usize) -> f64 {
-        self.weights[ch]
+        Self { weights: vec![0.0; channels], total: 0.0, clock: 0.0, pending: None }
     }
 
     /// Sum of all channel weights.
@@ -487,8 +399,8 @@ impl<T> Superposition<T> {
         self.total
     }
 
-    /// The pending (already drawn) stochastic arrival, if one is held;
-    /// a test hook for comparing arrival sequences.
+    /// The pending (already drawn) arrival, if one is held; a test hook
+    /// for comparing arrival sequences.
     pub fn pending_arrival(&self) -> Option<f64> {
         self.pending
     }
@@ -517,47 +429,24 @@ impl<T> Superposition<T> {
         self.clock = now;
     }
 
-    /// Time of the next event — stochastic arrival or queued — drawing
-    /// (and retaining) the arrival if none is pending. `None` when all
-    /// weights are zero and the queue is empty.
+    /// Time of the next arrival, drawing (and retaining) it if none is
+    /// pending. `None` when all weights are zero.
     pub fn peek(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        let arrival = self.arrival_time(rng);
-        match (self.queue.peek_time(), arrival) {
-            (Some(q), Some(a)) => Some(if q <= a { q } else { a }),
-            (Some(q), None) => Some(q),
-            (None, a) => a,
-        }
-    }
-
-    /// Removes and returns the next event. Stochastic pops consume the
-    /// pending arrival and thin to a channel (one selection draw,
-    /// skipped when exactly one channel is live); queued pops consume
-    /// no randomness and retain the pending arrival.
-    pub fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<(f64, Fired<T>)> {
-        let arrival = self.arrival_time(rng);
-        let queue_first = match (self.queue.peek_time(), arrival) {
-            (Some(q), Some(a)) => q <= a,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if queue_first {
-            let (t, payload) = self.queue.pop().expect("peeked non-empty");
-            return Some((t, Fired::Event(payload)));
-        }
-        let t = self.pending.take().expect("arrival_time held a pending draw");
-        self.clock = t;
-        Some((t, Fired::Channel(self.select_channel(rng))))
-    }
-
-    /// Draws (or returns the retained) next stochastic arrival; `None`
-    /// when the total rate is zero.
-    fn arrival_time(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
         if self.total > 0.0 {
             Some(*self.pending.get_or_insert_with(|| self.clock + rng.exp(self.total)))
         } else {
             None
         }
+    }
+
+    /// Removes the next arrival and returns its time and the channel it
+    /// thins to (one selection draw, skipped when exactly one channel
+    /// is live). `None` when all weights are zero.
+    pub fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<(f64, usize)> {
+        let t = self.peek(rng)?;
+        self.pending = None;
+        self.clock = t;
+        Some((t, self.select_channel(rng)))
     }
 
     /// Thins an arrival to a channel: proportional to weight, via one
@@ -597,7 +486,6 @@ impl<T> Superposition<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::OnlineStats;
 
     #[test]
     fn queue_orders_by_time() {
@@ -793,50 +681,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poisson_clock_mean_interval() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(42);
-        let mut clock = PoissonClock::new(4.0);
-        let mut stats = OnlineStats::new();
-        let mut last = 0.0;
-        for _ in 0..100_000 {
-            let t = clock.next_tick(&mut rng);
-            stats.push(t - last);
-            last = t;
-        }
-        assert!((stats.mean() - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn poisson_clock_reset() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(1);
-        let mut clock = PoissonClock::new(1.0);
-        clock.next_tick(&mut rng);
-        assert!(clock.now() > 0.0);
-        clock.reset();
-        assert_eq!(clock.now(), 0.0);
-    }
-
     /// A single-channel superposition consumes exactly the draws of a
-    /// plain Poisson clock: same arrival times, same final RNG state.
-    /// This is what lets engines route their rate-n tick stream through
-    /// the scheduler without moving the replay stream.
+    /// plain `t += rng.exp(rate)` loop: same arrival times, same final
+    /// RNG state. This is what lets engines route their rate-n tick
+    /// stream through the scheduler without moving the replay stream.
     #[test]
-    fn single_channel_superposition_matches_poisson_clock_bit_for_bit() {
+    fn single_channel_superposition_matches_exp_loop_bit_for_bit() {
         let rate = 3.5;
         let mut eager_rng = Xoshiro256PlusPlus::seed_from(17);
-        let mut clock = PoissonClock::new(rate);
-        let reference: Vec<f64> = (0..200).map(|_| clock.next_tick(&mut eager_rng)).collect();
+        let mut t = 0.0;
+        let reference: Vec<f64> = (0..200)
+            .map(|_| {
+                t += eager_rng.exp(rate);
+                t
+            })
+            .collect();
 
         let mut rng = Xoshiro256PlusPlus::seed_from(17);
-        let mut sup: Superposition<()> = Superposition::new(1);
+        let mut sup = Superposition::new(1);
         sup.set_weight(0.0, 0, rate);
         for (i, &expect) in reference.iter().enumerate() {
             // Peek must retain: double-peek draws nothing extra.
             assert_eq!(sup.peek(&mut rng), Some(expect));
             assert_eq!(sup.peek(&mut rng), Some(expect));
-            let (t, fired) = sup.pop(&mut rng).expect("live channel");
-            assert_eq!((t, fired), (expect, Fired::Channel(0)), "arrival {i}");
+            assert_eq!(sup.pop(&mut rng), Some((expect, 0)), "arrival {i}");
         }
         assert_eq!(rng.next_u64(), eager_rng.next_u64(), "RNG streams diverged");
     }
@@ -844,17 +712,15 @@ mod tests {
     #[test]
     fn superposition_channel_frequencies_match_weights() {
         let mut rng = Xoshiro256PlusPlus::seed_from(5);
-        let mut sup: Superposition<()> = Superposition::new(3);
+        let mut sup = Superposition::new(3);
         sup.set_weight(0.0, 0, 1.0);
         sup.set_weight(0.0, 1, 3.0);
         sup.set_weight(0.0, 2, 0.0); // dead channel must never fire
         let mut hits = [0u64; 3];
         let trials = 40_000;
         for _ in 0..trials {
-            match sup.pop(&mut rng) {
-                Some((_, Fired::Channel(c))) => hits[c] += 1,
-                other => panic!("expected channel fire, got {other:?}"),
-            }
+            let (_, c) = sup.pop(&mut rng).expect("live channels");
+            hits[c] += 1;
         }
         assert_eq!(hits[2], 0);
         let frac = hits[1] as f64 / trials as f64;
@@ -866,7 +732,7 @@ mod tests {
     #[test]
     fn superposition_reweight_invalidates_only_on_change() {
         let mut rng = Xoshiro256PlusPlus::seed_from(9);
-        let mut sup: Superposition<()> = Superposition::new(2);
+        let mut sup = Superposition::new(2);
         sup.set_weight(0.0, 0, 2.0);
         let first = sup.peek(&mut rng).expect("live");
         sup.set_weight(0.5, 0, 2.0); // unchanged: retained
@@ -878,30 +744,15 @@ mod tests {
         assert!(redrawn > 0.5, "redrawn arrival {redrawn} must start at the reweight time");
     }
 
-    /// Queued (deterministic) events merge ahead of stochastic arrivals
-    /// and consume no randomness; the pending arrival survives them.
+    /// All weights zero: no arrival and no draw; raising a weight from
+    /// zero restarts the clock at `now`.
     #[test]
-    fn superposition_queue_merges_without_consuming_arrival() {
-        let mut rng = Xoshiro256PlusPlus::seed_from(11);
-        let mut sup: Superposition<&str> = Superposition::new(1);
-        sup.set_weight(0.0, 0, 1e-6); // arrival far in the future w.h.p.
-        let arrival = sup.peek(&mut rng).expect("live");
-        sup.queue.push(arrival.min(1.0) * 0.5, "deterministic");
-        let (t, fired) = sup.pop(&mut rng).expect("queued event");
-        assert_eq!(fired, Fired::Event("deterministic"));
-        assert!(t < arrival);
-        assert_eq!(sup.pending_arrival(), Some(arrival), "arrival retained across queue pop");
-    }
-
-    #[test]
-    fn superposition_zero_rate_is_queue_only() {
+    fn superposition_zero_rate_draws_nothing() {
         let mut rng = Xoshiro256PlusPlus::seed_from(13);
-        let mut sup: Superposition<u8> = Superposition::new(2);
+        let mut sup = Superposition::new(2);
         assert_eq!(sup.peek(&mut rng), None);
         assert_eq!(sup.pop(&mut rng), None);
-        sup.queue.push(4.0, 7);
-        assert_eq!(sup.pop(&mut rng), Some((4.0, Fired::Event(7))));
-        // Raising a weight from zero restarts the clock at `now`.
+        assert_eq!(rng.next_u64(), Xoshiro256PlusPlus::seed_from(13).next_u64());
         sup.set_weight(4.0, 0, 1.0);
         let t = sup.peek(&mut rng).expect("live");
         assert!(t > 4.0);
@@ -910,7 +761,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn superposition_rejects_negative_weight() {
-        let mut sup: Superposition<()> = Superposition::new(1);
+        let mut sup = Superposition::new(1);
         sup.set_weight(0.0, 0, -1.0);
     }
 
@@ -923,9 +774,10 @@ mod tests {
         let horizon = 50.0;
         let mut merged_ticks = 0u64;
         for _ in 0..n {
-            let mut c = PoissonClock::new(1.0);
-            while c.next_tick(&mut rng) <= horizon {
+            let mut t = rng.exp(1.0);
+            while t <= horizon {
                 merged_ticks += 1;
+                t += rng.exp(1.0);
             }
         }
         let expected = n as f64 * horizon;

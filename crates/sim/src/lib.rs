@@ -10,8 +10,8 @@
 //!   (exponential, geometric, negative binomial, Erlang) with sampling,
 //!   moments, and CDFs, so the paper's domination lemmas can be tested.
 //! * [`events`] — a time-ordered event queue, a tree of `n` clocks with one
-//!   pending time each, and Poisson clocks: the engine room of the
-//!   asynchronous protocol.
+//!   pending time each, and the superposition scheduler: the engine room
+//!   of the asynchronous protocol.
 //! * [`stats`] — online moments, quantiles, empirical CDFs and two-sample
 //!   Kolmogorov–Smirnov distances for the experiment harness.
 //! * [`fit`] — least-squares fits (linear, power-law, logarithmic) used to
@@ -44,6 +44,6 @@ pub mod rng;
 pub mod stats;
 
 pub use dist::{Erlang, Exponential, Geometric, NegativeBinomial};
-pub use events::{EventQueue, PoissonClock};
+pub use events::EventQueue;
 pub use rng::{SeedStream, SplitMix64, Xoshiro256PlusPlus};
 pub use stats::{Ecdf, OnlineStats, Summary};

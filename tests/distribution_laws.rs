@@ -135,12 +135,12 @@ fn geometric_one_minus_inv_e_tail() {
 /// of the superposition/thinning theorem the dynamic engines rely on.
 #[test]
 fn superposition_interarrivals_are_exponential_and_marks_categorical() {
-    use rumor_spreading::sim::events::{Fired, Superposition};
+    use rumor_spreading::sim::events::Superposition;
 
     let weights = [0.5f64, 2.0, 0.25, 1.25];
     let total: f64 = weights.iter().sum();
     let mut rng = Xoshiro256PlusPlus::seed_from(2016);
-    let mut sup: Superposition<()> = Superposition::new(weights.len());
+    let mut sup = Superposition::new(weights.len());
     for (i, &w) in weights.iter().enumerate() {
         sup.set_weight(0.0, i, w);
     }
@@ -150,13 +150,10 @@ fn superposition_interarrivals_are_exponential_and_marks_categorical() {
     let mut hits = vec![0u64; weights.len()];
     let mut prev = 0.0;
     for _ in 0..trials {
-        let (t, fired) = sup.pop(&mut rng).expect("live channels");
+        let (t, ch) = sup.pop(&mut rng).expect("live channels");
         gaps.push(t - prev);
         prev = t;
-        match fired {
-            Fired::Channel(ch) => hits[ch] += 1,
-            Fired::Event(()) => unreachable!("no queued events"),
-        }
+        hits[ch] += 1;
     }
 
     // KS distance between the empirical inter-arrival law and

@@ -4,10 +4,15 @@
 //! (bit-for-bit, final RNG word included), and a multi-channel
 //! superposition produces the same marked event sequence as a raw
 //! `Exp(total)` clock thinned by a test-local prefix scan — including
-//! across reweights, which restart the clock by memorylessness.
+//! across reweights, which restart the clock by memorylessness. At the
+//! driver level, a model's due events merge with the stochastic
+//! arrivals without spending randomness.
 
 use proptest::prelude::*;
-use rumor_spreading::sim::events::{EventQueue, Fired, Superposition};
+use rumor_spreading::core::engine::{TopoDriver, TopologyModel};
+use rumor_spreading::graph::dynamic::MutableGraph;
+use rumor_spreading::graph::{generators, Graph};
+use rumor_spreading::sim::events::{EventQueue, Superposition};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 // ---------------------------------------------------------------------------
@@ -29,12 +34,12 @@ proptest! {
     ) {
         // v2: one-channel superposition.
         let mut rng_v2 = Xoshiro256PlusPlus::seed_from(seed);
-        let mut sup: Superposition<()> = Superposition::new(1);
+        let mut sup = Superposition::new(1);
         sup.set_weight(0.0, 0, rate);
         let v2: Vec<f64> = (0..events)
             .map(|_| {
-                let (t, fired) = sup.pop(&mut rng_v2).expect("positive rate");
-                prop_assert_eq!(fired, Fired::Channel(0));
+                let (t, ch) = sup.pop(&mut rng_v2).expect("positive rate");
+                prop_assert_eq!(ch, 0);
                 Ok(t)
             })
             .collect::<Result<_, TestCaseError>>()?;
@@ -130,7 +135,7 @@ proptest! {
         }
 
         let mut rng_sup = Xoshiro256PlusPlus::seed_from(seed);
-        let mut sup: Superposition<()> = Superposition::new(weights.len());
+        let mut sup = Superposition::new(weights.len());
         for (i, &w) in weights.iter().enumerate() {
             sup.set_weight(0.0, i, w);
         }
@@ -138,10 +143,10 @@ proptest! {
         let mut rng_ref = Xoshiro256PlusPlus::seed_from(seed);
         let mut t_ref = 0.0;
         for step in 0..events {
-            let (t, fired) = sup.pop(&mut rng_sup).expect("live channel");
-            let (te, ch) = reference_step(&mut t_ref, &weights, &mut rng_ref);
+            let (t, ch) = sup.pop(&mut rng_sup).expect("live channel");
+            let (te, che) = reference_step(&mut t_ref, &weights, &mut rng_ref);
             prop_assert_eq!(t, te, "time diverged at step {}", step);
-            prop_assert_eq!(fired, Fired::Channel(ch), "channel diverged at step {}", step);
+            prop_assert_eq!(ch, che, "channel diverged at step {}", step);
         }
         prop_assert_eq!(rng_sup.next_u64(), rng_ref.next_u64(), "RNG streams diverged");
     }
@@ -162,7 +167,7 @@ proptest! {
         let mut weights = vec![1.0f64; channels];
 
         let mut rng_sup = Xoshiro256PlusPlus::seed_from(seed);
-        let mut sup: Superposition<()> = Superposition::new(channels);
+        let mut sup = Superposition::new(channels);
         for (i, &w) in weights.iter().enumerate() {
             sup.set_weight(0.0, i, w);
         }
@@ -183,46 +188,172 @@ proptest! {
                     weights[0] = 1.0;
                 }
             } else {
-                let (ts, fired) = sup.pop(&mut rng_sup).expect("live channel");
+                let (ts, ch) = sup.pop(&mut rng_sup).expect("live channel");
                 let (te, che) = reference_step(&mut t, &weights, &mut rng_ref);
                 prop_assert_eq!(ts, te, "time diverged at op {}", step);
-                prop_assert_eq!(fired, Fired::Channel(che), "channel diverged at op {}", step);
+                prop_assert_eq!(ch, che, "channel diverged at op {}", step);
             }
         }
         prop_assert_eq!(rng_sup.next_u64(), rng_ref.next_u64(), "RNG streams diverged");
     }
+}
 
-    /// Deterministic side-queue events merge ahead of stochastic
-    /// arrivals without spending randomness: a run with queued events
-    /// interleaved yields the same stochastic (time, channel) stream —
-    /// and the same final RNG state — as the run without them.
+// ---------------------------------------------------------------------------
+// Due events through the driver: no randomness, arrivals kept
+// ---------------------------------------------------------------------------
+
+/// A test model with fixed-rate channels and a list of deterministic
+/// due times (ascending), one of them pending at a time. It records
+/// what the driver delivers and leaves the graph alone.
+struct Timers {
+    weights: Vec<f64>,
+    due: Vec<f64>,
+    applied: Vec<f64>,
+    fired: Vec<(f64, usize)>,
+}
+
+impl Timers {
+    fn new(weights: &[f64], due: &[f64]) -> Self {
+        Timers { weights: weights.to_vec(), due: due.to_vec(), applied: vec![], fired: vec![] }
+    }
+}
+
+impl TopologyModel for Timers {
+    fn init(
+        &mut self,
+        _g: &Graph,
+        _net: &mut MutableGraph,
+        _rng: &mut Xoshiro256PlusPlus,
+    ) -> usize {
+        self.weights.len()
+    }
+
+    fn next_due(&mut self) -> f64 {
+        self.due.get(self.applied.len()).copied().unwrap_or(f64::INFINITY)
+    }
+
+    fn apply(&mut self, t: f64, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
+        self.applied.push(t);
+    }
+
+    fn channel_weight(&self, ch: usize) -> f64 {
+        self.weights[ch]
+    }
+
+    fn fire(&mut self, ch: usize, t: f64, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
+        self.fired.push((t, ch));
+    }
+}
+
+/// Starts a driver over `model` on a two-node graph.
+fn start(model: &mut Timers, rng: &mut Xoshiro256PlusPlus) -> (TopoDriver, MutableGraph) {
+    let g = generators::complete(2);
+    let mut net = MutableGraph::from_graph(&g);
+    let driver = TopoDriver::new(&g, &mut net, model, rng);
+    (driver, net)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A model's due events merge ahead of stochastic arrivals without
+    /// spending randomness: a run with due events interleaved yields
+    /// the same stochastic (time, channel) stream — and the same final
+    /// RNG state — as the run without them, and applies each due event
+    /// at its own time, in order.
     #[test]
     fn queued_events_consume_no_randomness(
         seed in 0u64..1_000_000,
         weights in proptest::collection::vec(0.1f64..5.0, 2..5),
         events in 1usize..60,
-        queue_times in proptest::collection::vec(0.0f64..20.0, 0..10),
+        due_times in proptest::collection::vec(0.0f64..20.0, 0..10),
     ) {
-        let run = |with_queue: bool| {
+        let mut due = due_times.clone();
+        due.sort_by(f64::total_cmp);
+        let run = |due: &[f64]| {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let mut sup: Superposition<u32> = Superposition::new(weights.len());
-            for (i, &w) in weights.iter().enumerate() {
-                sup.set_weight(0.0, i, w);
+            let mut model = Timers::new(&weights, due);
+            let (mut driver, mut net) = start(&mut model, &mut rng);
+            while model.fired.len() < events {
+                let t = driver.next_time(&mut rng);
+                driver.step(&mut model, &mut net, &mut rng);
+                prop_assert!(
+                    model.applied.last() == Some(&t) || model.fired.last().map(|f| f.0) == Some(t),
+                    "the step did not happen at the peeked time {}", t
+                );
             }
-            if with_queue {
-                for (k, &qt) in queue_times.iter().enumerate() {
-                    sup.queue.push(qt, k as u32);
-                }
-            }
-            let mut stochastic = Vec::new();
-            while stochastic.len() < events {
-                match sup.pop(&mut rng).expect("live channels") {
-                    (t, Fired::Channel(ch)) => stochastic.push((t, ch)),
-                    (_, Fired::Event(_)) => {}
-                }
-            }
-            (stochastic, rng.next_u64())
+            Ok((model, rng.next_u64()))
         };
-        prop_assert_eq!(run(true), run(false));
+        let (with, with_word) = run(&due)?;
+        let (without, without_word) = run(&[])?;
+        prop_assert_eq!(&with.fired, &without.fired);
+        prop_assert_eq!(with_word, without_word, "due events spent randomness");
+        let last = with.fired.last().expect("events >= 1").0;
+        let reached: Vec<f64> = due.iter().copied().filter(|&d| d <= last).collect();
+        prop_assert_eq!(&with.applied, &reached);
     }
+}
+
+/// A due event before the pending arrival is applied without a draw,
+/// and the arrival it preempted is kept, not redrawn.
+#[test]
+fn due_event_merges_without_consuming_arrival() {
+    let mut rng = Xoshiro256PlusPlus::seed_from(11);
+    // Arrival far in the future w.h.p.
+    let mut model = Timers::new(&[1e-6], &[1.0]);
+    let (mut driver, mut net) = start(&mut model, &mut rng);
+    assert_eq!(driver.next_time(&mut rng), 1.0);
+    let after_peek = rng.clone();
+    driver.step(&mut model, &mut net, &mut rng);
+    assert_eq!(model.applied, [1.0]);
+    let arrival = driver.next_time(&mut rng);
+    assert!(arrival > 1.0);
+    assert_eq!(rng, after_peek, "the due step or the re-peek drew");
+    driver.step(&mut model, &mut net, &mut rng);
+    assert_eq!(model.fired, [(arrival, 0)]);
+}
+
+/// With every weight at zero the driver delivers due events only, and
+/// draws nothing; raising a weight from zero starts the arrival clock
+/// at the due event's time.
+#[test]
+fn zero_rate_driver_delivers_due_events_only() {
+    let mut rng = Xoshiro256PlusPlus::seed_from(13);
+    let mut model = Timers::new(&[0.0, 0.0], &[4.0]);
+    let (mut driver, mut net) = start(&mut model, &mut rng);
+    assert_eq!(driver.next_time(&mut rng), 4.0);
+    model.weights[0] = 1.0;
+    driver.step(&mut model, &mut net, &mut rng);
+    assert_eq!(model.applied, [4.0]);
+    assert_eq!(rng, Xoshiro256PlusPlus::seed_from(13), "due events drew");
+    let t = driver.next_time(&mut rng);
+    assert!(t > 4.0 && t.is_finite(), "arrival {t} must start at the reweight time");
+
+    let mut idle = Timers::new(&[0.0], &[]);
+    let (mut driver, _) = start(&mut idle, &mut rng);
+    assert_eq!(driver.next_time(&mut rng), f64::INFINITY);
+}
+
+/// A due event at exactly the peeked arrival time is applied first; the
+/// arrival is kept and fires next, with no extra draw spent.
+#[test]
+fn due_event_wins_an_exact_tie_with_the_arrival() {
+    let rate = 2.5;
+    let seed = 31;
+    // The driver's first peek is `0 + Exp(rate)` off a fresh stream.
+    let mut reference = Xoshiro256PlusPlus::seed_from(seed);
+    let arrival = reference.exp(rate);
+
+    let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+    let mut model = Timers::new(&[rate], &[arrival]);
+    let (mut driver, mut net) = start(&mut model, &mut rng);
+    assert_eq!(driver.next_time(&mut rng), arrival);
+    driver.step(&mut model, &mut net, &mut rng);
+    assert_eq!(model.applied, [arrival]);
+    assert!(model.fired.is_empty(), "the arrival fired before the due event");
+    assert_eq!(driver.next_time(&mut rng), arrival, "the arrival was not kept");
+    driver.step(&mut model, &mut net, &mut rng);
+    assert_eq!(model.fired, [(arrival, 0)]);
+    // One exponential draw in all: no redraw, no thinning draw.
+    assert_eq!(rng, reference, "an extra draw was spent");
 }

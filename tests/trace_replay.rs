@@ -21,7 +21,6 @@
 //!   prefix of that eager trace.
 
 use proptest::prelude::*;
-use rumor_sim::events::EventQueue;
 use rumor_spreading::core::dynamic::{
     run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
     RandomWalk, Rewire, SnapshotFamily,
@@ -29,7 +28,7 @@ use rumor_spreading::core::dynamic::{
 use rumor_spreading::core::engine::trace::{
     run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording, TraceReplayer,
 };
-use rumor_spreading::core::engine::{TopoEvent, TopologyModel};
+use rumor_spreading::core::engine::TopologyModel;
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
 use rumor_spreading::core::trace::Transmission;
 use rumor_spreading::core::{MetricsLevel, Mode, NoProbe, Probe, ProbeEvent};
@@ -87,25 +86,16 @@ impl<'a> SnapshotProbe<'a> {
 }
 
 impl TopologyModel for SnapshotProbe<'_> {
-    fn init(
-        &mut self,
-        g: &Graph,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        self.inner.init(g, net, queue, rng)
+    fn init(&mut self, g: &Graph, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) -> usize {
+        self.inner.init(g, net, rng)
     }
 
-    fn apply(
-        &mut self,
-        event: TopoEvent,
-        t: f64,
-        net: &mut MutableGraph,
-        queue: &mut EventQueue<TopoEvent>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) {
-        self.inner.apply(event, t, net, queue, rng);
+    fn next_due(&mut self) -> f64 {
+        self.inner.next_due()
+    }
+
+    fn apply(&mut self, t: f64, net: &mut MutableGraph, rng: &mut Xoshiro256PlusPlus) {
+        self.inner.apply(t, net, rng);
         self.snaps.push(net.to_graph());
     }
 }
