@@ -281,6 +281,9 @@ proptest! {
                     model.applied.last() == Some(&t) || model.fired.last().map(|f| f.0) == Some(t),
                     "the step did not happen at the peeked time {}", t
                 );
+                // A driver that missed the next due time would apply
+                // one event forever.
+                prop_assert!(model.applied.len() <= due.len(), "a due event was applied twice");
             }
             Ok((model, rng.next_u64()))
         };
