@@ -39,33 +39,28 @@ pub struct CliOptions {
 /// assert_eq!(opts.config.trials, 10);
 /// assert!(!opts.config.full_scale);
 /// ```
-pub fn parse_args<I: Iterator<Item = String>>(args: I) -> CliOptions {
-    let mut config = ExperimentConfig::full();
-    let mut csv = false;
-    let mut args = args.peekable();
+pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> CliOptions {
+    let (mut quick, mut trials, mut seed, mut csv) = (false, None, None, false);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                let trials = config.trials;
-                config = ExperimentConfig::quick();
-                // --trials before --quick should survive; re-apply below
-                // only if explicitly set after.
-                let _ = trials;
-            }
+            "--quick" => quick = true,
             "--trials" => {
                 let value = args.next().unwrap_or_else(|| panic!("--trials requires a number"));
-                config.trials =
-                    value.parse().unwrap_or_else(|_| panic!("bad --trials value: {value}"));
+                trials =
+                    Some(value.parse().unwrap_or_else(|_| panic!("bad --trials value: {value}")));
             }
             "--seed" => {
                 let value = args.next().unwrap_or_else(|| panic!("--seed requires a number"));
-                config.master_seed =
-                    value.parse().unwrap_or_else(|_| panic!("bad --seed value: {value}"));
+                seed = Some(value.parse().unwrap_or_else(|_| panic!("bad --seed value: {value}")));
             }
             "--csv" => csv = true,
             other => panic!("unknown flag {other}; supported: --quick --trials N --seed S --csv"),
         }
     }
+    // `--quick` picks the base; explicit overrides win in any order.
+    let mut config = if quick { ExperimentConfig::quick() } else { ExperimentConfig::full() };
+    config.trials = trials.unwrap_or(config.trials);
+    config.master_seed = seed.unwrap_or(config.master_seed);
     CliOptions { config, csv }
 }
 
@@ -119,10 +114,18 @@ mod tests {
 
     #[test]
     fn quick_and_overrides() {
-        let opts = parse(&["--quick", "--seed", "7", "--trials", "12"]);
-        assert!(!opts.config.full_scale);
-        assert_eq!(opts.config.master_seed, 7);
-        assert_eq!(opts.config.trials, 12);
+        // Overrides hold whether they come before or after `--quick`.
+        for flags in [
+            &["--quick", "--seed", "7", "--trials", "12"][..],
+            &["--seed", "7", "--trials", "12", "--quick"],
+            &["--trials", "12", "--quick", "--seed", "7"],
+        ] {
+            let opts = parse(flags);
+            assert!(!opts.config.full_scale, "{flags:?}");
+            assert_eq!(opts.config.master_seed, 7, "{flags:?}");
+            assert_eq!(opts.config.trials, 12, "{flags:?}");
+        }
+        assert_eq!(parse(&["--quick"]).config, ExperimentConfig::quick());
     }
 
     #[test]

@@ -258,79 +258,44 @@ fn opt_f64(args: &Args, key: &str) -> Result<Option<f64>, CliError> {
     raw.parse().map(Some).map_err(|_| CliError::Usage(format!("cannot parse --{key} from `{raw}`")))
 }
 
-/// Builds the topology-evolution model for `--dynamic-model` runs.
+/// Builds the topology-evolution model for `--dynamic-model` runs. The
+/// parameters are checked by [`SimSpec::build`], whose error names the
+/// spec field.
 fn parse_dynamic_model(args: &Args, dynamic: &str, g: &Graph) -> Result<DynamicModel, CliError> {
-    match dynamic {
+    Ok(match dynamic {
         "markov" => {
-            let nu: f64 = args.opt_parsed("churn", 1.0)?;
-            if !(nu >= 0.0 && nu.is_finite()) {
-                return Err(CliError::Usage("--churn must be finite and >= 0".into()));
-            }
-            Ok(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(nu)))
+            let nu = args.opt_parsed("churn", 1.0)?;
+            DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: nu, on_rate: nu })
         }
-        "rewire" => {
-            let period: f64 = args.opt_parsed("period", 4.0)?;
-            if period <= 0.0 || period.is_nan() {
-                return Err(CliError::Usage("--period must be positive".into()));
-            }
-            Ok(DynamicModel::Rewire(Rewire::new(period, SnapshotFamily::matching_density(g))))
-        }
-        "node-churn" => {
-            let leave: f64 = args.opt_parsed("leave", 0.1)?;
-            let join: f64 = args.opt_parsed("join", 1.0)?;
-            let attach: usize = args.opt_parsed("attach", 2)?;
-            if !(leave >= 0.0 && leave.is_finite() && join >= 0.0 && join.is_finite()) {
-                return Err(CliError::Usage("--leave/--join must be finite and >= 0".into()));
-            }
-            if attach == 0 {
-                return Err(CliError::Usage("--attach must be positive".into()));
-            }
-            Ok(DynamicModel::NodeChurn(NodeChurn::new(leave, join, attach)))
-        }
-        "walk" => {
-            let rate: f64 = args.opt_parsed("churn", 1.0)?;
-            if !(rate >= 0.0 && rate.is_finite()) {
-                return Err(CliError::Usage("--churn must be finite and >= 0".into()));
-            }
-            Ok(DynamicModel::RandomWalk(RandomWalk::new(rate)))
-        }
-        "mobility" => {
-            let move_rate: f64 = args.opt_parsed("move-rate", 1.0)?;
-            let step: f64 = args.opt_parsed("step", 0.1)?;
+        "rewire" => DynamicModel::Rewire(Rewire {
+            period: args.opt_parsed("period", 4.0)?,
+            family: SnapshotFamily::matching_density(g),
+        }),
+        "node-churn" => DynamicModel::NodeChurn(NodeChurn {
+            leave_rate: args.opt_parsed("leave", 0.1)?,
+            join_rate: args.opt_parsed("join", 1.0)?,
+            attach_degree: args.opt_parsed("attach", 2)?,
+        }),
+        "walk" => DynamicModel::RandomWalk(RandomWalk { rate: args.opt_parsed("churn", 1.0)? }),
+        "mobility" => DynamicModel::Mobility(Mobility {
+            move_rate: args.opt_parsed("move-rate", 1.0)?,
             // Default radius matches the base graph's edge density, so
             // mobility runs are comparable with the other models.
-            let default_radius = Mobility::matching_density(g, 1.0, 0.1).radius;
-            let radius: f64 = args.opt_parsed("radius", default_radius)?;
-            if !(move_rate >= 0.0 && move_rate.is_finite()) {
-                return Err(CliError::Usage("--move-rate must be finite and >= 0".into()));
-            }
-            if !(radius > 0.0 && radius.is_finite() && step > 0.0 && step.is_finite()) {
-                return Err(CliError::Usage("--radius/--step must be positive and finite".into()));
-            }
-            Ok(DynamicModel::Mobility(Mobility::new(move_rate, radius, step)))
+            radius: args.opt_parsed("radius", Mobility::matching_density(g, 1.0, 0.1).radius)?,
+            step: args.opt_parsed("step", 0.1)?,
+        }),
+        "adversary" => DynamicModel::Adversary(Adversary {
+            rate: args.opt_parsed("cut-rate", 1.0)?,
+            budget: args.opt_parsed("cut-budget", 4)?,
+            heal_after: args.opt_parsed("heal", 1.0)?,
+        }),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown --dynamic-model `{other}`; supported: markov, rewire, node-churn, walk, \
+                 mobility, adversary"
+            )))
         }
-        "adversary" => {
-            let rate: f64 = args.opt_parsed("cut-rate", 1.0)?;
-            let budget: usize = args.opt_parsed("cut-budget", 4)?;
-            let heal: f64 = args.opt_parsed("heal", 1.0)?;
-            if !(rate >= 0.0 && rate.is_finite()) {
-                return Err(CliError::Usage("--cut-rate must be finite and >= 0".into()));
-            }
-            if budget == 0 {
-                return Err(CliError::Usage("--cut-budget must be positive".into()));
-            }
-            if heal.is_nan() || heal <= 0.0 {
-                return Err(CliError::Usage(
-                    "--heal must be positive (use `inf` for permanent cuts)".into(),
-                ));
-            }
-            Ok(DynamicModel::Adversary(Adversary::new(rate, budget, heal)))
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown --dynamic-model `{other}`; supported: markov, rewire, node-churn, walk, \
-             mobility, adversary"
-        ))),
-    }
+    })
 }
 
 /// Renders a report: the paired block for coupled runs, the statistics

@@ -84,11 +84,14 @@ impl SnapshotFamily {
     /// # Panics
     ///
     /// Panics if the family parameters are invalid for `n` (e.g. a
-    /// regular degree with `n·d` odd).
+    /// regular degree with `n·d` odd), or no simple regular pairing
+    /// turns up within 1000 restarts.
     pub fn draw(&self, n: usize, rng: &mut Xoshiro256PlusPlus) -> Graph {
         match *self {
             SnapshotFamily::Gnp { p } => generators::gnp(n, p, rng),
-            SnapshotFamily::RandomRegular { d } => generators::random_regular(n, d, rng, 1_000),
+            SnapshotFamily::RandomRegular { d } => {
+                generators::random_regular(n, d, rng, 1_000).expect("a simple pairing")
+            }
         }
     }
 
@@ -96,9 +99,27 @@ impl SnapshotFamily {
     /// preserves the expected edge count of the starting topology.
     pub fn matching_density(g: &Graph) -> Self {
         let n = g.node_count();
-        let possible = (n * (n - 1) / 2).max(1);
-        SnapshotFamily::Gnp { p: g.edge_count() as f64 / possible as f64 }
+        let possible = n * (n - 1) / 2;
+        // A single node holds all of its zero possible edges.
+        let p = if possible == 0 { 1.0 } else { g.edge_count() as f64 / possible as f64 };
+        SnapshotFamily::Gnp { p }
     }
+}
+
+/// Whether `x` is a legal Poisson rate: finite and `>= 0`.
+fn is_rate(x: f64) -> bool {
+    x >= 0.0 && x.is_finite()
+}
+
+/// `Ok` when `ok` holds, else the broken `rule`.
+fn require(ok: bool, rule: &str) -> Result<(), String> {
+    ok.then_some(()).ok_or_else(|| rule.to_owned())
+}
+
+/// Returns `model`, panicking with the rule `check` reports broken.
+fn checked<M>(model: M, check: fn(&M) -> Result<(), String>) -> M {
+    check(&model).unwrap_or_else(|rule| panic!("{rule}"));
+    model
 }
 
 /// Edge-Markovian churn: each edge of the base graph carries an
@@ -119,10 +140,17 @@ impl EdgeMarkov {
     ///
     /// # Panics
     ///
-    /// Panics if `nu` is negative or not finite.
+    /// Panics if `nu` breaks the rule of [`check`](Self::check).
     pub fn symmetric(nu: f64) -> Self {
-        assert!(nu >= 0.0 && nu.is_finite(), "churn rate must be finite and >= 0");
-        Self { off_rate: nu, on_rate: nu }
+        checked(Self { off_rate: nu, on_rate: nu }, Self::check)
+    }
+
+    /// Both rates must be finite and `>= 0`.
+    pub fn check(&self) -> Result<(), String> {
+        require(
+            is_rate(self.off_rate) && is_rate(self.on_rate),
+            "markov rates must be finite and >= 0",
+        )
     }
 }
 
@@ -141,10 +169,24 @@ impl Rewire {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is not strictly positive.
+    /// Panics if the parameters break a rule of [`check`](Self::check).
     pub fn new(period: f64, family: SnapshotFamily) -> Self {
-        assert!(period > 0.0, "rewire period must be positive");
-        Self { period, family }
+        checked(Self { period, family }, Self::check)
+    }
+
+    /// The period must be positive and a `G(n, p)` family needs
+    /// `p ∈ (0, 1]`; a regular degree needs the graph, so
+    /// [`crate::spec::SimSpec::build`] checks it.
+    pub fn check(&self) -> Result<(), String> {
+        if self.period.is_nan() || self.period <= 0.0 {
+            return Err(format!("rewire period must be positive, got {}", self.period));
+        }
+        match self.family {
+            SnapshotFamily::Gnp { p } if !(p > 0.0 && p <= 1.0) => {
+                Err(format!("rewire gnp p must be in (0, 1], got {p}"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -166,13 +208,18 @@ impl NodeChurn {
     ///
     /// # Panics
     ///
-    /// Panics if either rate is negative/non-finite or
-    /// `attach_degree == 0` (a returning node must be reachable).
+    /// Panics if the parameters break a rule of [`check`](Self::check).
     pub fn new(leave_rate: f64, join_rate: f64, attach_degree: usize) -> Self {
-        assert!(leave_rate >= 0.0 && leave_rate.is_finite(), "leave rate must be finite and >= 0");
-        assert!(join_rate >= 0.0 && join_rate.is_finite(), "join rate must be finite and >= 0");
-        assert!(attach_degree > 0, "attach degree must be positive");
-        Self { leave_rate, join_rate, attach_degree }
+        checked(Self { leave_rate, join_rate, attach_degree }, Self::check)
+    }
+
+    /// Both rates must be finite and `>= 0`, and `attach_degree > 0`.
+    pub fn check(&self) -> Result<(), String> {
+        require(
+            is_rate(self.leave_rate) && is_rate(self.join_rate),
+            "node-churn rates must be finite and >= 0",
+        )?;
+        require(self.attach_degree > 0, "node-churn attach must be positive")
     }
 }
 
@@ -192,10 +239,14 @@ impl RandomWalk {
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is negative or not finite.
+    /// Panics if `rate` breaks the rule of [`check`](Self::check).
     pub fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0 && rate.is_finite(), "walk rate must be finite and >= 0");
-        Self { rate }
+        checked(Self { rate }, Self::check)
+    }
+
+    /// The rate must be finite and `>= 0`.
+    pub fn check(&self) -> Result<(), String> {
+        require(is_rate(self.rate), "walk rate must be finite and >= 0")
     }
 }
 
@@ -220,13 +271,18 @@ impl Mobility {
     ///
     /// # Panics
     ///
-    /// Panics if `move_rate` is negative/non-finite, or `radius`/`step`
-    /// is not strictly positive and finite.
+    /// Panics if the parameters break the rule of [`check`](Self::check).
     pub fn new(move_rate: f64, radius: f64, step: f64) -> Self {
-        assert!(move_rate >= 0.0 && move_rate.is_finite(), "move rate must be finite and >= 0");
-        assert!(radius > 0.0 && radius.is_finite(), "radius must be positive and finite");
-        assert!(step > 0.0 && step.is_finite(), "step must be positive and finite");
-        Self { move_rate, radius, step }
+        checked(Self { move_rate, radius, step }, Self::check)
+    }
+
+    /// `move_rate` must be finite and `>= 0`, `radius` and `step` positive.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        require(
+            is_rate(self.move_rate) && positive(self.radius) && positive(self.step),
+            "mobility needs move >= 0 and positive finite radius/step",
+        )
     }
 
     /// A mobility model whose expected degree matches `g`'s average
@@ -261,13 +317,17 @@ impl Adversary {
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is negative/non-finite, `budget == 0`, or
-    /// `heal_after` is not positive (infinity is allowed).
+    /// Panics if the parameters break the rule of [`check`](Self::check).
     pub fn new(rate: f64, budget: usize, heal_after: f64) -> Self {
-        assert!(rate >= 0.0 && rate.is_finite(), "strike rate must be finite and >= 0");
-        assert!(budget > 0, "cut budget must be positive");
-        assert!(heal_after > 0.0 && !heal_after.is_nan(), "heal delay must be positive");
-        Self { rate, budget, heal_after }
+        checked(Self { rate, budget, heal_after }, Self::check)
+    }
+
+    /// `rate` must be finite and `>= 0`, `budget` and `heal_after` positive.
+    pub fn check(&self) -> Result<(), String> {
+        require(
+            is_rate(self.rate) && self.budget > 0 && self.heal_after > 0.0,
+            "adversary needs rate >= 0, budget > 0, heal > 0 (inf ok)",
+        )
     }
 }
 
@@ -292,6 +352,20 @@ pub enum DynamicModel {
 }
 
 impl DynamicModel {
+    /// The one rule book for model parameters: `Err` names the broken
+    /// rule. [`crate::spec::SimSpec::build`] applies it to every spec.
+    pub fn check(&self) -> Result<(), String> {
+        match self {
+            DynamicModel::Static => Ok(()),
+            DynamicModel::EdgeMarkov(m) => m.check(),
+            DynamicModel::Rewire(m) => m.check(),
+            DynamicModel::NodeChurn(m) => m.check(),
+            DynamicModel::RandomWalk(m) => m.check(),
+            DynamicModel::Mobility(m) => m.check(),
+            DynamicModel::Adversary(m) => m.check(),
+        }
+    }
+
     /// Whether this model can ever schedule a topology event (and
     /// therefore replays the static engine seed-for-seed). The mobility
     /// model is never static: it replaces the starting topology even
@@ -485,7 +559,6 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
                 topology_events += 1;
                 if P::ENABLED {
                     probe.event(next_topo, ProbeEvent::Topology);
-                    probe.topology_changed(next_topo);
                 }
             } else {
                 let te = ticks.pop(rng);
@@ -586,7 +659,7 @@ mod tests {
     /// Every stochastic model completes and fires topology events.
     #[test]
     fn every_stochastic_model_completes() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
+        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap();
         for model in [
             DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)),
             DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: 1.5, on_rate: 0.75 }),
@@ -604,7 +677,7 @@ mod tests {
 
     #[test]
     fn churn_completes_and_counts_topology_events() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
+        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap();
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(2), 10_000_000);
         assert!(out.completed);
@@ -667,7 +740,7 @@ mod tests {
                 self.0.push((time, kind));
             }
         }
-        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100).unwrap();
         let mut state = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0)).build_state();
         let mut probe = Events(Vec::new());
         let out = run_dynamic_with(
@@ -690,7 +763,7 @@ mod tests {
 
     #[test]
     fn random_walk_conserves_edges_and_completes() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(30), 100);
+        let g = generators::gnp_connected(48, 0.15, &mut rng(30), 100).unwrap();
         let model = DynamicModel::RandomWalk(RandomWalk::new(1.0));
         let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(31), 10_000_000);
         assert!(out.completed);
@@ -751,7 +824,7 @@ mod tests {
 
     #[test]
     fn mobility_matching_density_tracks_mean_degree() {
-        let g = generators::random_regular_connected(64, 6, &mut rng(43), 500);
+        let g = generators::random_regular_connected(64, 6, &mut rng(43), 500).unwrap();
         let m = Mobility::matching_density(&g, 1.0, 0.1);
         let expected_degree = std::f64::consts::PI * m.radius * m.radius * 64.0;
         assert!((expected_degree - 6.0).abs() < 1e-9, "expected degree {expected_degree}");
@@ -852,7 +925,7 @@ mod tests {
     fn heavier_churn_on_sparse_gnp_slows_spreading() {
         // Symmetric churn thins the live edge set toward half the base
         // edges; on a sparse G(n,p) that slows the spread measurably.
-        let g = generators::gnp_connected(64, 0.08, &mut rng(20), 200);
+        let g = generators::gnp_connected(64, 0.08, &mut rng(20), 200).unwrap();
         let mut means = Vec::new();
         for nu in [0.0, 4.0] {
             let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(nu));

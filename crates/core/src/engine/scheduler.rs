@@ -6,8 +6,7 @@
 //! arrival with the model's one pending deterministic event
 //! ([`TopologyModel::next_due`]). The sequential engine and the trace
 //! recording both draw topology events through it. [`TickSource`] is the
-//! rate-`n` protocol clock the sequential engine and the trace cursor
-//! merge with them.
+//! rate-`n` protocol clock the sequential engine merges with it.
 //!
 //! RNG discipline: both clocks draw only when they need a new arrival,
 //! and a drawn-but-unconsumed arrival is retained (never redrawn). This

@@ -62,7 +62,7 @@ use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::dynamic::DynamicOutcome;
-use crate::engine::scheduler::{TickSource, TopoDriver};
+use crate::engine::scheduler::TopoDriver;
 use crate::engine::topology::TopologyModel;
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
@@ -661,20 +661,18 @@ pub fn run_trace_lazy<'a, P: Probe>(
     }
     let mut net = MutableGraph::from_graph(&trace.trace().initial);
     let mut cursor = 0usize;
-    let mut ticks = TickSource::new(n as f64);
     let mut t = 0.0;
     let mut steps = 0u64;
     let mut topology_events = 0u64;
     let mut completed = false;
     while steps < max_steps {
-        let tt = ticks.pop(rng);
+        let tt = t + rng.exp(n as f64);
         while let Some(step) = trace.step_by(cursor, tt) {
             apply_step(&mut net, step);
             cursor += 1;
             topology_events += 1;
             if P::ENABLED {
                 probe.event(step.time, ProbeEvent::Topology);
-                probe.topology_changed(step.time);
             }
         }
         t = tt;
@@ -800,7 +798,7 @@ mod tests {
 
     #[test]
     fn recorded_steps_are_time_ordered_and_effective() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100).unwrap();
         for (name, model) in all_models() {
             let trace = record(&g, &model, 2, 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
@@ -814,7 +812,7 @@ mod tests {
 
     #[test]
     fn static_trace_is_empty_and_sync_matches_run_sync() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100).unwrap();
         let trace = record(&g, &DynamicModel::Static, 4, 100.0);
         assert!(trace.is_empty());
         assert_eq!(trace.initial(), &g);
@@ -825,7 +823,7 @@ mod tests {
 
     #[test]
     fn replay_walks_the_recorded_snapshots() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100).unwrap();
         for (name, model) in all_models() {
             let trace = record(&g, &model, 7, 8.0);
             let snapshots = trace.snapshots();
@@ -843,7 +841,7 @@ mod tests {
 
     #[test]
     fn lazy_cursor_replays_sequential_replay_seed_for_seed() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100);
+        let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100).unwrap();
         for (name, model) in all_models() {
             let trace = record(&g, &model, 9, 30.0);
             let mut a = rng(10);
@@ -859,7 +857,7 @@ mod tests {
 
     #[test]
     fn sync_dynamic_completes_under_all_models() {
-        let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
+        let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100).unwrap();
         for (name, model) in all_models() {
             let trace = record(&g, &model, 15, 200.0);
             let out = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(16), 100_000);
@@ -870,7 +868,7 @@ mod tests {
 
     #[test]
     fn replay_of_replay_is_a_fixed_point() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100).unwrap();
         for (name, model) in all_models() {
             let t1 = record(&g, &model, 21, 15.0);
             let t2 = TopologyTrace::record(&g, 0, &mut t1.replayer(), &mut rng(99), t1.horizon());
@@ -883,7 +881,7 @@ mod tests {
         // The cursor resets on init, so a single replayer can be
         // driven through several runs back to back (regression: stale
         // cursor state leaked across runs).
-        let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100).unwrap();
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let trace = record(&g, &model, 27, 15.0);
         let mut replay = trace.replayer();
@@ -906,7 +904,7 @@ mod tests {
 
     #[test]
     fn a_recording_grows_only_as_far_as_asked() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100);
+        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100).unwrap();
         for (name, model) in all_models() {
             let eager = record(&g, &model, 41, 12.0);
             let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(41), 12.0);

@@ -53,12 +53,6 @@ pub trait Probe {
         let _ = (time, kind);
     }
 
-    /// The topology changed at `time` (follows the corresponding
-    /// [`ProbeEvent::Topology`] dispatch).
-    fn topology_changed(&mut self, time: f64) {
-        let _ = time;
-    }
-
     /// The informed set grew to `count` nodes at `time`. Engines call
     /// this with non-decreasing counts; recording probes assert it.
     fn informed(&mut self, time: f64, count: usize) {
@@ -94,8 +88,6 @@ pub struct CountingProbe {
     pub trials: u64,
     /// Events dispatched, by kind: `[ticks, topology]`.
     pub events: [u64; 2],
-    /// `topology_changed` notifications.
-    pub topology_changes: u64,
     /// `informed` notifications (one per newly informed node).
     pub informed: u64,
     /// Last informed count seen (monotonicity-checked in debug builds).
@@ -115,10 +107,6 @@ impl Probe for CountingProbe {
             ProbeEvent::Tick => 0,
             ProbeEvent::Topology => 1,
         }] += 1;
-    }
-
-    fn topology_changed(&mut self, _time: f64) {
-        self.topology_changes += 1;
     }
 
     fn informed(&mut self, _time: f64, count: usize) {

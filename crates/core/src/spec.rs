@@ -389,7 +389,9 @@ impl GraphSpec {
                     return Err(invalid(format!("gnp needs n >= 2, p in (0, 1], attempts > 0 (got n={n}, p={p}, attempts={attempts})")));
                 }
                 let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                Ok(generators::gnp_connected(*n, *p, &mut rng, *attempts))
+                generators::gnp_connected(*n, *p, &mut rng, *attempts).ok_or_else(|| {
+                    invalid(format!("gnp found no connected sample within attempts={attempts}"))
+                })
             }
             GraphSpec::RandomRegular { n, d, seed, attempts } => {
                 if *n < 2 || *d == 0 || *d >= *n || n * d % 2 != 0 || *attempts == 0 {
@@ -398,7 +400,12 @@ impl GraphSpec {
                     )));
                 }
                 let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                Ok(generators::random_regular_connected(*n, *d, &mut rng, *attempts))
+                generators::random_regular_connected(*n, *d, &mut rng, *attempts).ok_or_else(|| {
+                    invalid(format!(
+                        "random-regular found no connected simple sample within \
+                         attempts={attempts}"
+                    ))
+                })
             }
             GraphSpec::Hypercube { dim } => {
                 if *dim == 0 || *dim > 24 {
@@ -814,6 +821,9 @@ impl SimSpec {
                 return Err(SpecError::InvalidHorizon { horizon: h });
             }
         }
+        if let Topology::Model(model) = &self.topology {
+            model.check().map_err(SpecError::InvalidTopology)?;
+        }
         let g = match caches {
             Some(c) => c.resolve_graph(&self.graph)?,
             None => self.graph.resolve()?,
@@ -821,6 +831,19 @@ impl SimSpec {
         let nodes = g.node_count();
         if self.source as usize >= nodes {
             return Err(SpecError::SourceOutOfRange { source: self.source, nodes });
+        }
+        // The static engines and the sequential dynamic engine contact a
+        // neighbor of every node; replays of a trace (coupled runs,
+        // trace topologies, synchronous runs on a model) skip isolated
+        // nodes.
+        let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
+        let replayed = plan.coupled
+            || matches!(self.topology, Topology::Trace(_))
+            || (self.protocol.is_sync() && recorded);
+        if !replayed && nodes >= 2 && g.has_isolated_nodes() {
+            return Err(SpecError::InvalidGraph(
+                "graph has isolated nodes, which only trace replays can skip".to_owned(),
+            ));
         }
         if let Topology::Trace(t) = &self.topology {
             if t.node_count() != nodes {
@@ -840,7 +863,6 @@ impl SimSpec {
                 )));
             }
         }
-        let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
         if self.protocol.is_sync() && !plan.coupled && recorded && plan.max_rounds.is_none() {
             return Err(SpecError::SyncNeedsRoundBudget { model: self.topology.label() });
         }
@@ -1852,32 +1874,15 @@ fn topology_to_text(topology: &Topology) -> Result<String, SpecError> {
 
 fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
     let f = Fields::split(value, line)?;
-    Ok(match f.kind {
-        "static" => Topology::Static,
-        "static-model" => Topology::Model(DynamicModel::Static),
+    let model = match f.kind {
+        "static" => return Ok(Topology::Static),
+        "static-model" => DynamicModel::Static,
         "markov" => {
-            let off: f64 = f.get("off")?;
-            let on: f64 = f.get("on")?;
-            if !(off >= 0.0 && off.is_finite() && on >= 0.0 && on.is_finite()) {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "markov rates must be finite and >= 0".to_owned(),
-                });
-            }
-            Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: off, on_rate: on }))
+            DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: f.get("off")?, on_rate: f.get("on")? })
         }
         "rewire" => {
             let family = match f.get::<String>("family")?.as_str() {
-                "gnp" => {
-                    let p: f64 = f.get("p")?;
-                    if !(p > 0.0 && p <= 1.0) {
-                        return Err(SpecError::Parse {
-                            line,
-                            message: format!("rewire gnp p must be in (0, 1], got {p}"),
-                        });
-                    }
-                    SnapshotFamily::Gnp { p }
-                }
+                "gnp" => SnapshotFamily::Gnp { p: f.get("p")? },
                 "random-regular" => SnapshotFamily::RandomRegular { d: f.get("d")? },
                 other => {
                     return Err(SpecError::Parse {
@@ -1886,77 +1891,30 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
                     })
                 }
             };
-            let period: f64 = f.get("period")?;
-            if period.is_nan() || period <= 0.0 {
-                return Err(SpecError::Parse {
-                    line,
-                    message: format!("rewire period must be positive, got {period}"),
-                });
-            }
-            Topology::Model(DynamicModel::Rewire(Rewire::new(period, family)))
+            DynamicModel::Rewire(Rewire { period: f.get("period")?, family })
         }
-        "node-churn" => {
-            let leave: f64 = f.get("leave")?;
-            let join: f64 = f.get("join")?;
-            let attach: usize = f.get("attach")?;
-            if !(leave >= 0.0 && leave.is_finite() && join >= 0.0 && join.is_finite()) {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "node-churn rates must be finite and >= 0".to_owned(),
-                });
-            }
-            if attach == 0 {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "node-churn attach must be positive".to_owned(),
-                });
-            }
-            Topology::Model(DynamicModel::NodeChurn(NodeChurn::new(leave, join, attach)))
-        }
-        "walk" => {
-            let rate: f64 = f.get("rate")?;
-            if !(rate >= 0.0 && rate.is_finite()) {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "walk rate must be finite and >= 0".to_owned(),
-                });
-            }
-            Topology::Model(DynamicModel::RandomWalk(RandomWalk::new(rate)))
-        }
-        "mobility" => {
-            let move_rate: f64 = f.get("move")?;
-            let radius: f64 = f.get("radius")?;
-            let step: f64 = f.get("step")?;
-            let valid = move_rate >= 0.0
-                && move_rate.is_finite()
-                && radius > 0.0
-                && radius.is_finite()
-                && step > 0.0
-                && step.is_finite();
-            if !valid {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "mobility needs move >= 0 and positive finite radius/step".to_owned(),
-                });
-            }
-            Topology::Model(DynamicModel::Mobility(Mobility::new(move_rate, radius, step)))
-        }
-        "adversary" => {
-            let rate: f64 = f.get("rate")?;
-            let budget: usize = f.get("budget")?;
-            let heal: f64 = f.get("heal")?;
-            if !(rate >= 0.0 && rate.is_finite()) || budget == 0 || heal.is_nan() || heal <= 0.0 {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "adversary needs rate >= 0, budget > 0, heal > 0 (inf ok)".to_owned(),
-                });
-            }
-            Topology::Model(DynamicModel::Adversary(Adversary::new(rate, budget, heal)))
-        }
+        "node-churn" => DynamicModel::NodeChurn(NodeChurn {
+            leave_rate: f.get("leave")?,
+            join_rate: f.get("join")?,
+            attach_degree: f.get("attach")?,
+        }),
+        "walk" => DynamicModel::RandomWalk(RandomWalk { rate: f.get("rate")? }),
+        "mobility" => DynamicModel::Mobility(Mobility {
+            move_rate: f.get("move")?,
+            radius: f.get("radius")?,
+            step: f.get("step")?,
+        }),
+        "adversary" => DynamicModel::Adversary(Adversary {
+            rate: f.get("rate")?,
+            budget: f.get("budget")?,
+            heal_after: f.get("heal")?,
+        }),
         other => {
             return Err(SpecError::Parse { line, message: format!("unknown topology `{other}`") })
         }
-    })
+    };
+    model.check().map_err(|message| SpecError::Parse { line, message })?;
+    Ok(Topology::Model(model))
 }
 
 /// Reads an `engine =` line: `sequential`, or `lazy`, which artifacts
@@ -2032,6 +1990,42 @@ mod tests {
     }
 
     #[test]
+    fn uncoupled_runs_need_a_graph_without_isolated_nodes() {
+        // Node 3 has no neighbor for the static engines or the
+        // sequential dynamic engine to contact.
+        let g = io::from_edge_list("4 2\n0 1\n1 2\n").unwrap();
+        let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
+        let spec = SimSpec::new(GraphSpec::Provided(g.clone()))
+            .protocol(Protocol::push_pull_async())
+            .trials(2);
+        for rejected in [
+            spec.clone(),
+            spec.clone().topology(markov.clone()),
+            spec.clone().protocol(Protocol::push_pull_sync()),
+        ] {
+            let err = rejected.build().unwrap_err();
+            assert!(matches!(&err, SpecError::InvalidGraph(m) if m.contains("isolated")), "{err}");
+        }
+        // Trace replays skip an isolated node's turn: coupled runs,
+        // trace topologies and synchronous runs on a model build and
+        // run (censored).
+        let trace = TopologyTrace::record(
+            &g,
+            0,
+            DynamicModel::Static.build_state().as_mut(),
+            &mut Xoshiro256PlusPlus::seed_from(1),
+            5.0,
+        );
+        for allowed in [
+            spec.clone().topology(markov.clone()).coupled(true),
+            spec.clone().topology(Topology::Trace(trace)),
+            spec.protocol(Protocol::push_pull_sync()).topology(markov).max_rounds(50),
+        ] {
+            allowed.build().unwrap().run();
+        }
+    }
+
+    #[test]
     fn threads_do_not_change_the_report() {
         let spec = base_spec().protocol(Protocol::push_pull_async()).trials(12);
         let serial = spec.clone().build().unwrap().run();
@@ -2043,7 +2037,8 @@ mod tests {
     fn custom_factories_replay_their_enum_twin() {
         // DynamicModel is itself a factory: Custom(markov) must replay
         // Model(markov) seed-for-seed, under either protocol.
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100);
+        let g =
+            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100).unwrap();
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         for protocol in [Protocol::push_pull_async(), Protocol::push_pull_sync()] {
             let spec =
@@ -2056,7 +2051,8 @@ mod tests {
 
     #[test]
     fn trace_topology_replays_deterministically() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
+        let g =
+            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100).unwrap();
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let trace = TopologyTrace::record(
             &g,
@@ -2093,7 +2089,8 @@ mod tests {
 
     #[test]
     fn coupled_runs_report_paired_outcomes() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100);
+        let g =
+            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100).unwrap();
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
@@ -2110,7 +2107,8 @@ mod tests {
 
     #[test]
     fn antithetic_pairs_average_and_reuse_the_trace() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(9), 100);
+        let g =
+            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(9), 100).unwrap();
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.5))))
@@ -2238,7 +2236,8 @@ mod tests {
     fn censored_dynamic_trials_dump_their_event_ring() {
         // A tiny step budget censors every trial; the ring dump must
         // surface the tail of the event stream for the first few.
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(22), 100);
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(22), 100)
+            .unwrap();
         let report = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
@@ -2256,7 +2255,8 @@ mod tests {
 
     #[test]
     fn coupled_metrics_capture_paired_curves() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(23), 100);
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(23), 100)
+            .unwrap();
         let report = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))

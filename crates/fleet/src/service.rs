@@ -283,6 +283,31 @@ mod tests {
     }
 
     #[test]
+    fn a_graph_without_a_connected_sample_is_answered_in_band() {
+        // A gnp graph with no connected sample within its attempts once
+        // panicked in the generator, killing the serve loop.
+        let stats = Json::Obj(vec![
+            ("id".to_owned(), Json::Num(1.0)),
+            ("stats".to_owned(), Json::Bool(true)),
+        ]);
+        let sparse = SimSpec::new(GraphSpec::Gnp { n: 64, p: 0.01, seed: 5, attempts: 1 });
+        let mut input = Vec::new();
+        write_frame(&mut input, stats.render().as_bytes()).unwrap();
+        input.extend(request(2.0, &sparse));
+        write_frame(&mut input, stats.render().as_bytes()).unwrap();
+        let config =
+            ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
+        let mut output = Vec::new();
+        let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(3));
+        let docs = responses(&output);
+        assert_eq!(docs.len(), 3);
+        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("no connected sample within attempts=1"), "{error}");
+        assert!(docs[2].get("counters").is_some());
+    }
+
+    #[test]
     fn a_sharded_engine_spec_is_answered_in_band() {
         // The sharded engine is gone: its spec line is an unknown
         // engine, answered in-band, never run on another engine.

@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{
-    Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
+    run_dynamic, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+    SnapshotFamily,
 };
 use rumor_spreading::core::spec::{
     GraphSpec, Protocol, RunReport, SimSpec, SpecError, Topology, TrialPlan, Unit,
@@ -187,6 +188,10 @@ fn invalid_graphs_are_rejected() {
         GraphSpec::Necklace { cliques: 0, size: 4 },
         GraphSpec::Torus { rows: 2, cols: 5 },
         GraphSpec::File("/definitely/not/a/real/path.txt".into()),
+        // No connected sample within the attempts: far below the
+        // connectivity threshold, and a 1-regular graph is a matching.
+        GraphSpec::Gnp { n: 64, p: 0.01, seed: 5, attempts: 1 },
+        GraphSpec::RandomRegular { n: 64, d: 1, seed: 5, attempts: 3 },
     ] {
         let err = SimSpec::new(graph.clone()).build().unwrap_err();
         assert!(matches!(err, SpecError::InvalidGraph(_)), "{graph:?}: {err}");
@@ -403,6 +408,39 @@ fn rewire_snapshot_degrees_are_checked_against_the_graph() {
         assert!(matches!(err, SpecError::InvalidTopology(_)), "d={d}: {err}");
     }
     assert!(nine.topology(rewire(4)).trials(2).build().is_ok());
+}
+
+/// One out-of-range struct literal per model: the builder API reaches
+/// `build` without a parser or constructor in between.
+fn out_of_range_models() -> [DynamicModel; 7] {
+    let gnp = |p| SnapshotFamily::Gnp { p };
+    [
+        DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: -1.0, on_rate: 0.1 }),
+        DynamicModel::Rewire(Rewire { period: -1.0, family: gnp(0.5) }),
+        DynamicModel::Rewire(Rewire { period: 2.0, family: gnp(7.0) }),
+        DynamicModel::NodeChurn(NodeChurn { leave_rate: 0.1, join_rate: 1.0, attach_degree: 0 }),
+        DynamicModel::RandomWalk(RandomWalk { rate: f64::NAN }),
+        DynamicModel::Mobility(Mobility { move_rate: 1.0, radius: 0.0, step: 0.1 }),
+        DynamicModel::Adversary(Adversary { rate: 1.0, budget: 0, heal_after: 1.0 }),
+    ]
+}
+
+#[test]
+fn out_of_range_model_literals_are_rejected_by_build() {
+    for model in out_of_range_models() {
+        let rule = model.check().unwrap_err();
+        let err =
+            valid().protocol(async_pp()).topology(Topology::Model(model)).build().unwrap_err();
+        assert_eq!(err, SpecError::InvalidTopology(rule), "{model:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "markov rates must be finite and >= 0")]
+fn an_out_of_range_model_literal_panics_in_run_dynamic() {
+    let model = out_of_range_models()[0];
+    let mut rng = Xoshiro256PlusPlus::seed_from(1);
+    run_dynamic(&generators::complete(8), 0, Mode::PushPull, &model, &mut rng, 1_000);
 }
 
 #[test]

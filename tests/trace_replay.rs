@@ -69,7 +69,7 @@ fn all_models() -> Vec<(&'static str, DynamicModel)> {
 }
 
 fn test_graph() -> Graph {
-    generators::gnp_connected(48, 0.15, &mut rng(1), 100)
+    generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap()
 }
 
 /// A [`TopologyModel`] wrapper that snapshots the engine's graph after
@@ -197,7 +197,6 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
 enum Hook {
     Start(usize, Vec<Node>),
     Event(f64, ProbeEvent),
-    Changed(f64),
     Informed(f64, usize),
     Transmitted(Node, Node, Transmission, f64),
     End(f64, bool),
@@ -214,10 +213,6 @@ impl Probe for HookLog {
 
     fn event(&mut self, time: f64, kind: ProbeEvent) {
         self.0.push(Hook::Event(time, kind));
-    }
-
-    fn topology_changed(&mut self, time: f64) {
-        self.0.push(Hook::Changed(time));
     }
 
     fn informed(&mut self, time: f64, count: usize) {
