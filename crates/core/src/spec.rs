@@ -474,9 +474,12 @@ fn sized(n: usize, gen: impl Fn(usize) -> Graph) -> Result<Graph, SpecError> {
 pub enum SpecError {
     /// A spec text had no `graph = …` line.
     MissingGraph,
-    /// Graph parameters are invalid or the file is unreadable.
+    /// Graph parameters are invalid, the file is unreadable, no
+    /// connected sample turned up, or the run's engine cannot skip an
+    /// isolated node of the graph.
     InvalidGraph(String),
-    /// Topology-model parameters are invalid for the resolved graph.
+    /// Topology-model parameters break a rule of
+    /// [`DynamicModel::check`] or do not fit the resolved graph.
     InvalidTopology(String),
     /// The source vertex is not in the graph.
     SourceOutOfRange {
@@ -832,10 +835,10 @@ impl SimSpec {
         if self.source as usize >= nodes {
             return Err(SpecError::SourceOutOfRange { source: self.source, nodes });
         }
-        // The static engines and the sequential dynamic engine contact a
-        // neighbor of every node; replays of a trace (coupled runs,
-        // trace topologies, synchronous runs on a model) skip isolated
-        // nodes.
+        // The static engines and the sequential dynamic engine assert
+        // that every node has a neighbor; replays of a recorded trace
+        // (coupled runs, trace topologies, synchronous runs on a model)
+        // skip isolated nodes.
         let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
         let replayed = plan.coupled
             || matches!(self.topology, Topology::Trace(_))
