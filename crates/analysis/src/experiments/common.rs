@@ -164,12 +164,12 @@ pub fn standard_suite(n: usize, rng: &mut Xoshiro256PlusPlus) -> Vec<SuiteEntry>
         SuiteEntry { name: "complete", graph: generators::complete(n), source: 0 },
         SuiteEntry {
             name: "gnp",
-            graph: generators::gnp_connected(n, p_conn, rng, 200).expect("connected"),
+            graph: generators::gnp_connected(n, p_conn, rng, 200),
             source: 0,
         },
         SuiteEntry {
             name: "random-regular-6",
-            graph: generators::random_regular_connected(n - n % 2, 6, rng, 500).expect("connected"),
+            graph: generators::random_regular_connected(n - n % 2, 6, rng, 500),
             source: 0,
         },
         SuiteEntry {
@@ -202,12 +202,12 @@ pub fn regular_suite(n: usize, rng: &mut Xoshiro256PlusPlus) -> Vec<SuiteEntry> 
         SuiteEntry { name: "hypercube", graph: generators::hypercube(dim), source: 0 },
         SuiteEntry {
             name: "random-regular-3",
-            graph: generators::random_regular_connected(n - n % 2, 3, rng, 500).expect("connected"),
+            graph: generators::random_regular_connected(n - n % 2, 3, rng, 500),
             source: 0,
         },
         SuiteEntry {
             name: "random-regular-8",
-            graph: generators::random_regular_connected(n - n % 2, 8, rng, 500).expect("connected"),
+            graph: generators::random_regular_connected(n - n % 2, 8, rng, 500),
             source: 0,
         },
         SuiteEntry { name: "complete", graph: generators::complete(n), source: 0 },

@@ -44,7 +44,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     let mut censored_total = 0usize;
     for &n in &sizes {
         let p = 2.0 * (n as f64).ln() / n as f64;
-        let g = generators::gnp_connected(n, p, &mut graph_rng, 200).expect("connected");
+        let g = generators::gnp_connected(n, p, &mut graph_rng, 200);
         let max_steps = runner::default_max_steps(&g).saturating_mul(8);
         // One spec per cell: only the topology axis varies.
         let cell_spec = |model: DynamicModel| {

@@ -80,7 +80,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(mix_seed(cfg, SALT) ^ 0x22D);
     for &n in &sizes {
         let p = 2.0 * (n as f64).ln() / n as f64;
-        let g = generators::gnp_connected(n, p, &mut graph_rng, 200).expect("connected");
+        let g = generators::gnp_connected(n, p, &mut graph_rng, 200);
         let max_steps = runner::default_max_steps(&g).saturating_mul(8);
         let mut static_mean: Option<f64> = None;
         for (name, model) in matched_models(&g) {

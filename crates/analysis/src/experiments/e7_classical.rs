@@ -36,14 +36,12 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
             SuiteEntry { name: "complete", graph: generators::complete(n), source: 0 },
             SuiteEntry {
                 name: "gnp",
-                graph: generators::gnp_connected(n, p_conn, &mut graph_rng, 200)
-                    .expect("connected"),
+                graph: generators::gnp_connected(n, p_conn, &mut graph_rng, 200),
                 source: 0,
             },
             SuiteEntry {
                 name: "random-regular-3",
-                graph: generators::random_regular_connected(n, 3, &mut graph_rng, 500)
-                    .expect("connected"),
+                graph: generators::random_regular_connected(n, 3, &mut graph_rng, 500),
                 source: 0,
             },
         ];

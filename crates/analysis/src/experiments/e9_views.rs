@@ -39,8 +39,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
                 2.0 * (n as f64).ln() / n as f64,
                 &mut graph_rng,
                 200,
-            )
-            .expect("connected"),
+            ),
             source: 0,
         },
     ];

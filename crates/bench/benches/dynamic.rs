@@ -16,7 +16,7 @@ fn bench_models(c: &mut Criterion) {
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(42);
     let n = 256;
     let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut graph_rng, 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut graph_rng, 200);
     let models = [
         ("static", DynamicModel::Static),
         ("edge-markov-1", DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))),

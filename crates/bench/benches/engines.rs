@@ -13,7 +13,7 @@ fn bench_graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = Xoshiro256PlusPlus::seed_from(42);
     vec![
         ("hypercube-256", generators::hypercube(8)),
-        ("gnp-256", generators::gnp_connected(256, 0.05, &mut rng, 200).unwrap()),
+        ("gnp-256", generators::gnp_connected(256, 0.05, &mut rng, 200)),
         ("star-256", generators::star(256)),
         ("cycle-256", generators::cycle(256)),
     ]

@@ -27,7 +27,7 @@ fn bench_models_sequential(c: &mut Criterion) {
     group.sample_size(20);
     let n = 256;
     let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
     for (name, model) in matched_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
@@ -48,7 +48,7 @@ fn bench_models_sequential_1024(c: &mut Criterion) {
     group.sample_size(40);
     let n = 1024;
     let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
     for (name, model) in matched_models(&g) {
         let mut rng = Xoshiro256PlusPlus::seed_from(7);
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
@@ -69,7 +69,7 @@ fn bench_compaction_threshold_sweep(c: &mut Criterion) {
     group.sample_size(20);
     let n = 256usize;
     let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
     let edges: Vec<(Node, Node)> = g.edges().collect();
     for (label, threshold) in [
         ("eager-0", Some(0)),
@@ -113,7 +113,7 @@ fn bench_hotpath_components(c: &mut Criterion) {
     group.sample_size(20);
     let n = 256usize;
     let p = 2.0 * (n as f64).ln() / n as f64;
-    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
     let edges: Vec<(Node, Node)> = g.edges().collect();
     let mut setup = Xoshiro256PlusPlus::seed_from(13);
     let flip_seq: Vec<(Node, Node)> =
@@ -256,7 +256,7 @@ fn bench_topology_events(c: &mut Criterion) {
     group.sample_size(20);
     let gnp = |n: usize| {
         let p = 2.0 * (n as f64).ln() / n as f64;
-        generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap()
+        generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200)
     };
     for n in [256, 1024] {
         let g = gnp(n);

@@ -26,7 +26,7 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_noprobe_overhead");
     group.sample_size(40);
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(42);
-    let g = generators::gnp_connected(256, 0.05, &mut graph_rng, 200).unwrap();
+    let g = generators::gnp_connected(256, 0.05, &mut graph_rng, 200);
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
 
     // Every iteration re-seeds, so unprobed and NoProbe simulate the
@@ -80,7 +80,7 @@ fn bench_counting_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_counting_probe");
     group.sample_size(40);
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(42);
-    let g = generators::gnp_connected(256, 0.05, &mut graph_rng, 200).unwrap();
+    let g = generators::gnp_connected(256, 0.05, &mut graph_rng, 200);
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
     group.bench_function("dynamic_counting", |b| {
         b.iter(|| {

@@ -30,7 +30,7 @@ const N: usize = 256;
 
 fn base_graph() -> rumor_graph::Graph {
     let p = 1.05 * (N as f64).ln() / N as f64;
-    generators::gnp_connected(N, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap()
+    generators::gnp_connected(N, p, &mut Xoshiro256PlusPlus::seed_from(42), 200)
 }
 
 fn bench_record(c: &mut Criterion) {
@@ -146,8 +146,7 @@ fn bench_record_overhead(c: &mut Criterion) {
     group.sample_size(30);
     for n in [64, 128] {
         let p = 2.0 * (n as f64).ln() / n as f64;
-        let g =
-            generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200).unwrap();
+        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(42), 200);
         let horizon = default_coupled_horizon(n);
         for (name, model) in overhead_models(&g) {
             // A fixed seed per iteration: both rows time one realization.

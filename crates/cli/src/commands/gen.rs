@@ -53,8 +53,7 @@ fn build(family: &str, args: &Args, rng: &mut Xoshiro256PlusPlus) -> Result<Grap
             args.require_parsed(2, "d")?,
             rng,
             10_000,
-        )
-        .ok_or_else(|| CliError::Usage("no simple regular pairing within 10000 tries".into()))?,
+        ),
         "chunglu" => generators::chung_lu(
             args.require_parsed(1, "n")?,
             args.require_parsed(2, "beta")?,

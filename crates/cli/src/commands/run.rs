@@ -258,9 +258,7 @@ fn opt_f64(args: &Args, key: &str) -> Result<Option<f64>, CliError> {
     raw.parse().map(Some).map_err(|_| CliError::Usage(format!("cannot parse --{key} from `{raw}`")))
 }
 
-/// Builds the topology-evolution model for `--dynamic-model` runs. The
-/// parameters are checked by [`SimSpec::build`], whose error names the
-/// spec field.
+/// Builds the `--dynamic-model` model; [`SimSpec::build`] checks its parameters.
 fn parse_dynamic_model(args: &Args, dynamic: &str, g: &Graph) -> Result<DynamicModel, CliError> {
     Ok(match dynamic {
         "markov" => {

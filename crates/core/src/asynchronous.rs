@@ -386,7 +386,7 @@ mod tests {
     fn informed_times_form_connected_growth() {
         // Every informed node (except the source) must have a neighbor
         // informed no later than itself: the rumor travels along edges.
-        let g = generators::gnp_connected(48, 0.15, &mut rng(2), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.15, &mut rng(2), 100);
         for mode in Mode::ALL {
             for view in AsyncView::ALL {
                 let out = run_async(&g, 0, mode, view, &mut rng(3), 2_000_000);
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn time_to_fraction_is_monotone_in_phi() {
-        let g = generators::gnp_connected(64, 0.2, &mut rng(19), 100).unwrap();
+        let g = generators::gnp_connected(64, 0.2, &mut rng(19), 100);
         let out =
             run_async(&g, 0, Mode::PushPull, AsyncView::GlobalClock, &mut rng(20), 10_000_000);
         assert!(out.completed);

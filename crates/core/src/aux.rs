@@ -198,7 +198,7 @@ mod tests {
             generators::path(32),
             generators::cycle(32),
             generators::hypercube(5),
-            generators::gnp_connected(64, 0.15, &mut rng(3), 100).unwrap(),
+            generators::gnp_connected(64, 0.15, &mut rng(3), 100),
         ];
         for g in &graphs {
             for kind in [AuxKind::Ppx, AuxKind::Ppy] {
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn growth_curve_is_monotone() {
-        let g = generators::gnp_connected(48, 0.2, &mut rng(9), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.2, &mut rng(9), 100);
         let out = run_aux(&g, 0, AuxKind::Ppx, &mut rng(10), 10_000);
         assert!(out.informed_by_round.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*out.informed_by_round.last().unwrap(), 48);

@@ -348,7 +348,7 @@ mod tests {
             generators::cycle(32),
             generators::hypercube(5),
             generators::complete(16),
-            generators::gnp_connected(48, 0.2, &mut Xoshiro256PlusPlus::seed_from(4), 100).unwrap(),
+            generators::gnp_connected(48, 0.2, &mut Xoshiro256PlusPlus::seed_from(4), 100),
         ];
         for g in &graphs {
             for seed in 0..10 {
@@ -390,8 +390,7 @@ mod tests {
 
     #[test]
     fn special_blocks_do_not_exceed_right_closes() {
-        let g = generators::gnp_connected(64, 0.15, &mut Xoshiro256PlusPlus::seed_from(9), 100)
-            .unwrap();
+        let g = generators::gnp_connected(64, 0.15, &mut Xoshiro256PlusPlus::seed_from(9), 100);
         for seed in 0..10 {
             let stats = run_block_coupling(&g, 0, seed, 100_000_000);
             assert!(stats.special_blocks <= stats.right_blocks);

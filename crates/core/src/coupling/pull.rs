@@ -335,8 +335,7 @@ mod tests {
             generators::path(16),
             generators::star(16),
             generators::hypercube(4),
-            generators::gnp_connected(32, 0.25, &mut Xoshiro256PlusPlus::seed_from(1), 100)
-                .unwrap(),
+            generators::gnp_connected(32, 0.25, &mut Xoshiro256PlusPlus::seed_from(1), 100),
         ] {
             let out = run_pull_coupling(&g, 0, 3, 1_000_000);
             assert!(out.completed, "{} nodes", g.node_count());

@@ -84,14 +84,11 @@ impl SnapshotFamily {
     /// # Panics
     ///
     /// Panics if the family parameters are invalid for `n` (e.g. a
-    /// regular degree with `n·d` odd), or no simple regular pairing
-    /// turns up within 1000 restarts.
+    /// regular degree with `n·d` odd).
     pub fn draw(&self, n: usize, rng: &mut Xoshiro256PlusPlus) -> Graph {
         match *self {
             SnapshotFamily::Gnp { p } => generators::gnp(n, p, rng),
-            SnapshotFamily::RandomRegular { d } => {
-                generators::random_regular(n, d, rng, 1_000).expect("a simple pairing")
-            }
+            SnapshotFamily::RandomRegular { d } => generators::random_regular(n, d, rng, 1_000),
         }
     }
 
@@ -99,9 +96,8 @@ impl SnapshotFamily {
     /// preserves the expected edge count of the starting topology.
     pub fn matching_density(g: &Graph) -> Self {
         let n = g.node_count();
-        let possible = n * (n - 1) / 2;
         // A single node holds all of its zero possible edges.
-        let p = if possible == 0 { 1.0 } else { g.edge_count() as f64 / possible as f64 };
+        let p = if n < 2 { 1.0 } else { g.edge_count() as f64 / (n * (n - 1) / 2) as f64 };
         SnapshotFamily::Gnp { p }
     }
 }
@@ -174,13 +170,10 @@ impl Rewire {
         checked(Self { period, family }, Self::check)
     }
 
-    /// The period must be positive and a `G(n, p)` family needs
-    /// `p ∈ (0, 1]`; a regular degree needs the graph, so
-    /// [`crate::spec::SimSpec::build`] checks it.
+    /// The period must be positive and a `G(n, p)` family needs `p ∈ (0, 1]`
+    /// (`SimSpec::build` checks a regular degree against the graph).
     pub fn check(&self) -> Result<(), String> {
-        if self.period.is_nan() || self.period <= 0.0 {
-            return Err(format!("rewire period must be positive, got {}", self.period));
-        }
+        require(self.period > 0.0, "rewire period must be positive")?;
         match self.family {
             SnapshotFamily::Gnp { p } if !(p > 0.0 && p <= 1.0) => {
                 Err(format!("rewire gnp p must be in (0, 1], got {p}"))
@@ -352,8 +345,7 @@ pub enum DynamicModel {
 }
 
 impl DynamicModel {
-    /// The one rule book for model parameters: `Err` names the broken
-    /// rule. [`crate::spec::SimSpec::build`] applies it to every spec.
+    /// The one rule book for model parameters: `Err` names the broken rule.
     pub fn check(&self) -> Result<(), String> {
         match self {
             DynamicModel::Static => Ok(()),
@@ -659,7 +651,7 @@ mod tests {
     /// Every stochastic model completes and fires topology events.
     #[test]
     fn every_stochastic_model_completes() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
         for model in [
             DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)),
             DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: 1.5, on_rate: 0.75 }),
@@ -677,7 +669,7 @@ mod tests {
 
     #[test]
     fn churn_completes_and_counts_topology_events() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(2), 10_000_000);
         assert!(out.completed);
@@ -740,7 +732,7 @@ mod tests {
                 self.0.push((time, kind));
             }
         }
-        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
         let mut state = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(2.0)).build_state();
         let mut probe = Events(Vec::new());
         let out = run_dynamic_with(
@@ -763,7 +755,7 @@ mod tests {
 
     #[test]
     fn random_walk_conserves_edges_and_completes() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(30), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.15, &mut rng(30), 100);
         let model = DynamicModel::RandomWalk(RandomWalk::new(1.0));
         let out = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(31), 10_000_000);
         assert!(out.completed);
@@ -824,7 +816,7 @@ mod tests {
 
     #[test]
     fn mobility_matching_density_tracks_mean_degree() {
-        let g = generators::random_regular_connected(64, 6, &mut rng(43), 500).unwrap();
+        let g = generators::random_regular_connected(64, 6, &mut rng(43), 500);
         let m = Mobility::matching_density(&g, 1.0, 0.1);
         let expected_degree = std::f64::consts::PI * m.radius * m.radius * 64.0;
         assert!((expected_degree - 6.0).abs() < 1e-9, "expected degree {expected_degree}");
@@ -925,7 +917,7 @@ mod tests {
     fn heavier_churn_on_sparse_gnp_slows_spreading() {
         // Symmetric churn thins the live edge set toward half the base
         // edges; on a sparse G(n,p) that slows the spread measurably.
-        let g = generators::gnp_connected(64, 0.08, &mut rng(20), 200).unwrap();
+        let g = generators::gnp_connected(64, 0.08, &mut rng(20), 200);
         let mut means = Vec::new();
         for nu in [0.0, 4.0] {
             let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(nu));

@@ -112,8 +112,7 @@ impl DynamicModel {
     /// that visits here monomorphizes over the state: the per-event
     /// `fire` / `channel_weight` calls inline instead of going through
     /// the vtable, which is worth ~10% on the event-dense models. Same
-    /// computation, same draws — goldens are dispatch-blind. Panics
-    /// with the broken rule if [`DynamicModel::check`] fails.
+    /// computation, same draws — goldens are dispatch-blind. Asserts `check`.
     pub fn with_state<V: StateVisitor>(&self, visitor: V) -> V::Output {
         self.check().unwrap_or_else(|rule| panic!("{rule}"));
         match *self {
@@ -581,7 +580,7 @@ mod tests {
 
         for seed in 0..8u64 {
             let mut rng = Xoshiro256PlusPlus::seed_from(900 + seed);
-            let g = generators::gnp_connected(40, 0.12, &mut rng, 100).unwrap();
+            let g = generators::gnp_connected(40, 0.12, &mut rng, 100);
             let mut net = MutableGraph::from_graph(&g);
             let mut state =
                 AdversaryState::new(Adversary { rate: 1.0, budget: 3, heal_after: 0.5 });
@@ -651,7 +650,7 @@ mod tests {
     #[test]
     fn edge_markov_channel_weights_track_flips() {
         let mut rng = Xoshiro256PlusPlus::seed_from(21);
-        let g = generators::gnp_connected(32, 0.2, &mut rng, 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng, 100);
         let mut net = MutableGraph::from_graph(&g);
         let mut state = EdgeMarkovState::new(EdgeMarkov { off_rate: 2.0, on_rate: 0.5 });
         assert_eq!(state.init(&g, &mut net, &mut rng), 2);

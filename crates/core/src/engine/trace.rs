@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn recorded_steps_are_time_ordered_and_effective() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(1), 100);
         for (name, model) in all_models() {
             let trace = record(&g, &model, 2, 12.0);
             assert!(!trace.is_empty(), "{name}: no steps recorded");
@@ -812,7 +812,7 @@ mod tests {
 
     #[test]
     fn static_trace_is_empty_and_sync_matches_run_sync() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(3), 100);
         let trace = record(&g, &DynamicModel::Static, 4, 100.0);
         assert!(trace.is_empty());
         assert_eq!(trace.initial(), &g);
@@ -823,7 +823,7 @@ mod tests {
 
     #[test]
     fn replay_walks_the_recorded_snapshots() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
         for (name, model) in all_models() {
             let trace = record(&g, &model, 7, 8.0);
             let snapshots = trace.snapshots();
@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn lazy_cursor_replays_sequential_replay_seed_for_seed() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100);
         for (name, model) in all_models() {
             let trace = record(&g, &model, 9, 30.0);
             let mut a = rng(10);
@@ -857,7 +857,7 @@ mod tests {
 
     #[test]
     fn sync_dynamic_completes_under_all_models() {
-        let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
         for (name, model) in all_models() {
             let trace = record(&g, &model, 15, 200.0);
             let out = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(16), 100_000);
@@ -868,7 +868,7 @@ mod tests {
 
     #[test]
     fn replay_of_replay_is_a_fixed_point() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
         for (name, model) in all_models() {
             let t1 = record(&g, &model, 21, 15.0);
             let t2 = TopologyTrace::record(&g, 0, &mut t1.replayer(), &mut rng(99), t1.horizon());
@@ -881,7 +881,7 @@ mod tests {
         // The cursor resets on init, so a single replayer can be
         // driven through several runs back to back (regression: stale
         // cursor state leaked across runs).
-        let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let trace = record(&g, &model, 27, 15.0);
         let mut replay = trace.replayer();
@@ -904,7 +904,7 @@ mod tests {
 
     #[test]
     fn a_recording_grows_only_as_far_as_asked() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut rng(40), 100);
         for (name, model) in all_models() {
             let eager = record(&g, &model, 41, 12.0);
             let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(41), 12.0);

@@ -108,7 +108,7 @@ mod tests {
             generators::star(32),
             generators::cycle(32),
             generators::hypercube(5),
-            generators::gnp_connected(48, 0.2, &mut rng(1), 100).unwrap(),
+            generators::gnp_connected(48, 0.2, &mut rng(1), 100),
         ] {
             let out = run_quasirandom_sync(&g, 0, Mode::PushPull, &mut rng(2), 1_000_000);
             assert!(out.completed, "{} nodes", g.node_count());

@@ -376,6 +376,9 @@ impl GraphSpec {
     /// Builds (or reads) the graph this spec describes.
     pub fn resolve(&self) -> Result<Graph, SpecError> {
         let invalid = |msg: String| SpecError::InvalidGraph(msg);
+        let exhausted = |family: &str, attempts: usize| {
+            invalid(format!("{family} found no connected sample within attempts={attempts}"))
+        };
         self.check_node_count()?;
         match self {
             GraphSpec::Provided(g) => Ok(g.clone()),
@@ -389,9 +392,8 @@ impl GraphSpec {
                     return Err(invalid(format!("gnp needs n >= 2, p in (0, 1], attempts > 0 (got n={n}, p={p}, attempts={attempts})")));
                 }
                 let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                generators::gnp_connected(*n, *p, &mut rng, *attempts).ok_or_else(|| {
-                    invalid(format!("gnp found no connected sample within attempts={attempts}"))
-                })
+                generators::try_gnp_connected(*n, *p, &mut rng, *attempts)
+                    .ok_or_else(|| exhausted("gnp", *attempts))
             }
             GraphSpec::RandomRegular { n, d, seed, attempts } => {
                 if *n < 2 || *d == 0 || *d >= *n || n * d % 2 != 0 || *attempts == 0 {
@@ -400,12 +402,8 @@ impl GraphSpec {
                     )));
                 }
                 let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                generators::random_regular_connected(*n, *d, &mut rng, *attempts).ok_or_else(|| {
-                    invalid(format!(
-                        "random-regular found no connected simple sample within \
-                         attempts={attempts}"
-                    ))
-                })
+                generators::try_random_regular_connected(*n, *d, &mut rng, *attempts)
+                    .ok_or_else(|| exhausted("random-regular", *attempts))
             }
             GraphSpec::Hypercube { dim } => {
                 if *dim == 0 || *dim > 24 {
@@ -474,12 +472,10 @@ fn sized(n: usize, gen: impl Fn(usize) -> Graph) -> Result<Graph, SpecError> {
 pub enum SpecError {
     /// A spec text had no `graph = …` line.
     MissingGraph,
-    /// Graph parameters are invalid, the file is unreadable, no
-    /// connected sample turned up, or the run's engine cannot skip an
-    /// isolated node of the graph.
+    /// Graph parameters are invalid, the file is unreadable, no connected
+    /// sample turned up, or the run's engine cannot skip an isolated node.
     InvalidGraph(String),
-    /// Topology-model parameters break a rule of
-    /// [`DynamicModel::check`] or do not fit the resolved graph.
+    /// Model parameters break [`DynamicModel::check`] or misfit the graph.
     InvalidTopology(String),
     /// The source vertex is not in the graph.
     SourceOutOfRange {
@@ -835,10 +831,8 @@ impl SimSpec {
         if self.source as usize >= nodes {
             return Err(SpecError::SourceOutOfRange { source: self.source, nodes });
         }
-        // The static engines and the sequential dynamic engine assert
-        // that every node has a neighbor; replays of a recorded trace
-        // (coupled runs, trace topologies, synchronous runs on a model)
-        // skip isolated nodes.
+        // The static and sequential dynamic engines assert against
+        // isolated nodes; replays of a recorded trace skip them.
         let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
         let replayed = plan.coupled
             || matches!(self.topology, Topology::Trace(_))
@@ -2040,8 +2034,7 @@ mod tests {
     fn custom_factories_replay_their_enum_twin() {
         // DynamicModel is itself a factory: Custom(markov) must replay
         // Model(markov) seed-for-seed, under either protocol.
-        let g =
-            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100).unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         for protocol in [Protocol::push_pull_async(), Protocol::push_pull_sync()] {
             let spec =
@@ -2054,8 +2047,7 @@ mod tests {
 
     #[test]
     fn trace_topology_replays_deterministically() {
-        let g =
-            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100).unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
         let trace = TopologyTrace::record(
             &g,
@@ -2092,8 +2084,7 @@ mod tests {
 
     #[test]
     fn coupled_runs_report_paired_outcomes() {
-        let g =
-            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100).unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100);
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
@@ -2110,8 +2101,7 @@ mod tests {
 
     #[test]
     fn antithetic_pairs_average_and_reuse_the_trace() {
-        let g =
-            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(9), 100).unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(9), 100);
         let spec = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.5))))
@@ -2239,8 +2229,7 @@ mod tests {
     fn censored_dynamic_trials_dump_their_event_ring() {
         // A tiny step budget censors every trial; the ring dump must
         // surface the tail of the event stream for the first few.
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(22), 100)
-            .unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(22), 100);
         let report = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
@@ -2258,8 +2247,7 @@ mod tests {
 
     #[test]
     fn coupled_metrics_capture_paired_curves() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(23), 100)
-            .unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(23), 100);
         let report = SimSpec::on_graph(&g)
             .protocol(Protocol::push_pull_async())
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))

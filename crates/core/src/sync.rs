@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn informed_counts_are_monotone_and_consistent() {
-        let g = generators::gnp_connected(64, 0.2, &mut rng(17), 100).unwrap();
+        let g = generators::gnp_connected(64, 0.2, &mut rng(17), 100);
         let out = run_sync(&g, 0, Mode::PushPull, &mut rng(18), 1_000);
         assert!(out.completed);
         assert!(out.informed_by_round.windows(2).all(|w| w[0] <= w[1]));
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn loss_slows_spreading_monotonically() {
-        let g = generators::gnp_connected(64, 0.15, &mut rng(1), 100).unwrap();
+        let g = generators::gnp_connected(64, 0.15, &mut rng(1), 100);
         let mut means = Vec::new();
         for loss in [0.0, 0.3, 0.6] {
             let cfg = SpreadConfig::new(0).with_loss_probability(loss);

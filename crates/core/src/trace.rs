@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn every_node_learns_exactly_once() {
-        let g = generators::gnp_connected(48, 0.2, &mut rng(1), 100).unwrap();
+        let g = generators::gnp_connected(48, 0.2, &mut rng(1), 100);
         let trace = sync_trace(&g, &SpreadConfig::new(0), 2, 100_000);
         assert!(trace.complete());
         let mut seen = [false; 48];

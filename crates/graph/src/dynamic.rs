@@ -910,8 +910,7 @@ mod tests {
     fn untouched_adapter_samples_like_csr() {
         // The parity property the dynamic engine's churn-0 guarantee
         // rests on: identical draw sequence, identical neighbor choice.
-        let g =
-            generators::gnp_connected(32, 0.2, &mut Xoshiro256PlusPlus::seed_from(5), 100).unwrap();
+        let g = generators::gnp_connected(32, 0.2, &mut Xoshiro256PlusPlus::seed_from(5), 100);
         let net = MutableGraph::from_graph(&g);
         let mut a = Xoshiro256PlusPlus::seed_from(9);
         let mut b = Xoshiro256PlusPlus::seed_from(9);
@@ -1076,8 +1075,7 @@ mod tests {
     /// Compaction is logically invisible: same views, same draws.
     #[test]
     fn compaction_preserves_views_and_draws() {
-        let g =
-            generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(3), 100).unwrap();
+        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(3), 100);
         let mut eager = MutableGraph::from_graph(&g);
         eager.set_compaction_threshold(0); // compact after every mutation
         let mut lazy = MutableGraph::from_graph(&g);
@@ -1156,8 +1154,7 @@ mod tests {
 
     #[test]
     fn clone_is_independent_and_equal() {
-        let g =
-            generators::gnp_connected(16, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100).unwrap();
+        let g = generators::gnp_connected(16, 0.3, &mut Xoshiro256PlusPlus::seed_from(8), 100);
         let mut net = MutableGraph::from_graph(&g);
         net.remove_edge(net.neighbors(0)[0], 0);
         let mut copy = net.clone();

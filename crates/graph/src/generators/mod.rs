@@ -28,5 +28,8 @@ pub use diamonds::{diamond_parameters, necklace_of_cliques, string_of_diamonds};
 pub use hypercube::hypercube;
 pub use lattice::{grid, torus};
 pub use powerlaw::{chung_lu, chung_lu_connected, chung_lu_giant, preferential_attachment};
-pub use random::{gnm, gnp, gnp_connected, random_regular, random_regular_connected};
+pub use random::{
+    gnm, gnp, gnp_connected, random_regular, random_regular_connected, try_gnp_connected,
+    try_random_regular_connected,
+};
 pub use tree::{caterpillar, complete_binary_tree};

@@ -50,14 +50,20 @@ pub fn gnp(n: usize, p: f64, rng: &mut Xoshiro256PlusPlus) -> Graph {
 }
 
 /// `G(n, p)` conditioned on connectivity: resamples until connected.
-/// Returns `None` if no connected sample is found within `max_tries`
-/// attempts (pick `p ≥ (1 + ε) ln n / n` to make success
-/// overwhelmingly likely).
 ///
 /// # Panics
 ///
-/// Panics if `n < 2` or `p ∉ [0, 1]`.
-pub fn gnp_connected(
+/// Panics if `n < 2`, `p ∉ [0, 1]`, or no connected sample is found within
+/// `max_tries` attempts (pick `p ≥ (1 + ε) ln n / n` to make success
+/// overwhelmingly likely).
+pub fn gnp_connected(n: usize, p: f64, rng: &mut Xoshiro256PlusPlus, max_tries: usize) -> Graph {
+    try_gnp_connected(n, p, rng, max_tries)
+        .unwrap_or_else(|| panic!("no connected G({n}, {p}) sample within {max_tries} tries"))
+}
+
+/// [`gnp_connected`], returning `None` where it would panic for want of
+/// a connected sample.
+pub fn try_gnp_connected(
     n: usize,
     p: f64,
     rng: &mut Xoshiro256PlusPlus,
@@ -99,14 +105,22 @@ pub fn gnm(n: usize, m: usize, rng: &mut Xoshiro256PlusPlus) -> Graph {
 /// For `d = o(n^{1/3})` the output distribution is asymptotically uniform
 /// over `d`-regular graphs (Steger & Wormald 1999), and restarts are rare
 /// — unlike naive whole-matching rejection, whose acceptance probability
-/// `≈ e^{-(d²−1)/4}` collapses already at `d ≈ 7`. Returns `None` if
-/// the process failed to complete within `max_tries` restarts
-/// (effectively impossible for the parameter ranges above).
+/// `≈ e^{-(d²−1)/4}` collapses already at `d ≈ 7`.
 ///
 /// # Panics
 ///
-/// Panics if `n·d` is odd, `d == 0` or `d ≥ n`.
-pub fn random_regular(
+/// Panics if `n·d` is odd, `d == 0`, `d ≥ n`, or the process failed to
+/// complete within `max_tries` restarts (effectively impossible for the
+/// parameter ranges above).
+pub fn random_regular(n: usize, d: usize, rng: &mut Xoshiro256PlusPlus, max_tries: usize) -> Graph {
+    try_random_regular(n, d, rng, max_tries).unwrap_or_else(|| {
+        panic!("no simple {d}-regular pairing on {n} nodes within {max_tries} tries")
+    })
+}
+
+/// [`random_regular`], returning `None` where it would panic for want of
+/// a completed pairing.
+fn try_random_regular(
     n: usize,
     d: usize,
     rng: &mut Xoshiro256PlusPlus,
@@ -186,24 +200,36 @@ pub fn random_regular(
     None
 }
 
-/// Random `d`-regular conditioned on connectivity; `None` if no
-/// connected sample appears within `max_tries` (each sample allowed
-/// `max_tries` restarts).
+/// Random `d`-regular conditioned on connectivity.
 ///
 /// For `d ≥ 3` a random regular graph is connected with probability
 /// `1 − O(n^{2−d})`, so retries are rare.
 ///
 /// # Panics
 ///
-/// As [`random_regular`].
+/// As [`random_regular`], or if no connected sample appears within
+/// `max_tries`.
 pub fn random_regular_connected(
+    n: usize,
+    d: usize,
+    rng: &mut Xoshiro256PlusPlus,
+    max_tries: usize,
+) -> Graph {
+    try_random_regular_connected(n, d, rng, max_tries).unwrap_or_else(|| {
+        panic!("no connected simple {d}-regular graph on {n} nodes within {max_tries} tries")
+    })
+}
+
+/// [`random_regular_connected`], returning `None` where it would panic
+/// for want of a simple or a connected sample.
+pub fn try_random_regular_connected(
     n: usize,
     d: usize,
     rng: &mut Xoshiro256PlusPlus,
     max_tries: usize,
 ) -> Option<Graph> {
     for _ in 0..max_tries {
-        let g = random_regular(n, d, rng, max_tries)?;
+        let g = try_random_regular(n, d, rng, max_tries)?;
         if props::is_connected(&g) {
             return Some(g);
         }
@@ -255,7 +281,7 @@ mod tests {
         let mut r = rng(3);
         let n = 128;
         let p = 2.0 * (n as f64).ln() / n as f64;
-        let g = gnp_connected(n, p, &mut r, 100).unwrap();
+        let g = gnp_connected(n, p, &mut r, 100);
         assert!(props::is_connected(&g));
     }
 
@@ -279,7 +305,7 @@ mod tests {
     fn random_regular_degrees() {
         let mut r = rng(6);
         for d in [2usize, 3, 4, 7] {
-            let g = random_regular(50, d, &mut r, 1000).unwrap();
+            let g = random_regular(50, d, &mut r, 1000);
             assert_eq!(g.regular_degree(), Some(d), "d = {d}");
             assert_eq!(g.edge_count(), 50 * d / 2);
         }
@@ -288,7 +314,7 @@ mod tests {
     #[test]
     fn random_regular_connected_for_d3() {
         let mut r = rng(7);
-        let g = random_regular_connected(100, 3, &mut r, 1000).unwrap();
+        let g = random_regular_connected(100, 3, &mut r, 1000);
         assert_eq!(g.regular_degree(), Some(3));
         assert!(props::is_connected(&g));
     }
@@ -296,13 +322,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be even")]
     fn random_regular_rejects_odd_total() {
-        random_regular(5, 3, &mut rng(8), 10).unwrap();
+        random_regular(5, 3, &mut rng(8), 10);
     }
 
     #[test]
     fn random_regular_varies_with_seed() {
-        let g1 = random_regular(40, 3, &mut rng(9), 1000).unwrap();
-        let g2 = random_regular(40, 3, &mut rng(10), 1000).unwrap();
+        let g1 = random_regular(40, 3, &mut rng(9), 1000);
+        let g2 = random_regular(40, 3, &mut rng(10), 1000);
         assert_ne!(g1, g2, "different seeds should give different graphs");
     }
 }

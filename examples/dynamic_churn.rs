@@ -42,7 +42,7 @@ fn main() {
     let n = 256;
     let p = 2.0 * (n as f64).ln() / n as f64;
     let mut rng = Xoshiro256PlusPlus::seed_from(40);
-    let g = generators::gnp_connected(n, p, &mut rng, 200).unwrap();
+    let g = generators::gnp_connected(n, p, &mut rng, 200);
     println!("async push-pull on G({n}, 2 ln n / n), {trials} trials each\n");
     println!("{:>24}  {:>9}  {:>9}  {:>9}", "model", "E[T]", "sd", "T_hp");
 

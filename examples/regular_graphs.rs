@@ -72,8 +72,8 @@ fn main() {
     row("cycle", &generators::cycle(256), trials);
     row("torus 16x16", &generators::torus(16, 16), trials);
     row("hypercube", &generators::hypercube(8), trials);
-    row("3-regular", &generators::random_regular_connected(256, 3, &mut rng, 500).unwrap(), trials);
-    row("8-regular", &generators::random_regular_connected(256, 8, &mut rng, 500).unwrap(), trials);
+    row("3-regular", &generators::random_regular_connected(256, 3, &mut rng, 500), trials);
+    row("8-regular", &generators::random_regular_connected(256, 8, &mut rng, 500), trials);
     row("complete", &generators::complete(256), trials);
 
     println!("\nCorollary 3: the sync push/push-pull ratio stays constant on");

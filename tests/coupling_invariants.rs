@@ -17,7 +17,7 @@ fn matrix() -> Vec<(&'static str, Graph, Node)> {
         ("cycle", generators::cycle(24), 0),
         ("hypercube", generators::hypercube(5), 0),
         ("complete", generators::complete(24), 0),
-        ("gnp", generators::gnp_connected(40, 0.2, &mut rng, 200).unwrap(), 0),
+        ("gnp", generators::gnp_connected(40, 0.2, &mut rng, 200), 0),
         ("caterpillar", generators::caterpillar(8, 3), 0),
         ("necklace", generators::necklace_of_cliques(4, 6), 0),
     ]

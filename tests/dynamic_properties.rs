@@ -19,7 +19,6 @@ fn test_graph() -> impl Strategy<Value = Graph> {
         0 => {
             let p = 2.5 * (n as f64).ln() / n as f64;
             generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(n as u64), 200)
-                .unwrap()
         }
         1 => generators::hypercube(dim as u32),
         _ => generators::cycle(n),
@@ -148,7 +147,7 @@ proptest! {
 #[test]
 fn acceptance_zero_churn_parity_on_gnp_and_hypercube() {
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(2024);
-    let gnp = generators::gnp_connected(96, 0.12, &mut graph_rng, 200).unwrap();
+    let gnp = generators::gnp_connected(96, 0.12, &mut graph_rng, 200);
     let cube = generators::hypercube(6);
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.0));
     for (name, g) in [("gnp", &gnp), ("hypercube", &cube)] {
@@ -183,8 +182,7 @@ fn acceptance_zero_churn_parity_on_gnp_and_hypercube() {
 /// same-seed run.
 #[test]
 fn budget_exhaustion_pins_the_incomplete_outcome_contract() {
-    let g =
-        generators::gnp_connected(96, 0.06, &mut Xoshiro256PlusPlus::seed_from(12), 200).unwrap();
+    let g = generators::gnp_connected(96, 0.06, &mut Xoshiro256PlusPlus::seed_from(12), 200);
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
     let run = |max_steps| {
         let mut rng = Xoshiro256PlusPlus::seed_from(77);

@@ -38,7 +38,7 @@ fn global_clock<P: Probe>(
 /// has at least `dist(u, v)` edges, in both models.
 #[test]
 fn trace_paths_respect_graph_distance() {
-    let g = generators::gnp_connected(40, 0.2, &mut rng(1), 100).unwrap();
+    let g = generators::gnp_connected(40, 0.2, &mut rng(1), 100);
     let dist = props::bfs_distances(&g, 0);
     let (mut sync_trace, mut async_trace) = (Trace::new(), Trace::new());
     sync_rounds(&g, &SpreadConfig::new(0), &mut rng(2), &mut sync_trace);
@@ -115,7 +115,7 @@ fn multi_source_speedup_under_loss() {
 #[test]
 fn quasirandom_is_competitive() {
     use rumor_spreading::core::run_sync;
-    let g = generators::random_regular_connected(64, 4, &mut rng(9), 500).unwrap();
+    let g = generators::random_regular_connected(64, 4, &mut rng(9), 500);
     let mut quasi = OnlineStats::new();
     let mut random = OnlineStats::new();
     for seed in 0..120 {

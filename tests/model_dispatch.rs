@@ -73,8 +73,7 @@ fn boxed_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (Dyn
 
 #[test]
 fn enum_and_boxed_routes_replay_each_other() {
-    let g =
-        generators::gnp_connected(40, 0.15, &mut Xoshiro256PlusPlus::seed_from(3), 200).unwrap();
+    let g = generators::gnp_connected(40, 0.15, &mut Xoshiro256PlusPlus::seed_from(3), 200);
     for model in models() {
         let what = format!("{model}");
 

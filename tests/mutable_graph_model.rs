@@ -267,7 +267,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..120),
     ) {
         let p = 2.5 * (n as f64).ln() / n as f64;
-        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200).unwrap();
+        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200);
         let mut net = MutableGraph::from_graph(&g);
         net.track_changes(true);
         let mut reference = Reference::from_graph(&g);
@@ -321,7 +321,7 @@ proptest! {
         density in 0usize..4,
     ) {
         let p = 2.5 * (n as f64).ln() / n as f64;
-        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200).unwrap();
+        let g = generators::gnp_connected(n, p, &mut Xoshiro256PlusPlus::seed_from(seed), 200);
         let mut batched = MutableGraph::from_graph(&g);
         match policy {
             0 => batched.set_compaction_threshold(0),

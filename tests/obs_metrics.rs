@@ -225,7 +225,7 @@ proptest! {
 /// seed-for-seed.
 #[test]
 fn probed_engines_report_monotone_informed_counts_and_replay() {
-    let g = generators::gnp_connected(40, 0.2, &mut Xoshiro256PlusPlus::seed_from(3), 100).unwrap();
+    let g = generators::gnp_connected(40, 0.2, &mut Xoshiro256PlusPlus::seed_from(3), 100);
     let n = g.node_count();
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
 

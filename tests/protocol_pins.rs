@@ -66,7 +66,7 @@ fn async_trace(g: &Graph, rng: &mut Xoshiro256PlusPlus) -> Trace {
 }
 
 fn random_regular() -> Graph {
-    generators::random_regular_connected(96, 4, &mut rng(5), 500).unwrap()
+    generators::random_regular_connected(96, 4, &mut rng(5), 500)
 }
 
 fn lossy(loss: f64) -> SpreadConfig {
@@ -426,7 +426,7 @@ fn lossy_spec_lines_replay_their_pins() {
 }
 
 fn trace_pins() -> Vec<(&'static str, [TracePin; 2])> {
-    let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap();
+    let g = generators::gnp_connected(48, 0.15, &mut rng(1), 100);
     let pin = |record: &dyn Fn(&mut Xoshiro256PlusPlus) -> Trace| {
         SEEDS.map(|seed| {
             let mut r = rng(seed);
@@ -478,7 +478,7 @@ const DYNAMIC_FULL: u64 = 10_000_000;
 /// budget: the censored adversary never heals its cuts and stops at
 /// the budget.
 fn dynamic_models() -> (Graph, Vec<(&'static str, DynamicModel, u64)>) {
-    let g = generators::gnp_connected(96, 0.08, &mut rng(3), 100).unwrap();
+    let g = generators::gnp_connected(96, 0.08, &mut rng(3), 100);
     let models = vec![
         ("walk rate 1", DynamicModel::RandomWalk(RandomWalk::new(1.0)), DYNAMIC_FULL),
         ("mobility dense", DynamicModel::Mobility(Mobility::new(1.0, 0.35, 0.15)), DYNAMIC_FULL),

@@ -20,7 +20,7 @@ fn models() -> Vec<(&'static str, DynamicModel)> {
 }
 
 fn test_graph() -> rumor_spreading::graph::Graph {
-    generators::gnp_connected(48, 0.15, &mut Xoshiro256PlusPlus::seed_from(1), 100).unwrap()
+    generators::gnp_connected(48, 0.15, &mut Xoshiro256PlusPlus::seed_from(1), 100)
 }
 
 /// Per model, per seed (11 then 12): the sequential pin of the `v2`

@@ -51,7 +51,7 @@ fn suite() -> Vec<(&'static str, Graph, Node)> {
         ("cycle", generators::cycle(32), 0),
         ("hypercube", generators::hypercube(5), 0),
         ("complete", generators::complete(32), 0),
-        ("gnp", generators::gnp_connected(48, 0.2, &mut rng, 200).unwrap(), 0),
+        ("gnp", generators::gnp_connected(48, 0.2, &mut rng, 200), 0),
         ("double-star", generators::double_star(20, 20), 2),
         ("diamonds", generators::string_of_diamonds(3, 16), 0),
         ("binary-tree", generators::complete_binary_tree(31), 0),

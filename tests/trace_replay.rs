@@ -69,7 +69,7 @@ fn all_models() -> Vec<(&'static str, DynamicModel)> {
 }
 
 fn test_graph() -> Graph {
-    generators::gnp_connected(48, 0.15, &mut rng(1), 100).unwrap()
+    generators::gnp_connected(48, 0.15, &mut rng(1), 100)
 }
 
 /// A [`TopologyModel`] wrapper that snapshots the engine's graph after
