@@ -237,16 +237,23 @@ mod tests {
 
     #[test]
     fn bad_requests_answer_in_band_and_exit_after_aborts() {
+        // A `p` so small that `1.0 - p` rounds to 1 once drew a self-loop
+        // in the generator and killed the serve loop.
+        let tiny_p = SimSpec::new(GraphSpec::Gnp { n: 10, p: 1e-300, seed: 5, attempts: 2 });
         let mut input = Vec::new();
         write_frame(&mut input, b"{\"id\": 9}").unwrap();
+        input.extend(request(2.0, &tiny_p));
         input.extend(request(1.0, &quick_spec()));
         let mut output = Vec::new();
-        let config = ServiceConfig { caches: None, exit_after: Some(1) };
+        let config = ServiceConfig { caches: None, exit_after: Some(2) };
         let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
-        assert_eq!(exit, ServiceExit::Aborted(1));
+        assert_eq!(exit, ServiceExit::Aborted(2));
         let docs = responses(&output);
-        assert_eq!(docs.len(), 1);
+        assert_eq!(docs.len(), 2);
         assert!(docs[0].get("error").is_some());
+        assert_eq!(docs[1].get("id").unwrap(), &Json::Num(2.0));
+        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.contains("invalid graph spec: gnp found no connected sample"), "{error}");
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::props;
 pub fn gnp(n: usize, p: f64, rng: &mut Xoshiro256PlusPlus) -> Graph {
     assert!(n >= 2, "gnp needs n >= 2");
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let mut b = GraphBuilder::with_edge_capacity(n, (p * (n * (n - 1) / 2) as f64) as usize + 16);
+    let pairs = (n * (n - 1) / 2) as f64;
+    let mut b = GraphBuilder::with_edge_capacity(n, (p * pairs) as usize + 16);
     if p == 0.0 {
         return b.build().expect("n >= 2");
     }
@@ -31,13 +32,16 @@ pub fn gnp(n: usize, p: f64, rng: &mut Xoshiro256PlusPlus) -> Graph {
         return b.build().expect("n >= 2");
     }
     // Enumerate candidate edges 0..n(n-1)/2 in lexicographic (u, v) order,
-    // skipping ahead by Geometric(p) jumps.
-    let log_q = (1.0 - p).ln();
+    // skipping ahead by Geometric(p) jumps. `ln_1p` keeps `log_q`
+    // nonzero for a `p` so small that `1.0 - p` rounds to 1, and a skip
+    // is clamped to the pair count before the cast, so one past the last
+    // pair ends the loop instead of saturating.
+    let log_q = (-p).ln_1p();
     let mut v: i64 = 1;
     let mut w: i64 = -1;
     while (v as usize) < n {
         let r = rng.f64_open();
-        w += 1 + (r.ln() / log_q).floor() as i64;
+        w += 1 + (r.ln() / log_q).floor().min(pairs) as i64;
         while w >= v && (v as usize) < n {
             w -= v;
             v += 1;
@@ -252,6 +256,16 @@ mod tests {
         assert_eq!(empty.edge_count(), 0);
         let full = gnp(10, 1.0, &mut r);
         assert_eq!(full.edge_count(), 45);
+    }
+
+    /// A `p` so small that `1.0 - p` rounds to 1 draws no edge, rather
+    /// than a saturated skip that lands on a self-loop.
+    #[test]
+    fn gnp_tiny_p_is_edgeless() {
+        let mut r = rng(1);
+        for _ in 0..100 {
+            assert_eq!(gnp(10, 1e-300, &mut r).edge_count(), 0);
+        }
     }
 
     #[test]

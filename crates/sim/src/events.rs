@@ -394,17 +394,6 @@ impl Superposition {
         Self { weights: vec![0.0; channels], total: 0.0, clock: 0.0, pending: None }
     }
 
-    /// Sum of all channel weights.
-    pub fn total_rate(&self) -> f64 {
-        self.total
-    }
-
-    /// The pending (already drawn) arrival, if one is held; a test hook
-    /// for comparing arrival sequences.
-    pub fn pending_arrival(&self) -> Option<f64> {
-        self.pending
-    }
-
     /// Sets channel `ch` to weight `w` as of time `now`.
     ///
     /// A changed total discards the pending arrival and restarts the
@@ -735,13 +724,13 @@ mod tests {
         let mut sup = Superposition::new(2);
         sup.set_weight(0.0, 0, 2.0);
         let first = sup.peek(&mut rng).expect("live");
-        sup.set_weight(0.5, 0, 2.0); // unchanged: retained
-        assert_eq!(sup.pending_arrival(), Some(first));
-        sup.set_weight(0.5, 1, 1.0); // changed: discarded, clock = 0.5
-        assert_eq!(sup.pending_arrival(), None);
-        assert_eq!(sup.total_rate(), 3.0);
-        let redrawn = sup.peek(&mut rng).expect("live");
-        assert!(redrawn > 0.5, "redrawn arrival {redrawn} must start at the reweight time");
+        sup.set_weight(0.5, 0, 2.0); // unchanged: retained, no draw
+        let before = rng.clone();
+        assert_eq!(sup.peek(&mut rng), Some(first));
+        assert_eq!(rng, before);
+        sup.set_weight(0.5, 1, 1.0); // changed: discarded, clock = 0.5, total = 3
+        let expect = 0.5 + rng.clone().exp(3.0);
+        assert_eq!(sup.peek(&mut rng), Some(expect));
     }
 
     /// All weights zero: no arrival and no draw; raising a weight from
