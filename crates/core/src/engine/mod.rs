@@ -18,10 +18,13 @@
 //!   captures one realized topology evolution, standalone, and replays
 //!   it as a deterministic [`TopologyModel`], so one churn realization
 //!   can drive many protocol runs — the substrate of the coupled
-//!   sync-vs-async comparisons ([`run_sync_dynamic`] consumes the same
-//!   trace at round boundaries, [`run_trace_lazy`] is a queue-free
-//!   async cursor). A [`TraceRecording`] records on demand, only as
-//!   far as its replays read.
+//!   sync-vs-async comparisons. [`run_coupled_dynamic`] runs a coupled
+//!   trial's synchronous and asynchronous replays in lockstep on one
+//!   graph, so each trace step is applied once however many replays
+//!   read it; [`run_sync_dynamic`] (rounds at time boundaries) and
+//!   [`run_trace_lazy`] (a queue-free async cursor) are its one-half
+//!   forms. A [`TraceRecording`] records on demand, only as far as its
+//!   replays read.
 //!
 //! The static engines ([`crate::run_async`], [`crate::run_sync`]) run
 //! their own loops and need none of this.
@@ -33,6 +36,6 @@ pub mod trace;
 pub use scheduler::{TickSource, TopoDriver};
 pub use topology::{StateVisitor, TopologyModel};
 pub use trace::{
-    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording, TraceRef, TraceReplayer,
-    TraceStep,
+    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
+    TraceRecording, TraceRef, TraceReplayer, TraceStep,
 };

@@ -38,15 +38,26 @@
 //!   identical topology realization. It is also how an uncoupled
 //!   synchronous run executes on any topology model: it records the
 //!   model's realization on demand and replays it here.
+//! * [`run_coupled_dynamic`] — the replays of one coupled trial (a
+//!   synchronous and an asynchronous half per protocol seed) in
+//!   **lockstep on one graph**. The half that reads the graph next runs
+//!   until another half would read: sync round `r` reads it as of time
+//!   `r − 1`, an async tick after every step up to the tick, and an
+//!   async half holds a drawn tick that falls past its turn. So each
+//!   trace step is applied once, in trace order, as far as the
+//!   furthest half reads, and every half sees the graph exactly as its
+//!   own replay would: the same outcomes and the same draws, seed for
+//!   seed. [`run_trace_lazy`] and [`run_sync_dynamic`] are its one-half
+//!   forms, so the replay loop exists once.
 //!
-//! All three replays read steps through one accessor,
-//! `TraceRef::step_by`, over either a sealed trace or a live
-//! recording. The horizon is a cap, not a cost: replay past it freezes
-//! the topology (no further steps exist), and a live recording never
-//! records past it. No-op model events (e.g. rejected random-walk
-//! steps) are dropped at recording time, so a trace's step count is
-//! the number of *effective* topology changes, not the model's event
-//! count.
+//! Every replay reads steps through one accessor, `TraceRef::step_by`,
+//! over either a sealed trace or a live recording; the lockstep loop
+//! calls it from the one cursor its halves share. The horizon is a cap,
+//! not a cost: replay past it freezes the topology (no further steps
+//! exist), and a live recording never records past it. No-op model
+//! events (e.g. rejected random-walk steps) are dropped at recording
+//! time, so a trace's step count is the number of *effective* topology
+//! changes, not the model's event count.
 //!
 //! Steps are stored flat, struct-of-arrays: one `times` array, per-step
 //! end offsets, one edge buffer (each step's removed edges, then its
@@ -405,11 +416,11 @@ impl TopologyTrace {
 /// its first event, then stops. The recording keeps its tail — the
 /// graph, the event driver, the model state and the trace RNG — and
 /// records further only when a replay (through [`TraceReplayer::new`],
-/// [`run_trace_lazy`] or [`run_sync_dynamic`]) asks for a time past
-/// what is recorded, never past the horizon. The driver retains the
-/// arrival it peeks, so pausing draws nothing extra: whatever has been
-/// recorded is byte for byte a prefix of the eager trace, and
-/// [`finish`](Self::finish) returns exactly that trace.
+/// [`run_trace_lazy`], [`run_sync_dynamic`] or [`run_coupled_dynamic`])
+/// asks for a time past what is recorded, never past the horizon. The
+/// driver retains the arrival it peeks, so pausing draws nothing extra:
+/// whatever has been recorded is byte for byte a prefix of the eager
+/// trace, and [`finish`](Self::finish) returns exactly that trace.
 ///
 /// Once the next event would fall past the horizon the tail is dropped
 /// and the recording is sealed.
@@ -613,6 +624,249 @@ impl TopologyModel for TraceReplayer<'_> {
     }
 }
 
+/// The graph every half of a lockstep replay reads, and the cursor that
+/// walks the trace into it: each step is applied once, in trace order,
+/// as far as the furthest half has read.
+struct Shared<'a> {
+    trace: TraceRef<'a>,
+    net: MutableGraph,
+    /// Steps applied to `net` so far.
+    applied: usize,
+}
+
+impl<'a> Shared<'a> {
+    /// The trace's initial graph, no step applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range for the trace.
+    fn new(trace: TraceRef<'a>, source: Node) -> Self {
+        let initial = &trace.trace().initial;
+        assert!((source as usize) < initial.node_count(), "source out of range");
+        let net = MutableGraph::from_graph(initial);
+        Shared { trace, net, applied: 0 }
+    }
+
+    fn node_count(&self) -> usize {
+        self.net.node_count()
+    }
+
+    /// Applies every step at or before `t` not applied yet.
+    #[inline]
+    fn advance(&mut self, t: f64) {
+        while let Some(step) = self.trace.step_by(self.applied, t) {
+            apply_step(&mut self.net, step);
+            self.applied += 1;
+        }
+    }
+}
+
+/// One protocol run of a lockstep replay, resumable: it reads the shared
+/// graph at non-decreasing times, and [`lockstep`] runs whichever half
+/// reads next.
+trait Half {
+    /// When this half next reads the graph, `None` once it has finished.
+    /// An asynchronous half draws its next tick here and holds it until
+    /// it runs.
+    fn next_read(&mut self) -> Option<f64>;
+
+    /// Runs this half's reads at or before `until`, advancing the shared
+    /// graph to each one first.
+    fn advance(&mut self, until: f64, shared: &mut Shared<'_>);
+}
+
+/// Runs `halves` in lockstep on one graph, in the order of their reads:
+/// the half that reads first advances until another half would read, so
+/// the graph only moves forward and each half sees it exactly as its own
+/// replay would have. A finished half drops out; the others continue.
+/// With one half this is that half's replay.
+fn lockstep(shared: &mut Shared<'_>, halves: &mut [&mut dyn Half]) {
+    loop {
+        // The half that reads first, and when the next other half reads.
+        let (mut first, mut t0, mut t1) = (None, f64::INFINITY, f64::INFINITY);
+        for (i, half) in halves.iter_mut().enumerate() {
+            let Some(t) = half.next_read() else { continue };
+            if first.is_none() || t < t0 {
+                (first, t0, t1) = (Some(i), t, t0);
+            } else if t < t1 {
+                t1 = t;
+            }
+        }
+        let Some(i) = first else { return };
+        halves[i].advance(t1, shared);
+    }
+}
+
+/// An asynchronous replay as a lockstep half: the global-clock tick loop,
+/// with a tick time `t + Exp(n)` drawn ahead and held while it falls
+/// past what [`lockstep`] lets it run.
+struct AsyncHalf<'r, P> {
+    mode: Mode,
+    rng: &'r mut Xoshiro256PlusPlus,
+    probe: &'r mut P,
+    max_steps: u64,
+    informed_time: Vec<f64>,
+    informed_count: usize,
+    /// Time of the last tick run.
+    t: f64,
+    steps: u64,
+    /// Steps of the trace at or before `t`: the ones this half has seen.
+    seen: usize,
+    /// The drawn tick not run yet.
+    pending: Option<f64>,
+}
+
+impl<'r, P: Probe> AsyncHalf<'r, P> {
+    fn new(
+        n: usize,
+        source: Node,
+        mode: Mode,
+        rng: &'r mut Xoshiro256PlusPlus,
+        max_steps: u64,
+        probe: &'r mut P,
+    ) -> Self {
+        let mut informed_time = vec![f64::INFINITY; n];
+        informed_time[source as usize] = 0.0;
+        if P::ENABLED {
+            probe.trial_start(n, &[source]);
+            probe.informed(0.0, 1);
+        }
+        AsyncHalf {
+            mode,
+            rng,
+            probe,
+            max_steps,
+            informed_time,
+            informed_count: 1,
+            t: 0.0,
+            steps: 0,
+            seen: 0,
+            pending: None,
+        }
+    }
+
+    fn finish(self) -> DynamicOutcome {
+        let AsyncHalf { t, steps, seen, informed_time, informed_count, probe, .. } = self;
+        let completed = informed_count == informed_time.len();
+        if P::ENABLED {
+            probe.trial_end(t, completed);
+        }
+        DynamicOutcome { time: t, steps, topology_events: seen as u64, completed, informed_time }
+    }
+}
+
+impl<P: Probe> Half for AsyncHalf<'_, P> {
+    fn next_read(&mut self) -> Option<f64> {
+        let n = self.informed_time.len();
+        if self.pending.is_none() && self.steps < self.max_steps && self.informed_count < n {
+            self.pending = Some(self.t + self.rng.exp(n as f64));
+        }
+        self.pending
+    }
+
+    fn advance(&mut self, until: f64, shared: &mut Shared<'_>) {
+        let n = self.informed_time.len();
+        // The hot loop runs on locals, written back when it pauses.
+        let (mut t, mut steps, mut seen) = (self.t, self.steps, self.seen);
+        let mut informed_count = self.informed_count;
+        let (rng, probe, informed_time) =
+            (&mut *self.rng, &mut *self.probe, &mut self.informed_time);
+        let mut pending = self.pending.take();
+        loop {
+            let tt = match pending {
+                Some(tt) => tt,
+                None if steps < self.max_steps && informed_count < n => t + rng.exp(n as f64),
+                None => break,
+            };
+            if tt > until {
+                pending = Some(tt);
+                break;
+            }
+            pending = None;
+            // Topology wins ties: every step at or before the tick is in.
+            shared.advance(tt);
+            let times = shared.trace.trace().times();
+            debug_assert!(shared.applied == 0 || times[shared.applied - 1] <= tt);
+            if P::ENABLED {
+                for &time in &times[seen..shared.applied] {
+                    probe.event(time, ProbeEvent::Topology);
+                }
+            }
+            seen = shared.applied;
+            t = tt;
+            steps += 1;
+            if P::ENABLED {
+                probe.event(tt, ProbeEvent::Tick);
+            }
+            let v = rng.range_usize(n) as Node;
+            let net = &shared.net;
+            if net.is_active(v) && net.degree(v) > 0 {
+                let w = net.random_neighbor(v, rng);
+                let how = crate::asynchronous::exchange(
+                    self.mode,
+                    informed_time,
+                    &mut informed_count,
+                    v,
+                    w,
+                    tt,
+                );
+                if let (true, Some(how)) = (P::ENABLED, how) {
+                    let (informer, learner) = how.roles(v, w);
+                    probe.informed(tt, informed_count);
+                    probe.transmitted(informer, learner, how, tt);
+                }
+            }
+        }
+        (self.t, self.steps, self.seen) = (t, steps, seen);
+        (self.informed_count, self.pending) = (informed_count, pending);
+    }
+}
+
+/// A synchronous replay as a lockstep half: round `r` reads the graph
+/// as of time `r − 1`.
+struct SyncHalf<'r> {
+    rounds: Rounds,
+    rng: &'r mut Xoshiro256PlusPlus,
+    max_rounds: u64,
+}
+
+impl<'r> SyncHalf<'r> {
+    fn new(
+        n: usize,
+        source: Node,
+        mode: Mode,
+        rng: &'r mut Xoshiro256PlusPlus,
+        max_rounds: u64,
+    ) -> Self {
+        let rounds = Rounds::new(n, &SpreadConfig::new(source).with_mode(mode));
+        SyncHalf { rounds, rng, max_rounds }
+    }
+}
+
+impl Half for SyncHalf<'_> {
+    fn next_read(&mut self) -> Option<f64> {
+        self.rounds.next_round(self.max_rounds).map(|r| (r - 1) as f64)
+    }
+
+    fn advance(&mut self, until: f64, shared: &mut Shared<'_>) {
+        while let Some(r) = self.rounds.next_round(self.max_rounds) {
+            let boundary = (r - 1) as f64;
+            if boundary > until {
+                break;
+            }
+            shared.advance(boundary);
+            let net = &shared.net;
+            self.rounds.exchange_round(r, self.rng, &mut NoProbe, |v, rng| {
+                if !net.is_active(v) || net.degree(v) == 0 {
+                    None // isolated this snapshot: no contact this round
+                } else {
+                    Some(net.random_neighbor(v, rng))
+                }
+            });
+        }
+    }
+}
+
 /// Runs the asynchronous protocol over a recorded trace with a
 /// **queue-free cursor**: no pending topology events exist; before each
 /// protocol tick the cursor applies every recorded step up to the tick
@@ -625,6 +879,9 @@ impl TopologyModel for TraceReplayer<'_> {
 /// points with the same arguments as that replay does, so a probed
 /// cursor run observes the identical event stream.
 ///
+/// This is the one-half form of [`run_coupled_dynamic`]: the same
+/// lockstep loop with a single asynchronous half.
+///
 /// # Panics
 ///
 /// Panics if `source` is out of range for the trace.
@@ -636,76 +893,10 @@ pub fn run_trace_lazy<'a, P: Probe>(
     max_steps: u64,
     probe: &mut P,
 ) -> DynamicOutcome {
-    let mut trace = trace.into();
-    let n = trace.trace().node_count();
-    assert!((source as usize) < n, "source out of range");
-
-    let mut informed_time = vec![f64::INFINITY; n];
-    informed_time[source as usize] = 0.0;
-    let mut informed_count = 1usize;
-    if P::ENABLED {
-        probe.trial_start(n, &[source]);
-        probe.informed(0.0, informed_count);
-    }
-    if n == 1 {
-        if P::ENABLED {
-            probe.trial_end(0.0, true);
-        }
-        return DynamicOutcome {
-            time: 0.0,
-            steps: 0,
-            topology_events: 0,
-            completed: true,
-            informed_time,
-        };
-    }
-    let mut net = MutableGraph::from_graph(&trace.trace().initial);
-    let mut cursor = 0usize;
-    let mut t = 0.0;
-    let mut steps = 0u64;
-    let mut topology_events = 0u64;
-    let mut completed = false;
-    while steps < max_steps {
-        let tt = t + rng.exp(n as f64);
-        while let Some(step) = trace.step_by(cursor, tt) {
-            apply_step(&mut net, step);
-            cursor += 1;
-            topology_events += 1;
-            if P::ENABLED {
-                probe.event(step.time, ProbeEvent::Topology);
-            }
-        }
-        t = tt;
-        steps += 1;
-        if P::ENABLED {
-            probe.event(tt, ProbeEvent::Tick);
-        }
-        let v = rng.range_usize(n) as Node;
-        if net.is_active(v) && net.degree(v) > 0 {
-            let w = net.random_neighbor(v, rng);
-            let how = crate::asynchronous::exchange(
-                mode,
-                &mut informed_time,
-                &mut informed_count,
-                v,
-                w,
-                tt,
-            );
-            if let (true, Some(how)) = (P::ENABLED, how) {
-                let (informer, learner) = how.roles(v, w);
-                probe.informed(tt, informed_count);
-                probe.transmitted(informer, learner, how, tt);
-            }
-        }
-        if informed_count == n {
-            completed = true;
-            break;
-        }
-    }
-    if P::ENABLED {
-        probe.trial_end(t, completed);
-    }
-    DynamicOutcome { time: t, steps, topology_events, completed, informed_time }
+    let mut shared = Shared::new(trace.into(), source);
+    let mut half = AsyncHalf::new(shared.node_count(), source, mode, rng, max_steps, probe);
+    lockstep(&mut shared, &mut [&mut half]);
+    half.finish()
 }
 
 /// Runs the **synchronous** push/pull/push–pull protocol on an evolving
@@ -719,8 +910,9 @@ pub fn run_trace_lazy<'a, P: Probe>(
 /// This is the synchronous protocol on every topology model: an
 /// uncoupled synchronous spec on a model records the realization on
 /// demand (a [`TraceRecording`] with the round budget as horizon) and
-/// runs it here. Driving this and an asynchronous replay of the *same*
-/// trace with a common protocol seed is the coupled comparison of E23.
+/// runs it here. It is the one-half form of [`run_coupled_dynamic`],
+/// which runs it beside asynchronous replays of the *same* trace — the
+/// coupled comparison of E23.
 ///
 /// # Panics
 ///
@@ -732,27 +924,75 @@ pub fn run_sync_dynamic<'a>(
     rng: &mut Xoshiro256PlusPlus,
     max_rounds: u64,
 ) -> SyncOutcome {
-    let mut trace = trace.into();
-    let n = trace.trace().node_count();
-    assert!((source as usize) < n, "source out of range");
+    let mut shared = Shared::new(trace.into(), source);
+    let mut half = SyncHalf::new(shared.node_count(), source, mode, rng, max_rounds);
+    lockstep(&mut shared, &mut [&mut half]);
+    half.rounds.finish()
+}
 
-    let mut net = MutableGraph::from_graph(&trace.trace().initial);
-    let mut cursor = 0usize;
-    let config = SpreadConfig::new(source).with_mode(mode);
-    Rounds::new(n, &config).run(max_rounds, |st, r| {
-        let boundary = (r - 1) as f64;
-        while let Some(step) = trace.step_by(cursor, boundary) {
-            apply_step(&mut net, step);
-            cursor += 1;
-        }
-        st.exchange_round(r, rng, &mut NoProbe, |v, rng| {
-            if !net.is_active(v) || net.degree(v) == 0 {
-                None // isolated this snapshot: no contact this round
-            } else {
-                Some(net.random_neighbor(v, rng))
-            }
-        });
-    })
+/// What the replays of one coupled trial return: see
+/// [`run_coupled_dynamic`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoupledReplays {
+    /// One synchronous outcome per synchronous RNG, in order.
+    pub sync: Vec<SyncOutcome>,
+    /// One asynchronous outcome per asynchronous RNG, in order.
+    pub asynchronous: Vec<DynamicOutcome>,
+}
+
+/// Runs the replays of one coupled trial on one graph, in lockstep: a
+/// synchronous replay ([`run_sync_dynamic`]) per RNG in `sync_rngs` and
+/// an asynchronous one ([`run_trace_lazy`], unprobed) per RNG in
+/// `async_rngs`, all over the same trace. The halves run in the order
+/// in which they read the graph (sync round `r` at time `r − 1`, an
+/// asynchronous tick after every step up to it), so each trace step is
+/// applied once, as far as the furthest half reads, and each half sees
+/// the graph exactly as its own replay would. Every outcome and every
+/// final RNG state is therefore the separate replay's, seed for seed;
+/// only the applying is shared.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range for the trace.
+pub fn run_coupled_dynamic<'a>(
+    trace: impl Into<TraceRef<'a>>,
+    source: Node,
+    mode: Mode,
+    sync_rngs: &mut [Xoshiro256PlusPlus],
+    async_rngs: &mut [Xoshiro256PlusPlus],
+    max_rounds: u64,
+    max_steps: u64,
+) -> CoupledReplays {
+    let mut shared = Shared::new(trace.into(), source);
+    coupled(&mut shared, source, mode, sync_rngs, async_rngs, max_rounds, max_steps)
+}
+
+/// [`run_coupled_dynamic`] on a given shared graph.
+fn coupled(
+    shared: &mut Shared<'_>,
+    source: Node,
+    mode: Mode,
+    sync_rngs: &mut [Xoshiro256PlusPlus],
+    async_rngs: &mut [Xoshiro256PlusPlus],
+    max_rounds: u64,
+    max_steps: u64,
+) -> CoupledReplays {
+    let n = shared.node_count();
+    let mut syncs: Vec<SyncHalf<'_>> =
+        sync_rngs.iter_mut().map(|rng| SyncHalf::new(n, source, mode, rng, max_rounds)).collect();
+    let mut probes = vec![NoProbe; async_rngs.len()];
+    let mut asyncs: Vec<AsyncHalf<'_, NoProbe>> = async_rngs
+        .iter_mut()
+        .zip(&mut probes)
+        .map(|(rng, probe)| AsyncHalf::new(n, source, mode, rng, max_steps, probe))
+        .collect();
+    let mut halves: Vec<&mut dyn Half> = syncs.iter_mut().map(|h| h as &mut dyn Half).collect();
+    halves.extend(asyncs.iter_mut().map(|h| h as &mut dyn Half));
+    lockstep(shared, &mut halves);
+    CoupledReplays {
+        sync: syncs.into_iter().map(|h| h.rounds.finish()).collect(),
+        asynchronous: asyncs.into_iter().map(AsyncHalf::finish).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -922,6 +1162,48 @@ mod tests {
             }
             assert_eq!(rec.frontier(), f64::INFINITY, "{name}: not sealed past the horizon");
             assert_eq!(rec.finish(), eager, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_coupled_trial_applies_each_step_at_most_once() {
+        let g = generators::gnp_connected(48, 0.15, &mut rng(50), 100);
+        for (name, model) in all_models() {
+            let trace = record(&g, &model, 51, 60.0);
+            for seeds in [&[52u64][..], &[52, !52]] {
+                let rngs = || seeds.iter().map(|&s| rng(s)).collect::<Vec<_>>();
+                let (mut sync_rngs, mut async_rngs) = (rngs(), rngs());
+                let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(51), 60.0);
+                let mut shared = Shared::new(TraceRef::from(&mut rec), 0);
+                let out = coupled(
+                    &mut shared,
+                    0,
+                    Mode::PushPull,
+                    &mut sync_rngs,
+                    &mut async_rngs,
+                    100_000,
+                    1_000_000,
+                );
+                // Steps each replay read on its own graph: an async half
+                // up to its last tick, a sync half up to its last round's
+                // boundary.
+                let read = |t: f64| trace.times().partition_point(|&time| time <= t);
+                let sync_reads = out.sync.iter().map(|s| read(s.rounds.saturating_sub(1) as f64));
+                let async_reads = out.asynchronous.iter().map(|a| a.topology_events as usize);
+                let reads: Vec<usize> = sync_reads.chain(async_reads).collect();
+                let furthest = *reads.iter().max().unwrap();
+                // The shared cursor applied each of the furthest half's
+                // steps once: not the separate replays' sum.
+                let applied = shared.applied;
+                assert_eq!(applied, furthest, "{name}: applied {seeds:?}");
+                assert!(applied > 0, "{name}");
+                assert!(applied < reads.iter().sum::<usize>(), "{name}: {reads:?}");
+                for a in &out.asynchronous {
+                    assert_eq!(a.topology_events as usize, read(a.time), "{name}");
+                }
+                drop(shared);
+                assert!(rec.trace().len() >= applied, "{name}");
+            }
         }
     }
 

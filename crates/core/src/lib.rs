@@ -33,8 +33,10 @@
 //!   consumed by every engine, each model with at most one pending
 //!   deterministic event), the topology driver ([`engine::TopoDriver`])
 //!   that merges that event with the superposition scheduler over the
-//!   model's channels, and topology traces with the queue-free **trace
-//!   cursor** ([`engine::run_trace_lazy`]) every trace replay runs on;
+//!   model's channels, and topology traces with the **lockstep trace
+//!   replay** every trace replay runs on ([`engine::run_coupled_dynamic`],
+//!   one-half forms [`engine::run_trace_lazy`] and
+//!   [`engine::run_sync_dynamic`]);
 //! * a seeded, optionally parallel **Monte-Carlo runner** ([`runner`]) for
 //!   estimating spreading-time laws, expectations `E[T]` and
 //!   high-probability quantiles `T₁/ₙ`;

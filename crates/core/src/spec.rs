@@ -7,10 +7,10 @@
 //! trace) over a **trial plan** (seeded Monte-Carlo trials, optionally
 //! coupled sync/async pairs on shared traces). The engine follows from
 //! those axes: static graphs run the static engines, topology models
-//! the sequential merged-stream engine, and every asynchronous trace
-//! replay — an uncoupled [`Topology::Trace`] run and the asynchronous
-//! half of every coupled trial — the queue-free trace cursor
-//! ([`run_trace_lazy`]).
+//! the sequential merged-stream engine, and every trace replay the
+//! lockstep trace replay: an uncoupled [`Topology::Trace`] run on its
+//! one-half cursor form ([`run_trace_lazy`]), and the halves of every
+//! coupled trial together on one graph ([`run_coupled_dynamic`]).
 //! [`SimSpec`] names those three axes once; [`SimSpec::build`] validates
 //! the combination (illegal combinations are a typed [`SpecError`], not
 //! a panic deep inside a run) and returns a [`Simulation`] whose
@@ -78,7 +78,8 @@ use crate::dynamic::{
     RandomWalk, Rewire, SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
-    run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace, TraceRecording, TraceRef,
+    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyModel,
+    TopologyTrace, TraceRecording, TraceRef,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -1309,74 +1310,69 @@ impl Simulation {
         }
     }
 
+    /// The trial's replays of `trace`: a synchronous and an asynchronous
+    /// one on the protocol seed (and on its complement, antithetic),
+    /// run in lockstep on one graph, so the trace is walked once
+    /// however many replays read it ([`run_coupled_dynamic`]). Each
+    /// replay keeps its own RNG, so each is the separate replay, seed
+    /// for seed.
     fn coupled_on_trace(
         &self,
         mut trace: TraceRef<'_>,
         proto_seed: u64,
     ) -> (CoupledOutcome, Vec<CurvePair>) {
-        let (mut out, mut curves, mut reach) = self.coupled_pair(&mut trace, proto_seed);
-        if self.spec.plan.antithetic {
-            // The complement seed reuses the same trace with a second
-            // protocol realization; the (expensive, shared) trace is
-            // recorded once.
-            let (two, more, reach_two) = self.coupled_pair(&mut trace, !proto_seed);
-            curves.extend(more);
-            reach = reach.max(reach_two);
-            out = CoupledOutcome {
-                sync_rounds: 0.5 * (out.sync_rounds + two.sync_rounds),
-                sync_completed: out.sync_completed && two.sync_completed,
-                async_time: 0.5 * (out.async_time + two.async_time),
-                async_completed: out.async_completed && two.async_completed,
-                trace_steps: 0,
-            };
-        }
-        // Counted against the replays' reach, not against what happens
-        // to be recorded (a cache hit may have recorded further).
-        out.trace_steps = trace.trace().times().partition_point(|&time| time <= reach);
-        (out, curves)
-    }
-
-    /// One synchronous and one asynchronous replay of `trace` on the
-    /// protocol seed; also returns the furthest time either replay
-    /// reached (round `r` reads the topology as of time `r − 1`).
-    fn coupled_pair(
-        &self,
-        trace: &mut TraceRef<'_>,
-        proto_seed: u64,
-    ) -> (CoupledOutcome, Vec<CurvePair>, f64) {
-        let g = &self.graph;
-        let source = self.spec.source;
-        let mode = self.spec.protocol.mode();
-        let sync = run_sync_dynamic(
-            &mut *trace,
-            source,
-            mode,
-            &mut Xoshiro256PlusPlus::seed_from(proto_seed),
+        // The complement seed reuses the same trace with a second
+        // protocol realization; the (expensive, shared) trace is
+        // recorded and applied once.
+        let seeds: &[u64] =
+            if self.spec.plan.antithetic { &[proto_seed, !proto_seed] } else { &[proto_seed] };
+        let rngs = || seeds.iter().map(|&s| Xoshiro256PlusPlus::seed_from(s)).collect::<Vec<_>>();
+        let (mut sync_rngs, mut async_rngs) = (rngs(), rngs());
+        let CoupledReplays { sync, asynchronous } = run_coupled_dynamic(
+            &mut trace,
+            self.spec.source,
+            self.spec.protocol.mode(),
+            &mut sync_rngs,
+            &mut async_rngs,
             self.max_rounds,
+            self.max_steps,
         );
-        // The asynchronous half replays the trace on the cursor.
-        let mut proto_rng = Xoshiro256PlusPlus::seed_from(proto_seed);
-        let asy =
-            run_trace_lazy(&mut *trace, source, mode, &mut proto_rng, self.max_steps, &mut NoProbe);
         let curves = if self.spec.metrics.is_enabled() {
-            let n = g.node_count();
-            vec![(
-                SpreadingCurve::from_round_counts(&sync.informed_by_round, n)
-                    .downsample(CURVE_SAMPLES),
-                SpreadingCurve::from_informed_times(&asy.informed_time).downsample(CURVE_SAMPLES),
-            )]
+            let n = self.graph.node_count();
+            sync.iter()
+                .zip(&asynchronous)
+                .map(|(s, a)| {
+                    (
+                        SpreadingCurve::from_round_counts(&s.informed_by_round, n)
+                            .downsample(CURVE_SAMPLES),
+                        SpreadingCurve::from_informed_times(&a.informed_time)
+                            .downsample(CURVE_SAMPLES),
+                    )
+                })
+                .collect()
         } else {
             Vec::new()
         };
+        // The furthest time any replay read: its last async tick, or
+        // `r − 1` after `r` sync rounds.
+        let reach = sync
+            .iter()
+            .map(|s| s.rounds.saturating_sub(1) as f64)
+            .chain(asynchronous.iter().map(|a| a.time))
+            .fold(0.0, f64::max);
+        // Antithetic plans average the pair.
+        let k = seeds.len() as f64;
         let out = CoupledOutcome {
-            sync_rounds: sync.rounds as f64,
-            sync_completed: sync.completed,
-            async_time: asy.time,
-            async_completed: asy.completed,
-            trace_steps: 0,
+            sync_rounds: sync.iter().map(|s| s.rounds as f64).sum::<f64>() / k,
+            sync_completed: sync.iter().all(|s| s.completed),
+            async_time: asynchronous.iter().map(|a| a.time).sum::<f64>() / k,
+            async_completed: asynchronous.iter().all(|a| a.completed),
+            // Counted against the replays' reach, not against what
+            // happens to be recorded (a cache hit may have recorded
+            // further).
+            trace_steps: trace.trace().times().partition_point(|&time| time <= reach),
         };
-        let reach = asy.time.max(sync.rounds.saturating_sub(1) as f64);
-        (out, curves, reach)
+        (out, curves)
     }
 }
 

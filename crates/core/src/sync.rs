@@ -50,19 +50,23 @@ impl Rounds {
         self.informed_count == self.informed_round.len()
     }
 
-    /// Runs rounds `1, 2, …` through `round` until every node is
-    /// informed or `max_rounds` rounds have run.
-    pub(crate) fn run(
-        mut self,
-        max_rounds: u64,
-        mut round: impl FnMut(&mut Self, u64),
-    ) -> SyncOutcome {
-        let mut rounds = 0;
-        while rounds < max_rounds && !self.all_informed() {
-            rounds += 1;
-            round(&mut self, rounds);
-        }
-        let completed = self.all_informed();
+    /// Rounds run so far (each [`exchange_round`](Self::exchange_round)
+    /// records one count).
+    fn rounds(&self) -> u64 {
+        self.informed_by_round.len() as u64 - 1
+    }
+
+    /// The round to run next, or `None` once every node is informed or
+    /// `max_rounds` rounds have run. A caller runs it through
+    /// [`exchange_round`](Self::exchange_round) and asks again.
+    pub(crate) fn next_round(&self, max_rounds: u64) -> Option<u64> {
+        let rounds = self.rounds();
+        (rounds < max_rounds && !self.all_informed()).then_some(rounds + 1)
+    }
+
+    /// The outcome of the rounds run so far.
+    pub(crate) fn finish(self) -> SyncOutcome {
+        let (rounds, completed) = (self.rounds(), self.all_informed());
         let Rounds { informed_round, informed_by_round, .. } = self;
         SyncOutcome { rounds, completed, informed_round, informed_by_round }
     }
@@ -71,9 +75,10 @@ impl Rounds {
     /// exposes: every node with a contact partner calls it, and
     /// exchanges are decided on the pre-round informed set
     /// (`informed_round[·] < r`). Shared by [`run_sync_probed`] and the
-    /// trace-driven engine ([`crate::engine::trace::run_sync_dynamic`])
-    /// so the round semantics — including the same-round tie rules —
-    /// cannot drift apart.
+    /// synchronous trace replays ([`crate::engine::trace::run_sync_dynamic`]
+    /// and the synchronous halves of a coupled trial) so the round
+    /// semantics — including the same-round tie rules — cannot drift
+    /// apart.
     ///
     /// `neighbor` returns `None` for nodes that skip their contact this
     /// round (isolated or departed in the current topology); it draws
@@ -216,10 +221,11 @@ impl<P: Probe> RowVisitor for StaticRounds<'_, P> {
     type Output = SyncOutcome;
 
     fn visit<R: RandomNeighbor>(self, rows: R) -> SyncOutcome {
-        let StaticRounds { st, rng, max_rounds, probe } = self;
-        st.run(max_rounds, |st, r| {
+        let StaticRounds { mut st, rng, max_rounds, probe } = self;
+        while let Some(r) = st.next_round(max_rounds) {
             st.exchange_round(r, rng, probe, |v, rng| Some(rows.random_neighbor(v, rng)));
-        })
+        }
+        st.finish()
     }
 }
 

@@ -18,7 +18,11 @@
 //! * **on-demand recording** — a coupled trial that records its trace
 //!   only as far as its replays read returns what replays of the trace
 //!   recorded eagerly to the horizon return, and what it recorded is a
-//!   prefix of that eager trace.
+//!   prefix of that eager trace;
+//! * **lockstep** — the halves of a coupled trial, run together on one
+//!   graph, return what separate replays return, seed for seed.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{
@@ -26,12 +30,13 @@ use rumor_spreading::core::dynamic::{
     RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::engine::trace::{
-    run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording, TraceReplayer,
+    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
+    TraceRecording, TraceRef, TraceReplayer,
 };
 use rumor_spreading::core::engine::TopologyModel;
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
 use rumor_spreading::core::trace::Transmission;
-use rumor_spreading::core::{MetricsLevel, Mode, NoProbe, Probe, ProbeEvent};
+use rumor_spreading::core::{MetricsLevel, Mode, NoProbe, Probe, ProbeEvent, RunCaches};
 use rumor_spreading::graph::dynamic::MutableGraph;
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::{SeedStream, Xoshiro256PlusPlus};
@@ -334,6 +339,37 @@ fn replays_are_repeatable() {
     assert!(first.topology_events > 0);
 }
 
+/// The lockstep replays of one coupled trial on `trace`, one synchronous
+/// and one asynchronous half per protocol seed, with every half's final
+/// RNG word.
+fn lockstep(
+    trace: TraceRef<'_>,
+    protos: &[u64],
+    max_rounds: u64,
+    max_steps: u64,
+) -> (CoupledReplays, Vec<u64>) {
+    let rngs = || protos.iter().map(|&p| rng(p)).collect::<Vec<_>>();
+    let (mut sync_rngs, mut async_rngs) = (rngs(), rngs());
+    let out = run_coupled_dynamic(
+        trace,
+        0,
+        Mode::PushPull,
+        &mut sync_rngs,
+        &mut async_rngs,
+        max_rounds,
+        max_steps,
+    );
+    let words = sync_rngs.iter_mut().chain(&mut async_rngs).map(|r| r.next_u64()).collect();
+    (out, words)
+}
+
+/// The furthest time any replay of a coupled trial read: its last
+/// asynchronous tick, or `r − 1` after `r` synchronous rounds.
+fn reach(replays: &CoupledReplays) -> f64 {
+    let sync = replays.sync.iter().map(|s| s.rounds.saturating_sub(1) as f64);
+    sync.chain(replays.asynchronous.iter().map(|a| a.time)).fold(0.0, f64::max)
+}
+
 /// What one coupled trial reports, minus the trace-step count:
 /// `(sync_rounds, sync_completed, async_time, async_completed)`.
 type Paired = (f64, bool, f64, bool);
@@ -366,9 +402,15 @@ proptest! {
                         if antithetic { vec![proto_seed, !proto_seed] } else { vec![proto_seed] };
                     let (mut sums, mut done, mut reach) = ((0.0, 0.0), (true, true), 0.0f64);
                     for p in protos.iter().copied() {
+                        // The asynchronous reference is the sequential
+                        // engine over a replayer of the eager trace, not
+                        // the lockstep loop. The synchronous one is a
+                        // one-half replay on its own graph; the goldens
+                        // `specs/sync_walk.expected` and
+                        // `specs/coupled_anti_walk.expected`, captured
+                        // before the lockstep loop existed, pin its rounds.
                         let sync = run_sync_dynamic(&eager, 0, mode, &mut rng(p), max_rounds);
-                        let asy =
-                            run_trace_lazy(&eager, 0, mode, &mut rng(p), max_steps, &mut NoProbe);
+                        let asy = run_seq(&g, &mut eager.replayer(), &mut rng(p), max_steps);
                         let live_sync = run_sync_dynamic(&mut live, 0, mode, &mut rng(p), max_rounds);
                         prop_assert_eq!(&live_sync, &sync, "{}: live sync", name);
                         let live_seq = run_dynamic_with(
@@ -421,6 +463,82 @@ proptest! {
                     .collect();
                 prop_assert_eq!(&got, &expected, "{} antithetic={}", name, antithetic);
             }
+        }
+    }
+
+    /// For every model, antithetic on and off, and a sealed trace, a live
+    /// recording and a warm one (resumed after other replays read it, as
+    /// a trace-cache hit is), the lockstep trial equals separate replays
+    /// of its halves seed for seed: the same outcomes, the same final RNG
+    /// state of every half, the same reach. A cache-bound
+    /// `SimSpec` counts the same `trace_steps` on a cold cache and on
+    /// one that a longer antithetic run warmed.
+    #[test]
+    fn lockstep_trials_equal_separate_replays(seed in 0u64..1_000_000) {
+        let g = test_graph();
+        let (horizon, max_steps, max_rounds) = (40.0, 1_000_000, 50_000);
+        let mode = Mode::PushPull;
+        let mut seeds = rng(seed);
+        for (name, model) in all_models() {
+            let (trace_seed, proto_seed) = (seeds.next_u64(), seeds.next_u64());
+            let eager = record(&g, &model, trace_seed, horizon);
+            let start = || TraceRecording::start(&g, 0, model.build_state(), rng(trace_seed), horizon);
+            for antithetic in [false, true] {
+                let protos = if antithetic { vec![proto_seed, !proto_seed] } else { vec![proto_seed] };
+                // Each half alone, on its own graph and RNG.
+                let mut separate = CoupledReplays { sync: Vec::new(), asynchronous: Vec::new() };
+                let mut sync_words = Vec::new();
+                let mut async_words = Vec::new();
+                for &p in &protos {
+                    let mut r = rng(p);
+                    separate.sync.push(run_sync_dynamic(&eager, 0, mode, &mut r, max_rounds));
+                    sync_words.push(r.next_u64());
+                    let mut r = rng(p);
+                    separate.asynchronous.push(run_seq(&g, &mut eager.replayer(), &mut r, max_steps));
+                    async_words.push(r.next_u64());
+                }
+                let words = [sync_words, async_words].concat();
+                let reach_alone = reach(&separate);
+                let steps = eager.times().partition_point(|&time| time <= reach_alone);
+
+                let mut live = start();
+                let mut warm = start();
+                for w in 0..3 {
+                    run_sync_dynamic(&mut warm, 0, Mode::Pull, &mut rng(w), max_rounds);
+                    run_trace_lazy(&mut warm, 0, Mode::Pull, &mut rng(w), max_steps, &mut NoProbe);
+                }
+                let traces: [(&str, TraceRef<'_>); 3] =
+                    [("sealed", (&eager).into()), ("live", (&mut live).into()), ("warm", (&mut warm).into())];
+                for (kind, trace) in traces {
+                    let (together, together_words) = lockstep(trace, &protos, max_rounds, max_steps);
+                    prop_assert_eq!(&together, &separate, "{} {} antithetic={}", name, kind, antithetic);
+                    prop_assert_eq!(&together_words, &words, "{} {}: RNG state", name, kind);
+                    prop_assert_eq!(reach(&together), reach_alone, "{} {}: reach", name, kind);
+                }
+                prop_assert!(live.trace().len() >= steps, "{}: live recording fell short", name);
+                prop_assert_eq!(&live.finish(), &eager, "{}: finished recording", name);
+            }
+
+            // The spec layer on a cold cache, then on one warmed by the
+            // antithetic run (which reads at least as far).
+            let caches = Arc::new(RunCaches::new());
+            let spec = |antithetic: bool| {
+                SimSpec::on_graph(&g)
+                    .protocol(Protocol::push_pull_async())
+                    .topology(Topology::Model(model))
+                    .coupled(true)
+                    .antithetic(antithetic)
+                    .trials(3)
+                    .seed(seed)
+                    .horizon(horizon)
+                    .max_steps(max_steps)
+                    .max_rounds(max_rounds)
+            };
+            let cold = spec(false).build().expect("valid coupled spec").run();
+            spec(true).build_cached(&caches).expect("valid coupled spec").run();
+            let warmed = spec(false).build_cached(&caches).expect("valid coupled spec").run();
+            prop_assert_eq!(&warmed.coupled, &cold.coupled, "{}: warm cache", name);
+            prop_assert_eq!(warmed.telemetry.trace_steps, cold.telemetry.trace_steps, "{}", name);
         }
     }
 }
