@@ -43,8 +43,7 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
             run_dynamic_with(
                 &g,
-                0,
-                Mode::PushPull,
+                &SpreadConfig::new(0),
                 model.build_state().as_mut(),
                 &mut rng,
                 100_000_000,
@@ -88,8 +87,7 @@ fn bench_counting_probe(c: &mut Criterion) {
             let mut probe = CountingProbe::default();
             run_dynamic_with(
                 &g,
-                0,
-                Mode::PushPull,
+                &SpreadConfig::new(0),
                 model.build_state().as_mut(),
                 &mut rng,
                 100_000_000,

@@ -21,7 +21,7 @@ use rumor_core::dynamic::{run_dynamic_with, DynamicModel, EdgeMarkov, Mobility, 
 use rumor_core::engine::trace::TopologyTrace;
 use rumor_core::engine::TopoDriver;
 use rumor_core::spec::{default_coupled_horizon, Protocol, SimSpec, Topology};
-use rumor_core::{Mode, NoProbe};
+use rumor_core::{NoProbe, SpreadConfig};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Graph};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -65,8 +65,7 @@ fn bench_replay(c: &mut Criterion) {
             b.iter(|| {
                 run_dynamic_with(
                     &g,
-                    0,
-                    Mode::PushPull,
+                    &SpreadConfig::new(0),
                     &mut trace.replayer(),
                     &mut rng,
                     100_000_000,

@@ -545,11 +545,12 @@ mod tests {
             &["--model", "async", "--dynamic-model", "markov", "--churn", "-1"]
         )
         .is_err());
+        // Loss runs on every topology model.
         assert!(with_graph(
             TRIANGLE,
             &["--model", "async", "--dynamic-model", "rewire", "--loss", "0.5"]
         )
-        .is_err());
+        .is_ok());
         assert!(with_graph(
             TRIANGLE,
             &["--model", "async", "--dynamic-model", "node-churn", "--attach", "0"]

@@ -10,7 +10,12 @@
 //!   rate-1 clocks, kept in a [`ClockTree`];
 //! * [`AsyncView::GlobalClock`] — one rate-`n` clock; at each tick a
 //!   uniformly random node takes a step (superposition property). This is
-//!   the fastest view and the default for experiments;
+//!   the fastest view and the default for experiments. Its loop is the
+//!   one asynchronous tick loop of the crate: the dynamic engine
+//!   ([`crate::run_dynamic_with`]) and the trace replays
+//!   ([`crate::engine::run_trace_lazy`], the asynchronous halves of
+//!   [`crate::engine::run_coupled_dynamic`]) run it too, over a topology
+//!   that changes between ticks;
 //! * [`AsyncView::EdgeClocks`] — one clock per *ordered* adjacent pair
 //!   `(v, w)` with rate `1/deg(v)`, `2m` clocks in a [`ClockTree`]; when
 //!   one ticks, `v` contacts `w` (Poisson thinning).
@@ -23,6 +28,7 @@ use rumor_graph::{Graph, Node, RandomNeighbor, RowVisitor};
 use rumor_sim::events::ClockTree;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
+use crate::dynamic::DynamicOutcome;
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
@@ -120,33 +126,23 @@ pub fn run_async_probed<P: Probe>(
     max_steps: u64,
     probe: &mut P,
 ) -> AsyncOutcome {
-    let n = g.node_count();
-    config.validate(n);
-    let mut st = RunState::new(n, config);
+    let mut st = RunState::new(g.node_count(), config, max_steps);
     assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
-    if P::ENABLED {
-        probe.trial_start(n, config.sources());
-        probe.informed(0.0, st.informed_count);
-    }
+    st.start(config.sources(), probe);
     // The trivial cases consume no randomness: everyone is a source,
     // or the budget allows no step.
-    st.completed = st.all_informed();
-    if !st.completed && max_steps > 0 {
-        st = g.with_rows(ViewRun { g, view, st, rng, max_steps, probe });
+    if !st.all_informed() && max_steps > 0 {
+        st = g.with_rows(ViewRun { g, view, st, rng, probe });
     }
-    if P::ENABLED {
-        probe.trial_end(st.time, st.completed);
-    }
+    st.end(probe);
     st.into_outcome()
 }
 
 /// Shared exchange logic: node `v` contacts node `w` at time `t`.
 /// Returns how a node was newly informed, if one was (the learner is
-/// `w` on a push, `v` on a pull). Also used by the dynamic engines,
-/// which must mirror this logic exactly to keep their churn-0
-/// seed-for-seed replay guarantee.
+/// `w` on a push, `v` on a pull).
 #[inline]
-pub(crate) fn exchange(
+fn exchange(
     mode: Mode,
     informed_time: &mut [f64],
     informed_count: &mut usize,
@@ -169,20 +165,68 @@ pub(crate) fn exchange(
     }
 }
 
-/// Shared per-run bookkeeping for the three views: the exchange rules
-/// (mode and loss), informed times, and the running clock.
-struct RunState {
+/// The topology the global-clock loop reads between ticks: a static
+/// graph's rows, a model's graph and driver ([`crate::dynamic`]), or a
+/// lockstep replay's trace cursor ([`crate::engine::trace`]).
+pub(crate) trait TickTopology {
+    /// Runs before each tick. A model peeks, and may draw, its next
+    /// arrival here: the topology draws first (`RNG_CONTRACT` `v2`). A
+    /// paused replay hands back the tick it holds; on `None` the loop
+    /// draws the tick.
+    #[inline(always)]
+    fn before_tick(&mut self, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        None
+    }
+
+    /// Applies the next topology event if it falls at or before `t`, and
+    /// returns its time. Topology wins ties with the tick at `t`.
+    fn event_by(&mut self, t: f64, rng: &mut Xoshiro256PlusPlus) -> Option<f64>;
+
+    /// The node `v` contacts, or `None` when its tick is wasted.
+    fn partner(&mut self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Option<Node>;
+
+    /// `v` was just informed, a source or a learner.
+    #[inline(always)]
+    fn note_informed(&mut self, _v: Node) {}
+}
+
+/// A static graph's rows as a [`TickTopology`]: the next event is never
+/// due and every node has a partner, so both fold away.
+impl<R: RandomNeighbor> TickTopology for R {
+    #[inline(always)]
+    fn event_by(&mut self, _t: f64, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        None
+    }
+
+    #[inline(always)]
+    fn partner(&mut self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Option<Node> {
+        Some(self.random_neighbor(v, rng))
+    }
+}
+
+/// The state of one asynchronous run, in any view and on any topology:
+/// the exchange rules (mode and loss), informed times, the running clock
+/// and the step budget.
+pub(crate) struct RunState {
     mode: Mode,
     loss: f64,
     informed_time: Vec<f64>,
     informed_count: usize,
     time: f64,
     steps: u64,
-    completed: bool,
+    max_steps: u64,
+    /// Topology events applied or seen before the last tick.
+    pub(crate) topology_events: u64,
 }
 
 impl RunState {
-    fn new(n: usize, config: &SpreadConfig) -> Self {
+    /// `config`'s sources informed at time 0 on `n` nodes, nobody else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of range.
+    pub(crate) fn new(n: usize, config: &SpreadConfig, max_steps: u64) -> Self {
+        config.validate(n);
         let mut informed_time = vec![f64::INFINITY; n];
         for &s in config.sources() {
             informed_time[s as usize] = 0.0;
@@ -194,35 +238,47 @@ impl RunState {
             informed_count: config.sources().len(),
             time: 0.0,
             steps: 0,
-            completed: false,
+            max_steps,
+            topology_events: 0,
         }
     }
 
-    fn all_informed(&self) -> bool {
+    pub(crate) fn all_informed(&self) -> bool {
         self.informed_count == self.informed_time.len()
     }
 
-    /// One step at time `t`: counts it and reports it to the probe.
+    /// Reports the start of the run to `probe`.
+    pub(crate) fn start<P: Probe>(&self, sources: &[Node], probe: &mut P) {
+        if P::ENABLED {
+            probe.trial_start(self.informed_time.len(), sources);
+            probe.informed(0.0, self.informed_count);
+        }
+    }
+
+    /// Reports the end of the run to `probe`.
+    pub(crate) fn end<P: Probe>(&self, probe: &mut P) {
+        if P::ENABLED {
+            probe.trial_end(self.time, self.all_informed());
+        }
+    }
+
+    /// One step at time `t` of the node-clock and edge-clock views: `v`
+    /// contacts `w`, and a lossy contact first draws whether it is
+    /// dropped.
     #[inline]
-    fn tick<P: Probe>(&mut self, t: f64, probe: &mut P) {
+    fn step<P: Probe>(
+        &mut self,
+        t: f64,
+        v: Node,
+        w: Node,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) {
         self.time = t;
         self.steps += 1;
         if P::ENABLED {
             probe.event(t, ProbeEvent::Tick);
         }
-    }
-
-    /// `v` contacts `w` at time `t`; a lossy contact first draws
-    /// whether it is dropped.
-    #[inline]
-    fn contact<P: Probe>(
-        &mut self,
-        v: Node,
-        w: Node,
-        t: f64,
-        rng: &mut Xoshiro256PlusPlus,
-        probe: &mut P,
-    ) {
         if self.loss > 0.0 && rng.bernoulli(self.loss) {
             return;
         }
@@ -234,11 +290,93 @@ impl RunState {
         }
     }
 
+    /// The global-clock view, the one tick loop for every topology: one
+    /// rate-`n` clock, and each tick activates a uniform node. Runs the
+    /// ticks at or before `until` (`INFINITY`: to the end) until every
+    /// node is informed or the step budget is spent.
+    ///
+    /// Each tick is drawn as `t + Exp(n)` after `topo.before_tick`. Every
+    /// topology event at or before the tick is applied first, then the
+    /// node draw, its partner draw and, with `loss > 0`, one
+    /// Bernoulli(`loss`). A drawn tick past `until` is not run but
+    /// returned, for the caller to hand back through `before_tick` when
+    /// it resumes, so a paused run draws nothing twice.
+    #[inline(always)]
+    pub(crate) fn run_ticks<T: TickTopology, P: Probe>(
+        &mut self,
+        topo: &mut T,
+        until: f64,
+        rng: &mut Xoshiro256PlusPlus,
+        probe: &mut P,
+    ) -> Option<f64> {
+        let n = self.informed_time.len();
+        let rate = n as f64;
+        let (mode, loss, max_steps) = (self.mode, self.loss, self.max_steps);
+        // The hot loop runs on locals, written back when it pauses.
+        let (mut t, mut steps, mut events) = (self.time, self.steps, self.topology_events);
+        let mut informed_count = self.informed_count;
+        if steps >= max_steps || informed_count == n {
+            return None;
+        }
+        let informed_time = &mut self.informed_time[..];
+        let held = loop {
+            let tt = match topo.before_tick(rng) {
+                Some(tt) => tt,
+                None => t + rng.exp(rate),
+            };
+            if tt > until {
+                break Some(tt);
+            }
+            while let Some(te) = topo.event_by(tt, rng) {
+                events += 1;
+                if P::ENABLED {
+                    probe.event(te, ProbeEvent::Topology);
+                }
+            }
+            t = tt;
+            steps += 1;
+            if P::ENABLED {
+                probe.event(t, ProbeEvent::Tick);
+            }
+            let v = rng.range_usize(n) as Node;
+            'contact: {
+                let Some(w) = topo.partner(v, rng) else { break 'contact };
+                if loss > 0.0 && rng.bernoulli(loss) {
+                    break 'contact;
+                }
+                if let Some(how) = exchange(mode, informed_time, &mut informed_count, v, w, t) {
+                    let (informer, learner) = how.roles(v, w);
+                    if P::ENABLED {
+                        probe.informed(t, informed_count);
+                        probe.transmitted(informer, learner, how, t);
+                    }
+                    topo.note_informed(learner);
+                }
+            }
+            if informed_count == n || steps >= max_steps {
+                break None;
+            }
+        };
+        (self.time, self.steps, self.topology_events) = (t, steps, events);
+        self.informed_count = informed_count;
+        held
+    }
+
     fn into_outcome(self) -> AsyncOutcome {
         AsyncOutcome {
             time: self.time,
             steps: self.steps,
-            completed: self.completed,
+            completed: self.all_informed(),
+            informed_time: self.informed_time,
+        }
+    }
+
+    pub(crate) fn into_dynamic(self) -> DynamicOutcome {
+        DynamicOutcome {
+            time: self.time,
+            steps: self.steps,
+            topology_events: self.topology_events,
+            completed: self.all_informed(),
             informed_time: self.informed_time,
         }
     }
@@ -253,45 +391,21 @@ struct ViewRun<'a, P> {
     view: AsyncView,
     st: RunState,
     rng: &'a mut Xoshiro256PlusPlus,
-    max_steps: u64,
     probe: &'a mut P,
 }
 
 impl<P: Probe> RowVisitor for ViewRun<'_, P> {
     type Output = RunState;
 
-    fn visit<R: RandomNeighbor>(self, rows: R) -> RunState {
-        let ViewRun { g, view, st, rng, max_steps, probe } = self;
+    fn visit<R: RandomNeighbor>(self, mut rows: R) -> RunState {
+        let ViewRun { g, view, mut st, rng, probe } = self;
         match view {
-            AsyncView::GlobalClock => run_global_clock(rows, st, rng, max_steps, probe),
-            AsyncView::NodeClocks => run_node_clocks(rows, st, rng, max_steps, probe),
-            AsyncView::EdgeClocks => run_edge_clocks(g, st, rng, max_steps, probe),
-        }
-    }
-}
-
-fn run_global_clock<P: Probe>(
-    g: impl RandomNeighbor,
-    mut st: RunState,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> RunState {
-    let n = st.informed_time.len();
-    let rate = n as f64;
-    let mut t = 0.0;
-    loop {
-        t += rng.exp(rate);
-        st.tick(t, probe);
-        let v = rng.range_usize(n) as Node;
-        let w = g.random_neighbor(v, rng);
-        st.contact(v, w, t, rng, probe);
-        if st.informed_count == n {
-            st.completed = true;
-            return st;
-        }
-        if st.steps >= max_steps {
-            return st;
+            AsyncView::GlobalClock => {
+                st.run_ticks(&mut rows, f64::INFINITY, rng, probe);
+                st
+            }
+            AsyncView::NodeClocks => run_node_clocks(rows, st, rng, probe),
+            AsyncView::EdgeClocks => run_edge_clocks(g, st, rng, probe),
         }
     }
 }
@@ -300,7 +414,6 @@ fn run_node_clocks<P: Probe>(
     g: impl RandomNeighbor,
     mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
     probe: &mut P,
 ) -> RunState {
     let n = st.informed_time.len();
@@ -308,15 +421,13 @@ fn run_node_clocks<P: Probe>(
     loop {
         let (t, v) = clocks.min();
         let v = v as Node;
-        st.tick(t, probe);
         let w = g.random_neighbor(v, rng);
-        st.contact(v, w, t, rng, probe);
-        if st.informed_count == n {
-            st.completed = true;
+        st.step(t, v, w, rng, probe);
+        if st.all_informed() {
             return st;
         }
         clocks.reschedule_min(t + rng.exp(1.0));
-        if st.steps >= max_steps {
+        if st.steps >= st.max_steps {
             return st;
         }
     }
@@ -326,7 +437,6 @@ fn run_edge_clocks<P: Probe>(
     g: &Graph,
     mut st: RunState,
     rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
     probe: &mut P,
 ) -> RunState {
     // One clock per ordered pair (v, w), rate 1/deg(v): clock k is the
@@ -346,15 +456,13 @@ fn run_edge_clocks<P: Probe>(
     loop {
         let (t, k) = clocks.min();
         let (v, w) = pairs[k];
-        st.tick(t, probe);
-        st.contact(v, w, t, rng, probe);
-        if st.informed_count == n {
-            st.completed = true;
+        st.step(t, v, w, rng, probe);
+        if st.all_informed() {
             return st;
         }
         let rate = 1.0 / g.degree(v) as f64;
         clocks.reschedule_min(t + rng.exp(rate));
-        if st.steps >= max_steps {
+        if st.steps >= st.max_steps {
             return st;
         }
     }

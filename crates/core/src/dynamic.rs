@@ -57,11 +57,13 @@ use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
+use crate::asynchronous::{RunState, TickTopology};
 use crate::engine::topology::{StateVisitor, TopologyModel};
-use crate::engine::{TickSource, TopoDriver};
+use crate::engine::TopoDriver;
 use crate::mode::Mode;
-use crate::obs::{NoProbe, Probe, ProbeEvent};
+use crate::obs::{NoProbe, Probe};
 use crate::outcome::AsyncOutcome;
+use crate::spread::SpreadConfig;
 
 /// Random-graph family used for full-rewiring snapshots.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -446,7 +448,9 @@ impl DynamicOutcome {
 
 /// Runs the asynchronous push/pull/push–pull protocol on a dynamic
 /// network, from `source`, until every node is informed or `max_steps`
-/// protocol steps have been taken.
+/// protocol steps have been taken. Shorthand for [`run_dynamic_with`]
+/// with `SpreadConfig::new(source).with_mode(mode)`, the model's
+/// concrete state and no probe.
 ///
 /// Protocol ticks follow the global-clock view (one rate-`n` Poisson
 /// clock; each tick activates a uniformly random node) and are merged
@@ -470,129 +474,94 @@ pub fn run_dynamic(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe: &mut NoProbe })
+    let config = &SpreadConfig::new(source).with_mode(mode);
+    model.with_state(SequentialRun { g, config, rng, max_steps, probe: &mut NoProbe })
 }
 
-/// The general sequential entry point: [`run_dynamic`] over an
+/// The general sequential entry point: [`run_dynamic`] under a
+/// [`SpreadConfig`] — its sources, mode and per-contact loss — over an
 /// already-built [`TopologyModel`] state, with an instrumentation
 /// [`Probe`] observing the run. Model implementations outside the
 /// [`DynamicModel`] enum come in here, such as a
 /// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
 /// recorded topology realization (the spec layer replays traces on the
 /// cursor, [`run_trace_lazy`](crate::engine::run_trace_lazy), which
-/// replays this seed-for-seed). Probes are passive — a probed run
-/// replays its unprobed twin seed-for-seed — and a [`NoProbe`] compiles
-/// every hook out.
+/// replays this seed-for-seed). Probes are passive, and a [`NoProbe`]
+/// compiles every hook out.
 ///
-/// Topology events come from a [`TopoDriver`] and protocol ticks from a
-/// rate-`n` clock, merged topology-first by hand. The merge order is
-/// part of the replay contract: the topology arrival is peeked — and
-/// possibly drawn — *before* the tick on every iteration. That draw
-/// order is the `v2` stream (`rumor_sim::events::RNG_CONTRACT`) the
-/// committed goldens pin (`tests/replay_golden.rs`, `specs/`).
+/// The run is the global-clock tick loop of [`crate::run_async_probed`]
+/// over the model's graph: before each tick is drawn the model's next
+/// arrival is peeked (and possibly drawn), a drawn tick is held across
+/// the topology events that come first, and topology wins ties. That
+/// draw order is the `v2` stream (`rumor_sim::events::RNG_CONTRACT`)
+/// the committed goldens pin. The model hears of every source and every
+/// learner through [`TopologyModel::note_informed`]. Loss draws as in
+/// the static loop; when every node is a source the run draws nothing.
 ///
 /// # Panics
 ///
-/// As [`run_dynamic`].
+/// Panics if a source is out of range or the starting graph has
+/// isolated nodes.
 pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
     g: &Graph,
-    source: Node,
-    mode: Mode,
+    config: &SpreadConfig,
     state: &mut M,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
 ) -> DynamicOutcome {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source out of range");
-    assert!(n == 1 || !g.has_isolated_nodes(), "graph has isolated nodes");
-
-    let mut informed_time = vec![f64::INFINITY; n];
-    informed_time[source as usize] = 0.0;
-    let mut informed_count = 1usize;
-    if P::ENABLED {
-        probe.trial_start(n, &[source]);
-        probe.informed(0.0, informed_count);
-    }
-    if n == 1 {
-        if P::ENABLED {
-            probe.trial_end(0.0, true);
+    let mut st = RunState::new(g.node_count(), config, max_steps);
+    assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
+    st.start(config.sources(), probe);
+    if !st.all_informed() {
+        let mut net = MutableGraph::from_graph(g);
+        let driver = TopoDriver::new(g, &mut net, state, rng);
+        let mut topo = ModelTopology { net, driver, state };
+        for &s in config.sources() {
+            topo.note_informed(s);
         }
-        return DynamicOutcome {
-            time: 0.0,
-            steps: 0,
-            topology_events: 0,
-            completed: true,
-            informed_time,
-        };
+        st.run_ticks(&mut topo, f64::INFINITY, rng, probe);
+    }
+    st.end(probe);
+    st.into_dynamic()
+}
+
+/// A topology model as the tick loop's [`TickTopology`]: its live
+/// graph, and the driver that draws its events.
+struct ModelTopology<'m, M: ?Sized> {
+    net: MutableGraph,
+    driver: TopoDriver,
+    state: &'m mut M,
+}
+
+impl<M: TopologyModel + ?Sized> TickTopology for ModelTopology<'_, M> {
+    #[inline(always)]
+    fn before_tick(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        self.driver.next_time(rng);
+        None
     }
 
-    let mut net = MutableGraph::from_graph(g);
-    let mut driver = TopoDriver::new(g, &mut net, state, rng);
-    // Informed-set feed: the adversary maintains its frontier boundary
-    // from it; every other model ignores it.
-    state.note_informed(source, &net);
-    let mut ticks = TickSource::new(n as f64);
-
-    let mut t = 0.0;
-    let mut steps = 0u64;
-    let mut topology_events = 0u64;
-    let mut completed = false;
-
-    if max_steps > 0 {
-        loop {
-            let next_topo = driver.next_time(rng);
-            let next_tick = ticks.peek(rng);
-            if next_topo <= next_tick {
-                // Topology wins ties.
-                driver.step(state, &mut net, rng);
-                // `t` is not updated here: the loop only exits from the
-                // tick branch, so the reported time is always a tick's.
-                topology_events += 1;
-                if P::ENABLED {
-                    probe.event(next_topo, ProbeEvent::Topology);
-                }
-            } else {
-                let te = ticks.pop(rng);
-                t = te;
-                steps += 1;
-                if P::ENABLED {
-                    probe.event(te, ProbeEvent::Tick);
-                }
-                let v = rng.range_usize(n) as Node;
-                if net.is_active(v) && net.degree(v) > 0 {
-                    let w = net.random_neighbor(v, rng);
-                    let how = crate::asynchronous::exchange(
-                        mode,
-                        &mut informed_time,
-                        &mut informed_count,
-                        v,
-                        w,
-                        te,
-                    );
-                    if let Some(how) = how {
-                        let (informer, learner) = how.roles(v, w);
-                        if P::ENABLED {
-                            probe.informed(te, informed_count);
-                            probe.transmitted(informer, learner, how, te);
-                        }
-                        state.note_informed(learner, &net);
-                    }
-                }
-                if informed_count == n {
-                    completed = true;
-                    break;
-                }
-                if steps >= max_steps {
-                    break;
-                }
-            }
+    #[inline(always)]
+    fn event_by(&mut self, t: f64, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        let te = self.driver.next_time(rng);
+        if te > t {
+            return None;
         }
+        self.driver.step(self.state, &mut self.net, rng);
+        Some(te)
     }
-    if P::ENABLED {
-        probe.trial_end(t, completed);
+
+    #[inline(always)]
+    fn partner(&mut self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Option<Node> {
+        self.net.try_random_neighbor(v, rng)
     }
-    DynamicOutcome { time: t, steps, topology_events, completed, informed_time }
+
+    #[inline(always)]
+    fn note_informed(&mut self, v: Node) {
+        // The adversary maintains its frontier from this feed; every
+        // other model ignores it.
+        self.state.note_informed(v, &self.net);
+    }
 }
 
 /// A sequential run waiting for its model state: visiting a
@@ -600,8 +569,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
 /// concrete state type.
 pub(crate) struct SequentialRun<'a, P> {
     pub(crate) g: &'a Graph,
-    pub(crate) source: Node,
-    pub(crate) mode: Mode,
+    pub(crate) config: &'a SpreadConfig,
     pub(crate) rng: &'a mut Xoshiro256PlusPlus,
     pub(crate) max_steps: u64,
     pub(crate) probe: &'a mut P,
@@ -611,25 +579,40 @@ impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
     type Output = DynamicOutcome;
 
     fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) -> DynamicOutcome {
-        let Self { g, source, mode, rng, max_steps, probe } = self;
-        run_dynamic_with(g, source, mode, &mut state, rng, max_steps, probe)
+        let Self { g, config, rng, max_steps, probe } = self;
+        run_dynamic_with(g, config, &mut state, rng, max_steps, probe)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asynchronous::{run_async, AsyncView};
+    use crate::asynchronous::{run_async_probed, AsyncView};
+    use crate::engine::{run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording};
+    use crate::obs::ProbeEvent;
     use rumor_sim::stats::OnlineStats;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from(seed)
     }
 
+    /// The one tick loop over its three topology sources: a zero-rate
+    /// model and the trace cursor over an empty trace replay the static
+    /// global-clock run, outcome and final RNG word, under loss, several
+    /// sources, every node a source, and a zero step budget.
     #[test]
     fn static_model_replays_run_async_seed_for_seed() {
         let g = generators::hypercube(5);
-        for model in [
+        let mut state = DynamicModel::Static.build_state();
+        let empty = TopologyTrace::record(&g, 0, state.as_mut(), &mut rng(1), 100.0);
+        assert!(empty.is_empty());
+        let configs = [
+            SpreadConfig::new(0),
+            SpreadConfig::new(0).with_loss_probability(0.3),
+            SpreadConfig::new(0).with_sources(&[0, 17]),
+            SpreadConfig::new(0).with_sources(&(0..32).collect::<Vec<_>>()),
+        ];
+        let models = [
             DynamicModel::Static,
             DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.0)),
             DynamicModel::Rewire(Rewire {
@@ -638,14 +621,79 @@ mod tests {
             }),
             DynamicModel::RandomWalk(RandomWalk::new(0.0)),
             DynamicModel::Adversary(Adversary { rate: 0.0, budget: 4, heal_after: 1.0 }),
-        ] {
-            assert!(model.is_static());
-            let stat =
-                run_async(&g, 0, Mode::PushPull, AsyncView::GlobalClock, &mut rng(3), 1_000_000);
-            let dynamic = run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng(3), 1_000_000);
-            assert_eq!(dynamic.to_async(), stat, "model {model}");
-            assert_eq!(dynamic.topology_events, 0);
+        ];
+        for config in &configs {
+            for max_steps in [1_000_000, 0] {
+                let mut a = rng(3);
+                let stat = run_async_probed(
+                    &g,
+                    config,
+                    AsyncView::GlobalClock,
+                    &mut a,
+                    max_steps,
+                    &mut NoProbe,
+                );
+                let word = a.next_u64();
+                let case = format!("{config:?}, {max_steps} steps");
+                for model in &models {
+                    assert!(model.is_static());
+                    let mut b = rng(3);
+                    let dynamic = model.with_state(SequentialRun {
+                        g: &g,
+                        config,
+                        rng: &mut b,
+                        max_steps,
+                        probe: &mut NoProbe,
+                    });
+                    assert_eq!(dynamic.to_async(), stat, "model {model}, {case}");
+                    assert_eq!(dynamic.topology_events, 0);
+                    assert_eq!(b.next_u64(), word, "model {model}, {case}: RNG diverged");
+                }
+                let mut c = rng(3);
+                let cursor = run_trace_lazy(&empty, config, &mut c, max_steps, &mut NoProbe);
+                assert_eq!(cursor.to_async(), stat, "trace cursor, {case}");
+                assert_eq!(c.next_u64(), word, "trace cursor, {case}: RNG diverged");
+            }
         }
+    }
+
+    /// Loss on a topology model, in the style of the static
+    /// `async_loss_slows_spreading`: 50% loss visibly slows both the
+    /// asynchronous tick loop and the synchronous rounds on markov.
+    #[test]
+    fn loss_slows_spreading_on_markov() {
+        let g = generators::hypercube(5);
+        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
+        let lossy = SpreadConfig::new(0).with_loss_probability(0.5);
+        let means = |config: &SpreadConfig, salt: u64| {
+            let (mut times, mut rounds) = (OnlineStats::new(), OnlineStats::new());
+            for seed in salt..salt + 150 {
+                let out = model.with_state(SequentialRun {
+                    g: &g,
+                    config,
+                    rng: &mut rng(seed),
+                    max_steps: 100_000_000,
+                    probe: &mut NoProbe,
+                });
+                assert!(out.completed);
+                times.push(out.time);
+                let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(!seed), 1e4);
+                let out = run_sync_dynamic(&mut rec, config, &mut rng(seed), 10_000);
+                assert!(out.completed);
+                rounds.push(out.rounds as f64);
+            }
+            (times.mean(), rounds.mean())
+        };
+        let (async_lossless, sync_lossless) = means(&SpreadConfig::new(0), 0);
+        let (async_lossy, sync_lossy) = means(&lossy, 9_000);
+        assert!(
+            async_lossy > 1.4 * async_lossless,
+            "50% loss should visibly slow async spreading: {async_lossy} vs {async_lossless}"
+        );
+        assert!(
+            sync_lossy > 1.4 * sync_lossless,
+            "50% loss should visibly slow sync spreading: {sync_lossy} vs {sync_lossless}"
+        );
     }
 
     /// Every stochastic model completes and fires topology events.
@@ -737,8 +785,7 @@ mod tests {
         let mut probe = Events(Vec::new());
         let out = run_dynamic_with(
             &g,
-            0,
-            Mode::PushPull,
+            &SpreadConfig::new(0),
             state.as_mut(),
             &mut rng(7),
             500_000,

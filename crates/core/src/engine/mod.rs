@@ -11,9 +11,8 @@
 //!   adversary).
 //! * [`scheduler`] — the [`TopoDriver`], which merges a model's due
 //!   event with the superposition single-clock scheduler over its
-//!   channels, and the rate-`n` protocol [`TickSource`]; the sequential
-//!   engine and the trace recording both consume topology events
-//!   through the driver.
+//!   channels; the tick loop over a model and the trace recording both
+//!   consume topology events through it.
 //! * [`trace`] — topology-trace record/replay: a [`TopologyTrace`]
 //!   captures one realized topology evolution, standalone, and replays
 //!   it as a deterministic [`TopologyModel`], so one churn realization
@@ -26,14 +25,16 @@
 //!   forms. A [`TraceRecording`] records on demand, only as far as its
 //!   replays read.
 //!
-//! The static engines ([`crate::run_async`], [`crate::run_sync`]) run
-//! their own loops and need none of this.
+//! Each protocol has one loop: the asynchronous global-clock tick loop
+//! of [`crate::asynchronous`] runs over static rows, a model's graph and
+//! driver, or a replay's trace cursor, and the synchronous round loop
+//! over static rows or a trace replay.
 
 pub mod scheduler;
 pub mod topology;
 pub mod trace;
 
-pub use scheduler::{TickSource, TopoDriver};
+pub use scheduler::TopoDriver;
 pub use topology::{StateVisitor, TopologyModel};
 pub use trace::{
     run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,

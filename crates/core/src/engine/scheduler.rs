@@ -1,17 +1,18 @@
-//! The event clocks of the dynamic engines.
+//! The topology-event driver of the dynamic engines.
 //!
 //! [`TopoDriver`] is how the engines consume a [`TopologyModel`]: a
 //! [`Superposition`] scheduler draws one `Exp(total)` arrival and thins
 //! it to a model channel at pop time, and the driver merges that
 //! arrival with the model's one pending deterministic event
-//! ([`TopologyModel::next_due`]). The sequential engine and the trace
-//! recording both draw topology events through it. [`TickSource`] is the
-//! rate-`n` protocol clock the sequential engine merges with it.
+//! ([`TopologyModel::next_due`]). The global-clock tick loop over a
+//! model ([`crate::run_dynamic_with`]) and the trace recording both draw
+//! topology events through it.
 //!
-//! RNG discipline: both clocks draw only when they need a new arrival,
-//! and a drawn-but-unconsumed arrival is retained (never redrawn). This
-//! is what makes the dynamic engine with a static model replay the
-//! static global-clock engine seed-for-seed.
+//! RNG discipline: the driver draws only when it needs a new arrival,
+//! and a drawn-but-unconsumed arrival is retained (never redrawn); the
+//! tick loop holds its drawn tick the same way. This is what makes the
+//! dynamic engine with a static model replay the static global-clock
+//! engine seed-for-seed.
 
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::Graph;
@@ -86,85 +87,5 @@ impl TopoDriver {
             self.sup.set_weight(t, ch, mstate.channel_weight(ch));
         }
         self.due = mstate.next_due();
-    }
-}
-
-/// An endless Poisson clock of the given rate: the global-clock view of
-/// the asynchronous protocol (one rate-`n` clock, superposition of the
-/// `n` per-node clocks), for loops that merge it with topology events.
-///
-/// The next arrival is drawn lazily on first `peek`/`pop` and then
-/// retained until consumed, so merging this clock with others costs
-/// exactly one `Exp(rate)` draw per tick — in the same position of the
-/// RNG stream as a hand-written `t += rng.exp(rate)` loop.
-#[derive(Debug, Clone)]
-pub struct TickSource {
-    rate: f64,
-    /// Time of the last consumed tick.
-    clock: f64,
-    /// Drawn-but-unconsumed next tick.
-    pending: Option<f64>,
-}
-
-impl TickSource {
-    /// A clock with the given tick rate, starting at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "tick rate must be positive and finite");
-        Self { rate, clock: 0.0, pending: None }
-    }
-
-    /// Time of the next tick, drawing (and retaining) it if none is
-    /// pending.
-    pub fn peek(&mut self, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        let rate = self.rate;
-        let clock = self.clock;
-        *self.pending.get_or_insert_with(|| clock + rng.exp(rate))
-    }
-
-    /// Consumes and returns the next tick.
-    pub fn pop(&mut self, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        let t = self.peek(rng);
-        self.pending = None;
-        self.clock = t;
-        t
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rng(seed: u64) -> Xoshiro256PlusPlus {
-        Xoshiro256PlusPlus::seed_from(seed)
-    }
-
-    #[test]
-    fn tick_source_matches_manual_loop() {
-        // The clock must consume the RNG exactly like `t += exp(rate)`.
-        let mut manual = rng(5);
-        let mut driven = rng(5);
-        let mut src = TickSource::new(8.0);
-        let mut t = 0.0;
-        for _ in 0..100 {
-            t += manual.exp(8.0);
-            assert_eq!(t, src.pop(&mut driven));
-        }
-        assert_eq!(manual.next_u64(), driven.next_u64());
-    }
-
-    #[test]
-    fn tick_peek_retains_the_draw() {
-        let mut r = rng(7);
-        let mut src = TickSource::new(1.0);
-        let peeked = src.peek(&mut r);
-        let again = src.peek(&mut r);
-        let popped = src.pop(&mut r);
-        assert_eq!(peeked, again);
-        assert_eq!(peeked, popped);
-        assert!(src.peek(&mut r) > popped);
     }
 }

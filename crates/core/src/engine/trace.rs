@@ -24,9 +24,9 @@
 //!   recorded realization can drive arbitrarily many protocol runs —
 //!   sequential ([`crate::dynamic::run_dynamic_with`]) or the cursor
 //!   engine below — each with its own protocol RNG.
-//! * [`run_trace_lazy`] — a queue-free cursor engine over a trace: no
-//!   pending topology events at all, steps are applied when the next
-//!   protocol tick passes them. It consumes the RNG in exactly the
+//! * [`run_trace_lazy`] — the global-clock tick loop over a queue-free
+//!   cursor: no pending topology events at all, steps are applied when
+//!   the next protocol tick passes them. It consumes the RNG in exactly the
 //!   sequential replay's order, so it replays `run_dynamic_with` over
 //!   the trace's replayer **seed-for-seed** (pinned in
 //!   `tests/trace_replay.rs`).
@@ -72,11 +72,13 @@ use rumor_graph::dynamic::{GraphChange, MutableGraph};
 use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
+use crate::asynchronous::{RunState, TickTopology};
 use crate::dynamic::DynamicOutcome;
 use crate::engine::scheduler::TopoDriver;
 use crate::engine::topology::TopologyModel;
+#[cfg(test)]
 use crate::mode::Mode;
-use crate::obs::{NoProbe, Probe, ProbeEvent};
+use crate::obs::{NoProbe, Probe};
 use crate::outcome::SyncOutcome;
 use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
@@ -647,10 +649,6 @@ impl<'a> Shared<'a> {
         Shared { trace, net, applied: 0 }
     }
 
-    fn node_count(&self) -> usize {
-        self.net.node_count()
-    }
-
     /// Applies every step at or before `t` not applied yet.
     #[inline]
     fn advance(&mut self, t: f64) {
@@ -668,7 +666,7 @@ trait Half {
     /// When this half next reads the graph, `None` once it has finished.
     /// An asynchronous half draws its next tick here and holds it until
     /// it runs.
-    fn next_read(&mut self) -> Option<f64>;
+    fn next_read(&mut self, shared: &mut Shared<'_>) -> Option<f64>;
 
     /// Runs this half's reads at or before `until`, advancing the shared
     /// graph to each one first.
@@ -685,7 +683,7 @@ fn lockstep(shared: &mut Shared<'_>, halves: &mut [&mut dyn Half]) {
         // The half that reads first, and when the next other half reads.
         let (mut first, mut t0, mut t1) = (None, f64::INFINITY, f64::INFINITY);
         for (i, half) in halves.iter_mut().enumerate() {
-            let Some(t) = half.next_read() else { continue };
+            let Some(t) = half.next_read(shared) else { continue };
             if first.is_none() || t < t0 {
                 (first, t0, t1) = (Some(i), t, t0);
             } else if t < t1 {
@@ -697,128 +695,89 @@ fn lockstep(shared: &mut Shared<'_>, halves: &mut [&mut dyn Half]) {
     }
 }
 
-/// An asynchronous replay as a lockstep half: the global-clock tick loop,
-/// with a tick time `t + Exp(n)` drawn ahead and held while it falls
-/// past what [`lockstep`] lets it run.
+/// A half's view of the trace as the tick loop's [`TickTopology`]: the
+/// shared graph, how many steps this half has seen, and the tick it
+/// holds. A step another half already applied is only seen; the next one
+/// is applied here, and a live recording is never asked for a step past
+/// the tick.
+struct Cursor<'s, 'a> {
+    shared: &'s mut Shared<'a>,
+    seen: usize,
+    held: Option<f64>,
+}
+
+impl TickTopology for Cursor<'_, '_> {
+    #[inline(always)]
+    fn before_tick(&mut self, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        self.held.take()
+    }
+
+    #[inline(always)]
+    fn event_by(&mut self, t: f64, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
+        let shared = &mut *self.shared;
+        if self.seen == shared.applied {
+            let step = shared.trace.step_by(shared.applied, t)?;
+            apply_step(&mut shared.net, step);
+            shared.applied += 1;
+        }
+        let time = shared.trace.trace().times()[self.seen];
+        debug_assert!(time <= t, "a half read the graph past its tick");
+        self.seen += 1;
+        Some(time)
+    }
+
+    #[inline(always)]
+    fn partner(&mut self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Option<Node> {
+        self.shared.net.try_random_neighbor(v, rng)
+    }
+}
+
+/// An asynchronous replay as a lockstep half: the global-clock tick loop
+/// over the trace cursor, holding a drawn tick while it falls past what
+/// [`lockstep`] lets it run.
 struct AsyncHalf<'r, P> {
-    mode: Mode,
+    st: RunState,
+    held: Option<f64>,
     rng: &'r mut Xoshiro256PlusPlus,
     probe: &'r mut P,
-    max_steps: u64,
-    informed_time: Vec<f64>,
-    informed_count: usize,
-    /// Time of the last tick run.
-    t: f64,
-    steps: u64,
-    /// Steps of the trace at or before `t`: the ones this half has seen.
-    seen: usize,
-    /// The drawn tick not run yet.
-    pending: Option<f64>,
 }
 
 impl<'r, P: Probe> AsyncHalf<'r, P> {
     fn new(
         n: usize,
-        source: Node,
-        mode: Mode,
+        config: &SpreadConfig,
         rng: &'r mut Xoshiro256PlusPlus,
         max_steps: u64,
         probe: &'r mut P,
     ) -> Self {
-        let mut informed_time = vec![f64::INFINITY; n];
-        informed_time[source as usize] = 0.0;
-        if P::ENABLED {
-            probe.trial_start(n, &[source]);
-            probe.informed(0.0, 1);
-        }
-        AsyncHalf {
-            mode,
-            rng,
-            probe,
-            max_steps,
-            informed_time,
-            informed_count: 1,
-            t: 0.0,
-            steps: 0,
-            seen: 0,
-            pending: None,
-        }
+        let st = RunState::new(n, config, max_steps);
+        st.start(config.sources(), probe);
+        AsyncHalf { st, held: None, rng, probe }
+    }
+
+    /// Runs the ticks at or before `until` over `shared`, and holds the
+    /// next one. Running to `-∞` runs no tick but draws the next one.
+    #[inline(always)]
+    fn run(&mut self, until: f64, shared: &mut Shared<'_>) {
+        let seen = self.st.topology_events as usize;
+        let mut cursor = Cursor { shared, seen, held: self.held };
+        self.held = self.st.run_ticks(&mut cursor, until, self.rng, self.probe);
     }
 
     fn finish(self) -> DynamicOutcome {
-        let AsyncHalf { t, steps, seen, informed_time, informed_count, probe, .. } = self;
-        let completed = informed_count == informed_time.len();
-        if P::ENABLED {
-            probe.trial_end(t, completed);
-        }
-        DynamicOutcome { time: t, steps, topology_events: seen as u64, completed, informed_time }
+        self.st.end(self.probe);
+        self.st.into_dynamic()
     }
 }
 
 impl<P: Probe> Half for AsyncHalf<'_, P> {
-    fn next_read(&mut self) -> Option<f64> {
-        let n = self.informed_time.len();
-        if self.pending.is_none() && self.steps < self.max_steps && self.informed_count < n {
-            self.pending = Some(self.t + self.rng.exp(n as f64));
-        }
-        self.pending
+    fn next_read(&mut self, shared: &mut Shared<'_>) -> Option<f64> {
+        self.run(f64::NEG_INFINITY, shared);
+        self.held
     }
 
     fn advance(&mut self, until: f64, shared: &mut Shared<'_>) {
-        let n = self.informed_time.len();
-        // The hot loop runs on locals, written back when it pauses.
-        let (mut t, mut steps, mut seen) = (self.t, self.steps, self.seen);
-        let mut informed_count = self.informed_count;
-        let (rng, probe, informed_time) =
-            (&mut *self.rng, &mut *self.probe, &mut self.informed_time);
-        let mut pending = self.pending.take();
-        loop {
-            let tt = match pending {
-                Some(tt) => tt,
-                None if steps < self.max_steps && informed_count < n => t + rng.exp(n as f64),
-                None => break,
-            };
-            if tt > until {
-                pending = Some(tt);
-                break;
-            }
-            pending = None;
-            // Topology wins ties: every step at or before the tick is in.
-            shared.advance(tt);
-            let times = shared.trace.trace().times();
-            debug_assert!(shared.applied == 0 || times[shared.applied - 1] <= tt);
-            if P::ENABLED {
-                for &time in &times[seen..shared.applied] {
-                    probe.event(time, ProbeEvent::Topology);
-                }
-            }
-            seen = shared.applied;
-            t = tt;
-            steps += 1;
-            if P::ENABLED {
-                probe.event(tt, ProbeEvent::Tick);
-            }
-            let v = rng.range_usize(n) as Node;
-            let net = &shared.net;
-            if net.is_active(v) && net.degree(v) > 0 {
-                let w = net.random_neighbor(v, rng);
-                let how = crate::asynchronous::exchange(
-                    self.mode,
-                    informed_time,
-                    &mut informed_count,
-                    v,
-                    w,
-                    tt,
-                );
-                if let (true, Some(how)) = (P::ENABLED, how) {
-                    let (informer, learner) = how.roles(v, w);
-                    probe.informed(tt, informed_count);
-                    probe.transmitted(informer, learner, how, tt);
-                }
-            }
-        }
-        (self.t, self.steps, self.seen) = (t, steps, seen);
-        (self.informed_count, self.pending) = (informed_count, pending);
+        self.run(until, shared);
     }
 }
 
@@ -830,21 +789,8 @@ struct SyncHalf<'r> {
     max_rounds: u64,
 }
 
-impl<'r> SyncHalf<'r> {
-    fn new(
-        n: usize,
-        source: Node,
-        mode: Mode,
-        rng: &'r mut Xoshiro256PlusPlus,
-        max_rounds: u64,
-    ) -> Self {
-        let rounds = Rounds::new(n, &SpreadConfig::new(source).with_mode(mode));
-        SyncHalf { rounds, rng, max_rounds }
-    }
-}
-
 impl Half for SyncHalf<'_> {
-    fn next_read(&mut self) -> Option<f64> {
+    fn next_read(&mut self, _shared: &mut Shared<'_>) -> Option<f64> {
         self.rounds.next_round(self.max_rounds).map(|r| (r - 1) as f64)
     }
 
@@ -856,23 +802,22 @@ impl Half for SyncHalf<'_> {
             }
             shared.advance(boundary);
             let net = &shared.net;
+            // A node isolated in this snapshot skips its contact.
             self.rounds.exchange_round(r, self.rng, &mut NoProbe, |v, rng| {
-                if !net.is_active(v) || net.degree(v) == 0 {
-                    None // isolated this snapshot: no contact this round
-                } else {
-                    Some(net.random_neighbor(v, rng))
-                }
+                net.try_random_neighbor(v, rng)
             });
         }
     }
 }
 
-/// Runs the asynchronous protocol over a recorded trace with a
+/// Runs the asynchronous protocol under a [`SpreadConfig`] — its
+/// sources, mode and per-contact loss — over a recorded trace with a
 /// **queue-free cursor**: no pending topology events exist; before each
 /// protocol tick the cursor applies every recorded step up to the tick
-/// time (topology winning ties, like the merged stream). RNG
-/// consumption — one `Exp(n)` draw per tick, then the node and neighbor
-/// draws — is exactly the sequential replay's, and both apply the
+/// time (topology winning ties, like the merged stream). It is the
+/// global-clock tick loop of [`crate::run_async_probed`] over the trace:
+/// one `Exp(n)` draw per tick, then the node and neighbor draws (and a
+/// loss draw), exactly the sequential replay's, and both apply the
 /// recorded steps to the same order-relaxed rows, so this engine
 /// replays [`run_dynamic_with`](crate::run_dynamic_with) over
 /// `trace.replayer()` **seed-for-seed**. It calls `probe` at the same
@@ -884,28 +829,27 @@ impl Half for SyncHalf<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range for the trace.
+/// Panics if a source is out of range for the trace.
 pub fn run_trace_lazy<'a, P: Probe>(
     trace: impl Into<TraceRef<'a>>,
-    source: Node,
-    mode: Mode,
+    config: &SpreadConfig,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
 ) -> DynamicOutcome {
-    let mut shared = Shared::new(trace.into(), source);
-    let mut half = AsyncHalf::new(shared.node_count(), source, mode, rng, max_steps, probe);
+    let mut shared = Shared::new(trace.into(), config.sources()[0]);
+    let mut half = AsyncHalf::new(shared.net.node_count(), config, rng, max_steps, probe);
     lockstep(&mut shared, &mut [&mut half]);
     half.finish()
 }
 
-/// Runs the **synchronous** push/pull/push–pull protocol on an evolving
-/// topology given by a recorded trace: the round loop of
-/// [`crate::run_sync`], with the graph snapshotted at round boundaries
-/// — round `r` runs on the topology as of time `r − 1` (one round
-/// corresponds to one asynchronous time unit, footnote 3). Nodes
-/// isolated (or departed) in the current snapshot skip their contact
-/// that round.
+/// Runs the **synchronous** push/pull/push–pull protocol under a
+/// [`SpreadConfig`] on an evolving topology given by a recorded trace:
+/// the round loop of [`crate::run_sync_probed`], with the graph
+/// snapshotted at round boundaries — round `r` runs on the topology as
+/// of time `r − 1` (one round corresponds to one asynchronous time
+/// unit, footnote 3). Nodes isolated (or departed) in the current
+/// snapshot skip their contact that round.
 ///
 /// This is the synchronous protocol on every topology model: an
 /// uncoupled synchronous spec on a model records the realization on
@@ -916,18 +860,16 @@ pub fn run_trace_lazy<'a, P: Probe>(
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range for the trace.
+/// Panics if a source is out of range for the trace.
 pub fn run_sync_dynamic<'a>(
     trace: impl Into<TraceRef<'a>>,
-    source: Node,
-    mode: Mode,
+    config: &SpreadConfig,
     rng: &mut Xoshiro256PlusPlus,
     max_rounds: u64,
 ) -> SyncOutcome {
-    let mut shared = Shared::new(trace.into(), source);
-    let mut half = SyncHalf::new(shared.node_count(), source, mode, rng, max_rounds);
-    lockstep(&mut shared, &mut [&mut half]);
-    half.rounds.finish()
+    let rngs = std::slice::from_mut(rng);
+    let mut out = run_coupled_dynamic(trace, config, rngs, &mut [], max_rounds, 0);
+    out.sync.pop().expect("one synchronous replay")
 }
 
 /// What the replays of one coupled trial return: see
@@ -943,31 +885,61 @@ pub struct CoupledReplays {
 /// Runs the replays of one coupled trial on one graph, in lockstep: a
 /// synchronous replay ([`run_sync_dynamic`]) per RNG in `sync_rngs` and
 /// an asynchronous one ([`run_trace_lazy`], unprobed) per RNG in
-/// `async_rngs`, all over the same trace. The halves run in the order
-/// in which they read the graph (sync round `r` at time `r − 1`, an
-/// asynchronous tick after every step up to it), so each trace step is
-/// applied once, as far as the furthest half reads, and each half sees
-/// the graph exactly as its own replay would. Every outcome and every
-/// final RNG state is therefore the separate replay's, seed for seed;
-/// only the applying is shared.
+/// `async_rngs`, all over the same trace and under the same `config`.
+/// The halves run in the order in which they read the graph (sync round
+/// `r` at time `r − 1`, an asynchronous tick after every step up to
+/// it), so each trace step is applied once, as far as the furthest half
+/// reads, and each half sees the graph exactly as its own replay would.
+/// Every outcome and every final RNG state is therefore the separate
+/// replay's, seed for seed; only the applying is shared.
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range for the trace.
+/// Panics if a source is out of range for the trace.
 pub fn run_coupled_dynamic<'a>(
     trace: impl Into<TraceRef<'a>>,
-    source: Node,
-    mode: Mode,
+    config: &SpreadConfig,
     sync_rngs: &mut [Xoshiro256PlusPlus],
     async_rngs: &mut [Xoshiro256PlusPlus],
     max_rounds: u64,
     max_steps: u64,
 ) -> CoupledReplays {
-    let mut shared = Shared::new(trace.into(), source);
-    coupled(&mut shared, source, mode, sync_rngs, async_rngs, max_rounds, max_steps)
+    let mut shared = Shared::new(trace.into(), config.sources()[0]);
+    replay_coupled(&mut shared, config, sync_rngs, async_rngs, max_rounds, max_steps)
 }
 
 /// [`run_coupled_dynamic`] on a given shared graph.
+fn replay_coupled(
+    shared: &mut Shared<'_>,
+    config: &SpreadConfig,
+    sync_rngs: &mut [Xoshiro256PlusPlus],
+    async_rngs: &mut [Xoshiro256PlusPlus],
+    max_rounds: u64,
+    max_steps: u64,
+) -> CoupledReplays {
+    let n = shared.net.node_count();
+    config.validate(n);
+    let mut syncs: Vec<SyncHalf<'_>> = sync_rngs
+        .iter_mut()
+        .map(|rng| SyncHalf { rounds: Rounds::new(n, config), rng, max_rounds })
+        .collect();
+    let mut probes = vec![NoProbe; async_rngs.len()];
+    let mut asyncs: Vec<AsyncHalf<'_, NoProbe>> = async_rngs
+        .iter_mut()
+        .zip(&mut probes)
+        .map(|(rng, probe)| AsyncHalf::new(n, config, rng, max_steps, probe))
+        .collect();
+    let mut halves: Vec<&mut dyn Half> = syncs.iter_mut().map(|h| h as &mut dyn Half).collect();
+    halves.extend(asyncs.iter_mut().map(|h| h as &mut dyn Half));
+    lockstep(shared, &mut halves);
+    CoupledReplays {
+        sync: syncs.into_iter().map(|h| h.rounds.finish()).collect(),
+        asynchronous: asyncs.into_iter().map(AsyncHalf::finish).collect(),
+    }
+}
+
+/// [`replay_coupled`] from one source in one mode, for the unit tests.
+#[cfg(test)]
 fn coupled(
     shared: &mut Shared<'_>,
     source: Node,
@@ -977,22 +949,8 @@ fn coupled(
     max_rounds: u64,
     max_steps: u64,
 ) -> CoupledReplays {
-    let n = shared.node_count();
-    let mut syncs: Vec<SyncHalf<'_>> =
-        sync_rngs.iter_mut().map(|rng| SyncHalf::new(n, source, mode, rng, max_rounds)).collect();
-    let mut probes = vec![NoProbe; async_rngs.len()];
-    let mut asyncs: Vec<AsyncHalf<'_, NoProbe>> = async_rngs
-        .iter_mut()
-        .zip(&mut probes)
-        .map(|(rng, probe)| AsyncHalf::new(n, source, mode, rng, max_steps, probe))
-        .collect();
-    let mut halves: Vec<&mut dyn Half> = syncs.iter_mut().map(|h| h as &mut dyn Half).collect();
-    halves.extend(asyncs.iter_mut().map(|h| h as &mut dyn Half));
-    lockstep(shared, &mut halves);
-    CoupledReplays {
-        sync: syncs.into_iter().map(|h| h.rounds.finish()).collect(),
-        asynchronous: asyncs.into_iter().map(AsyncHalf::finish).collect(),
-    }
+    let config = SpreadConfig::new(source).with_mode(mode);
+    replay_coupled(shared, &config, sync_rngs, async_rngs, max_rounds, max_steps)
 }
 
 #[cfg(test)]
@@ -1022,7 +980,7 @@ mod tests {
         rng: &mut Xoshiro256PlusPlus,
         max_steps: u64,
     ) -> DynamicOutcome {
-        run_dynamic_with(g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
+        run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
     }
 
     fn all_models() -> Vec<(&'static str, DynamicModel)> {
@@ -1057,7 +1015,7 @@ mod tests {
         assert!(trace.is_empty());
         assert_eq!(trace.initial(), &g);
         let plain = run_sync(&g, 0, Mode::PushPull, &mut rng(5), 10_000);
-        let traced = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(5), 10_000);
+        let traced = run_sync_dynamic(&trace, &SpreadConfig::new(0), &mut rng(5), 10_000);
         assert_eq!(traced, plain, "empty trace must replay the static sync run seed-for-seed");
     }
 
@@ -1088,7 +1046,8 @@ mod tests {
             let mut replay = trace.replayer();
             let seq = run_seq(&g, &mut replay, &mut a, 1_000_000);
             let mut b = rng(10);
-            let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut b, 1_000_000, &mut NoProbe);
+            let lazy =
+                run_trace_lazy(&trace, &SpreadConfig::new(0), &mut b, 1_000_000, &mut NoProbe);
             assert_eq!(lazy, seq, "{name}: cursor engine diverged");
             assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
             assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
@@ -1100,7 +1059,7 @@ mod tests {
         let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
         for (name, model) in all_models() {
             let trace = record(&g, &model, 15, 200.0);
-            let out = run_sync_dynamic(&trace, 0, Mode::PushPull, &mut rng(16), 100_000);
+            let out = run_sync_dynamic(&trace, &SpreadConfig::new(0), &mut rng(16), 100_000);
             assert!(out.completed, "{name}: sync run censored");
             assert_eq!(*out.informed_by_round.last().unwrap(), 48, "{name}");
         }
@@ -1137,7 +1096,8 @@ mod tests {
         let g = generators::complete(16);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.05));
         let trace = record(&g, &model, 23, 2.0);
-        let out = run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(24), 10_000_000, &mut NoProbe);
+        let out =
+            run_trace_lazy(&trace, &SpreadConfig::new(0), &mut rng(24), 10_000_000, &mut NoProbe);
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
     }

@@ -11,7 +11,9 @@
 //!   Poisson clocks, a single rate-`n` clock, and per-directed-edge clocks
 //!   with rate `1/deg(v)`; several sources and message loss
 //!   ([`spread::SpreadConfig`]) and transmission traces ([`trace`], a
-//!   probe) are parameters of the same two loops;
+//!   probe) are parameters of the same loops. The global-clock view is
+//!   the one asynchronous tick loop: the dynamic engine and the trace
+//!   replays run it too, over a model's graph or a trace cursor;
 //! * the **auxiliary processes** `ppx` and `ppy` (Definitions 5 and 7)
 //!   that bridge the two models in the upper-bound proof ([`aux`]);
 //! * the **couplings** from both proofs ([`coupling`]): the shared-
@@ -22,10 +24,10 @@
 //! * a **first-passage percolation** comparator ([`fpp`]) for the
 //!   Richardson-model correspondence on regular graphs;
 //! * a **dynamic-network engine** ([`dynamic`]) that interleaves topology
-//!   events with protocol clock ticks in one time-ordered event stream,
-//!   extending the asynchronous model to temporal graphs à la
-//!   Pourmiri–Mans; with churn rate 0 it replays the static process
-//!   seed-for-seed;
+//!   events with the ticks of the global-clock loop in one time-ordered
+//!   stream, extending the asynchronous model to temporal graphs à la
+//!   Pourmiri–Mans, under the same [`spread::SpreadConfig`]; with churn
+//!   rate 0 it replays the static process seed-for-seed;
 //! * the **engine layer** ([`engine`]) under the dynamic engine: the
 //!   pluggable [`engine::TopologyModel`] layer (edge-Markov churn,
 //!   periodic rewiring, node join/leave, random-walk edge dynamics,

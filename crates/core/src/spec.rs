@@ -501,7 +501,7 @@ pub enum SpecError {
         /// The offending value.
         loss: f64,
     },
-    /// Message loss is only modelled on uncoupled static runs.
+    /// Message loss is only modelled on uncoupled runs.
     LossUnsupported {
         /// What the loss probability collided with.
         with: String,
@@ -657,8 +657,7 @@ pub struct SimSpec {
     pub topology: Topology,
     /// The trial-plan axis.
     pub plan: TrialPlan,
-    /// Per-exchange message-loss probability (uncoupled static runs
-    /// only).
+    /// Per-exchange message-loss probability (uncoupled runs only).
     pub loss: f64,
     /// How much observability the run records (off by default; probes
     /// compile out of the hot loops when off).
@@ -873,17 +872,8 @@ impl SimSpec {
                 });
             }
         }
-        if self.loss > 0.0 {
-            let with = if plan.coupled {
-                Some("coupled runs")
-            } else if !self.topology.is_static() {
-                Some("dynamic topologies")
-            } else {
-                None
-            };
-            if let Some(with) = with {
-                return Err(SpecError::LossUnsupported { with: with.to_owned() });
-            }
+        if self.loss > 0.0 && plan.coupled {
+            return Err(SpecError::LossUnsupported { with: "coupled runs".to_owned() });
         }
 
         // Budget and horizon resolution: explicit values win, defaults
@@ -1111,8 +1101,8 @@ impl Simulation {
             self.run_coupled()
         } else {
             match self.spec.protocol {
-                Protocol::Sync { mode } => self.run_sync_trials(mode),
-                Protocol::Async { mode, view } => self.run_async_trials(mode, view),
+                Protocol::Sync { .. } => self.run_sync_trials(),
+                Protocol::Async { view, .. } => self.run_async_trials(view),
             }
         };
         // Cache-bound runs surface their cache activity since build
@@ -1137,10 +1127,9 @@ impl Simulation {
         run_trials_parallel(plan.trials, plan.master_seed, plan.threads, f)
     }
 
-    fn run_sync_trials(&self, mode: Mode) -> RunReport {
+    fn run_sync_trials(&self) -> RunReport {
         let g = &self.graph;
         let n = g.node_count();
-        let source = self.spec.source;
         let max_rounds = self.max_rounds;
         let capture = self.spec.metrics.is_enabled();
         let sync_rec = |out: SyncOutcome| {
@@ -1151,13 +1140,11 @@ impl Simulation {
                 rec
             }
         };
+        let config = self.spread_config();
         let records: Vec<TrialRecord> = match &self.spec.topology {
-            Topology::Static => {
-                let config = self.spread_config();
-                self.fan_out(|_, rng| {
-                    sync_rec(run_sync_probed(g, &config, rng, max_rounds, &mut NoProbe))
-                })
-            }
+            Topology::Static => self.fan_out(|_, rng| {
+                sync_rec(run_sync_probed(g, &config, rng, max_rounds, &mut NoProbe))
+            }),
             // The sync half of a coupled trial: the same two sub-seeds,
             // and the realization recorded on demand up to the last
             // round boundary the run can read.
@@ -1166,15 +1153,16 @@ impl Simulation {
                 let proto_seed = rng.next_u64();
                 let mut rec = self.start_recording(trace_seed, max_rounds as f64);
                 let proto_rng = &mut Xoshiro256PlusPlus::seed_from(proto_seed);
-                sync_rec(run_sync_dynamic(&mut rec, source, mode, proto_rng, max_rounds))
+                sync_rec(run_sync_dynamic(&mut rec, &config, proto_rng, max_rounds))
             }),
-            Topology::Trace(trace) => self
-                .fan_out(|_, rng| sync_rec(run_sync_dynamic(trace, source, mode, rng, max_rounds))),
+            Topology::Trace(trace) => {
+                self.fan_out(|_, rng| sync_rec(run_sync_dynamic(trace, &config, rng, max_rounds)))
+            }
         };
         assemble(Unit::Rounds, records, self.spec.metrics)
     }
 
-    fn run_async_trials(&self, mode: Mode, view: AsyncView) -> RunReport {
+    fn run_async_trials(&self, view: AsyncView) -> RunReport {
         let g = &self.graph;
         let max_steps = self.max_steps;
         let capture = self.spec.metrics.is_enabled();
@@ -1200,19 +1188,17 @@ impl Simulation {
                 rec
             }
         };
+        let config = self.spread_config();
         let records: Vec<TrialRecord> = match &self.spec.topology {
-            Topology::Static => {
-                let config = self.spread_config();
-                self.fan_out(|_, rng| {
-                    async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
-                })
-            }
+            Topology::Static => self.fan_out(|_, rng| {
+                async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
+            }),
             _ => self.fan_out(|_, rng| {
                 if !capture {
-                    return dynamic_rec(&self.dynamic_run(mode, rng, &mut NoProbe));
+                    return dynamic_rec(&self.dynamic_run(&config, rng, &mut NoProbe));
                 }
                 let mut ring = RingProbe::new(RING_CAP);
-                let out = self.dynamic_run(mode, rng, &mut ring);
+                let out = self.dynamic_run(&config, rng, &mut ring);
                 let mut rec = dynamic_rec(&out);
                 // Censored trials dump their event tail.
                 if !out.completed {
@@ -1224,8 +1210,7 @@ impl Simulation {
         assemble(Unit::TimeUnits, records, self.spec.metrics)
     }
 
-    /// The static engines' configuration: the spec's source, mode and
-    /// loss.
+    /// The engines' configuration: the spec's source, mode and loss.
     fn spread_config(&self) -> SpreadConfig {
         let mode = self.spec.protocol.mode();
         SpreadConfig::new(self.spec.source).with_mode(mode).with_loss_probability(self.spec.loss)
@@ -1251,20 +1236,20 @@ impl Simulation {
     /// concrete state type).
     fn dynamic_run<P: Probe>(
         &self,
-        mode: Mode,
+        config: &SpreadConfig,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
     ) -> DynamicOutcome {
         let g = &self.graph;
-        let (source, max_steps) = (self.spec.source, self.max_steps);
+        let max_steps = self.max_steps;
         match &self.spec.topology {
-            Topology::Trace(trace) => run_trace_lazy(trace, source, mode, rng, max_steps, probe),
+            Topology::Trace(trace) => run_trace_lazy(trace, config, rng, max_steps, probe),
             Topology::Model(model) => {
-                model.with_state(SequentialRun { g, source, mode, rng, max_steps, probe })
+                model.with_state(SequentialRun { g, config, rng, max_steps, probe })
             }
             Topology::Custom(factory) => {
                 let mut state = factory.build(g);
-                run_dynamic_with(g, source, mode, state.as_mut(), rng, max_steps, probe)
+                run_dynamic_with(g, config, state.as_mut(), rng, max_steps, probe)
             }
             Topology::Static => unreachable!("static sequential runs use the static engine"),
         }
@@ -1330,8 +1315,7 @@ impl Simulation {
         let (mut sync_rngs, mut async_rngs) = (rngs(), rngs());
         let CoupledReplays { sync, asynchronous } = run_coupled_dynamic(
             &mut trace,
-            self.spec.source,
-            self.spec.protocol.mode(),
+            &self.spread_config(),
             &mut sync_rngs,
             &mut async_rngs,
             self.max_rounds,
@@ -2067,8 +2051,7 @@ mod tests {
             let mut rng = Xoshiro256PlusPlus::seed_from(seed);
             let seq = run_dynamic_with(
                 &g,
-                0,
-                Mode::PushPull,
+                &SpreadConfig::new(0),
                 &mut trace.replayer(),
                 &mut rng,
                 sim.max_steps(),

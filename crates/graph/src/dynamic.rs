@@ -269,6 +269,19 @@ impl MutableGraph {
         nbrs[rng.range_usize(nbrs.len())]
     }
 
+    /// [`random_neighbor`](Self::random_neighbor), or `None` without a
+    /// draw when `v` has no neighbor now (isolated or inactive): the
+    /// contact partner of a protocol step on the evolving graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn try_random_neighbor(&self, v: Node, rng: &mut Xoshiro256PlusPlus) -> Option<Node> {
+        let nbrs = self.neighbors(v);
+        (!nbrs.is_empty()).then(|| nbrs[rng.range_usize(nbrs.len())])
+    }
+
     /// Whether the undirected edge `{u, v}` is currently present.
     ///
     /// # Panics

@@ -8,7 +8,7 @@ use rumor_spreading::core::dynamic::{
     run_dynamic, run_dynamic_with, DynamicModel, EdgeMarkov, NodeChurn, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
-use rumor_spreading::core::{run_async, AsyncView, Mode, Probe, ProbeEvent};
+use rumor_spreading::core::{run_async, AsyncView, Mode, Probe, ProbeEvent, SpreadConfig};
 use rumor_spreading::graph::{generators, Graph};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -80,13 +80,11 @@ proptest! {
         let mut log = EventLog(Vec::new());
         let out = run_dynamic_with(
             &g,
-            0,
-            Mode::PushPull,
+            &SpreadConfig::new(0),
             model.build_state().as_mut(),
             &mut rng,
             200_000,
-            &mut log,
-        );
+            &mut log);
         let trace = log.0;
         prop_assert!(
             trace.windows(2).all(|w| w[0].0 <= w[1].0),

@@ -8,7 +8,9 @@ use rumor_spreading::core::dynamic::{
     run_dynamic, run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility,
     NodeChurn, RandomWalk, Rewire, SnapshotFamily,
 };
-use rumor_spreading::core::{CountingProbe, Mode, NoProbe, Probe, StateVisitor, TopologyModel};
+use rumor_spreading::core::{
+    CountingProbe, Mode, NoProbe, Probe, SpreadConfig, StateVisitor, TopologyModel,
+};
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -41,8 +43,7 @@ impl<P: Probe> StateVisitor for Sequential<'_, P> {
         let source: Node = 0;
         run_dynamic_with(
             self.g,
-            source,
-            Mode::PushPull,
+            &SpreadConfig::new(source),
             &mut state,
             self.rng,
             MAX_STEPS,
@@ -67,7 +68,8 @@ fn enum_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (Dyna
 fn boxed_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (DynamicOutcome, u64) {
     let mut rng = Xoshiro256PlusPlus::seed_from(SEED);
     let mut state = model.build_state();
-    let out = run_dynamic_with(g, 0, Mode::PushPull, state.as_mut(), &mut rng, MAX_STEPS, probe);
+    let out =
+        run_dynamic_with(g, &SpreadConfig::new(0), state.as_mut(), &mut rng, MAX_STEPS, probe);
     (out, rng.next_u64())
 }
 

@@ -233,8 +233,7 @@ fn probed_engines_report_monotone_informed_counts_and_replay() {
     let mut probe = CountingProbe::default();
     let probed = run_dynamic_with(
         &g,
-        0,
-        Mode::PushPull,
+        &SpreadConfig::new(0),
         model.build_state().as_mut(),
         &mut Xoshiro256PlusPlus::seed_from(9),
         1_000_000,

@@ -334,19 +334,26 @@ fn sync_rewire_completes_and_respects_round_structure() {
 }
 
 #[test]
-fn loss_is_range_checked_and_static_sequential_only() {
+fn loss_is_range_checked_and_uncoupled_only() {
     assert_eq!(valid().loss(1.0).build().unwrap_err(), SpecError::InvalidLoss { loss: 1.0 });
     assert_eq!(valid().loss(-0.1).build().unwrap_err(), SpecError::InvalidLoss { loss: -0.1 });
     let markov = Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0)));
-    for (spec, with) in [
-        (valid().protocol(async_pp()).topology(markov.clone()).loss(0.1), "dynamic topologies"),
-        (valid().protocol(async_pp()).topology(markov).coupled(true).loss(0.1), "coupled runs"),
+    assert_eq!(
+        valid()
+            .protocol(async_pp())
+            .topology(markov.clone())
+            .coupled(true)
+            .loss(0.1)
+            .build()
+            .unwrap_err(),
+        SpecError::LossUnsupported { with: "coupled runs".into() }
+    );
+    // Uncoupled runs on a model carry the loss in both protocols.
+    for spec in [
+        valid().protocol(async_pp()).topology(markov.clone()).loss(0.1),
+        valid().topology(markov).max_rounds(1_000).loss(0.1),
     ] {
-        assert_eq!(
-            spec.build().unwrap_err(),
-            SpecError::LossUnsupported { with: with.into() },
-            "{with}"
-        );
+        assert_eq!(spec.trials(8).build().unwrap().run().censored(), 0);
     }
 }
 

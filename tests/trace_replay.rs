@@ -36,7 +36,9 @@ use rumor_spreading::core::engine::trace::{
 use rumor_spreading::core::engine::TopologyModel;
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
 use rumor_spreading::core::trace::Transmission;
-use rumor_spreading::core::{MetricsLevel, Mode, NoProbe, Probe, ProbeEvent, RunCaches};
+use rumor_spreading::core::{
+    MetricsLevel, Mode, NoProbe, Probe, ProbeEvent, RunCaches, SpreadConfig,
+};
 use rumor_spreading::graph::dynamic::MutableGraph;
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::{SeedStream, Xoshiro256PlusPlus};
@@ -57,7 +59,7 @@ fn run_seq<M: TopologyModel>(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
 ) -> DynamicOutcome {
-    run_dynamic_with(g, 0, Mode::PushPull, state, rng, max_steps, &mut NoProbe)
+    run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
 }
 
 /// The five `--dynamic-model` choices plus node churn (which exercises
@@ -132,7 +134,7 @@ fn snapshot_sequences_are_byte_identical_across_engines() {
         // and applies steps verbatim from the same trace (so its walk
         // is the same byte-identical prefix by construction).
         let mut c = rng(77);
-        let lazy = run_trace_lazy(&trace, 0, Mode::PushPull, &mut c, 1_000_000, &mut NoProbe);
+        let lazy = run_trace_lazy(&trace, &SpreadConfig::new(0), &mut c, 1_000_000, &mut NoProbe);
         assert_eq!(lazy, seq, "{name}: cursor engine diverged");
         assert_eq!(a.next_u64(), c.next_u64(), "{name}: cursor RNG state diverged");
         assert_eq!(
@@ -187,7 +189,12 @@ fn coupled_engines_replay_each_other_seed_for_seed() {
             let (trace_seed, proto_seed) = (trial.next_u64(), trial.next_u64());
             let trace = record(&g, &model, trace_seed, horizon);
             let seq = run_seq(&g, &mut trace.replayer(), &mut rng(proto_seed), max_steps);
-            let sync = run_sync_dynamic(&trace, 0, mode, &mut rng(proto_seed), max_rounds);
+            let sync = run_sync_dynamic(
+                &trace,
+                &SpreadConfig::new(0).with_mode(mode),
+                &mut rng(proto_seed),
+                max_rounds,
+            );
             assert_eq!(
                 (o.sync_rounds, o.sync_completed, o.async_time, o.async_completed),
                 (sync.rounds as f64, sync.completed, seq.time, seq.completed),
@@ -247,16 +254,20 @@ fn cursor_probe_events_match_the_sequential_replay() {
             let mut seq_log = HookLog::default();
             let seq = run_dynamic_with(
                 &g,
-                0,
-                Mode::PushPull,
+                &SpreadConfig::new(0),
                 &mut trace.replayer(),
                 &mut rng(21),
                 max_steps,
                 &mut seq_log,
             );
             let mut cursor_log = HookLog::default();
-            let cursor =
-                run_trace_lazy(&trace, 0, Mode::PushPull, &mut rng(21), max_steps, &mut cursor_log);
+            let cursor = run_trace_lazy(
+                &trace,
+                &SpreadConfig::new(0),
+                &mut rng(21),
+                max_steps,
+                &mut cursor_log,
+            );
             assert_eq!(cursor, seq, "{name} at {max_steps} steps");
             assert_eq!(cursor.completed, max_steps == 1_000_000, "{name} at {max_steps} steps");
             assert!(
@@ -352,8 +363,7 @@ fn lockstep(
     let (mut sync_rngs, mut async_rngs) = (rngs(), rngs());
     let out = run_coupled_dynamic(
         trace,
-        0,
-        Mode::PushPull,
+        &SpreadConfig::new(0),
         &mut sync_rngs,
         &mut async_rngs,
         max_rounds,
@@ -409,17 +419,15 @@ proptest! {
                         // `specs/sync_walk.expected` and
                         // `specs/coupled_anti_walk.expected`, captured
                         // before the lockstep loop existed, pin its rounds.
-                        let sync = run_sync_dynamic(&eager, 0, mode, &mut rng(p), max_rounds);
+                        let sync = run_sync_dynamic(&eager, &SpreadConfig::new(0).with_mode(mode), &mut rng(p), max_rounds);
                         let asy = run_seq(&g, &mut eager.replayer(), &mut rng(p), max_steps);
-                        let live_sync = run_sync_dynamic(&mut live, 0, mode, &mut rng(p), max_rounds);
+                        let live_sync = run_sync_dynamic(&mut live, &SpreadConfig::new(0).with_mode(mode), &mut rng(p), max_rounds);
                         prop_assert_eq!(&live_sync, &sync, "{}: live sync", name);
                         let live_seq = run_dynamic_with(
-                            &g, 0, mode, &mut TraceReplayer::new(&mut live), &mut rng(p), max_steps, &mut NoProbe,
-                        );
+                            &g, &SpreadConfig::new(0).with_mode(mode), &mut TraceReplayer::new(&mut live), &mut rng(p), max_steps, &mut NoProbe);
                         prop_assert_eq!(&live_seq, &asy, "{}: live sequential", name);
                         let live_lazy = run_trace_lazy(
-                            &mut live, 0, mode, &mut rng(p), max_steps, &mut NoProbe,
-                        );
+                            &mut live, &SpreadConfig::new(0).with_mode(mode), &mut rng(p), max_steps, &mut NoProbe);
                         prop_assert_eq!(&live_lazy, &asy, "{}: live cursor", name);
                         sums = (sums.0 + sync.rounds as f64, sums.1 + asy.time);
                         done = (done.0 && sync.completed, done.1 && asy.completed);
@@ -491,7 +499,7 @@ proptest! {
                 let mut async_words = Vec::new();
                 for &p in &protos {
                     let mut r = rng(p);
-                    separate.sync.push(run_sync_dynamic(&eager, 0, mode, &mut r, max_rounds));
+                    separate.sync.push(run_sync_dynamic(&eager, &SpreadConfig::new(0).with_mode(mode), &mut r, max_rounds));
                     sync_words.push(r.next_u64());
                     let mut r = rng(p);
                     separate.asynchronous.push(run_seq(&g, &mut eager.replayer(), &mut r, max_steps));
@@ -504,8 +512,8 @@ proptest! {
                 let mut live = start();
                 let mut warm = start();
                 for w in 0..3 {
-                    run_sync_dynamic(&mut warm, 0, Mode::Pull, &mut rng(w), max_rounds);
-                    run_trace_lazy(&mut warm, 0, Mode::Pull, &mut rng(w), max_steps, &mut NoProbe);
+                    run_sync_dynamic(&mut warm, &SpreadConfig::new(0).with_mode(Mode::Pull), &mut rng(w), max_rounds);
+                    run_trace_lazy(&mut warm, &SpreadConfig::new(0).with_mode(Mode::Pull), &mut rng(w), max_steps, &mut NoProbe);
                 }
                 let traces: [(&str, TraceRef<'_>); 3] =
                     [("sealed", (&eager).into()), ("live", (&mut live).into()), ("warm", (&mut warm).into())];
