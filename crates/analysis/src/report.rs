@@ -1,4 +1,4 @@
-//! Experiment registry and the run-everything entry point.
+//! Experiment registry, read by the `exp` binary.
 
 use crate::experiments::*;
 use crate::table::Table;
@@ -6,7 +6,7 @@ use crate::ExperimentConfig;
 
 /// A named experiment: identifier, one-line description, and runner.
 pub struct Experiment {
-    /// Stable identifier (`e1` … `e18`), used by the CLI binaries.
+    /// Stable identifier (`e1` … `e23`), the `exp` binary's argument.
     pub id: &'static str,
     /// One-line description of the reproduced claim.
     pub claim: &'static str,
@@ -124,11 +124,6 @@ pub fn all_experiments() -> Vec<Experiment> {
 /// Looks up an experiment by its id.
 pub fn find_experiment(id: &str) -> Option<Experiment> {
     all_experiments().into_iter().find(|e| e.id == id)
-}
-
-/// Runs every experiment, returning `(id, table)` pairs.
-pub fn run_all(cfg: &ExperimentConfig) -> Vec<(&'static str, Table)> {
-    all_experiments().into_iter().map(|e| (e.id, (e.run)(cfg))).collect()
 }
 
 #[cfg(test)]

@@ -1,17 +1,12 @@
 //! The `rumor` command-line tool. See `rumor help` or the crate docs.
 
-use rumor_core::obs::{emit_warning, Warning};
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match rumor_cli::execute(&args) {
         Ok(output) => print!("{output}"),
         Err(err) => {
-            // Through the warning sink, not a bare eprintln, so embedders
-            // and tests that install a custom sink capture CLI errors the
-            // same way they capture engine warnings.
-            emit_warning(&Warning::note("cli", format!("error: {err}")));
-            emit_warning(&Warning::note("cli", "run `rumor help` for usage"));
+            eprintln!("error: {err}");
+            eprintln!("run `rumor help` for usage");
             std::process::exit(2);
         }
     }

@@ -28,7 +28,6 @@ use rumor_graph::{Graph, Node, RandomNeighbor, RowVisitor};
 use rumor_sim::events::ClockTree;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
-use crate::dynamic::DynamicOutcome;
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe, ProbeEvent};
 use crate::outcome::AsyncOutcome;
@@ -362,17 +361,8 @@ impl RunState {
         held
     }
 
-    fn into_outcome(self) -> AsyncOutcome {
+    pub(crate) fn into_outcome(self) -> AsyncOutcome {
         AsyncOutcome {
-            time: self.time,
-            steps: self.steps,
-            completed: self.all_informed(),
-            informed_time: self.informed_time,
-        }
-    }
-
-    pub(crate) fn into_dynamic(self) -> DynamicOutcome {
-        DynamicOutcome {
             time: self.time,
             steps: self.steps,
             topology_events: self.topology_events,

@@ -399,53 +399,6 @@ impl std::fmt::Display for DynamicModel {
     }
 }
 
-/// Result of a dynamic-network run; the dynamic counterpart of
-/// [`AsyncOutcome`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicOutcome {
-    /// Time at which the last node was informed (or of the last step
-    /// taken, if `completed` is false).
-    pub time: f64,
-    /// Protocol steps (node activations) taken.
-    pub steps: u64,
-    /// Topology events processed (edge flips, snapshots, joins/leaves).
-    pub topology_events: u64,
-    /// Whether all nodes were informed within the step budget.
-    pub completed: bool,
-    /// Per node: the time at which it was informed (source: 0.0; never:
-    /// `f64::INFINITY`).
-    pub informed_time: Vec<f64>,
-}
-
-impl DynamicOutcome {
-    /// Number of nodes in the underlying graph.
-    pub fn node_count(&self) -> usize {
-        self.informed_time.len()
-    }
-
-    /// Projects onto the static outcome type (dropping the topology
-    /// event count), for field-by-field comparison with
-    /// [`crate::run_async`] and reuse of its accessors.
-    pub fn to_async(&self) -> AsyncOutcome {
-        AsyncOutcome {
-            time: self.time,
-            steps: self.steps,
-            completed: self.completed,
-            informed_time: self.informed_time.clone(),
-        }
-    }
-
-    /// The earliest time by which at least `ceil(phi · n)` nodes are
-    /// informed, or `None` if the run never reached that fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phi` is outside `(0, 1]`.
-    pub fn time_to_fraction(&self, phi: f64) -> Option<f64> {
-        self.to_async().time_to_fraction(phi)
-    }
-}
-
 /// Runs the asynchronous push/pull/push–pull protocol on a dynamic
 /// network, from `source`, until every node is informed or `max_steps`
 /// protocol steps have been taken. Shorthand for [`run_dynamic_with`]
@@ -473,7 +426,7 @@ pub fn run_dynamic(
     model: &DynamicModel,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
-) -> DynamicOutcome {
+) -> AsyncOutcome {
     let config = &SpreadConfig::new(source).with_mode(mode);
     model.with_state(SequentialRun { g, config, rng, max_steps, probe: &mut NoProbe })
 }
@@ -509,7 +462,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
-) -> DynamicOutcome {
+) -> AsyncOutcome {
     let mut st = RunState::new(g.node_count(), config, max_steps);
     assert!(st.all_informed() || !g.has_isolated_nodes(), "graph has isolated nodes");
     st.start(config.sources(), probe);
@@ -523,7 +476,7 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
         st.run_ticks(&mut topo, f64::INFINITY, rng, probe);
     }
     st.end(probe);
-    st.into_dynamic()
+    st.into_outcome()
 }
 
 /// A topology model as the tick loop's [`TickTopology`]: its live
@@ -576,9 +529,9 @@ pub(crate) struct SequentialRun<'a, P> {
 }
 
 impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
-    type Output = DynamicOutcome;
+    type Output = AsyncOutcome;
 
-    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) -> DynamicOutcome {
+    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) -> AsyncOutcome {
         let Self { g, config, rng, max_steps, probe } = self;
         run_dynamic_with(g, config, &mut state, rng, max_steps, probe)
     }
@@ -645,13 +598,12 @@ mod tests {
                         max_steps,
                         probe: &mut NoProbe,
                     });
-                    assert_eq!(dynamic.to_async(), stat, "model {model}, {case}");
-                    assert_eq!(dynamic.topology_events, 0);
+                    assert_eq!(dynamic, stat, "model {model}, {case}");
                     assert_eq!(b.next_u64(), word, "model {model}, {case}: RNG diverged");
                 }
                 let mut c = rng(3);
                 let cursor = run_trace_lazy(&empty, config, &mut c, max_steps, &mut NoProbe);
-                assert_eq!(cursor.to_async(), stat, "trace cursor, {case}");
+                assert_eq!(cursor, stat, "trace cursor, {case}");
                 assert_eq!(c.next_u64(), word, "trace cursor, {case}: RNG diverged");
             }
         }

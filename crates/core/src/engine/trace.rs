@@ -73,13 +73,12 @@ use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::asynchronous::{RunState, TickTopology};
-use crate::dynamic::DynamicOutcome;
 use crate::engine::scheduler::TopoDriver;
 use crate::engine::topology::TopologyModel;
 #[cfg(test)]
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe};
-use crate::outcome::SyncOutcome;
+use crate::outcome::{AsyncOutcome, SyncOutcome};
 use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
 
@@ -764,9 +763,9 @@ impl<'r, P: Probe> AsyncHalf<'r, P> {
         self.held = self.st.run_ticks(&mut cursor, until, self.rng, self.probe);
     }
 
-    fn finish(self) -> DynamicOutcome {
+    fn finish(self) -> AsyncOutcome {
         self.st.end(self.probe);
-        self.st.into_dynamic()
+        self.st.into_outcome()
     }
 }
 
@@ -836,7 +835,7 @@ pub fn run_trace_lazy<'a, P: Probe>(
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
-) -> DynamicOutcome {
+) -> AsyncOutcome {
     let mut shared = Shared::new(trace.into(), config.sources()[0]);
     let mut half = AsyncHalf::new(shared.net.node_count(), config, rng, max_steps, probe);
     lockstep(&mut shared, &mut [&mut half]);
@@ -879,7 +878,7 @@ pub struct CoupledReplays {
     /// One synchronous outcome per synchronous RNG, in order.
     pub sync: Vec<SyncOutcome>,
     /// One asynchronous outcome per asynchronous RNG, in order.
-    pub asynchronous: Vec<DynamicOutcome>,
+    pub asynchronous: Vec<AsyncOutcome>,
 }
 
 /// Runs the replays of one coupled trial on one graph, in lockstep: a
@@ -979,7 +978,7 @@ mod tests {
         state: &mut M,
         rng: &mut Xoshiro256PlusPlus,
         max_steps: u64,
-    ) -> DynamicOutcome {
+    ) -> AsyncOutcome {
         run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
     }
 

@@ -88,7 +88,7 @@ pub mod sync;
 pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
-pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel, DynamicOutcome};
+pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel};
 pub use engine::{run_sync_dynamic, run_trace_lazy, StateVisitor, TopologyModel, TopologyTrace};
 pub use informed::InformedSet;
 pub use mode::Mode;

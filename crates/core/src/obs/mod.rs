@@ -36,14 +36,12 @@ pub mod json;
 mod metrics;
 mod probe;
 mod ring;
-mod sink;
 
 pub use curve::{CurveSummary, Phases, SpreadingCurve, SATURATION_FRAC, STARTUP_FRAC};
 pub use histogram::{Bucket, LogHistogram};
 pub use metrics::{CensorDump, EngineHealth, RunMetrics, METRICS_SCHEMA};
 pub use probe::{CountingProbe, NoProbe, Probe, ProbeEvent};
 pub use ring::{EventRing, RingProbe};
-pub use sink::{emit_warning, set_warning_sink, Warning, WarningSink};
 
 /// How much observability a run records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

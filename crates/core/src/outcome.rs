@@ -39,7 +39,8 @@ impl SyncOutcome {
     }
 }
 
-/// Result of an asynchronous protocol run (`pp-a`, `push-a`, `pull-a`).
+/// Result of an asynchronous protocol run (`pp-a`, `push-a`, `pull-a`),
+/// on a static graph or on an evolving topology.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncOutcome {
     /// Time (in the paper's continuous time units) at which the last node
@@ -49,6 +50,9 @@ pub struct AsyncOutcome {
     /// Number of steps (node activations) up to and including the one that
     /// informed the last node.
     pub steps: u64,
+    /// Topology events processed (edge flips, snapshots, joins/leaves);
+    /// 0 on a static graph.
+    pub topology_events: u64,
     /// Whether all nodes were informed within the step budget.
     pub completed: bool,
     /// Per node: the time at which it was informed (source: 0.0; never:
@@ -116,6 +120,7 @@ mod tests {
         let o = AsyncOutcome {
             time: 2.5,
             steps: 10,
+            topology_events: 0,
             completed: true,
             informed_time: vec![0.0, 1.5, 2.5, 0.5],
         };
@@ -128,6 +133,7 @@ mod tests {
         let o = AsyncOutcome {
             time: 1.0,
             steps: 3,
+            topology_events: 0,
             completed: false,
             informed_time: vec![0.0, f64::INFINITY],
         };

@@ -74,8 +74,8 @@ use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::asynchronous::{run_async_probed, AsyncView};
 use crate::dynamic::{
-    run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
-    RandomWalk, Rewire, SequentialRun, SnapshotFamily,
+    run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+    SequentialRun, SnapshotFamily,
 };
 use crate::engine::{
     run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyModel,
@@ -1166,22 +1166,8 @@ impl Simulation {
         let g = &self.graph;
         let max_steps = self.max_steps;
         let capture = self.spec.metrics.is_enabled();
-        // Builds the record for one static asynchronous outcome.
         let async_rec = |out: &AsyncOutcome| {
-            let rec = TrialRecord::new(TrialOutcome {
-                value: out.time,
-                completed: out.completed,
-                steps: out.steps,
-                topology_events: 0,
-            });
-            if capture {
-                rec.with_curve(SpreadingCurve::from_informed_times(&out.informed_time))
-            } else {
-                rec
-            }
-        };
-        let dynamic_rec = |out: &DynamicOutcome| {
-            let rec = TrialRecord::new(dynamic_trial(out));
+            let rec = TrialRecord::new(async_trial(out));
             if capture {
                 rec.with_curve(SpreadingCurve::from_informed_times(&out.informed_time))
             } else {
@@ -1195,11 +1181,11 @@ impl Simulation {
             }),
             _ => self.fan_out(|_, rng| {
                 if !capture {
-                    return dynamic_rec(&self.dynamic_run(&config, rng, &mut NoProbe));
+                    return async_rec(&self.dynamic_run(&config, rng, &mut NoProbe));
                 }
                 let mut ring = RingProbe::new(RING_CAP);
                 let out = self.dynamic_run(&config, rng, &mut ring);
-                let mut rec = dynamic_rec(&out);
+                let mut rec = async_rec(&out);
                 // Censored trials dump their event tail.
                 if !out.completed {
                     rec.dump = Some(ring.into_events());
@@ -1239,7 +1225,7 @@ impl Simulation {
         config: &SpreadConfig,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
-    ) -> DynamicOutcome {
+    ) -> AsyncOutcome {
         let g = &self.graph;
         let max_steps = self.max_steps;
         match &self.spec.topology {
@@ -1401,7 +1387,7 @@ fn sync_trial(rounds: u64, completed: bool) -> TrialOutcome {
     TrialOutcome { value: rounds as f64, completed, steps: rounds, topology_events: 0 }
 }
 
-fn dynamic_trial(out: &DynamicOutcome) -> TrialOutcome {
+fn async_trial(out: &AsyncOutcome) -> TrialOutcome {
     TrialOutcome {
         value: out.time,
         completed: out.completed,
@@ -2057,7 +2043,7 @@ mod tests {
                 sim.max_steps(),
                 &mut NoProbe,
             );
-            assert_eq!(*o, dynamic_trial(&seq));
+            assert_eq!(*o, async_trial(&seq));
         }
     }
 

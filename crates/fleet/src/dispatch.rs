@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rumor_core::obs::json::Json;
-use rumor_core::obs::{emit_warning, Warning};
 use rumor_core::spec::{SpecError, Telemetry, Unit};
 use rumor_core::{SweepChild, SweepSpec};
 
@@ -149,10 +148,7 @@ fn pilot_tune(children: &mut [SweepChild], pilot_trials: usize) -> Result<(), Fl
         let trials = pilot_trials.clamp(1, plan.trials);
         let pilot = child.spec.clone().trials(trials).threads(1).build()?.run();
         if pilot.censored() > 0 {
-            emit_warning(&Warning::note(
-                "pilot",
-                format!("pilot censored for [{}]; keeping default budgets", child.point),
-            ));
+            eprintln!("pilot censored for [{}]; keeping default budgets", child.point);
             continue;
         }
         let mut tuned = child.spec.clone();
@@ -316,14 +312,11 @@ fn execute_processes(
                             Err(JobFailure::Transport(message)) => {
                                 w.kill();
                                 if attempt == 0 {
-                                    emit_warning(&Warning::note(
-                                        "dispatch",
-                                        format!(
-                                            "worker crashed on [{}] ({message}); retrying on \
-                                             a fresh worker",
-                                            child.point
-                                        ),
-                                    ));
+                                    eprintln!(
+                                        "worker crashed on [{}] ({message}); retrying on a \
+                                         fresh worker",
+                                        child.point
+                                    );
                                     retries.fetch_add(1, Ordering::Relaxed);
                                 } else {
                                     *fatal.lock().unwrap() = Some(FleetError::Worker(format!(

@@ -61,8 +61,7 @@ proptest! {
                 let stat = run_async(&g, 0, mode, AsyncView::GlobalClock, &mut a, 50_000_000);
                 let mut b = Xoshiro256PlusPlus::seed_from(seed);
                 let dynamic = run_dynamic(&g, 0, mode, &model, &mut b, 50_000_000);
-                prop_assert_eq!(dynamic.to_async(), stat.clone(), "mode {}", mode);
-                prop_assert_eq!(dynamic.topology_events, 0);
+                prop_assert_eq!(dynamic, stat.clone(), "mode {}", mode);
                 // The RNG streams must also end in the same state: the
                 // dynamic engine consumed exactly the same draws.
                 prop_assert_eq!(a.next_u64(), b.next_u64());
@@ -98,7 +97,7 @@ proptest! {
         prop_assert_eq!(trace.len() as u64, out.steps + out.topology_events);
     }
 
-    /// (iii) `DynamicOutcome` sampling is reproducible across thread
+    /// (iii) Dynamic-run sampling is reproducible across thread
     /// counts: per-trial `SeedStream` seeding makes the parallel runner
     /// bit-identical to the serial one.
     #[test]
@@ -167,12 +166,12 @@ fn acceptance_zero_churn_parity_on_gnp_and_hypercube() {
                 50_000_000,
             );
             assert!(stat.completed, "{name} seed {seed}");
-            assert_eq!(dynamic.to_async(), stat, "{name} seed {seed}");
+            assert_eq!(dynamic, stat, "{name} seed {seed}");
         }
     }
 }
 
-/// The `DynamicOutcome` contract on **incomplete** runs, pinned beyond
+/// The dynamic-run outcome contract on **incomplete** runs, pinned beyond
 /// the all-finite happy path. A budget-exhausted run must report
 /// `completed = false`, `INFINITY` for every never-informed node, and
 /// `time` equal to the last protocol step taken — which, by the

@@ -5,11 +5,11 @@
 //! without a probe.
 
 use rumor_spreading::core::dynamic::{
-    run_dynamic, run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility,
-    NodeChurn, RandomWalk, Rewire, SnapshotFamily,
+    run_dynamic, run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn,
+    RandomWalk, Rewire, SnapshotFamily,
 };
 use rumor_spreading::core::{
-    CountingProbe, Mode, NoProbe, Probe, SpreadConfig, StateVisitor, TopologyModel,
+    AsyncOutcome, CountingProbe, Mode, NoProbe, Probe, SpreadConfig, StateVisitor, TopologyModel,
 };
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
@@ -37,9 +37,9 @@ struct Sequential<'a, P> {
 }
 
 impl<P: Probe> StateVisitor for Sequential<'_, P> {
-    type Output = DynamicOutcome;
+    type Output = AsyncOutcome;
 
-    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> DynamicOutcome {
+    fn visit<M: TopologyModel + 'static>(self, mut state: M) -> AsyncOutcome {
         let source: Node = 0;
         run_dynamic_with(
             self.g,
@@ -53,19 +53,19 @@ impl<P: Probe> StateVisitor for Sequential<'_, P> {
 }
 
 /// Field-by-field equality with the time compared as raw bits.
-fn assert_identical(a: &DynamicOutcome, b: &DynamicOutcome, what: &str) {
+fn assert_identical(a: &AsyncOutcome, b: &AsyncOutcome, what: &str) {
     assert_eq!(a.time.to_bits(), b.time.to_bits(), "{what}: time");
     assert_eq!(a, b, "{what}: outcome");
 }
 
 /// One run per route; returns the outcome and the final RNG word.
-fn enum_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (DynamicOutcome, u64) {
+fn enum_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (AsyncOutcome, u64) {
     let mut rng = Xoshiro256PlusPlus::seed_from(SEED);
     let out = model.with_state(Sequential { g, rng: &mut rng, probe });
     (out, rng.next_u64())
 }
 
-fn boxed_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (DynamicOutcome, u64) {
+fn boxed_route<P: Probe>(g: &Graph, model: &DynamicModel, probe: &mut P) -> (AsyncOutcome, u64) {
     let mut rng = Xoshiro256PlusPlus::seed_from(SEED);
     let mut state = model.build_state();
     let out =

@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{
-    run_dynamic_with, Adversary, DynamicModel, DynamicOutcome, EdgeMarkov, Mobility, NodeChurn,
-    RandomWalk, Rewire, SnapshotFamily,
+    run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+    SnapshotFamily,
 };
 use rumor_spreading::core::engine::trace::{
     run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
@@ -37,7 +37,7 @@ use rumor_spreading::core::engine::TopologyModel;
 use rumor_spreading::core::spec::{Protocol, SimSpec, Topology};
 use rumor_spreading::core::trace::Transmission;
 use rumor_spreading::core::{
-    MetricsLevel, Mode, NoProbe, Probe, ProbeEvent, RunCaches, SpreadConfig,
+    AsyncOutcome, MetricsLevel, Mode, NoProbe, Probe, ProbeEvent, RunCaches, SpreadConfig,
 };
 use rumor_spreading::graph::dynamic::MutableGraph;
 use rumor_spreading::graph::{generators, Graph, Node};
@@ -58,7 +58,7 @@ fn run_seq<M: TopologyModel>(
     state: &mut M,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
-) -> DynamicOutcome {
+) -> AsyncOutcome {
     run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
 }
 
