@@ -46,14 +46,12 @@ impl Args {
             .ok_or_else(|| CliError::Usage(format!("missing <{name}> argument")))
     }
 
-    /// The `index`-th positional parsed as `T`.
-    pub fn require_parsed<T: std::str::FromStr>(
-        &self,
-        index: usize,
-        name: &str,
-    ) -> Result<T, CliError> {
-        let raw = self.require(index, name)?;
-        raw.parse().map_err(|_| CliError::Usage(format!("cannot parse <{name}> from `{raw}`")))
+    /// The options as `(key, value)` pairs, sorted by key.
+    pub fn options(&self) -> Vec<(&str, &str)> {
+        let mut pairs: Vec<(&str, &str)> =
+            self.options.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// An option value parsed as `T`, or `default` if absent.
@@ -106,8 +104,12 @@ mod tests {
         assert_eq!(a.require(0, "family").unwrap(), "star");
         let err = a.require(1, "n").unwrap_err();
         assert!(err.to_string().contains("<n>"));
-        let err = a.require_parsed::<usize>(0, "n").unwrap_err();
-        assert!(err.to_string().contains("cannot parse"));
+    }
+
+    #[test]
+    fn options_are_sorted_by_key() {
+        let a = parse(&["g.txt", "--trials", "5", "--seed", "7", "--trials", "6"]);
+        assert_eq!(a.options(), [("seed", "7"), ("trials", "6")]);
     }
 
     #[test]

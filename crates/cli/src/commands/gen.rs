@@ -1,75 +1,23 @@
-//! `rumor gen` — emit a benchmark graph as edge-list text.
+//! `rumor gen` — emit a graph as edge-list text.
+//!
+//! The arguments are one `graph =` value of the spec grammar, for
+//! example `rumor gen gnp n=256 p=0.05 seed=5 attempts=200`. They are
+//! parsed and built by [`GraphSpec`], so a family has the same rules on
+//! the command line as in a `.spec` file, and a bad parameter is an
+//! `invalid graph spec` error, not a panic.
 
-use rumor_graph::{generators, io, Graph};
-use rumor_sim::rng::Xoshiro256PlusPlus;
+use rumor_core::spec::GraphSpec;
+use rumor_graph::io;
 
-use crate::args::Args;
 use crate::error::CliError;
 
 /// Runs the `gen` subcommand.
 pub fn run(tokens: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(tokens)?;
-    let family = args.require(0, "family")?.to_owned();
-    let seed: u64 = args.opt_parsed("seed", 42)?;
-    let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-
-    let graph = build(&family, &args, &mut rng)?;
-    Ok(io::to_edge_list(&graph))
-}
-
-fn build(family: &str, args: &Args, rng: &mut Xoshiro256PlusPlus) -> Result<Graph, CliError> {
-    let g = match family {
-        "star" => generators::star(args.require_parsed(1, "n")?),
-        "path" => generators::path(args.require_parsed(1, "n")?),
-        "cycle" => generators::cycle(args.require_parsed(1, "n")?),
-        "complete" => generators::complete(args.require_parsed(1, "n")?),
-        "hypercube" => generators::hypercube(args.require_parsed(1, "d")?),
-        "grid" => {
-            generators::grid(args.require_parsed(1, "rows")?, args.require_parsed(2, "cols")?)
-        }
-        "torus" => {
-            generators::torus(args.require_parsed(1, "rows")?, args.require_parsed(2, "cols")?)
-        }
-        "tree" => generators::complete_binary_tree(args.require_parsed(1, "n")?),
-        "caterpillar" => generators::caterpillar(
-            args.require_parsed(1, "spine")?,
-            args.require_parsed(2, "legs")?,
-        ),
-        "doublestar" => generators::double_star(
-            args.require_parsed(1, "left")?,
-            args.require_parsed(2, "right")?,
-        ),
-        "diamonds" => generators::string_of_diamonds(
-            args.require_parsed(1, "k")?,
-            args.require_parsed(2, "m")?,
-        ),
-        "necklace" => generators::necklace_of_cliques(
-            args.require_parsed(1, "k")?,
-            args.require_parsed(2, "s")?,
-        ),
-        "gnp" => generators::gnp(args.require_parsed(1, "n")?, args.require_parsed(2, "p")?, rng),
-        "regular" => generators::random_regular(
-            args.require_parsed(1, "n")?,
-            args.require_parsed(2, "d")?,
-            rng,
-            10_000,
-        ),
-        "chunglu" => generators::chung_lu(
-            args.require_parsed(1, "n")?,
-            args.require_parsed(2, "beta")?,
-            args.require_parsed(3, "avg")?,
-            rng,
-        ),
-        "pa" => generators::preferential_attachment(
-            args.require_parsed(1, "n")?,
-            args.require_parsed(2, "m")?,
-            rng,
-        ),
-        other => {
-            return Err(CliError::Usage(format!("unknown family `{other}`; see `rumor help`")))
-        }
-    };
-    Ok(g)
+    if tokens.is_empty() {
+        return Err(CliError::Usage("missing <graph> argument".into()));
+    }
+    let graph: GraphSpec = tokens.join(" ").parse()?;
+    Ok(io::to_edge_list(&graph.resolve()?))
 }
 
 #[cfg(test)]
@@ -83,19 +31,21 @@ mod tests {
 
     #[test]
     fn deterministic_families() {
-        let star = gen(&["star", "5"]).unwrap();
+        let star = gen(&["star", "n=5"]).unwrap();
         assert!(star.starts_with("5 4\n"));
-        let q3 = gen(&["hypercube", "3"]).unwrap();
+        let q3 = gen(&["hypercube", "dim=3"]).unwrap();
         assert!(q3.starts_with("8 12\n"));
-        let grid = gen(&["grid", "2", "3"]).unwrap();
+        let grid = gen(&["grid", "rows=2", "cols=3"]).unwrap();
         assert!(grid.starts_with("6 7\n"));
+        // One argument holding the whole value parses the same.
+        assert_eq!(gen(&["grid rows=2 cols=3"]).unwrap(), grid);
     }
 
     #[test]
     fn random_families_respect_seed() {
-        let a = gen(&["gnp", "30", "0.2", "--seed", "9"]).unwrap();
-        let b = gen(&["gnp", "30", "0.2", "--seed", "9"]).unwrap();
-        let c = gen(&["gnp", "30", "0.2", "--seed", "10"]).unwrap();
+        let a = gen(&["gnp", "n=30", "p=0.2", "seed=9", "attempts=50"]).unwrap();
+        let b = gen(&["gnp", "n=30", "p=0.2", "seed=9", "attempts=50"]).unwrap();
+        let c = gen(&["gnp", "n=30", "p=0.2", "seed=10", "attempts=50"]).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -103,22 +53,25 @@ mod tests {
     #[test]
     fn output_round_trips() {
         for fam in [
-            vec!["cycle", "7"],
-            vec!["pa", "20", "2"],
-            vec!["regular", "12", "3"],
-            vec!["diamonds", "2", "3"],
+            "cycle n=7",
+            "pa n=20 m=2 seed=1",
+            "random-regular n=12 d=3 seed=1 attempts=20",
+            "diamonds k=2 m=3",
         ] {
-            let text = gen(&fam).unwrap();
+            let text = gen(&[fam]).unwrap();
             let g = rumor_graph::io::from_edge_list(&text).unwrap();
-            assert!(g.node_count() > 0, "{fam:?}");
+            assert!(g.node_count() > 0, "{fam}");
         }
     }
 
     #[test]
-    fn errors_are_usage_errors() {
-        assert!(gen(&[]).is_err());
-        assert!(gen(&["nosuch", "5"]).is_err());
-        assert!(gen(&["star"]).is_err());
-        assert!(gen(&["star", "xx"]).is_err());
+    fn errors_are_typed() {
+        assert!(matches!(gen(&[]), Err(CliError::Usage(_))));
+        for bad in [&["nosuch", "n=5"][..], &["star"], &["star", "n=xx"], &["cycle", "n=2"]] {
+            let err = gen(bad).unwrap_err();
+            assert!(err.to_string().starts_with("invalid graph spec: "), "{bad:?}: {err}");
+        }
+        // Positional parameters and a `--seed` flag are no graph value.
+        assert!(gen(&["gnp", "30", "0.2", "--seed", "9"]).is_err());
     }
 }

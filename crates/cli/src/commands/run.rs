@@ -1,29 +1,36 @@
 //! `rumor run` — Monte-Carlo spreading-time measurement on a graph file.
 //!
-//! Every run is composed as one [`SimSpec`] (protocol × topology ×
-//! trial plan) and executed through [`SimSpec::build`] /
-//! `Simulation::run` — the CLI only translates flags into the builder
-//! and renders the [`RunReport`]. Two spec-file hooks make committed
-//! experiment lines reproducible from one artifact:
+//! A run is one [`SimSpec`], and its flags speak the `.spec` grammar:
+//! `rumor run <file|-> [--KEY VALUE]…` writes `spec = v1`,
+//! `graph = file <file>` and one `KEY = VALUE` line per flag, and hands
+//! the text to [`SimSpec::parse`]. `KEY` is any spec key except `spec`,
+//! `graph`, `engine` and `rng_contract`; `VALUE` is that key's spec
+//! value, for example
+//! `--protocol "async mode=push-pull view=global-clock" --topology "walk rate=1"`.
+//! Four flags are the CLI's own:
 //!
-//! * `run <file> [flags…] --emit-spec true` prints the run's spec text
-//!   instead of running it;
-//! * `run --spec file.spec` replays a saved spec (no other run flags).
+//! * `--quantile Q` picks the quantile row of the report;
+//! * `--metrics-out PATH` places the `--metrics json` artifact;
+//! * `--emit-spec true` prints the run's spec text instead of running it;
+//! * `--spec file.spec` replays a saved spec (only `--quantile`,
+//!   `--metrics` and `--metrics-out` combine with it).
 
 use rumor_analysis::PairedSamples;
-use rumor_core::dynamic::{
-    Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire, SnapshotFamily,
-};
-use rumor_core::spec::{
-    GraphSpec, Protocol, RunReport, SimSpec, Simulation, Topology, DEFAULT_COUPLED_MAX_ROUNDS,
-};
-use rumor_core::{AsyncView, MetricsLevel, Mode};
-use rumor_graph::{props, Graph};
+use rumor_core::spec::{GraphSpec, RunReport, SimSpec, Simulation, SpecError};
+use rumor_core::MetricsLevel;
+use rumor_graph::props;
 use rumor_sim::stats::{quantile, Summary};
 
 use crate::args::Args;
 use crate::commands::read_graph;
 use crate::error::CliError;
+
+/// The flags that shape what the CLI prints or writes, not the run.
+const CLI_FLAGS: &[&str] = &["quantile", "metrics-out", "emit-spec", "spec"];
+
+/// Spec keys no flag sets: the CLI writes `spec` and `graph` itself,
+/// and `engine` and `rng_contract` have one legal value each.
+const FIXED_KEYS: &[&str] = &["spec", "graph", "engine", "rng_contract"];
 
 /// Runs the `run` subcommand.
 pub fn run(tokens: &[String]) -> Result<String, CliError> {
@@ -39,7 +46,9 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
     // sweeps). Only the presentation-side `--quantile` and the
     // observability flags (`--metrics`, `--metrics-out`) combine.
     let spec_path = args.opt_str("spec", "");
-    if !spec_path.is_empty() {
+    let spec = if spec_path.is_empty() {
+        spec_from_args(&args)?
+    } else {
         if !args.positional().is_empty() {
             return Err(CliError::Usage("run --spec takes no <file> argument".into()));
         }
@@ -51,24 +60,15 @@ pub fn run(tokens: &[String]) -> Result<String, CliError> {
                 extra.join(", --")
             )));
         }
-        let text = std::fs::read_to_string(&spec_path)?;
-        let mut spec = SimSpec::parse(&text)?;
-        if let Some(level) = opt_metrics(&args)? {
-            spec = spec.metrics(level);
-        }
-        let artifact = metrics_artifact_path(&args, Some(&spec_path), spec.metrics)?;
-        let sim = build_connected(&spec)?;
-        return finish(&spec, &sim, &sim.run(), q, artifact);
-    }
-
-    let spec = spec_from_args(&args)?;
-    let artifact = metrics_artifact_path(&args, None, spec.metrics)?;
+        parse_with_flags(&std::fs::read_to_string(&spec_path)?, &args)?
+    };
+    let from_file = (!spec_path.is_empty()).then_some(spec_path.as_str());
+    let artifact = metrics_artifact_path(&args, from_file, spec.metrics)?;
+    // Built before `--emit-spec` prints it, so a saved artifact builds.
+    let sim = build_connected(&spec)?;
     if args.opt_parsed("emit-spec", false)? {
-        // Validate before emitting, so a saved artifact always builds.
-        build_connected(&spec)?;
         return Ok(spec.to_spec_string()?);
     }
-    let sim = build_connected(&spec)?;
     finish(&spec, &sim, &sim.run(), q, artifact)
 }
 
@@ -94,15 +94,6 @@ fn finish(
         }
     }
     Ok(out)
-}
-
-/// The `--metrics` flag, when present.
-fn opt_metrics(args: &Args) -> Result<Option<MetricsLevel>, CliError> {
-    let raw = args.opt_str("metrics", "");
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    raw.parse().map(Some).map_err(|e| CliError::Usage(format!("--metrics: {e}")))
 }
 
 /// Where the `.metrics.json` artifact goes: `--metrics-out` wins, a
@@ -142,157 +133,80 @@ fn build_connected(spec: &SimSpec) -> Result<Simulation, CliError> {
     Ok(sim)
 }
 
-/// Every flag a flag-composed run reads.
-const RUN_FLAGS: &[&str] = &[
-    "antithetic",
-    "attach",
-    "churn",
-    "coupled",
-    "cut-budget",
-    "cut-rate",
-    "dynamic-model",
-    "emit-spec",
-    "heal",
-    "horizon",
-    "join",
-    "leave",
-    "loss",
-    "metrics",
-    "metrics-out",
-    "mode",
-    "model",
-    "move-rate",
-    "period",
-    "quantile",
-    "radius",
-    "seed",
-    "source",
-    "step",
-    "threads",
-    "trials",
-];
-
-/// Translates the flag set into a [`SimSpec`].
+/// Composes the spec of `rumor run <file> [--KEY VALUE]…`.
 fn spec_from_args(args: &Args) -> Result<SimSpec, CliError> {
     let path = args.require(0, "file")?;
     if args.positional().len() > 1 {
         return Err(CliError::Usage("run takes exactly one <file> argument".into()));
     }
-    // An unknown flag is a typo, not a default: rejecting it keeps a
-    // misspelled `--dynamic-model` from silently running static.
-    let unknown = args.keys_outside(RUN_FLAGS);
+    // An unknown flag is a typo or a retired spelling, not a default:
+    // rejecting it keeps a misspelled `--topology` from silently
+    // running static.
+    let keys = flag_keys();
+    let unknown: Vec<&str> = args
+        .options()
+        .into_iter()
+        .map(|(key, _)| key)
+        .filter(|key| !CLI_FLAGS.contains(key) && !keys.iter().any(|k| k == key))
+        .collect();
     if !unknown.is_empty() {
         return Err(CliError::Usage(format!("unknown run flag --{}", unknown.join(", --"))));
     }
-    // Stdin graphs cannot be re-read at build time; files become a
-    // serializable `GraphSpec::File` so `--emit-spec` round-trips.
-    let graph_spec = if path == "-" {
-        GraphSpec::Provided(read_graph(path)?)
-    } else {
-        GraphSpec::File(path.to_owned())
-    };
-    let g = graph_spec.resolve()?;
-
-    let model = args.opt_str("model", "sync");
-    let mode = match args.opt_str("mode", "pushpull").as_str() {
-        "push" => Mode::Push,
-        "pull" => Mode::Pull,
-        "pushpull" | "push-pull" => Mode::PushPull,
-        other => return Err(CliError::Usage(format!("unknown --mode `{other}`"))),
-    };
-    let source: u32 = args.opt_parsed("source", 0)?;
-    let trials: usize = args.opt_parsed("trials", 100)?;
-    let seed: u64 = args.opt_parsed("seed", 42)?;
-    let loss: f64 = args.opt_parsed("loss", 0.0)?;
-    let threads: usize = args.opt_parsed("threads", 1)?;
-    let coupled: bool = args.opt_parsed("coupled", false)?;
-    if model != "sync" && model != "async" {
-        return Err(CliError::Usage(format!("unknown --model `{model}`")));
+    if path.contains(['\n', '\r']) {
+        return Err(CliError::Usage("<file> cannot contain a line break".into()));
     }
-
-    let topology = match args.opt_str("dynamic-model", "none").as_str() {
-        "none" => Topology::Static,
-        name => Topology::Model(parse_dynamic_model(args, name, &g)?),
-    };
-    let topology_is_static = matches!(topology, Topology::Static);
-
-    let protocol = if model == "sync" && !coupled {
-        Protocol::Sync { mode }
-    } else {
-        Protocol::Async { mode, view: AsyncView::GlobalClock }
-    };
-
-    let mut spec = SimSpec::new(graph_spec)
-        .source(source)
-        .protocol(protocol)
-        .topology(topology)
-        .trials(trials)
-        .seed(seed)
-        .threads(threads)
-        .loss(loss)
-        .coupled(coupled);
-    if let Some(level) = opt_metrics(args)? {
-        spec = spec.metrics(level);
-    }
-    if protocol.is_sync() && !topology_is_static {
-        // A synchronous run on a model records the realization up to
-        // its round budget, which a spec must state; the flag path uses
-        // the budget of a coupled run's synchronous half.
-        spec = spec.max_rounds(DEFAULT_COUPLED_MAX_ROUNDS);
-    }
-    if coupled {
-        if let Some(h) = opt_f64(args, "horizon")? {
-            spec = spec.horizon(h);
-        }
-        spec = spec.antithetic(args.opt_parsed("antithetic", false)?);
+    let mut spec = parse_with_flags(&format!("spec = v1\ngraph = file {path}\n"), args)?;
+    // Stdin cannot be re-read at build time: its graph is read once
+    // and provided (so `--emit-spec` has no text form for it).
+    if path == "-" {
+        spec.graph = GraphSpec::Provided(read_graph(path)?);
     }
     Ok(spec)
 }
 
-/// An optional f64 flag: `None` when absent.
-fn opt_f64(args: &Args, key: &str) -> Result<Option<f64>, CliError> {
-    let raw = args.opt_str(key, "");
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    raw.parse().map(Some).map_err(|_| CliError::Usage(format!("cannot parse --{key} from `{raw}`")))
+/// The spec keys a flag may set: every key of the canonical spec text
+/// except [`FIXED_KEYS`].
+fn flag_keys() -> Vec<String> {
+    let canonical = SimSpec::new(GraphSpec::Complete { n: 2 })
+        .to_spec_string()
+        .expect("a generated graph has a text form");
+    canonical
+        .lines()
+        .filter_map(|line| line.split_once(" = "))
+        .map(|(key, _)| key)
+        .filter(|key| !FIXED_KEYS.contains(key))
+        .map(str::to_owned)
+        .collect()
 }
 
-/// Builds the `--dynamic-model` model; [`SimSpec::build`] checks its parameters.
-fn parse_dynamic_model(args: &Args, dynamic: &str, g: &Graph) -> Result<DynamicModel, CliError> {
-    Ok(match dynamic {
-        "markov" => {
-            let nu = args.opt_parsed("churn", 1.0)?;
-            DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: nu, on_rate: nu })
+/// Parses `base` with one `KEY = VALUE` line appended per spec-key
+/// flag. Flag values are outside input: a line break in one is refused
+/// (it would write a second spec line), and a parse error in an
+/// appended line names its flag.
+fn parse_with_flags(base: &str, args: &Args) -> Result<SimSpec, CliError> {
+    // Without a `spec = v1` line the base fails on its own; appended,
+    // its error would land on a flag's line.
+    if base.lines().all(|line| line.trim().is_empty() || line.trim().starts_with('#')) {
+        return Ok(SimSpec::parse(base)?);
+    }
+    let flags: Vec<(&str, &str)> =
+        args.options().into_iter().filter(|(key, _)| !CLI_FLAGS.contains(key)).collect();
+    let mut text = base.to_owned();
+    if !text.ends_with('\n') {
+        text.push('\n');
+    }
+    let first = text.lines().count() + 1;
+    for (key, value) in &flags {
+        if value.contains(['\n', '\r']) {
+            return Err(CliError::Usage(format!("--{key}: a value cannot contain a line break")));
         }
-        "rewire" => DynamicModel::Rewire(Rewire {
-            period: args.opt_parsed("period", 4.0)?,
-            family: SnapshotFamily::matching_density(g),
-        }),
-        "node-churn" => DynamicModel::NodeChurn(NodeChurn {
-            leave_rate: args.opt_parsed("leave", 0.1)?,
-            join_rate: args.opt_parsed("join", 1.0)?,
-            attach_degree: args.opt_parsed("attach", 2)?,
-        }),
-        "walk" => DynamicModel::RandomWalk(RandomWalk { rate: args.opt_parsed("churn", 1.0)? }),
-        "mobility" => DynamicModel::Mobility(Mobility {
-            move_rate: args.opt_parsed("move-rate", 1.0)?,
-            // Default radius matches the base graph's edge density, so
-            // mobility runs are comparable with the other models.
-            radius: args.opt_parsed("radius", Mobility::matching_density(g, 1.0, 0.1).radius)?,
-            step: args.opt_parsed("step", 0.1)?,
-        }),
-        "adversary" => DynamicModel::Adversary(Adversary {
-            rate: args.opt_parsed("cut-rate", 1.0)?,
-            budget: args.opt_parsed("cut-budget", 4)?,
-            heal_after: args.opt_parsed("heal", 1.0)?,
-        }),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --dynamic-model `{other}`; supported: markov, rewire, node-churn, walk, \
-                 mobility, adversary"
-            )))
+        text.push_str(&format!("{key} = {value}\n"));
+    }
+    SimSpec::parse(&text).map_err(|e| match e {
+        SpecError::Parse { line, message } if line >= first => {
+            CliError::Usage(format!("--{}: {message}", flags[line - first].0))
         }
+        other => other.into(),
     })
 }
 
@@ -413,6 +327,24 @@ mod tests {
     }
 
     const TRIANGLE: &str = "3 3\n0 1\n1 2\n0 2\n";
+    const ASYNC: &str = "async mode=push-pull view=global-clock";
+
+    /// One topology value per model.
+    const MODELS: [(&str, &str); 6] = [
+        ("markov off=1 on=1", "edge-markov"),
+        ("rewire period=4 family=gnp p=1", "rewire"),
+        ("node-churn leave=0.1 join=1 attach=2", "node-churn"),
+        ("walk rate=1", "walk"),
+        ("mobility move=1 radius=0.5 step=0.1", "mobility"),
+        ("adversary rate=1 budget=4 heal=1", "adversary"),
+    ];
+
+    fn usage_error(out: Result<String, CliError>) -> String {
+        match out {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn sync_run_reports_statistics() {
@@ -424,7 +356,7 @@ mod tests {
 
     #[test]
     fn async_run_reports_time_units() {
-        let out = with_graph(TRIANGLE, &["--model", "async", "--trials", "30"]).unwrap();
+        let out = with_graph(TRIANGLE, &["--protocol", ASYNC, "--trials", "30"]).unwrap();
         assert!(out.contains("time units"));
     }
 
@@ -437,12 +369,27 @@ mod tests {
 
     #[test]
     fn validates_options() {
-        assert!(with_graph(TRIANGLE, &["--mode", "zigzag"]).is_err());
-        assert!(with_graph(TRIANGLE, &["--model", "psychic"]).is_err());
+        assert!(with_graph(TRIANGLE, &["--protocol", "sync mode=zigzag"]).is_err());
+        assert!(with_graph(TRIANGLE, &["--protocol", "psychic mode=push"]).is_err());
         assert!(with_graph(TRIANGLE, &["--source", "9"]).is_err());
         assert!(with_graph(TRIANGLE, &["--loss", "1.0"]).is_err());
         assert!(with_graph(TRIANGLE, &["--trials", "0"]).is_err());
         assert!(with_graph(TRIANGLE, &["--quantile", "1.5"]).is_err());
+    }
+
+    #[test]
+    fn flag_values_are_outside_input() {
+        // A line break would smuggle a second spec line past the flag.
+        let msg = usage_error(with_graph(TRIANGLE, &["--trials", "5\nloss = 0.5"]));
+        assert!(msg.starts_with("--trials: "), "{msg}");
+        assert!(msg.contains("line break"), "{msg}");
+        // A bad value names its flag, not a spec line the user never
+        // wrote.
+        let msg = usage_error(with_graph(TRIANGLE, &["--seed", "1", "--trials", "x"]));
+        assert_eq!(msg, "--trials: cannot parse trials `x`");
+        let msg = usage_error(with_graph(TRIANGLE, &["--topology", "walk rate=-2"]));
+        assert!(msg.starts_with("--topology: "), "{msg}");
+        assert!(!msg.contains("spec line"), "{msg}");
     }
 
     #[test]
@@ -458,117 +405,104 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_models_run_under_async() {
-        for (flag, printed) in
-            [("markov", "edge-markov"), ("rewire", "rewire"), ("node-churn", "node-churn")]
-        {
+    fn every_model_runs_under_async() {
+        for (topology, printed) in MODELS {
             let out = with_graph(
                 TRIANGLE,
-                &["--model", "async", "--dynamic-model", flag, "--trials", "20"],
+                &["--protocol", ASYNC, "--topology", topology, "--trials", "10"],
             )
             .unwrap();
-            assert!(out.contains(&format!("dynamic {printed}")), "{out}");
-            assert!(out.contains("time units"));
+            assert!(out.contains(&format!("dynamic {printed}")), "{topology}: {out}");
+            assert!(out.contains("time units"), "{topology}: {out}");
         }
     }
 
     #[test]
-    fn dynamic_model_flag_selects_the_new_models() {
-        for (flag, printed) in [
-            ("markov", "edge-markov"),
-            ("rewire", "rewire"),
-            ("walk", "walk"),
-            ("mobility", "mobility"),
-            ("adversary", "adversary"),
-        ] {
-            let out = with_graph(
-                TRIANGLE,
-                &["--model", "async", "--dynamic-model", flag, "--trials", "10"],
-            )
-            .unwrap();
-            assert!(out.contains(&format!("dynamic {printed}")), "{flag}: {out}");
-            assert!(out.contains("time units"), "{flag}: {out}");
-        }
-    }
-
-    #[test]
-    fn dynamic_model_flag_validates() {
+    fn topology_values_are_validated() {
+        let bad =
+            |topology: &str| with_graph(TRIANGLE, &["--protocol", ASYNC, "--topology", topology]);
         // Unknown models.
-        assert!(with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "psychic"]).is_err());
-        assert!(
-            with_graph(TRIANGLE, &["--model", "async", "--dynamic-model", "edge-markov"]).is_err()
-        );
+        assert!(bad("psychic").is_err());
+        assert!(bad("edge-markov off=1 on=1").is_err());
+        assert!(bad("warp").is_err());
         // Model-specific parameter validation.
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "adversary", "--cut-budget", "0"]
-        )
-        .is_err());
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "mobility", "--radius", "0"]
-        )
-        .is_err());
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "walk", "--churn", "-2"]
-        )
-        .is_err());
-        // `--heal inf` is the permanent-removal adversary and is legal.
+        assert!(bad("adversary rate=1 budget=0 heal=1").is_err());
+        assert!(bad("mobility move=1 radius=0 step=0.1").is_err());
+        assert!(bad("walk rate=-2").is_err());
+        assert!(bad("markov off=-1 on=1").is_err());
+        assert!(bad("node-churn leave=0.1 join=1 attach=0").is_err());
+        // `heal=inf` is the permanent-removal adversary and is legal.
         let out = with_graph(
             TRIANGLE,
-            &["--model", "async", "--dynamic-model", "adversary", "--heal", "inf", "--trials", "5"],
+            &[
+                "--protocol",
+                ASYNC,
+                "--topology",
+                "adversary rate=1 budget=4 heal=inf",
+                "--trials",
+                "5",
+            ],
         )
         .unwrap();
         assert!(out.contains("dynamic adversary"), "{out}");
-    }
-
-    #[test]
-    fn dynamic_models_run_synchronously() {
-        for (flags, printed) in [
-            (&["--dynamic-model", "rewire", "--period", "2"][..], "rewire"),
-            (&["--dynamic-model", "rewire", "--period", "2.5"], "rewire"),
-            (&["--dynamic-model", "markov"], "edge-markov"),
-            (&["--dynamic-model", "walk"], "walk"),
-        ] {
-            let out = with_graph(TRIANGLE, &[flags, &["--trials", "20"]].concat()).unwrap();
-            assert!(out.contains(&format!("dynamic {printed}")), "{out}");
-            assert!(out.contains("rounds"), "{out}");
-        }
-    }
-
-    #[test]
-    fn validates_dynamic_options() {
-        assert!(with_graph(TRIANGLE, &["--dynamic-model", "warp"]).is_err());
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "markov", "--churn", "-1"]
-        )
-        .is_err());
         // Loss runs on every topology model.
         assert!(with_graph(
             TRIANGLE,
-            &["--model", "async", "--dynamic-model", "rewire", "--loss", "0.5"]
+            &["--protocol", ASYNC, "--topology", MODELS[1].0, "--loss", "0.5"]
         )
         .is_ok());
-        assert!(with_graph(
-            TRIANGLE,
-            &["--model", "async", "--dynamic-model", "node-churn", "--attach", "0"]
-        )
-        .is_err());
+    }
+
+    #[test]
+    fn dynamic_models_run_synchronously_with_a_round_budget() {
+        for (topology, printed) in [
+            ("rewire period=2 family=gnp p=1", "rewire"),
+            ("rewire period=2.5 family=gnp p=1", "rewire"),
+            (MODELS[0].0, "edge-markov"),
+            (MODELS[3].0, "walk"),
+        ] {
+            let flags = ["--topology", topology, "--trials", "20"];
+            let out =
+                with_graph(TRIANGLE, &[&flags[..], &["--max_rounds", "20000"]].concat()).unwrap();
+            assert!(out.contains(&format!("dynamic {printed}")), "{out}");
+            assert!(out.contains("rounds"), "{out}");
+            // As in a spec file, the round budget must be stated.
+            let err = with_graph(TRIANGLE, &flags).unwrap_err();
+            assert!(matches!(err, CliError::Spec(SpecError::SyncNeedsRoundBudget { .. })), "{err}");
+        }
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
         // A misspelled flag must not silently fall back to a default —
         // here, a static run.
-        let err =
-            with_graph(TRIANGLE, &["--model", "async", "--trials", "3", "--dynamc", "rewire"])
-                .unwrap_err();
-        assert!(err.to_string().contains("unknown run flag --dynamc"), "{err}");
-        // The retired `--dynamic` spelling is just another unknown flag.
-        let err = with_graph(TRIANGLE, &["--model", "async", "--dynamic", "rewire"]).unwrap_err();
-        assert!(err.to_string().contains("unknown run flag --dynamic"), "{err}");
+        let err = with_graph(TRIANGLE, &["--trials", "3", "--topolgy", "walk rate=1"]).unwrap_err();
+        assert!(err.to_string().contains("unknown run flag --topolgy"), "{err}");
+        // The retired flags, the renamed spellings of spec fields, are
+        // unknown flags, and so are the keys the CLI writes or fixes.
+        for flag in [
+            "model",
+            "mode",
+            "dynamic-model",
+            "dynamic",
+            "churn",
+            "period",
+            "leave",
+            "join",
+            "attach",
+            "move-rate",
+            "radius",
+            "step",
+            "cut-rate",
+            "cut-budget",
+            "heal",
+            "graph",
+            "engine",
+            "rng_contract",
+        ] {
+            let msg = usage_error(with_graph(TRIANGLE, &[&format!("--{flag}"), "1"]));
+            assert_eq!(msg, format!("unknown run flag --{flag}"));
+        }
         // `--emit-spec` mode checks its flags too.
         assert!(with_graph(TRIANGLE, &["--emit-spec", "true", "--seeed", "3"]).is_err());
     }
@@ -580,14 +514,10 @@ mod tests {
         let out = with_graph(
             TRIANGLE,
             &[
-                "--model",
-                "async",
-                "--dynamic-model",
-                "node-churn",
-                "--leave",
-                "50",
-                "--join",
-                "0",
+                "--protocol",
+                ASYNC,
+                "--topology",
+                "node-churn leave=50 join=0 attach=2",
                 "--trials",
                 "3",
             ],
@@ -608,32 +538,28 @@ mod tests {
 
     #[test]
     fn coupled_runs_report_paired_statistics() {
-        let out = with_graph(
-            TRIANGLE,
-            &["--coupled", "true", "--dynamic-model", "markov", "--trials", "12"],
-        )
-        .unwrap();
+        let coupled = |topology: &str, trials: &str| {
+            with_graph(TRIANGLE, &["--coupled", "true", "--topology", topology, "--trials", trials])
+        };
+        let out = coupled(MODELS[0].0, "12").unwrap();
         assert!(out.contains("coupled sync/async"), "{out}");
         assert!(out.contains("ci95 paired"), "{out}");
         assert!(out.contains("ci95 independent"), "{out}");
         assert!(out.contains("dynamic edge-markov"), "{out}");
         // The trace cursor replays every model, the frontier adversary
         // included.
-        let out = with_graph(
-            TRIANGLE,
-            &["--coupled", "true", "--dynamic-model", "adversary", "--trials", "8"],
-        )
-        .unwrap();
+        let out = coupled(MODELS[5].0, "8").unwrap();
         assert!(out.contains("dynamic adversary"), "{out}");
         // Validation.
         assert!(with_graph(TRIANGLE, &["--coupled", "true", "--loss", "0.2"]).is_err());
         assert!(
-            with_graph(TRIANGLE, &["--coupled", "true", "--model", "psychic"]).is_err(),
-            "unknown --model must be rejected on coupled runs too"
+            with_graph(TRIANGLE, &["--coupled", "true", "--protocol", "psychic mode=push"])
+                .is_err(),
+            "an unknown protocol must be rejected on coupled runs too"
         );
         assert!(with_graph(
             TRIANGLE,
-            &["--coupled", "true", "--horizon", "-1", "--dynamic-model", "markov"]
+            &["--coupled", "true", "--horizon", "-1", "--topology", MODELS[0].0]
         )
         .is_err());
     }
@@ -641,22 +567,23 @@ mod tests {
     #[test]
     fn antithetic_coupled_runs_report_and_validate() {
         let base =
-            ["--coupled", "true", "--dynamic-model", "markov", "--trials", "10", "--seed", "5"];
+            ["--coupled", "true", "--topology", MODELS[0].0, "--trials", "10", "--seed", "5"];
         let plain = with_graph(TRIANGLE, &base).unwrap();
         let mut anti = base.to_vec();
         anti.extend(["--antithetic", "true"]);
         let anti = with_graph(TRIANGLE, &anti).unwrap();
         assert!(anti.contains("antithetic"), "{anti}");
         assert_ne!(plain, anti, "antithetic pair averages differ from single runs");
-        // Antithetic pairing without coupling is rejected (the spec
-        // ignores the flag unless coupled; direct spec runs reject it —
-        // see SpecError::AntitheticNeedsCoupling tests).
+        // Antithetic pairing without coupling is rejected, as in a spec
+        // file.
+        let err = with_graph(TRIANGLE, &["--antithetic", "true"]).unwrap_err();
+        assert!(matches!(err, CliError::Spec(SpecError::AntitheticNeedsCoupling)), "{err}");
     }
 
     #[test]
     fn dynamic_run_is_deterministic_per_seed() {
         let flags =
-            ["--model", "async", "--dynamic-model", "markov", "--trials", "15", "--seed", "3"];
+            ["--protocol", ASYNC, "--topology", MODELS[0].0, "--trials", "15", "--seed", "3"];
         let a = with_graph(TRIANGLE, &flags).unwrap();
         let b = with_graph(TRIANGLE, &flags).unwrap();
         assert_eq!(a, b);
@@ -721,6 +648,14 @@ mod tests {
         assert!(out.contains("metrics artifact:"), "{out}");
         assert!(artifact.exists(), "artifact written next to the spec");
         std::fs::remove_file(&artifact).ok();
+
+        // An empty spec is refused as a spec, not blamed on `--metrics`.
+        std::fs::write(&spec_path, "# no directives\n").unwrap();
+        let spec_flag = ["--spec".to_string(), spec_path.to_str().unwrap().to_string()];
+        let err = run(&[&spec_flag[..], &["--metrics".into(), "summary".into()]].concat())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "spec line 1: missing `spec = v1` directive");
         std::fs::remove_file(&graph_path).ok();
         std::fs::remove_file(&spec_path).ok();
     }
@@ -736,10 +671,10 @@ mod tests {
 
         // 1. Compose a run from flags and emit its spec.
         let flags = [
-            "--model",
-            "async",
-            "--dynamic-model",
-            "markov",
+            "--protocol",
+            ASYNC,
+            "--topology",
+            "markov off=1 on=1",
             "--trials",
             "15",
             "--seed",

@@ -1,24 +1,28 @@
 //! Command-line front end for the rumor-spreading workspace.
 //!
-//! Three subcommands:
+//! The CLI speaks one grammar, the `.spec` text format of
+//! [`rumor_core::spec`]:
 //!
 //! ```text
-//! rumor gen <family> <params…> [--seed S]        # emit an edge list
+//! rumor gen <graph value>                        # emit an edge list
 //! rumor stats <file|->                           # structural properties
-//! rumor run <file|-> [--model sync|async] [--mode push|pull|pushpull]
-//!           [--source U] [--trials N] [--seed S] [--loss P] [--quantile Q]
-//!           [--dynamic-model markov|rewire|node-churn|walk|mobility|adversary]
-//!           [--churn NU] [--period T] [--leave R] [--join R] [--attach K]
-//!           [--emit-spec true]
+//! rumor run <file|-> [--KEY VALUE]…              # one flag per spec line
+//!           [--quantile Q] [--metrics-out PATH] [--emit-spec true]
 //! rumor run --spec file.spec                     # replay a saved run spec
 //! ```
+//!
+//! `gen` takes what follows `graph =` in a spec (for example
+//! `gnp n=256 p=0.05 seed=5 attempts=200`), and each `--KEY VALUE` of
+//! `run` is the spec line `KEY = VALUE` (for example
+//! `--topology "walk rate=1"`).
 //!
 //! Graphs are exchanged as plain edge-list text (`n m` header, one `u v`
 //! pair per line, `#` comments), so the tool composes with shell
 //! pipelines:
 //!
 //! ```text
-//! rumor gen hypercube 8 | rumor run - --model async --trials 500
+//! rumor gen hypercube dim=8 \
+//!     | rumor run - --protocol "async mode=push-pull view=global-clock" --trials 500
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,44 +63,51 @@ pub fn usage() -> String {
 rumor — randomized rumor spreading toolkit (PODC 2016 reproduction)
 
 USAGE:
-    rumor gen <family> <params…> [--seed S]
+    rumor gen <graph value>
     rumor stats <file|->
-    rumor run <file|-> [options]
+    rumor run <file|-> [--KEY VALUE]…
+    rumor run --spec FILE
     rumor sweep <file.spec> [--workers N] [--pilot true] [--out PATH]
     rumor serve [--socket PATH] [--max-conn N]
     rumor help
 
-FAMILIES (rumor gen):
-    star N | path N | cycle N | complete N | hypercube D
-    grid R C | torus R C | tree N | caterpillar SPINE LEGS
-    doublestar LEFT RIGHT | diamonds K M | necklace K S
-    gnp N P | regular N D | chunglu N BETA AVG | pa N M
+GRAPHS (rumor gen, and the `graph =` line of a spec):
+    star n= | path n= | cycle n= | complete n= | hypercube dim=
+    grid rows= cols= | torus rows= cols= | binary-tree n=
+    caterpillar spine= legs= | double-star left= right=
+    diamonds k= m= | necklace cliques= size=
+    gnp n= p= seed= attempts= | random-regular n= d= seed= attempts=
+    chung-lu n= beta= avg= seed= | pa n= m= seed=
+    gnp and random-regular return the first connected draw within
+    `attempts`; e.g. `rumor gen gnp n=256 p=0.05 seed=5 attempts=200`.
 
-RUN OPTIONS:
-    --model sync|async      protocol model            [default: sync]
-    --mode push|pull|pushpull                         [default: pushpull]
-    --source U              rumor source vertex       [default: 0]
-    --trials N              Monte-Carlo trials        [default: 100]
-    --seed S                master seed               [default: 42]
-    --loss P                per-contact loss in [0,1) [default: 0]
-    --quantile Q            report the Q-quantile     [default: 0.9]
-    --threads T             trial fan-out threads     [default: 1]
-    --coupled true          paired sync/async runs on shared topology traces
-    --horizon H             coupled trace horizon     [default: 24 ln n]
-    --antithetic true       two protocol seeds per trace, averaged (coupled)
-    --emit-spec true        print the run's spec artifact instead of running
-    --spec FILE             replay a saved spec artifact (no other run flags)
+RUN (rumor run <file|-> [--KEY VALUE]…):
+    each flag is the spec line `KEY = VALUE`; KEY is one of source,
+    protocol, topology, trials, seed, threads, loss, max_steps,
+    max_rounds, coupled, horizon, antithetic, metrics. For example
+    --protocol 'async mode=push-pull view=global-clock' (mode push |
+    pull | push-pull; view global-clock | node-clocks | edge-clocks),
+    --topology 'walk rate=1', --coupled true, --metrics summary.
+    Defaults: sync mode=push-pull, static, 100 trials, seed 42;
+    `--emit-spec true` prints every key of the run. A sync run on a
+    topology model must state --max_rounds (e.g. 20000).
+    --quantile Q        report the Q-quantile [default: 0.9]
+    --metrics-out PATH  where `--metrics json` writes its artifact
+    --emit-spec true    print the run's spec instead of running it
+    --spec FILE         replay a saved spec (combines only with
+                        --quantile, --metrics, --metrics-out)
 
-DYNAMIC NETWORKS (rumor run --dynamic-model …):
-    markov        per-edge on/off churn      (--churn NU, default 1)
-    rewire        periodic fresh snapshots   (--period T, default 4)
-    node-churn    node leave/join            (--leave R --join R --attach K)
-    walk          random-walk edge dynamics  (--churn RATE, default 1)
-    mobility      geometric mobility         (--move-rate R --radius R --step S)
-    adversary     frontier cuts              (--cut-rate R --cut-budget B --heal T)
-    every model runs under both --model sync and --model async (a sync
-    run records the model's realization and replays it in rounds, up to
-    20000 rounds); rewire snapshots are drawn at matching edge density.
+DYNAMIC NETWORKS (--topology):
+    markov off= on=                      per-edge on/off churn
+    rewire period= family=gnp p=         periodic fresh snapshots
+      (or family=random-regular d=)
+    node-churn leave= join= attach=      node leave/join
+    walk rate=                           random-walk edge dynamics
+    mobility move= radius= step=         geometric mobility
+    adversary rate= budget= heal=        frontier cuts
+    static-model                         the dynamic engine on a static graph
+    every model runs under both protocols (a sync run records the
+    model's realization and replays it in rounds, up to max_rounds).
 
 FLEET (rumor sweep / worker / serve):
     sweep expands `sweep.<key> = [v1, v2, …]` axis lines in the spec
@@ -131,7 +142,7 @@ mod tests {
     fn no_args_prints_usage() {
         let out = exec(&[]).unwrap();
         assert!(out.contains("USAGE"));
-        assert!(exec(&["help"]).unwrap().contains("FAMILIES"));
+        assert!(exec(&["help"]).unwrap().contains("GRAPHS"));
     }
 
     #[test]
@@ -143,7 +154,7 @@ mod tests {
     #[test]
     fn gen_stats_run_pipeline() {
         // gen → write to temp file → stats → run.
-        let edge_list = exec(&["gen", "hypercube", "4"]).unwrap();
+        let edge_list = exec(&["gen", "hypercube", "dim=4"]).unwrap();
         let path = std::env::temp_dir().join("rumor_cli_test_q4.txt");
         std::fs::write(&path, &edge_list).unwrap();
         let path_str = path.to_str().unwrap();
@@ -152,7 +163,8 @@ mod tests {
         assert!(stats.contains("nodes: 16"));
         assert!(stats.contains("regular: 4"));
 
-        let run = exec(&["run", path_str, "--trials", "50", "--model", "async"]).unwrap();
+        let async_pp = "async mode=push-pull view=global-clock";
+        let run = exec(&["run", path_str, "--trials", "50", "--protocol", async_pp]).unwrap();
         assert!(run.contains("mean"), "{run}");
         std::fs::remove_file(&path).ok();
     }

@@ -1,6 +1,6 @@
 //! The sharded and lazy engines are gone, and every way of asking for
 //! them fails with rc=2 instead of quietly running another engine: the
-//! `--shards` and `--lazy` flags, an `engine = sharded` line or an
+//! `--shards`, `--lazy` and `--engine` flags, an `engine = sharded` line or an
 //! uncoupled `engine = lazy` line in a replayed spec, and the same lines
 //! in a sweep base. On a coupled plan `engine = lazy` named the trace
 //! cursor, which every trace replay now runs on, so such a spec still
@@ -29,7 +29,7 @@ fn assert_usage_error(out: &Output, needle: &str) {
 /// Writes a complete 8-node graph and runs `rumor run` on it with
 /// `flags`.
 fn run_on_graph(stamp: &str, flags: &[&str]) -> Output {
-    let graph = rumor(&["gen", "complete", "8"]);
+    let graph = rumor(&["gen", "complete", "n=8"]);
     assert!(graph.status.success(), "{graph:?}");
     let path = temp_file(stamp, &String::from_utf8(graph.stdout).unwrap());
     let mut args = vec!["run", path.to_str().unwrap()];
@@ -59,6 +59,8 @@ fn assert_spec_and_sweep_refused(stamp: &str, spec_text: &str, needle: &str) {
     }
 }
 
+const ASYNC: &str = "async mode=push-pull view=global-clock";
+
 const SHARDED_SPEC: &str = "\
 spec = v1
 graph = complete n=8
@@ -77,8 +79,12 @@ trials = 4
 
 #[test]
 fn shards_flag_exits_rc2_as_an_unknown_flag() {
-    let out = run_on_graph("shards_graph.txt", &["--model", "async", "--shards", "2"]);
+    let out = run_on_graph("shards_graph.txt", &["--protocol", ASYNC, "--shards", "2"]);
     assert_usage_error(&out, "unknown run flag --shards");
+    // The spec key that named the engine is no flag.
+    let out =
+        run_on_graph("engine_graph.txt", &["--protocol", ASYNC, "--engine", "sharded shards=2"]);
+    assert_usage_error(&out, "unknown run flag --engine");
 }
 
 #[test]
@@ -88,7 +94,7 @@ fn sharded_spec_and_sweep_base_exit_rc2_as_an_unknown_engine() {
 
 #[test]
 fn lazy_flag_exits_rc2_as_an_unknown_flag() {
-    let out = run_on_graph("lazy_graph.txt", &["--model", "async", "--lazy", "true"]);
+    let out = run_on_graph("lazy_graph.txt", &["--protocol", ASYNC, "--lazy", "true"]);
     assert_usage_error(&out, "unknown run flag --lazy");
 }
 

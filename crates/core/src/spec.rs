@@ -371,69 +371,135 @@ pub enum GraphSpec {
         /// Column count.
         cols: usize,
     },
+    /// The `rows × cols` grid with open boundary.
+    Grid {
+        /// Row count.
+        rows: usize,
+        /// Column count.
+        cols: usize,
+    },
+    /// The complete binary tree on `n` nodes.
+    BinaryTree {
+        /// Node count.
+        n: usize,
+    },
+    /// A path of `spine` nodes, each carrying `legs` leaves.
+    Caterpillar {
+        /// Spine length.
+        spine: usize,
+        /// Leaves per spine node.
+        legs: usize,
+    },
+    /// Two joined centers with `left` and `right` leaves.
+    DoubleStar {
+        /// Leaves of center 0.
+        left: usize,
+        /// Leaves of center 1.
+        right: usize,
+    },
+    /// The string of `k` diamonds of `m` two-hop paths each, the
+    /// paper's separation witness (source: hub 0).
+    Diamonds {
+        /// Diamond count.
+        k: usize,
+        /// Internal paths per diamond.
+        m: usize,
+    },
+    /// One Chung–Lu power-law draw (not conditioned on connectivity).
+    ChungLu {
+        /// Node count.
+        n: usize,
+        /// Power-law exponent.
+        beta: f64,
+        /// Target average degree.
+        avg: f64,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// Preferential attachment, `m` edges per arriving node.
+    PreferentialAttachment {
+        /// Node count.
+        n: usize,
+        /// Edges per arriving node.
+        m: usize,
+        /// Generator seed.
+        seed: u64,
+    },
 }
 
 impl GraphSpec {
-    /// Builds (or reads) the graph this spec describes.
+    /// Builds (or reads) the graph this spec describes. Each family's
+    /// rules are checked here, before it is built, so a bad parameter
+    /// is a [`SpecError::InvalidGraph`] that quotes the graph value.
     pub fn resolve(&self) -> Result<Graph, SpecError> {
         let invalid = |msg: String| SpecError::InvalidGraph(msg);
+        let need = |ok: bool, rule: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(invalid(format!("`{}` needs {rule}", graph_to_text(self)?)))
+            }
+        };
         let exhausted = |family: &str, attempts: usize| {
             invalid(format!("{family} found no connected sample within attempts={attempts}"))
         };
+        let rng = Xoshiro256PlusPlus::seed_from;
         self.check_node_count()?;
-        match self {
-            GraphSpec::Provided(g) => Ok(g.clone()),
-            GraphSpec::File(path) => {
+        match *self {
+            GraphSpec::Provided(ref g) => Ok(g.clone()),
+            GraphSpec::File(ref path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| invalid(format!("cannot read `{path}`: {e}")))?;
                 io::from_edge_list(&text).map_err(|e| invalid(format!("bad edge list: {e}")))
             }
             GraphSpec::Gnp { n, p, seed, attempts } => {
-                if *n < 2 || !(*p > 0.0 && *p <= 1.0) || *attempts == 0 {
-                    return Err(invalid(format!("gnp needs n >= 2, p in (0, 1], attempts > 0 (got n={n}, p={p}, attempts={attempts})")));
-                }
-                let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                generators::try_gnp_connected(*n, *p, &mut rng, *attempts)
-                    .ok_or_else(|| exhausted("gnp", *attempts))
+                let rule = "n >= 2, p in (0, 1], attempts > 0";
+                need(n >= 2 && p > 0.0 && p <= 1.0 && attempts > 0, rule)?;
+                generators::try_gnp_connected(n, p, &mut rng(seed), attempts)
+                    .ok_or_else(|| exhausted("gnp", attempts))
             }
             GraphSpec::RandomRegular { n, d, seed, attempts } => {
-                if *n < 2 || *d == 0 || *d >= *n || n * d % 2 != 0 || *attempts == 0 {
-                    return Err(invalid(format!(
-                        "random-regular needs 0 < d < n, n*d even, attempts > 0 (got n={n}, d={d})"
-                    )));
-                }
-                let mut rng = Xoshiro256PlusPlus::seed_from(*seed);
-                generators::try_random_regular_connected(*n, *d, &mut rng, *attempts)
-                    .ok_or_else(|| exhausted("random-regular", *attempts))
+                let rule = "0 < d < n, n*d even, attempts > 0";
+                need(d > 0 && d < n && (n * d).is_multiple_of(2) && attempts > 0, rule)?;
+                generators::try_random_regular_connected(n, d, &mut rng(seed), attempts)
+                    .ok_or_else(|| exhausted("random-regular", attempts))
             }
             GraphSpec::Hypercube { dim } => {
-                if *dim == 0 || *dim > 24 {
-                    return Err(invalid(format!("hypercube dim {dim} out of range [1, 24]")));
-                }
-                Ok(generators::hypercube(*dim))
+                need((1..=24).contains(&dim), "dim in [1, 24]").map(|()| generators::hypercube(dim))
             }
-            GraphSpec::Complete { n } => sized(*n, generators::complete),
-            GraphSpec::Path { n } => sized(*n, generators::path),
-            GraphSpec::Cycle { n } => {
-                if *n < 3 {
-                    return Err(invalid(format!("cycle needs n >= 3, got {n}")));
-                }
-                Ok(generators::cycle(*n))
-            }
-            GraphSpec::Star { n } => sized(*n, generators::star),
+            GraphSpec::Complete { n } => need(n >= 2, "n >= 2").map(|()| generators::complete(n)),
+            GraphSpec::Path { n } => need(n >= 2, "n >= 2").map(|()| generators::path(n)),
+            GraphSpec::Cycle { n } => need(n >= 3, "n >= 3").map(|()| generators::cycle(n)),
+            GraphSpec::Star { n } => need(n >= 2, "n >= 2").map(|()| generators::star(n)),
             GraphSpec::Necklace { cliques, size } => {
-                if *cliques == 0 || *size < 2 {
-                    return Err(invalid(format!(
-                        "necklace needs cliques > 0 and size >= 2 (got {cliques}x{size})"
-                    )));
-                }
-                Ok(generators::necklace_of_cliques(*cliques, *size))
+                need(cliques > 0 && size >= 2, "cliques > 0, size >= 2")
+                    .map(|()| generators::necklace_of_cliques(cliques, size))
             }
-            GraphSpec::Torus { rows, cols } => {
-                if *rows < 3 || *cols < 3 {
-                    return Err(invalid(format!("torus needs rows, cols >= 3, got {rows}x{cols}")));
-                }
-                Ok(generators::torus(*rows, *cols))
+            GraphSpec::Torus { rows, cols } => need(rows >= 3 && cols >= 3, "rows, cols >= 3")
+                .map(|()| generators::torus(rows, cols)),
+            GraphSpec::Grid { rows, cols } => {
+                need(rows > 0 && cols > 0 && rows * cols >= 2, "rows, cols > 0 and 2 nodes")
+                    .map(|()| generators::grid(rows, cols))
+            }
+            GraphSpec::BinaryTree { n } => {
+                need(n >= 2, "n >= 2").map(|()| generators::complete_binary_tree(n))
+            }
+            GraphSpec::Caterpillar { spine, legs } => {
+                need(spine >= 2, "spine >= 2").map(|()| generators::caterpillar(spine, legs))
+            }
+            GraphSpec::DoubleStar { left, right } => need(left > 0 && right > 0, "left, right > 0")
+                .map(|()| generators::double_star(left, right)),
+            GraphSpec::Diamonds { k, m } => {
+                need(k > 0 && m > 0, "k, m > 0").map(|()| generators::string_of_diamonds(k, m))
+            }
+            GraphSpec::ChungLu { n, beta, avg, seed } => {
+                let ok = n >= 2 && beta > 2.0 && beta.is_finite() && avg > 0.0 && avg.is_finite();
+                need(ok, "n >= 2, finite beta > 2, finite avg > 0")?;
+                Ok(generators::chung_lu(n, beta, avg, &mut rng(seed)))
+            }
+            GraphSpec::PreferentialAttachment { n, m, seed } => {
+                need(m > 0 && n > m.saturating_add(1), "m > 0, n > m + 1")?;
+                Ok(generators::preferential_attachment(n, m, &mut rng(seed)))
             }
         }
     }
@@ -445,9 +511,15 @@ impl GraphSpec {
         let nodes = match *self {
             Provided(_) | File(_) | Hypercube { .. } => return Ok(()),
             Gnp { n, .. } | RandomRegular { n, .. } => Some(n),
-            Complete { n } | Path { n } | Cycle { n } | Star { n } => Some(n),
+            Complete { n } | Path { n } | Cycle { n } | Star { n } | BinaryTree { n } => Some(n),
+            ChungLu { n, .. } | PreferentialAttachment { n, .. } => Some(n),
             Necklace { cliques, size } => cliques.checked_mul(size),
-            Torus { rows, cols } => rows.checked_mul(cols),
+            Torus { rows, cols } | Grid { rows, cols } => rows.checked_mul(cols),
+            Caterpillar { spine, legs } => legs.checked_add(1).and_then(|l| spine.checked_mul(l)),
+            DoubleStar { left, right } => left.checked_add(right).and_then(|l| l.checked_add(2)),
+            Diamonds { k, m } => {
+                k.checked_mul(m).and_then(|km| km.checked_add(k)).and_then(|x| x.checked_add(1))
+            }
         };
         match nodes {
             Some(n) if n <= MAX_NODES => Ok(()),
@@ -457,13 +529,6 @@ impl GraphSpec {
             ))),
         }
     }
-}
-
-fn sized(n: usize, gen: impl Fn(usize) -> Graph) -> Result<Graph, SpecError> {
-    if n < 2 {
-        return Err(SpecError::InvalidGraph(format!("graph needs n >= 2, got {n}")));
-    }
-    Ok(gen(n))
 }
 
 /// Everything that can be wrong with a [`SimSpec`] — the one place the
@@ -1708,7 +1773,30 @@ fn graph_to_text(graph: &GraphSpec) -> Result<String, SpecError> {
         GraphSpec::Star { n } => format!("star n={n}"),
         GraphSpec::Necklace { cliques, size } => format!("necklace cliques={cliques} size={size}"),
         GraphSpec::Torus { rows, cols } => format!("torus rows={rows} cols={cols}"),
+        GraphSpec::Grid { rows, cols } => format!("grid rows={rows} cols={cols}"),
+        GraphSpec::BinaryTree { n } => format!("binary-tree n={n}"),
+        GraphSpec::Caterpillar { spine, legs } => format!("caterpillar spine={spine} legs={legs}"),
+        GraphSpec::DoubleStar { left, right } => format!("double-star left={left} right={right}"),
+        GraphSpec::Diamonds { k, m } => format!("diamonds k={k} m={m}"),
+        GraphSpec::ChungLu { n, beta, avg, seed } => {
+            format!("chung-lu n={n} beta={} avg={} seed={seed}", fmt_f64(*beta), fmt_f64(*avg))
+        }
+        GraphSpec::PreferentialAttachment { n, m, seed } => format!("pa n={n} m={m} seed={seed}"),
     })
+}
+
+/// Parses a `graph =` value, such as `gnp n=64 p=0.1 seed=1 attempts=200`
+/// (the arguments of `rumor gen`). A malformed value is a
+/// [`SpecError::InvalidGraph`]: it has no spec line to name.
+impl std::str::FromStr for GraphSpec {
+    type Err = SpecError;
+
+    fn from_str(value: &str) -> Result<Self, SpecError> {
+        graph_from_text(value.trim(), 0).map_err(|e| match e {
+            SpecError::Parse { message, .. } => SpecError::InvalidGraph(message),
+            other => other,
+        })
+    }
 }
 
 fn graph_from_text(value: &str, line: usize) -> Result<GraphSpec, SpecError> {
@@ -1736,6 +1824,22 @@ fn graph_from_text(value: &str, line: usize) -> Result<GraphSpec, SpecError> {
         "star" => GraphSpec::Star { n: f.get("n")? },
         "necklace" => GraphSpec::Necklace { cliques: f.get("cliques")?, size: f.get("size")? },
         "torus" => GraphSpec::Torus { rows: f.get("rows")?, cols: f.get("cols")? },
+        "grid" => GraphSpec::Grid { rows: f.get("rows")?, cols: f.get("cols")? },
+        "binary-tree" => GraphSpec::BinaryTree { n: f.get("n")? },
+        "caterpillar" => GraphSpec::Caterpillar { spine: f.get("spine")?, legs: f.get("legs")? },
+        "double-star" => GraphSpec::DoubleStar { left: f.get("left")?, right: f.get("right")? },
+        "diamonds" => GraphSpec::Diamonds { k: f.get("k")?, m: f.get("m")? },
+        "chung-lu" => GraphSpec::ChungLu {
+            n: f.get("n")?,
+            beta: f.get("beta")?,
+            avg: f.get("avg")?,
+            seed: f.get("seed")?,
+        },
+        "pa" => GraphSpec::PreferentialAttachment {
+            n: f.get("n")?,
+            m: f.get("m")?,
+            seed: f.get("seed")?,
+        },
         other => {
             return Err(SpecError::Parse {
                 line,
@@ -1943,6 +2047,14 @@ mod tests {
             GraphSpec::Torus { rows: usize::MAX, cols: 3 },
             GraphSpec::Necklace { cliques: 1 << 17, size: 1 << 15 },
             GraphSpec::Necklace { cliques: 3, size: usize::MAX },
+            GraphSpec::Grid { rows: usize::MAX, cols: 2 },
+            GraphSpec::BinaryTree { n: big },
+            GraphSpec::Caterpillar { spine: 2, legs: usize::MAX },
+            GraphSpec::DoubleStar { left: usize::MAX - 1, right: 1 },
+            GraphSpec::Diamonds { k: usize::MAX, m: 1 },
+            GraphSpec::Diamonds { k: MAX_NODES / 2 + 1, m: 1 },
+            GraphSpec::ChungLu { n: big, beta: 2.5, avg: 2.0, seed: 1 },
+            GraphSpec::PreferentialAttachment { n: big, m: 1, seed: 1 },
         ] {
             let err = spec.resolve().unwrap_err();
             assert!(

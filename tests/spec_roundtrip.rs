@@ -27,7 +27,7 @@ use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 fn spec_from_seed(seed: u64) -> SimSpec {
     let rng = &mut Xoshiro256PlusPlus::seed_from(seed);
     let f = |rng: &mut Xoshiro256PlusPlus| rng.f64_unit();
-    let graph = match rng.next_u64() % 10 {
+    let graph = match rng.next_u64() % 17 {
         0 => GraphSpec::File(format!("graphs/g{}.txt", rng.next_u64() % 100)),
         1 => GraphSpec::Gnp {
             n: 2 + (rng.next_u64() % 100) as usize,
@@ -50,9 +50,37 @@ fn spec_from_seed(seed: u64) -> SimSpec {
             cliques: 1 + (rng.next_u64() % 8) as usize,
             size: 2 + (rng.next_u64() % 16) as usize,
         },
-        _ => GraphSpec::Torus {
+        9 => GraphSpec::Torus {
             rows: 3 + (rng.next_u64() % 8) as usize,
             cols: 3 + (rng.next_u64() % 8) as usize,
+        },
+        10 => GraphSpec::Grid {
+            rows: 1 + (rng.next_u64() % 8) as usize,
+            cols: 2 + (rng.next_u64() % 8) as usize,
+        },
+        11 => GraphSpec::BinaryTree { n: 2 + (rng.next_u64() % 64) as usize },
+        12 => GraphSpec::Caterpillar {
+            spine: 2 + (rng.next_u64() % 16) as usize,
+            legs: (rng.next_u64() % 4) as usize,
+        },
+        13 => GraphSpec::DoubleStar {
+            left: 1 + (rng.next_u64() % 16) as usize,
+            right: 1 + (rng.next_u64() % 16) as usize,
+        },
+        14 => GraphSpec::Diamonds {
+            k: 1 + (rng.next_u64() % 8) as usize,
+            m: 1 + (rng.next_u64() % 16) as usize,
+        },
+        15 => GraphSpec::ChungLu {
+            n: 2 + (rng.next_u64() % 100) as usize,
+            beta: 2.0 + f(rng),
+            avg: 8.0 * f(rng),
+            seed: rng.next_u64(),
+        },
+        _ => GraphSpec::PreferentialAttachment {
+            n: 4 + (rng.next_u64() % 100) as usize,
+            m: 1 + (rng.next_u64() % 2) as usize,
+            seed: rng.next_u64(),
         },
     };
     let mode = [Mode::Push, Mode::Pull, Mode::PushPull][(rng.next_u64() % 3) as usize];
@@ -188,6 +216,17 @@ fn invalid_graphs_are_rejected() {
         GraphSpec::Necklace { cliques: 0, size: 4 },
         GraphSpec::Torus { rows: 2, cols: 5 },
         GraphSpec::File("/definitely/not/a/real/path.txt".into()),
+        GraphSpec::Grid { rows: 0, cols: 1 },
+        GraphSpec::Grid { rows: 1, cols: 1 },
+        GraphSpec::BinaryTree { n: 1 },
+        GraphSpec::Caterpillar { spine: 1, legs: 2 },
+        GraphSpec::DoubleStar { left: 0, right: 3 },
+        GraphSpec::Diamonds { k: 0, m: 1 },
+        GraphSpec::Diamonds { k: 1, m: 0 },
+        GraphSpec::ChungLu { n: 10, beta: 1.5, avg: 2.0, seed: 1 },
+        GraphSpec::ChungLu { n: 10, beta: 2.5, avg: 0.0, seed: 1 },
+        GraphSpec::PreferentialAttachment { n: 5, m: 10, seed: 1 },
+        GraphSpec::PreferentialAttachment { n: 5, m: 0, seed: 1 },
         // No connected sample within the attempts: far below the
         // connectivity threshold, and a 1-regular graph is a matching.
         GraphSpec::Gnp { n: 64, p: 0.01, seed: 5, attempts: 1 },

@@ -62,8 +62,8 @@ fn run_seq<M: TopologyModel>(
     run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
 }
 
-/// The five `--dynamic-model` choices plus node churn (which exercises
-/// the activation half of the step diffs).
+/// The six topology models (node churn exercises the activation half
+/// of the step diffs).
 fn all_models() -> Vec<(&'static str, DynamicModel)> {
     vec![
         ("markov", DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))),
