@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion
 // measures, parameter drift included.
 use rumor_analysis::experiments::e22_models::matched_models;
 use rumor_core::dynamic::{Adversary, Mobility};
-use rumor_core::engine::{StateVisitor, TopoDriver, TopologyModel};
+use rumor_core::engine::TopoDriver;
 use rumor_core::{run_dynamic, DynamicModel, Mode};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Graph, Node};
@@ -217,32 +217,23 @@ fn bench_hotpath_components(c: &mut Criterion) {
 const STEPS_PER_SAMPLE: usize = 1000;
 
 /// Times [`STEPS_PER_SAMPLE`] [`TopoDriver`] steps per sample over the
-/// model's concrete state, with nodes `0..informed` informed first.
-struct DriverSteps<'a> {
-    b: &'a mut Bencher,
-    g: &'a Graph,
-    informed: usize,
-}
-
-impl StateVisitor for DriverSteps<'_> {
-    type Output = ();
-
-    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) {
-        let mut rng = Xoshiro256PlusPlus::seed_from(23);
-        let mut net = MutableGraph::from_graph(self.g);
-        let mut driver = TopoDriver::new(self.g, &mut net, &mut state, &mut rng);
-        for v in 0..self.informed {
-            state.note_informed(v as Node, &net);
-        }
-        self.b.iter(|| {
-            let mut t = 0.0;
-            for _ in 0..STEPS_PER_SAMPLE {
-                t = driver.next_time(&mut rng);
-                driver.step(&mut state, &mut net, &mut rng);
-            }
-            t
-        });
+/// model's boxed state, with nodes `0..informed` informed first.
+fn driver_steps(b: &mut Bencher, g: &Graph, model: &DynamicModel, informed: usize) {
+    let mut rng = Xoshiro256PlusPlus::seed_from(23);
+    let mut net = MutableGraph::from_graph(g);
+    let mut state = model.build_state();
+    let mut driver = TopoDriver::new(g, &mut net, state.as_mut(), &mut rng);
+    for v in 0..informed {
+        state.note_informed(v as Node, &net);
     }
+    b.iter(|| {
+        let mut t = 0.0;
+        for _ in 0..STEPS_PER_SAMPLE {
+            t = driver.next_time(&mut rng);
+            driver.step(state.as_mut(), &mut net, &mut rng);
+        }
+        t
+    });
 }
 
 fn bench_topology_events(c: &mut Criterion) {
@@ -261,16 +252,12 @@ fn bench_topology_events(c: &mut Criterion) {
     for n in [256, 1024] {
         let g = gnp(n);
         let model = DynamicModel::Mobility(Mobility::matching_density(&g, 1.0, 0.1));
-        group.bench_function(format!("mobility_n{n}"), |b| {
-            model.with_state(DriverSteps { b, g: &g, informed: 0 })
-        });
+        group.bench_function(format!("mobility_n{n}"), |b| driver_steps(b, &g, &model, 0));
     }
     let g = gnp(256);
     let strikes = g.edge_count() as f64 / 8.0;
     let model = DynamicModel::Adversary(Adversary::new(strikes, 4, 1.0));
-    group.bench_function("adversary_n256_half_informed", |b| {
-        model.with_state(DriverSteps { b, g: &g, informed: 128 })
-    });
+    group.bench_function("adversary_n256_half_informed", |b| driver_steps(b, &g, &model, 128));
     group.finish();
 }
 

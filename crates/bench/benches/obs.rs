@@ -3,12 +3,12 @@
 //! The probe hooks are statically dispatched and default-empty, so the
 //! `NoProbe` path must compile down to the unprobed engines — the
 //! `async_noprobe` benchmark pins that the disabled overhead stays
-//! under a few percent. Every dynamic entry point is generic over the
-//! probe, so `dynamic_boxed_noprobe` instead prices the general entry
-//! over a boxed model state against [`run_dynamic`]'s per-model
-//! dispatch. The probed variants price the cheapest real consumers:
-//! the counting probe (a handful of integer adds per event) and full
-//! spreading-curve capture through the spec layer.
+//! under a few percent. Every model runs through one boxed state, and
+//! [`run_dynamic`] is the general entry with `NoProbe`, so the
+//! dynamic engine has a single `dynamic_unprobed` row. The probed
+//! variants price the cheapest real consumers: the counting probe (a
+//! handful of integer adds per event) and full spreading-curve capture
+//! through the spec layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
@@ -29,29 +29,18 @@ fn bench_noprobe_overhead(c: &mut Criterion) {
     let g = generators::gnp_connected(256, 0.05, &mut graph_rng, 200);
     let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
 
-    // Every iteration re-seeds, so unprobed and NoProbe simulate the
-    // IDENTICAL trial — the comparison is work-for-work, not
-    // trial-population-for-trial-population.
+    // The dynamic engine's one row: `run_dynamic` is the general entry
+    // over the model's boxed state with `NoProbe`.
     group.bench_function("dynamic_unprobed", |b| {
         b.iter(|| {
             let mut rng = Xoshiro256PlusPlus::seed_from(7);
             run_dynamic(&g, 0, Mode::PushPull, &model, &mut rng, 100_000_000)
         })
     });
-    group.bench_function("dynamic_boxed_noprobe", |b| {
-        b.iter(|| {
-            let mut rng = Xoshiro256PlusPlus::seed_from(7);
-            run_dynamic_with(
-                &g,
-                &SpreadConfig::new(0),
-                model.build_state().as_mut(),
-                &mut rng,
-                100_000_000,
-                &mut NoProbe,
-            )
-        })
-    });
 
+    // Every iteration re-seeds, so unprobed and NoProbe simulate the
+    // IDENTICAL trial — the comparison is work-for-work, not
+    // trial-population-for-trial-population.
     group.bench_function("async_unprobed", |b| {
         b.iter(|| {
             let mut rng = Xoshiro256PlusPlus::seed_from(9);

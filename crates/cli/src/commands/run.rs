@@ -371,6 +371,7 @@ mod tests {
     fn validates_options() {
         assert!(with_graph(TRIANGLE, &["--protocol", "sync mode=zigzag"]).is_err());
         assert!(with_graph(TRIANGLE, &["--protocol", "psychic mode=push"]).is_err());
+        assert!(with_graph(TRIANGLE, &["--protocol", "sync mode=push view=global-clock"]).is_err());
         assert!(with_graph(TRIANGLE, &["--source", "9"]).is_err());
         assert!(with_graph(TRIANGLE, &["--loss", "1.0"]).is_err());
         assert!(with_graph(TRIANGLE, &["--trials", "0"]).is_err());
@@ -390,6 +391,9 @@ mod tests {
         let msg = usage_error(with_graph(TRIANGLE, &["--topology", "walk rate=-2"]));
         assert!(msg.starts_with("--topology: "), "{msg}");
         assert!(!msg.contains("spec line"), "{msg}");
+        // So does a field the value does not read.
+        let msg = usage_error(with_graph(TRIANGLE, &["--topology", "walk rate=1 churn=5"]));
+        assert_eq!(msg, "--topology: unexpected field `churn=5` for `walk`");
     }
 
     #[test]
@@ -431,6 +435,9 @@ mod tests {
         assert!(bad("walk rate=-2").is_err());
         assert!(bad("markov off=-1 on=1").is_err());
         assert!(bad("node-churn leave=0.1 join=1 attach=0").is_err());
+        // Fields a model does not read, or reads once.
+        assert!(bad("walk rate=1 rate=2").is_err());
+        assert!(bad("rewire period=4 family=gnp p=0.1 d=3").is_err());
         // `heal=inf` is the permanent-removal adversary and is legal.
         let out = with_graph(
             TRIANGLE,

@@ -387,6 +387,9 @@ fn bad_graph_parameters_are_usage_errors() {
         "caterpillar spine=1 legs=2",
         "diamonds k=0 m=1",
         "binary-tree n=1",
+        // A field the family does not read, or one given twice.
+        "star n=3 m=7 sede=4",
+        "complete n=4 n=5",
         // Node counts past a node label, refused before anything is
         // allocated.
         "grid rows=4294967296 cols=2",

@@ -58,7 +58,7 @@ use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
 use crate::asynchronous::{RunState, TickTopology};
-use crate::engine::topology::{StateVisitor, TopologyModel};
+use crate::engine::topology::TopologyModel;
 use crate::engine::TopoDriver;
 use crate::mode::Mode;
 use crate::obs::{NoProbe, Probe};
@@ -403,7 +403,7 @@ impl std::fmt::Display for DynamicModel {
 /// network, from `source`, until every node is informed or `max_steps`
 /// protocol steps have been taken. Shorthand for [`run_dynamic_with`]
 /// with `SpreadConfig::new(source).with_mode(mode)`, the model's
-/// concrete state and no probe.
+/// [`build_state`](DynamicModel::build_state) and no probe.
 ///
 /// Protocol ticks follow the global-clock view (one rate-`n` Poisson
 /// clock; each tick activates a uniformly random node) and are merged
@@ -428,19 +428,19 @@ pub fn run_dynamic(
     max_steps: u64,
 ) -> AsyncOutcome {
     let config = &SpreadConfig::new(source).with_mode(mode);
-    model.with_state(SequentialRun { g, config, rng, max_steps, probe: &mut NoProbe })
+    run_dynamic_with(g, config, model.build_state().as_mut(), rng, max_steps, &mut NoProbe)
 }
 
 /// The general sequential entry point: [`run_dynamic`] under a
 /// [`SpreadConfig`] — its sources, mode and per-contact loss — over an
-/// already-built [`TopologyModel`] state, with an instrumentation
-/// [`Probe`] observing the run. Model implementations outside the
-/// [`DynamicModel`] enum come in here, such as a
+/// already-built [`TopologyModel`] state — a model's
+/// [`build_state`](DynamicModel::build_state), or a
 /// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
-/// recorded topology realization (the spec layer replays traces on the
-/// cursor, [`run_trace_lazy`](crate::engine::run_trace_lazy), which
-/// replays this seed-for-seed). Probes are passive, and a [`NoProbe`]
-/// compiles every hook out.
+/// recorded topology realization — with an instrumentation [`Probe`]
+/// observing the run. The spec layer replays traces on the cursor,
+/// [`run_trace_lazy`](crate::engine::run_trace_lazy), which replays
+/// this seed-for-seed. Probes are passive, and a [`NoProbe`] compiles
+/// every hook out.
 ///
 /// The run is the global-clock tick loop of [`crate::run_async_probed`]
 /// over the model's graph: before each tick is drawn the model's next
@@ -455,10 +455,10 @@ pub fn run_dynamic(
 ///
 /// Panics if a source is out of range or the starting graph has
 /// isolated nodes.
-pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
+pub fn run_dynamic_with<P: Probe>(
     g: &Graph,
     config: &SpreadConfig,
-    state: &mut M,
+    state: &mut dyn TopologyModel,
     rng: &mut Xoshiro256PlusPlus,
     max_steps: u64,
     probe: &mut P,
@@ -481,13 +481,13 @@ pub fn run_dynamic_with<P: Probe, M: TopologyModel + ?Sized>(
 
 /// A topology model as the tick loop's [`TickTopology`]: its live
 /// graph, and the driver that draws its events.
-struct ModelTopology<'m, M: ?Sized> {
+struct ModelTopology<'m> {
     net: MutableGraph,
     driver: TopoDriver,
-    state: &'m mut M,
+    state: &'m mut dyn TopologyModel,
 }
 
-impl<M: TopologyModel + ?Sized> TickTopology for ModelTopology<'_, M> {
+impl TickTopology for ModelTopology<'_> {
     #[inline(always)]
     fn before_tick(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
         self.driver.next_time(rng);
@@ -514,26 +514,6 @@ impl<M: TopologyModel + ?Sized> TickTopology for ModelTopology<'_, M> {
         // The adversary maintains its frontier from this feed; every
         // other model ignores it.
         self.state.note_informed(v, &self.net);
-    }
-}
-
-/// A sequential run waiting for its model state: visiting a
-/// [`DynamicModel`] with it runs [`run_dynamic_with`] over the model's
-/// concrete state type.
-pub(crate) struct SequentialRun<'a, P> {
-    pub(crate) g: &'a Graph,
-    pub(crate) config: &'a SpreadConfig,
-    pub(crate) rng: &'a mut Xoshiro256PlusPlus,
-    pub(crate) max_steps: u64,
-    pub(crate) probe: &'a mut P,
-}
-
-impl<P: Probe> StateVisitor for SequentialRun<'_, P> {
-    type Output = AsyncOutcome;
-
-    fn visit<M: TopologyModel + Send + 'static>(self, mut state: M) -> AsyncOutcome {
-        let Self { g, config, rng, max_steps, probe } = self;
-        run_dynamic_with(g, config, &mut state, rng, max_steps, probe)
     }
 }
 
@@ -591,13 +571,15 @@ mod tests {
                 for model in &models {
                     assert!(model.is_static());
                     let mut b = rng(3);
-                    let dynamic = model.with_state(SequentialRun {
-                        g: &g,
+                    let mut state = model.build_state();
+                    let dynamic = run_dynamic_with(
+                        &g,
                         config,
-                        rng: &mut b,
+                        state.as_mut(),
+                        &mut b,
                         max_steps,
-                        probe: &mut NoProbe,
-                    });
+                        &mut NoProbe,
+                    );
                     assert_eq!(dynamic, stat, "model {model}, {case}");
                     assert_eq!(b.next_u64(), word, "model {model}, {case}: RNG diverged");
                 }
@@ -620,13 +602,15 @@ mod tests {
         let means = |config: &SpreadConfig, salt: u64| {
             let (mut times, mut rounds) = (OnlineStats::new(), OnlineStats::new());
             for seed in salt..salt + 150 {
-                let out = model.with_state(SequentialRun {
-                    g: &g,
+                let mut state = model.build_state();
+                let out = run_dynamic_with(
+                    &g,
                     config,
-                    rng: &mut rng(seed),
-                    max_steps: 100_000_000,
-                    probe: &mut NoProbe,
-                });
+                    state.as_mut(),
+                    &mut rng(seed),
+                    100_000_000,
+                    &mut NoProbe,
+                );
                 assert!(out.completed);
                 times.push(out.time);
                 let mut rec = TraceRecording::start(&g, 0, model.build_state(), rng(!seed), 1e4);

@@ -35,7 +35,7 @@ pub mod topology;
 pub mod trace;
 
 pub use scheduler::TopoDriver;
-pub use topology::{StateVisitor, TopologyModel};
+pub use topology::TopologyModel;
 pub use trace::{
     run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
     TraceRecording, TraceRef, TraceReplayer, TraceStep,

@@ -36,10 +36,10 @@ impl TopoDriver {
     /// Initializes `mstate` through [`TopologyModel::init`] and returns
     /// the driver with the channel weights primed at time 0 and the
     /// model's first due time read.
-    pub fn new<M: TopologyModel + ?Sized>(
+    pub fn new(
         g: &Graph,
         net: &mut MutableGraph,
-        mstate: &mut M,
+        mstate: &mut dyn TopologyModel,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Self {
         let channels = mstate.init(g, net, rng);
@@ -66,9 +66,9 @@ impl TopoDriver {
     /// the pending arrival only when the total actually moved.
     ///
     /// [`next_time`]: Self::next_time
-    pub fn step<M: TopologyModel + ?Sized>(
+    pub fn step(
         &mut self,
-        mstate: &mut M,
+        mstate: &mut dyn TopologyModel,
         net: &mut MutableGraph,
         rng: &mut Xoshiro256PlusPlus,
     ) {

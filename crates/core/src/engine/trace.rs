@@ -282,10 +282,10 @@ impl TopologyTrace {
     ///
     /// Panics if `source` is out of range or `horizon` is negative or
     /// not finite.
-    pub fn record<M: TopologyModel + ?Sized>(
+    pub fn record(
         g: &Graph,
         source: Node,
-        state: &mut M,
+        state: &mut dyn TopologyModel,
         rng: &mut Xoshiro256PlusPlus,
         horizon: f64,
     ) -> TopologyTrace {
@@ -302,10 +302,10 @@ impl TopologyTrace {
     /// first event. Returns the empty trace, the live graph and driver,
     /// and the first event's time (`INFINITY` if none falls within the
     /// horizon).
-    fn start<M: TopologyModel + ?Sized>(
+    fn start(
         g: &Graph,
         source: Node,
-        state: &mut M,
+        state: &mut dyn TopologyModel,
         rng: &mut Xoshiro256PlusPlus,
         horizon: f64,
     ) -> (TopologyTrace, MutableGraph, TopoDriver, f64) {
@@ -340,11 +340,11 @@ impl TopologyTrace {
     /// Applies the event peeked at time `t`, keeps its step if it
     /// changed anything, and returns the next event's time (as
     /// [`peek`](Self::peek)).
-    fn record_event<M: TopologyModel + ?Sized>(
+    fn record_event(
         &mut self,
         net: &mut MutableGraph,
         driver: &mut TopoDriver,
-        state: &mut M,
+        state: &mut dyn TopologyModel,
         rng: &mut Xoshiro256PlusPlus,
         t: f64,
     ) -> f64 {
@@ -973,9 +973,9 @@ mod tests {
     }
 
     /// Runs the sequential engine from source 0 over `state`.
-    fn run_seq<M: TopologyModel>(
+    fn run_seq(
         g: &Graph,
-        state: &mut M,
+        state: &mut dyn TopologyModel,
         rng: &mut Xoshiro256PlusPlus,
         max_steps: u64,
     ) -> AsyncOutcome {

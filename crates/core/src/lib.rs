@@ -33,9 +33,10 @@
 //!   periodic rewiring, node join/leave, random-walk edge dynamics,
 //!   geometric mobility, adversarial frontier cuts — one interface
 //!   consumed by every engine, each model with at most one pending
-//!   deterministic event), the topology driver ([`engine::TopoDriver`])
-//!   that merges that event with the superposition scheduler over the
-//!   model's channels, and topology traces with the **lockstep trace
+//!   deterministic event, and every model run through its boxed
+//!   state, [`DynamicModel::build_state`]), the topology driver
+//!   ([`engine::TopoDriver`]) that merges that event with the
+//!   superposition scheduler over the model's channels, and topology traces with the **lockstep trace
 //!   replay** every trace replay runs on ([`engine::run_coupled_dynamic`],
 //!   one-half forms [`engine::run_trace_lazy`] and
 //!   [`engine::run_sync_dynamic`]);
@@ -89,7 +90,7 @@ pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
 pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel};
-pub use engine::{run_sync_dynamic, run_trace_lazy, StateVisitor, TopologyModel, TopologyTrace};
+pub use engine::{run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace};
 pub use informed::InformedSet;
 pub use mode::Mode;
 pub use obs::{
@@ -101,7 +102,7 @@ pub use spec::cache::RunCaches;
 pub use spec::sweep::{SweepAxis, SweepChild, SweepSpec};
 pub use spec::{
     CoupledOutcome, GraphSpec, Protocol, RunReport, SimSpec, Simulation, SpecError, Topology,
-    TopologyModelFactory, TrialPlan,
+    TrialPlan,
 };
 pub use spread::SpreadConfig;
 pub use sync::{run_sync, run_sync_probed};

@@ -3,9 +3,9 @@
 //! Every run in this workspace is an instance of one abstract
 //! experiment: a **protocol** (synchronous rounds or asynchronous
 //! clocks, push/pull/push–pull) on a **topology** (static, one of the
-//! dynamic evolution models, a custom [`TopologyModel`], or a recorded
-//! trace) over a **trial plan** (seeded Monte-Carlo trials, optionally
-//! coupled sync/async pairs on shared traces). The engine follows from
+//! dynamic evolution models, or a recorded trace) over a **trial
+//! plan** (seeded Monte-Carlo trials, optionally coupled sync/async
+//! pairs on shared traces). The engine follows from
 //! those axes: static graphs run the static engines, topology models
 //! the sequential merged-stream engine, and every trace replay the
 //! lockstep trace replay: an uncoupled [`Topology::Trace`] run on its
@@ -75,11 +75,11 @@ use rumor_sim::rng::Xoshiro256PlusPlus;
 use crate::asynchronous::{run_async_probed, AsyncView};
 use crate::dynamic::{
     run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
-    SequentialRun, SnapshotFamily,
+    SnapshotFamily,
 };
 use crate::engine::{
-    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyModel,
-    TopologyTrace, TraceRecording, TraceRef,
+    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
+    TraceRecording, TraceRef,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -149,53 +149,19 @@ impl Protocol {
     }
 }
 
-/// Builds a fresh per-trial [`TopologyModel`] state — the hook through
-/// which model implementations *outside* the [`DynamicModel`] enum plug
-/// into every engine (the ROADMAP's "custom models through the runner
-/// helpers" follow-up).
-pub trait TopologyModelFactory: Send + Sync {
-    /// Builds one trial's model state for base graph `g`. The state is
-    /// `Send` so a coupled trial's resumable recording can be cached
-    /// across threads.
-    fn build(&self, g: &Graph) -> Box<dyn TopologyModel + Send>;
-
-    /// Short display label (used in errors and reports).
-    fn label(&self) -> String;
-}
-
-/// Every [`DynamicModel`] is trivially its own factory.
-impl TopologyModelFactory for DynamicModel {
-    fn build(&self, _g: &Graph) -> Box<dyn TopologyModel + Send> {
-        self.build_state()
-    }
-
-    fn label(&self) -> String {
-        model_label(self).to_owned()
-    }
-}
-
 /// The topology axis: what the protocol spreads over.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub enum Topology {
     /// The base graph, frozen.
     Static,
     /// One of the built-in evolution models.
     Model(DynamicModel),
-    /// A user-supplied model factory (fresh state per trial). Not
-    /// serializable; two `Custom` topologies compare equal only if they
-    /// share the same factory allocation.
-    Custom(Arc<dyn TopologyModelFactory>),
     /// Deterministic replay of one recorded topology realization. Not
     /// serializable.
     Trace(TopologyTrace),
 }
 
 impl Topology {
-    /// Wraps a custom model factory.
-    pub fn custom<F: TopologyModelFactory + 'static>(factory: F) -> Self {
-        Topology::Custom(Arc::new(factory))
-    }
-
     /// Whether the topology evolves during a run.
     pub fn is_static(&self) -> bool {
         matches!(self, Topology::Static)
@@ -206,7 +172,6 @@ impl Topology {
         match self {
             Topology::Static => "static".to_owned(),
             Topology::Model(m) => model_label(m).to_owned(),
-            Topology::Custom(f) => format!("custom:{}", f.label()),
             Topology::Trace(_) => "trace".to_owned(),
         }
     }
@@ -217,22 +182,9 @@ impl fmt::Debug for Topology {
         match self {
             Topology::Static => write!(f, "Static"),
             Topology::Model(m) => write!(f, "Model({m:?})"),
-            Topology::Custom(c) => write!(f, "Custom({})", c.label()),
             Topology::Trace(t) => {
                 write!(f, "Trace({} nodes, {} steps)", t.node_count(), t.len())
             }
-        }
-    }
-}
-
-impl PartialEq for Topology {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Topology::Static, Topology::Static) => true,
-            (Topology::Model(a), Topology::Model(b)) => a == b,
-            (Topology::Custom(a), Topology::Custom(b)) => Arc::ptr_eq(a, b),
-            (Topology::Trace(a), Topology::Trace(b)) => a == b,
-            _ => false,
         }
     }
 }
@@ -595,7 +547,7 @@ pub enum SpecError {
         why: &'static str,
     },
     /// The spec contains a component with no text representation
-    /// (provided graphs, custom factories, recorded traces).
+    /// (provided graphs, recorded traces).
     NotSerializable {
         /// Which component.
         what: &'static str,
@@ -898,7 +850,7 @@ impl SimSpec {
         }
         // The static and sequential dynamic engines assert against
         // isolated nodes; replays of a recorded trace skip them.
-        let recorded = matches!(self.topology, Topology::Model(_) | Topology::Custom(_));
+        let recorded = matches!(self.topology, Topology::Model(_));
         let replayed = plan.coupled
             || matches!(self.topology, Topology::Trace(_))
             || (self.protocol.is_sync() && recorded);
@@ -1213,7 +1165,7 @@ impl Simulation {
             // The sync half of a coupled trial: the same two sub-seeds,
             // and the realization recorded on demand up to the last
             // round boundary the run can read.
-            Topology::Model(_) | Topology::Custom(_) => self.fan_out(|_, rng| {
+            Topology::Model(_) => self.fan_out(|_, rng| {
                 let trace_seed = rng.next_u64();
                 let proto_seed = rng.next_u64();
                 let mut rec = self.start_recording(trace_seed, max_rounds as f64);
@@ -1270,21 +1222,18 @@ impl Simulation {
     /// Starts recording the spec's topology from the trace seed, up to
     /// `horizon`.
     fn start_recording(&self, trace_seed: u64, horizon: f64) -> TraceRecording {
-        let g = &self.graph;
         let state = match &self.spec.topology {
             Topology::Static => DynamicModel::Static.build_state(),
             Topology::Model(m) => m.build_state(),
-            Topology::Custom(factory) => factory.build(g),
             Topology::Trace(_) => unreachable!("a recorded trace is replayed, not recorded"),
         };
         let trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
-        TraceRecording::start(g, self.spec.source, state, trace_rng, horizon)
+        TraceRecording::start(&self.graph, self.spec.source, state, trace_rng, horizon)
     }
 
     /// Runs one asynchronous trial on the spec's evolving topology,
     /// observed by `probe`: a recorded trace on the trace cursor, a
-    /// model on the sequential engine (visiting a built-in model's
-    /// concrete state type).
+    /// model on the sequential engine over its boxed state.
     fn dynamic_run<P: Probe>(
         &self,
         config: &SpreadConfig,
@@ -1296,11 +1245,7 @@ impl Simulation {
         match &self.spec.topology {
             Topology::Trace(trace) => run_trace_lazy(trace, config, rng, max_steps, probe),
             Topology::Model(model) => {
-                model.with_state(SequentialRun { g, config, rng, max_steps, probe })
-            }
-            Topology::Custom(factory) => {
-                let mut state = factory.build(g);
-                run_dynamic_with(g, config, state.as_mut(), rng, max_steps, probe)
+                run_dynamic_with(g, config, model.build_state().as_mut(), rng, max_steps, probe)
             }
             Topology::Static => unreachable!("static sequential runs use the static engine"),
         }
@@ -1550,9 +1495,8 @@ impl SimSpec {
     ///
     /// Every field is written explicitly (budgets and the horizon write
     /// `auto` when unset), so `parse(to_spec_string(spec)) == spec` for
-    /// every serializable spec. Provided graphs, custom topologies, and
-    /// recorded traces have no text form and return
-    /// [`SpecError::NotSerializable`].
+    /// every serializable spec. Provided graphs and recorded traces have
+    /// no text form and return [`SpecError::NotSerializable`].
     pub fn to_spec_string(&self) -> Result<String, SpecError> {
         let mut s = String::new();
         s.push_str("# rumor-spreading run spec\n");
@@ -1720,37 +1664,55 @@ fn parse_bool(value: &str, key: &str, line: usize) -> Result<bool, SpecError> {
 }
 
 /// Splits `kind k1=v1 k2=v2 …`; returns the kind and an accessor that
-/// fails with a parse error naming missing/garbled fields.
+/// fails with a parse error naming missing/garbled fields. A field
+/// given twice is an error, and so is one the value never reads
+/// ([`done`](Self::done)).
 struct Fields<'a> {
     kind: &'a str,
-    pairs: Vec<(&'a str, &'a str)>,
+    /// Each field with whether [`get`](Self::get) has read it.
+    pairs: Vec<(&'a str, &'a str, bool)>,
     line: usize,
 }
 
 impl<'a> Fields<'a> {
     fn split(value: &'a str, line: usize) -> Result<Self, SpecError> {
+        let err = |message: String| SpecError::Parse { line, message };
         let mut tokens = value.split_whitespace();
-        let kind =
-            tokens.next().ok_or(SpecError::Parse { line, message: "empty value".to_owned() })?;
-        let mut pairs = Vec::new();
+        let kind = tokens.next().ok_or_else(|| err("empty value".to_owned()))?;
+        let mut pairs: Vec<(&str, &str, bool)> = Vec::new();
         for tok in tokens {
-            let (k, v) = tok.split_once('=').ok_or_else(|| SpecError::Parse {
-                line,
-                message: format!("expected `key=value` field, got `{tok}`"),
-            })?;
-            pairs.push((k, v));
+            let (k, v) = tok
+                .split_once('=')
+                .ok_or_else(|| err(format!("expected `key=value` field, got `{tok}`")))?;
+            if pairs.iter().any(|&(seen, ..)| seen == k) {
+                return Err(err(format!("`{kind}` has field `{k}=` twice")));
+            }
+            pairs.push((k, v, false));
         }
         Ok(Self { kind, pairs, line })
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, SpecError> {
-        let raw = self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v).ok_or_else(|| {
-            SpecError::Parse {
+    fn get<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, SpecError> {
+        let Some((_, raw, read)) = self.pairs.iter_mut().find(|(k, ..)| *k == key) else {
+            return Err(SpecError::Parse {
                 line: self.line,
                 message: format!("`{}` needs a `{key}=` field", self.kind),
-            }
-        })?;
+            });
+        };
+        *read = true;
         parse_num(raw, key, self.line)
+    }
+
+    /// Fails on the first field no [`get`](Self::get) read: a typo or
+    /// a field this kind does not take.
+    fn done(&self) -> Result<(), SpecError> {
+        match self.pairs.iter().find(|&&(.., read)| !read) {
+            None => Ok(()),
+            Some((k, v, _)) => Err(SpecError::Parse {
+                line: self.line,
+                message: format!("unexpected field `{k}={v}` for `{}`", self.kind),
+            }),
+        }
     }
 }
 
@@ -1803,8 +1765,8 @@ fn graph_from_text(value: &str, line: usize) -> Result<GraphSpec, SpecError> {
     if let Some(path) = value.strip_prefix("file ") {
         return Ok(GraphSpec::File(path.trim().to_owned()));
     }
-    let f = Fields::split(value, line)?;
-    Ok(match f.kind {
+    let mut f = Fields::split(value, line)?;
+    let graph = match f.kind {
         "gnp" => GraphSpec::Gnp {
             n: f.get("n")?,
             p: f.get("p")?,
@@ -1846,7 +1808,9 @@ fn graph_from_text(value: &str, line: usize) -> Result<GraphSpec, SpecError> {
                 message: format!("unknown graph family `{other}`"),
             })
         }
-    })
+    };
+    f.done()?;
+    Ok(graph)
 }
 
 fn protocol_to_text(protocol: &Protocol) -> String {
@@ -1877,16 +1841,20 @@ fn view_from_text(value: &str, line: usize) -> Result<AsyncView, SpecError> {
 }
 
 fn protocol_from_text(value: &str, line: usize) -> Result<Protocol, SpecError> {
-    let f = Fields::split(value, line)?;
+    let mut f = Fields::split(value, line)?;
     let mode = mode_from_text(&f.get::<String>("mode")?, line)?;
-    match f.kind {
-        "sync" => Ok(Protocol::Sync { mode }),
+    let protocol = match f.kind {
+        "sync" => Protocol::Sync { mode },
         "async" => {
             let view = view_from_text(&f.get::<String>("view")?, line)?;
-            Ok(Protocol::Async { mode, view })
+            Protocol::Async { mode, view }
         }
-        other => Err(SpecError::Parse { line, message: format!("unknown protocol `{other}`") }),
-    }
+        other => {
+            return Err(SpecError::Parse { line, message: format!("unknown protocol `{other}`") })
+        }
+    };
+    f.done()?;
+    Ok(protocol)
 }
 
 fn family_to_text(family: &SnapshotFamily) -> String {
@@ -1930,9 +1898,6 @@ fn topology_to_text(topology: &Topology) -> Result<String, SpecError> {
             m.budget,
             fmt_f64(m.heal_after)
         ),
-        Topology::Custom(_) => {
-            return Err(SpecError::NotSerializable { what: "a custom topology factory" })
-        }
         Topology::Trace(_) => {
             return Err(SpecError::NotSerializable { what: "a recorded topology trace" })
         }
@@ -1940,9 +1905,9 @@ fn topology_to_text(topology: &Topology) -> Result<String, SpecError> {
 }
 
 fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
-    let f = Fields::split(value, line)?;
+    let mut f = Fields::split(value, line)?;
     let model = match f.kind {
-        "static" => return Ok(Topology::Static),
+        "static" => return f.done().map(|()| Topology::Static),
         "static-model" => DynamicModel::Static,
         "markov" => {
             DynamicModel::EdgeMarkov(EdgeMarkov { off_rate: f.get("off")?, on_rate: f.get("on")? })
@@ -1980,6 +1945,7 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
             return Err(SpecError::Parse { line, message: format!("unknown topology `{other}`") })
         }
     };
+    f.done()?;
     model.check().map_err(|message| SpecError::Parse { line, message })?;
     Ok(Topology::Model(model))
 }
@@ -1989,11 +1955,15 @@ fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
 /// where it named the trace cursor. Returns whether the line was `lazy`.
 fn engine_from_text(value: &str, line: usize) -> Result<bool, SpecError> {
     let f = Fields::split(value, line)?;
-    match f.kind {
-        "sequential" => Ok(false),
-        "lazy" => Ok(true),
-        other => Err(SpecError::Parse { line, message: format!("unknown engine `{other}`") }),
-    }
+    let lazy = match f.kind {
+        "sequential" => false,
+        "lazy" => true,
+        other => {
+            return Err(SpecError::Parse { line, message: format!("unknown engine `{other}`") })
+        }
+    };
+    f.done()?;
+    Ok(lazy)
 }
 
 #[cfg(test)]
@@ -2109,21 +2079,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_factories_replay_their_enum_twin() {
-        // DynamicModel is itself a factory: Custom(markov) must replay
-        // Model(markov) seed-for-seed, under either protocol.
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(5), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        for protocol in [Protocol::push_pull_async(), Protocol::push_pull_sync()] {
-            let spec =
-                SimSpec::on_graph(&g).protocol(protocol).trials(6).seed(9).max_rounds(10_000);
-            let via_enum = spec.clone().topology(Topology::Model(model)).build().unwrap().run();
-            let via_factory = spec.topology(Topology::custom(model)).build().unwrap().run();
-            assert_eq!(via_enum.outcomes, via_factory.outcomes, "{protocol:?}");
-        }
-    }
-
-    #[test]
     fn trace_topology_replays_deterministically() {
         let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
@@ -2229,11 +2184,17 @@ mod tests {
             SimSpec::on_graph(&g).to_spec_string().unwrap_err(),
             SpecError::NotSerializable { what: "a provided graph" }
         );
-        let custom = SimSpec::new(GraphSpec::Complete { n: 4 })
-            .topology(Topology::custom(DynamicModel::Static));
+        let trace = TopologyTrace::record(
+            &g,
+            0,
+            DynamicModel::Static.build_state().as_mut(),
+            &mut Xoshiro256PlusPlus::seed_from(1),
+            1.0,
+        );
+        let traced = SimSpec::new(GraphSpec::Complete { n: 4 }).topology(Topology::Trace(trace));
         assert_eq!(
-            custom.to_spec_string().unwrap_err(),
-            SpecError::NotSerializable { what: "a custom topology factory" }
+            traced.to_spec_string().unwrap_err(),
+            SpecError::NotSerializable { what: "a recorded topology trace" }
         );
     }
 

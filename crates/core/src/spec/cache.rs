@@ -19,8 +19,8 @@
 //! hit/miss counters — surfaced through
 //! [`RunMetrics::counters`](crate::obs::RunMetrics) when metrics are
 //! enabled — reveal the difference. Components with no serialized form
-//! (provided graphs, edge-list files that may change on disk, custom
-//! topology factories) bypass the caches entirely.
+//! (provided graphs, edge-list files that may change on disk, recorded
+//! topology traces) bypass the caches entirely.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

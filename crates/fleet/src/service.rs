@@ -257,9 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn a_spec_with_invalid_rates_is_answered_in_band() {
+    fn bad_topology_values_are_answered_in_band() {
         // Negative churn rates once reached the scheduler and panicked,
-        // killing the serve loop: the third frame got no reply.
+        // killing the serve loop: the third frame got no reply. A field
+        // the model does not read was once ignored and the run served.
         let stats = Json::Obj(vec![
             ("id".to_owned(), Json::Num(1.0)),
             ("stats".to_owned(), Json::Bool(true)),
@@ -267,26 +268,29 @@ mod tests {
         let markov = quick_spec()
             .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
             .to_spec_string()
-            .unwrap()
-            .replace("markov off=1", "markov off=-1");
-        let bad = Json::Obj(vec![
-            ("id".to_owned(), Json::Num(2.0)),
-            ("spec".to_owned(), Json::Str(markov)),
-        ]);
-        let mut input = Vec::new();
-        for frame in [&stats, &bad, &stats] {
-            write_frame(&mut input, frame.render().as_bytes()).unwrap();
+            .unwrap();
+        for (value, needle) in
+            [("markov off=-1", "markov rates"), ("markov of=2 off=1", "unexpected field `of=2`")]
+        {
+            let bad = Json::Obj(vec![
+                ("id".to_owned(), Json::Num(2.0)),
+                ("spec".to_owned(), Json::Str(markov.replace("markov off=1", value))),
+            ]);
+            let mut input = Vec::new();
+            for frame in [&stats, &bad, &stats] {
+                write_frame(&mut input, frame.render().as_bytes()).unwrap();
+            }
+            let config =
+                ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
+            let mut output = Vec::new();
+            let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
+            assert_eq!(exit, ServiceExit::Eof(3));
+            let docs = responses(&output);
+            assert_eq!(docs.len(), 3);
+            let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
+            assert!(error.contains(needle), "{error}");
+            assert!(docs[2].get("counters").is_some());
         }
-        let config =
-            ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
-        let mut output = Vec::new();
-        let exit = run_frames(&mut input.as_slice(), &mut output, &config).unwrap();
-        assert_eq!(exit, ServiceExit::Eof(3));
-        let docs = responses(&output);
-        assert_eq!(docs.len(), 3);
-        let error = docs[1].get("error").and_then(Json::as_str).expect("in-band error");
-        assert!(error.contains("markov rates"), "{error}");
-        assert!(docs[2].get("counters").is_some());
     }
 
     #[test]

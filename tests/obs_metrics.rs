@@ -9,12 +9,12 @@
 
 use proptest::prelude::*;
 use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
-use rumor_spreading::core::spec::{GraphSpec, Protocol, SimSpec, Topology, TopologyModelFactory};
+use rumor_spreading::core::spec::{GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, SpreadConfig, TopologyModel, TopologyTrace,
+    LogHistogram, MetricsLevel, Mode, SpreadConfig, TopologyTrace,
 };
-use rumor_spreading::graph::{generators, Graph};
+use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 // ---------------------------------------------------------------------------
@@ -47,32 +47,20 @@ fn markov_trace() -> TopologyTrace {
     TopologyTrace::record(&g, 0, markov().build_state().as_mut(), &mut rng, 40.0)
 }
 
-/// The sequential engine over a trace's replayer, as a custom topology.
-struct SequentialReplay(&'static TopologyTrace);
-
-impl TopologyModelFactory for SequentialReplay {
-    fn build(&self, _g: &Graph) -> Box<dyn TopologyModel + Send> {
-        Box::new(self.0.replayer())
-    }
-
-    fn label(&self) -> String {
-        "sequential-replay".to_owned()
-    }
-}
-
-/// The tentpole determinism contract: the artifact contains only
-/// engine-invariant payload, so a trace run on the trace cursor and the
-/// same trace replayed by the sequential engine (of which the cursor is
-/// a seed-for-seed replay) render **byte identical** `.metrics.json`
-/// documents.
+/// The determinism contract: the artifact contains only
+/// engine-invariant payload, so the static engine and the model engine
+/// over the no-op model (of which it is a seed-for-seed replay) render
+/// **byte identical** `.metrics.json` documents. The step budget is
+/// explicit because the two topologies resolve different defaults. The
+/// trace cursor against the sequential replay is pinned in
+/// `tests/trace_replay.rs`.
 #[test]
-fn metrics_artifact_is_byte_identical_sequential_vs_trace_cursor() {
-    let trace = markov_trace();
-    let cursor = spec_on(Topology::Trace(trace.clone())).build().unwrap().run();
-    let leaked: &'static TopologyTrace = Box::leak(Box::new(trace));
-    let seq = spec_on(Topology::custom(SequentialReplay(leaked))).build().unwrap().run();
-    let a = seq.metrics.as_ref().expect("metrics enabled").render_json();
-    let b = cursor.metrics.as_ref().expect("metrics enabled").render_json();
+fn metrics_artifact_is_byte_identical_static_vs_model_engine() {
+    let run = |topology| spec_on(topology).max_steps(100_000).build().unwrap().run();
+    let static_engine = run(Topology::Static);
+    let model_engine = run(Topology::Model(DynamicModel::Static));
+    let a = static_engine.metrics.as_ref().expect("metrics enabled").render_json();
+    let b = model_engine.metrics.as_ref().expect("metrics enabled").render_json();
     assert!(a.contains("\"informed\""), "{a}");
     assert_eq!(a, b, "artifact must not depend on the engine");
 }

@@ -235,6 +235,19 @@ fn invalid_graphs_are_rejected() {
         let err = SimSpec::new(graph.clone()).build().unwrap_err();
         assert!(matches!(err, SpecError::InvalidGraph(_)), "{graph:?}: {err}");
     }
+    // A graph value with a field its family does not read, or a field
+    // given twice, names the field.
+    for (value, field) in [
+        ("star n=3 m=7", "`m=7`"),
+        ("gnp n=8 p=0.5 sede=4 seed=1 attempts=9", "`sede=4`"),
+        ("complete n=4 n=5", "`n=`"),
+        ("pa n=9 m=2 seed=1 seed=2", "`seed=`"),
+    ] {
+        match value.parse::<GraphSpec>() {
+            Err(SpecError::InvalidGraph(msg)) => assert!(msg.contains(field), "{value}: {msg}"),
+            other => panic!("{value}: expected InvalidGraph, got {other:?}"),
+        }
+    }
 }
 
 /// `K_n` keeps no adjacency rows, so a million-node complete graph
@@ -568,6 +581,19 @@ fn malformed_spec_texts_report_the_line() {
             "spec = v1\ngraph = complete n=4\nengine = sharded shards=2\n",
             "unknown engine `sharded`",
         ),
+        ("spec = v1\ngraph = complete n=4 m=7\n", "unexpected field `m=7`"),
+        ("spec = v1\ngraph = complete n=4\ntopology = walk rate=1 churn=5\n", "`churn=5`"),
+        ("spec = v1\ngraph = complete n=4\ntopology = walk rate=1 rate=2\n", "`rate=` twice"),
+        ("spec = v1\ngraph = complete n=4\ntopology = static rate=1\n", "`rate=1`"),
+        (
+            "spec = v1\ngraph = complete n=4\ntopology = rewire period=2 family=gnp p=0.5 d=3\n",
+            "unexpected field `d=3`",
+        ),
+        (
+            "spec = v1\ngraph = complete n=4\nprotocol = sync mode=push view=global-clock\n",
+            "`view=",
+        ),
+        ("spec = v1\ngraph = complete n=4\nengine = sequential shards=2\n", "`shards=2`"),
         ("spec = v1\ngraph = complete n=4\ncoupled = maybe\n", "true or false"),
         ("spec = v1\ngraph = complete n=4\nmax_steps = many\n", "cannot parse"),
         ("", "missing `spec = v1`"),
