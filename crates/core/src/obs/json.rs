@@ -37,6 +37,18 @@ impl Json {
         }
     }
 
+    /// Takes a key's value out of an object value, keeping the other
+    /// fields in order.
+    pub fn remove(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => {
+                let at = fields.iter().position(|(k, _)| k == key)?;
+                Some(fields.remove(at).1)
+            }
+            _ => None,
+        }
+    }
+
     /// The numeric value, if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
@@ -92,13 +104,8 @@ impl Json {
     fn write(&self, out: &mut String, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(x) => {
-                assert!(x.is_finite(), "JSON cannot represent non-finite numbers");
-                let _ = write!(out, "{x}");
-            }
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => write_number(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -157,7 +164,7 @@ impl Json {
     /// arrays and objects nested deeper than [`MAX_DEPTH`] — the parser
     /// recurses per level, so untrusted input must not pick the depth.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -174,21 +181,60 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `x` as `Display` does. An integral value below 2^53 is
+/// exact in an `f64`, so its digits are those of the integer and a
+/// plain digit loop writes them; everything else goes through
+/// `Display`.
+fn write_number(out: &mut String, x: f64) {
+    assert!(x.is_finite(), "JSON cannot represent non-finite numbers");
+    if x.trunc() != x || x.abs() >= EXACT_INT {
+        let _ = write!(out, "{x}");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    let mut n = x.abs() as u64;
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// 2^53: every integer below it is exactly representable in an `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Writes `s` quoted and escaped: each run between bytes that need an
+/// escape is copied with one `push_str`. Those bytes are ASCII, so
+/// every run ends on a char boundary.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -197,6 +243,7 @@ fn write_string(out: &mut String, s: &str) {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -269,17 +316,25 @@ impl Parser<'_> {
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
     }
 
+    /// Reads a string: each run up to the next `"` or `\` is copied
+    /// once. Both are ASCII, so every run ends on a char boundary of
+    /// the input, and the whole string costs its bytes.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -304,15 +359,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -373,6 +419,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn obj(fields: Vec<(&str, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -444,5 +491,145 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn non_finite_numbers_refuse_to_render() {
         Json::Num(f64::INFINITY).render();
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err("\"abc"), "unterminated string");
+        assert_eq!(err("\"ab\\"), "bad escape at byte 4");
+        assert_eq!(err("[\"é\\q\"]"), "bad escape at byte 5");
+        assert_eq!(err("\"\\u12"), "truncated \\u escape");
+        assert_eq!(err("\"\\u12zz\""), "bad \\u escape");
+        assert_eq!(err("\"\\u12é\""), "bad \\u escape");
+        assert_eq!(err("\"\\ud800\""), "bad \\u code point");
+    }
+
+    /// Finite numbers around every rendering boundary: ±0, integers up
+    /// to and past 2^53, 1e21, subnormals, arbitrary bit patterns.
+    struct Number;
+
+    impl Strategy for Number {
+        type Value = f64;
+
+        fn sample(&self, rng: &mut TestRng) -> f64 {
+            let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
+            let r = rng.next_u64();
+            let x = match r % 8 {
+                0 => [0.0, 1e21, 1e22, 5e-324, f64::MIN_POSITIVE, f64::MAX, 0.1, 1.5]
+                    [(r >> 3) as usize % 8],
+                1 => ((r >> 3) % 1000) as f64,
+                2 => ((r >> 3) % (1 << 54)) as f64,
+                3 => EXACT_INT + ((r >> 3) % 64) as f64 - 32.0,
+                4 => (r >> 3) as f64,
+                5 => f64::from_bits((r >> 3) % (1 << 52)),
+                6 => ((r >> 3) % 1_000_000) as f64 / 1000.0,
+                _ => Some(f64::from_bits(rng.next_u64())).filter(|x| x.is_finite()).unwrap_or(2.5),
+            };
+            sign * x
+        }
+    }
+
+    /// Arbitrary Unicode: quotes, backslashes, every control character,
+    /// and 1- to 4-byte UTF-8.
+    struct Text;
+
+    impl Strategy for Text {
+        type Value = String;
+
+        fn sample(&self, rng: &mut TestRng) -> String {
+            let len = rng.next_u64() % 12;
+            (0..len)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    let code = match r % 6 {
+                        0 => [0x22, 0x5c, 0x2f, 0x7f][(r >> 3) as usize % 4],
+                        1 => (r >> 3) as u32 % 0x20,
+                        2 => 0x20 + (r >> 3) as u32 % 0x5f,
+                        3 => 0x80 + (r >> 3) as u32 % 0x780,
+                        4 => 0x800 + (r >> 3) as u32 % 0xf800,
+                        _ => 0x1_0000 + (r >> 3) as u32 % 0x10_0000,
+                    };
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                })
+                .collect()
+        }
+    }
+
+    /// A random tree at most `depth` containers deep.
+    struct Tree(u32);
+
+    impl Strategy for Tree {
+        type Value = Json;
+
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.0 == 0 { 4 } else { 6 };
+            let len = rng.next_u64() % 5;
+            match rng.next_u64() % kinds {
+                0 => Json::Null,
+                1 => Json::Bool(rng.next_u64() & 1 == 1),
+                2 => Json::Num(Number.sample(rng)),
+                3 => Json::Str(Text.sample(rng)),
+                4 => Json::Arr((0..len).map(|_| Tree(self.0 - 1).sample(rng)).collect()),
+                _ => Json::Obj(
+                    (0..len).map(|_| (Text.sample(rng), Tree(self.0 - 1).sample(rng))).collect(),
+                ),
+            }
+        }
+    }
+
+    /// Text near and far from JSON: token soup, and rendered trees cut
+    /// or spliced at a random char boundary.
+    struct Garbage;
+
+    impl Strategy for Garbage {
+        type Value = String;
+
+        fn sample(&self, rng: &mut TestRng) -> String {
+            const TOKENS: [&str; 20] = [
+                "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\u00", "-", "1", "e9", ".",
+                "true", "null", " ", "é", "😀", "\u{1}",
+            ];
+            let soup = |rng: &mut TestRng| -> String {
+                let len = rng.next_u64() % 24;
+                (0..len).map(|_| TOKENS[rng.next_u64() as usize % TOKENS.len()]).collect()
+            };
+            if rng.next_u64() & 1 == 0 {
+                return soup(rng);
+            }
+            let text = Tree(3).sample(rng).render();
+            let cuts: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+            let at = cuts[rng.next_u64() as usize % cuts.len()];
+            if rng.next_u64() & 1 == 0 {
+                text[..at].to_owned()
+            } else {
+                format!("{}{}{}", &text[..at], soup(rng), &text[at..])
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_then_parse_is_the_identity(doc in Tree(3)) {
+            let text = doc.render();
+            let back = Json::parse(&text);
+            prop_assert_eq!(back.as_ref(), Ok(&doc));
+            prop_assert_eq!(back.unwrap().render(), text);
+        }
+
+        #[test]
+        fn numbers_render_as_display(x in Number) {
+            let text = Json::Num(x).render();
+            prop_assert_eq!(&text, &format!("{x}\n"));
+            let back = Json::parse(&text).unwrap().as_num().unwrap();
+            prop_assert_eq!(back.to_bits(), x.to_bits());
+        }
+
+        #[test]
+        fn arbitrary_text_never_panics(text in Garbage) {
+            let _ = Json::parse(&text);
+        }
     }
 }

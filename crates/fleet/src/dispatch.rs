@@ -120,7 +120,7 @@ pub fn dispatch(sweep: &SweepSpec, options: &DispatchOptions) -> Result<FleetOut
     } else {
         execute_processes(&children, options)?
     };
-    let doc = fleet_doc(sweep, &children, &reports)?;
+    let doc = fleet_doc(sweep, &children, reports)?;
     Ok(FleetOutcome { doc, jobs_per_worker, retries })
 }
 
@@ -240,7 +240,7 @@ fn run_job(worker: &mut Worker, child: &SweepChild) -> Result<Json, JobFailure> 
         .ok_or_else(|| JobFailure::Transport("worker exited before responding".to_owned()))?;
     let text = std::str::from_utf8(&payload)
         .map_err(|_| JobFailure::Transport("response is not UTF-8".to_owned()))?;
-    let doc =
+    let mut doc =
         Json::parse(text).map_err(|e| JobFailure::Transport(format!("bad response JSON: {e}")))?;
     if doc.get("id").and_then(Json::as_num) != Some(child.index as f64) {
         return Err(JobFailure::Transport("response id does not match request".to_owned()));
@@ -248,8 +248,7 @@ fn run_job(worker: &mut Worker, child: &SweepChild) -> Result<Json, JobFailure> 
     if let Some(message) = doc.get("error").and_then(Json::as_str) {
         return Err(JobFailure::Rejected(format!("[{}]: {message}", child.point)));
     }
-    doc.get("report")
-        .cloned()
+    doc.remove("report")
         .ok_or_else(|| JobFailure::Transport("response has neither report nor error".to_owned()))
 }
 
@@ -361,7 +360,7 @@ fn execute_processes(
 fn fleet_doc(
     sweep: &SweepSpec,
     children: &[SweepChild],
-    reports: &[Json],
+    reports: Vec<Json>,
 ) -> Result<Json, FleetError> {
     let mut telemetry = Telemetry::default();
     let mut trials = 0u64;
@@ -373,13 +372,13 @@ fn fleet_doc(
             .ok_or_else(|| FleetError::Io("child report has no telemetry".to_owned()))
             .and_then(|t| telemetry_from_json(t).map_err(FleetError::Io))?;
         telemetry.merge(&t);
-        let (tr, ce) = report_counts(report).map_err(FleetError::Io)?;
+        let (tr, ce) = report_counts(&report).map_err(FleetError::Io)?;
         trials += tr;
         censored += ce;
         child_docs.push(Json::Obj(vec![
             ("point".to_owned(), Json::Str(child.point.clone())),
             ("spec".to_owned(), Json::Str(child.text.clone())),
-            ("report".to_owned(), report.clone()),
+            ("report".to_owned(), report),
         ]));
     }
     Ok(Json::Obj(vec![
