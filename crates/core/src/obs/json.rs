@@ -1,13 +1,21 @@
-//! A minimal, dependency-free JSON value: enough to write the
-//! deterministic `.metrics.json` artifact and read it back for
-//! summaries and diffs.
+//! A minimal, dependency-free JSON value. It is the wire codec of
+//! `rumor worker`, `rumor serve` and the sweep dispatcher (every
+//! request and response frame), and it writes and reads the
+//! deterministic `.metrics.json` and `.fleet.json` artifacts.
+//!
+//! Both directions cost what their bytes cost. The parser copies each
+//! run of a string up to the next `"` or `\` once, and the writer
+//! copies each run between bytes that need an escape with one
+//! `push_str`, so decoding or encoding a document is linear in its
+//! length: no request can hold a service loop by carrying a long
+//! string. Nesting is bounded by [`MAX_DEPTH`].
 //!
 //! The writer is byte-deterministic: object keys keep insertion order,
-//! numbers render with Rust's shortest round-trip `Display` for `f64`
-//! (platform-independent), and layout is fixed (2-space indentation,
-//! numeric arrays inline). Only the JSON subset the metrics artifact
-//! uses is supported — notably, non-finite numbers are rejected at
-//! write time rather than silently mangled.
+//! numbers render as Rust's shortest round-trip `Display` for `f64`
+//! does (platform-independent), and layout is fixed (2-space
+//! indentation, scalar arrays inline). Only the JSON subset these
+//! documents use is supported — notably, non-finite numbers are
+//! rejected at write time rather than silently mangled.
 
 use std::fmt::Write as _;
 

@@ -1,8 +1,8 @@
-//! The JSON codec costs what its bytes cost. `Json::parse` once
-//! re-validated the rest of the document for every character of every
-//! string, so a 256 KB string took seconds and a multi-megabyte one
-//! hours; these guards hold a multi-megabyte string and a frame
-//! carrying a 1 MB spec comment to a generous wall-clock bound.
+//! The JSON codec costs what its bytes cost. A parser that re-scans the
+//! rest of the document for every character of a string takes seconds
+//! on a 256 KB string and minutes on a multi-megabyte one; these guards
+//! hold a multi-megabyte string and a frame carrying a 1 MB spec
+//! comment to a generous wall-clock bound.
 
 use std::time::{Duration, Instant};
 
