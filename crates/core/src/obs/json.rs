@@ -172,11 +172,11 @@ impl Json {
     /// arrays and objects nested deeper than [`MAX_DEPTH`] — the parser
     /// recurses per level, so untrusted input must not pick the depth.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -252,15 +252,18 @@ pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -270,7 +273,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -283,7 +286,7 @@ impl Parser<'_> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -320,7 +323,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).expect("ascii digits");
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
     }
 
@@ -331,7 +334,7 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
+            let rest = &self.bytes()[self.pos..];
             let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
             s.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
@@ -355,7 +358,7 @@ impl Parser<'_> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
