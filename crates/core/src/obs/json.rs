@@ -113,7 +113,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_number(out, *x),
+            Json::Num(x) => {
+                assert!(x.is_finite(), "JSON cannot represent non-finite numbers");
+                let _ = write!(out, "{x}");
+            }
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -188,36 +191,6 @@ fn indent(out: &mut String, depth: usize) {
         out.push_str("  ");
     }
 }
-
-/// Writes `x` as `Display` does. An integral value below 2^53 is
-/// exact in an `f64`, so its digits are those of the integer and a
-/// plain digit loop writes them; everything else goes through
-/// `Display`.
-fn write_number(out: &mut String, x: f64) {
-    assert!(x.is_finite(), "JSON cannot represent non-finite numbers");
-    if x.trunc() != x || x.abs() >= EXACT_INT {
-        let _ = write!(out, "{x}");
-        return;
-    }
-    if x.is_sign_negative() {
-        out.push('-');
-    }
-    let mut n = x.abs() as u64;
-    let mut digits = [0u8; 16];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
-}
-
-/// 2^53: every integer below it is exactly representable in an `f64`.
-const EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Writes `s` quoted and escaped: each run between bytes that need an
 /// escape is copied with one `push_str`. Those bytes are ASCII, so
@@ -531,7 +504,7 @@ mod tests {
                     [(r >> 3) as usize % 8],
                 1 => ((r >> 3) % 1000) as f64,
                 2 => ((r >> 3) % (1 << 54)) as f64,
-                3 => EXACT_INT + ((r >> 3) % 64) as f64 - 32.0,
+                3 => 2f64.powi(53) + ((r >> 3) % 64) as f64 - 32.0,
                 4 => (r >> 3) as f64,
                 5 => f64::from_bits((r >> 3) % (1 << 52)),
                 6 => ((r >> 3) % 1_000_000) as f64 / 1000.0,
