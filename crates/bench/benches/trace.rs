@@ -1,11 +1,11 @@
 //! Criterion benchmarks of the topology-trace layer: per model, the
 //! cost of (a) recording one realization standalone and eagerly to the
-//! horizon (each event's step read off the graph's change journal),
-//! (b) replaying it through the sequential engine, and (c) one full
-//! coupled trial (on-demand recording + sync run + async replay — the
-//! E23 inner loop, which records only as far as the replays read).
-//! Regressions in the journal/apply path or the replay scheduling show
-//! up here before they slow the coupled experiments.
+//! horizon (each event's step read off the graph's change journal), and
+//! (b) one full coupled trial (on-demand recording, then the sync and
+//! async replays in lockstep on the trace cursor — the E23 inner loop,
+//! which records only as far as the replays read). Regressions in the
+//! journal/apply path or the replay scheduling show up here before they
+//! slow the coupled experiments.
 //!
 //! `trace_record_overhead` isolates what recording adds: on the
 //! `coupled_traces` benchmark shapes (G(n, 2 ln n / n), n = 64 and 128,
@@ -17,11 +17,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 // The benched suite IS the E23 suite, so the baseline tracks exactly
 // the models and parameters the coupled experiment runs.
 use rumor_analysis::experiments::e23_coupled_gap::{coupled_models, horizon};
-use rumor_core::dynamic::{run_dynamic_with, DynamicModel, EdgeMarkov, Mobility, RandomWalk};
+use rumor_core::dynamic::{DynamicModel, EdgeMarkov, Mobility, RandomWalk};
 use rumor_core::engine::trace::TopologyTrace;
 use rumor_core::engine::TopoDriver;
 use rumor_core::spec::{default_coupled_horizon, Protocol, SimSpec, Topology};
-use rumor_core::{NoProbe, SpreadConfig};
 use rumor_graph::dynamic::MutableGraph;
 use rumor_graph::{generators, Graph};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -42,35 +41,6 @@ fn bench_record(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, model| {
             b.iter(|| {
                 TopologyTrace::record(&g, 0, model.build_state().as_mut(), &mut rng, horizon(N))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_replay_gnp_256");
-    group.sample_size(10);
-    let g = base_graph();
-    for (name, model) in coupled_models(&g) {
-        let trace = TopologyTrace::record(
-            &g,
-            0,
-            model.build_state().as_mut(),
-            &mut Xoshiro256PlusPlus::seed_from(11),
-            horizon(N),
-        );
-        let mut rng = Xoshiro256PlusPlus::seed_from(13);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &trace, |b, trace| {
-            b.iter(|| {
-                run_dynamic_with(
-                    &g,
-                    &SpreadConfig::new(0),
-                    &mut trace.replayer(),
-                    &mut rng,
-                    100_000_000,
-                    &mut NoProbe,
-                )
             })
         });
     }
@@ -169,5 +139,5 @@ fn bench_record_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_record, bench_replay, bench_coupled_trial, bench_record_overhead);
+criterion_group!(benches, bench_record, bench_coupled_trial, bench_record_overhead);
 criterion_main!(benches);

@@ -12,10 +12,9 @@
 //!   uniformly random node takes a step (superposition property). This is
 //!   the fastest view and the default for experiments. Its loop is the
 //!   one asynchronous tick loop of the crate: the dynamic engine
-//!   ([`crate::run_dynamic_with`]) and the trace replays
-//!   ([`crate::engine::run_trace_lazy`], the asynchronous halves of
-//!   [`crate::engine::run_coupled_dynamic`]) run it too, over a topology
-//!   that changes between ticks;
+//!   ([`crate::run_dynamic_with`]) and the trace replays (the
+//!   asynchronous halves of [`crate::engine::run_coupled_dynamic`]) run
+//!   it too, over a topology that changes between ticks;
 //! * [`AsyncView::EdgeClocks`] — one clock per *ordered* adjacent pair
 //!   `(v, w)` with rate `1/deg(v)`, `2m` clocks in a [`ClockTree`]; when
 //!   one ticks, `v` contacts `w` (Poisson thinning).

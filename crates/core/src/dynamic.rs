@@ -434,13 +434,12 @@ pub fn run_dynamic(
 /// The general sequential entry point: [`run_dynamic`] under a
 /// [`SpreadConfig`] — its sources, mode and per-contact loss — over an
 /// already-built [`TopologyModel`] state — a model's
-/// [`build_state`](DynamicModel::build_state), or a
-/// [`TraceReplayer`](crate::engine::trace::TraceReplayer) replaying a
-/// recorded topology realization — with an instrumentation [`Probe`]
-/// observing the run. The spec layer replays traces on the cursor,
-/// [`run_trace_lazy`](crate::engine::run_trace_lazy), which replays
-/// this seed-for-seed. Probes are passive, and a [`NoProbe`] compiles
-/// every hook out.
+/// [`build_state`](DynamicModel::build_state) — with an instrumentation
+/// [`Probe`] observing the run. A recorded trace is replayed on the
+/// trace cursor ([`run_coupled_dynamic`](crate::engine::run_coupled_dynamic)),
+/// which draws exactly what this engine draws over a model replaying the
+/// same trace. Probes are passive, and a [`NoProbe`] compiles every hook
+/// out.
 ///
 /// The run is the global-clock tick loop of [`crate::run_async_probed`]
 /// over the model's graph: before each tick is drawn the model's next
@@ -521,7 +520,7 @@ impl TickTopology for ModelTopology<'_> {
 mod tests {
     use super::*;
     use crate::asynchronous::{run_async_probed, AsyncView};
-    use crate::engine::{run_sync_dynamic, run_trace_lazy, TopologyTrace, TraceRecording};
+    use crate::engine::{run_coupled_dynamic, run_sync_dynamic, TopologyTrace, TraceRecording};
     use crate::obs::ProbeEvent;
     use rumor_sim::stats::OnlineStats;
 
@@ -583,10 +582,10 @@ mod tests {
                     assert_eq!(dynamic, stat, "model {model}, {case}");
                     assert_eq!(b.next_u64(), word, "model {model}, {case}: RNG diverged");
                 }
-                let mut c = rng(3);
-                let cursor = run_trace_lazy(&empty, config, &mut c, max_steps, &mut NoProbe);
-                assert_eq!(cursor, stat, "trace cursor, {case}");
-                assert_eq!(c.next_u64(), word, "trace cursor, {case}: RNG diverged");
+                let mut c = [rng(3)];
+                let mut cursor = run_coupled_dynamic(&empty, config, &mut [], &mut c, 0, max_steps);
+                assert_eq!(cursor.asynchronous.pop(), Some(stat), "trace cursor, {case}");
+                assert_eq!(c[0].next_u64(), word, "trace cursor, {case}: RNG diverged");
             }
         }
     }

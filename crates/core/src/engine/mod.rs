@@ -13,17 +13,17 @@
 //!   event with the superposition single-clock scheduler over its
 //!   channels; the tick loop over a model and the trace recording both
 //!   consume topology events through it.
-//! * [`trace`] — topology-trace record/replay: a [`TopologyTrace`]
-//!   captures one realized topology evolution, standalone, and replays
-//!   it as a deterministic [`TopologyModel`], so one churn realization
-//!   can drive many protocol runs — the substrate of the coupled
-//!   sync-vs-async comparisons. [`run_coupled_dynamic`] runs a coupled
-//!   trial's synchronous and asynchronous replays in lockstep on one
-//!   graph, so each trace step is applied once however many replays
-//!   read it; [`run_sync_dynamic`] (rounds at time boundaries) and
-//!   [`run_trace_lazy`] (a queue-free async cursor) are its one-half
-//!   forms. A [`TraceRecording`] records on demand, only as far as its
-//!   replays read.
+//! * [`trace`] — topology-trace record/replay: a [`TraceRecording`]
+//!   records one realized topology evolution, standalone and on demand,
+//!   only as far as its replays read, so one churn realization can
+//!   drive many protocol runs — the substrate of the coupled
+//!   sync-vs-async comparisons. [`run_coupled_dynamic`] is the one
+//!   replay: it runs a coupled trial's synchronous and asynchronous
+//!   halves in lockstep on one graph, so each trace step is applied
+//!   once however many halves read it; [`run_sync_dynamic`] (rounds at
+//!   time boundaries) is its one-half synchronous form. A
+//!   [`TopologyTrace`] is a recording's steps so far, or an eager one
+//!   ([`TopologyTrace::record`]).
 //!
 //! Each protocol has one loop: the asynchronous global-clock tick loop
 //! of [`crate::asynchronous`] runs over static rows, a model's graph and
@@ -37,6 +37,6 @@ pub mod trace;
 pub use scheduler::TopoDriver;
 pub use topology::TopologyModel;
 pub use trace::{
-    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
-    TraceRecording, TraceRef, TraceReplayer, TraceStep,
+    run_coupled_dynamic, run_sync_dynamic, CoupledReplays, TopologyTrace, TraceRecording, TraceRef,
+    TraceStep,
 };

@@ -51,8 +51,7 @@ pub trait TopologyModel {
 
     /// Time of the model's one pending deterministic event, `INFINITY`
     /// when none is due. The driver re-reads it after `init` and after
-    /// every event it delivers; it may record ahead (a replay over a
-    /// live recording) but consumes no engine randomness.
+    /// every event it delivers, and it consumes no engine randomness.
     fn next_due(&mut self) -> f64 {
         f64::INFINITY
     }

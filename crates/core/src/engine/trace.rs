@@ -13,23 +13,15 @@
 //!   ([`TopologyTrace::record`]): the model's event stream is driven on
 //!   its own, with the informed set frozen to the source — an
 //!   *oblivious* realization, the only kind a sync run can share.
+//!   Replaying a trace consumes **no randomness**, so one recorded
+//!   realization can drive arbitrarily many protocol runs, each with its
+//!   own protocol RNG.
 //! * [`TraceRecording`] — the same standalone recording, resumable: it
 //!   keeps its tail (graph, event driver, model state, trace RNG) and
 //!   records more only when a replay asks for a time past what is
 //!   recorded. Its steps are always a prefix of the eager
 //!   [`TopologyTrace::record`] trace with the same inputs, so a coupled
 //!   trial pays only for the realization its replays read.
-//! * [`TraceReplayer`] — the trace as a deterministic
-//!   [`TopologyModel`]: replay consumes **no randomness**, so one
-//!   recorded realization can drive arbitrarily many protocol runs —
-//!   sequential ([`crate::dynamic::run_dynamic_with`]) or the cursor
-//!   engine below — each with its own protocol RNG.
-//! * [`run_trace_lazy`] — the global-clock tick loop over a queue-free
-//!   cursor: no pending topology events at all, steps are applied when
-//!   the next protocol tick passes them. It consumes the RNG in exactly the
-//!   sequential replay's order, so it replays `run_dynamic_with` over
-//!   the trace's replayer **seed-for-seed** (pinned in
-//!   `tests/trace_replay.rs`).
 //! * [`run_sync_dynamic`] — the synchronous-rounds protocol on the
 //!   *same* trace, snapshotting the evolving graph at round boundaries
 //!   (round `r` sees every change up to time `r − 1`; one round = one
@@ -47,8 +39,15 @@
 //!   trace step is applied once, in trace order, as far as the
 //!   furthest half reads, and every half sees the graph exactly as its
 //!   own replay would: the same outcomes and the same draws, seed for
-//!   seed. [`run_trace_lazy`] and [`run_sync_dynamic`] are its one-half
-//!   forms, so the replay loop exists once.
+//!   seed. [`run_sync_dynamic`] is its one-half synchronous form, and a
+//!   lone asynchronous replay is the call with one asynchronous RNG and
+//!   no synchronous one, so the replay loop exists once. An asynchronous
+//!   half is the global-clock tick loop over a queue-free cursor: no
+//!   pending topology events exist, and the steps up to each tick are
+//!   applied before it (topology winning ties). It draws what the
+//!   sequential engine ([`crate::run_dynamic_with`]) draws over a model
+//!   that replays the trace, so the two agree seed for seed (pinned in
+//!   `tests/trace_replay.rs`).
 //!
 //! Every replay reads steps through one accessor, `TraceRef::step_by`,
 //! over either a sealed trace or a live recording; the lockstep loop
@@ -77,7 +76,7 @@ use crate::engine::scheduler::TopoDriver;
 use crate::engine::topology::TopologyModel;
 #[cfg(test)]
 use crate::mode::Mode;
-use crate::obs::{NoProbe, Probe};
+use crate::obs::NoProbe;
 use crate::outcome::{AsyncOutcome, SyncOutcome};
 use crate::spread::SpreadConfig;
 use crate::sync::Rounds;
@@ -273,7 +272,7 @@ impl TopologyTrace {
     /// The realization is drawn through the superposition scheduler
     /// ([`TopoDriver`]). A built-in model records through
     /// [`DynamicModel::build_state`](crate::DynamicModel::build_state).
-    /// Recording a [`TraceReplayer`] reproduces its trace exactly
+    /// Recording a replay of a trace reproduces the trace exactly
     /// (replay-of-replay is a fixed point, pinned in
     /// `tests/trace_replay.rs`). [`TraceRecording`] records the same
     /// realization on demand.
@@ -389,26 +388,6 @@ impl TopologyTrace {
     pub fn horizon(&self) -> f64 {
         self.horizon
     }
-
-    /// Materializes the full snapshot sequence: `snapshots()[0]` is the
-    /// initial graph, `snapshots()[i + 1]` the graph after step `i`.
-    /// Inactive nodes appear isolated. Every engine replaying this
-    /// trace walks exactly this sequence (prefix up to where it stops).
-    pub fn snapshots(&self) -> Vec<Graph> {
-        let mut net = MutableGraph::from_graph(&self.initial);
-        let mut out = Vec::with_capacity(self.steps.len() + 1);
-        out.push(self.initial.clone());
-        for step in self.steps.iter() {
-            apply_step(&mut net, step);
-            out.push(net.to_graph());
-        }
-        out
-    }
-
-    /// A deterministic [`TopologyModel`] that replays this trace.
-    pub fn replayer(&self) -> TraceReplayer<'_> {
-        TraceReplayer::new(self)
-    }
 }
 
 /// A standalone recording that grows on demand.
@@ -416,12 +395,11 @@ impl TopologyTrace {
 /// [`start`](Self::start) does what [`TopologyTrace::record`] does up to
 /// its first event, then stops. The recording keeps its tail — the
 /// graph, the event driver, the model state and the trace RNG — and
-/// records further only when a replay (through [`TraceReplayer::new`],
-/// [`run_trace_lazy`], [`run_sync_dynamic`] or [`run_coupled_dynamic`])
-/// asks for a time past what is recorded, never past the horizon. The
-/// driver retains the arrival it peeks, so pausing draws nothing extra:
-/// whatever has been recorded is byte for byte a prefix of the eager
-/// trace, and [`finish`](Self::finish) returns exactly that trace.
+/// records further only when a replay (through [`run_sync_dynamic`] or
+/// [`run_coupled_dynamic`]) asks for a time past what is recorded, never
+/// past the horizon. The driver retains the arrival it peeks, so pausing
+/// draws nothing extra: whatever has been recorded is byte for byte a
+/// prefix of the eager trace.
 ///
 /// Once the next event would fall past the horizon the tail is dropped
 /// and the recording is sealed.
@@ -498,13 +476,6 @@ impl TraceRecording {
             }
         }
     }
-
-    /// Records to the horizon and returns the sealed trace — equal to
-    /// [`TopologyTrace::record`] with the same inputs.
-    pub fn finish(mut self) -> TopologyTrace {
-        self.step_by(usize::MAX, f64::INFINITY);
-        self.trace
-    }
 }
 
 impl std::fmt::Debug for TraceRecording {
@@ -568,60 +539,6 @@ impl<'a> From<&'a mut TraceRef<'_>> for TraceRef<'a> {
             TraceRef::Sealed(trace) => TraceRef::Sealed(trace),
             TraceRef::Live(rec) => TraceRef::Live(rec),
         }
-    }
-}
-
-/// The trace as a [`TopologyModel`]: each recorded step is due at its
-/// recorded time and applies the recorded diff verbatim. Consumes
-/// **no randomness**, so the protocol RNG stream of a replaying engine
-/// is pure protocol randomness — the common-random-numbers half of the
-/// coupled runs. Over a live recording it reports the cursor step's
-/// time as soon as the previous step is applied, so it records one step
-/// ahead: up to the first step past the run's end.
-#[derive(Debug)]
-pub struct TraceReplayer<'a> {
-    trace: TraceRef<'a>,
-    cursor: usize,
-}
-
-impl<'a> TraceReplayer<'a> {
-    /// A replayer over a sealed trace or a live recording.
-    pub fn new(trace: impl Into<TraceRef<'a>>) -> Self {
-        TraceReplayer { trace: trace.into(), cursor: 0 }
-    }
-}
-
-impl TraceReplayer<'_> {
-    /// Number of steps applied so far.
-    pub fn applied(&self) -> usize {
-        self.cursor
-    }
-}
-
-impl TopologyModel for TraceReplayer<'_> {
-    fn init(&mut self, g: &Graph, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
-        let trace = self.trace.trace();
-        assert_eq!(
-            g.node_count(),
-            trace.node_count(),
-            "trace was recorded on a different node count"
-        );
-        // Reset the cursor so one replayer can serve several engine
-        // runs back to back.
-        self.cursor = 0;
-        net.replace_edges_with(&trace.initial);
-        // Every step is a deterministic due event.
-        0
-    }
-
-    fn next_due(&mut self) -> f64 {
-        self.trace.step_by(self.cursor, f64::INFINITY).map_or(f64::INFINITY, |step| step.time)
-    }
-
-    fn apply(&mut self, _t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
-        let step = self.trace.step_by(self.cursor, f64::INFINITY).expect("a due step exists");
-        apply_step(net, step);
-        self.cursor += 1;
     }
 }
 
@@ -734,42 +651,24 @@ impl TickTopology for Cursor<'_, '_> {
 /// An asynchronous replay as a lockstep half: the global-clock tick loop
 /// over the trace cursor, holding a drawn tick while it falls past what
 /// [`lockstep`] lets it run.
-struct AsyncHalf<'r, P> {
+struct AsyncHalf<'r> {
     st: RunState,
     held: Option<f64>,
     rng: &'r mut Xoshiro256PlusPlus,
-    probe: &'r mut P,
 }
 
-impl<'r, P: Probe> AsyncHalf<'r, P> {
-    fn new(
-        n: usize,
-        config: &SpreadConfig,
-        rng: &'r mut Xoshiro256PlusPlus,
-        max_steps: u64,
-        probe: &'r mut P,
-    ) -> Self {
-        let st = RunState::new(n, config, max_steps);
-        st.start(config.sources(), probe);
-        AsyncHalf { st, held: None, rng, probe }
-    }
-
+impl AsyncHalf<'_> {
     /// Runs the ticks at or before `until` over `shared`, and holds the
     /// next one. Running to `-∞` runs no tick but draws the next one.
     #[inline(always)]
     fn run(&mut self, until: f64, shared: &mut Shared<'_>) {
         let seen = self.st.topology_events as usize;
         let mut cursor = Cursor { shared, seen, held: self.held };
-        self.held = self.st.run_ticks(&mut cursor, until, self.rng, self.probe);
-    }
-
-    fn finish(self) -> AsyncOutcome {
-        self.st.end(self.probe);
-        self.st.into_outcome()
+        self.held = self.st.run_ticks(&mut cursor, until, self.rng, &mut NoProbe);
     }
 }
 
-impl<P: Probe> Half for AsyncHalf<'_, P> {
+impl Half for AsyncHalf<'_> {
     fn next_read(&mut self, shared: &mut Shared<'_>) -> Option<f64> {
         self.run(f64::NEG_INFINITY, shared);
         self.held
@@ -807,39 +706,6 @@ impl Half for SyncHalf<'_> {
             });
         }
     }
-}
-
-/// Runs the asynchronous protocol under a [`SpreadConfig`] — its
-/// sources, mode and per-contact loss — over a recorded trace with a
-/// **queue-free cursor**: no pending topology events exist; before each
-/// protocol tick the cursor applies every recorded step up to the tick
-/// time (topology winning ties, like the merged stream). It is the
-/// global-clock tick loop of [`crate::run_async_probed`] over the trace:
-/// one `Exp(n)` draw per tick, then the node and neighbor draws (and a
-/// loss draw), exactly the sequential replay's, and both apply the
-/// recorded steps to the same order-relaxed rows, so this engine
-/// replays [`run_dynamic_with`](crate::run_dynamic_with) over
-/// `trace.replayer()` **seed-for-seed**. It calls `probe` at the same
-/// points with the same arguments as that replay does, so a probed
-/// cursor run observes the identical event stream.
-///
-/// This is the one-half form of [`run_coupled_dynamic`]: the same
-/// lockstep loop with a single asynchronous half.
-///
-/// # Panics
-///
-/// Panics if a source is out of range for the trace.
-pub fn run_trace_lazy<'a, P: Probe>(
-    trace: impl Into<TraceRef<'a>>,
-    config: &SpreadConfig,
-    rng: &mut Xoshiro256PlusPlus,
-    max_steps: u64,
-    probe: &mut P,
-) -> AsyncOutcome {
-    let mut shared = Shared::new(trace.into(), config.sources()[0]);
-    let mut half = AsyncHalf::new(shared.net.node_count(), config, rng, max_steps, probe);
-    lockstep(&mut shared, &mut [&mut half]);
-    half.finish()
 }
 
 /// Runs the **synchronous** push/pull/push–pull protocol under a
@@ -883,8 +749,9 @@ pub struct CoupledReplays {
 
 /// Runs the replays of one coupled trial on one graph, in lockstep: a
 /// synchronous replay ([`run_sync_dynamic`]) per RNG in `sync_rngs` and
-/// an asynchronous one ([`run_trace_lazy`], unprobed) per RNG in
-/// `async_rngs`, all over the same trace and under the same `config`.
+/// an asynchronous one (the global-clock tick loop over the trace
+/// cursor) per RNG in `async_rngs`, all over the same trace and under
+/// the same `config`.
 /// The halves run in the order in which they read the graph (sync round
 /// `r` at time `r − 1`, an asynchronous tick after every step up to
 /// it), so each trace step is applied once, as far as the furthest half
@@ -922,18 +789,16 @@ fn replay_coupled(
         .iter_mut()
         .map(|rng| SyncHalf { rounds: Rounds::new(n, config), rng, max_rounds })
         .collect();
-    let mut probes = vec![NoProbe; async_rngs.len()];
-    let mut asyncs: Vec<AsyncHalf<'_, NoProbe>> = async_rngs
+    let mut asyncs: Vec<AsyncHalf<'_>> = async_rngs
         .iter_mut()
-        .zip(&mut probes)
-        .map(|(rng, probe)| AsyncHalf::new(n, config, rng, max_steps, probe))
+        .map(|rng| AsyncHalf { st: RunState::new(n, config, max_steps), held: None, rng })
         .collect();
     let mut halves: Vec<&mut dyn Half> = syncs.iter_mut().map(|h| h as &mut dyn Half).collect();
     halves.extend(asyncs.iter_mut().map(|h| h as &mut dyn Half));
     lockstep(shared, &mut halves);
     CoupledReplays {
         sync: syncs.into_iter().map(|h| h.rounds.finish()).collect(),
-        asynchronous: asyncs.into_iter().map(AsyncHalf::finish).collect(),
+        asynchronous: asyncs.into_iter().map(|h| h.st.into_outcome()).collect(),
     }
 }
 
@@ -958,8 +823,8 @@ mod tests {
     use rumor_graph::generators;
 
     use crate::dynamic::{
-        run_dynamic_with, Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk,
-        Rewire, SnapshotFamily,
+        Adversary, DynamicModel, EdgeMarkov, Mobility, NodeChurn, RandomWalk, Rewire,
+        SnapshotFamily,
     };
     use crate::sync::run_sync;
 
@@ -970,16 +835,6 @@ mod tests {
     /// Records `model` from source 0.
     fn record(g: &Graph, model: &DynamicModel, seed: u64, horizon: f64) -> TopologyTrace {
         TopologyTrace::record(g, 0, model.build_state().as_mut(), &mut rng(seed), horizon)
-    }
-
-    /// Runs the sequential engine from source 0 over `state`.
-    fn run_seq(
-        g: &Graph,
-        state: &mut dyn TopologyModel,
-        rng: &mut Xoshiro256PlusPlus,
-        max_steps: u64,
-    ) -> AsyncOutcome {
-        run_dynamic_with(g, &SpreadConfig::new(0), state, rng, max_steps, &mut NoProbe)
     }
 
     fn all_models() -> Vec<(&'static str, DynamicModel)> {
@@ -1019,41 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_walks_the_recorded_snapshots() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(6), 100);
-        for (name, model) in all_models() {
-            let trace = record(&g, &model, 7, 8.0);
-            let snapshots = trace.snapshots();
-            assert_eq!(snapshots.len(), trace.len() + 1, "{name}");
-            assert_eq!(&snapshots[0], trace.initial(), "{name}");
-            // Applying steps one by one through a replayer's own
-            // primitive walks the same sequence.
-            let mut net = MutableGraph::from_graph(trace.initial());
-            for (i, step) in trace.steps().enumerate() {
-                apply_step(&mut net, step);
-                assert_eq!(net.to_graph(), snapshots[i + 1], "{name} step {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_cursor_replays_sequential_replay_seed_for_seed() {
-        let g = generators::gnp_connected(48, 0.15, &mut rng(8), 100);
-        for (name, model) in all_models() {
-            let trace = record(&g, &model, 9, 30.0);
-            let mut a = rng(10);
-            let mut replay = trace.replayer();
-            let seq = run_seq(&g, &mut replay, &mut a, 1_000_000);
-            let mut b = rng(10);
-            let lazy =
-                run_trace_lazy(&trace, &SpreadConfig::new(0), &mut b, 1_000_000, &mut NoProbe);
-            assert_eq!(lazy, seq, "{name}: cursor engine diverged");
-            assert_eq!(a.next_u64(), b.next_u64(), "{name}: RNG state diverged");
-            assert_eq!(replay.applied() as u64, seq.topology_events, "{name}: cursor drift");
-        }
-    }
-
-    #[test]
     fn sync_dynamic_completes_under_all_models() {
         let g = generators::gnp_connected(48, 0.2, &mut rng(14), 100);
         for (name, model) in all_models() {
@@ -1065,38 +885,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_of_replay_is_a_fixed_point() {
-        let g = generators::gnp_connected(32, 0.2, &mut rng(20), 100);
-        for (name, model) in all_models() {
-            let t1 = record(&g, &model, 21, 15.0);
-            let t2 = TopologyTrace::record(&g, 0, &mut t1.replayer(), &mut rng(99), t1.horizon());
-            assert_eq!(t2, t1, "{name}: replay of a replay drifted");
-        }
-    }
-
-    #[test]
-    fn one_replayer_serves_consecutive_engine_runs() {
-        // The cursor resets on init, so a single replayer can be
-        // driven through several runs back to back (regression: stale
-        // cursor state leaked across runs).
-        let g = generators::gnp_connected(32, 0.2, &mut rng(26), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let trace = record(&g, &model, 27, 15.0);
-        let mut replay = trace.replayer();
-        let a = run_seq(&g, &mut replay, &mut rng(28), 1_000_000);
-        let b = run_seq(&g, &mut replay, &mut rng(28), 1_000_000);
-        assert_eq!(a, b);
-        assert_eq!(replay.applied() as u64, b.topology_events);
-    }
-
-    #[test]
     fn replay_past_the_horizon_freezes_the_topology() {
         // Dense base: a handful of frozen-off edges cannot disconnect it.
         let g = generators::complete(16);
         let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(0.05));
         let trace = record(&g, &model, 23, 2.0);
-        let out =
-            run_trace_lazy(&trace, &SpreadConfig::new(0), &mut rng(24), 10_000_000, &mut NoProbe);
+        let config = SpreadConfig::new(0);
+        let out = run_coupled_dynamic(&trace, &config, &mut [], &mut [rng(24)], 0, 10_000_000);
+        let out = &out.asynchronous[0];
         assert!(out.completed);
         assert!(out.topology_events <= trace.len() as u64);
     }
@@ -1120,7 +916,7 @@ mod tests {
                 assert!(rec.frontier() > t, "{name} at {t}");
             }
             assert_eq!(rec.frontier(), f64::INFINITY, "{name}: not sealed past the horizon");
-            assert_eq!(rec.finish(), eager, "{name}");
+            assert_eq!(rec.trace(), &eager, "{name}");
         }
     }
 

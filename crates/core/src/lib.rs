@@ -36,10 +36,10 @@
 //!   deterministic event, and every model run through its boxed
 //!   state, [`DynamicModel::build_state`]), the topology driver
 //!   ([`engine::TopoDriver`]) that merges that event with the
-//!   superposition scheduler over the model's channels, and topology traces with the **lockstep trace
-//!   replay** every trace replay runs on ([`engine::run_coupled_dynamic`],
-//!   one-half forms [`engine::run_trace_lazy`] and
-//!   [`engine::run_sync_dynamic`]);
+//!   superposition scheduler over the model's channels, and topology
+//!   traces, recorded on demand and read by the one **lockstep trace
+//!   replay** ([`engine::run_coupled_dynamic`], one-half synchronous
+//!   form [`engine::run_sync_dynamic`]);
 //! * a seeded, optionally parallel **Monte-Carlo runner** ([`runner`]) for
 //!   estimating spreading-time laws, expectations `E[T]` and
 //!   high-probability quantiles `T₁/ₙ`;
@@ -90,7 +90,7 @@ pub mod trace;
 
 pub use asynchronous::{run_async, run_async_probed, AsyncView};
 pub use dynamic::{run_dynamic, run_dynamic_with, DynamicModel};
-pub use engine::{run_sync_dynamic, run_trace_lazy, TopologyModel, TopologyTrace};
+pub use engine::{run_sync_dynamic, TopologyModel, TopologyTrace};
 pub use informed::InformedSet;
 pub use mode::Mode;
 pub use obs::{

@@ -330,15 +330,20 @@ impl<'a> Parser<'a> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate and a low one escaped right
+                            // after it are one char; any other surrogate is
+                            // no code point.
+                            let next = self.bytes().get(self.pos + 1..self.pos + 3);
+                            if (0xD800..0xDC00).contains(&code) && next == Some(b"\\u") {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -346,6 +351,13 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The value of the four hex digits of a `\\u` escape at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes().get(at..at + 4).ok_or("truncated \\u escape")?;
+        let digit = |acc: u32, &b: &u8| Some(acc * 16 + char::from(b).to_digit(16)?);
+        hex.iter().try_fold(0, digit).ok_or_else(|| "bad \\u escape".to_owned())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -487,6 +499,21 @@ mod tests {
         assert_eq!(err("\"\\u12zz\""), "bad \\u escape");
         assert_eq!(err("\"\\u12é\""), "bad \\u escape");
         assert_eq!(err("\"\\ud800\""), "bad \\u code point");
+        assert_eq!(err("\"\\u+041\""), "bad \\u escape");
+        assert_eq!(err("\"\\u-041\""), "bad \\u escape");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // Python's `json.dumps` writes 😀 this way by default.
+        assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::Str("😀".to_owned()));
+        assert_eq!(Json::parse("\"a\\uD83D\\uDE00b\"").unwrap(), Json::Str("a😀b".to_owned()));
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        // Lone, reversed and unpaired surrogates are no code points.
+        for bad in ["\"\\ude00\"", "\"\\ude00\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\""] {
+            assert_eq!(err(bad), "bad \\u code point", "{bad}");
+        }
+        assert_eq!(err("\"\\ud83d\\ude0\""), "bad \\u escape");
     }
 
     /// Finite numbers around every rendering boundary: ±0, integers up

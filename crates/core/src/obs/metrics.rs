@@ -4,11 +4,12 @@
 //!
 //! The JSON artifact contains **only engine-invariant payload** —
 //! spreading-time/step/topology histograms and mean spreading curves,
-//! all derived from per-trial outcomes in trial order — so a trace
-//! replayed by the sequential engine and by the trace cursor produces
-//! byte-identical artifacts (pinned in `tests/obs_metrics.rs`). Engine-health readings (censor ring dumps)
-//! are inherently engine-shaped and appear only in the summary
-//! rendering.
+//! all derived from per-trial outcomes in trial order — so two engines
+//! that replay each other seed for seed produce byte-identical
+//! artifacts (the static engine and the model engine over the no-op
+//! model, pinned in `tests/obs_metrics.rs`). Engine-health readings
+//! (censor ring dumps) are inherently engine-shaped and appear only in
+//! the summary rendering.
 
 use super::curve::CurveSummary;
 use super::histogram::LogHistogram;

@@ -2,15 +2,14 @@
 //!
 //! Every run in this workspace is an instance of one abstract
 //! experiment: a **protocol** (synchronous rounds or asynchronous
-//! clocks, push/pull/push–pull) on a **topology** (static, one of the
-//! dynamic evolution models, or a recorded trace) over a **trial
-//! plan** (seeded Monte-Carlo trials, optionally coupled sync/async
-//! pairs on shared traces). The engine follows from
-//! those axes: static graphs run the static engines, topology models
-//! the sequential merged-stream engine, and every trace replay the
-//! lockstep trace replay: an uncoupled [`Topology::Trace`] run on its
-//! one-half cursor form ([`run_trace_lazy`]), and the halves of every
-//! coupled trial together on one graph ([`run_coupled_dynamic`]).
+//! clocks, push/pull/push–pull) on a **topology** (static, or one of
+//! the dynamic evolution models) over a **trial plan** (seeded
+//! Monte-Carlo trials, optionally coupled sync/async pairs on shared
+//! traces). The engine follows from those axes: static graphs run the
+//! static engines, asynchronous runs on a topology model the sequential
+//! merged-stream engine, and every run that replays a recorded trace
+//! (a coupled trial, or a synchronous run on a model) the lockstep trace
+//! replay ([`run_coupled_dynamic`]), on a realization recorded on demand.
 //! [`SimSpec`] names those three axes once; [`SimSpec::build`] validates
 //! the combination (illegal combinations are a typed [`SpecError`], not
 //! a panic deep inside a run) and returns a [`Simulation`] whose
@@ -78,8 +77,7 @@ use crate::dynamic::{
     SnapshotFamily,
 };
 use crate::engine::{
-    run_coupled_dynamic, run_sync_dynamic, run_trace_lazy, CoupledReplays, TopologyTrace,
-    TraceRecording, TraceRef,
+    run_coupled_dynamic, run_sync_dynamic, CoupledReplays, TraceRecording, TraceRef,
 };
 use crate::mode::Mode;
 use crate::obs::{
@@ -150,15 +148,12 @@ impl Protocol {
 }
 
 /// The topology axis: what the protocol spreads over.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Topology {
     /// The base graph, frozen.
     Static,
     /// One of the built-in evolution models.
     Model(DynamicModel),
-    /// Deterministic replay of one recorded topology realization. Not
-    /// serializable.
-    Trace(TopologyTrace),
 }
 
 impl Topology {
@@ -172,19 +167,6 @@ impl Topology {
         match self {
             Topology::Static => "static".to_owned(),
             Topology::Model(m) => model_label(m).to_owned(),
-            Topology::Trace(_) => "trace".to_owned(),
-        }
-    }
-}
-
-impl fmt::Debug for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Topology::Static => write!(f, "Static"),
-            Topology::Model(m) => write!(f, "Model({m:?})"),
-            Topology::Trace(t) => {
-                write!(f, "Trace({} nodes, {} steps)", t.node_count(), t.len())
-            }
         }
     }
 }
@@ -532,13 +514,6 @@ pub enum SpecError {
     HorizonNeedsCoupling,
     /// Antithetic pairing is only defined for coupled runs.
     AntitheticNeedsCoupling,
-    /// A trace topology whose node count differs from the graph's.
-    TraceNodeMismatch {
-        /// Node count of the recorded trace.
-        trace: usize,
-        /// Node count of the resolved graph.
-        nodes: usize,
-    },
     /// The requested clock view is not available on this run shape.
     ViewUnsupported {
         /// The requested view.
@@ -611,9 +586,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::AntitheticNeedsCoupling => {
                 write!(f, "antithetic pairing is only defined for coupled runs")
-            }
-            SpecError::TraceNodeMismatch { trace, nodes } => {
-                write!(f, "trace records {trace} nodes but the graph has {nodes}")
             }
             SpecError::ViewUnsupported { view, why } => {
                 write!(f, "the {view} view is unavailable here: {why}")
@@ -851,18 +823,11 @@ impl SimSpec {
         // The static and sequential dynamic engines assert against
         // isolated nodes; replays of a recorded trace skip them.
         let recorded = matches!(self.topology, Topology::Model(_));
-        let replayed = plan.coupled
-            || matches!(self.topology, Topology::Trace(_))
-            || (self.protocol.is_sync() && recorded);
+        let replayed = plan.coupled || (self.protocol.is_sync() && recorded);
         if !replayed && nodes >= 2 && g.has_isolated_nodes() {
             return Err(SpecError::InvalidGraph(
                 "graph has isolated nodes, which only trace replays can skip".to_owned(),
             ));
-        }
-        if let Topology::Trace(t) = &self.topology {
-            if t.node_count() != nodes {
-                return Err(SpecError::TraceNodeMismatch { trace: t.node_count(), nodes });
-            }
         }
         if let Topology::Model(DynamicModel::Rewire(Rewire {
             family: SnapshotFamily::RandomRegular { d },
@@ -1172,9 +1137,6 @@ impl Simulation {
                 let proto_rng = &mut Xoshiro256PlusPlus::seed_from(proto_seed);
                 sync_rec(run_sync_dynamic(&mut rec, &config, proto_rng, max_rounds))
             }),
-            Topology::Trace(trace) => {
-                self.fan_out(|_, rng| sync_rec(run_sync_dynamic(trace, &config, rng, max_rounds)))
-            }
         };
         assemble(Unit::Rounds, records, self.spec.metrics)
     }
@@ -1196,12 +1158,12 @@ impl Simulation {
             Topology::Static => self.fan_out(|_, rng| {
                 async_rec(&run_async_probed(g, &config, view, rng, max_steps, &mut NoProbe))
             }),
-            _ => self.fan_out(|_, rng| {
+            Topology::Model(model) => self.fan_out(|_, rng| {
                 if !capture {
-                    return async_rec(&self.dynamic_run(&config, rng, &mut NoProbe));
+                    return async_rec(&self.dynamic_run(model, &config, rng, &mut NoProbe));
                 }
                 let mut ring = RingProbe::new(RING_CAP);
-                let out = self.dynamic_run(&config, rng, &mut ring);
+                let out = self.dynamic_run(model, &config, rng, &mut ring);
                 let mut rec = async_rec(&out);
                 // Censored trials dump their event tail.
                 if !out.completed {
@@ -1225,30 +1187,22 @@ impl Simulation {
         let state = match &self.spec.topology {
             Topology::Static => DynamicModel::Static.build_state(),
             Topology::Model(m) => m.build_state(),
-            Topology::Trace(_) => unreachable!("a recorded trace is replayed, not recorded"),
         };
         let trace_rng = Xoshiro256PlusPlus::seed_from(trace_seed);
         TraceRecording::start(&self.graph, self.spec.source, state, trace_rng, horizon)
     }
 
-    /// Runs one asynchronous trial on the spec's evolving topology,
-    /// observed by `probe`: a recorded trace on the trace cursor, a
-    /// model on the sequential engine over its boxed state.
+    /// Runs one asynchronous trial on `model`, observed by `probe`: the
+    /// sequential engine over the model's boxed state.
     fn dynamic_run<P: Probe>(
         &self,
+        model: &DynamicModel,
         config: &SpreadConfig,
         rng: &mut Xoshiro256PlusPlus,
         probe: &mut P,
     ) -> AsyncOutcome {
         let g = &self.graph;
-        let max_steps = self.max_steps;
-        match &self.spec.topology {
-            Topology::Trace(trace) => run_trace_lazy(trace, config, rng, max_steps, probe),
-            Topology::Model(model) => {
-                run_dynamic_with(g, config, model.build_state().as_mut(), rng, max_steps, probe)
-            }
-            Topology::Static => unreachable!("static sequential runs use the static engine"),
-        }
+        run_dynamic_with(g, config, model.build_state().as_mut(), rng, self.max_steps, probe)
     }
 
     fn run_coupled(&self) -> RunReport {
@@ -1269,11 +1223,7 @@ impl Simulation {
     fn coupled_trial(&self, rng: &mut Xoshiro256PlusPlus) -> (CoupledOutcome, Vec<CurvePair>) {
         // Two sub-seeds per trial: one for the shared topology
         // realization, one used by BOTH protocol runs (common random
-        // numbers). A pre-recorded trace draws no trace seed.
-        if let Topology::Trace(trace) = &self.spec.topology {
-            let proto_seed = rng.next_u64();
-            return self.coupled_on_trace(trace.into(), proto_seed);
-        }
+        // numbers).
         let trace_seed = rng.next_u64();
         let proto_seed = rng.next_u64();
         // The realization is recorded on demand: only as far as the
@@ -1504,7 +1454,7 @@ impl SimSpec {
         s.push_str(&format!("graph = {}\n", graph_to_text(&self.graph)?));
         s.push_str(&format!("source = {}\n", self.source));
         s.push_str(&format!("protocol = {}\n", protocol_to_text(&self.protocol)));
-        s.push_str(&format!("topology = {}\n", topology_to_text(&self.topology)?));
+        s.push_str(&format!("topology = {}\n", topology_to_text(&self.topology)));
         // The engine follows from the other axes; the line stays so
         // that every committed artifact keeps its bytes.
         s.push_str("engine = sequential\n");
@@ -1864,8 +1814,8 @@ fn family_to_text(family: &SnapshotFamily) -> String {
     }
 }
 
-fn topology_to_text(topology: &Topology) -> Result<String, SpecError> {
-    Ok(match topology {
+fn topology_to_text(topology: &Topology) -> String {
+    match topology {
         Topology::Static => "static".to_owned(),
         // Distinct from `static`: Model(Static) routes through the
         // dynamic engine (an explicit no-op model) and resolves the
@@ -1898,10 +1848,7 @@ fn topology_to_text(topology: &Topology) -> Result<String, SpecError> {
             m.budget,
             fmt_f64(m.heal_after)
         ),
-        Topology::Trace(_) => {
-            return Err(SpecError::NotSerializable { what: "a recorded topology trace" })
-        }
-    })
+    }
 }
 
 fn topology_from_text(value: &str, line: usize) -> Result<Topology, SpecError> {
@@ -1970,7 +1917,6 @@ fn engine_from_text(value: &str, line: usize) -> Result<bool, SpecError> {
 mod tests {
     use super::*;
     use rumor_graph::generators;
-    use rumor_sim::rng::SeedStream;
 
     fn base_spec() -> SimSpec {
         SimSpec::new(GraphSpec::Complete { n: 8 })
@@ -2051,19 +1997,10 @@ mod tests {
             let err = rejected.build().unwrap_err();
             assert!(matches!(&err, SpecError::InvalidGraph(m) if m.contains("isolated")), "{err}");
         }
-        // Trace replays skip an isolated node's turn: coupled runs,
-        // trace topologies and synchronous runs on a model build and
-        // run (censored).
-        let trace = TopologyTrace::record(
-            &g,
-            0,
-            DynamicModel::Static.build_state().as_mut(),
-            &mut Xoshiro256PlusPlus::seed_from(1),
-            5.0,
-        );
+        // Trace replays skip an isolated node's turn: coupled runs and
+        // synchronous runs on a model build and run (censored).
         for allowed in [
             spec.clone().topology(markov.clone()).coupled(true),
-            spec.clone().topology(Topology::Trace(trace)),
             spec.protocol(Protocol::push_pull_sync()).topology(markov).max_rounds(50),
         ] {
             allowed.build().unwrap().run();
@@ -2076,42 +2013,6 @@ mod tests {
         let serial = spec.clone().build().unwrap().run();
         let parallel = spec.threads(4).build().unwrap().run();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn trace_topology_replays_deterministically() {
-        let g = generators::gnp_connected(24, 0.3, &mut Xoshiro256PlusPlus::seed_from(6), 100);
-        let model = DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0));
-        let trace = TopologyTrace::record(
-            &g,
-            0,
-            model.build_state().as_mut(),
-            &mut Xoshiro256PlusPlus::seed_from(7),
-            40.0,
-        );
-        let spec = SimSpec::on_graph(&g)
-            .protocol(Protocol::push_pull_async())
-            .topology(Topology::Trace(trace.clone()))
-            .trials(5)
-            .seed(3);
-        let sim = spec.build().unwrap();
-        let a = sim.run();
-        let b = spec.build().unwrap().run();
-        assert_eq!(a, b);
-        // Each trial runs on the trace cursor, which replays the
-        // sequential engine over the trace's replayer seed-for-seed.
-        for (o, seed) in a.outcomes.iter().zip(SeedStream::new(3)) {
-            let mut rng = Xoshiro256PlusPlus::seed_from(seed);
-            let seq = run_dynamic_with(
-                &g,
-                &SpreadConfig::new(0),
-                &mut trace.replayer(),
-                &mut rng,
-                sim.max_steps(),
-                &mut NoProbe,
-            );
-            assert_eq!(*o, async_trial(&seq));
-        }
     }
 
     #[test]
@@ -2183,18 +2084,6 @@ mod tests {
         assert_eq!(
             SimSpec::on_graph(&g).to_spec_string().unwrap_err(),
             SpecError::NotSerializable { what: "a provided graph" }
-        );
-        let trace = TopologyTrace::record(
-            &g,
-            0,
-            DynamicModel::Static.build_state().as_mut(),
-            &mut Xoshiro256PlusPlus::seed_from(1),
-            1.0,
-        );
-        let traced = SimSpec::new(GraphSpec::Complete { n: 4 }).topology(Topology::Trace(trace));
-        assert_eq!(
-            traced.to_spec_string().unwrap_err(),
-            SpecError::NotSerializable { what: "a recorded topology trace" }
         );
     }
 

@@ -31,7 +31,7 @@ use rumor_graph::Graph;
 
 use crate::engine::TraceRecording;
 
-use super::{graph_to_text, topology_to_text, GraphSpec, SimSpec, SpecError, Topology};
+use super::{graph_to_text, topology_to_text, GraphSpec, SimSpec, SpecError};
 
 /// Recordings retained at most; past this the cache stops inserting
 /// (it never evicts, so hits stay deterministic).
@@ -147,26 +147,20 @@ pub(crate) struct CacheBinding {
 impl CacheBinding {
     /// Binds `spec` (with its resolved coupled horizon) to the caches.
     /// The trace prefix is `None` — disabling the trace cache, not the
-    /// graph cache — when the run is uncoupled or any keyed component
-    /// has no serialized form.
+    /// graph cache — when the run is uncoupled or its graph has no
+    /// serialized form.
     pub(crate) fn bind(
         caches: &Arc<RunCaches>,
         baseline: Vec<(String, u64)>,
         spec: &SimSpec,
         horizon: f64,
     ) -> Self {
-        let trace_prefix = if spec.plan.coupled
-            && matches!(spec.topology, Topology::Static | Topology::Model(_))
-        {
-            match (graph_to_text(&spec.graph), topology_to_text(&spec.topology)) {
-                (Ok(g), Ok(t)) => {
-                    Some(format!("{g}|{t}|src={}|h={:016x}", spec.source, horizon.to_bits()))
-                }
-                _ => None,
-            }
-        } else {
-            None
+        let key = |g: String| {
+            let t = topology_to_text(&spec.topology);
+            format!("{g}|{t}|src={}|h={:016x}", spec.source, horizon.to_bits())
         };
+        let trace_prefix =
+            if spec.plan.coupled { graph_to_text(&spec.graph).ok().map(key) } else { None };
         Self { caches: Arc::clone(caches), trace_prefix, baseline }
     }
 
@@ -178,7 +172,7 @@ impl CacheBinding {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Protocol, SimSpec};
+    use super::super::{Protocol, SimSpec, Topology};
     use super::*;
 
     fn coupled_spec(seed: u64) -> SimSpec {

@@ -12,7 +12,7 @@ use rumor_spreading::core::dynamic::{DynamicModel, EdgeMarkov};
 use rumor_spreading::core::spec::{GraphSpec, Protocol, SimSpec, Topology};
 use rumor_spreading::core::{
     run_async, run_async_probed, run_dynamic, run_dynamic_with, AsyncView, CountingProbe,
-    LogHistogram, MetricsLevel, Mode, SpreadConfig, TopologyTrace,
+    LogHistogram, MetricsLevel, Mode, SpreadConfig,
 };
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
@@ -38,13 +38,6 @@ fn spec_on(topology: Topology) -> SimSpec {
 
 fn markov_spec() -> SimSpec {
     spec_on(Topology::Model(markov()))
-}
-
-/// One recorded markov realization on [`GRAPH`].
-fn markov_trace() -> TopologyTrace {
-    let g = GRAPH.resolve().unwrap();
-    let mut rng = Xoshiro256PlusPlus::seed_from(17);
-    TopologyTrace::record(&g, 0, markov().build_state().as_mut(), &mut rng, 40.0)
 }
 
 /// The determinism contract: the artifact contains only
@@ -100,14 +93,15 @@ fn committed_quick_run_metrics_artifact_replays_byte_for_byte() {
 }
 
 /// Probes observe, never perturb: enabling metrics does not change a
-/// single trial outcome, on the sequential engine or the trace cursor.
+/// single trial outcome, on the sequential engine or on the trace
+/// cursor of coupled trials.
 #[test]
 fn metrics_capture_does_not_perturb_outcomes() {
-    for topology in [Topology::Model(markov()), Topology::Trace(markov_trace())] {
-        let on = spec_on(topology);
+    for on in [markov_spec(), markov_spec().coupled(true)] {
         let off = on.clone().metrics(MetricsLevel::Off).build().unwrap().run();
         let on = on.build().unwrap().run();
         assert_eq!(off.outcomes, on.outcomes);
+        assert_eq!(off.coupled_outcomes(), on.coupled_outcomes());
         assert_eq!(off.telemetry, on.telemetry);
     }
 }

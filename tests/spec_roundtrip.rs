@@ -13,7 +13,7 @@ use rumor_spreading::core::dynamic::{
 use rumor_spreading::core::spec::{
     GraphSpec, Protocol, RunReport, SimSpec, SpecError, Topology, TrialPlan, Unit,
 };
-use rumor_spreading::core::{AsyncView, MetricsLevel, Mode, TopologyTrace};
+use rumor_spreading::core::{AsyncView, MetricsLevel, Mode};
 use rumor_spreading::graph::generators;
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
@@ -503,20 +503,6 @@ fn an_out_of_range_model_literal_panics_in_run_dynamic() {
 }
 
 #[test]
-fn trace_topologies_must_match_the_graph() {
-    let g = generators::complete(6);
-    let trace = TopologyTrace::record(
-        &g,
-        0,
-        DynamicModel::Static.build_state().as_mut(),
-        &mut Xoshiro256PlusPlus::seed_from(1),
-        10.0,
-    );
-    let err = valid().protocol(async_pp()).topology(Topology::Trace(trace)).build().unwrap_err();
-    assert_eq!(err, SpecError::TraceNodeMismatch { trace: 6, nodes: 8 });
-}
-
-#[test]
 fn non_global_views_are_rejected_on_dynamic_runs() {
     let err = valid()
         .protocol(Protocol::Async { mode: Mode::PushPull, view: AsyncView::NodeClocks })
@@ -536,19 +522,11 @@ fn non_global_views_are_rejected_on_dynamic_runs() {
 
 #[test]
 fn unserializable_specs_are_typed() {
-    let g = generators::complete(4);
-    let trace = TopologyTrace::record(
-        &g,
-        0,
-        DynamicModel::Static.build_state().as_mut(),
-        &mut Xoshiro256PlusPlus::seed_from(1),
-        5.0,
-    );
-    let err = SimSpec::new(GraphSpec::Complete { n: 4 })
-        .topology(Topology::Trace(trace))
+    let err = SimSpec::on_graph(&generators::complete(4))
+        .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov::symmetric(1.0))))
         .to_spec_string()
         .unwrap_err();
-    assert_eq!(err, SpecError::NotSerializable { what: "a recorded topology trace" });
+    assert_eq!(err, SpecError::NotSerializable { what: "a provided graph" });
 }
 
 #[test]
