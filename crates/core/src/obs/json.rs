@@ -500,7 +500,6 @@ mod tests {
         assert_eq!(err("\"\\u12é\""), "bad \\u escape");
         assert_eq!(err("\"\\ud800\""), "bad \\u code point");
         assert_eq!(err("\"\\u+041\""), "bad \\u escape");
-        assert_eq!(err("\"\\u-041\""), "bad \\u escape");
     }
 
     #[test]
