@@ -293,7 +293,8 @@ impl Mobility {
 
 /// Adversarial edge removal: at Poisson rate `rate` the adversary cuts
 /// up to `budget` edges with exactly one informed endpoint (the
-/// informed/uninformed frontier, scanned in ascending node order); each
+/// informed/uninformed frontier, smallest first in arc order of the
+/// base graph, which is ascending `(informed, uninformed)` order); each
 /// cut edge is re-inserted `heal_after` time units later
 /// (`f64::INFINITY` = removed for good).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -21,7 +21,7 @@
 //! mobility on a [`GridIndex`], and budget-limited adversarial removal
 //! of the informed/uninformed frontier.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use rumor_graph::arena;
 use rumor_graph::dynamic::MutableGraph;
@@ -423,8 +423,16 @@ impl TopologyModel for MobilityState {
 /// with exactly one informed endpoint — the worst-case dynamics the
 /// paper's lower bounds gesture at. Cut edges heal after a fixed delay
 /// (never, if the delay is infinite).
+///
+/// The frontier is a set of **arcs** of the base graph: arc `(u, w)` is
+/// `u`'s row offset plus the rank of `w` in `u`'s sorted row
+/// ([`Graph::arc`]), so ascending arc order is the lexicographic
+/// `(informed, uninformed)` order strikes cut in. Only the adversary
+/// edits the graph, so every live edge is a base edge and has its arc.
 pub(crate) struct AdversaryState {
     cfg: Adversary,
+    /// The base graph, which numbers the arcs (an O(1) `Arc` clone).
+    base: Option<Graph>,
     /// Cut edges awaiting their heal, with its time, in cut order. Every
     /// heal comes the same fixed delay after its cut and cut times never
     /// decrease, so this is also heal order — with ties in cut order —
@@ -432,38 +440,37 @@ pub(crate) struct AdversaryState {
     healing: VecDeque<(f64, Node, Node)>,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
-    /// The live frontier, maintained incrementally: every present edge
-    /// with exactly one informed endpoint, keyed `(informed,
-    /// uninformed)`. Strikes cut the lexicographically smallest
-    /// entries.
-    boundary: BTreeSet<(Node, Node)>,
+    /// The live frontier, maintained incrementally: the arc `(informed,
+    /// uninformed)` of every present edge with exactly one informed
+    /// endpoint. Strikes cut the smallest arcs.
+    frontier: ArcSet,
 }
 
 impl AdversaryState {
     pub(crate) fn new(m: Adversary) -> Self {
-        Self { cfg: m, healing: VecDeque::new(), informed: Vec::new(), boundary: BTreeSet::new() }
-    }
-
-    fn is_informed(&self, v: Node) -> bool {
-        self.informed.get(v as usize).copied().unwrap_or(false)
-    }
-
-    /// Cuts `edge`, scheduling its heal if healing is configured.
-    fn cut_edge(&mut self, (u, w): (Node, Node), t: f64, net: &mut MutableGraph) {
-        net.remove_edge(u, w);
-        if self.cfg.heal_after.is_finite() {
-            self.healing.push_back((t + self.cfg.heal_after, u, w));
+        Self {
+            cfg: m,
+            base: None,
+            healing: VecDeque::new(),
+            informed: arena::take_flags(),
+            frontier: ArcSet::new(),
         }
     }
 }
 
+impl Drop for AdversaryState {
+    fn drop(&mut self) {
+        arena::give_flags(std::mem::take(&mut self.informed));
+    }
+}
+
 impl TopologyModel for AdversaryState {
-    fn init(
-        &mut self,
-        _g: &Graph,
-        _net: &mut MutableGraph,
-        _rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
+    fn init(&mut self, g: &Graph, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
+        self.base = Some(g.clone()); // O(1): CSR arrays are Arc-shared
+        self.healing.clear();
+        self.informed.clear();
+        self.informed.resize(g.node_count(), false);
+        self.frontier.reset(2 * g.edge_count());
         // Strikes are the one stochastic channel; heals are the
         // deterministic due events.
         1
@@ -476,11 +483,17 @@ impl TopologyModel for AdversaryState {
     fn apply(&mut self, _t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
         let (_, u, w) = self.healing.pop_front().expect("a due heal has a cut edge");
         if net.is_active(u) && net.is_active(w) {
-            net.add_edge(u, w);
+            // A cut edge leaves the frontier, so nothing re-cuts or
+            // re-adds it before this heal: it is absent now (debug
+            // builds check).
+            net.add_edge_unchecked(u, w);
             // The healed edge rejoins the frontier if it still has
             // exactly one informed endpoint.
-            if self.is_informed(u) != self.is_informed(w) {
-                self.boundary.insert(if self.is_informed(u) { (u, w) } else { (w, u) });
+            let (iu, iw) = (self.informed[u as usize], self.informed[w as usize]);
+            if iu != iw {
+                let (a, b) = if iu { (u, w) } else { (w, u) };
+                let base = self.base.as_ref().expect("init ran");
+                self.frontier.insert(base.arc(a, b).expect("cut edges are base edges"));
             }
         }
     }
@@ -490,33 +503,130 @@ impl TopologyModel for AdversaryState {
     }
 
     fn fire(&mut self, _ch: usize, t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
-        // The strike law: cut the `budget` lexicographically smallest
-        // `(informed, uninformed)` frontier edges, straight off the
-        // incrementally maintained boundary — O(budget · log F).
+        // The strike law: cut the `budget` smallest frontier arcs, which
+        // are the lexicographically smallest `(informed, uninformed)`
+        // edges, straight off the incrementally maintained set —
+        // O(budget · (log₆₄ m + log n)): one word per level, and one
+        // search over the row offsets per cut.
+        let base = self.base.as_ref().expect("init ran");
         for _ in 0..self.cfg.budget {
-            let Some(edge) = self.boundary.pop_first() else {
+            let Some(arc) = self.frontier.pop_first() else {
                 break;
             };
-            self.cut_edge(edge, t, net);
+            let (u, w) = base.arc_endpoints(arc);
+            net.remove_edge(u, w);
+            if self.cfg.heal_after.is_finite() {
+                self.healing.push_back((t + self.cfg.heal_after, u, w));
+            }
         }
     }
 
     fn note_informed(&mut self, v: Node, net: &MutableGraph) {
-        if self.informed.len() < net.node_count() {
-            self.informed.resize(net.node_count(), false);
-        }
         if std::mem::replace(&mut self.informed[v as usize], true) {
             return;
         }
-        // v crossed the frontier: edges into the informed set leave the
-        // boundary, edges to still-uninformed neighbors join it.
+        // v crossed the frontier: edges into the informed set leave it,
+        // edges to still-uninformed neighbors join it.
+        let base = self.base.as_ref().expect("init ran");
         for &w in net.neighbors(v) {
             if self.informed[w as usize] {
-                self.boundary.remove(&(w, v));
+                self.frontier.remove(base.arc(w, v).expect("live edges are base edges"));
             } else {
-                self.boundary.insert((v, w));
+                self.frontier.insert(base.arc(v, w).expect("live edges are base edges"));
             }
         }
+    }
+}
+
+/// Levels an [`ArcSet`] can need: `64^11 > 2^64` members.
+const ARC_SET_LEVELS: usize = 11;
+
+/// An ordered set over `0..len`: a 64-ary hierarchical bitset. Level 0
+/// holds one bit per member; each level above holds one bit per
+/// non-empty word of the level below, up to a single top word.
+/// [`insert`](Self::insert), [`remove`](Self::remove) and
+/// [`pop_first`](Self::pop_first) touch one word per level — 2 levels
+/// up to 4096 members, 4 up to 2^24 — and nothing scans linearly.
+struct ArcSet {
+    /// Every level's words, leaf level first and the top word last
+    /// (pooled).
+    words: Vec<u64>,
+    /// First word of each level.
+    starts: [usize; ARC_SET_LEVELS],
+    depth: usize,
+}
+
+impl ArcSet {
+    /// An empty set over `0..1`; [`reset`](Self::reset) sizes it.
+    fn new() -> Self {
+        let mut set = Self { words: arena::take_words(), starts: [0; ARC_SET_LEVELS], depth: 0 };
+        set.reset(0);
+        set
+    }
+
+    /// Empties the set and sizes it for members `0..len`.
+    fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.depth = 0;
+        let mut bits = len.max(1);
+        loop {
+            let level_words = bits.div_ceil(64);
+            self.starts[self.depth] = self.words.len();
+            self.words.resize(self.words.len() + level_words, 0);
+            self.depth += 1;
+            if level_words == 1 {
+                break;
+            }
+            bits = level_words;
+        }
+    }
+
+    /// Adds `i`; a no-op if it is present. Marks the parent bit only
+    /// when a word turns non-empty.
+    fn insert(&mut self, mut i: usize) {
+        for &start in &self.starts[..self.depth] {
+            let word = &mut self.words[start + i / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    /// Drops `i`; a no-op if it is absent. Clears the parent bit only
+    /// when a word turns empty.
+    fn remove(&mut self, mut i: usize) {
+        for &start in &self.starts[..self.depth] {
+            let word = &mut self.words[start + i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    /// Removes and returns the smallest member: down from the top word,
+    /// the lowest set bit names the first non-empty word below.
+    fn pop_first(&mut self) -> Option<usize> {
+        let mut i = 0;
+        for &start in self.starts[..self.depth].iter().rev() {
+            let word = self.words[start + i];
+            if word == 0 {
+                return None;
+            }
+            i = i * 64 + word.trailing_zeros() as usize;
+        }
+        self.remove(i);
+        Some(i)
+    }
+}
+
+impl Drop for ArcSet {
+    fn drop(&mut self) {
+        arena::give_words(std::mem::take(&mut self.words));
     }
 }
 
@@ -543,17 +653,19 @@ fn attach_node(net: &mut MutableGraph, v: Node, attach: usize, rng: &mut Xoshiro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rumor_graph::generators;
 
-    /// The adversary's incremental boundary equals a brute-force
-    /// frontier recomputation after an arbitrary interleaving of
-    /// informs, strikes, and heals. Heals run through a FIFO whose head
-    /// is the one due event, and come back in the order a queue holding
-    /// every heal would pop them: cut order, with the cuts of strikes
-    /// at equal times in push order.
+    /// The adversary's incremental frontier equals a brute-force
+    /// frontier recomputation, pair for pair and in order, after an
+    /// arbitrary interleaving of informs, strikes, and heals. Heals run
+    /// through a FIFO whose head is the one due event, and come back in
+    /// the order a queue holding every heal would pop them: cut order,
+    /// with the cuts of strikes at equal times in push order.
     #[test]
     fn adversary_incremental_boundary_matches_rescan() {
         use rumor_sim::events::EventQueue;
+        use std::collections::BTreeSet;
 
         for seed in 0..8u64 {
             let mut rng = Xoshiro256PlusPlus::seed_from(900 + seed);
@@ -606,20 +718,91 @@ mod tests {
                 // Brute-force frontier from the bitmap + live topology.
                 let mut expect = BTreeSet::new();
                 for v in 0..net.node_count() as Node {
-                    if !state.is_informed(v) {
+                    if !state.informed[v as usize] {
                         continue;
                     }
                     for &w in net.neighbors(v) {
-                        if !state.is_informed(w) {
+                        if !state.informed[w as usize] {
                             expect.insert((v, w));
                         }
                     }
                 }
+                let frontier: Vec<(Node, Node)> =
+                    state.frontier.members().into_iter().map(|a| g.arc_endpoints(a)).collect();
                 assert_eq!(
-                    state.boundary, expect,
-                    "seed {seed} round {round}: boundary diverged from rescan"
+                    frontier,
+                    expect.into_iter().collect::<Vec<_>>(),
+                    "seed {seed} round {round}: frontier diverged from rescan"
                 );
             }
+        }
+    }
+
+    impl ArcSet {
+        /// The members in ascending order, by a scan of the leaf level.
+        fn members(&self) -> Vec<usize> {
+            let leaf_words = if self.depth > 1 { self.starts[1] } else { self.words.len() };
+            let leaves = &self.words[..leaf_words];
+            (0..leaf_words * 64).filter(|&i| leaves[i / 64] >> (i % 64) & 1 == 1).collect()
+        }
+    }
+
+    /// Member counts either side of every level boundary, with the
+    /// levels each needs: one word, then one, two and three summary
+    /// levels above the leaves.
+    const ARC_SET_SIZES: [(usize, usize); 10] = [
+        (1, 1),
+        (63, 1),
+        (64, 1),
+        (65, 2),
+        (4095, 2),
+        (4096, 2),
+        (4097, 3),
+        (262_143, 3),
+        (262_144, 3),
+        (262_145, 4),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bitset behaves as a `BTreeSet<usize>` under any sequence
+        /// of inserts, removes and pops: same pops in the same order,
+        /// same members. Half the operations hit a narrow window, so
+        /// words fill up and empty out again; the rest land anywhere.
+        #[test]
+        fn arc_set_matches_btreeset(
+            size in 0..ARC_SET_SIZES.len(),
+            anchor in 0u64..1 << 40,
+            ops in collection::vec((0..3usize, 0..2usize, 0u64..1 << 40), 1..600),
+        ) {
+            use std::collections::BTreeSet;
+
+            let (len, depth) = ARC_SET_SIZES[size];
+            let mut set = ArcSet::new();
+            set.reset(len);
+            prop_assert_eq!(set.depth, depth);
+            let mut model = BTreeSet::new();
+            for &(kind, near, x) in &ops {
+                let i = if near == 0 { ((anchor + x % 256) % len as u64) as usize } else { (x % len as u64) as usize };
+                match kind {
+                    0 => {
+                        set.insert(i);
+                        model.insert(i);
+                    }
+                    1 => {
+                        set.remove(i);
+                        model.remove(&i);
+                    }
+                    _ => prop_assert_eq!(set.pop_first(), model.pop_first()),
+                }
+            }
+            prop_assert_eq!(set.members(), model.iter().copied().collect::<Vec<_>>());
+            while let Some(i) = model.pop_first() {
+                prop_assert_eq!(set.pop_first(), Some(i));
+            }
+            prop_assert_eq!(set.pop_first(), None);
+            prop_assert!(set.words.iter().all(|&w| w == 0), "an empty set leaves no summary bit");
         }
     }
 

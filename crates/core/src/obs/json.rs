@@ -300,15 +300,19 @@ impl<'a> Parser<'a> {
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
     }
 
-    /// Reads a string: each run up to the next `"` or `\` is copied
-    /// once. Both are ASCII, so every run ends on a char boundary of
-    /// the input, and the whole string costs its bytes.
+    /// Reads a string: each run up to the next `"`, `\` or raw control
+    /// character (below 0x20, which JSON requires escaped) is copied
+    /// once. All three are ASCII, so every run ends on a char boundary
+    /// of the input, and the whole string costs its bytes.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
             let rest = &self.bytes()[self.pos..];
-            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             s.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
             match self.peek() {
@@ -316,6 +320,9 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character in string at byte {}", self.pos));
                 }
                 Some(_) => {
                     // A backslash: one escape.
@@ -500,6 +507,10 @@ mod tests {
         assert_eq!(err("\"\\u12é\""), "bad \\u escape");
         assert_eq!(err("\"\\ud800\""), "bad \\u code point");
         assert_eq!(err("\"\\u+041\""), "bad \\u escape");
+        assert_eq!(err("\"a\tb\""), "raw control character in string at byte 2");
+        assert_eq!(err("[\"é\n\"]"), "raw control character in string at byte 4");
+        assert_eq!(err("{\"\u{0}\": 1}"), "raw control character in string at byte 2");
+        assert_eq!(err("\"\u{1f}"), "raw control character in string at byte 1");
     }
 
     #[test]

@@ -257,6 +257,27 @@ mod tests {
     }
 
     #[test]
+    fn raw_control_characters_are_bad_json_and_the_next_frame_is_served() {
+        // JSON requires control characters escaped inside strings; a
+        // spec written with a raw tab and newline was once run.
+        let spec = quick_spec().to_spec_string().unwrap();
+        let raw = format!("{{\"id\": 1, \"spec\": \"#\tcomment\n{}\"}}", spec.replace('\n', "\\n"));
+        let mut input = Vec::new();
+        write_frame(&mut input, raw.as_bytes()).unwrap();
+        input.extend(request(2.0, &quick_spec()));
+        let mut output = Vec::new();
+        let exit =
+            run_frames(&mut input.as_slice(), &mut output, &ServiceConfig::default()).unwrap();
+        assert_eq!(exit, ServiceExit::Eof(2));
+        let docs = responses(&output);
+        assert_eq!(docs[0].get("id").unwrap(), &Json::Null);
+        let error = docs[0].get("error").and_then(Json::as_str).expect("in-band error");
+        assert!(error.starts_with("bad request JSON: raw control character in string"), "{error}");
+        assert_eq!(docs[1].get("id").unwrap(), &Json::Num(2.0));
+        assert!(docs[1].get("report").is_some(), "the next frame is served");
+    }
+
+    #[test]
     fn bad_topology_values_are_answered_in_band() {
         // Negative churn rates once reached the scheduler and panicked,
         // killing the serve loop: the third frame got no reply. A field

@@ -31,6 +31,7 @@ struct Pool {
     nodes: Vec<Vec<Node>>,
     offsets: Vec<Vec<usize>>,
     flags: Vec<Vec<bool>>,
+    words: Vec<Vec<u64>>,
     pairs: Vec<Vec<(Node, Node)>>,
     positions: Vec<Vec<(f64, f64)>>,
     cells: Vec<Vec<Vec<Node>>>,
@@ -83,6 +84,14 @@ pool_pair!(
     Vec<bool>,
     "An empty flag buffer from the pool (or a fresh one).",
     "Returns a flag buffer to the pool."
+);
+pool_pair!(
+    take_words,
+    give_words,
+    words,
+    Vec<u64>,
+    "An empty bit-word buffer from the pool (or a fresh one).",
+    "Returns a bit-word buffer to the pool."
 );
 pool_pair!(
     take_pairs,

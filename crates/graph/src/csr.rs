@@ -314,6 +314,50 @@ impl Graph {
         }
     }
 
+    /// The index of the arc `(u, w)` among the graph's `2m` arcs, or
+    /// `None` if `{u, w}` is no edge: `u`'s row offset plus the rank of
+    /// `w` in `u`'s sorted row. Rows are sorted, so arc order is the
+    /// lexicographic order of the `(u, w)` pairs. O(log deg(u)) for
+    /// stored rows, O(1) for `K_n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn arc(&self, u: Node, w: Node) -> Option<usize> {
+        match &self.rows {
+            Rows::Stored(csr) => {
+                let rank = csr.rows().row(u).binary_search(&w).ok()?;
+                Some(csr.offsets[u as usize] + rank)
+            }
+            Rows::Complete { n, .. } => {
+                Self::check_complete_node(*n, u);
+                let (u, w) = (u as usize, w as usize);
+                (u != w && w < *n).then(|| u * (n - 1) + w - usize::from(w > u))
+            }
+        }
+    }
+
+    /// The endpoints `(u, w)` of arc `a`, the inverse of
+    /// [`arc`](Self::arc): a binary search over the row offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not below `2m`.
+    pub fn arc_endpoints(&self, a: usize) -> (Node, Node) {
+        match &self.rows {
+            Rows::Stored(csr) => {
+                let w = csr.neighbors[a];
+                let u = csr.offsets.partition_point(|&o| o <= a) - 1;
+                (u as Node, w)
+            }
+            Rows::Complete { n, .. } => {
+                assert!(a < n * (n - 1), "arc {a} out of range for K_{n}");
+                let (u, k) = (a / (n - 1), a % (n - 1));
+                (u as Node, (k + usize::from(k >= u)) as Node)
+            }
+        }
+    }
+
     /// Iterator over all node indices `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = Node> + '_ {
         0..self.node_count() as Node
@@ -483,6 +527,28 @@ mod tests {
         for &c in &counts[1..] {
             assert!((c as f64 - 15_000.0).abs() < 800.0, "biased: {counts:?}");
         }
+    }
+
+    /// Arc indices enumerate the stored rows in order, for stored rows
+    /// and for the implicit `K_n` alike, and `arc_endpoints` inverts
+    /// them.
+    #[test]
+    fn arcs_number_rows_in_order() {
+        let star = crate::generators::star(5);
+        for g in [triangle(), star, crate::generators::complete(6)] {
+            let mut a = 0;
+            for u in g.nodes() {
+                for &w in g.neighbors(u) {
+                    assert_eq!(g.arc(u, w), Some(a), "arc ({u}, {w})");
+                    assert_eq!(g.arc_endpoints(a), (u, w));
+                    a += 1;
+                }
+                assert_eq!(g.arc(u, u), None, "a self-pair is no arc");
+            }
+            assert_eq!(a, 2 * g.edge_count());
+        }
+        assert_eq!(crate::generators::star(5).arc(1, 2), None, "leaves are not adjacent");
+        assert_eq!(crate::generators::complete(6).arc(0, 6), None, "out of range");
     }
 
     #[test]

@@ -599,8 +599,15 @@ impl MutableGraph {
     }
 
     /// Freezes the current topology into an immutable CSR [`Graph`]
-    /// (inactive nodes appear as isolated).
+    /// (inactive nodes appear as isolated). O(1) while the view is still
+    /// its untouched shared base (no overlay row, every node active):
+    /// the graph aliases the base's CSR arrays.
     pub fn to_graph(&self) -> Graph {
+        if let BaseStore::Shared { offsets, neighbors } = &self.base {
+            if self.slab.is_empty() && self.active_count == self.node_count() {
+                return Graph::from_csr(Arc::clone(offsets), Arc::clone(neighbors));
+            }
+        }
         let mut b = GraphBuilder::with_edge_capacity(self.node_count(), self.edge_count);
         for v in 0..self.node_count() as Node {
             for &w in self.neighbors(v) {
@@ -1051,6 +1058,44 @@ mod tests {
         net.replace_edges_with(&k6);
         assert_eq!(net.edge_count(), 15);
         assert_eq!(net.to_graph(), k6);
+    }
+
+    /// An untouched shared view freezes by aliasing its base, and the
+    /// result equals what the builder writes from the rows; an edited
+    /// or partly inactive view still goes through the builder.
+    #[test]
+    fn to_graph_of_an_untouched_view_aliases_its_base() {
+        let built = |net: &MutableGraph| {
+            let mut b = GraphBuilder::new(net.node_count());
+            for v in 0..net.node_count() as Node {
+                for &w in net.neighbors(v) {
+                    if v < w {
+                        b.add_edge(v, w);
+                    }
+                }
+            }
+            b.build().unwrap()
+        };
+        let g = generators::hypercube(4);
+        let net = MutableGraph::from_graph(&g);
+        let frozen = net.to_graph();
+        assert!(Arc::ptr_eq(&frozen.offsets_arc(), &g.offsets_arc()), "untouched base is shared");
+        assert_eq!(frozen, built(&net));
+        assert_eq!(frozen, g);
+
+        let mut net = MutableGraph::from_graph(&generators::cycle(6));
+        net.remove_edge(0, 1);
+        let k6 = generators::complete(6);
+        net.replace_edges_with(&k6);
+        let frozen = net.to_graph();
+        assert!(Arc::ptr_eq(&frozen.neighbors_arc(), &k6.neighbors_arc()), "replaced base");
+        assert_eq!(frozen, built(&net));
+
+        net.remove_edge(2, 3);
+        assert_eq!(net.to_graph(), built(&net), "an overlay row takes the builder route");
+        net.add_edge(2, 3);
+        net.deactivate(5);
+        assert_eq!(net.to_graph(), built(&net), "an inactive node takes the builder route");
     }
 
     #[test]
