@@ -467,8 +467,6 @@ impl Drop for AdversaryState {
 impl TopologyModel for AdversaryState {
     fn init(&mut self, g: &Graph, _net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) -> usize {
         self.base = Some(g.clone()); // O(1): CSR arrays are Arc-shared
-        self.healing.clear();
-        self.informed.clear();
         self.informed.resize(g.node_count(), false);
         self.frontier.reset(2 * g.edge_count());
         // Strikes are the one stochastic channel; heals are the
@@ -487,13 +485,12 @@ impl TopologyModel for AdversaryState {
             // re-adds it before this heal: it is absent now (debug
             // builds check).
             net.add_edge_unchecked(u, w);
-            // The healed edge rejoins the frontier if it still has
-            // exactly one informed endpoint.
-            let (iu, iw) = (self.informed[u as usize], self.informed[w as usize]);
-            if iu != iw {
-                let (a, b) = if iu { (u, w) } else { (w, u) };
+            // It was cut as (informed, uninformed), and informed nodes
+            // stay informed: it rejoins the frontier if `w` still is
+            // uninformed.
+            if !self.informed[w as usize] {
                 let base = self.base.as_ref().expect("init ran");
-                self.frontier.insert(base.arc(a, b).expect("cut edges are base edges"));
+                self.frontier.insert(base.arc(u, w).expect("cut edges are base edges"));
             }
         }
     }
