@@ -433,11 +433,11 @@ pub(crate) struct AdversaryState {
     cfg: Adversary,
     /// The base graph, which numbers the arcs (an O(1) `Arc` clone).
     base: Option<Graph>,
-    /// Cut edges awaiting their heal, with its time, in cut order. Every
+    /// Cut arcs awaiting their heal, with its time, in cut order. Every
     /// heal comes the same fixed delay after its cut and cut times never
     /// decrease, so this is also heal order — with ties in cut order —
     /// and the head is the model's one due event.
-    healing: VecDeque<(f64, Node, Node)>,
+    healing: VecDeque<(f64, usize)>,
     /// Informed bitmap mirrored from [`TopologyModel::note_informed`].
     informed: Vec<bool>,
     /// The live frontier, maintained incrementally: the arc `(informed,
@@ -479,7 +479,8 @@ impl TopologyModel for AdversaryState {
     }
 
     fn apply(&mut self, _t: f64, net: &mut MutableGraph, _rng: &mut Xoshiro256PlusPlus) {
-        let (_, u, w) = self.healing.pop_front().expect("a due heal has a cut edge");
+        let (_, arc) = self.healing.pop_front().expect("a due heal has a cut edge");
+        let (u, w) = self.base.as_ref().expect("init ran").arc_endpoints(arc);
         if net.is_active(u) && net.is_active(w) {
             // A cut edge leaves the frontier, so nothing re-cuts or
             // re-adds it before this heal: it is absent now (debug
@@ -489,8 +490,7 @@ impl TopologyModel for AdversaryState {
             // stay informed: it rejoins the frontier if `w` still is
             // uninformed.
             if !self.informed[w as usize] {
-                let base = self.base.as_ref().expect("init ran");
-                self.frontier.insert(base.arc(u, w).expect("cut edges are base edges"));
+                self.frontier.insert(arc);
             }
         }
     }
@@ -503,8 +503,7 @@ impl TopologyModel for AdversaryState {
         // The strike law: cut the `budget` smallest frontier arcs, which
         // are the lexicographically smallest `(informed, uninformed)`
         // edges, straight off the incrementally maintained set —
-        // O(budget · (log₆₄ m + log n)): one word per level, and one
-        // search over the row offsets per cut.
+        // O(budget · log₆₄ m): one word per level per cut.
         let base = self.base.as_ref().expect("init ran");
         for _ in 0..self.cfg.budget {
             let Some(arc) = self.frontier.pop_first() else {
@@ -513,7 +512,7 @@ impl TopologyModel for AdversaryState {
             let (u, w) = base.arc_endpoints(arc);
             net.remove_edge(u, w);
             if self.cfg.heal_after.is_finite() {
-                self.healing.push_back((t + self.cfg.heal_after, u, w));
+                self.healing.push_back((t + self.cfg.heal_after, arc));
             }
         }
     }
@@ -693,15 +692,15 @@ mod tests {
                     1 => {
                         let before = state.healing.len();
                         state.fire(0, t, &mut net, &mut rng);
-                        for &(at, u, w) in state.healing.range(before..) {
-                            all_heals.push(at, (u, w));
+                        for &(at, arc) in state.healing.range(before..) {
+                            all_heals.push(at, arc);
                         }
                     }
                     _ => {
                         let due = state.next_due();
                         if due.is_finite() {
-                            let (at, u, w) = state.healing[0];
-                            assert_eq!(all_heals.pop(), Some((at, (u, w))), "heal out of order");
+                            let (at, arc) = state.healing[0];
+                            assert_eq!(all_heals.pop(), Some((at, arc)), "heal out of order");
                             state.apply(due.max(t), &mut net, &mut rng);
                         }
                     }

@@ -76,6 +76,10 @@ enum Rows {
 struct Csr {
     offsets: Arc<[usize]>,
     neighbors: Arc<[Node]>,
+    /// The tail of every arc (`u` for each entry of `u`'s row), written
+    /// on the first [`Graph::arc_endpoints`] call, once per graph and
+    /// shared by its clones.
+    tails: Arc<OnceLock<Box<[Node]>>>,
 }
 
 impl Csr {
@@ -97,7 +101,7 @@ impl Csr {
                 w as Node
             })
             .collect();
-        Self { offsets, neighbors }
+        Self { offsets, neighbors, tails: Arc::default() }
     }
 
     #[inline]
@@ -189,7 +193,7 @@ impl Graph {
         let (offsets, neighbors) = (offsets.into(), neighbors.into());
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), neighbors.len());
-        Self { rows: Rows::Stored(Csr { offsets, neighbors }) }
+        Self { rows: Rows::Stored(Csr { offsets, neighbors, tails: Arc::default() }) }
     }
 
     /// The complete graph `K_n` with implicit rows; the caller checks
@@ -338,7 +342,9 @@ impl Graph {
     }
 
     /// The endpoints `(u, w)` of arc `a`, the inverse of
-    /// [`arc`](Self::arc): a binary search over the row offsets.
+    /// [`arc`](Self::arc): O(1). The first call on a stored graph
+    /// writes the tail of every arc (4 bytes per arc, O(m)), shared by
+    /// the graph's clones; `K_n` answers in closed form.
     ///
     /// # Panics
     ///
@@ -346,9 +352,11 @@ impl Graph {
     pub fn arc_endpoints(&self, a: usize) -> (Node, Node) {
         match &self.rows {
             Rows::Stored(csr) => {
-                let w = csr.neighbors[a];
-                let u = csr.offsets.partition_point(|&o| o <= a) - 1;
-                (u as Node, w)
+                let tails = csr.tails.get_or_init(|| {
+                    let rows = csr.offsets.windows(2).enumerate();
+                    rows.flat_map(|(u, o)| std::iter::repeat_n(u as Node, o[1] - o[0])).collect()
+                });
+                (tails[a], csr.neighbors[a])
             }
             Rows::Complete { n, .. } => {
                 assert!(a < n * (n - 1), "arc {a} out of range for K_{n}");
