@@ -88,8 +88,9 @@ fn overhead_models(g: &Graph) -> [(&'static str, DynamicModel); 3] {
 }
 
 /// The event loop [`TopologyTrace::record`] runs, without keeping any
-/// step: the model is driven to `horizon` with the journal on and
-/// cleared after every event. Returns the event count.
+/// step: the model is driven to `horizon` with the journal on, and its
+/// four typed runs are cleared after every event instead of appended to
+/// the trace. Returns the event count.
 fn drive_to_horizon(
     g: &Graph,
     model: &DynamicModel,

@@ -61,13 +61,19 @@
 //! Steps are stored flat, struct-of-arrays: one `times` array, per-step
 //! end offsets, one edge buffer (each step's removed edges, then its
 //! added edges) and one node buffer (each step's deactivated nodes,
-//! then its activated nodes). Recording appends an event's change
-//! journal straight into the buffers and sorts each appended group in
-//! place, so a step costs no heap allocation beyond the amortized growth
-//! of the shared buffers. A [`TraceStep`] is a borrowed `Copy` view of
-//! one step; the replays read steps only through it.
+//! then its activated nodes). The graph's change journal
+//! ([`MutableGraph::changes`]) keeps the same four typed runs, so
+//! recording an event is four appends, and a run is sorted in place
+//! only if it came out of order (a full-graph rewire journals both edge
+//! runs ascending, so a rewire step sorts nothing). A step costs no heap
+//! allocation beyond the amortized growth of the shared buffers. A
+//! [`TraceStep`] is a borrowed `Copy` view of one step; the replays read
+//! steps only through it, and a replay adds each recorded edge with
+//! [`MutableGraph::add_edge_unchecked`]: the recording proved it absent,
+//! and the replay graph's edge set equals the recording graph's at
+//! every step, so the row is not scanned again.
 
-use rumor_graph::dynamic::{GraphChange, MutableGraph};
+use rumor_graph::dynamic::{ChangeJournal, MutableGraph};
 use rumor_graph::{Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 
@@ -125,9 +131,11 @@ fn apply_step(net: &mut MutableGraph, step: TraceStep<'_>) {
     for &v in step.activated {
         net.activate(v);
     }
+    // A trace holds only effective changes, and the replay graph has
+    // the recording graph's edge set at every step: each add is of an
+    // absent edge (debug builds check).
     for &(u, v) in step.added {
-        let added = net.add_edge(u, v);
-        debug_assert!(added, "trace adds a present edge ({u}, {v})");
+        net.add_edge_unchecked(u, v);
     }
 }
 
@@ -200,44 +208,31 @@ impl StepStore {
     }
 
     /// Appends the step of one event at time `t`, read off the graph's
-    /// change journal (everything the event did, in mutation order; see
-    /// [`MutableGraph::track_changes`]). An event that changed nothing
-    /// appends nothing. Costs O(changes), each list sorted in place: the
-    /// graph journals its effective mutations, so no event rescans
+    /// change journal (see [`MutableGraph::track_changes`]): one append
+    /// per typed run, each sorted in place only if it came out of order.
+    /// An event that changed nothing appends nothing. Costs O(changes):
+    /// the graph journals its effective mutations, so no event rescans
     /// adjacency.
     ///
     /// Assumes no single event both applies and undoes the same change
     /// (no model in this workspace does): the journal would record both
     /// halves of the round trip.
-    fn push_changes(&mut self, changes: &[GraphChange], t: f64) {
+    fn push_changes(&mut self, changes: &ChangeJournal, t: f64) {
         if changes.is_empty() {
             return;
         }
         let (e0, n0) = (self.edges.len(), self.nodes.len());
-        for &c in changes {
-            match c {
-                GraphChange::EdgeRemoved(u, v) => self.edges.push((u, v)),
-                GraphChange::NodeDeactivated(v) => self.nodes.push(v),
-                GraphChange::EdgeAdded(..) | GraphChange::NodeActivated(_) => {}
-            }
-        }
-        let (removed, deactivated) = (self.edges.len(), self.nodes.len());
-        for &c in changes {
-            match c {
-                GraphChange::EdgeAdded(u, v) => self.edges.push((u, v)),
-                GraphChange::NodeActivated(v) => self.nodes.push(v),
-                GraphChange::EdgeRemoved(..) | GraphChange::NodeDeactivated(_) => {}
-            }
-        }
-        let (cut, wired) = self.edges[e0..].split_at_mut(removed - e0);
-        cut.sort_unstable();
-        wired.sort_unstable();
-        let (left, joined) = self.nodes[n0..].split_at_mut(deactivated - n0);
-        left.sort_unstable();
-        joined.sort_unstable();
+        let removed = append_sorted(&mut self.edges, &changes.removed);
+        append_sorted(&mut self.edges, &changes.added);
+        let deactivated = append_sorted(&mut self.nodes, &changes.deactivated);
+        append_sorted(&mut self.nodes, &changes.activated);
         debug_assert!(
-            !cut.iter().any(|e| wired.binary_search(e).is_ok())
-                && !left.iter().any(|v| joined.binary_search(v).is_ok()),
+            {
+                let (cut, wired) = self.edges[e0..].split_at(removed - e0);
+                let (left, joined) = self.nodes[n0..].split_at(deactivated - n0);
+                !cut.iter().any(|e| wired.binary_search(e).is_ok())
+                    && !left.iter().any(|v| joined.binary_search(v).is_ok())
+            },
             "one event must not apply and undo the same change"
         );
         let offset = |len: usize| u32::try_from(len).expect("trace buffers exceed u32 offsets");
@@ -249,6 +244,26 @@ impl StepStore {
         });
         self.times.push(t);
     }
+}
+
+/// Appends `run` to `buf` in ascending order, sorting the appended part
+/// only if `run` is out of order; returns the new end of `buf`. Inlined
+/// into [`StepStore::push_changes`], so a one-change step makes no call
+/// here: its one non-empty run is one entry, which is sorted.
+#[inline(always)]
+fn append_sorted<T: Copy + Ord>(buf: &mut Vec<T>, run: &[T]) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(run);
+    if run.len() > 1 && !run.is_sorted() {
+        sort_from(buf, start);
+    }
+    buf.len()
+}
+
+/// Sorts `buf[start..]`; kept out of line, as most runs arrive sorted.
+#[inline(never)]
+fn sort_from<T: Ord>(buf: &mut [T], start: usize) {
+    buf[start..].sort_unstable();
 }
 
 /// A recorded topology realization: the post-`init` starting graph and

@@ -114,20 +114,40 @@ impl BaseStore {
     }
 }
 
-/// One effective mutation, as recorded by the change journal (see
-/// [`MutableGraph::track_changes`]). Edge endpoints are canonical
-/// `(min, max)` pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphChange {
-    /// Edge `{u, v}` was inserted (`u < v`).
-    EdgeAdded(Node, Node),
-    /// Edge `{u, v}` was removed (`u < v`).
-    EdgeRemoved(Node, Node),
-    /// Node left the network (its incident-edge removals are journaled
-    /// separately, before this entry).
-    NodeDeactivated(Node),
-    /// Node (re)joined the network.
-    NodeActivated(Node),
+/// The change journal (see [`MutableGraph::track_changes`]): every
+/// effective mutation since the last clear, in four typed runs. Edge
+/// endpoints are canonical `(min, max)` pairs. Each run lists its
+/// entries in mutation order, so a run is ascending whenever its
+/// mutations came in ascending order — [`MutableGraph::replace_edges_with`]
+/// journals both edge runs that way.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChangeJournal {
+    /// Edges removed, including those a departing node lost.
+    pub removed: Vec<(Node, Node)>,
+    /// Nodes that left the network.
+    pub deactivated: Vec<Node>,
+    /// Nodes that (re)joined the network.
+    pub activated: Vec<Node>,
+    /// Edges inserted.
+    pub added: Vec<(Node, Node)>,
+}
+
+impl ChangeJournal {
+    /// Whether nothing was journaled.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty()
+            && self.deactivated.is_empty()
+            && self.activated.is_empty()
+            && self.added.is_empty()
+    }
+
+    /// Empties all four runs, keeping their allocations.
+    pub fn clear(&mut self) {
+        self.removed.clear();
+        self.deactivated.clear();
+        self.activated.clear();
+        self.added.clear();
+    }
 }
 
 /// An undirected simple graph under edit: a flat CSR base, copy-on-write
@@ -173,7 +193,7 @@ pub struct MutableGraph {
     active: Vec<bool>,
     active_count: usize,
     /// Change journal; appended to only while `tracking`.
-    journal: Vec<GraphChange>,
+    journal: ChangeJournal,
     tracking: bool,
 }
 
@@ -208,7 +228,7 @@ impl MutableGraph {
             edge_count,
             active,
             active_count: n,
-            journal: Vec::new(),
+            journal: ChangeJournal::default(),
             tracking: false,
         }
     }
@@ -319,16 +339,26 @@ impl MutableGraph {
         self.overlay_entries += 2;
         self.edge_count += 1;
         if self.tracking {
-            self.journal.push(GraphChange::EdgeAdded(u.min(v), u.max(v)));
+            self.journal.added.push((u.min(v), u.max(v)));
         }
         self.maybe_compact();
         true
     }
 
     /// Inserts the undirected edge `{u, v}` the caller has already
-    /// established to be absent, skipping the presence probe of
-    /// [`add_edge`](Self::add_edge) — the fast path for models that
-    /// track edge presence themselves (edge-Markov's swap partition).
+    /// established to be absent, skipping the presence probe (a scan of
+    /// `u`'s row) of [`add_edge`](Self::add_edge). It has three callers,
+    /// each carrying its own proof of absence:
+    ///
+    /// - edge-Markov's toggle: the model's swap partition holds every
+    ///   base edge as present or absent, and only it edits the graph;
+    /// - the frontier adversary's heal: a cut edge leaves the frontier,
+    ///   so nothing re-cuts or re-adds it before its heal;
+    /// - trace replay: a trace holds only effective changes, and the
+    ///   replay graph starts from the trace's initial graph and applies
+    ///   its steps in order, so its edge set equals the recording
+    ///   graph's at every step, where each recorded add was an absent
+    ///   edge.
     ///
     /// # Panics
     ///
@@ -355,7 +385,7 @@ impl MutableGraph {
         self.overlay_entries += 2;
         self.edge_count += 1;
         if self.tracking {
-            self.journal.push(GraphChange::EdgeAdded(u.min(v), u.max(v)));
+            self.journal.added.push((u.min(v), u.max(v)));
         }
         self.maybe_compact();
     }
@@ -403,8 +433,8 @@ impl MutableGraph {
         let st = self.touch(to);
         self.row_push(st, anchor);
         if self.tracking {
-            self.journal.push(GraphChange::EdgeRemoved(anchor.min(from), anchor.max(from)));
-            self.journal.push(GraphChange::EdgeAdded(anchor.min(to), anchor.max(to)));
+            self.journal.removed.push((anchor.min(from), anchor.max(from)));
+            self.journal.added.push((anchor.min(to), anchor.max(to)));
         }
         true
     }
@@ -433,7 +463,7 @@ impl MutableGraph {
         self.overlay_entries -= 2;
         self.edge_count -= 1;
         if self.tracking {
-            self.journal.push(GraphChange::EdgeRemoved(u.min(v), u.max(v)));
+            self.journal.removed.push((u.min(v), u.max(v)));
         }
         self.maybe_compact();
         true
@@ -482,7 +512,7 @@ impl MutableGraph {
             let sw = self.touch(w);
             assert!(self.row_find_swap_remove(sw, v), "adjacency is symmetric");
             if self.tracking {
-                self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
+                self.journal.removed.push((v.min(w), v.max(w)));
             }
         }
         let mut added = 0;
@@ -491,7 +521,7 @@ impl MutableGraph {
             let sw = self.touch(w);
             self.row_push(sw, v);
             if self.tracking {
-                self.journal.push(GraphChange::EdgeAdded(v.min(w), v.max(w)));
+                self.journal.added.push((v.min(w), v.max(w)));
             }
             added += 1;
         }
@@ -525,7 +555,7 @@ impl MutableGraph {
             let sw = self.touch(w);
             assert!(self.row_find_swap_remove(sw, v), "adjacency is symmetric");
             if self.tracking {
-                self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
+                self.journal.removed.push((v.min(w), v.max(w)));
             }
         }
         let stripped = nbrs.len();
@@ -537,7 +567,7 @@ impl MutableGraph {
         self.active[v as usize] = false;
         self.active_count -= 1;
         if self.tracking {
-            self.journal.push(GraphChange::NodeDeactivated(v));
+            self.journal.deactivated.push(v);
         }
         self.maybe_compact();
         stripped
@@ -550,7 +580,7 @@ impl MutableGraph {
             self.active[v as usize] = true;
             self.active_count += 1;
             if self.tracking {
-                self.journal.push(GraphChange::NodeActivated(v));
+                self.journal.activated.push(v);
             }
         }
     }
@@ -636,20 +666,24 @@ impl MutableGraph {
     /// Starts (`true`) or stops (`false`) journaling effective changes;
     /// starting clears any previous journal.
     ///
-    /// While tracking, every effective mutation appends a
-    /// [`GraphChange`] — no-op calls (duplicate insert, absent removal,
-    /// repeated toggles) record nothing, and compaction records nothing
-    /// (it changes layout, not topology). Topology-trace recording uses this
-    /// to diff an event in O(changes) instead of rescanning adjacency.
+    /// While tracking, every effective mutation appends to one run of
+    /// the [`ChangeJournal`]: an edge insert to `added`, an edge removal
+    /// to `removed`, a departure to `deactivated` (after its stripped
+    /// edges, which go to `removed`) and a (re)join to `activated`.
+    /// No-op calls (duplicate insert, absent removal, repeated toggles)
+    /// record nothing, and compaction records nothing (it changes
+    /// layout, not topology). Topology-trace recording uses this to
+    /// store an event's step in O(changes), one append per run, instead
+    /// of rescanning adjacency.
     pub fn track_changes(&mut self, on: bool) {
         self.journal.clear();
         self.tracking = on;
     }
 
     /// The changes journaled since the last
-    /// [`clear_changes`](Self::clear_changes) (empty when tracking is
-    /// off).
-    pub fn changes(&self) -> &[GraphChange] {
+    /// [`clear_changes`](Self::clear_changes), as four typed runs (all
+    /// empty when tracking is off).
+    pub fn changes(&self) -> &ChangeJournal {
         &self.journal
     }
 
@@ -795,47 +829,48 @@ impl MutableGraph {
 
     /// Journals the edge diff `self → snapshot-filtered-by-activation`
     /// (called before [`Self::replace_edges_with`] rewrites storage).
+    ///
+    /// Per node `v`, ascending, it merges the upper parts (neighbors
+    /// `w > v`) of the live row and the snapshot row, both ascending,
+    /// and writes each pair straight into the `removed` or `added` run:
+    /// so both runs come out ascending. A snapshot row is CSR and a row
+    /// of a shared base is sorted, so they are merged in place; only a
+    /// row out of order (an overlay row, or a compacted one) is sorted
+    /// in scratch first.
     fn journal_replace_diff(&mut self, snapshot: &Graph) {
         let mut j = std::mem::take(&mut self.journal);
         let mut scratch = arena::take_nodes();
         for v in 0..self.node_count() as Node {
-            // The merge below walks both sides in ascending order: the
-            // live row is sorted into scratch first (the snapshot side
-            // is CSR, always sorted).
-            scratch.clear();
-            scratch.extend_from_slice(self.neighbors(v));
-            scratch.sort_unstable();
-            let old: &[Node] = &scratch;
-            let mut oi = 0usize;
-            let active_v = self.active[v as usize];
-            let mut new_it = snapshot
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| active_v && self.active[w as usize])
-                .peekable();
-            loop {
-                match (old.get(oi).copied(), new_it.peek().copied()) {
-                    (None, None) => break,
-                    (Some(a), b) if b.is_none() || a < b.expect("checked") => {
-                        if v < a {
-                            j.push(GraphChange::EdgeRemoved(v, a));
-                        }
-                        oi += 1;
-                    }
-                    (a, Some(b)) if a.is_none() || b < a.expect("checked") => {
-                        if v < b {
-                            j.push(GraphChange::EdgeAdded(v, b));
-                        }
-                        new_it.next();
-                    }
-                    _ => {
-                        // Equal: edge survives the replacement.
-                        oi += 1;
-                        new_it.next();
-                    }
+            let mut old = self.neighbors(v);
+            if !old.is_sorted() {
+                scratch.clear();
+                scratch.extend_from_slice(old);
+                scratch.sort_unstable();
+                old = &scratch;
+            }
+            let new = if self.active[v as usize] { snapshot.neighbors(v) } else { &[] };
+            let old = &old[old.partition_point(|&w| w <= v)..];
+            let new = &new[new.partition_point(|&w| w <= v)..];
+            let (mut i, mut k) = (0, 0);
+            while i < old.len() && k < new.len() {
+                let (a, b) = (old[i], new[k]);
+                if !self.active[b as usize] {
+                    k += 1;
+                } else if a < b {
+                    j.removed.push((v, a));
+                    i += 1;
+                } else if b < a {
+                    j.added.push((v, b));
+                    k += 1;
+                } else {
+                    // Equal: the edge survives the replacement.
+                    i += 1;
+                    k += 1;
                 }
             }
+            j.removed.extend(old[i..].iter().map(|&a| (v, a)));
+            let fresh = new[k..].iter().filter(|&&b| self.active[b as usize]);
+            j.added.extend(fresh.map(|&b| (v, b)));
         }
         arena::give_nodes(scratch);
         self.journal = j;
@@ -977,7 +1012,8 @@ mod tests {
         assert!(net.slide_edge(0, 1, 3));
         assert!(!net.has_edge(0, 1) && net.has_edge(0, 3) && net.has_edge(3, 0));
         assert_eq!(net.edge_count(), 6);
-        assert_eq!(net.changes(), &[GraphChange::EdgeRemoved(0, 1), GraphChange::EdgeAdded(0, 3)]);
+        assert_eq!(net.changes().removed, [(0, 1)]);
+        assert_eq!(net.changes().added, [(0, 3)]);
         assert_eq!(net.neighbors(0), &[3, 5]);
         // Occupied-pair rejection: 0-5 exists, so 0-3 cannot slide onto
         // it — and nothing changes.
@@ -1177,24 +1213,15 @@ mod tests {
         net.deactivate(0);
         net.activate(0);
         let changes = net.changes();
-        assert_eq!(changes.len(), 7);
-        assert_eq!(changes[..2], [GraphChange::EdgeAdded(0, 2), GraphChange::EdgeRemoved(1, 2)]);
-        // Deactivation strips the incident edges in row order, then
-        // journals the departure itself.
-        let mut stripped = changes[2..5].to_vec();
-        stripped.sort_unstable_by_key(|c| match *c {
-            GraphChange::EdgeRemoved(u, v) => (u, v),
-            other => panic!("expected an edge removal, got {other:?}"),
-        });
-        assert_eq!(
-            stripped,
-            [
-                GraphChange::EdgeRemoved(0, 1),
-                GraphChange::EdgeRemoved(0, 2),
-                GraphChange::EdgeRemoved(0, 3),
-            ]
-        );
-        assert_eq!(changes[5..], [GraphChange::NodeDeactivated(0), GraphChange::NodeActivated(0)]);
+        assert_eq!(changes.added, [(0, 2)]);
+        // Deactivation strips the incident edges in row order (after the
+        // earlier removal), then journals the departure itself.
+        assert_eq!(changes.removed[0], (1, 2));
+        let mut stripped = changes.removed[1..].to_vec();
+        stripped.sort_unstable();
+        assert_eq!(stripped, [(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(changes.deactivated, [0]);
+        assert_eq!(changes.activated, [0]);
         net.clear_changes();
         assert!(net.changes().is_empty());
         // Compaction journals nothing: it is a layout change.
@@ -1207,7 +1234,36 @@ mod tests {
         let mut net = MutableGraph::from_graph(&generators::path(4)); // 0-1, 1-2, 2-3
         net.track_changes(true);
         net.replace_edges_with(&generators::cycle(4)); // 0-1, 1-2, 2-3, 0-3
-        assert_eq!(net.changes(), &[GraphChange::EdgeAdded(0, 3)]);
+        assert_eq!(net.changes().added, [(0, 3)]);
+        assert!(net.changes().removed.is_empty());
+
+        // Overlay rows edited out of order, an inactive node and
+        // surviving edges: the journal is the set difference of the
+        // two edge sets, each run ascending.
+        let edges = |net: &MutableGraph| {
+            let g = net.to_graph();
+            g.nodes()
+                .flat_map(|v| g.neighbors(v).iter().filter(move |&&w| v < w).map(move |&w| (v, w)))
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let mut net = MutableGraph::from_graph(&generators::cycle(8));
+        assert!(net.remove_edge(0, 1) && net.add_edge(0, 5) && net.add_edge(0, 3));
+        assert!(net.add_edge(2, 7) && net.add_edge(2, 4));
+        assert!(!net.neighbors(0).is_sorted() && !net.neighbors(2).is_sorted());
+        net.deactivate(6);
+        let before = edges(&net);
+        let snapshot = generators::gnp(8, 0.5, &mut Xoshiro256PlusPlus::seed_from(11));
+        assert!(snapshot.degree(6) > 0, "the snapshot wires the inactive node");
+        net.track_changes(true);
+        net.replace_edges_with(&snapshot);
+        let after = edges(&net);
+        assert!(after.iter().all(|&(v, w)| v != 6 && w != 6), "edges at an inactive node");
+        assert!(!before.is_disjoint(&after), "no edge survives the replacement");
+        let changes = net.changes();
+        assert_eq!(changes.removed, before.difference(&after).copied().collect::<Vec<_>>());
+        assert_eq!(changes.added, after.difference(&before).copied().collect::<Vec<_>>());
+        assert!(!changes.removed.is_empty() && !changes.added.is_empty());
+        assert!(changes.deactivated.is_empty() && changes.activated.is_empty());
     }
 
     #[test]

@@ -8,22 +8,24 @@
 //! through the same sequence of add/remove/activate/deactivate/replace
 //! (and compaction-threshold changes, which must be invisible) and then
 //! demands identical observable state — identical row *order*, the
-//! same change journal, and identical `random_neighbor` selections from
-//! the same RNG state, which is the replay contract the golden tests
-//! pin.
+//! same change journal (its four typed runs, entry for entry, compared
+//! after every operation), and identical `random_neighbor` selections
+//! from the same RNG state, which is the replay contract the golden
+//! tests pin.
 
 use proptest::prelude::*;
-use rumor_spreading::graph::dynamic::{GraphChange, MutableGraph};
+use rumor_spreading::graph::dynamic::{ChangeJournal, MutableGraph};
 use rumor_spreading::graph::{generators, Graph, Node};
 use rumor_spreading::sim::rng::Xoshiro256PlusPlus;
 
 /// Naive reference model: push/swap-remove `Vec<Vec<Node>>` adjacency,
-/// activation flags, and the journal of effective changes.
+/// activation flags, and the journal of effective changes in its four
+/// typed runs.
 struct Reference {
     adj: Vec<Vec<Node>>,
     active: Vec<bool>,
     edge_count: usize,
-    journal: Vec<GraphChange>,
+    journal: ChangeJournal,
 }
 
 /// Swap-removes `x` from `row`; returns whether it was present.
@@ -43,7 +45,7 @@ impl Reference {
             adj: g.nodes().map(|v| g.neighbors(v).to_vec()).collect(),
             active: vec![true; g.node_count()],
             edge_count: g.edge_count(),
-            journal: Vec::new(),
+            journal: ChangeJournal::default(),
         }
     }
 
@@ -70,7 +72,7 @@ impl Reference {
         self.adj[u as usize].push(v);
         self.adj[v as usize].push(u);
         self.edge_count += 1;
-        self.journal.push(GraphChange::EdgeAdded(u.min(v), u.max(v)));
+        self.journal.added.push((u.min(v), u.max(v)));
         true
     }
 
@@ -80,7 +82,7 @@ impl Reference {
         }
         assert!(swap_remove_value(&mut self.adj[v as usize], u), "symmetric");
         self.edge_count -= 1;
-        self.journal.push(GraphChange::EdgeRemoved(u.min(v), u.max(v)));
+        self.journal.removed.push((u.min(v), u.max(v)));
         true
     }
 
@@ -91,23 +93,24 @@ impl Reference {
         let nbrs = std::mem::take(&mut self.adj[v as usize]);
         for &w in &nbrs {
             assert!(swap_remove_value(&mut self.adj[w as usize], v), "symmetric");
-            self.journal.push(GraphChange::EdgeRemoved(v.min(w), v.max(w)));
+            self.journal.removed.push((v.min(w), v.max(w)));
         }
         self.edge_count -= nbrs.len();
         self.active[v as usize] = false;
-        self.journal.push(GraphChange::NodeDeactivated(v));
+        self.journal.deactivated.push(v);
         nbrs.len()
     }
 
     fn activate(&mut self, v: Node) {
         if !self.active[v as usize] {
             self.active[v as usize] = true;
-            self.journal.push(GraphChange::NodeActivated(v));
+            self.journal.activated.push(v);
         }
     }
 
     /// Adopts `snapshot`'s sorted CSR rows, dropping edges at inactive
-    /// nodes; journals the edge diff per node in ascending order.
+    /// nodes; journals the edge diff per node in ascending order, so
+    /// both edge runs grow in ascending order.
     fn replace_edges_with(&mut self, snapshot: &Graph) {
         let n = self.adj.len();
         let new: Vec<Vec<Node>> = (0..n as Node)
@@ -127,8 +130,8 @@ impl Reference {
             union.dedup();
             for w in union {
                 match (old.contains(&w), fresh.contains(&w)) {
-                    (true, false) => self.journal.push(GraphChange::EdgeRemoved(v, w)),
-                    (false, true) => self.journal.push(GraphChange::EdgeAdded(v, w)),
+                    (true, false) => self.journal.removed.push((v, w)),
+                    (false, true) => self.journal.added.push((v, w)),
                     _ => {}
                 }
             }
@@ -206,12 +209,13 @@ fn apply_op(net: &mut MutableGraph, reference: &mut Reference, op: Op, n: usize)
             reference.replace_edges_with(&snapshot);
         }
     }
+    assert_eq!(net.changes(), &reference.journal, "change journal after {op:?}");
 }
 
 /// Identical state, row order included, and the identical journal.
 fn assert_equivalent(net: &MutableGraph, reference: &Reference, n: usize) {
     assert_eq!(net.edge_count(), reference.edge_count, "edge count");
-    assert_eq!(net.changes(), reference.journal.as_slice(), "change journal");
+    assert_eq!(net.changes(), &reference.journal, "change journal");
     for v in 0..n as Node {
         assert_eq!(net.is_active(v), reference.active[v as usize], "active {v}");
         assert_eq!(net.degree(v), reference.degree(v), "degree {v}");
@@ -299,7 +303,7 @@ proptest! {
             adj: vec![Vec::new(); n],
             active: vec![true; n],
             edge_count: 0,
-            journal: Vec::new(),
+            journal: ChangeJournal::default(),
         };
         for &op in &ops {
             apply_op(&mut net, &mut reference, op, n);
