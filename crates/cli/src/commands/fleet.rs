@@ -1,43 +1,53 @@
 //! `rumor sweep`, `rumor worker`, and `rumor serve` — the fleet
 //! commands.
 //!
-//! * `sweep file.spec [--workers N] [--pilot true] [--out PATH]` —
-//!   expand the sweep, execute it (in-process, or across `N` worker
-//!   processes), write the merged `FleetReport` artifact, and print a
-//!   summary table. The artifact is byte-identical for every worker
-//!   count; scheduling facts (jobs per worker, retries) go to stdout
-//!   only.
+//! * `sweep file.spec [--workers N] [--out PATH]` — expand the sweep,
+//!   execute it (in-process, or across `N` worker processes), write the
+//!   merged `FleetReport` artifact, and print a summary table. The
+//!   artifact is byte-identical for every worker count; scheduling
+//!   facts (jobs per worker, retries) go to stdout only.
 //! * `worker [--exit-after N]` — the child-process end of the
 //!   dispatcher protocol: length-prefixed JSON frames on stdin/stdout.
 //!   Not for interactive use.
-//! * `serve [--socket PATH] [--max-conn N]` — the long-running
-//!   service: same protocol, with graph and topology-trace caches
-//!   shared across requests.
+//! * `serve` — the long-running service: the same protocol on
+//!   stdin/stdout, with graph and topology-trace caches shared across
+//!   requests.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use rumor_core::{RunCaches, SweepSpec};
-use rumor_fleet::{
-    dispatch, run_frames, serve_socket, DispatchOptions, ServiceConfig, ServiceExit,
-};
+use rumor_fleet::{dispatch, run_frames, DispatchOptions, ServiceConfig, ServiceExit};
 
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Parses `tokens` for `command`, refusing any flag outside `flags` and
+/// any positional past the first `positionals`, so a mistyped flag or a
+/// stray argument is a usage error instead of being silently ignored.
+fn parse_only(
+    tokens: &[String],
+    command: &str,
+    flags: &[&str],
+    positionals: usize,
+) -> Result<Args, CliError> {
+    let args = Args::parse(tokens)?;
+    let extra = args.keys_outside(flags);
+    if !extra.is_empty() {
+        return Err(CliError::Usage(format!("unknown {command} options: --{}", extra.join(" --"))));
+    }
+    if let Some(arg) = args.positional().get(positionals) {
+        return Err(CliError::Usage(format!("unexpected {command} argument `{arg}`")));
+    }
+    Ok(args)
+}
+
 /// Runs the `sweep` subcommand.
 pub fn sweep(tokens: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(tokens)?;
-    let extra = args.keys_outside(&["workers", "pilot", "pilot-trials", "out", "worker-cmd"]);
-    if !extra.is_empty() {
-        return Err(CliError::Usage(format!("unknown sweep options: --{}", extra.join(" --"))));
-    }
+    let args = parse_only(tokens, "sweep", &["workers", "out", "worker-cmd"], 1)?;
     let path = args.require(0, "sweep.spec")?;
     let options = DispatchOptions {
         workers: args.opt_parsed("workers", 0)?,
         worker_cmd: args.opt_str("worker-cmd", "").split_whitespace().map(str::to_owned).collect(),
-        pilot: args.opt_parsed("pilot", false)?,
-        pilot_trials: args.opt_parsed("pilot-trials", 4)?,
     };
     let text = std::fs::read_to_string(path)?;
     let sweep = SweepSpec::parse(&text)?;
@@ -69,7 +79,7 @@ fn default_artifact_path(spec_path: &str) -> String {
 
 /// Runs the `worker` subcommand (frames on stdin/stdout until EOF).
 pub fn worker(tokens: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(tokens)?;
+    let args = parse_only(tokens, "worker", &["exit-after"], 0)?;
     let exit_after = match args.opt_str("exit-after", "").as_str() {
         "" => None,
         raw => Some(
@@ -87,26 +97,12 @@ pub fn worker(tokens: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Runs the `serve` subcommand: frames on stdin/stdout, or on a unix
-/// socket with `--socket`; either way one [`RunCaches`] is shared
-/// across every request served.
+/// Runs the `serve` subcommand: frames on stdin/stdout, with one
+/// [`RunCaches`] shared across every request served.
 pub fn serve(tokens: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(tokens)?;
-    let caches = Arc::new(RunCaches::default());
-    let socket = args.opt_str("socket", "");
-    if socket.is_empty() {
-        let config = ServiceConfig { caches: Some(caches), exit_after: None };
-        run_frames(&mut std::io::stdin().lock(), &mut std::io::stdout().lock(), &config)?;
-        return Ok(String::new());
-    }
-    let max_conn = match args.opt_str("max-conn", "").as_str() {
-        "" => None,
-        raw => Some(
-            raw.parse()
-                .map_err(|_| CliError::Usage(format!("cannot parse --max-conn from `{raw}`")))?,
-        ),
-    };
-    serve_socket(Path::new(&socket), caches, max_conn)?;
+    parse_only(tokens, "serve", &[], 0)?;
+    let config = ServiceConfig { caches: Some(Arc::new(RunCaches::default())), exit_after: None };
+    run_frames(&mut std::io::stdin().lock(), &mut std::io::stdout().lock(), &config)?;
     Ok(String::new())
 }
 
@@ -154,10 +150,40 @@ sweep.graph.n = [6, 8]
         std::fs::remove_file(&artifact).ok();
     }
 
+    fn tokens(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
     #[test]
     fn unknown_sweep_flags_are_rejected() {
-        let err = sweep(&["x.spec".to_owned(), "--bogus".to_owned(), "1".to_owned()]).unwrap_err();
+        let err = sweep(&tokens(&["x.spec", "--bogus", "1"])).unwrap_err();
         assert!(err.to_string().contains("--bogus"), "{err}");
+        // The pilot pass is gone: its flag is refused, not ignored.
+        let err = sweep(&tokens(&["x.spec", "--pilot", "true"])).unwrap_err();
+        assert!(err.to_string().contains("--pilot"), "{err}");
+        let err = sweep(&tokens(&["x.spec", "y.spec"])).unwrap_err();
+        assert!(err.to_string().contains("`y.spec`"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_flags_and_arguments_before_reading_input() {
+        // `--socket` once bound a unix socket at its path, deleting any
+        // file there; now no flag reaches `serve`.
+        let path =
+            std::env::temp_dir().join(format!("rumor_fleet_cli_{}_socket.txt", std::process::id()));
+        std::fs::write(&path, b"keep these bytes").unwrap();
+        let err = serve(&tokens(&["--socket", path.to_str().unwrap()])).unwrap_err();
+        assert!(err.to_string().contains("--socket"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"keep these bytes");
+        std::fs::remove_file(&path).ok();
+        let err = serve(&tokens(&["extra"])).unwrap_err();
+        assert!(err.to_string().contains("`extra`"), "{err}");
+    }
+
+    #[test]
+    fn worker_refuses_a_mistyped_flag() {
+        let err = worker(&tokens(&["--exit-afterr", "1"])).unwrap_err();
+        assert!(err.to_string().contains("--exit-afterr"), "{err}");
     }
 
     #[test]

@@ -67,8 +67,8 @@ USAGE:
     rumor stats <file|->
     rumor run <file|-> [--KEY VALUE]…
     rumor run --spec FILE
-    rumor sweep <file.spec> [--workers N] [--pilot true] [--out PATH]
-    rumor serve [--socket PATH] [--max-conn N]
+    rumor sweep <file.spec> [--workers N] [--out PATH]
+    rumor serve
     rumor help
 
 GRAPHS (rumor gen, and the `graph =` line of a spec):
@@ -114,12 +114,10 @@ FLEET (rumor sweep / worker / serve):
     into a parameter grid, executes every grid point (in-process by
     default, across N worker processes with --workers N), and writes
     the merged FleetReport artifact next to the spec (or to --out).
-    --pilot true        shrink `auto` budgets with a short pilot pass
-    --pilot-trials K    trials per child in the pilot pass [default: 4]
     --worker-cmd CMD    override the worker command line (testing)
-    worker and serve speak length-prefixed JSON frames; serve keeps
-    graph/topology-trace caches warm across requests (--socket binds a
-    unix socket instead of stdin/stdout).
+    worker and serve speak length-prefixed JSON frames on
+    stdin/stdout; serve keeps graph/topology-trace caches warm across
+    requests.
     `rumor stats x.fleet.json [y.fleet.json]` summarizes or diffs
     fleet artifacts.
 

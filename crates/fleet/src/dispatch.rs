@@ -1,6 +1,5 @@
-//! Sweep execution: expand, optionally pilot-tune, run the work-list
-//! (in-process or across worker processes), merge into one
-//! `FleetReport`.
+//! Sweep execution: expand, run the work-list (in-process or across
+//! worker processes), merge into one `FleetReport`.
 //!
 //! The dispatcher's one invariant is that the merged artifact is
 //! byte-identical however the work-list was scheduled. Everything that
@@ -17,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rumor_core::obs::json::Json;
-use rumor_core::spec::{SpecError, Telemetry, Unit};
+use rumor_core::spec::{SpecError, Telemetry};
 use rumor_core::{SweepChild, SweepSpec};
 
 use crate::frame::{read_frame, write_frame};
@@ -26,7 +25,7 @@ use crate::report::{
 };
 
 /// How [`dispatch`] executes a sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DispatchOptions {
     /// Worker process count; `0` or `1` runs the work-list in-process.
     pub workers: usize,
@@ -35,25 +34,12 @@ pub struct DispatchOptions {
     /// sweep`). Tests substitute `rumor worker --exit-after n` here to
     /// inject crashes.
     pub worker_cmd: Vec<String>,
-    /// Run an in-process pilot pass first, shrinking `auto` step and
-    /// round budgets toward what the pilot trials actually needed.
-    pub pilot: bool,
-    /// Trials per child in the pilot pass (capped by the child's own
-    /// trial count).
-    pub pilot_trials: usize,
-}
-
-impl Default for DispatchOptions {
-    fn default() -> Self {
-        DispatchOptions { workers: 0, worker_cmd: Vec::new(), pilot: false, pilot_trials: 4 }
-    }
 }
 
 /// What went wrong while dispatching.
 #[derive(Debug)]
 pub enum FleetError {
-    /// The sweep failed to expand or a tuned child failed to
-    /// re-validate.
+    /// The sweep failed to expand or a child failed to validate.
     Spec(SpecError),
     /// A transport problem: spawning workers, broken pipes, malformed
     /// frames.
@@ -102,14 +88,11 @@ pub struct FleetOutcome {
 ///
 /// # Errors
 ///
-/// [`FleetError::Spec`] if expansion or pilot re-validation fails,
+/// [`FleetError::Spec`] if expansion or a child's validation fails,
 /// [`FleetError::Io`] on transport problems, [`FleetError::Worker`] if
 /// a worker rejects a spec or crashes twice on the same child.
 pub fn dispatch(sweep: &SweepSpec, options: &DispatchOptions) -> Result<FleetOutcome, FleetError> {
-    let mut children = sweep.expand()?;
-    if options.pilot {
-        pilot_tune(&mut children, options.pilot_trials)?;
-    }
+    let children = sweep.expand()?;
     let (reports, jobs_per_worker, retries) = if options.workers <= 1 {
         let reports = children
             .iter()
@@ -122,68 +105,6 @@ pub fn dispatch(sweep: &SweepSpec, options: &DispatchOptions) -> Result<FleetOut
     };
     let doc = fleet_doc(sweep, &children, reports)?;
     Ok(FleetOutcome { doc, jobs_per_worker, retries })
-}
-
-// ---------------------------------------------------------------------------
-// Pilot tuning
-// ---------------------------------------------------------------------------
-
-/// Runs a few in-process trials of every child that still has `auto`
-/// budgets and shrinks those budgets toward the observed need (with a
-/// generous safety factor), so full worker runs don't carry
-/// worst-case defaults. Children whose pilot censored are left alone —
-/// a tight budget derived from a censored pilot would censor the real
-/// run too.
-///
-/// A coupled child's `auto` horizon is never tuned: traces are recorded
-/// only as far as the replays read, so a larger horizon costs nothing,
-/// and a tighter one would cut the sync half's topology short.
-fn pilot_tune(children: &mut [SweepChild], pilot_trials: usize) -> Result<(), FleetError> {
-    for child in children {
-        let plan = &child.spec.plan;
-        if plan.max_steps.is_some() && plan.max_rounds.is_some() {
-            continue;
-        }
-        let defaults = child.spec.build()?;
-        let trials = pilot_trials.clamp(1, plan.trials);
-        let pilot = child.spec.clone().trials(trials).threads(1).build()?.run();
-        if pilot.censored() > 0 {
-            eprintln!("pilot censored for [{}]; keeping default budgets", child.point);
-            continue;
-        }
-        let mut tuned = child.spec.clone();
-        if let Some(coupled) = &pilot.coupled {
-            let max_rounds = coupled.iter().map(|o| o.sync_rounds).fold(0.0, f64::max);
-            let max_time = coupled.iter().map(|o| o.async_time).fold(0.0, f64::max);
-            // The global clock ticks n times per time unit, so protocol
-            // steps are about the async time × n.
-            let n = defaults.graph().node_count() as f64;
-            let max_steps = (max_time * n).ceil() as u64;
-            if tuned.plan.max_rounds.is_none() && max_rounds > 0.0 {
-                tuned = tuned.max_rounds(((max_rounds as u64 + 1) * 4).min(defaults.max_rounds()));
-            }
-            if tuned.plan.max_steps.is_none() && max_steps > 0 {
-                tuned = tuned.max_steps((max_steps * 4).max(1).min(defaults.max_steps()));
-            }
-        } else {
-            let max_steps = pilot.outcomes.iter().map(|o| o.steps).max().unwrap_or(0);
-            if tuned.plan.max_steps.is_none() && max_steps > 0 {
-                tuned = tuned.max_steps((max_steps * 4).max(1).min(defaults.max_steps()));
-            }
-            if tuned.plan.max_rounds.is_none() && pilot.unit == Unit::Rounds {
-                let rounds = pilot.outcomes.iter().map(|o| o.value).fold(0.0, f64::max);
-                if rounds > 0.0 {
-                    tuned = tuned.max_rounds(((rounds as u64 + 1) * 4).min(defaults.max_rounds()));
-                }
-            }
-        }
-        // Re-validate and refresh the canonical text; the artifact
-        // records exactly what the workers ran.
-        tuned.build()?;
-        child.text = tuned.to_spec_string()?;
-        child.spec = tuned;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -400,8 +321,7 @@ fn fleet_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_core::dynamic::{DynamicModel, EdgeMarkov};
-    use rumor_core::spec::{GraphSpec, Protocol, SimSpec, Topology};
+    use rumor_core::spec::{GraphSpec, Protocol, SimSpec};
 
     fn quick_sweep() -> SweepSpec {
         let base = SimSpec::new(GraphSpec::Complete { n: 8 })
@@ -452,74 +372,5 @@ mod tests {
         }
         let merged = telemetry_from_json(outcome.doc.get("telemetry").unwrap()).unwrap();
         assert_eq!(merged, expect);
-    }
-
-    #[test]
-    fn pilot_shrinks_auto_budgets_without_changing_results() {
-        let sweep = quick_sweep();
-        let plain = dispatch(&sweep, &DispatchOptions::default()).unwrap();
-        let piloted =
-            dispatch(&sweep, &DispatchOptions { pilot: true, ..DispatchOptions::default() })
-                .unwrap();
-        // Budgets only move when a run would otherwise censor; on this
-        // quick grid every trial completes, so outcome values agree.
-        let value = |doc: &Json| {
-            doc.get("children").unwrap().as_arr().unwrap()[0]
-                .get("report")
-                .unwrap()
-                .get("outcomes")
-                .unwrap()
-                .as_arr()
-                .unwrap()[0]
-                .get("value")
-                .unwrap()
-                .as_num()
-                .unwrap()
-        };
-        assert_eq!(value(&plain.doc), value(&piloted.doc));
-        // The piloted artifact records the tuned spec text.
-        let spec_text = piloted.doc.get("children").unwrap().as_arr().unwrap()[0]
-            .get("spec")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_owned();
-        assert!(spec_text.contains("max_steps = "), "tuned text: {spec_text}");
-        assert!(!spec_text.contains("max_steps = auto"), "tuned text: {spec_text}");
-    }
-
-    #[test]
-    fn pilot_leaves_coupled_rows_unchanged() {
-        let base = SimSpec::new(GraphSpec::Gnp { n: 24, p: 0.3, seed: 5, attempts: 200 })
-            .protocol(Protocol::push_pull_async())
-            // Slow churn: far fewer topology changes than protocol
-            // ticks, so a step budget counted in trace steps censors.
-            .topology(Topology::Model(DynamicModel::EdgeMarkov(EdgeMarkov {
-                off_rate: 0.02,
-                on_rate: 0.08,
-            })))
-            .coupled(true)
-            .trials(6)
-            .seed(21);
-        let sweep = SweepSpec::new(base)
-            .axis("graph.n", ["16", "24"])
-            .unwrap()
-            .axis("antithetic", ["false", "true"])
-            .unwrap();
-        let plain = dispatch(&sweep, &DispatchOptions::default()).unwrap();
-        let piloted =
-            dispatch(&sweep, &DispatchOptions { pilot: true, ..DispatchOptions::default() })
-                .unwrap();
-        let children = |doc: &Json| doc.get("children").unwrap().as_arr().unwrap().to_vec();
-        let (plain, piloted) = (children(&plain.doc), children(&piloted.doc));
-        assert_eq!(plain.len(), 4);
-        for (a, b) in plain.iter().zip(&piloted) {
-            let rows = |c: &Json| c.get("report").unwrap().get("coupled").unwrap().clone();
-            assert_eq!(rows(a), rows(b), "{:?}", a.get("point"));
-            // Budgets were tuned; the horizon stays `auto`.
-            let text = b.get("spec").unwrap().as_str().unwrap();
-            assert!(!text.contains("max_steps = auto"), "tuned text: {text}");
-            assert!(text.contains("horizon = auto"), "tuned text: {text}");
-        }
     }
 }

@@ -1,13 +1,17 @@
 //! Length-prefixed byte frames: a 4-byte big-endian length followed by
 //! that many payload bytes. The framing both the dispatcher⇄worker
-//! protocol and the `rumor serve` loop speak, over pipes or sockets.
+//! protocol and the `rumor serve` loop speak over stdin/stdout pipes.
 
 use std::io::{self, Read, Write};
 
-/// Frames larger than this are rejected on both sides (a corrupted or
-/// misaligned length prefix would otherwise trigger a giant
-/// allocation).
+/// Frames larger than this are rejected on both sides.
 pub const MAX_FRAME: u32 = 1 << 28;
+
+/// The most payload memory [`read_frame`] reserves before the bytes
+/// arrive: a length prefix alone is no evidence that the payload
+/// exists, so a header claiming [`MAX_FRAME`] bytes followed by EOF
+/// must not allocate them.
+const MAX_RESERVE: usize = 64 << 10;
 
 /// Writes one frame and flushes (the reader on the other side blocks
 /// until the frame is complete, so every frame is flushed eagerly).
@@ -34,6 +38,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// `InvalidData` on an oversized length prefix, `UnexpectedEof` on a
 /// truncated frame, otherwise whatever the underlying reader reports.
+/// Memory grows with the bytes received, not with the length claimed.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     let mut filled = 0;
@@ -55,8 +60,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(MAX_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -90,5 +102,31 @@ mod tests {
         // Oversized length prefix.
         let bad = (MAX_FRAME + 1).to_be_bytes();
         assert!(read_frame(&mut bad.as_slice()).is_err());
+    }
+
+    /// Hands out `data` and records the largest buffer it was offered.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
+        // A header claiming 2^28 bytes, then 10 bytes and EOF, once
+        // allocated the whole claim up front and aborted a worker
+        // running under a memory limit.
+        let mut stream = MAX_FRAME.to_be_bytes().to_vec();
+        stream.extend([7u8; 10]);
+        let mut r = Recording { data: &stream, largest: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= MAX_RESERVE, "offered a {}-byte buffer", r.largest);
     }
 }

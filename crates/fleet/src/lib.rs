@@ -14,13 +14,12 @@
 //!   codec and the merged, provenance-stamped `FleetReport` artifact
 //!   (schema [`FLEET_SCHEMA`]);
 //! * [`dispatch`](mod@dispatch) — expands a [`SweepSpec`](rumor_core::SweepSpec) into
-//!   its validated work-list, optionally auto-tunes `auto` budgets with
-//!   a pilot pass, executes the list in-process or across `rumor
-//!   worker` child processes (crashed workers are retried once), and
-//!   merges the child reports into one `FleetReport`;
+//!   its validated work-list, executes the list in-process or across
+//!   `rumor worker` child processes (crashed workers are retried once),
+//!   and merges the child reports into one `FleetReport`;
 //! * [`service`] — the shared frame loop behind `rumor worker` and
-//!   `rumor serve`, with cross-request graph/trace caching
-//!   ([`RunCaches`](rumor_core::RunCaches)) on the serve path.
+//!   `rumor serve` over stdin/stdout, with cross-request graph/trace
+//!   caching ([`RunCaches`](rumor_core::RunCaches)) on the serve path.
 //!
 //! Determinism contract: the merged `FleetReport` is byte-identical for
 //! any worker count (including the in-process path) — results are
@@ -38,4 +37,4 @@ pub mod service;
 
 pub use dispatch::{dispatch, DispatchOptions, FleetError, FleetOutcome};
 pub use report::{report_from_json, report_to_json, telemetry_from_json, FLEET_SCHEMA};
-pub use service::{run_frames, serve_socket, ServiceConfig, ServiceExit};
+pub use service::{run_frames, ServiceConfig, ServiceExit};

@@ -22,8 +22,6 @@
 //! topology-trace caches.
 
 use std::io::{self, Read, Write};
-use std::os::unix::net::UnixListener;
-use std::path::Path;
 use std::sync::Arc;
 
 use rumor_core::obs::json::Json;
@@ -139,37 +137,6 @@ fn handle(request: Request, config: &ServiceConfig) -> Result<(String, Json), St
             Ok(("counters".to_owned(), Json::Obj(fields)))
         }
     }
-}
-
-/// Binds a unix socket at `path` and serves connections sequentially,
-/// all sharing one [`RunCaches`] — the `rumor serve --socket` mode.
-///
-/// A pre-existing socket file at `path` is removed first (the stale
-/// leftover of a previous service). `max_connections` bounds how many
-/// connections are accepted before returning (`None` serves forever).
-///
-/// # Errors
-///
-/// Bind/accept errors, or a transport error on a connection.
-pub fn serve_socket(
-    path: &Path,
-    caches: Arc<RunCaches>,
-    max_connections: Option<u64>,
-) -> io::Result<()> {
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let listener = UnixListener::bind(path)?;
-    let config = ServiceConfig { caches: Some(caches), exit_after: None };
-    let mut accepted = 0u64;
-    while max_connections.is_none_or(|cap| accepted < cap) {
-        let (stream, _) = listener.accept()?;
-        let mut reader = io::BufReader::new(stream.try_clone()?);
-        let mut writer = io::BufWriter::new(stream);
-        run_frames(&mut reader, &mut writer, &config)?;
-        accepted += 1;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
