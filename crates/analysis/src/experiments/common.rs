@@ -3,7 +3,7 @@
 
 use rumor_core::asynchronous::AsyncView;
 use rumor_core::runner;
-use rumor_core::spec::{Protocol, RunReport, SimSpec};
+use rumor_core::spec::{default_sync_rounds, Protocol, RunReport, SimSpec};
 use rumor_core::Mode;
 use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
@@ -231,11 +231,6 @@ pub fn mix_seed(cfg: &ExperimentConfig, salt: u64) -> u64 {
         ^ salt.wrapping_mul(0xD134_2543_DE82_EF95)
 }
 
-/// A generous synchronous round budget for the graphs in this workspace.
-pub fn sync_round_budget(g: &Graph) -> u64 {
-    1_000 * g.node_count() as u64 + 10_000
-}
-
 /// A [`SimSpec`] pre-filled with an experiment's trial plan (trials,
 /// mixed seed, threads) for a suite entry — the one builder every
 /// experiment driver composes its runs from.
@@ -251,7 +246,7 @@ pub fn suite_spec(entry: &SuiteEntry, cfg: &ExperimentConfig, salt: u64) -> SimS
 pub fn sample_sync(entry: &SuiteEntry, mode: Mode, cfg: &ExperimentConfig, salt: u64) -> Vec<f64> {
     suite_spec(entry, cfg, salt)
         .protocol(Protocol::Sync { mode })
-        .max_rounds(sync_round_budget(&entry.graph))
+        .max_rounds(default_sync_rounds(&entry.graph))
         .build()
         .expect("suite specs are valid")
         .run()

@@ -9,13 +9,12 @@
 
 use rumor_core::aux::{run_aux, AuxKind};
 use rumor_core::runner::run_trials_parallel;
+use rumor_core::spec::default_sync_rounds;
 use rumor_core::{run_sync, Mode};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::{Ecdf, OnlineStats};
 
-use crate::experiments::common::{
-    mix_seed, standard_suite, sync_round_budget, ExperimentConfig, SuiteEntry,
-};
+use crate::experiments::common::{mix_seed, standard_suite, ExperimentConfig, SuiteEntry};
 use crate::table::{fmt_f, Table};
 
 const SALT: u64 = 0xE10;
@@ -24,7 +23,7 @@ fn sample_rounds<F>(entry: &SuiteEntry, cfg: &ExperimentConfig, salt: u64, f: F)
 where
     F: Fn(&SuiteEntry, &mut Xoshiro256PlusPlus, u64) -> u64 + Sync,
 {
-    let budget = sync_round_budget(&entry.graph);
+    let budget = default_sync_rounds(&entry.graph);
     run_trials_parallel(cfg.trials, mix_seed(cfg, salt), cfg.threads, |_, rng| {
         f(entry, rng, budget) as f64
     })

@@ -8,11 +8,12 @@
 
 use rumor_core::quasirandom::run_quasirandom_sync;
 use rumor_core::runner::run_trials_parallel;
+use rumor_core::spec::default_sync_rounds;
 use rumor_core::{run_sync, Mode};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::OnlineStats;
 
-use crate::experiments::common::{mix_seed, standard_suite, sync_round_budget, ExperimentConfig};
+use crate::experiments::common::{mix_seed, standard_suite, ExperimentConfig};
 use crate::table::{fmt_f, Table};
 
 const SALT: u64 = 0xE16;
@@ -26,7 +27,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     let n = if cfg.full_scale { 256 } else { 64 };
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(mix_seed(cfg, SALT) ^ 0x6E7);
     for entry in standard_suite(n, &mut graph_rng) {
-        let budget = sync_round_budget(&entry.graph);
+        let budget = default_sync_rounds(&entry.graph);
         let random: OnlineStats =
             run_trials_parallel(cfg.trials, mix_seed(cfg, SALT), cfg.threads, |_, rng| {
                 run_sync(&entry.graph, entry.source, Mode::PushPull, rng, budget).rounds as f64

@@ -8,12 +8,13 @@
 
 use rumor_core::asynchronous::AsyncView;
 use rumor_core::runner::{default_max_steps, run_trials_parallel};
+use rumor_core::spec::default_sync_rounds;
 use rumor_core::{run_async, run_sync, Mode};
 use rumor_graph::{generators, Graph, Node};
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::OnlineStats;
 
-use crate::experiments::common::{mix_seed, sync_round_budget, ExperimentConfig};
+use crate::experiments::common::{mix_seed, ExperimentConfig};
 use crate::table::{fmt_f, Table};
 
 const SALT: u64 = 0xE17;
@@ -63,7 +64,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     let n = if cfg.full_scale { 512 } else { 64 };
     let mut graph_rng = Xoshiro256PlusPlus::seed_from(mix_seed(cfg, SALT) ^ 0x6F7);
     for case in cases(n, &mut graph_rng) {
-        let budget_sync = sync_round_budget(&case.graph);
+        let budget_sync = default_sync_rounds(&case.graph);
         let budget_async = default_max_steps(&case.graph);
         for (label, source) in &case.sources {
             let g = &case.graph;

@@ -7,6 +7,7 @@
 //! `p` and fits the scaling.
 
 use rumor_core::runner::{default_max_steps, run_trials_parallel};
+use rumor_core::spec::default_sync_rounds;
 use rumor_core::spread::SpreadConfig;
 use rumor_core::sync::run_sync_probed;
 use rumor_core::{run_async_probed, AsyncView, NoProbe};
@@ -14,7 +15,7 @@ use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::OnlineStats;
 
-use crate::experiments::common::{mix_seed, sync_round_budget, ExperimentConfig, SuiteEntry};
+use crate::experiments::common::{mix_seed, ExperimentConfig, SuiteEntry};
 use crate::table::{fmt_f, Table};
 
 const SALT: u64 = 0xE18;
@@ -62,7 +63,7 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
                     cfg.threads,
                     |_, rng| {
                         if model == "sync" {
-                            let budget = sync_round_budget(g);
+                            let budget = default_sync_rounds(g);
                             run_sync_probed(g, &spread, rng, budget, &mut NoProbe).rounds as f64
                         } else {
                             let (view, budget) = (AsyncView::GlobalClock, default_max_steps(g));

@@ -11,12 +11,13 @@
 
 use rumor_core::asynchronous::AsyncView;
 use rumor_core::runner::{default_max_steps, run_trials_parallel};
+use rumor_core::spec::default_sync_rounds;
 use rumor_core::{run_async, run_sync, Mode};
 use rumor_graph::generators;
 use rumor_sim::rng::Xoshiro256PlusPlus;
 use rumor_sim::stats::OnlineStats;
 
-use crate::experiments::common::{mix_seed, sync_round_budget, ExperimentConfig, SuiteEntry};
+use crate::experiments::common::{mix_seed, ExperimentConfig, SuiteEntry};
 use crate::table::{fmt_f, Table};
 
 const SALT: u64 = 0xE8;
@@ -33,7 +34,7 @@ pub struct FractionTimes {
 }
 
 fn sync_fraction_times(entry: &SuiteEntry, cfg: &ExperimentConfig, salt: u64) -> FractionTimes {
-    let budget = sync_round_budget(&entry.graph);
+    let budget = default_sync_rounds(&entry.graph);
     let rows = run_trials_parallel(cfg.trials, mix_seed(cfg, salt), cfg.threads, |_, rng| {
         let out = run_sync(&entry.graph, entry.source, Mode::PushPull, rng, budget);
         (

@@ -319,29 +319,12 @@ impl MutableGraph {
     /// Panics on self-loops, out-of-range endpoints, or inactive
     /// endpoints — topology models must not wire up departed nodes.
     pub fn add_edge(&mut self, u: Node, v: Node) -> bool {
-        assert!(u != v, "self-loop at node {u}");
-        assert!(
-            (u as usize) < self.node_count() && (v as usize) < self.node_count(),
-            "edge ({u}, {v}) out of range for {} nodes",
-            self.node_count()
-        );
-        assert!(
-            self.active[u as usize] && self.active[v as usize],
-            "edge ({u}, {v}) touches an inactive node"
-        );
-        let su = self.touch(u);
-        if self.row(su).contains(&v) {
+        // Range first: an out-of-range `u` must reach the range assert
+        // of `add_edge_unchecked`, not fail indexing inside `has_edge`.
+        if (u as usize) < self.node_count() && self.has_edge(u, v) {
             return false;
         }
-        self.row_push(su, v);
-        let sv = self.touch(v);
-        self.row_push(sv, u);
-        self.overlay_entries += 2;
-        self.edge_count += 1;
-        if self.tracking {
-            self.journal.added.push((u.min(v), u.max(v)));
-        }
-        self.maybe_compact();
+        self.add_edge_unchecked(u, v);
         true
     }
 
